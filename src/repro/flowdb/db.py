@@ -194,6 +194,8 @@ class FlowDB:
     ) -> List[FlowDBEntry]:
         """Entries matching a location set and/or time window."""
         if locations is not None:
+            # a repeated site must not contribute its entries twice
+            locations = list(dict.fromkeys(locations))
             unknown = [l for l in locations if l not in self._by_location]
             if unknown:
                 raise FlowQLPlanningError(

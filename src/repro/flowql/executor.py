@@ -9,7 +9,10 @@ assemble a Flowtree for a query window can answer FlowQL:
   corresponding Table II tree operator (including the LIMIT clause).
 * :class:`FlowQLExecutor` — the cloud-only front: the FROM/AT clauses
   select FlowDB entries, Merge + Compress collapses them into one tree
-  (Diff for ``VS``), then the plan tail runs.
+  (Diff for ``VS``), then the plan tail runs.  The runtime does not
+  use it (every query goes through :mod:`repro.query`); it stays as
+  the standalone FlowDB front and the reference the planner's
+  differential tests compare against.
 
 The federated planner (:mod:`repro.query`) reuses the same plan tail
 over trees assembled from hierarchy stores, which is what keeps
@@ -228,14 +231,6 @@ class FlowQLExecutor:
         self.db = db
         self.queries_executed = 0
 
-    # -- planning helpers ---------------------------------------------------
-
-    def _pattern(
-        self, tree: Flowtree, restrictions: List[Restriction]
-    ) -> Optional[FlowKey]:
-        """Compile WHERE restrictions into a generalized key pattern."""
-        return compile_pattern(tree, restrictions)
-
     def _merged(
         self, query: FlowQLQuery, spec: TimeSpec
     ) -> Flowtree:
@@ -258,9 +253,3 @@ class FlowQLExecutor:
         if query.vs_time is not None:
             tree = tree.diff(self._merged(query, query.vs_time))
         return apply_operator(tree, query)
-
-    @staticmethod
-    def _rows(
-        operator: str, pairs: List[Tuple[FlowKey, Score]]
-    ) -> FlowQLResult:
-        return _rows(operator, pairs)

@@ -6,8 +6,8 @@
 Flowtree aggregator (steps 1-2 of the figure), whose epoch summaries
 ship over the simulated WAN — transfer volume is accounted, which is
 how the benchmarks show the summary/raw reduction factor — into a
-:class:`~repro.flowdb.db.FlowDB` (step 4), queried through a
-:class:`~repro.flowql.executor.FlowQLExecutor` (step 5).
+:class:`~repro.flowdb.db.FlowDB` (step 4), queried through the
+runtime's :class:`~repro.query.planner.FederatedQueryPlanner` (step 5).
 
 Sites are addressed by their short names (``region1/router1``) in both
 :meth:`ingest` and FlowQL ``AT`` clauses.
@@ -58,7 +58,6 @@ class Flowstream:
         self.hierarchy = self.runtime.hierarchy
         self.fabric = self.runtime.fabric
         self.db = self.runtime.db
-        self.executor = self.runtime.executor
         self.stats = self.runtime.stats
         self.stores: Dict[str, DataStore] = {
             site: self.runtime.store_for(site) for site in dict.fromkeys(sites)

@@ -72,7 +72,6 @@ class TieredFlowstream:
         self.hierarchy = self.runtime.hierarchy
         self.fabric = self.runtime.fabric
         self.db = self.runtime.db
-        self.executor = self.runtime.executor
         self.stats = self.runtime.stats
         self.router_stores: Dict[str, DataStore] = (
             self.runtime.stores_at_level("router")

@@ -5,12 +5,12 @@ work *down* the hierarchy, repeated access triggers caching and
 ski-rental replication.  :class:`FederatedQueryPlanner` is where those
 pieces meet:
 
-* **Routing** — a query whose sites/window the root FlowDB covers runs
-  on the cloud executor unchanged; otherwise the planner fans out to
-  the shallowest store-bearing level whose stores cover the requested
-  sites, rehydrates their partition summaries, recombines the partial
-  trees with Merge (and Diff for ``VS``), and applies the same Table II
-  operator tail as the cloud path.
+* **Routing** — a query whose sites/window the root FlowDB covers is
+  planned onto the cloud route; otherwise the planner fans out to the
+  shallowest store-bearing level whose stores cover the requested
+  sites.  Either way each window is assembled by one
+  :class:`~repro.query.fold.WindowFold` (Merge, then Diff for ``VS``)
+  and answered by the same Table II operator tail.
 * **Caching** — results are memoized in a :class:`QueryCache` keyed on
   (plan, window); :meth:`on_epoch_closed` drops the cache so an epoch
   boundary never serves stale answers.
@@ -36,10 +36,10 @@ from repro.datastore.store import DataStore
 from repro.datastore.summary_query import approx_result_bytes, rehydrate
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
-from repro.flowql.executor import FlowQLResult, apply_operator
 from repro.flowql.parser import parse
 from repro.flows.tree import Flowtree
 from repro.obs.bridge import QUERY_SECONDS
+from repro.query.fold import WindowFold, answer, top_merge
 from repro.query.plan import (
     ROUTE_CLOUD,
     ROUTE_FEDERATED,
@@ -121,6 +121,15 @@ class FederatedQueryPlanner:
         if query.vs_time is not None:
             specs.append(query.vs_time)
         return specs
+
+    def window_folds(
+        self, plan: QueryPlan, query: FlowQLQuery
+    ) -> List[WindowFold]:
+        """One empty fold per window the query reads (FROM, then VS)."""
+        return [
+            WindowFold(self, plan, query, spec)
+            for spec in self._windows(query)
+        ]
 
     def _cloud_covers(self, query: FlowQLQuery) -> bool:
         """Whether the root FlowDB holds data for every site and window."""
@@ -230,18 +239,22 @@ class FederatedQueryPlanner:
                     plan=plan,
                     cache=CacheInfo(hit=True, key=key),
                 )
-        degradation: Optional[Degradation] = None
+        degradation: Optional[Degradation] = Degradation()
+        folds = self.window_folds(plan, query)
+        for fold in folds:
+            plan.reads.extend(fold.advance(now, degradation))
+        result = answer(folds, query)
         if plan.route == ROUTE_CLOUD:
-            result = self.runtime.executor.execute_query(query)
             stats.queries_cloud += 1
         else:
-            degradation = Degradation()
-            result = self._execute_federated(plan, query, now, degradation)
             stats.queries_federated += 1
-            if degradation.is_degraded:
-                stats.queries_degraded += 1
-            else:
-                degradation = None
+            volume = stats.level(plan.level)
+            volume.queries_served += 1
+            volume.query_bytes_out += plan.shipped_bytes
+        if degradation.is_degraded:
+            stats.queries_degraded += 1
+        else:
+            degradation = None
         if self.cache is not None and degradation is None:
             # a partial answer must not satisfy tomorrow's full query
             self.cache.put(
@@ -311,89 +324,6 @@ class FederatedQueryPlanner:
                 "topology_gen": self._topology_generation(),
             },
         )
-
-    def _execute_federated(
-        self,
-        plan: QueryPlan,
-        query: FlowQLQuery,
-        now: float,
-        degradation: Degradation,
-    ) -> FlowQLResult:
-        tree = self._assemble(plan, query, query.time, now, degradation)
-        if query.vs_time is not None:
-            tree = tree.diff(
-                self._assemble(plan, query, query.vs_time, now, degradation)
-            )
-        volume = self.runtime.stats.level(plan.level)
-        volume.queries_served += 1
-        volume.query_bytes_out += plan.shipped_bytes
-        return apply_operator(tree, query)
-
-    def _assemble(
-        self,
-        plan: QueryPlan,
-        query: FlowQLQuery,
-        spec: TimeSpec,
-        now: float,
-        degradation: Degradation,
-    ) -> Flowtree:
-        """One window's partial trees from the plan's level, merged.
-
-        A store whose read fails on a faulty link is retried against
-        replica coverage, then against covering stores at other levels;
-        what stays unreachable lands in ``degradation`` and the merge
-        proceeds over the surviving partials.
-        """
-        stores = self.runtime.stores_at_level(plan.level)
-        trees: List[Flowtree] = []
-        for label in sorted(stores):
-            if query.sites and not any(
-                _covers(label, site) for site in query.sites
-            ):
-                continue
-            partitions = self._window_partitions(
-                stores[label], spec.start, spec.end
-            )
-            if not partitions:
-                continue
-            try:
-                read, site_trees = self._read_store(
-                    label, plan.level, stores[label], partitions, now
-                )
-                plan.reads.append(read)
-            except TransferError as exc:
-                (
-                    reads, site_trees, covered, stale, attempted,
-                ) = self._degraded_read(
-                    label, plan.level, stores[label], partitions, spec, now
-                )
-                plan.reads.extend(reads)
-                if not covered:
-                    degradation.note(
-                        label, stale, str(exc), attempted=attempted
-                    )
-            trees.extend(site_trees)
-        if not trees:
-            if degradation.is_degraded:
-                # every covering store was unreachable: an honest empty
-                # partial beats an exception — the degradation record
-                # carries what is missing
-                return Flowtree(
-                    self.runtime.policy,
-                    node_budget=self.runtime.db.merge_node_budget,
-                )
-            raise FlowQLPlanningError(
-                f"no partitions at level {plan.level!r} match the window "
-                f"(start={spec.start}, end={spec.end})"
-            )
-        merged = Flowtree(
-            trees[0].policy,
-            node_budget=self.runtime.db.merge_node_budget,
-            metric=trees[0].metric,
-        )
-        for tree in trees:
-            merged.merge(tree)
-        return merged
 
     def _degraded_read(
         self,
@@ -475,6 +405,24 @@ class FederatedQueryPlanner:
                 stale = end if stale is None else max(stale, end)
         return reads, trees, False, stale, attempted
 
+    def _covering_stores(
+        self, level: str, sites: List[str]
+    ) -> List[Tuple[str, DataStore]]:
+        """``(label, store)`` at one level holding the requested sites'
+        data (every store when no site is named), in label order."""
+        stores = self.runtime.stores_at_level(level)
+        return [
+            (label, stores[label])
+            for label in sorted(stores)
+            if not sites or any(_covers(label, site) for site in sites)
+        ]
+
+    def _replica(self, partition_id: str) -> Optional[Partition]:
+        """The root-side replica of a partition (None when not bought)."""
+        replicas = self.replica_store.replicas
+        replica_id = f"{partition_id}@{self.replica_store.location.path}"
+        return replicas.get(replica_id) if replica_id in replicas else None
+
     @staticmethod
     def _window_partitions(
         store: DataStore,
@@ -526,9 +474,8 @@ class FederatedQueryPlanner:
             "fetch", site=label, level=level
         ) as span:
             for partition in partitions:
-                replica_id = f"{partition.partition_id}@{root_path}"
-                if replica_id in self.replica_store.replicas:
-                    replica = self.replica_store.replicas.get(replica_id)
+                replica = self._replica(partition.partition_id)
+                if replica is not None:
                     replica.record_access(
                         now, replica.size_bytes, remote=False
                     )
@@ -567,34 +514,6 @@ class FederatedQueryPlanner:
             )
         return read, [rehydrate(summary).tree for summary in summaries]
 
-    # -- deprecated direct-call shim -----------------------------------------
-
-    #: whether the warn-once deprecation below has already fired
-    _query_shim_warned = False
-
-    def query(
-        self, flowql: Union[str, FlowQLQuery], now: Optional[float] = None
-    ) -> QueryOutcome:
-        """Deprecated: go through :class:`repro.client.FlowQLClient`.
-
-        Applications used to reach into ``runtime.planner.query(...)``
-        directly; the unified client facade (backed by this planner
-        in-process, or by a ``repro serve`` endpoint over HTTP) is the
-        one query API now.  This shim forwards to :meth:`execute` and
-        warns once per process.
-        """
-        if not FederatedQueryPlanner._query_shim_warned:
-            FederatedQueryPlanner._query_shim_warned = True
-            import warnings
-
-            warnings.warn(
-                "FederatedQueryPlanner.query() is deprecated; use "
-                "repro.client.FlowQLClient (or runtime.query) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.execute(flowql, now=now)
-
     # -- drilldown API for applications --------------------------------------
 
     def window_tree(
@@ -610,7 +529,8 @@ class FederatedQueryPlanner:
 
         This is the planner-backed replacement for applications'
         hand-rolled ``store.window_summary(..., record_access=True)``
-        drilldowns.  Returns None when no partition overlaps.
+        drilldowns.  Returns None when no partition overlaps.  The tree
+        is read-only (see :func:`~repro.query.fold.top_merge`).
         """
         if isinstance(site, Location):
             site = self.runtime.site_label(site)
@@ -624,14 +544,7 @@ class FederatedQueryPlanner:
         volume = self.runtime.stats.level(level)
         volume.queries_served += 1
         volume.query_bytes_out += read.shipped_bytes
-        merged = Flowtree(
-            trees[0].policy,
-            node_budget=self.runtime.db.merge_node_budget,
-            metric=trees[0].metric,
-        )
-        for tree in trees:
-            merged.merge(tree)
-        return merged
+        return top_merge(trees, self.runtime.db.merge_node_budget)
 
     # -- cache lifecycle -----------------------------------------------------
 

@@ -8,35 +8,16 @@ plan's result once and then **delta-maintains** it on every epoch close
 — Merge of the newly sealed partitions into the materialized view
 instead of re-reading (and re-shipping) the whole window.
 
-Correctness contract — the delta path is provably identical to a cold
-re-execution of the same query:
-
-* **Cloud route.**  A fresh ``FlowDB.merged_tree`` merges entries in
-  ``(interval.start, location)`` order; new epochs always sort after
-  everything already folded.  The maintained view therefore undergoes
-  the *identical* operation sequence a cold merge would — including
-  compression timing — so the result is bit-identical by construction.
-  The registry validates the folded prefix (entry ids) every close and
-  rebuilds when it does not match (restart recovery re-ids entries).
-* **Federated route.**  A cold read folds each site's window
-  partitions into one per-site tree (``combine_flowtrees``: first
-  partition's tree copied, the rest merged in catalog order, under the
-  *partition's* node budget) and then merges the per-site trees — in
-  sorted site order — into a fresh tree under the root's merge budget.
-  Both folds are deterministic, so the view maintains the *same state*
-  incrementally: one fold tree per (site, aggregator) advanced by
-  exactly the merges a cold fold would append (new partitions only ever
-  arrive at the catalog's tail), plus a recomputed top-level merge per
-  close.  Identical operation sequences compress at identical points,
-  so the view stays bit-identical to re-execution even after per-site
-  compression sets in.  What *breaks* the sequence triggers a rebuild:
-  a folded partition vanishing (expiration, site restart), a partition
-  turning replica-resident at the root (cold then serves it
-  individually instead of folding it — a different merge order), a
-  participating store growing a privacy guard, or a degraded read.
-* **Topology.**  A generation bump (join/leave/split/merge/migrate)
-  invalidates and rebuilds the view — the *only* structural event that
-  does; ordinary closes never rebuild.
+A subscription keeps one :class:`~repro.query.fold.WindowFold` per
+window it reads (FROM, and VS when present) — the same object a cold
+query advances once and drops.  At each close the registry advances
+the kept folds, which read only what was sealed since; the answer is
+identical to re-execution because it *is* the cold computation,
+continued.  When a fold reports :class:`~repro.query.fold.FoldBroken`
+(see that module for the breakers), the topology generation or the
+plan's (route, level) moved, or a link died mid-advance, the registry
+rebuilds: new folds advanced from empty, kept iff all are resumable.
+Ordinary closes never rebuild.
 
 Updates are typed (:class:`SubscriptionUpdate`), sequence-numbered, and
 kept in a bounded ring per subscription, which is what makes the
@@ -69,16 +50,11 @@ from repro.errors import (
     TransferError,
     WireSchemaError,
 )
-from repro.flowql.ast import FlowQLQuery, TimeSpec
-from repro.flowql.executor import FlowQLResult, apply_operator
+from repro.flowql.ast import FlowQLQuery
+from repro.flowql.executor import FlowQLResult
 from repro.flowql.parser import parse
-from repro.flows.tree import Flowtree
-from repro.query.plan import (
-    ROUTE_CLOUD,
-    ROUTE_FEDERATED,
-    Degradation,
-    QueryPlan,
-)
+from repro.query.fold import FoldBroken, WindowFold, answer
+from repro.query.plan import ROUTE_FEDERATED, Degradation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.query.planner import FederatedQueryPlanner
@@ -105,14 +81,6 @@ _subscription_ids = itertools.count(1)
 MODE_INIT = "init"
 MODE_DELTA = "delta"
 MODE_REBUILD = "rebuild"
-
-
-class _RebuildNeeded(Exception):
-    """Internal: the delta path cannot prove identity; rebuild instead."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -175,238 +143,6 @@ class SubscriptionUpdate:
             )
 
 
-class _WindowView:
-    """One materialized window (FROM or VS) of a standing query."""
-
-    def __init__(self, spec: TimeSpec) -> None:
-        self.spec = spec
-        self.tree: Optional[Flowtree] = None
-        #: cloud route: entry ids folded, in merge order
-        self.folded_entries: List[int] = []
-        #: federated route: store label -> partition ids folded, in
-        #: catalog order
-        self.folded_partitions: Dict[str, List[str]] = {}
-        #: federated route: label -> aggregator -> the per-site fold
-        #: tree, maintained by the same operation sequence a cold
-        #: ``combine_flowtrees`` performs
-        self.site_trees: Dict[str, Dict[str, Flowtree]] = {}
-
-    # -- cloud route ---------------------------------------------------------
-
-    def build_cloud(
-        self, planner: "FederatedQueryPlanner", query: FlowQLQuery
-    ) -> None:
-        """Materialize from the root FlowDB, mirroring ``merged_tree``
-        exactly (same entry order, same budget) so later deltas are a
-        continuation of the cold computation."""
-        db = planner.runtime.db
-        entries = db.entries(
-            query.sites or None, self.spec.start, self.spec.end
-        )
-        if not entries:
-            raise FlowQLPlanningError(
-                "no Flowtree summaries match the subscribed window"
-            )
-        tree = Flowtree(
-            entries[0].tree.policy,
-            node_budget=db.merge_node_budget,
-            metric=entries[0].tree.metric,
-        )
-        for entry in entries:
-            tree.merge(entry.tree)
-        self.tree = tree
-        self.folded_entries = [e.entry_id for e in entries]
-
-    def advance_cloud(
-        self, planner: "FederatedQueryPlanner", query: FlowQLQuery
-    ) -> int:
-        """Merge entries sealed since the last refresh; returns bytes
-        shipped (always 0 — the root reads its own FlowDB locally)."""
-        db = planner.runtime.db
-        entries = db.entries(
-            query.sites or None, self.spec.start, self.spec.end
-        )
-        ids = [e.entry_id for e in entries]
-        folded = self.folded_entries
-        if ids[: len(folded)] != folded:
-            # recovery re-ids entries, retention may drop them: the
-            # continuation property no longer holds
-            raise _RebuildNeeded("entry-prefix")
-        for entry in entries[len(folded):]:
-            self.tree.merge(entry.tree)
-        self.folded_entries = ids
-        return 0
-
-    # -- federated route -----------------------------------------------------
-
-    def _current_partitions(
-        self,
-        planner: "FederatedQueryPlanner",
-        plan: QueryPlan,
-        query: FlowQLQuery,
-    ) -> Dict[str, list]:
-        """label -> window partitions at the plan's level, the same
-        selection ``_assemble`` makes."""
-        from repro.query.planner import _covers
-
-        stores = planner.runtime.stores_at_level(plan.level)
-        current: Dict[str, list] = {}
-        for label in sorted(stores):
-            if query.sites and not any(
-                _covers(label, site) for site in query.sites
-            ):
-                continue
-            if stores[label].privacy is not None:
-                # per-epoch privacy export need not commute with the
-                # whole-window export a cold read performs
-                raise _RebuildNeeded("privacy-guard")
-            partitions = planner._window_partitions(
-                stores[label], self.spec.start, self.spec.end
-            )
-            if partitions:
-                current[label] = partitions
-        return current
-
-    @staticmethod
-    def _replica_resident(planner: "FederatedQueryPlanner", pid: str) -> bool:
-        root_path = planner.replica_store.location.path
-        return f"{pid}@{root_path}" in planner.replica_store.replicas
-
-    def _fold_sites(
-        self, planner: "FederatedQueryPlanner", current: Dict[str, list]
-    ) -> Dict[str, Dict[str, Flowtree]]:
-        """Per-site fold trees by ``combine_flowtrees``' exact sequence:
-        the first partition's tree copied (keeping the partition node
-        budget), the rest merged in catalog order."""
-        site_trees: Dict[str, Dict[str, Flowtree]] = {}
-        for label in sorted(current):
-            groups: Dict[str, Flowtree] = {}
-            for partition in current[label]:
-                if self._replica_resident(planner, partition.partition_id):
-                    # a cold read serves a root-replicated partition
-                    # individually, outside the site fold — a different
-                    # merge sequence than the one this view maintains
-                    raise _RebuildNeeded("replica-served")
-                fold = groups.get(partition.aggregator)
-                if fold is None:
-                    groups[partition.aggregator] = (
-                        partition.summary.payload.copy()
-                    )
-                else:
-                    fold.merge(partition.summary.payload)
-            site_trees[label] = groups
-        return site_trees
-
-    def _top_merge(self, planner: "FederatedQueryPlanner") -> Flowtree:
-        """The cold assembly's final step: per-site trees merged — in
-        sorted site then aggregator order — into a fresh tree under the
-        root's merge budget."""
-        ordered: List[Flowtree] = []
-        for label in sorted(self.site_trees):
-            groups = self.site_trees[label]
-            ordered.extend(groups[agg] for agg in sorted(groups))
-        if not ordered:
-            raise _RebuildNeeded("partition-prefix")
-        budget = planner.runtime.db.merge_node_budget
-        if len(ordered) == 1 and (
-            budget is None or ordered[0].node_count <= budget
-        ):
-            # single-site window (the AT <edge site> shape): cold's
-            # final merge absorbs one fold tree into a fresh tree and,
-            # under the root budget, cannot compress — an exact
-            # structural copy.  Serve the fold directly instead of
-            # copying it every close.
-            return ordered[0]
-        merged = Flowtree(
-            ordered[0].policy,
-            node_budget=budget,
-            metric=ordered[0].metric,
-        )
-        for tree in ordered:
-            merged.merge(tree)
-        return merged
-
-    def seed_federated(
-        self,
-        planner: "FederatedQueryPlanner",
-        plan: QueryPlan,
-        query: FlowQLQuery,
-        tree: Flowtree,
-    ) -> None:
-        """Adopt a freshly assembled tree plus the per-site fold state
-        future deltas will advance."""
-        current = self._current_partitions(planner, plan, query)
-        self.site_trees = self._fold_sites(planner, current)
-        self.tree = tree
-        self.folded_partitions = {
-            label: [p.partition_id for p in partitions]
-            for label, partitions in current.items()
-        }
-
-    def advance_federated(
-        self,
-        planner: "FederatedQueryPlanner",
-        plan: QueryPlan,
-        query: FlowQLQuery,
-        now: float,
-    ) -> int:
-        """Fetch and fold partitions sealed since the last refresh.
-
-        Reads go through the planner's ``_read_store`` — fabric-
-        accounted, feeding the Fig. 6 replication cycle just like any
-        query — but only for the *new* partitions, which is the entire
-        saving.  Each fresh partition extends its site's fold tree by
-        exactly the merge a cold ``combine_flowtrees`` would append,
-        then the top-level merge is recomputed the way ``_assemble``
-        builds it; identical operation sequences keep the view
-        bit-identical to re-execution, compression included.  Returns
-        the bytes shipped.
-        """
-        stores = planner.runtime.stores_at_level(plan.level)
-        current = self._current_partitions(planner, plan, query)
-        folded = self.folded_partitions
-        for label, pids in folded.items():
-            seen = [
-                p.partition_id for p in current.get(label, [])
-            ][: len(pids)]
-            if seen != pids:
-                # a folded partition vanished (expiration, restart) or
-                # the catalog was rewritten under us
-                raise _RebuildNeeded("partition-prefix")
-        for label in sorted(current):
-            for partition in current[label]:
-                if self._replica_resident(planner, partition.partition_id):
-                    # replication promoted a window partition to the
-                    # root since the last fold: cold reads now serve it
-                    # individually, so the fold sequence diverged
-                    raise _RebuildNeeded("replica-served")
-        shipped = 0
-        advanced = False
-        for label in sorted(current):
-            partitions = current[label]
-            known = len(folded.get(label, []))
-            fresh = partitions[known:]
-            if fresh:
-                advanced = True
-                read, _ = planner._read_store(
-                    label, plan.level, stores[label], fresh, now
-                )
-                shipped += read.shipped_bytes
-                groups = self.site_trees.setdefault(label, {})
-                for partition in fresh:
-                    fold = groups.get(partition.aggregator)
-                    if fold is None:
-                        groups[partition.aggregator] = (
-                            partition.summary.payload.copy()
-                        )
-                    else:
-                        fold.merge(partition.summary.payload)
-            folded[label] = [p.partition_id for p in partitions]
-        if advanced:
-            self.tree = self._top_merge(planner)
-        return shipped
-
-
 class Subscription:
     """One standing query and its delta-maintained state."""
 
@@ -426,8 +162,9 @@ class Subscription:
         self.updates: Deque[SubscriptionUpdate] = deque(maxlen=HISTORY)
         self.callbacks: List[Callable[[SubscriptionUpdate], None]] = []
         self.callback_errors = 0
-        #: materialized windows (None until the first successful build)
-        self.views: Optional[List[_WindowView]] = None
+        #: one kept fold per window (None while not materialized, or
+        #: when the last snapshot's folds were not resumable)
+        self.views: Optional[List[WindowFold]] = None
         self.generation = -1
         self.route: Optional[str] = None
         self.level: Optional[str] = None
@@ -630,43 +367,29 @@ class SubscriptionRegistry:
         if subscription.views is None:
             self._rebuild(subscription, now, mode=MODE_INIT)
             return
-        if generation != subscription.generation:
-            self.metrics.rebuild("generation")
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
-        plan = self.planner.plan(subscription.query)
-        if (
-            plan.route != subscription.route
-            or plan.level != subscription.level
-        ):
-            self.metrics.rebuild("route-changed")
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
         try:
-            shipped = 0
-            for view in subscription.views:
-                if plan.route == ROUTE_CLOUD:
-                    shipped += view.advance_cloud(
-                        self.planner, subscription.query
-                    )
-                else:
-                    shipped += view.advance_federated(
-                        self.planner, plan, subscription.query, now
-                    )
-        except _RebuildNeeded as exc:
-            self.metrics.rebuild(exc.reason)
+            if generation != subscription.generation:
+                raise FoldBroken("generation")
+            plan = self.planner.plan(subscription.query)
+            if (plan.route, plan.level) != (
+                subscription.route, subscription.level
+            ):
+                raise FoldBroken("route-changed")
+            shipped = sum(
+                read.shipped_bytes
+                for fold in subscription.views
+                for read in fold.advance(now)
+            )
+        except (FoldBroken, TransferError) as exc:
+            # a broken prefix, or a link that died mid-advance and may
+            # have left a torn window: drop the folds and answer this
+            # boundary with a (possibly degraded) cold rebuild
+            self.metrics.rebuild(
+                exc.reason if isinstance(exc, FoldBroken) else "degraded"
+            )
             self._rebuild(subscription, now, mode=MODE_REBUILD)
             return
-        except TransferError:
-            # a link died mid-delta: the view may hold a torn window,
-            # so drop it and answer this boundary with a (possibly
-            # degraded) cold rebuild
-            self.metrics.rebuild("degraded")
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
-        result = apply_operator(
-            self._combined(subscription), subscription.query
-        )
+        result = answer(subscription.views, subscription.query)
         subscription.delta_refreshes += 1
         self.delta_refreshes += 1
         self._publish(
@@ -681,75 +404,36 @@ class SubscriptionRegistry:
             started=started,
         )
 
-    def _combined(self, subscription: Subscription) -> Flowtree:
-        views = subscription.views
-        if len(views) == 1:
-            return views[0].tree
-        return views[0].tree.diff(views[1].tree)
-
     def _rebuild(
         self, subscription: Subscription, now: float, mode: str
     ) -> None:
-        """Materialize from scratch, mirroring a cold execution."""
+        """Materialize from scratch: new folds advanced from empty,
+        exactly what a cold execution does, kept iff all can resume."""
         started = time.perf_counter()
         planner = self.planner
         query = subscription.query
         plan = planner.plan(query)
         generation = planner._topology_generation()
-        specs = [query.time] + (
-            [query.vs_time] if query.vs_time is not None else []
-        )
-        views: List[_WindowView] = []
-        shipped = 0
         degradation = Degradation()
-        continuable = True
-        for spec in specs:
-            view = _WindowView(spec)
-            if plan.route == ROUTE_CLOUD:
-                view.build_cloud(planner, query)
-            else:
-                window_plan = QueryPlan(
-                    route=plan.route,
-                    window=(spec.start, spec.end),
-                    level=plan.level,
-                    sites=list(plan.sites),
-                )
-                tree = planner._assemble(
-                    window_plan, query, spec, now, degradation
-                )
-                shipped += window_plan.shipped_bytes
-                if any(
-                    read.level != plan.level
-                    for read in window_plan.reads
-                ):
-                    # alternative-coverage fallback reads served this
-                    # window from other levels; the folded census would
-                    # not describe the tree
-                    continuable = False
-                try:
-                    view.seed_federated(planner, plan, query, tree)
-                except _RebuildNeeded:
-                    continuable = False
-                    view.tree = tree
-            views.append(view)
-        degraded = degradation.is_degraded
-        result = apply_operator(
-            views[0].tree
-            if len(views) == 1
-            else views[0].tree.diff(views[1].tree),
-            query,
+        folds = planner.window_folds(plan, query)
+        shipped = sum(
+            read.shipped_bytes
+            for fold in folds
+            for read in fold.advance(now, degradation)
         )
-        if degraded or not continuable:
-            # the snapshot is honest, but the view cannot be continued:
-            # stay unmaterialized and rebuild again next boundary
-            subscription.views = None
-            if degraded:
-                self.metrics.rebuild("degraded")
-        else:
-            subscription.views = views
+        result = answer(folds, query)
+        degraded = degradation.is_degraded
+        if all(fold.resumable for fold in folds):
+            subscription.views = folds
             subscription.generation = generation
             subscription.route = plan.route
             subscription.level = plan.level
+        else:
+            # the snapshot is honest, but cannot be continued: stay
+            # unmaterialized and rebuild again next boundary
+            subscription.views = None
+            if degraded:
+                self.metrics.rebuild("degraded")
         if mode != MODE_INIT:
             subscription.rebuilds += 1
             self.rebuilds += 1

@@ -19,9 +19,10 @@ replaces all of them:
   fabric-accounted hop), interior stores merge + compress, and stores
   with no ancestor store export their epoch partitions into
   :class:`~repro.flowdb.db.FlowDB` across the WAN.
-* **Query and control** — a :class:`~repro.flowql.executor.FlowQLExecutor`
-  over the root FlowDB, and controller registration per node, over the
-  same store set.
+* **Query and control** — a
+  :class:`~repro.query.planner.FederatedQueryPlanner` over the root
+  FlowDB and the hierarchy's stores, and controller registration per
+  node, over the same store set.
 
 Per-hop volume and latency land in :class:`~repro.runtime.stats.VolumeStats`.
 """
@@ -58,7 +59,6 @@ from repro.faults import (
 )
 from repro.elastic import TopologyModel
 from repro.flowdb.db import FlowDB
-from repro.flowql.executor import FlowQLExecutor
 from repro.flows.flowkey import FIVE_TUPLE, FeatureSchema, GeneralizationPolicy
 from repro.flows.tree import Flowtree
 from repro.hierarchy.network import NetworkFabric
@@ -142,7 +142,6 @@ class HierarchyRuntime:
         #: the storage seam shared with FlowDB: summaries land in its
         #: record log, runtime state in its manifest (memory by default)
         self.engine = db.engine
-        self.executor = FlowQLExecutor(self.db)
         self.registry = registry or default_registry()
         self.controllers: Dict[str, Controller] = {}
         self._root = hierarchy.root.location
@@ -175,7 +174,7 @@ class HierarchyRuntime:
             [node.level.name for node, _, _ in self._plan]
         )
         # the unified query plane: FlowQL routes through the planner
-        # (cloud executor, federated fan-out, cache, replication feed)
+        # (root FlowDB, federated fan-out, cache, replication feed)
         self.planner = FederatedQueryPlanner(self)
         # opening over an engine that already holds a manifest *is* the
         # crash-recovery path: rebuild the FlowDB index from the record

@@ -143,6 +143,14 @@ class TestExecutor:
         )
         assert result.scalar.bytes == 7500
 
+    def test_repeated_site_counts_once(self, loaded_db):
+        executor = FlowQLExecutor(loaded_db)
+        once = executor.execute("SELECT TOTAL FROM ALL AT region1/router1")
+        twice = executor.execute(
+            "SELECT TOTAL FROM ALL AT region1/router1, region1/router1"
+        )
+        assert twice.scalar == once.scalar
+
     def test_query_with_where(self, loaded_db):
         result = FlowQLExecutor(loaded_db).execute(
             "SELECT QUERY FROM ALL WHERE src_ip = 10.0.0.0/8"

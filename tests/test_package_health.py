@@ -53,6 +53,19 @@ def test_subpackage_all_exports_resolve():
             )
 
 
+def test_benchmark_ledger_entry_points_resolve():
+    """The end-to-end benchmark wraps these names from outside; a
+    refactor that renames one must fail here, not in a traced pass."""
+    from benchmarks.e2e.ledger import ENTRY_POINTS
+
+    for span, module_name, class_name, attr in ENTRY_POINTS:
+        module = importlib.import_module(module_name)
+        if class_name is None:
+            assert callable(getattr(module, attr, None)), span
+        else:
+            assert attr in getattr(module, class_name).__dict__, span
+
+
 def test_version_matches_pyproject():
     import pathlib
     import re

@@ -161,6 +161,19 @@ class TestRouting:
         assert runtime.stats.queries_federated == 1
         assert site in plan.describe()
 
+    def test_repeated_site_counts_once(self):
+        """``AT x, x`` ≡ ``AT x`` on both routes."""
+        runtime = loaded_runtime()
+        for site, route in (
+            ("network1", ROUTE_CLOUD),
+            (runtime.ingest_sites()[0], ROUTE_FEDERATED),
+        ):
+            once = runtime.query(f"SELECT TOTAL FROM ALL AT {site}")
+            twice = runtime.query(f"SELECT TOTAL FROM ALL AT {site}, {site}")
+            assert once.plan.route == twice.plan.route == route
+            assert not twice.cache.hit
+            assert twice.scalar == once.scalar
+
     def test_federated_drilldowns_sum_to_cloud_total(self):
         """Merge is mass-preserving: per-router partials recombined by
         the planner add up to exactly the root rollup's answer."""

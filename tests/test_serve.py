@@ -16,7 +16,6 @@ from __future__ import annotations
 import http.client
 import json
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -42,7 +41,6 @@ from repro.query.plan import (
     QueryPlan,
     SiteRead,
 )
-from repro.query.planner import FederatedQueryPlanner
 from repro.runtime.presets import network_4level_runtime
 from repro.serve import ServePlane, wire
 from repro.serve.admission import AdmissionController, TokenBucket
@@ -781,34 +779,6 @@ class TestFlowQLClientFacade:
     def test_bad_endpoint_url_rejected(self):
         with pytest.raises(ServeError):
             FlowQLClient(endpoint="ftp://host:1")
-
-
-class TestPlannerQueryShim:
-    def test_direct_planner_query_warns_once(self, small_runtime):
-        planner = small_runtime.planner
-        FederatedQueryPlanner._query_shim_warned = False
-        try:
-            with pytest.warns(DeprecationWarning, match="FlowQLClient"):
-                outcome = planner.query("SELECT TOTAL FROM ALL")
-            assert outcome.scalar is not None
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                planner.query("SELECT TOTAL FROM ALL")
-            assert not [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-            ]
-        finally:
-            FederatedQueryPlanner._query_shim_warned = False
-
-    def test_shim_answers_match_execute(self, small_runtime):
-        planner = small_runtime.planner
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shimmed = planner.query("SELECT TOTAL FROM ALL")
-        assert shimmed.scalar == planner.execute(
-            "SELECT TOTAL FROM ALL"
-        ).scalar
 
 
 class TestAttemptedPathsInProcess:
