@@ -108,16 +108,25 @@ class FlowtreePrimitive(ComputingPrimitive):
     # -- summaries -------------------------------------------------------
 
     def summary(self) -> DataSummary:
+        """An independent snapshot: the caller may keep it indefinitely."""
+        # the live tree keeps growing after this returns
+        return self._envelope(self.tree.copy())
+
+    def _seal(self) -> DataSummary:
+        """Hand the live tree over; :meth:`_reset` starts the next one."""
+        return self._envelope(self.tree.seal())
+
+    def _envelope(self, tree: Flowtree) -> DataSummary:
         return DataSummary(
             kind=self.kind,
             meta=self.meta(),
-            payload=self.tree.copy(),
+            payload=tree,
             size_bytes=self.footprint_bytes(),
             attrs={
                 "schema": self.policy.schema.name,
                 "node_budget": self.node_budget,
                 "metric": self.metric,
-                "nodes": self.tree.node_count,
+                "nodes": tree.node_count,
             },
         )
 

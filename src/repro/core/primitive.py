@@ -113,25 +113,45 @@ class ComputingPrimitive(abc.ABC):
 
     @abc.abstractmethod
     def summary(self) -> DataSummary:
-        """Snapshot the current aggregate as a :class:`DataSummary`."""
+        """Snapshot the current aggregate as a :class:`DataSummary`.
+
+        The aliasing contract, stated once for every primitive: the
+        caller may read the returned payload until the primitive's next
+        ingest, combine or granularity change.  Primitives that document
+        a stronger guarantee (``FlowtreePrimitive`` returns an
+        independent deep copy) may be kept longer; the others hand out
+        their live sketch.  Nobody but the primitive may mutate it.
+        """
 
     def reset_epoch(self) -> DataSummary:
-        """Emit the current summary and start a fresh epoch.
+        """Seal the current epoch and start a fresh one.
 
-        Data stores call this at epoch boundaries; the default
-        implementation snapshots then delegates clearing to
-        :meth:`_reset`.
+        This is an *ownership transfer*: the returned summary's payload
+        is never touched by the primitive again — further ingest lands
+        in new state — so the data store may keep it as the epoch's
+        partition without copying.  The receiver treats it as read-only.
+        Data stores call this at epoch boundaries.
         """
-        snapshot = self.summary()
+        sealed = self._seal()
         self._epoch_start = None
         self._epoch_end = None
         self.items_ingested = 0
         self._reset()
-        return snapshot
+        return sealed
+
+    def _seal(self) -> DataSummary:
+        """The summary :meth:`reset_epoch` hands over.
+
+        The default is :meth:`summary`, which is a transfer as long as
+        :meth:`_reset` *replaces* the state it describes rather than
+        clearing it in place.
+        """
+        return self.summary()
 
     @abc.abstractmethod
     def _reset(self) -> None:
-        """Clear primitive state for a new epoch."""
+        """Start a new epoch.  State the sealed summary aliases is
+        replaced, never cleared in place."""
 
     # -- the five design properties -------------------------------------
 

@@ -40,6 +40,7 @@ def combine_flowtrees(
     summaries: Sequence[DataSummary], shrink: float
 ) -> DataSummary:
     """Merge Flowtree snapshots, then compress to the shrink target."""
+    # the merge target: later summaries fold into it, then it compresses
     merged: Flowtree = summaries[0].payload.copy()
     for summary in summaries[1:]:
         merged.merge(summary.payload)

@@ -576,18 +576,21 @@ class DataStore:
         source = self.aggregator(aggregator)
         if source.primitive.items_ingested == 0:
             return None
-        summary = source.primitive.summary()
+        # the parent merges *from* the live primitive, so nothing is
+        # snapshotted unless a privacy guard has to rewrite the summary
         exported_primitive = source.primitive
+        size_bytes = exported_primitive.footprint_bytes()
         if self.privacy is not None:
-            from repro.datastore.summary_query import rehydrate
-
-            summary = self.privacy.export(aggregator, summary)
+            summary = self.privacy.export(
+                aggregator, source.primitive.summary()
+            )
             exported_primitive = rehydrate(summary)
             exported_primitive.items_ingested = source.primitive.items_ingested
+            size_bytes = summary.size_bytes
         duration = 0.0
         if self.fabric is not None:
             transfer = self.fabric.transfer(
-                self.location, to_store.location, summary.size_bytes, now
+                self.location, to_store.location, size_bytes, now
             )
             duration = transfer.duration
         target = to_store.aggregator(into_aggregator or aggregator)

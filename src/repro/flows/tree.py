@@ -645,10 +645,39 @@ class Flowtree:
         values) — no re-projection is needed, and each pair's subtree
         totals transfer wholesale in one visit (every descendant of
         theirs lands under the paired node of ours).
+
+        A pair whose node of ours was created by this walk is *fresh*:
+        its counters are zero and nothing below it exists yet, so the
+        counters are assigned and the children created without a
+        lookup.  Fresh pairs ride the same LIFO stack as the others, so
+        creation order (``seq``), child-dict order and heap
+        registration do not depend on which branch ran.
         """
-        stack = [(self._root, other._root)]
+        new_node = self._new_node
+        stack = [(self._root, other._root, False)]
+        push = stack.append
+        pop = stack.pop
         while stack:
-            mine, theirs = stack.pop()
+            mine, theirs, fresh = pop()
+            if fresh:
+                mine.own_packets = sign * theirs.own_packets
+                mine.own_bytes = sign * theirs.own_bytes
+                mine.own_flows = sign * theirs.own_flows
+                mine.folded_packets = sign * theirs.folded_packets
+                mine.folded_bytes = sign * theirs.folded_bytes
+                mine.folded_flows = sign * theirs.folded_flows
+                mine.subtree_packets = sign * theirs.subtree_packets
+                mine.subtree_bytes = sign * theirs.subtree_bytes
+                mine.subtree_flows = sign * theirs.subtree_flows
+                for values, their_child in theirs.children.items():
+                    push(
+                        (
+                            new_node(their_child.depth, values, mine),
+                            their_child,
+                            True,
+                        )
+                    )
+                continue
             mine.own_packets += sign * theirs.own_packets
             mine.own_bytes += sign * theirs.own_bytes
             mine.own_flows += sign * theirs.own_flows
@@ -662,8 +691,15 @@ class Flowtree:
             for values, their_child in theirs.children.items():
                 my_child = children.get(values)
                 if my_child is None:
-                    my_child = self._new_node(their_child.depth, values, mine)
-                stack.append((my_child, their_child))
+                    push(
+                        (
+                            new_node(their_child.depth, values, mine),
+                            their_child,
+                            True,
+                        )
+                    )
+                else:
+                    push((my_child, their_child, False))
 
     def merge(self, other: "Flowtree") -> None:
         """Fold ``other`` into this tree in place (Table II: Merge).
@@ -675,6 +711,7 @@ class Flowtree:
         """
         self._check_compatible(other)
         if other is self:
+            # the walk would read nodes it is writing
             other = self.copy()
         self._absorb(other, 1)
         self._maybe_self_compress()
@@ -969,7 +1006,21 @@ class Flowtree:
             metric=self.metric,
         )
         clone._absorb(self, 1)
+        clone._compressions = self._compressions
         return clone
+
+    def seal(self) -> "Flowtree":
+        """Drop the compression scratch of a tree that is done growing.
+
+        An epoch close hands the live tree over as the sealed summary
+        instead of copying it; sealed trees are only read, merged *from*
+        and copied, so the least-popular-leaf heap is dead weight.  (A
+        later :meth:`compress` rebuilds it from the live leaves and
+        folds in the same order.)  Returns the tree itself.
+        """
+        self._leaf_heap = None
+        self._heap_pending = []
+        return self
 
     def snapshot_state(self) -> dict:
         """An exact structural snapshot for same-process-family transfer.

@@ -260,6 +260,7 @@ class WindowFold:
             for partition in fresh:
                 partial = partials.get(partition.aggregator)
                 if partial is None:
+                    # a fold's first partial: later partitions merge in
                     partials[partition.aggregator] = (
                         partition.summary.payload.copy()
                     )

@@ -29,6 +29,7 @@ Per-hop volume and latency land in :class:`~repro.runtime.stats.VolumeStats`.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import (
     Callable,
@@ -569,7 +570,27 @@ class HierarchyRuntime:
         the store's pending queue and redelivered here, at the store's
         slot, on a later close — deepest-first order lets recovered
         child mass still reach the root within the same close.
+
+        The cyclic collector is held for the length of the close and
+        run once, in full, at its end.  Since sealing hands trees over
+        instead of copying them the rollup frees nothing cyclic, so
+        passes inside it only re-walk survivors; and where the one full
+        pass would otherwise land — mid-merge, inside the
+        standing-query refresh, or on the first ingest call or query of
+        the next epoch — is decided by allocation counts.  The epoch
+        boundary takes it instead.  (A host that runs with the
+        collector off is left alone.)
         """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._close_epoch(now)
+        finally:
+            if collecting:
+                gc.enable()
+                gc.collect()
+
+    def _close_epoch(self, now: float) -> int:
         exported = 0
         with self.obs.span(
             "close_epoch", epoch=self.stats.epochs_closed, at=now
@@ -1073,10 +1094,21 @@ class HierarchyRuntime:
             self.stats.level(parent_node.level.name).summary_bytes_in += (
                 summary_bytes
             )
+        items = aggregator.items_this_epoch
+        # seal once: the local close hands the epoch's tree over, and a
+        # forward that could not be delivered parks that same summary
+        if config.retain_partitions:
+            (sealed,) = (
+                partition.summary
+                for partition in store.close_epoch(now)
+                if partition.aggregator == name
+            )
         else:
-            # snapshot what would have crossed the link (privacy already
-            # applied) before the local close wipes the live epoch
-            outgoing = aggregator.primitive.summary()
+            sealed = aggregator.close_epoch(now, store.storage_pressure())
+        if not delivered:
+            # park what would have crossed the link: the epoch's sealed
+            # summary itself, privacy already applied where a guard is
+            outgoing = sealed
             if store.privacy is not None:
                 outgoing = store.privacy.export(name, outgoing)
             parked = self._pending_for(store).park(
@@ -1087,7 +1119,7 @@ class HierarchyRuntime:
                     ),
                     kind="forward",
                     summary=outgoing,
-                    items=aggregator.items_this_epoch,
+                    items=items,
                     size_bytes=outgoing.size_bytes,
                     origin=store.location.path,
                     label=name,
@@ -1096,10 +1128,6 @@ class HierarchyRuntime:
             )
             if parked:
                 volume.exports_parked += 1
-        if config.retain_partitions:
-            store.close_epoch(now)
-        else:
-            aggregator.close_epoch(now, store.storage_pressure())
 
     def _export_to_db(
         self, node: HierarchyNode, store: DataStore, now: float
@@ -1248,6 +1276,10 @@ class HierarchyRuntime:
         else:
             # a reconfigured parent may lack the aggregator (re-homed
             # migration landing at a store of another kind): adopt it
+            if isinstance(primitive, FlowtreePrimitive):
+                # the parked tree may be the origin's sealed partition
+                # and is about to become a live, growing aggregate
+                primitive.tree = primitive.tree.copy()
             target = Aggregator(entry.label, primitive)
             parent_store.install_aggregator(target)
         target.items_this_epoch += entry.items

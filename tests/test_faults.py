@@ -8,11 +8,14 @@ never lost), and federated queries that return partial answers with an
 exact :class:`Degradation` record instead of throwing.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.summary import Location
+from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
 from repro.errors import PlacementError, TransferError
 from repro.faults import (
     REASON_DROP,
@@ -23,6 +26,7 @@ from repro.faults import (
     PendingExportQueue,
     RetryPolicy,
 )
+from repro.flows.tree import Flowtree
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import network_monitoring_hierarchy
 from repro.runtime.presets import network_4level_runtime
@@ -316,6 +320,37 @@ class TestRuntimeRecovery:
         assert runtime.pending_exports() == 0
         assert root_total(runtime) == clean_total
 
+    def test_adopted_parked_tree_does_not_alias_the_retained_partition(self):
+        """A parked forward is the origin's sealed partition itself; a
+        parent that adopts it as a live aggregator must grow a copy."""
+        runtime = build_runtime(
+            faults=FaultPlan(outages=[LinkOutage(ROUTER1, 1, 2)])
+        )
+        sites = runtime.ingest_sites()
+        generator = TrafficGenerator(
+            TrafficConfig(sites=tuple(sites), flows_per_epoch=80), seed=11
+        )
+        for site in sites:
+            runtime.ingest(site, generator.epoch(site, 0))
+        runtime.close_epoch(60.0)
+        router = runtime.store_for(ROUTER1)
+        (partition,) = router.catalog.all()
+        (parked,) = runtime.pending_queue(ROUTER1).entries
+        assert parked.summary.payload is partition.summary.payload
+        retained = partition.summary.payload.snapshot_state()
+        # the parent lost its aggregator (as after a reconfiguration):
+        # redelivery installs the parked summary as the live one, and
+        # the same close merges router1's fresh epoch into it
+        region = runtime.store_for("network1/region1")
+        region.remove_aggregator("flowtree")
+        for site in sites:
+            runtime.ingest(site, generator.epoch(site, 1))
+        runtime.close_epoch(120.0)
+        assert runtime.stats.exports_recovered == 1
+        assert partition.summary.payload.snapshot_state() == retained
+        clean_total = root_total(drive(build_runtime()))
+        assert root_total(runtime) == clean_total
+
     def test_drops_retry_and_conserve_mass(self):
         clean_total = root_total(drive(build_runtime()))
         runtime = build_runtime(
@@ -346,6 +381,140 @@ class TestRuntimeRecovery:
         # the parked export burned a full retry budget first
         assert stats.transfer_failures >= runtime.retry_policy.max_attempts
         assert stats.retried_bytes > 0
+
+
+class TestEpochCloseCopyCount:
+    """Sealing an epoch hands the live tree over; a close deep-copies a
+    tree only where a privacy guard rewrites the export."""
+
+    @staticmethod
+    def close_copies(runtime, monkeypatch, epochs=2):
+        """Drive ``epochs`` epochs; the trees ``Flowtree.copy`` was
+        called on *inside* ``close_epoch``, per close."""
+        copied = []
+        original = Flowtree.copy
+
+        def counting_copy(tree):
+            copied.append(tree)
+            return original(tree)
+
+        monkeypatch.setattr(Flowtree, "copy", counting_copy)
+        sites = runtime.ingest_sites()
+        generator = TrafficGenerator(
+            TrafficConfig(sites=tuple(sites), flows_per_epoch=80), seed=11
+        )
+        per_close = []
+        for epoch in range(epochs):
+            for site in sites:
+                runtime.ingest(site, generator.epoch(site, epoch))
+            del copied[:]
+            runtime.close_epoch((epoch + 1) * 60.0)
+            per_close.append(list(copied))
+        monkeypatch.setattr(Flowtree, "copy", original)
+        return per_close
+
+    def test_plain_close_copies_nothing(self, monkeypatch):
+        runtime = build_runtime()
+        assert self.close_copies(runtime, monkeypatch) == [[], []]
+        # every level still retained its sealed partitions
+        for level in ("router", "region"):
+            for store in runtime.stores_at_level(level).values():
+                assert len(store.catalog.all()) == 2
+
+    def test_privacy_guard_copies_only_its_own_exports(self, monkeypatch):
+        runtime = build_runtime()
+        regions = runtime.stores_at_level("region").values()
+        for store in regions:
+            store.privacy = PrivacyGuard(
+                PrivacyPolicy(default=ExportRule(min_ip_prefix=24))
+            )
+        assert len(regions) == 2
+        copied = self.close_copies(runtime, monkeypatch, epochs=1)[0]
+        # one snapshot per guarded export, of that region's own tree —
+        # the very tree the close then sealed into its partition
+        assert len(copied) == 2
+        sealed = {
+            id(store.catalog.all()[0].summary.payload) for store in regions
+        }
+        assert {id(tree) for tree in copied} == sealed
+
+    def test_parked_forward_copies_nothing_and_conserves_mass(
+        self, monkeypatch
+    ):
+        clean_total = root_total(drive(build_runtime()))
+        runtime = build_runtime(
+            faults=FaultPlan(outages=[LinkOutage(ROUTER1, 1, 2)])
+        )
+        assert self.close_copies(runtime, monkeypatch) == [[], []]
+        assert runtime.stats.exports_parked == 1
+        assert runtime.stats.exports_recovered == 1
+        assert runtime.pending_exports() == 0
+        assert root_total(runtime) == clean_total
+
+
+class TestEpochCloseCollector:
+    """A close holds the cyclic collector and runs it once, in full, at
+    the boundary — never mid-rollup or inside the standing-query
+    refresh — and leaves the host's collector setting as it found it."""
+
+    @staticmethod
+    def close_once(runtime, monkeypatch):
+        """One epoch; ``(collector state seen by the planner's close
+        hook, generations collected during the close)``."""
+        sites = runtime.ingest_sites()
+        generator = TrafficGenerator(
+            TrafficConfig(sites=tuple(sites), flows_per_epoch=80), seed=11
+        )
+        for site in sites:
+            runtime.ingest(site, generator.epoch(site, 0))
+        seen = []
+        hook = runtime.planner.on_epoch_closed
+
+        def watching_hook(now):
+            seen.append(gc.isenabled())
+            return hook(now)
+
+        monkeypatch.setattr(runtime.planner, "on_epoch_closed", watching_hook)
+        collected = []
+
+        def on_gc(phase, info):
+            if phase == "stop":
+                collected.append(info["generation"])
+
+        gc.callbacks.append(on_gc)
+        try:
+            runtime.close_epoch(60.0)
+        finally:
+            gc.callbacks.remove(on_gc)
+        return seen, collected
+
+    def test_one_full_collection_at_the_boundary(self, monkeypatch):
+        assert gc.isenabled()
+        seen, collected = self.close_once(build_runtime(), monkeypatch)
+        assert seen == [False]
+        assert collected == [2]
+        assert gc.isenabled()
+
+    def test_a_host_with_the_collector_off_is_left_alone(self, monkeypatch):
+        gc.disable()
+        try:
+            seen, collected = self.close_once(build_runtime(), monkeypatch)
+            assert seen == [False]
+            assert collected == []
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_comes_back_when_the_close_raises(self, monkeypatch):
+        runtime = build_runtime()
+
+        def failing_hook(now):
+            raise RuntimeError("close hook failed")
+
+        monkeypatch.setattr(runtime.planner, "on_epoch_closed", failing_hook)
+        with pytest.raises(RuntimeError):
+            runtime.close_epoch(60.0)
+        assert gc.isenabled()
 
 
 _CLEAN_TOTAL = {}

@@ -291,3 +291,125 @@ class TestFastPathMatchesReference:
             assert_identical(fast, reference)
             if fast.node_count <= POLICY.depth + 1:
                 break
+
+
+# -- the merge/copy walk, pinned to its pre-fast-path form ---------------
+
+
+def reference_absorb(self: Flowtree, other: Flowtree, sign: int) -> None:
+    """``Flowtree._absorb`` as it was before fresh pairs were special-
+    cased: every pair does the child lookup and nine ``+=``."""
+    stack = [(self._root, other._root)]
+    while stack:
+        mine, theirs = stack.pop()
+        mine.own_packets += sign * theirs.own_packets
+        mine.own_bytes += sign * theirs.own_bytes
+        mine.own_flows += sign * theirs.own_flows
+        mine.folded_packets += sign * theirs.folded_packets
+        mine.folded_bytes += sign * theirs.folded_bytes
+        mine.folded_flows += sign * theirs.folded_flows
+        mine.subtree_packets += sign * theirs.subtree_packets
+        mine.subtree_bytes += sign * theirs.subtree_bytes
+        mine.subtree_flows += sign * theirs.subtree_flows
+        children = mine.children
+        for values, their_child in theirs.children.items():
+            my_child = children.get(values)
+            if my_child is None:
+                my_child = self._new_node(their_child.depth, values, mine)
+            stack.append((my_child, their_child))
+
+
+def exact_state(tree: Flowtree):
+    """Everything the identity gates rest on: per-node seq and counters
+    (``snapshot_state``), ``next_seq``, child-dict order, subtree
+    totals, and what the compression heap has registered."""
+    return (
+        tree.snapshot_state(),
+        [
+            (node.node_id, list(node.children), node.subtree)
+            for node in sorted(tree.nodes(), key=lambda n: n.seq)
+        ],
+        [node.node_id for node in tree._heap_pending],
+    )
+
+
+def grown(inserts, budget=None) -> Flowtree:
+    tree = Flowtree(POLICY, node_budget=budget, metric="bytes")
+    tree.add_many(list(inserts))
+    return tree
+
+
+tree_inserts = st.lists(inserts, max_size=40)
+
+
+class TestAbsorbMatchesReference:
+    """Two identically built trees, one walked by the shipped
+    ``_absorb`` and one by the verbatim old walk, stay exactly equal."""
+
+    @staticmethod
+    def both(op, *builders):
+        fast = op(*[build() for build in builders])
+        original = Flowtree._absorb
+        Flowtree._absorb = reference_absorb
+        try:
+            slow = op(*[build() for build in builders])
+        finally:
+            Flowtree._absorb = original
+        return fast, slow
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=tree_inserts,
+        right=tree_inserts,
+        budget=st.sampled_from([None, 12, 24]),
+    )
+    def test_merge_and_copy(self, left, right, budget):
+        def merge_then_copy(target, source):
+            target.merge(source)
+            return target, target.copy()
+
+        (fast, fast_copy), (slow, slow_copy) = self.both(
+            merge_then_copy,
+            lambda: grown(left, budget),
+            lambda: grown(right),
+        )
+        assert exact_state(fast) == exact_state(slow)
+        assert exact_state(fast_copy) == exact_state(slow_copy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(left=tree_inserts, right=tree_inserts)
+    def test_diff_both_signs(self, left, right):
+        def diff(a, b):
+            return a.diff(b), b.diff(a)
+
+        fast, slow = self.both(
+            diff, lambda: grown(left), lambda: grown(right)
+        )
+        for fast_tree, slow_tree in zip(fast, slow):
+            assert exact_state(fast_tree) == exact_state(slow_tree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=st.lists(
+            inserts,
+            min_size=20,
+            max_size=60,
+            unique_by=lambda pair: pair[0].values,
+        ),
+        right=tree_inserts,
+        target=st.integers(min_value=5, max_value=30),
+    )
+    def test_merge_into_live_heap_then_compress(self, left, right, target):
+        def merge_on_live_heap(tree, source):
+            tree.compress(target_nodes=max(5, tree.node_count - 3))
+            assert tree._leaf_heap is not None
+            tree.merge(source)
+            pending = [node.node_id for node in tree._heap_pending]
+            tree.compress(target_nodes=target)
+            return tree, pending
+
+        (fast, fast_pending), (slow, slow_pending) = self.both(
+            merge_on_live_heap, lambda: grown(left), lambda: grown(right)
+        )
+        assert fast_pending == slow_pending
+        assert exact_state(fast) == exact_state(slow)

@@ -16,8 +16,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.flowtree import FlowtreePrimitive
+from repro.core.summary import Location
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
-from repro.flows.records import Score
+from repro.flows.records import FlowRecord, Score
 from repro.flows.tree import Flowtree
 
 POLICY = GeneralizationPolicy.default_for(FIVE_TUPLE)
@@ -144,3 +146,60 @@ def test_empty_tree_roundtrips():
         src_port=1024, dst_port=443,
     )
     assert clone.query(probe) == tree.query(probe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inserts=st.lists(
+        st.tuples(key_strategy, score_strategy),
+        min_size=30,
+        max_size=60,
+        unique_by=lambda pair: pair[0].values,
+    ),
+    metric=metric_strategy,
+)
+def test_sealed_tree_equals_copy_for_every_reader(inserts, metric):
+    """``reset_epoch`` hands the live tree over instead of copying it;
+    no reader can tell the handed-over original from a copy."""
+    primitive = FlowtreePrimitive(
+        Location("cloud/site"), POLICY, node_budget=16, metric=metric
+    )
+    primitive.ingest_many(
+        [
+            (
+                FlowRecord(
+                    key=key,
+                    packets=score.packets,
+                    bytes=score.bytes,
+                    first_seen=float(i),
+                    last_seen=float(i),
+                ),
+                float(i),
+            )
+            for i, (key, score) in enumerate(inserts)
+        ]
+    )
+    copied = primitive.tree.copy()
+    sealed = primitive.reset_epoch().payload
+    assert sealed.compressions >= 1  # past compression onset
+    assert sealed.compressions == copied.compressions
+    assert sealed._leaf_heap is None and not sealed._heap_pending
+    assert canonical(sealed) == canonical(copied)
+    assert sealed.estimated_size_bytes() == copied.estimated_size_bytes()
+    threshold = max(1, sealed.total().metric(metric) // 4)
+    assert sealed.top_k(10) == copied.top_k(10)
+    assert sealed.top_k(5, depth=3) == copied.top_k(5, depth=3)
+    assert sealed.above_x(threshold // 4) == copied.above_x(threshold // 4)
+    assert sealed.hhh(threshold) == copied.hhh(threshold)
+    assert sealed.aggregate_by_feature(
+        "src_ip", 16
+    ) == copied.aggregate_by_feature("src_ip", 16)
+    # child-dict order survives copy(), so anything derived downstream
+    # (a fold's partial, a merge target) gets the same seqs either way
+    assert (
+        sealed.copy().snapshot_state()["nodes"]
+        == copied.copy().snapshot_state()["nodes"]
+    )
+    # and the new epoch is a fresh tree, not the one handed over
+    assert primitive.tree is not sealed
+    assert primitive.tree.node_count == 1

@@ -1,5 +1,7 @@
 """Tests of the ComputingPrimitive contract and the registry."""
 
+import pickle
+
 import pytest
 
 from repro.core import default_registry
@@ -10,6 +12,7 @@ from repro.core.sampling import RandomSamplePrimitive
 from repro.core.summary import Location
 from repro.errors import GranularityError, PlacementError, SchemaMismatchError
 from repro.flows.records import FlowRecord, Score
+from repro.flows.tree import Flowtree
 
 LOC_A = Location("hq/factory1/line1")
 LOC_B = Location("hq/factory1/line2")
@@ -56,6 +59,67 @@ class TestRegistry:
             "timebin", LOC_A, {"bin_seconds": 30.0}
         )
         assert primitive.bin_seconds == 30.0
+
+
+def payload_fingerprint(payload):
+    """Every bit of a summary payload a later reader could observe."""
+    if isinstance(payload, Flowtree):
+        return payload.snapshot_state()
+    return pickle.dumps(payload)
+
+
+class TestEpochHandOffContract:
+    """``reset_epoch`` is an ownership transfer, for every kind: the
+    sealed payload never changes again and the next epoch starts empty."""
+
+    @pytest.fixture()
+    def items_for(self, random_flows):
+        flows = random_flows(120, seed=3)
+        numbers = [float(i % 17) for i in range(120)]
+        names = [f"host-{i % 23}" for i in range(120)]
+        by_kind = {
+            "flowtree": flows,
+            "hhh": flows,
+            "sample": numbers,
+            "timebin": numbers,
+            "quantile": numbers,
+            "heavy_hitter": names,
+            "count_min": names,
+            "reservoir": names,
+            "raw": names,
+        }
+        return lambda kind, epoch: [
+            (item, epoch * 60.0 + i * 0.25)
+            for i, item in enumerate(by_kind[kind])
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(default_registry().kinds()))
+    def test_sealed_payload_is_never_touched_again(
+        self, kind, policy, items_for
+    ):
+        config = {"policy": policy, "rate": 1.0, "node_budget": 64}
+        registry = default_registry()
+        primitive = registry.create(kind, LOC_A, dict(config))
+        empty_footprint = primitive.footprint_bytes()
+        primitive.ingest_many(items_for(kind, 0))
+        assert primitive.items_ingested == 120
+
+        sealed = primitive.reset_epoch()
+        before = payload_fingerprint(sealed.payload)
+        assert sealed.size_bytes > 0
+        # the new epoch starts empty ...
+        assert primitive.items_ingested == 0
+        assert primitive.interval().duration == 0.0
+        assert primitive.footprint_bytes() == empty_footprint
+        # ... and nothing the primitive does from here on reaches the
+        # payload it handed over: ingest, combine, a second seal
+        primitive.ingest_many(items_for(kind, 1))
+        other = registry.create(kind, LOC_A, dict(config))
+        other.ingest_many(items_for(kind, 1))
+        primitive.combine(other)
+        second = primitive.reset_epoch()
+        assert second.payload is not sealed.payload
+        assert payload_fingerprint(sealed.payload) == before
 
 
 class TestCombinePreconditions:
