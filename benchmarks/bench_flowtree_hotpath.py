@@ -152,9 +152,9 @@ class BaselineFlowtree:
 
     def add(self, key: FlowKey, score: Score) -> None:
         depth = self.policy.depth_of(key.levels)
-        node = self._ensure_chain(key.values, depth)
+        node = self._node_at(key.values, depth)
         node.own = node.own + score
-        self._bubble(node.values, depth, score)
+        self._add_up(node.values, depth, score)
         if self.node_budget is not None and self.node_count > self.node_budget:
             self.compress(int(self.node_budget * self.compress_ratio))
             self.compressions += 1
@@ -166,7 +166,7 @@ class BaselineFlowtree:
             count += 1
         return count
 
-    def _ensure_chain(self, values: Sequence[int], depth: int) -> "Node":
+    def _node_at(self, values: Sequence[int], depth: int) -> "Node":
         parent = self._root
         for d in range(1, depth + 1):
             projected = self._project(values, d)
@@ -178,7 +178,7 @@ class BaselineFlowtree:
             parent = node
         return parent
 
-    def _bubble(self, values: Sequence[int], depth: int, score: Score) -> None:
+    def _add_up(self, values: Sequence[int], depth: int, score: Score) -> None:
         for d in range(depth + 1):
             projected = self._project(values, d)
             self._nodes[(d, projected)].subtree = (
@@ -231,7 +231,7 @@ class BaselineFlowtree:
                 self._root.folded = self._root.folded + node.folded
                 self._root.subtree = self._root.subtree + node.subtree
                 continue
-            mine = self._ensure_chain(node.values, node.depth)
+            mine = self._node_at(node.values, node.depth)
             mine.own = mine.own + node.own
             mine.folded = mine.folded + node.folded
             contribution = node.own + node.folded
@@ -541,9 +541,10 @@ def _best_serial_arms(
         started = time.perf_counter()
         tree.ingest_columnar(batch)
         columnar_best = min(columnar_best, time.perf_counter() - started)
-        assert tree.snapshot_state() == scalar_tree.snapshot_state(), (
-            "columnar ingest diverged from scalar"
-        )
+        assert (tree.to_dict(), tree.compressions) == (
+            scalar_tree.to_dict(),
+            scalar_tree.compressions,
+        ), "columnar ingest diverged from scalar"
     assert scalar_tree is not None
     return scalar_tree, scalar_best, columnar_best
 
@@ -608,7 +609,7 @@ def run_parallel_scaling(
     Guarantees checked every run, not just reported:
 
     * every site's worker-built tree is *bit-identical* to the serial
-      scalar tree over the same records (same nodes, seqs,
+      scalar tree over the same records (same nodes, same
       compressions) — root mass conservation follows;
     * throughput is measured in CPU terms (records per busy-CPU-second,
       summed over workers), so a time-sliced CI host reports the same
@@ -619,7 +620,7 @@ def run_parallel_scaling(
     scalar_tree, scalar_seconds, columnar_seconds = _best_serial_arms(
         records, policy, rounds
     )
-    scalar_state = scalar_tree.snapshot_state()
+    scalar_state = (scalar_tree.to_dict(), scalar_tree.compressions)
     scalar_rate = len(records) / scalar_seconds
     columnar_rate = len(records) / columnar_seconds
 
@@ -630,7 +631,8 @@ def run_parallel_scaling(
         )
         for i in range(workers):
             site = f"{TRACE_SITE}/shard{i}"
-            assert summaries[site]["state"] == scalar_state, (
+            shard = summaries[site]
+            assert (shard["tree"], shard["compressions"]) == scalar_state, (
                 f"worker site {i}/{workers} diverged from serial ingest"
             )
             assert summaries[site]["items"] == len(records)

@@ -20,6 +20,10 @@ class SchemaMismatchError(SchemaError):
     """Two summaries built over different schemas were combined."""
 
 
+class MalformedSummaryError(ReproError):
+    """A serialized summary is not a tree (orphan, duplicate or stray root)."""
+
+
 class GranularityError(ReproError):
     """An invalid aggregation granularity (mask level, bin size) was given."""
 

@@ -18,25 +18,20 @@ answer (process parallelism is :mod:`repro.parallel`):
   nodes) python operations instead of O(records × depth).
 
 Bit-exactness is the contract, not an aspiration: the vectorized walk
-produces *the same tree, node for node and seq for seq*, as the scalar
+produces *the same tree, node for node*, as the scalar
 :meth:`~repro.flows.tree.Flowtree.add_many` over the same records in
-the same order.  Two properties make that possible:
-
-1. **Compression points.**  ``add_many`` only compresses when an insert
-   pushes the node count past the bounded overshoot.  A run of records
-   whose new-node count keeps the tree at or below the overshoot is
-   therefore *pure addition* in both modes — integer sums are
-   associative/commutative, so group-sums equal record-by-record sums
-   exactly.  The planner groups a window of records once, reads the
-   per-record node-birth schedule off the group first-occurrence
-   indices, and from it *predicts the exact record* at which the scalar
-   loop would cross the overshoot; it applies precisely that prefix,
-   compresses where the scalar loop would, and replans the rest
-   against the compressed tree.
-2. **Creation order.**  ``seq`` (the compression tie-breaker) is
-   reproduced by creating each chunk's new nodes sorted by (first
-   record index that touches the node, depth) — precisely the order
-   the scalar walk discovers them in.
+the same order.  A tree's behaviour is a function of its content, so
+the one thing to reproduce is *where* the scalar loop compresses:
+``add_many`` only compresses when an insert pushes the node count past
+the bounded overshoot.  A run of records whose new-node count keeps the
+tree at or below the overshoot is therefore *pure addition* in both
+modes — integer sums are associative/commutative, so group-sums equal
+record-by-record sums exactly.  The planner groups a window of records
+once, reads the per-record node-birth schedule off the group
+first-occurrence indices, and from it *predicts the exact record* at
+which the scalar loop would cross the overshoot; it applies precisely
+that prefix, compresses where the scalar loop would, and replans the
+rest against the compressed tree.
 
 Grouping hashes each row to one uint64 (per-column odd multipliers) and
 uniques the hashes; a vectorized equality check against each group's
@@ -313,8 +308,8 @@ class _ChunkPlan:
     __slots__ = ("depths", "total")
 
     def __init__(self, depths, total):
-        #: list of (depth, tuples, new_flags, packets, bytes, flows,
-        #: first-occurrence index) — python lists, chunk order irrelevant
+        #: deepest first: (depth, tuples, new_flags, packets, bytes,
+        #: flows) — python lists, chunk order irrelevant
         self.depths = depths
         self.total = total  # (packets, bytes, flows) chunk totals
 
@@ -370,7 +365,6 @@ class _WindowPlan:
                         pk.tolist(),
                         bt.tolist(),
                         fl.tolist(),
-                        first.tolist(),
                     )
                 )
                 continue
@@ -391,7 +385,6 @@ class _WindowPlan:
                     ppk[keep].tolist(),
                     pbt[keep].tolist(),
                     pfl[keep].tolist(),
-                    first[keep].tolist(),
                 )
             )
         total = (
@@ -455,29 +448,23 @@ def _plan_window(tree, values, packets, nbytes, lo, hi, masks, mults):
 
 
 def _apply_plan(tree, plan) -> None:
-    """Apply one planned chunk: create nodes in scalar order, add sums."""
+    """Apply one planned chunk: create its new nodes, add the sums."""
     nodes = tree._nodes
     projectors = tree._projectors
-    # new nodes in (first touching record, depth) order — exactly the
-    # order the scalar walk would have created them, so seq matches
-    births = [
-        (first[i], d, tuples[i])
-        for d, tuples, new_flags, _, _, _, first in plan.depths
-        for i in range(len(tuples))
-        if new_flags[i]
-    ]
-    births.sort()
     new_node = tree._new_node
-    for _, d, values in births:
-        parent = nodes[(d - 1, projectors[d - 1](values))]
-        new_node(d, values, parent)
+    # shallowest depth first, so a new node's parent already exists
+    for d, tuples, new_flags, _, _, _ in reversed(plan.depths):
+        project = projectors[d - 1]
+        for values, is_new in zip(tuples, new_flags):
+            if is_new:
+                new_node(d, values, nodes[(d - 1, project(values))])
     root = tree._root
     tpk, tbt, tfl = plan.total
     root.subtree_packets += tpk
     root.subtree_bytes += tbt
     root.subtree_flows += tfl
     leaf_depth = tree.policy.depth
-    for d, tuples, _, pk, bt, fl, _ in plan.depths:
+    for d, tuples, _, pk, bt, fl in plan.depths:
         own = d == leaf_depth
         for i, values in enumerate(tuples):
             node = nodes[(d, values)]
@@ -496,7 +483,7 @@ def ingest_batch(
     """Ingest a columnar batch, bit-identically to the scalar path.
 
     Equivalent to ``tree.ingest(batch.decode(tree.schema))`` — same
-    nodes, same seq numbers, same compression passes — but grouped and
+    nodes, same compression passes — but grouped and
     summed with numpy.  ``finalize=False`` skips the trailing
     budget-restoring compress, for callers streaming several chunks of
     one logical batch (the last chunk finalizes).

@@ -49,10 +49,15 @@ rides on, so it is written allocation-light:
   across passes (entries are revalidated lazily on pop) instead of
   rebuilding it from every node each time.
 
-Fold order is canonicalized to ``(popularity metric, node creation
-order)``: among equally light leaves the oldest node folds first.  The
-lazy heap reproduces this exactly while popularity is non-decreasing
-(always true for flow ingest and merge of non-negative summaries).
+Fold order is a function of content alone: leaves fold in ascending
+``(popularity metric, depth, values)`` order, so among equally light
+leaves the shallowest, then the smallest key, folds first.  A tree that
+went through :meth:`Flowtree.to_dict` / :meth:`Flowtree.from_dict`, a
+worker process or a restart therefore merges and compresses exactly
+like the one that never left memory — there is no creation history to
+carry.  The lazy heap reproduces the order exactly while popularity is
+non-decreasing (always true for flow ingest and merge of non-negative
+summaries).
 """
 
 from __future__ import annotations
@@ -61,11 +66,17 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import GranularityError, SchemaMismatchError
+from repro.errors import (
+    GranularityError,
+    MalformedSummaryError,
+    SchemaMismatchError,
+)
 from repro.flows.flowkey import FlowKey, GeneralizationPolicy
 from repro.flows.records import FlowRecord, PacketRecord, Score
 
 NodeId = Tuple[int, Tuple[int, ...]]
+#: one least-popular-leaf heap entry: (popularity, depth, values)
+_HeapEntry = Tuple[int, int, Tuple[int, ...]]
 
 #: Approximate serialized footprint of one node, used for transfer
 #: accounting: depth + per-feature value + three 8-byte counters (twice,
@@ -96,14 +107,12 @@ class FlowtreeNode:
     Popularity is stored as nine plain integer counters so the ingest
     hot path increments in place; the ``own``/``folded``/``subtree``
     properties expose the same values as immutable :class:`Score` views
-    for query-time consumers.  ``seq`` is the node's creation rank
-    within its tree — the deterministic tie-breaker for compression.
+    for query-time consumers.
     """
 
     __slots__ = (
         "depth",
         "values",
-        "seq",
         "parent",
         "own_packets",
         "own_bytes",
@@ -121,12 +130,10 @@ class FlowtreeNode:
         self,
         depth: int,
         values: Tuple[int, ...],
-        seq: int = 0,
         parent: Optional["FlowtreeNode"] = None,
     ) -> None:
         self.depth = depth
         self.values = values
-        self.seq = seq
         self.parent = parent
         self.own_packets = 0
         self.own_bytes = 0
@@ -255,14 +262,13 @@ class Flowtree:
         self._node_bytes = _NODE_BYTES_FIXED + _NODE_BYTES_PER_FEATURE * len(
             self.schema
         )
-        self._next_seq = 1
         root = FlowtreeNode(0, self._projectors[0]((0,) * len(self.schema)))
         self._nodes: Dict[NodeId, FlowtreeNode] = {root.node_id: root}
         self._root = root
         self._compressions = 0
         #: persistent least-popular-leaf heap; ``None`` until the first
         #: compression pass builds it (unbudgeted trees never pay for it)
-        self._leaf_heap: Optional[List[Tuple[int, int, NodeId]]] = None
+        self._leaf_heap: Optional[List[_HeapEntry]] = None
         self._heap_attr = _SUBTREE_ATTR[metric]
         #: nodes created since the last compression pass; their heap
         #: entries are deferred to the next pass so they enter at their
@@ -349,7 +355,7 @@ class Flowtree:
         """Ingest a :class:`~repro.flows.columnar.ColumnarBatch`.
 
         Bit-identical to :meth:`ingest` over the decoded records — same
-        nodes, seq numbers, and compression passes — but the per-depth
+        nodes and compression passes — but the per-depth
         projector walk runs vectorized over the batch's columns (see
         :func:`repro.flows.columnar.ingest_batch`).  ``finalize=False``
         defers the trailing budget-restoring compress, for callers
@@ -377,25 +383,10 @@ class Flowtree:
         schema_name = self.schema.name
         depth_of = self.policy.depth_of
         add_values = self._add_values
-        if budget is None:
-            for key, score in items:
-                if key.schema.name != schema_name:
-                    raise SchemaMismatchError(
-                        f"key schema {key.schema.name!r} != tree schema "
-                        f"{schema_name!r}"
-                    )
-                depth = depth_of(key.levels)
-                if depth is None:
-                    raise GranularityError(
-                        f"key levels {key.levels} are not on the canonical "
-                        f"chain"
-                    )
-                add_values(
-                    key.values, depth, score.packets, score.bytes, score.flows
-                )
-                count += 1
-            return count
-        overshoot = budget + max(64, budget // 8)
+        # an unbudgeted tree never crosses the line
+        overshoot = (
+            float("inf") if budget is None else budget + max(64, budget // 8)
+        )
         nodes = self._nodes
         for key, score in items:
             if key.schema.name != schema_name:
@@ -475,47 +466,12 @@ class Flowtree:
         self, depth: int, values: Tuple[int, ...], parent: FlowtreeNode
     ) -> FlowtreeNode:
         """Create, register and heap-track one node."""
-        node = FlowtreeNode(depth, values, self._next_seq, parent)
-        self._next_seq += 1
+        node = FlowtreeNode(depth, values, parent)
         self._nodes[(depth, values)] = node
         parent.children[values] = node
         if self._leaf_heap is not None:
             self._heap_pending.append(node)
         return node
-
-    def _ensure_chain(self, values: Sequence[int], depth: int) -> FlowtreeNode:
-        """Create any missing ancestors and return the node at ``depth``."""
-        parent = self._root
-        nodes = self._nodes
-        projectors = self._projectors
-        for d in range(1, depth + 1):
-            projected = projectors[d](values)
-            node = nodes.get((d, projected))
-            if node is None:
-                node = self._new_node(d, projected, parent)
-            parent = node
-        return parent
-
-    def _bubble(
-        self,
-        values: Sequence[int],
-        depth: int,
-        packets: int,
-        nbytes: int,
-        flows: int,
-    ) -> None:
-        """Add mass to the subtree totals of the chain down to ``depth``."""
-        node = self._root
-        node.subtree_packets += packets
-        node.subtree_bytes += nbytes
-        node.subtree_flows += flows
-        nodes = self._nodes
-        projectors = self._projectors
-        for d in range(1, depth + 1):
-            node = nodes[(d, projectors[d](values))]
-            node.subtree_packets += packets
-            node.subtree_bytes += nbytes
-            node.subtree_flows += flows
 
     # ------------------------------------------------------------------
     # Compress
@@ -539,11 +495,13 @@ class Flowtree:
         preserved: a folded leaf's popularity moves into its parent's
         ``folded`` counter.
 
-        Leaves fold in ``(metric, creation order)`` order.  The min-heap
-        backing that order persists across passes: node creation pushes
-        an entry, and entries are revalidated lazily on pop (stale
-        popularity re-pushes, dead or non-leaf nodes are discarded), so
-        a pass costs O(folds log n) instead of O(live nodes).
+        Leaves fold in ascending ``(metric, depth, values)`` order — a
+        function of the tree's content, not of how it was built.  The
+        min-heap backing that order persists across passes: node
+        creation queues an entry, and entries are revalidated lazily on
+        pop (stale popularity re-pushes, dead or non-leaf nodes are
+        discarded), so a pass costs O(folds log n) instead of O(live
+        nodes).
         """
         if target_nodes is not None and ratio is not None:
             raise GranularityError("give either target_nodes or ratio, not both")
@@ -572,7 +530,7 @@ class Flowtree:
             # first pass, metric switch, or too much accumulated
             # staleness: (re)build from the live leaves
             heap = [
-                (getattr(node, attr), node.seq, (node.depth, node.values))
+                (getattr(node, attr), node.depth, node.values)
                 for node in nodes.values()
                 if node.depth > 0 and not node.children
             ]
@@ -585,8 +543,7 @@ class Flowtree:
             for node in self._heap_pending:
                 if not node.children:
                     heapq.heappush(
-                        heap,
-                        (getattr(node, attr), node.seq, (node.depth, node.values)),
+                        heap, (getattr(node, attr), node.depth, node.values)
                     )
             self._heap_pending.clear()
 
@@ -594,38 +551,27 @@ class Flowtree:
         heappush = heapq.heappush
         removed = 0
         while len(nodes) > target_nodes and heap:
-            value, seq, node_id = heappop(heap)
+            value, depth, values = heappop(heap)
+            node_id = (depth, values)
             node = nodes.get(node_id)
-            if (
-                node is None
-                or node.seq != seq
-                or node.children
-                or node.depth == 0
-            ):
+            if node is None or node.children:
                 continue
             current = getattr(node, attr)
             if current != value:
-                heappush(heap, (current, seq, node_id))
+                heappush(heap, (current, depth, values))
                 continue
             parent = node.parent
             parent.folded_packets += node.own_packets + node.folded_packets
             parent.folded_bytes += node.own_bytes + node.folded_bytes
             parent.folded_flows += node.own_flows + node.folded_flows
-            del parent.children[node.values]
+            del parent.children[values]
             del nodes[node_id]
             removed += 1
             if parent.depth > 0 and not parent.children:
                 heappush(
-                    heap,
-                    (getattr(parent, attr), parent.seq, (parent.depth, parent.values)),
+                    heap, (getattr(parent, attr), parent.depth, parent.values)
                 )
         return removed
-
-    def _parent_of(self, node: FlowtreeNode) -> FlowtreeNode:
-        if node.parent is not None:
-            return node.parent
-        projected = self._projectors[node.depth - 1](node.values)
-        return self._nodes[(node.depth - 1, projected)]
 
     # ------------------------------------------------------------------
     # Merge / Diff
@@ -649,9 +595,7 @@ class Flowtree:
         A pair whose node of ours was created by this walk is *fresh*:
         its counters are zero and nothing below it exists yet, so the
         counters are assigned and the children created without a
-        lookup.  Fresh pairs ride the same LIFO stack as the others, so
-        creation order (``seq``), child-dict order and heap
-        registration do not depend on which branch ran.
+        lookup.
         """
         new_node = self._new_node
         stack = [(self._root, other._root, False)]
@@ -943,10 +887,7 @@ class Flowtree:
         ):
             discount = discounted.pop(node.node_id, 0)
             residual_value = getattr(node, attr) - discount
-            parent_id: Optional[NodeId] = None
-            if node.depth > 0:
-                parent = self._parent_of(node)
-                parent_id = parent.node_id
+            parent_id = node.parent.node_id if node.depth > 0 else None
             if residual_value >= threshold:
                 residual = Score(
                     **{
@@ -1015,109 +956,12 @@ class Flowtree:
         An epoch close hands the live tree over as the sealed summary
         instead of copying it; sealed trees are only read, merged *from*
         and copied, so the least-popular-leaf heap is dead weight.  (A
-        later :meth:`compress` rebuilds it from the live leaves and
-        folds in the same order.)  Returns the tree itself.
+        later :meth:`compress` rebuilds it from the live leaves.)
+        Returns the tree itself.
         """
         self._leaf_heap = None
         self._heap_pending = []
         return self
-
-    def snapshot_state(self) -> dict:
-        """An exact structural snapshot for same-process-family transfer.
-
-        Unlike :meth:`to_dict` (a canonical JSON form that forgets
-        creation order), this preserves every node's ``seq`` and the
-        child-dict insertion order, so a tree restored with
-        :meth:`restore_state` compresses, merges, and serializes
-        *bit-identically* to the original.  This is the contract
-        process-parallel ingest (:mod:`repro.parallel`) relies on when a
-        worker ships its epoch tree back to the parent.  The payload is
-        plain tuples/ints — picklable without the policy (the restorer
-        supplies its own, compatible one).
-        """
-        return {
-            "schema": self.schema.name,
-            "node_budget": self.node_budget,
-            "compress_ratio": self.compress_ratio,
-            "metric": self.metric,
-            "next_seq": self._next_seq,
-            "compressions": self._compressions,
-            "nodes": [
-                (
-                    node.depth,
-                    node.values,
-                    node.seq,
-                    node.own_packets,
-                    node.own_bytes,
-                    node.own_flows,
-                    node.folded_packets,
-                    node.folded_bytes,
-                    node.folded_flows,
-                )
-                for node in sorted(
-                    self._nodes.values(), key=lambda n: n.seq
-                )
-            ],
-        }
-
-    @classmethod
-    def restore_state(
-        cls, policy: GeneralizationPolicy, state: dict
-    ) -> "Flowtree":
-        """Rebuild the exact tree captured by :meth:`snapshot_state`.
-
-        Nodes are recreated in ``seq`` order — a parent's seq always
-        precedes its children's, and creation order *is* dict insertion
-        order — so the restored tree's iteration, compression
-        tie-breaking, and merge behavior match the original exactly.
-        """
-        if state["schema"] != policy.schema.name:
-            raise SchemaMismatchError(
-                f"snapshot schema {state['schema']!r} != policy schema "
-                f"{policy.schema.name!r}"
-            )
-        tree = cls(
-            policy,
-            node_budget=state["node_budget"],
-            compress_ratio=state["compress_ratio"],
-            metric=state["metric"],
-        )
-        nodes = tree._nodes
-        projectors = tree._projectors
-        created: List[FlowtreeNode] = []
-        for entry in state["nodes"]:
-            depth, values, seq = entry[0], tuple(entry[1]), entry[2]
-            if depth == 0:
-                node = tree._root
-                node.seq = seq
-            else:
-                parent = nodes[(depth - 1, projectors[depth - 1](values))]
-                node = FlowtreeNode(depth, values, seq, parent)
-                nodes[(depth, values)] = node
-                parent.children[values] = node
-            (
-                node.own_packets,
-                node.own_bytes,
-                node.own_flows,
-                node.folded_packets,
-                node.folded_bytes,
-                node.folded_flows,
-            ) = entry[3:9]
-            node.subtree_packets = node.own_packets + node.folded_packets
-            node.subtree_bytes = node.own_bytes + node.folded_bytes
-            node.subtree_flows = node.own_flows + node.folded_flows
-            created.append(node)
-        # children carry higher seqs than their parents, so one reverse
-        # sweep accumulates every subtree bottom-up
-        for node in reversed(created):
-            parent = node.parent
-            if parent is not None:
-                parent.subtree_packets += node.subtree_packets
-                parent.subtree_bytes += node.subtree_bytes
-                parent.subtree_flows += node.subtree_flows
-        tree._next_seq = state["next_seq"]
-        tree._compressions = state["compressions"]
-        return tree
 
     def to_dict(self) -> dict:
         """A JSON-safe representation, used for export and replication."""
@@ -1168,23 +1012,65 @@ class Flowtree:
             compress_ratio=payload["compress_ratio"],
             metric=payload["metric"],
         )
+        nodes = tree._nodes
+        projectors = tree._projectors
+        max_depth = policy.depth
+        created: List[FlowtreeNode] = []
+        # parents before children: every node links under an entry
+        # already placed, so the payload is checked to be a tree while
+        # it is rebuilt
         for entry in sorted(payload["nodes"], key=lambda e: e["depth"]):
             depth = entry["depth"]
             values = tuple(entry["values"])
-            own_packets, own_bytes, own_flows = entry["own"]
-            folded_packets, folded_bytes, folded_flows = entry["folded"]
-            node = tree._ensure_chain(values, depth) if depth else tree._root
-            node.own_packets += own_packets
-            node.own_bytes += own_bytes
-            node.own_flows += own_flows
-            node.folded_packets += folded_packets
-            node.folded_bytes += folded_bytes
-            node.folded_flows += folded_flows
-            packets = own_packets + folded_packets
-            nbytes = own_bytes + folded_bytes
-            flows = own_flows + folded_flows
-            if packets or nbytes or flows:
-                tree._bubble(values, depth, packets, nbytes, flows)
+            node_id = (depth, values)
+            if depth == 0:
+                # depth-sorted: anything placed before this is the root
+                if values != tree._root.values or created:
+                    raise MalformedSummaryError(
+                        f"payload node {node_id} at depth 0 is not the "
+                        f"root, or is the root twice"
+                    )
+                node = tree._root
+            else:
+                if node_id in nodes:
+                    raise MalformedSummaryError(
+                        f"payload holds node {node_id} twice"
+                    )
+                parent = (
+                    nodes.get((depth - 1, projectors[depth - 1](values)))
+                    if 0 < depth <= max_depth
+                    else None
+                )
+                if parent is None:
+                    raise MalformedSummaryError(
+                        f"payload node {node_id} has no parent in the "
+                        f"payload"
+                    )
+                node = FlowtreeNode(depth, values, parent)
+                nodes[node_id] = node
+                parent.children[values] = node
+            (
+                node.own_packets,
+                node.own_bytes,
+                node.own_flows,
+            ) = entry["own"]
+            (
+                node.folded_packets,
+                node.folded_bytes,
+                node.folded_flows,
+            ) = entry["folded"]
+            node.subtree_packets = node.own_packets + node.folded_packets
+            node.subtree_bytes = node.own_bytes + node.folded_bytes
+            node.subtree_flows = node.own_flows + node.folded_flows
+            created.append(node)
+        # children sit after their parents, so one reverse sweep
+        # accumulates every subtree bottom-up
+        for node in reversed(created):
+            parent = node.parent
+            if parent is not None:
+                parent.subtree_packets += node.subtree_packets
+                parent.subtree_bytes += node.subtree_bytes
+                parent.subtree_flows += node.subtree_flows
         return tree
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

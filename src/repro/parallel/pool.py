@@ -20,7 +20,7 @@ Determinism: per site, the worker applies exactly the submitted chunk
 boundaries in submission order, using the ``finalize`` flag so a
 submission split across slots compresses exactly like one serial
 ``add_many`` call.  ``flush()`` is the epoch barrier: it drains every
-worker, returns per-site shard summaries (tree state + epoch
+worker, returns per-site shard summaries (``tree.to_dict()`` + epoch
 bookkeeping), and resets the shard trees for the next epoch.
 
 Fault handling: a worker that dies mid-epoch (e.g. an injected
@@ -183,7 +183,8 @@ class _SiteShard:
 
     def snapshot(self) -> Dict[str, Any]:
         return {
-            "state": self.tree.snapshot_state(),
+            "tree": self.tree.to_dict(),
+            "compressions": self.tree.compressions,
             "items": self.items,
             "epoch_start": self.epoch_start,
             "epoch_end": self.epoch_end,
@@ -563,7 +564,7 @@ class ShardedIngestPool:
         """Drain every worker and collect per-site shard summaries.
 
         The epoch barrier: blocks until each worker has applied its
-        queued batches, returns ``{site: {"state", "items",
+        queued batches, returns ``{site: {"tree", "compressions", "items",
         "epoch_start", "epoch_end", "opened_at"}}`` for every site that
         ingested anything, and resets the shard trees for the next
         epoch.  A worker found dead is respawned and its epoch replayed

@@ -1003,10 +1003,9 @@ class HierarchyRuntime:
         """Fold the workers' epoch shards into the edge aggregators.
 
         An aggregator that saw nothing in-process this epoch adopts the
-        shard tree wholesale — node seqs and compression counters
-        included, which is what keeps parallel mode bit-identical to
-        serial ingest.  Anything already ingested in-process (mixed
-        serial/parallel use of one site) merges instead.
+        shard tree wholesale, compression count included.  Anything
+        already ingested in-process (mixed serial/parallel use of one
+        site) merges instead.
         """
         for site, summary in summaries.items():
             self.engine.record_shard(site, summary["items"])
@@ -1014,12 +1013,13 @@ class HierarchyRuntime:
                 self._pool_aggs[site]
             )
             primitive = aggregator.primitive
-            shard = Flowtree.restore_state(self.policy, summary["state"])
+            shard = Flowtree.from_dict(summary["tree"], self.policy)
+            shard._compressions = summary["compressions"]
             tree = primitive.tree
             if (
                 primitive.items_ingested == 0
-                and tree._next_seq == 1
-                and tree._compressions == 0
+                and tree.node_count == 1
+                and tree.compressions == 0
             ):
                 primitive.tree = shard
             else:

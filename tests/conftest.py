@@ -5,11 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.summary import Location
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
 from repro.flows.records import FlowRecord, Score
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+
+# No example database: a laptop and CI explore the same way, and a
+# regression lives in the test file as an explicit @example (a failure
+# prints the blob to commit), never in a git-ignored .hypothesis/.
+settings.register_profile("repro", database=None, print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,9 @@
 
 The contract under test is bit-exactness: encoding records columnar and
 ingesting them through :meth:`Flowtree.ingest_columnar` must produce
-*the same tree* — node for node, seq for seq, compression for
-compression — as the scalar ``add_many`` over the same records in the
-same order, for any budget and any interleaving of chunk boundaries.
+*the same tree* — node for node, compression for compression — as the
+scalar ``add_many`` over the same records in the same order, for any
+budget and any interleaving of chunk boundaries.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def make_records(
 
 
 def tree_state(tree: Flowtree):
-    return (tree.snapshot_state(), tree._next_seq, tree._compressions)
+    return (tree.to_dict(), tree.compressions)
 
 
 class TestEncodeDecode:

@@ -337,7 +337,8 @@ class TestRuntimeRecovery:
         (partition,) = router.catalog.all()
         (parked,) = runtime.pending_queue(ROUTER1).entries
         assert parked.summary.payload is partition.summary.payload
-        retained = partition.summary.payload.snapshot_state()
+        sealed = partition.summary.payload
+        retained = (sealed.to_dict(), sealed.compressions)
         # the parent lost its aggregator (as after a reconfiguration):
         # redelivery installs the parked summary as the live one, and
         # the same close merges router1's fresh epoch into it
@@ -347,7 +348,7 @@ class TestRuntimeRecovery:
             runtime.ingest(site, generator.epoch(site, 1))
         runtime.close_epoch(120.0)
         assert runtime.stats.exports_recovered == 1
-        assert partition.summary.payload.snapshot_state() == retained
+        assert (sealed.to_dict(), sealed.compressions) == retained
         clean_total = root_total(drive(build_runtime()))
         assert root_total(runtime) == clean_total
 

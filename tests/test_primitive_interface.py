@@ -64,7 +64,7 @@ class TestRegistry:
 def payload_fingerprint(payload):
     """Every bit of a summary payload a later reader could observe."""
     if isinstance(payload, Flowtree):
-        return payload.snapshot_state()
+        return (payload.to_dict(), payload.compressions)
     return pickle.dumps(payload)
 
 
