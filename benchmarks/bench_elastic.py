@@ -1,64 +1,42 @@
-"""Live reconfiguration under traffic: cost, correctness, recovery.
+"""Drill: live reconfiguration under traffic — cost, correctness, recovery.
 
 The paper's Sec. V.A self-adaptation claim, measured.  A scripted
 reconfiguration storm — ``site_join``, live-mass ``site_leave``,
 ``level_split``, ``level_merge``, ``migrate_store`` — runs between
 epoch closes of a continuously-ingesting tiered hierarchy, once on a
 clean fabric and once under a 0.3-drop :class:`~repro.faults.FaultPlan`.
-The claims are deterministic invariants, not timings:
+Deterministic rows, gated in ``check_regression.py``:
 
 * **mass conservation** — after the recovery closes drain every parked
-  export and migration, the root holds exactly the ingested flow
-  count, at *both* drop rates (reconfiguration is delayed, never
-  lossy);
+  export and migration, the root holds exactly the ingested flow count
+  at *both* drop rates (``lost_flows`` = 0: reconfiguration is delayed,
+  never lossy) and the pending ledgers are empty;
 * **migration accounting** — live summary migrations move a nonzero,
-  ledger-tracked byte volume, and the pending-migration ledger drains
-  to empty;
-* **versioning** — every op bumps the topology generation exactly
-  once, and the query issued after each op's close answers from the
-  *new* topology (a stale cached plan would miscount or fail);
-* **op latency** — wall-ms per reconfiguration op, informational
-  (drain + migrate + resync, dominated by summary serialization).
+  ledger-tracked byte volume, synchronously on the clean fabric;
+* **versioning** — every op bumps the topology generation exactly once
+  (``generation_after`` per op), and the query issued after each op's
+  close answers from the *new* topology.
 
-Run as a script to execute the full trace and (re)write the committed
-baseline ``BENCH_elastic.json`` at the repo root:
-
-```bash
-PYTHONPATH=src python benchmarks/bench_elastic.py
-```
-
-The pytest entry point uses a smaller trace so ``pytest benchmarks/``
-stays quick.
+Wall-ms per op is an ``info`` row (drain + migrate + resync, dominated
+by summary serialization).
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import time
-from pathlib import Path
 
+from benchmarks.conftest import rows
 from repro.faults import FaultPlan
 from repro.runtime.config import LevelConfig
 from repro.runtime.presets import tiered_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
-try:  # script mode runs without pytest on the path
-    from benchmarks.conftest import report
-except ImportError:  # pragma: no cover
-    def report(title, rows, columns=None):
-        print(f"\n=== {title} ===")
-        if columns:
-            print("  " + " | ".join(str(c) for c in columns))
-        for row in rows:
-            print("  " + " | ".join(str(cell) for cell in row))
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_elastic.json"
-
+SIZES = ({"flows_per_epoch": 1500},)
 SITES = ("east/r1", "east/r2", "west/r3")
 #: every trace label the scenario will ever ingest under
 TRACE_LABELS = SITES + ("east/r4",)
 DROP_RATES = (0.0, 0.3)
+TRACE_SEED = 2019
 FAULT_SEED = 2019
 MAX_RECOVERY_CLOSES = 12
 
@@ -72,7 +50,7 @@ def _ingest(runtime, generator, epoch, flows, origin=None):
     return flows * len(sites)
 
 
-def run_scenario(flows_per_epoch: int, seed: int, drop: float) -> dict:
+def run_scenario(flows_per_epoch: int, drop: float) -> list:
     """The scripted reconfiguration storm over a live tiered runtime.
 
     Each step ingests a full epoch, applies one reconfiguration op
@@ -82,7 +60,7 @@ def run_scenario(flows_per_epoch: int, seed: int, drop: float) -> dict:
     runtime = tiered_runtime(sites=list(SITES), faults=plan)
     generator = TrafficGenerator(
         TrafficConfig(sites=TRACE_LABELS, flows_per_epoch=flows_per_epoch),
-        seed=seed,
+        seed=TRACE_SEED,
     )
     split_origin = {
         "east/pod1/r1": "east/r1",
@@ -106,33 +84,29 @@ def run_scenario(flows_per_epoch: int, seed: int, drop: float) -> dict:
          lambda now: runtime.migrate_store("east/r4", "west", now=now),
          migrate_origin),
     )
-    ops = []
-    ingested = 0
+    storm = f"drop={drop:g}"
+    ledger = runtime.model.ledger
+    per_op = {}
     clock = 0.0
-    origin = {}
-    ingested += _ingest(runtime, generator, 0, flows_per_epoch)
+    ingested = _ingest(runtime, generator, 0, flows_per_epoch)
     for epoch, (name, apply_op, new_origin) in enumerate(steps, start=1):
-        bytes_before = runtime.model.ledger.migrated_bytes
+        bytes_before = ledger.migrated_bytes
         start = time.perf_counter()
         apply_op(clock + 30.0)
         elapsed_ms = (time.perf_counter() - start) * 1e3
-        origin = dict(new_origin) if new_origin is not None else {}
-        ops.append(
-            {
-                "op": name,
-                "ms": round(elapsed_ms, 3),
-                "generation_after": runtime.model.generation,
-                "migrated_bytes_delta": (
-                    runtime.model.ledger.migrated_bytes - bytes_before
-                ),
-            }
+        per_op[f"{storm}/{name}"] = (
+            ("generation_after", "generation", runtime.model.generation),
+            ("migrated_bytes_delta", "B",
+             ledger.migrated_bytes - bytes_before),
+            ("op_ms", "ms", round(elapsed_ms, 3)),
         )
         clock += 60.0
         runtime.close_epoch(clock)
         # the op must be visible to queries through the new topology
         runtime.query("SELECT TOTAL FROM ALL")
         ingested += _ingest(
-            runtime, generator, epoch, flows_per_epoch, origin=origin
+            runtime, generator, epoch, flows_per_epoch,
+            origin=new_origin,
         )
     clock += 60.0
     runtime.close_epoch(clock)
@@ -143,122 +117,28 @@ def run_scenario(flows_per_epoch: int, seed: int, drop: float) -> dict:
         clock += 60.0
         runtime.close_epoch(clock)
     mass = runtime.query("SELECT TOTAL FROM ALL").scalar
-    ledger = runtime.model.ledger
-    return {
-        "ops": ops,
-        "generation": runtime.model.generation,
-        "op_counts": dict(ledger.op_counts),
-        "migrated_bytes": ledger.migrated_bytes,
-        "migrated_summaries": ledger.migrated_summaries,
-        "pending_migrations": len(ledger.pending),
-        "pending_exports": runtime.pending_exports(),
-        "recovery_lag_epochs": lag,
-        "root_mass_flows": mass.flows,
-        "expected_flows": ingested,
-        "mass_conserved": mass.flows == ingested,
-        "wan_bytes": runtime.wan_bytes(),
-    }
+    per_op[storm] = (
+        ("lost_flows", "flows", ingested - mass.flows),
+        ("root_mass_flows", "flows", mass.flows),
+        ("generation", "generation", runtime.model.generation),
+        ("ops_applied", "ops", sum(ledger.op_counts.values())),
+        ("migrated_bytes", "B", ledger.migrated_bytes),
+        ("migrated_summaries", "summaries", ledger.migrated_summaries),
+        ("pending_migrations", "migrations", len(ledger.pending)),
+        ("pending_exports", "exports", runtime.pending_exports()),
+        ("recovery_lag_epochs", "epochs", lag),
+        ("wan_bytes", "B", runtime.wan_bytes()),
+    )
+    return [
+        row
+        for case, measured in per_op.items()
+        for row in rows(case, ingested, measured)
+    ]
 
 
-def run_sweep(flows_per_epoch: int, seed: int) -> dict:
-    return {
-        f"{drop:g}": run_scenario(flows_per_epoch, seed, drop)
+def measure(flows_per_epoch: int) -> list:
+    return [
+        row
         for drop in DROP_RATES
-    }
-
-
-def check_claims(results: dict) -> None:
-    """The qualitative claims any run of the sweep must satisfy."""
-    for metrics in results.values():
-        # reconfiguration is delayed, never lossy
-        assert metrics["mass_conserved"], (
-            f"root {metrics['root_mass_flows']} != "
-            f"ingested {metrics['expected_flows']}"
-        )
-        assert metrics["pending_exports"] == 0
-        assert metrics["pending_migrations"] == 0
-        # one generation bump per op, counted per kind
-        assert metrics["generation"] == len(metrics["ops"])
-        assert sum(metrics["op_counts"].values()) == len(metrics["ops"])
-        assert [op["generation_after"] for op in metrics["ops"]] == list(
-            range(1, len(metrics["ops"]) + 1)
-        )
-    clean = results["0"]
-    # a clean fabric migrates live mass synchronously and needs no
-    # recovery closes; the lossy run may park, but must still drain
-    assert clean["migrated_bytes"] > 0
-    assert clean["migrated_summaries"] >= 1
-    assert clean["recovery_lag_epochs"] == 0
-
-
-def rows_of(results: dict):
-    rows = []
-    for drop, metrics in sorted(results.items(), key=lambda kv: float(kv[0])):
-        for op in metrics["ops"]:
-            rows.append(
-                (
-                    drop,
-                    op["op"],
-                    f"{op['ms']:.1f}",
-                    op["generation_after"],
-                    op["migrated_bytes_delta"],
-                )
-            )
-        rows.append(
-            (
-                drop,
-                "TOTAL",
-                "-",
-                metrics["generation"],
-                metrics["migrated_bytes"],
-            )
-        )
-    return rows
-
-
-COLUMNS = ("drop", "op", "ms", "gen", "migrated B")
-
-
-def test_reconfig_storm_conserves_mass(benchmark):
-    """Mass survives the scripted reconfig storm (small trace)."""
-    results = benchmark.pedantic(
-        lambda: run_sweep(flows_per_epoch=200, seed=2019),
-        rounds=1,
-        iterations=1,
-    )
-    report("Reconfig storm: op cost and migrated volume", rows_of(results),
-           columns=COLUMNS)
-    benchmark.extra_info.update(
-        {
-            f"migrated_bytes_drop{drop}": metrics["migrated_bytes"]
-            for drop, metrics in results.items()
-        }
-    )
-    check_claims(results)
-
-
-def main() -> None:
-    results = run_sweep(flows_per_epoch=1500, seed=2019)
-    report("Reconfig storm: op cost and migrated volume (full trace)",
-           rows_of(results), columns=COLUMNS)
-    check_claims(results)
-    baseline = {
-        "trace": {
-            "sites": list(SITES),
-            "flows_per_epoch": 1500,
-            "seed": 2019,
-            "fault_seed": FAULT_SEED,
-            "drop_rates": list(DROP_RATES),
-        },
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "rates": results,
-    }
-    BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-    print(f"\nwrote {BASELINE_PATH}")
-
-
-if __name__ == "__main__":
-    main()
+        for row in run_scenario(flows_per_epoch, drop)
+    ]

@@ -1,215 +1,70 @@
-"""Delivered mass, retry overhead, and recovery lag under link faults.
+"""Drill: delivered mass, retry overhead and recovery lag under link faults.
 
-Table I's "unreliable connections" challenge, measured: the same
-4-level trace as ``BENCH_hierarchy.json`` runs under seeded
-:class:`~repro.faults.FaultPlan` drop rates (0, 0.05, 0.2).  Failed
-exports retry with bounded backoff, exhausted exports park in pending
-queues and redeliver on later closes, so the claims are:
+Table I's "unreliable connections" challenge, measured: the golden
+depth-4 trace (``tests/test_golden_trace.py``) runs under seeded
+:class:`~repro.faults.FaultPlan` drop rates.  Failed exports retry with
+bounded backoff, exhausted exports park in pending queues and redeliver
+on later closes, so after the recovery closes drain the queues the root
+holds 100% of the fault-free mass at *every* drop rate (DESIGN.md
+"Failure model"): reliability is paid for in wasted/retried bytes,
+growing with the drop rate, never in lost data — and the drop=0 run
+moves exactly the golden WAN volume, because the fault machinery costs
+nothing when no fault fires.
 
-* **delivered mass** — after the recovery closes drain the queues, the
-  root holds 100% of the fault-free mass at *every* drop rate (the
-  at-least-once delivery guarantee, see DESIGN.md "Failure model");
-* **retry overhead** — reliability is paid for in wasted/retried
-  bytes, growing with the drop rate, never in lost data;
-* **recovery lag** — how many extra epoch closes the queues need to
-  drain;
-* **zero-fault fidelity** — the drop=0 run's WAN volume matches the
-  committed depth-4 number in ``BENCH_hierarchy.json`` exactly: the
-  fault machinery costs nothing when no faults fire.
-
-Run as a script to execute the full trace and (re)write the committed
-baseline ``BENCH_faults.json`` at the repo root:
-
-```bash
-PYTHONPATH=src python benchmarks/bench_faults.py
-```
-
-The pytest entry point uses a smaller trace so ``pytest benchmarks/``
-stays quick.
+Every row is deterministic; ``check_regression.py`` holds the gates.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-from pathlib import Path
-
+from benchmarks.conftest import GOLDEN_BUDGETS, depth4_runtime, rows
 from repro.faults import FaultPlan
-from repro.runtime.presets import network_4level_runtime
-from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
-try:  # script mode runs without pytest on the path
-    from benchmarks.conftest import report
-except ImportError:  # pragma: no cover
-    def report(title, rows, columns=None):
-        print(f"\n=== {title} ===")
-        if columns:
-            print("  " + " | ".join(str(c) for c in columns))
-        for row in rows:
-            print("  " + " | ".join(str(cell) for cell in row))
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
-
-#: the exact trace of BENCH_hierarchy.json, so drop=0 is comparable
-SITES = (
-    "region1/router1",
-    "region1/router2",
-    "region2/router1",
-    "region2/router2",
-)
-NODE_BUDGET = 4096
+#: the golden trace; cheap enough that CI re-runs the committed size
+SIZES = ({"flows_per_epoch": 3000, "epochs": 3},)
 DROP_RATES = (0.0, 0.05, 0.2)
 FAULT_SEED = 2019
 MAX_RECOVERY_CLOSES = 12
 
 
-def build_runtime(drop: float, node_budget: int = NODE_BUDGET):
-    return network_4level_runtime(
-        networks=1,
-        regions_per_network=2,
-        routers_per_region=2,
-        router_node_budget=node_budget,
-        region_node_budget=node_budget,
-        network_node_budget=node_budget,
+def run_rate(drop: float, flows_per_epoch: int, epochs: int) -> list:
+    """One drop rate over the golden trace, driven to full recovery;
+    ``(metric, unit, value)`` triples, root mass in bytes first."""
+    runtime = depth4_runtime(
+        flows_per_epoch,
+        epochs,
         faults=FaultPlan(seed=FAULT_SEED, drop_probability=drop),
+        **GOLDEN_BUDGETS,
     )
-
-
-def run_rate(
-    drop: float,
-    flows_per_epoch: int,
-    epochs: int,
-    seed: int,
-    node_budget: int = NODE_BUDGET,
-) -> dict:
-    """One drop rate over the shared trace, driven to full recovery."""
-    runtime = build_runtime(drop, node_budget=node_budget)
-    generator = TrafficGenerator(
-        TrafficConfig(sites=SITES, flows_per_epoch=flows_per_epoch),
-        seed=seed,
-    )
-    for epoch in range(epochs):
-        for site in SITES:
-            runtime.ingest(f"network1/{site}", generator.epoch(site, epoch))
-        runtime.close_epoch((epoch + 1) * 60.0)
     lag = 0
     while runtime.pending_exports() and lag < MAX_RECOVERY_CLOSES:
         lag += 1
-        runtime.close_epoch((epochs + lag) * 60.0)
+        runtime.close_epoch((epochs + lag) * runtime.epoch_seconds)
     stats = runtime.stats
     runtime.inject_faults(None)  # read the final root state fault-free
     mass = runtime.query("SELECT TOTAL FROM ALL").scalar
-    return {
-        "wan_bytes": runtime.wan_bytes(),
-        "wasted_bytes": runtime.fabric.wasted_bytes(),
-        "wan_wasted_bytes": runtime.fabric.wan_wasted_bytes(),
-        "retried_bytes": stats.retried_bytes,
-        "transfer_attempts": stats.transfer_attempts,
-        "transfer_failures": stats.transfer_failures,
-        "exports_parked": stats.exports_parked,
-        "exports_recovered": stats.exports_recovered,
-        "pending_exports": runtime.pending_exports(),
-        "recovery_lag_epochs": lag,
-        "root_mass_bytes": mass.bytes,
-        "root_mass_flows": mass.flows,
-    }
-
-
-def run_sweep(flows_per_epoch: int, epochs: int, seed: int,
-              node_budget: int = NODE_BUDGET) -> dict:
-    """Every drop rate; delivered mass is relative to the drop=0 run."""
-    results = {}
-    for drop in DROP_RATES:
-        results[f"{drop:g}"] = run_rate(
-            drop, flows_per_epoch, epochs, seed, node_budget=node_budget
-        )
-    clean_mass = results["0"]["root_mass_bytes"]
-    for metrics in results.values():
-        metrics["delivered_mass_pct"] = round(
-            100.0 * metrics["root_mass_bytes"] / clean_mass, 3
-        )
-    return results
-
-
-def check_claims(results: dict) -> None:
-    """The qualitative claims any run of the sweep must satisfy."""
-    clean = results["0"]
-    assert clean["transfer_failures"] == 0
-    assert clean["wasted_bytes"] == 0
-    assert clean["retried_bytes"] == 0
-    assert clean["recovery_lag_epochs"] == 0
-    ordered = [results[f"{drop:g}"] for drop in DROP_RATES]
-    for metrics in ordered:
-        # the delivery guarantee: delayed, never lost
-        assert metrics["pending_exports"] == 0
-        assert metrics["delivered_mass_pct"] == 100.0
-        assert metrics["root_mass_flows"] == clean["root_mass_flows"]
-    # reliability is paid in retry overhead, monotone in the drop rate
-    wasted = [metrics["wasted_bytes"] for metrics in ordered]
-    assert wasted == sorted(wasted)
-    assert ordered[-1]["wasted_bytes"] > 0
-    assert ordered[-1]["transfer_failures"] > 0
-
-
-def rows_of(results: dict):
     return [
-        (
-            drop,
-            metrics["wan_bytes"],
-            f"{metrics['delivered_mass_pct']}%",
-            metrics["wasted_bytes"],
-            metrics["retried_bytes"],
-            metrics["recovery_lag_epochs"],
-        )
-        for drop, metrics in sorted(results.items(), key=lambda kv: float(kv[0]))
+        ("root_mass_bytes", "B", mass.bytes),
+        ("root_mass_flows", "flows", mass.flows),
+        ("wan_bytes", "B", runtime.wan_bytes()),
+        ("wasted_bytes", "B", runtime.fabric.wasted_bytes()),
+        ("retried_bytes", "B", stats.retried_bytes),
+        ("transfer_failures", "transfers", stats.transfer_failures),
+        ("pending_exports", "exports", runtime.pending_exports()),
+        ("recovery_lag_epochs", "epochs", lag),
     ]
 
 
-COLUMNS = ("drop", "wan B", "delivered", "wasted B", "retried B", "lag")
-
-
-def test_faults_delay_but_never_lose_mass(benchmark):
-    """Delivered mass stays 100% at every drop rate (small trace)."""
-    results = benchmark.pedantic(
-        lambda: run_sweep(flows_per_epoch=600, epochs=2, seed=2019),
-        rounds=1,
-        iterations=1,
-    )
-    report("Fault sweep: delivered mass vs drop rate", rows_of(results),
-           columns=COLUMNS)
-    benchmark.extra_info.update(
-        {
-            f"wasted_bytes_drop{drop}": metrics["wasted_bytes"]
-            for drop, metrics in results.items()
-        }
-    )
-    check_claims(results)
-
-
-def main() -> None:
-    results = run_sweep(flows_per_epoch=3000, epochs=3, seed=2019)
-    report("Fault sweep: delivered mass vs drop rate (full trace)",
-           rows_of(results), columns=COLUMNS)
-    check_claims(results)
-    baseline = {
-        "trace": {
-            "sites": list(SITES),
-            "flows_per_epoch": 3000,
-            "epochs": 3,
-            "seed": 2019,
-            "node_budget": NODE_BUDGET,
-            "fault_seed": FAULT_SEED,
-            "drop_rates": list(DROP_RATES),
-        },
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "rates": results,
-    }
-    BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-    print(f"\nwrote {BASELINE_PATH}")
-
-
-if __name__ == "__main__":
-    main()
+def measure(flows_per_epoch: int, epochs: int) -> list:
+    """Every drop rate; delivered mass is relative to the drop=0 run."""
+    records = flows_per_epoch * epochs * 4
+    produced = []
+    clean_mass = None
+    for drop in DROP_RATES:
+        measured = run_rate(drop, flows_per_epoch, epochs)
+        mass = measured[0][2]
+        clean_mass = clean_mass or mass
+        measured.append(
+            ("delivered_mass_pct", "%", round(100.0 * mass / clean_mass, 3))
+        )
+        produced += rows(f"drop={drop:g}", records, measured)
+    return produced

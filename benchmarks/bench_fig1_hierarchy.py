@@ -9,8 +9,14 @@ and after aggregation in both settings.
 
 from __future__ import annotations
 
-
-from benchmarks.conftest import SITES, report
+from benchmarks.conftest import (
+    GOLDEN_BUDGETS,
+    GOLDEN_SITES,
+    SITES,
+    depth4_runtime,
+    feed,
+    report,
+)
 from repro.core.flowtree import FlowtreePrimitive
 from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator
@@ -18,6 +24,7 @@ from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.hierarchy.network import DEFAULT_BANDWIDTH_BPS, NetworkFabric
 from repro.hierarchy.topology import network_monitoring_hierarchy
+from repro.runtime.presets import flat_runtime, tiered_runtime
 from repro.simulation.factory import build_factory
 
 
@@ -144,3 +151,29 @@ def test_deadlines_vs_loop_latencies(benchmark):
     )
     assert machine_latency < MACHINE_DEADLINE
     assert line_latency < LINE_DEADLINE
+
+
+def test_wan_shrinks_with_depth():
+    """Figures 1-2: every extra merge tier deduplicates the generalized
+    nodes its children share before anything leaves the edge.  The
+    golden trace through the depth-2/3/4 presets, equal budgets."""
+    flat = flat_runtime(list(GOLDEN_SITES), node_budget=4096)
+    tiered = tiered_runtime(
+        list(GOLDEN_SITES),
+        router_node_budget=4096,
+        region_node_budget=4096,
+    )
+    for runtime in (flat, tiered):
+        feed(runtime, 3000, range(3))
+    deep = depth4_runtime(3000, 3, **GOLDEN_BUDGETS)
+    wan = {2: flat.wan_bytes(), 3: tiered.wan_bytes(), 4: deep.wan_bytes()}
+    # the WAN savings are bought with interior fabric hops
+    for runtime in (flat, tiered, deep):
+        assert runtime.total_network_bytes() > runtime.wan_bytes()
+    report(
+        "Fig. 1/2: WAN bytes vs hierarchy depth (golden trace)",
+        sorted(wan.items()),
+        columns=("depth", "wan B"),
+    )
+    assert wan[4] <= wan[3] <= wan[2]
+    assert wan == {2: 3_038_472, 3: 1_415_232, 4: 707_616}

@@ -1,852 +1,245 @@
 #!/usr/bin/env python
-"""Guard the perf-sensitive paths against regressions.
+"""The gate table: what every drill row must satisfy, stated once.
 
-Five committed baselines are checked:
-
-* ``BENCH_flowtree.json`` — re-runs the optimized Flowtree ingest (and
-  merge) over the exact recorded trace and fails when fresh throughput
-  falls below ``tolerance`` times the committed number.  The same gate
-  covers the parallel sharded-ingest section: the committed 4-worker
-  curve must clear the aggregate-speedup floor, and a fresh
-  ``--parallel-workers``-sized smoke must stay within tolerance of the
-  committed per-count speedup while producing trees *bit-identical* to
-  serial ingest (root mass and WAN bytes included, via a small
-  serial-vs-parallel runtime drive).
-* ``BENCH_query.json`` — replays the committed query-planner trace and
-  fails when cached repeat queries stop being strictly cheaper than
-  federated first queries (bytes moved and wall time).
-* ``BENCH_faults.json`` — replays the fault sweep and fails when the
-  delivery guarantee breaks (delivered mass < 100% after recovery) or
-  when the zero-drop run's WAN volume drifts from the committed
-  depth-4 number in ``BENCH_hierarchy.json`` (the fault machinery must
-  cost nothing when no faults fire).
-* ``BENCH_obs.json`` — re-measures observability overhead on the
-  committed depth-4 trace and fails when the instrumented ingest+rollup
-  exceeds the uninstrumented wall-clock by 5% or more, when
-  instrumentation changes any structural output (WAN/raw/export
-  counts), or when the registry exposition drifts from the
-  ``VolumeStats``/fabric counters it mirrors.
-* ``BENCH_elastic.json`` — replays the scripted reconfiguration storm
-  (join, live leave, split, merge, migrate under traffic, clean and
-  drop=0.3 fabrics) and fails when root mass stops matching the
-  ingested total, when pending migrations fail to drain, or when ops
-  stop bumping the topology generation exactly once.
-* ``BENCH_durability.json`` — replays the durability sweep and fails
-  when the segment log stops answering bit-identically to the memory
-  engine, when a crash drill at any epoch boundary loses mass, when
-  the memory engine's WAN volume drifts from the committed depth-4
-  number (the storage seam must be free when unused), or when a
-  parallel memory-engine run diverges from serial.
-* ``BENCH_serve.json`` — validates the committed ≥1000-client
-  closed-loop serving storm (completed requests, p50/p99, queries/s,
-  zero unhandled server errors) and re-runs a reduced 128-client storm
-  whose structural claims must all hold: every request completes,
-  HTTP answers are payload-identical to in-process ones (degraded
-  partials under a fault plan included), and the under-provisioned
-  admission arm sheds with 429 + Retry-After while admitted answers
-  stay correct.
-
-``--only {all,flowtree,query,faults,obs,elastic,durability,serve}`` selects
-one gate (CI runs them in separate jobs).  The default tolerance is deliberately generous —
-CI machines vary a lot — so a failure means a real algorithmic
-regression, not scheduler noise.
+``TABLE`` maps a bench to the tier-1 test that owns the identity the
+drill exercises under load and to its gates ``(case glob, metric glob,
+kind, bound)`` — first match wins, no match means ``info``.  The drill
+is ``benchmarks/bench_<bench>.py``: ``measure(**size) -> rows`` and
+``SIZES`` (``SIZES[0]`` is what CI re-runs; every size is committed, so
+a gate naming a larger size reads fresh rows only under ``--write``).
+``benchmarks/conftest.py`` defines the row schema and the kinds: ``exact``
+equals the committed row (and ``bound``, when given); ``ratio`` equals it
+and is >= ``bound``; ``floor`` is wall-time-derived, never committed, and
+>= ``bound``; ``info`` is printed only.
 
 ```bash
-PYTHONPATH=src python benchmarks/check_regression.py            # default 0.5
-PYTHONPATH=src python benchmarks/check_regression.py --tolerance 0.7
-PYTHONPATH=src python benchmarks/check_regression.py --only faults
+python benchmarks/check_regression.py               # committed rows hold, and a CI-size re-run reproduces them
+python benchmarks/check_regression.py --only serve  # one drill
+python benchmarks/check_regression.py --write       # every size, then rewrite BENCH_results.json
 ```
 
-Exit status: 0 when everything is within tolerance, 1 on regression, 2
-when a baseline file is missing/invalid.  Regenerate the baselines
-(e.g. after an intentional perf change) with:
-
-```bash
-PYTHONPATH=src python benchmarks/bench_flowtree_hotpath.py
-PYTHONPATH=src python benchmarks/bench_query_planner.py
-PYTHONPATH=src python benchmarks/bench_faults.py
-PYTHONPATH=src python benchmarks/bench_obs.py
-PYTHONPATH=src python benchmarks/bench_elastic.py
-PYTHONPATH=src python benchmarks/bench_durability.py
-```
+Exit status: 0 every gate holds, 1 a gate failed, 2 the committed file
+is missing or does not parse against the row schema.  No timing is
+committed: performance claims go through ``benchmarks/e2e`` only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-import time
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # script-mode convenience
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-if str(REPO_ROOT) not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT))
+for entry in (REPO_ROOT / "src", REPO_ROOT):  # script-mode convenience
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
 
-DEFAULT_BASELINE = REPO_ROOT / "BENCH_flowtree.json"
-DEFAULT_QUERY_BASELINE = REPO_ROOT / "BENCH_query.json"
-DEFAULT_FAULTS_BASELINE = REPO_ROOT / "BENCH_faults.json"
-DEFAULT_HIERARCHY_BASELINE = REPO_ROOT / "BENCH_hierarchy.json"
-DEFAULT_OBS_BASELINE = REPO_ROOT / "BENCH_obs.json"
-DEFAULT_ELASTIC_BASELINE = REPO_ROOT / "BENCH_elastic.json"
-DEFAULT_DURABILITY_BASELINE = REPO_ROOT / "BENCH_durability.json"
-DEFAULT_SERVE_BASELINE = REPO_ROOT / "BENCH_serve.json"
-DEFAULT_SUBSCRIBE_BASELINE = REPO_ROOT / "BENCH_subscribe.json"
-DEFAULT_TOLERANCE = 0.5
-#: the zero-drop run is deterministic; allow only float-formatting drift
-WAN_MATCH_TOLERANCE = 0.01
+from benchmarks.conftest import RESULTS_PATH, ROW_FIELDS, report  # noqa: E402
+
+COMMITTED_KINDS = ("exact", "ratio")
 
 
-def fresh_measurements(trace: dict) -> dict:
-    """Re-run the optimized hot path over the committed trace config."""
-    from benchmarks.bench_flowtree_hotpath import make_trace, run_fast
-    from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
-    from repro.flows.tree import Flowtree
-
-    policy = GeneralizationPolicy.default_for(FIVE_TUPLE)
-    records = make_trace(trace["records"], seed=trace["seed"])
-    tree, seconds = run_fast(records, policy)
-    half = len(records) // 2
-    first = Flowtree(policy, node_budget=trace["node_budget"])
-    first.ingest(records[:half])
-    second = Flowtree(policy, node_budget=trace["node_budget"])
-    second.ingest(records[half:])
-    started = time.perf_counter()
-    first.merge(second)
-    merge_seconds = time.perf_counter() - started
-    return {
-        "fast_records_per_s": len(records) / seconds,
-        "fast_merge_ms": merge_seconds * 1000,
-        "nodes": tree.node_count,
-    }
+def zero(case, *metrics):
+    return tuple((case, metric, "exact", 0) for metric in metrics)
 
 
-def _runtime_outcome(workers) -> dict:
-    """Root mass + WAN bytes of a small tiered drive (serial when
-    ``workers`` is None); the parallel path must reproduce both
-    bit-for-bit."""
-    from repro.runtime import tiered_runtime
-    from repro.simulation.traffic import TrafficConfig, TrafficGenerator
-
-    sites = ["region1/router1", "region1/router2", "region2/router1"]
-    generator = TrafficGenerator(
-        TrafficConfig(sites=tuple(sites), flows_per_epoch=300), seed=11
-    )
-    runtime = tiered_runtime(sites, router_node_budget=512, parallel=workers)
-    try:
-        for epoch in range(2):
-            for site in sites:
-                runtime.ingest(site, generator.epoch(site, epoch))
-            runtime.close_epoch((epoch + 1) * runtime.epoch_seconds)
-        return {
-            "root_mass": runtime.query("SELECT TOTAL FROM ALL").scalar,
-            "wan_bytes": runtime.wan_bytes(),
-        }
-    finally:
-        runtime.shutdown()
-
-
-def check_parallel(committed: dict, workers: int, tolerance: float) -> int:
-    """Gate the parallel sharded-ingest claims.
-
-    Three checks: the committed 4-worker aggregate speedup clears the
-    bench gate, a fresh CI-sized smoke at ``workers`` stays within
-    ``tolerance`` of the committed per-count speedup (with the
-    bit-identity assertions re-run inside), and a serial-vs-parallel
-    runtime drive agrees on root mass and WAN bytes exactly.  Returns
-    an exit status.
-    """
-    from repro.flows.columnar import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        print("note: numpy unavailable; skipping the parallel ingest gate")
-        return 0
-
-    from benchmarks.bench_flowtree_hotpath import (
-        MIN_PARALLEL_SPEEDUP,
-        run_parallel_scaling,
-    )
-
-    parallel = committed.get("parallel")
-    if not isinstance(parallel, dict) or "curve" not in parallel:
-        print(
-            "baseline has no parallel section; regenerate it with "
-            "bench_flowtree_hotpath.py"
-        )
-        return 2
-    curve = parallel["curve"]
-    print(
-        "\ncommitted parallel curve: "
-        + ", ".join(
-            f"{count}w={point['speedup_vs_scalar']:.2f}x"
-            for count, point in sorted(
-                curve.items(), key=lambda kv: int(kv[0])
-            )
-        )
-    )
-    at_four = curve.get("4", {}).get("speedup_vs_scalar", 0.0)
-    if at_four < MIN_PARALLEL_SPEEDUP:
-        print(
-            f"REGRESSION: committed 4-worker aggregate speedup "
-            f"{at_four:.2f}x below the {MIN_PARALLEL_SPEEDUP}x gate"
-        )
-        return 1
-
-    try:
-        fresh = run_parallel_scaling(
-            records_count=20_000,
-            unique_flows=2_000,
-            worker_counts=(workers,),
-            rounds=2,
-        )
-    except AssertionError as exc:
-        print(f"REGRESSION: parallel ingest diverged from serial ({exc})")
-        return 1
-    fresh_speedup = fresh["curve"][str(workers)]["speedup_vs_scalar"]
-    committed_at = curve.get(str(workers), {}).get("speedup_vs_scalar")
-    floor = committed_at * tolerance if committed_at else 1.0
-    print(
-        f"parallel smoke at {workers} workers: fresh aggregate "
-        f"{fresh_speedup:.2f}x vs scalar "
-        f"(committed {committed_at}, floor {floor:.2f}x)"
-    )
-    if fresh_speedup < floor:
-        print("REGRESSION: parallel aggregate speedup fell below the floor")
-        return 1
-
-    serial = _runtime_outcome(None)
-    pooled = _runtime_outcome(workers)
-    print(
-        f"runtime drive: serial mass={serial['root_mass']} "
-        f"wan={serial['wan_bytes']} B, parallel mass={pooled['root_mass']} "
-        f"wan={pooled['wan_bytes']} B"
-    )
-    if serial != pooled:
-        print(
-            "REGRESSION: parallel runtime diverged from serial "
-            "(root mass / WAN bytes)"
-        )
-        return 1
-    print("OK: parallel ingest bit-identical and within tolerance")
-    return 0
+TABLE = {
+    "faults": (
+        "tests/test_faults.py::TestRuntimeRecovery"
+        "::test_zero_fault_plan_changes_nothing",
+        (
+            ("*", "delivered_mass_pct", "exact", 100.0),
+            *zero("*", "pending_exports"),
+            # the fault machinery costs nothing when no fault fires:
+            # drop=0 moves the golden trace's WAN volume and wastes none
+            ("drop=0", "wan_bytes", "exact", 707_616),
+            *zero("drop=0", "wasted_bytes", "retried_bytes",
+                  "transfer_failures", "recovery_lag_epochs"),
+            ("*", "*", "exact", None),
+        ),
+    ),
+    "elastic": (
+        "tests/test_elastic.py::TestMassConservationProperty"
+        "::test_root_mass_conserved_across_reconfig_sequences",
+        (
+            *zero("*", "lost_flows", "pending_*"),
+            ("*", "generation", "exact", 5),
+            ("*", "ops_applied", "exact", 5),
+            # a clean fabric migrates live mass synchronously
+            ("drop=0", "migrated_bytes", "exact", 798_984),
+            *zero("drop=0", "recovery_lag_epochs"),
+            ("*", "op_ms", "info", None),
+            ("*", "*", "exact", None),
+        ),
+    ),
+    "subscribe": (
+        "tests/test_subscriptions.py::TestDeltaIdentity"
+        "::test_identical_after_every_close",
+        (
+            *zero("*", "identity_mismatches", "rebuilds"),
+            ("8x8", "speedup_bytes", "ratio", 2.0),
+            ("8x8", "speedup_ms", "floor", 2.0),
+            ("16x16", "speedup_bytes", "ratio", 5.0),
+            ("16x16", "speedup_ms", "floor", 5.0),
+            ("*", "*_ms_total", "info", None),
+            ("*", "*", "exact", None),
+        ),
+    ),
+    "serve": (
+        "tests/test_serve.py::TestServedAnswerIdentity"
+        "::test_federated_drilldown_identical",
+        (
+            ("1200x5/storm", "clients", "exact", 1200),
+            ("*/storm", "clients", "exact", None),
+            *zero("*/storm", "incomplete", "server_errors",
+                  "client_errors", "bad_retry_after"),
+            *zero("*/identity", "identity_mismatches"),
+            *zero("*/shedding", "admitted_wrong", "bad_retry_after"),
+            ("*/shedding", "*", "exact", None),
+        ),
+    ),
+    "ingest_scaling": (
+        "tests/test_parallel_ingest.py::TestRuntimeParallelEqualsSerial"
+        "::test_tiered_bit_identical",
+        (
+            *zero("*", "diverged"),
+            ("*/serial", "compressions", "exact", None),
+            ("20k/workers=2", "speedup_vs_scalar", "floor", 1.5),
+            ("100k/workers=4", "speedup_vs_scalar", "floor", 4.0),
+            # at or below the routing threshold the scalar fallback
+            # must not lose to the planner it replaces
+            ("100k/batch=*", "fallback_planner_over_scalar", "floor", 0.85),
+        ),
+    ),
+}
 
 
-def check_query_planner(baseline_path: Path) -> int:
-    """Replay the committed planner trace; cached must stay cheaper.
-
-    The invariants are structural, not timing-sensitive: a federated
-    first pass must move bytes, the cached repeat must move none and
-    finish faster.  Returns an exit status.
-    """
-    try:
-        committed = json.loads(baseline_path.read_text())
-        trace = committed["trace"]
-        committed_phases = committed["phases"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read query baseline {baseline_path}: {exc}")
-        return 2
-
-    from benchmarks.bench_query_planner import (
-        build_runtime,
-        check_claims,
-        run_phases,
-    )
-
-    print(
-        f"\nre-running query planner: {trace['flows_per_epoch']} "
-        f"flows/epoch x {trace['epochs']} epochs, seed={trace['seed']}"
-    )
-    runtime = build_runtime(
-        trace["flows_per_epoch"], trace["epochs"], trace["seed"]
-    )
-    fresh = run_phases(runtime)
-    for name in ("federated_first", "cached_repeat"):
-        print(
-            f"{name}: committed {committed_phases[name]['bytes_moved']} B / "
-            f"{committed_phases[name]['seconds'] * 1000:.1f} ms, "
-            f"fresh {fresh[name]['bytes_moved']} B / "
-            f"{fresh[name]['seconds'] * 1000:.1f} ms"
-        )
-    try:
-        check_claims(fresh)
-    except AssertionError as exc:
-        print(f"REGRESSION: cached repeats no longer cheaper ({exc!r})")
-        return 1
-    print("OK: cached repeats cheaper than federated firsts")
-    return 0
+def gate_for(bench: str, case: str, metric: str):
+    for case_glob, metric_glob, kind, bound in TABLE[bench][1]:
+        if fnmatchcase(case, case_glob) and fnmatchcase(metric, metric_glob):
+            return kind, bound
+    return "info", None
 
 
-def check_faults(
-    baseline_path: Path, hierarchy_baseline_path: Path
-) -> int:
-    """Replay the fault sweep; the delivery guarantee must hold.
-
-    Deterministic invariants, not timings: every drop rate delivers
-    100% of the fault-free mass once the pending queues drain, and the
-    zero-drop run's WAN volume matches the committed depth-4 hierarchy
-    number (the fault layer is free when no faults fire).  Returns an
-    exit status.
-    """
-    try:
-        committed = json.loads(baseline_path.read_text())
-        trace = committed["trace"]
-        committed_rates = committed["rates"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read faults baseline {baseline_path}: {exc}")
-        return 2
-
-    from benchmarks.bench_faults import check_claims, run_sweep
-
-    print(
-        f"\nre-running fault sweep: {trace['flows_per_epoch']} "
-        f"flows/epoch x {trace['epochs']} epochs, "
-        f"drop rates {trace['drop_rates']}"
-    )
-    fresh = run_sweep(
-        trace["flows_per_epoch"],
-        trace["epochs"],
-        trace["seed"],
-        node_budget=trace["node_budget"],
-    )
-    for rate, metrics in sorted(fresh.items(), key=lambda kv: float(kv[0])):
-        committed_metrics = committed_rates.get(rate, {})
-        print(
-            f"drop={rate}: delivered {metrics['delivered_mass_pct']}% "
-            f"(committed {committed_metrics.get('delivered_mass_pct')}%), "
-            f"wasted {metrics['wasted_bytes']} B, "
-            f"lag {metrics['recovery_lag_epochs']} epochs"
-        )
-    try:
-        check_claims(fresh)
-    except AssertionError as exc:
-        print(f"REGRESSION: fault-tolerance claims no longer hold ({exc!r})")
-        return 1
-    try:
-        hierarchy = json.loads(hierarchy_baseline_path.read_text())
-        committed_wan = int(hierarchy["depths"]["4"]["wan_bytes"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-        print(
-            f"note: no depth-4 baseline in {hierarchy_baseline_path}; "
-            "skipping the zero-drop WAN comparison"
-        )
-        print("OK: delivered mass 100% at every drop rate")
-        return 0
-    fresh_wan = fresh["0"]["wan_bytes"]
-    # only comparable when the sweep ran the committed full-size trace
-    if trace["flows_per_epoch"] == hierarchy["trace"]["flows_per_epoch"]:
-        drift = abs(fresh_wan - committed_wan) / committed_wan
-        print(
-            f"zero-drop WAN: fresh {fresh_wan} B vs committed depth-4 "
-            f"{committed_wan} B (drift {drift:.2%})"
-        )
-        if drift > WAN_MATCH_TOLERANCE:
-            print(
-                "REGRESSION: the fault machinery changed zero-fault "
-                "WAN volume"
-            )
-            return 1
-    print("OK: delivered mass 100% at every drop rate")
-    return 0
+def load(path: Path) -> list:
+    """The committed rows; ``ValueError`` unless each is a committed-kind
+    row of the schema for a bench of the table."""
+    document = json.loads(path.read_text())
+    if document["schema"] != list(ROW_FIELDS):
+        raise ValueError(f"schema {document['schema']} != {ROW_FIELDS}")
+    rows = [tuple(row) for row in document["rows"]]
+    for row in rows:
+        if not (
+            len(row) == len(ROW_FIELDS)
+            and all(isinstance(field, str) for field in row[:4])
+            and isinstance(row[4], int)
+            and isinstance(row[5], (int, float))
+            and row[6] in COMMITTED_KINDS
+            and row[0] in TABLE
+        ):
+            raise ValueError(f"not a committed {ROW_FIELDS} row: {row}")
+    return rows
 
 
-def check_obs(baseline_path: Path) -> int:
-    """Re-measure observability overhead on the committed trace.
-
-    Three claims: instrumented ingest+rollup within the committed
-    overhead budget of the uninstrumented run, bit-identical structural
-    outputs across modes, and a registry exposition in lockstep with
-    the counters it sources.  Returns an exit status.
-    """
-    try:
-        committed = json.loads(baseline_path.read_text())
-        trace = committed["trace"]
-        committed_results = committed["results"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read obs baseline {baseline_path}: {exc}")
-        return 2
-
-    from benchmarks.bench_obs import check_claims, measure
-
-    print(
-        f"\nre-measuring obs overhead: {trace['flows_per_epoch']} "
-        f"flows/epoch x {trace['epochs']} epochs, seed={trace['seed']}"
-    )
-    fresh = measure(
-        trace["flows_per_epoch"], trace["epochs"], trace["seed"]
-    )
-    print(
-        f"overhead: committed {committed_results['overhead_pct']:.2f}%, "
-        f"fresh {fresh['overhead_pct']:.2f}% "
-        f"(budget {committed.get('overhead_limit_pct', 5.0)}%)"
-    )
-    try:
-        check_claims(fresh)
-    except AssertionError as exc:
-        print(f"REGRESSION: observability claims no longer hold ({exc})")
-        return 1
-    print("OK: instrumentation within the overhead budget")
-    return 0
+def measure(bench: str, every_size: bool):
+    """Run the drill and print its rows, in the full schema with kinds
+    from the table; ``None`` when it cannot run here."""
+    module = importlib.import_module(f"benchmarks.bench_{bench}")
+    rows = []
+    for size in module.SIZES if every_size else module.SIZES[:1]:
+        produced = module.measure(**size)
+        if produced is None:
+            print(f"note: {bench} cannot run here; skipped")
+            return None
+        rows += [
+            (bench, case, metric, unit, n, value,
+             gate_for(bench, case, metric)[0])
+            for case, metric, unit, n, value in produced
+        ]
+    report(bench, [row[1:] for row in rows], columns=ROW_FIELDS[1:])
+    return rows
 
 
-def check_elastic(baseline_path: Path) -> int:
-    """Replay the reconfiguration storm; elasticity must stay lossless.
-
-    Deterministic invariants, not timings: at both drop rates root mass
-    equals the ingested total once recovery closes drain the parked
-    exports and migrations, every op bumps the topology generation
-    exactly once, and the clean-fabric run migrates a nonzero ledger-
-    tracked byte volume.  The migrated volume is also compared against
-    the committed number (the migration protocol is deterministic on a
-    clean fabric).  Returns an exit status.
-    """
-    try:
-        committed = json.loads(baseline_path.read_text())
-        trace = committed["trace"]
-        committed_rates = committed["rates"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read elastic baseline {baseline_path}: {exc}")
-        return 2
-
-    from benchmarks.bench_elastic import check_claims, run_sweep
-
-    print(
-        f"\nre-running reconfig storm: {trace['flows_per_epoch']} "
-        f"flows/epoch, drop rates {trace['drop_rates']}"
-    )
-    fresh = run_sweep(trace["flows_per_epoch"], trace["seed"])
-    for rate, metrics in sorted(fresh.items(), key=lambda kv: float(kv[0])):
-        committed_metrics = committed_rates.get(rate, {})
-        print(
-            f"drop={rate}: root {metrics['root_mass_flows']} / "
-            f"expected {metrics['expected_flows']} flows, "
-            f"migrated {metrics['migrated_bytes']} B "
-            f"(committed {committed_metrics.get('migrated_bytes')} B), "
-            f"gen {metrics['generation']}, "
-            f"lag {metrics['recovery_lag_epochs']} epochs"
-        )
-    try:
-        check_claims(fresh)
-    except AssertionError as exc:
-        print(f"REGRESSION: elastic-topology claims no longer hold ({exc!r})")
-        return 1
-    committed_migrated = committed_rates.get("0", {}).get("migrated_bytes")
-    if committed_migrated is not None:
-        fresh_migrated = fresh["0"]["migrated_bytes"]
-        if fresh_migrated != committed_migrated:
-            print(
-                f"REGRESSION: clean-fabric migrated volume changed "
-                f"({fresh_migrated} B vs committed {committed_migrated} B)"
-            )
-            return 1
-    print("OK: reconfiguration is delayed, never lossy")
-    return 0
-
-
-def check_durability(baseline_path: Path) -> int:
-    """Replay the durability sweep; recovery must stay bit-identical.
-
-    Deterministic invariants, not timings: the segment log answers the
-    merged-root query bit-identically to the memory engine, a
-    full-runtime crash drill at every epoch boundary recovers 100% of
-    the uninterrupted mass, the memory engine reproduces the committed
-    WAN volume exactly (the seam is free when unused), and a parallel
-    memory-engine run matches serial.  Returns an exit status.
-    """
-    try:
-        committed = json.loads(baseline_path.read_text())
-        trace = committed["trace"]
-        committed_results = committed["results"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read durability baseline {baseline_path}: {exc}")
-        return 2
-
-    from benchmarks.bench_durability import check_claims, measure
-
-    print(
-        f"\nre-running durability sweep: {trace['flows_per_epoch']} "
-        f"flows/epoch x {trace['epochs']} epochs, seed={trace['seed']}"
-    )
-    fresh = measure(trace["flows_per_epoch"], trace["epochs"])
-    print(
-        f"close overhead: committed "
-        f"{committed_results['close_overhead_ms_per_epoch']} ms/epoch, "
-        f"fresh {fresh['close_overhead_ms_per_epoch']} ms/epoch "
-        "(informational)"
-    )
-    for boundary, drill in sorted(fresh["crash_drills"].items()):
-        print(
-            f"crash@{boundary}: delivered {drill['delivered_mass_pct']}% "
-            f"(digest {drill['digest'][:12]})"
-        )
-    try:
-        check_claims(fresh)
-    except AssertionError as exc:
-        print(f"REGRESSION: durability claims no longer hold ({exc!r})")
-        return 1
-    committed_wan = committed_results["memory"]["wan_bytes"]
-    fresh_wan = fresh["memory"]["wan_bytes"]
-    if fresh_wan != committed_wan:
-        print(
-            f"REGRESSION: memory-engine WAN volume changed "
-            f"({fresh_wan} B vs committed {committed_wan} B) — the "
-            "storage seam is no longer free when unused"
-        )
-        return 1
-    print(f"zero-overhead check: memory WAN {fresh_wan} B matches committed")
-
-    from repro.flows.columnar import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        serial = _runtime_outcome(None)
-        pooled = _runtime_outcome(2)
-        if serial != pooled:
-            print(
-                "REGRESSION: parallel memory-engine run diverged from "
-                "serial (root mass / WAN bytes)"
-            )
-            return 1
-        print("parallel drive: bit-identical to serial")
-    else:
-        print("note: numpy unavailable; skipping the parallel drive check")
-    print("OK: crash recovery bit-identical at every epoch boundary")
-    return 0
-
-
-def check_serve(baseline_path: Path) -> int:
-    """Validate the committed serving storm + re-run a reduced one.
-
-    The committed baseline must record a ≥1000-client closed-loop run
-    that completed every request with zero unhandled server errors and
-    carries the p50/p99/throughput numbers the serving plane is judged
-    by.  A fresh reduced-fleet storm (128 clients, CI-sized) must then
-    satisfy every structural claim live: all requests complete, remote
-    answers payload-identical to in-process ones (degraded partials
-    included), and the under-provisioned admission arm sheds load with
-    429 + Retry-After while admitted answers stay correct.  Returns an
-    exit status.
-    """
-    try:
-        committed = json.loads(baseline_path.read_text())
-        committed_results = committed["results"]
-        committed_latency = committed_results["latency_ms"]
-        committed_qps = float(committed_results["throughput_qps"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read serve baseline {baseline_path}: {exc}")
-        return 2
-    if committed_results.get("clients", 0) < 1000:
-        print(
-            "REGRESSION: committed serve baseline ran fewer than 1000 "
-            f"concurrent clients ({committed_results.get('clients')})"
-        )
-        return 1
-    if committed_results.get("server_errors") != 0:
-        print(
-            "REGRESSION: committed serve baseline recorded unhandled "
-            f"server errors ({committed_results.get('server_errors')})"
-        )
-        return 1
-    for key in ("p50", "p99"):
-        if not committed_latency.get(key, 0) > 0:
-            print(f"serve baseline is missing latency_ms[{key!r}]")
-            return 2
-    if not committed_qps > 0:
-        print("serve baseline is missing throughput_qps")
-        return 2
-    print(
-        f"\ncommitted storm: {committed_results['clients']} clients, "
-        f"{committed_qps} q/s, p50 {committed_latency['p50']} ms, "
-        f"p99 {committed_latency['p99']} ms, "
-        f"{committed_results['server_errors']} server errors"
-    )
-
-    from benchmarks.bench_serve import check_claims, measure
-
-    print("re-running reduced storm: 128 clients x 3 requests")
-    fresh = measure(clients=128, requests_per_client=3)
-    print(
-        f"fresh storm: {fresh['throughput_qps']} q/s, "
-        f"p50 {fresh['latency_ms']['p50']} ms, "
-        f"p99 {fresh['latency_ms']['p99']} ms (informational), "
-        f"identity {fresh['identity']['matched']}/"
-        f"{fresh['identity']['queries']}, shedding "
-        f"{fresh['shedding']['rejected']}/"
-        f"{fresh['shedding']['burst_requests']} rejected"
-    )
-    try:
-        check_claims(fresh)
-    except AssertionError as exc:
-        print(f"REGRESSION: serving-plane claims no longer hold ({exc!r})")
-        return 1
-    print("OK: the serving plane completes, matches, and sheds honestly")
-    return 0
-
-
-def check_subscribe(baseline_path: Path) -> int:
-    """Validate the committed standing-query baseline + a reduced sweep.
-
-    The committed baseline must record N>=16 standing queries whose
-    delta-maintained answers stayed ``to_wire``-identical to full
-    re-execution at every epoch close with zero steady-state rebuilds,
-    and the headline claim: delta refreshes >=5x cheaper than
-    re-execution in both milliseconds and bytes.  A fresh reduced sweep
-    (8 subscriptions x 8 epochs) must then hold the structural claims
-    live: zero identity mismatches, zero rebuilds, and a clear (>=2x)
-    win on both axes.  Returns an exit status.
-    """
-    try:
-        committed = json.loads(baseline_path.read_text())
-        committed_results = committed["results"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read subscribe baseline {baseline_path}: {exc}")
-        return 2
-    if committed_results.get("subscriptions", 0) < 16:
-        print(
-            "REGRESSION: committed subscribe baseline ran fewer than 16 "
-            f"standing queries ({committed_results.get('subscriptions')})"
-        )
-        return 1
-    if committed_results.get("identity_mismatches") != 0:
-        print(
-            "REGRESSION: committed subscribe baseline recorded delta/"
-            "re-execution mismatches "
-            f"({committed_results.get('identity_mismatches')})"
-        )
-        return 1
-    if committed_results.get("rebuilds") != 0:
-        print(
-            "REGRESSION: committed subscribe baseline rebuilt views in "
-            f"steady state ({committed_results.get('rebuilds')})"
-        )
-        return 1
-    for axis in ("speedup_ms", "speedup_bytes"):
-        if not float(committed_results.get(axis, 0)) >= 5.0:
-            print(
-                f"REGRESSION: committed subscribe baseline {axis} "
-                f"{committed_results.get(axis)} < 5.0"
-            )
-            return 1
-    print(
-        f"\ncommitted sweep: {committed_results['subscriptions']} "
-        f"standing queries x {committed_results['epochs']} epochs, "
-        f"{committed_results['speedup_ms']}x faster / "
-        f"{committed_results['speedup_bytes']}x leaner than re-execution"
-    )
-
-    from benchmarks.bench_subscribe import measure
-
-    print("re-running reduced sweep: 8 subscriptions x 8 epochs")
-    fresh = measure(subscriptions=8, epochs=8)
-    print(
-        f"fresh sweep: {fresh['speedup_ms']}x ms, "
-        f"{fresh['speedup_bytes']}x bytes, "
-        f"{fresh['identity_mismatches']} mismatches, "
-        f"{fresh['rebuilds']} rebuilds"
-    )
-    if fresh["identity_mismatches"] != 0:
-        print("REGRESSION: delta-maintained views diverged from re-execution")
-        return 1
-    if fresh["rebuilds"] != 0:
-        print("REGRESSION: steady-state closes triggered view rebuilds")
-        return 1
-    if fresh["delta_refreshes"] <= 0:
-        print("REGRESSION: no delta refreshes were recorded")
-        return 1
-    for axis in ("speedup_ms", "speedup_bytes"):
-        if not float(fresh[axis]) >= 2.0:
-            print(
-                f"REGRESSION: reduced-sweep {axis} {fresh[axis]} < 2.0"
-            )
-            return 1
-    print("OK: standing queries are identical to re-execution, and cheaper")
-    return 0
+def check(bench: str, rows, stored) -> list:
+    """The one comparer: why ``rows`` fail the bench's gates against
+    its ``stored`` rows (empty when they hold)."""
+    committed = {row[:3]: row for row in stored}
+    problems = []
+    for row in rows:
+        _, case, metric, _, _, value, kind = row
+        gate_kind, bound = gate_for(bench, case, metric)
+        if kind != gate_kind:
+            why = f"the table says {gate_kind!r}"
+        elif kind in COMMITTED_KINDS and row != committed.get(row[:3]):
+            why = f"committed row is {committed.get(row[:3])} (--write?)"
+        elif kind == "exact" and bound is not None and value != bound:
+            why = f"must equal {bound}"
+        elif kind in ("ratio", "floor") and value < bound:
+            why = f"must be >= {bound}"
+        else:
+            continue
+        problems.append(f"{' '.join(map(str, row))}: {why}")
+    cases = {row[1] for row in rows}
+    seen = {row[:3] for row in rows}
+    problems += [
+        f"{' '.join(map(str, row))}: committed but no longer produced"
+        for row in stored
+        if row[1] in cases and row[:3] not in seen
+    ]
+    # a gate that names one committed row outright requires that row
+    problems += [
+        f"{bench} {case} {metric}: gated but not committed"
+        for case, metric, kind, _ in TABLE[bench][1]
+        if kind in COMMITTED_KINDS
+        and not set("*?[") & set(case + metric)
+        and (bench, case, metric) not in committed
+    ]
+    return problems
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help=f"committed baseline JSON (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--query-baseline",
-        type=Path,
-        default=DEFAULT_QUERY_BASELINE,
-        help=(
-            "committed query-planner baseline JSON "
-            f"(default: {DEFAULT_QUERY_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--faults-baseline",
-        type=Path,
-        default=DEFAULT_FAULTS_BASELINE,
-        help=(
-            "committed fault-sweep baseline JSON "
-            f"(default: {DEFAULT_FAULTS_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--hierarchy-baseline",
-        type=Path,
-        default=DEFAULT_HIERARCHY_BASELINE,
-        help=(
-            "committed hierarchy-depth baseline the zero-drop fault run "
-            f"is compared against (default: {DEFAULT_HIERARCHY_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--obs-baseline",
-        type=Path,
-        default=DEFAULT_OBS_BASELINE,
-        help=(
-            "committed observability-overhead baseline JSON "
-            f"(default: {DEFAULT_OBS_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--elastic-baseline",
-        type=Path,
-        default=DEFAULT_ELASTIC_BASELINE,
-        help=(
-            "committed elastic-topology baseline JSON "
-            f"(default: {DEFAULT_ELASTIC_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--durability-baseline",
-        type=Path,
-        default=DEFAULT_DURABILITY_BASELINE,
-        help=(
-            "committed durability baseline JSON "
-            f"(default: {DEFAULT_DURABILITY_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--serve-baseline",
-        type=Path,
-        default=DEFAULT_SERVE_BASELINE,
-        help=(
-            "committed serving-plane baseline JSON "
-            f"(default: {DEFAULT_SERVE_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--subscribe-baseline",
-        type=Path,
-        default=DEFAULT_SUBSCRIBE_BASELINE,
-        help=(
-            "committed standing-query baseline JSON "
-            f"(default: {DEFAULT_SUBSCRIBE_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--only",
-        choices=(
-            "all", "flowtree", "query", "faults", "obs", "elastic",
-            "durability", "serve", "subscribe",
-        ),
-        default="all",
-        help="run a single regression gate (default: all)",
-    )
-    parser.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=2,
-        help=(
-            "worker count for the fresh parallel-ingest smoke in the "
-            "flowtree gate (default: 2, sized for CI runners)"
-        ),
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help=(
-            "fresh throughput must be >= tolerance * committed throughput "
-            f"(default: {DEFAULT_TOLERANCE})"
-        ),
-    )
+    parser.add_argument("--only", choices=list(TABLE))
+    parser.add_argument("--write", action="store_true",
+                        help="run every size and rewrite the committed rows")
     args = parser.parse_args(argv)
 
-    if not 0.0 < args.tolerance <= 1.0:
-        print(f"tolerance must be in (0, 1], got {args.tolerance}")
-        return 2
-    if args.only == "query":
-        return check_query_planner(args.query_baseline)
-    if args.only == "faults":
-        return check_faults(args.faults_baseline, args.hierarchy_baseline)
-    if args.only == "obs":
-        return check_obs(args.obs_baseline)
-    if args.only == "elastic":
-        return check_elastic(args.elastic_baseline)
-    if args.only == "durability":
-        return check_durability(args.durability_baseline)
-    if args.only == "serve":
-        return check_serve(args.serve_baseline)
-    if args.only == "subscribe":
-        return check_subscribe(args.subscribe_baseline)
     try:
-        committed = json.loads(args.baseline.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read baseline {args.baseline}: {exc}")
-        return 2
-    try:
-        committed_rps = float(committed["fast_records_per_s"])
-        trace = committed["trace"]
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"baseline {args.baseline} is malformed: {exc}")
-        return 2
-
-    print(
-        f"re-running hot path: {trace['records']} records, "
-        f"node_budget={trace['node_budget']}, seed={trace['seed']}"
-    )
-    fresh = fresh_measurements(trace)
-    floor = committed_rps * args.tolerance
-    print(
-        f"ingest: committed {committed_rps:.0f} rec/s, "
-        f"fresh {fresh['fast_records_per_s']:.0f} rec/s, "
-        f"floor {floor:.0f} rec/s (tolerance {args.tolerance})"
-    )
-    if "fast_merge_ms" in committed:
-        print(
-            f"merge: committed {committed['fast_merge_ms']:.1f} ms, "
-            f"fresh {fresh['fast_merge_ms']:.1f} ms (informational)"
-        )
-    if fresh["fast_records_per_s"] < floor:
-        print("REGRESSION: ingest throughput fell below the floor")
+        stored = load(RESULTS_PATH)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        if not args.write:
+            print(f"cannot read committed rows {RESULTS_PATH}: {exc}")
+            return 2
+        stored = []
+    problems, keep = [], []
+    for bench in TABLE:
+        mine = [row for row in stored if row[0] == bench]
+        if args.only in (None, bench):
+            if not args.write:
+                problems += check(bench, mine, mine)
+            fresh = measure(bench, args.write)
+            if fresh is not None:
+                if args.write:
+                    mine = [r for r in fresh if r[6] in COMMITTED_KINDS]
+                problems += check(bench, fresh, mine)
+        keep += mine
+    for problem in dict.fromkeys(problems):
+        print(f"REGRESSION: {problem}")
+    if problems:
         return 1
-    print("OK: no hot-path regression")
-    status = check_parallel(
-        committed, args.parallel_workers, args.tolerance
-    )
-    if status != 0:
-        return status
-    if args.only == "flowtree":
-        return 0
-    status = check_query_planner(args.query_baseline)
-    if status != 0:
-        return status
-    status = check_faults(args.faults_baseline, args.hierarchy_baseline)
-    if status != 0:
-        return status
-    status = check_obs(args.obs_baseline)
-    if status != 0:
-        return status
-    status = check_elastic(args.elastic_baseline)
-    if status != 0:
-        return status
-    status = check_durability(args.durability_baseline)
-    if status != 0:
-        return status
-    status = check_serve(args.serve_baseline)
-    if status != 0:
-        return status
-    return check_subscribe(args.subscribe_baseline)
+    if args.write:
+        RESULTS_PATH.write_text(
+            '{"schema": %s,\n "rows": [\n%s\n]}\n' % (
+                json.dumps(ROW_FIELDS),
+                ",\n".join("  " + json.dumps(row) for row in keep),
+            )
+        )
+        print(f"wrote {RESULTS_PATH}")
+    print("OK: every gate holds")
+    return 0
 
 
 if __name__ == "__main__":

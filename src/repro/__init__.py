@@ -82,7 +82,6 @@ from repro.control import Controller, Manager
 from repro.errors import AdmissionError
 from repro.faults import FaultPlan, LinkOutage, RetryPolicy
 from repro.flowdb import FlowDB
-from repro.flowql import FlowQLExecutor
 from repro.flowstream import Flowstream
 from repro.flowstream.tiered import TieredFlowstream
 from repro.obs import Observability
@@ -140,7 +139,6 @@ __all__ = [
     "Controller",
     "Manager",
     "FlowDB",
-    "FlowQLExecutor",
     "Flowstream",
     "TieredFlowstream",
     "HierarchyRuntime",

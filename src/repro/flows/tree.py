@@ -994,8 +994,21 @@ class Flowtree:
 
         The caller supplies the policy (schemas hold feature objects that
         do not round-trip through JSON); its shape is validated against
-        the payload.
+        the payload.  Payloads come from segment files and wire bodies,
+        so one that is not a serialized tree — a missing key, a short
+        ``values`` or counter list, a non-numeric counter or budget —
+        raises :class:`MalformedSummaryError`, never a bare lookup or
+        type error.
         """
+        try:
+            return cls._rebuild(payload, policy)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise MalformedSummaryError(
+                f"payload is not a serialized Flowtree: {exc!r}"
+            ) from exc
+
+    @classmethod
+    def _rebuild(cls, payload: dict, policy: GeneralizationPolicy) -> "Flowtree":
         if payload["schema"] != policy.schema.name:
             raise SchemaMismatchError(
                 f"payload schema {payload['schema']!r} != policy schema "

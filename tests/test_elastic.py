@@ -10,8 +10,9 @@ reconfiguration sequences with a nonzero-drop fault plan running** —
 migrations that cannot be delivered park as pending forwards and
 redeliver on later closes, delayed but never lost.  A run that issues
 zero reconfig ops never bumps the generation and stays bit-identical
-to the pre-elastic runtime (pinned by check_regression's exact WAN
-and mass comparisons, and spot-checked here).
+to the pre-elastic runtime (pinned by the golden trace's exact WAN,
+mass and digest in ``tests/test_golden_trace.py``, and spot-checked
+here).
 """
 
 import pytest

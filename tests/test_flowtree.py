@@ -400,19 +400,35 @@ class TestSerialization:
         "corrupt",
         [
             # a node whose parent is absent from the payload
-            lambda nodes: nodes.pop(1),
+            lambda p: p["nodes"].pop(1),
             # the same (depth, values) twice
-            lambda nodes: nodes.append(dict(nodes[-1])),
+            lambda p: p["nodes"].append(dict(p["nodes"][-1])),
             # the root twice
-            lambda nodes: nodes.append(dict(nodes[0])),
+            lambda p: p["nodes"].append(dict(p["nodes"][0])),
             # a non-root at depth 0
-            lambda nodes: nodes[-1].update(depth=0),
+            lambda p: p["nodes"][-1].update(depth=0),
             # a node below the chain's last depth
-            lambda nodes: nodes.append(
-                dict(nodes[-1], depth=nodes[-1]["depth"] + 1)
+            lambda p: p["nodes"].append(
+                dict(p["nodes"][-1], depth=p["nodes"][-1]["depth"] + 1)
             ),
+            # entries that are not node entries, a payload without
+            # nodes, a budget that is not a count
+            lambda p: p["nodes"][-1].pop("own"),
+            lambda p: p["nodes"][-1].pop("folded"),
+            lambda p: p["nodes"][-1].pop("values"),
+            lambda p: p["nodes"][-1].update(
+                values=p["nodes"][-1]["values"][:2]
+            ),
+            lambda p: p["nodes"][-1].update(own=[1, 100]),
+            lambda p: p["nodes"][-1].update(own=["1", 100, 1]),
+            lambda p: p.pop("nodes"),
+            lambda p: p.update(node_budget="many"),
         ],
-        ids=["orphan", "duplicate", "second-root", "stray-root", "too-deep"],
+        ids=[
+            "orphan", "duplicate", "second-root", "stray-root", "too-deep",
+            "no-own", "no-folded", "no-values", "short-values", "short-own",
+            "non-numeric-counter", "no-nodes", "non-int-budget",
+        ],
     )
     def test_payload_that_is_not_a_tree_rejected(
         self, policy, make_key, corrupt
@@ -420,7 +436,7 @@ class TestSerialization:
         tree = make_tree(policy)
         tree.add(make_key(), Score(1, 100, 1))
         payload = tree.to_dict()
-        corrupt(payload["nodes"])
+        corrupt(payload)
         with pytest.raises(MalformedSummaryError):
             Flowtree.from_dict(payload, policy)
 

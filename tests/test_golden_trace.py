@@ -1,9 +1,10 @@
 """The golden depth-4 trace, and the all-ties trace that keeps it honest.
 
-Two gates any rewrite of the tree core must survive.  The exact trace
-behind ``BENCH_hierarchy.json`` / ``BENCH_durability.json`` (4 routers x
-3000 flows x 3 epochs, seed 2019, budget 4096 at every level) reproduces
-its WAN volume, root mass and root digest bit for bit.  And a trace in
+Two gates any rewrite of the tree core must survive.  The golden trace
+(4 routers x 3000 flows x 3 epochs, seed 2019, budget 4096 at every
+level — the one ``benchmarks/conftest.py`` feeds the fault drill and the
+depth figure) reproduces its WAN volume, root mass and root digest bit
+for bit.  And a trace in
 which every record weighs the same — so every fold at every level is
 decided by the compression tie-break alone — ends each epoch in the same
 root tree on the memory engine, on the segment log, and after a kill +

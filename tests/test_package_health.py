@@ -28,28 +28,11 @@ def test_all_exports_resolve():
 
 
 def test_subpackage_all_exports_resolve():
-    for package_name in (
-        "repro.core",
-        "repro.flows",
-        "repro.datastore",
-        "repro.analytics",
-        "repro.control",
-        "repro.apps",
-        "repro.hierarchy",
-        "repro.faults",
-        "repro.flowdb",
-        "repro.flowql",
-        "repro.flowstream",
-        "repro.query",
-        "repro.runtime",
-        "repro.replication",
-        "repro.simulation",
-        "repro.scenarios",
-    ):
-        package = importlib.import_module(package_name)
-        for name in getattr(package, "__all__", []):
-            assert getattr(package, name, None) is not None, (
-                f"{package_name}.{name}"
+    for module_name in _walk_module_names():
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", []):
+            assert getattr(module, name, None) is not None, (
+                f"{module_name}.{name}"
             )
 
 
@@ -64,6 +47,30 @@ def test_benchmark_ledger_entry_points_resolve():
             assert callable(getattr(module, attr, None)), span
         else:
             assert attr in getattr(module, class_name).__dict__, span
+
+
+def test_benchmark_gate_table_resolves():
+    """Every row of ``benchmarks/check_regression.py``'s table names a
+    drill that exists, a tier-1 test that exists, and gates of a known
+    kind; the committed rows parse against the row schema and hold
+    against the table."""
+    from benchmarks import check_regression
+    from benchmarks.conftest import KINDS, RESULTS_PATH
+
+    for bench, (owner, gates) in check_regression.TABLE.items():
+        drill = importlib.import_module(f"benchmarks.bench_{bench}")
+        assert callable(drill.measure) and drill.SIZES, bench
+        path, *names = owner.split("::")
+        target = importlib.import_module(path[: -len(".py")].replace("/", "."))
+        for name in names:
+            target = getattr(target, name, None)
+        assert callable(target), owner
+        assert {kind for _, _, kind, _ in gates} <= set(KINDS), bench
+    rows = check_regression.load(RESULTS_PATH)
+    assert {row[0] for row in rows} == set(check_regression.TABLE)
+    for bench in check_regression.TABLE:
+        mine = [row for row in rows if row[0] == bench]
+        assert check_regression.check(bench, mine, mine) == []
 
 
 def test_version_matches_pyproject():
