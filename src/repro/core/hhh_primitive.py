@@ -80,7 +80,10 @@ class HierarchicalHeavyHitterPrimitive(ComputingPrimitive):
             meta=self.meta(),
             payload=self._sketches,
             size_bytes=self.footprint_bytes(),
-            attrs={"capacity_per_level": self.capacity_per_level},
+            attrs={
+                "capacity_per_level": self.capacity_per_level,
+                "policy": self.policy,
+            },
         )
 
     def footprint_bytes(self) -> int:

@@ -188,7 +188,7 @@ def combine_hhh(
         meta=_fold_meta(summaries),
         payload=merged,
         size_bytes=size,
-        attrs={"capacity_per_level": capacity},
+        attrs=dict(summaries[0].attrs, capacity_per_level=capacity),
     )
 
 

@@ -567,41 +567,65 @@ class DataStore:
         into_aggregator: Optional[str] = None,
         now: float = 0.0,
     ) -> Optional[float]:
-        """Ship the aggregator's latest summary to a parent store.
+        """Ship a snapshot of the aggregator's open epoch to a parent.
 
-        The receiving store combines it into its own live aggregator of
-        the same (or the named) kind.  Returns the transfer duration, or
+        The receiving store merges it on arrival
+        (:meth:`receive_summary`).  Returns the transfer duration, or
         None when there was nothing to export.
         """
         source = self.aggregator(aggregator)
         if source.primitive.items_ingested == 0:
             return None
-        # the parent merges *from* the live primitive, so nothing is
-        # snapshotted unless a privacy guard has to rewrite the summary
-        exported_primitive = source.primitive
-        size_bytes = exported_primitive.footprint_bytes()
+        outgoing = source.primitive.summary()
         if self.privacy is not None:
-            summary = self.privacy.export(
-                aggregator, source.primitive.summary()
-            )
-            exported_primitive = rehydrate(summary)
-            exported_primitive.items_ingested = source.primitive.items_ingested
-            size_bytes = summary.size_bytes
+            outgoing = self.privacy.export(aggregator, outgoing)
         duration = 0.0
         if self.fabric is not None:
             transfer = self.fabric.transfer(
-                self.location, to_store.location, size_bytes, now
+                self.location, to_store.location, outgoing.size_bytes, now
             )
             duration = transfer.duration
-        target = to_store.aggregator(into_aggregator or aggregator)
-        target.primitive.combine(exported_primitive)
-        target.items_this_epoch += source.items_this_epoch
-        if target.epoch_opened_at is None:
-            target.epoch_opened_at = now
-        self.lineage.record(
-            operation="export",
-            location=to_store.location,
-            timestamp=now,
-            detail=f"{aggregator}->{to_store.location.path}",
+        to_store.receive_summary(
+            self, into_aggregator or aggregator, outgoing,
+            source.primitive.items_ingested, now,
         )
         return duration
+
+    def receive_summary(
+        self,
+        origin: "DataStore",
+        aggregator: str,
+        summary: DataSummary,
+        items: int,
+        now: float,
+        window: Optional[Tuple[float, float]] = None,
+    ) -> None:
+        """Merge on arrival: land a summary ``origin`` shipped here.
+
+        The one landing behind every child→parent forward, redelivery
+        and migration: the summary combines into this store's live
+        aggregator of that name.  A store that lacks the aggregator
+        grows one of the same kind from empty, so the arriving payload
+        — which may be the origin's retained partition — is only ever
+        read.  ``window`` re-times a summary that arrives after its own
+        epoch into the epoch it joins.
+        """
+        incoming = rehydrate(summary)
+        incoming.items_ingested = items
+        if window is not None:
+            incoming._epoch_start, incoming._epoch_end = window
+        target = self._aggregators.get(aggregator)
+        if target is None:
+            target = Aggregator(aggregator, rehydrate(summary))
+            target.primitive.reset_epoch()
+            self.install_aggregator(target)
+        target.primitive.combine(incoming)
+        target.items_this_epoch += items
+        if target.epoch_opened_at is None:
+            target.epoch_opened_at = now
+        origin.lineage.record(
+            operation="export",
+            location=self.location,
+            timestamp=now,
+            detail=f"{aggregator}->{self.location.path}",
+        )

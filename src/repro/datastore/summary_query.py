@@ -13,6 +13,7 @@ from typing import Any, Callable, Dict
 
 from repro.core.flowtree import FlowtreePrimitive
 from repro.core.heavy_hitters import HeavyHitterPrimitive
+from repro.core.hhh_primitive import HierarchicalHeavyHitterPrimitive
 from repro.core.primitive import ComputingPrimitive
 from repro.core.reservoir import ReservoirPrimitive
 from repro.core.sampling import RandomSamplePrimitive
@@ -85,6 +86,16 @@ def _rehydrate_count_min(summary: DataSummary) -> ComputingPrimitive:
     return primitive
 
 
+def _rehydrate_hhh(summary: DataSummary) -> ComputingPrimitive:
+    primitive = HierarchicalHeavyHitterPrimitive(
+        summary.meta.location,
+        policy=summary.attrs["policy"],
+        capacity_per_level=summary.attrs["capacity_per_level"],
+    )
+    primitive._sketches = summary.payload
+    return primitive
+
+
 def _rehydrate_quantile(summary: DataSummary) -> ComputingPrimitive:
     from repro.core.quantiles import QuantilePrimitive
 
@@ -115,6 +126,7 @@ _REHYDRATORS: Dict[str, Rehydrator] = {
     "heavy_hitter": _rehydrate_heavy_hitter,
     "reservoir": _rehydrate_reservoir,
     "count_min": _rehydrate_count_min,
+    "hhh": _rehydrate_hhh,
     "raw": _rehydrate_raw,
     "quantile": _rehydrate_quantile,
 }

@@ -21,15 +21,13 @@ a nonzero-drop :class:`~repro.faults.FaultPlan` active.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.summary import Location
-from repro.datastore.aggregator import Aggregator
 from repro.datastore.store import DataStore
-from repro.datastore.summary_query import rehydrate
 from repro.elastic.model import PendingMigration
 from repro.errors import PlacementError
-from repro.faults import PendingExport
 from repro.hierarchy.topology import HierarchyNode, LevelSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -89,9 +87,9 @@ def _apply_renames(
             runtime._stores[new] = store
             runtime.manager.deregister_store(old)
             runtime.manager.register_store(store)
-        queue = runtime._pending.pop(old, None)
+        queue = runtime.exports.queues.pop(old, None)
         if queue is not None:
-            runtime._pending[new] = queue
+            runtime.exports.queues[new] = queue
         # FlowDB entries (and the engine's on-disk records) follow the
         # rename so queries by the new label see the site's history
         runtime.db.relabel(
@@ -146,11 +144,11 @@ def _migrate_store_state(
 ) -> int:
     """Move a departing store's summaries to its migration target.
 
-    Live aggregator state is shipped over the fabric (retried under the
-    runtime's policy; parked on the *target's* pending queue when the
-    link stays down) and combined into the target's matching aggregator
-    — installed fresh if the target lacks one — so the mass still rolls
-    up on the next close.  Retained epoch partitions are replicated to
+    Live aggregator state is sealed and shipped through the runtime's
+    one export path (:mod:`repro.runtime.export`): delivered into the
+    target's matching aggregator, or parked on the *target's* pending
+    queue when the link stays down, so the mass still rolls up on a
+    later close.  Retained epoch partitions are replicated to
     the target's replica catalog for query continuity.  Returns the
     bytes successfully migrated.
     """
@@ -167,75 +165,44 @@ def _migrate_store_state(
                 f"{store.location.path!r}; it still holds data"
             )
         return 0
-    volume = runtime.stats.level(node.level.name)
+    exports = runtime.exports
     moved = 0
     for aggregator in store.aggregators():
-        primitive = aggregator.primitive
-        if primitive.items_ingested == 0:
+        if aggregator.primitive.items_ingested == 0:
             continue
-        summary = primitive.summary()
-        if store.privacy is not None:
-            summary = store.privacy.export(aggregator.name, summary)
-        size = summary.size_bytes
-        _, delivered = runtime._transfer_with_retry(
-            volume,
-            lambda at, size=size: runtime.fabric.transfer(
-                store.location, target.location, size, at
-            ),
-            size,
+        items = aggregator.items_this_epoch
+        sealed = aggregator.primitive.reset_epoch()
+        # migration re-homes the summary at the target site: the
+        # shared-location rule makes it combinable with whatever live
+        # mass the target holds, and the merged interval honestly
+        # spans both inputs
+        sealed.meta = replace(sealed.meta, location=target.location)
+        export = exports.build(
+            store,
+            "forward",
+            f"{op}:{store.location.path}:{aggregator.name}"
+            f":gen{model.generation + 1}",
+            aggregator.name,
+            sealed,
+            items,
             now,
         )
-        if delivered:
-            incoming = rehydrate(summary)
-            incoming.items_ingested = primitive.items_ingested
-            # migration re-homes the summary at the target site: the
-            # shared-location rule makes it combinable with whatever
-            # live mass the target holds, and the merged interval
-            # honestly spans both inputs
-            incoming.location = target.location
-            if target.owns(aggregator.name):
-                destination = target.aggregator(aggregator.name)
-                destination.primitive.combine(incoming)
-            else:
-                destination = Aggregator(aggregator.name, incoming)
-                target.install_aggregator(destination)
-            destination.items_this_epoch += aggregator.items_this_epoch
-            if destination.epoch_opened_at is None:
-                destination.epoch_opened_at = now
-            volume.summary_bytes_out += size
-            volume.exports += 1
-            model.account_migration(size)
-            moved += size
-        else:
-            export_id = (
-                f"{op}:{store.location.path}:{aggregator.name}"
-                f":gen{model.generation + 1}"
-            )
-            parked = runtime._pending_for(target).park(
-                PendingExport(
-                    export_id=export_id,
-                    kind="forward",
-                    summary=summary,
-                    items=aggregator.items_this_epoch,
-                    size_bytes=size,
+        if exports.deliver(export, store, target, now):
+            model.account_migration(export.size_bytes)
+            moved += export.size_bytes
+        elif exports.park(export, store, target):
+            model.park_migration(
+                PendingMigration(
+                    op=op,
                     origin=store.location.path,
-                    label=aggregator.name,
-                    created_at=now,
+                    target=target.location.path,
+                    export_id=export.export_id,
+                    size_bytes=export.size_bytes,
                 )
             )
-            if parked:
-                volume.exports_parked += 1
-                model.park_migration(
-                    PendingMigration(
-                        op=op,
-                        origin=store.location.path,
-                        target=target.location.path,
-                        export_id=export_id,
-                        size_bytes=size,
-                    )
-                )
+    volume = runtime.stats.level(node.level.name)
     for partition in list(store.catalog.all()):
-        _, delivered = runtime._transfer_with_retry(
+        _, delivered = exports.transfer(
             volume,
             lambda at, pid=partition.partition_id: store.replicate_partition(
                 pid, target, at
@@ -251,25 +218,28 @@ def _migrate_store_state(
     return moved
 
 
-def _retire_store(runtime: "HierarchyRuntime", store: DataStore) -> None:
-    """Drop a migrated-away store from every runtime registry."""
-    path = store.location.path
+def _depart(
+    runtime: "HierarchyRuntime",
+    node: HierarchyNode,
+    exclude: frozenset,
+    now: float,
+    op: str,
+) -> int:
+    """Retire one departing store: its state and its parked exports
+    move to a surviving store outside ``exclude``.  Returns the bytes
+    migrated."""
+    path = node.location.path
+    store = runtime._stores[path]
+    target = _migration_target(runtime, node, exclude)
+    moved = _migrate_store_state(runtime, node, store, target, now, op)
+    queue = runtime.exports.queues.pop(path, None)
+    if queue is not None and target is not None:
+        rehomed = runtime.exports.queue_for(target)
+        for entry in queue.entries:
+            rehomed.park(entry)
     runtime.manager.deregister_store(path)
-    runtime._stores.pop(path, None)
-    runtime._pending.pop(path, None)
-
-
-def _rehome_pending(
-    runtime: "HierarchyRuntime", store: DataStore, target: Optional[DataStore]
-) -> None:
-    """Move a departing store's parked exports onto its target's queue."""
-    queue = runtime._pending.get(store.location.path)
-    if queue is None or not queue.entries or target is None:
-        return
-    rehomed = runtime._pending_for(target)
-    for entry in list(queue.entries):
-        rehomed.park(entry)
-    queue.entries.clear()
+    del runtime._stores[path]
+    return moved
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +328,7 @@ def site_leave(
     )
     moved = 0
     for member in departing:
-        store = runtime._stores[member.location.path]
-        target = _migration_target(runtime, member, subtree)
-        moved += _migrate_store_state(
-            runtime, member, store, target, at_time, "site_leave"
-        )
-        _rehome_pending(runtime, store, target)
-        _retire_store(runtime, store)
+        moved += _depart(runtime, member, subtree, at_time, "site_leave")
     runtime.model.hierarchy.remove(node.location)
     _finish(runtime, "site_leave")
     return moved
@@ -465,14 +429,8 @@ def level_merge(
     # be nodes the fabric still has links for, not children re-homed
     # moments ago by a sibling's merge step
     for member in dissolving:
-        store = runtime._stores.get(member.location.path)
-        if store is not None:
-            target = _migration_target(runtime, member, exclude)
-            moved += _migrate_store_state(
-                runtime, member, store, target, at_time, "level_merge"
-            )
-            _rehome_pending(runtime, store, target)
-            _retire_store(runtime, store)
+        if member.location.path in runtime._stores:
+            moved += _depart(runtime, member, exclude, at_time, "level_merge")
     for member in dissolving:
         parent = member.parent
         assert parent is not None

@@ -1,8 +1,8 @@
-"""Parked exports awaiting redelivery: *delayed, never lost*.
+"""Exports as values, and where they wait: *delayed, never lost*.
 
-When a child→parent (or root→FlowDB) export exhausts its retry budget
-inside one epoch close, the runtime snapshots the already-privacy-
-degraded summary and parks it in the store's
+Every summary that leaves a store is one :class:`PendingExport`, built
+once and shipped by :mod:`repro.runtime.export`.  One that exhausts its
+retry budget inside an epoch close is parked, as is, in the store's
 :class:`PendingExportQueue`.  The next epoch close drains the queue
 before shipping fresh exports — deepest-first rollup order means a
 recovered child summary still reaches the root in the same close.
@@ -19,12 +19,14 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 @dataclass
 class PendingExport:
-    """One undelivered epoch export, snapshotted for redelivery.
+    """One epoch export: sealed once, guarded once, id and size fixed.
 
-    ``summary`` is the privacy-degraded
-    :class:`~repro.core.primitive.DataSummary` exactly as it would have
-    crossed the link, so redelivery never re-applies privacy rules and
-    never observes post-close mutations of the source aggregator.
+    ``summary`` is the :class:`~repro.core.primitive.DataSummary`
+    exactly as it crosses the link — the epoch's sealed summary itself,
+    or its privacy-degraded view where the origin has a guard — so a
+    redelivery never re-applies privacy rules and never observes
+    post-close mutations of the source aggregator.  Receivers only
+    read it.
     """
 
     export_id: str
@@ -61,23 +63,13 @@ class PendingExportQueue:
         return True
 
     def pop(self) -> Optional[PendingExport]:
-        """Take the oldest parked export, or ``None`` when empty."""
+        """Take the oldest parked export (``entries[0]``) off the queue,
+        or ``None`` when empty; the drain does so once it has landed."""
         if not self.entries:
             return None
         export = self.entries.pop(0)
         self._queued_ids.discard(export.export_id)
         return export
-
-    def requeue(self, export: PendingExport) -> bool:
-        """Put a failed redelivery back at the front (stays oldest)."""
-        if (
-            export.export_id in self._queued_ids
-            or export.export_id in self._delivered_ids
-        ):
-            return False
-        self.entries.insert(0, export)
-        self._queued_ids.add(export.export_id)
-        return True
 
     def mark_delivered(self, export_id: str) -> None:
         self._delivered_ids.add(export_id)

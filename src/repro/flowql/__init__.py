@@ -26,7 +26,6 @@ from repro.flowql.lexer import Token, tokenize
 from repro.flowql.ast import FlowQLQuery, OpCall, Restriction, TimeSpec
 from repro.flowql.parser import parse
 from repro.flowql.executor import (
-    FlowQLExecutor,
     FlowQLResult,
     apply_operator,
     compile_pattern,
@@ -40,7 +39,6 @@ __all__ = [
     "OpCall",
     "TimeSpec",
     "Restriction",
-    "FlowQLExecutor",
     "FlowQLResult",
     "apply_operator",
     "compile_pattern",

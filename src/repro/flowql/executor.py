@@ -1,22 +1,18 @@
-"""FlowQL planning/execution split.
+"""The FlowQL plan tail.
 
-Execution is factored into two layers so that *any* component able to
-assemble a Flowtree for a query window can answer FlowQL:
+*Any* component able to assemble a Flowtree for a query window can
+answer FlowQL through it:
 
 * :func:`compile_pattern` / :func:`apply_operator` — the pure
   "plan tail": compile the WHERE clause into a generalized
   :class:`FlowKey` pattern and map the SELECT operator onto the
   corresponding Table II tree operator (including the LIMIT clause).
-* :class:`FlowQLExecutor` — the cloud-only front: the FROM/AT clauses
-  select FlowDB entries, Merge + Compress collapses them into one tree
-  (Diff for ``VS``), then the plan tail runs.  The runtime does not
-  use it (every query goes through :mod:`repro.query`); it stays as
-  the standalone FlowDB front and the reference the planner's
-  differential tests compare against.
+* :class:`FlowQLResult` — what the tail returns.
 
-The federated planner (:mod:`repro.query`) reuses the same plan tail
-over trees assembled from hierarchy stores, which is what keeps
-planner-routed answers node-for-node identical to the cloud path.
+The federated planner (:mod:`repro.query`) runs this tail over trees
+assembled from FlowDB or from hierarchy stores; the cloud-only front
+the planner's differential tests compare against lives with those
+tests (``tests/flowql_reference.py``).
 """
 
 from __future__ import annotations
@@ -25,12 +21,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import FlowQLPlanningError
-from repro.flowdb.db import FlowDB
 from repro.flows.flowkey import FlowKey
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
-from repro.flowql.ast import FlowQLQuery, Restriction, TimeSpec
-from repro.flowql.parser import parse
+from repro.flowql.ast import FlowQLQuery, Restriction
 
 
 @dataclass
@@ -222,34 +216,3 @@ def apply_operator(tree: Flowtree, query: FlowQLQuery) -> FlowQLResult:
     if query.limit is not None and result.rows:
         result.rows = result.rows[: query.limit]
     return result
-
-
-class FlowQLExecutor:
-    """Executes FlowQL text against one FlowDB instance."""
-
-    def __init__(self, db: FlowDB) -> None:
-        self.db = db
-        self.queries_executed = 0
-
-    def _merged(
-        self, query: FlowQLQuery, spec: TimeSpec
-    ) -> Flowtree:
-        return self.db.merged_tree(
-            locations=query.sites or None,
-            start=spec.start,
-            end=spec.end,
-        )
-
-    # -- execution ------------------------------------------------------------
-
-    def execute(self, text: str) -> FlowQLResult:
-        """Parse and run one FlowQL query."""
-        return self.execute_query(parse(text))
-
-    def execute_query(self, query: FlowQLQuery) -> FlowQLResult:
-        """Run a parsed FlowQL query."""
-        self.queries_executed += 1
-        tree = self._merged(query, query.time)
-        if query.vs_time is not None:
-            tree = tree.diff(self._merged(query, query.vs_time))
-        return apply_operator(tree, query)

@@ -69,8 +69,8 @@ HAVE_NUMPY = np is not None
 #: (grouping, hashing, mask projection) exceeds its vectorization win
 #: below the measured crossover (~512 records on the reference box;
 #: 256 keeps a safety margin).  Both paths are bit-identical, so this
-#: is purely a latency knob — ``bench_flowtree_hotpath`` pins the
-#: crossover so drift shows up in review.
+#: is purely a latency knob — ``bench_ingest_scaling``'s ``batch=*``
+#: rows pin the crossover so drift shows up in review.
 SCALAR_FALLBACK_RECORDS = 256
 
 #: slot header: record count + feature arity, little-endian int64s

@@ -330,7 +330,7 @@ def install_runtime_metrics(
                 cache.uncacheable
             )
             cache_entries.labels().set(len(cache))
-        for path, queue in runtime._pending.items():
+        for path, queue in runtime.exports.queues.items():
             site = runtime._labels.get(path, path)
             pending.labels(site=site).set(len(queue))
             pending_bytes.labels(site=site).set(queue.pending_bytes)

@@ -6,7 +6,7 @@ MetricsRegistry` and one :class:`~repro.obs.tracing.Tracer` behind an
 (or build an enabled one by default) and never check the flag
 themselves: a disabled instance hands out no-op spans and keeps the
 registry empty of collectors, so the disabled path is the honest
-uninstrumented baseline that ``bench_obs.py`` compares against.
+uninstrumented baseline (``tests/test_obs.py`` pins it identical).
 """
 
 from __future__ import annotations

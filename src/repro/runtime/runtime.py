@@ -50,8 +50,7 @@ from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator
 from repro.datastore.partitions import Partition, PartitionCatalog
 from repro.datastore.store import DataStore
-from repro.datastore.summary_query import rehydrate
-from repro.errors import PlacementError, StorageError, TransferError
+from repro.errors import PlacementError, StorageError
 from repro.faults import (
     FaultPlan,
     PendingExport,
@@ -77,7 +76,8 @@ from repro.parallel import (
 )
 from repro.query.plan import QueryOutcome
 from repro.query.planner import FederatedQueryPlanner
-from repro.runtime.config import EXPORT_AUTO, EXPORT_NONE, LevelConfig
+from repro.runtime.config import EXPORT_NONE, LevelConfig
+from repro.runtime.export import ExportPath
 from repro.runtime.stats import VolumeStats
 from repro.storage import StorageEngine, decode_summary, encode_summary
 
@@ -123,11 +123,11 @@ class HierarchyRuntime:
         self.raw_record_bytes = raw_record_bytes
         self.fabric = fabric or NetworkFabric(hierarchy)
         self.retry_policy = retry_policy or RetryPolicy()
-        #: metrics + tracing; pass ``Observability.disabled()`` to
-        #: measure the uninstrumented baseline (bench_obs does)
+        #: metrics + tracing; pass ``Observability.disabled()`` for the
+        #: uninstrumented baseline
         self.obs = observability or Observability()
-        #: parked exports awaiting redelivery, by origin store path
-        self._pending: Dict[str, PendingExportQueue] = {}
+        #: the one way a summary leaves a store, and the parked exports
+        self.exports = ExportPath(self)
         #: timestamp of the previous epoch close (the current window start)
         self._last_close = 0.0
         if faults is not None:
@@ -356,9 +356,7 @@ class HierarchyRuntime:
 
     def _label_of(self, node: HierarchyNode) -> str:
         """A node's site label: its path relative to the hierarchy root."""
-        path = node.location.path
-        prefix = self._root.path + "/"
-        return path[len(prefix):] if path.startswith(prefix) else path
+        return self._path_label(node.location.path)
 
     def _parent_store(
         self, node: HierarchyNode
@@ -455,47 +453,13 @@ class HierarchyRuntime:
             faults.epoch_seconds = self.epoch_seconds
         self.fabric.inject_faults(faults)
 
-    def _pending_for(self, store: DataStore) -> PendingExportQueue:
-        queue = self._pending.get(store.location.path)
-        if queue is None:
-            queue = self._pending[store.location.path] = PendingExportQueue()
-        return queue
-
     def pending_exports(self) -> int:
         """Exports parked across all stores, awaiting redelivery."""
-        return sum(len(queue) for queue in self._pending.values())
+        return sum(len(queue) for queue in self.exports.queues.values())
 
     def pending_queue(self, site: str) -> PendingExportQueue:
         """The pending-export queue of one store (by site label)."""
-        return self._pending_for(self.store_for(site))
-
-    def _transfer_with_retry(self, volume, send, size_bytes, now):
-        """Run one export through the bounded retry/backoff schedule.
-
-        ``send(at_time)`` performs the transfer at a simulated time;
-        attempt *n* runs at ``now`` plus the accumulated backoff.
-        Returns ``(result, True)`` on delivery or ``(last_error,
-        False)`` when the retry budget is exhausted; every attempt is
-        accounted in the level's volume bucket.
-        """
-        last_error: Optional[TransferError] = None
-        for attempt, at_time in self.retry_policy.attempt_times(now):
-            volume.transfer_attempts += 1
-            if attempt > 0:
-                volume.retried_bytes += size_bytes
-            with self.obs.span(
-                "attempt", n=attempt, at=at_time, size_bytes=size_bytes
-            ) as span:
-                try:
-                    return send(at_time), True
-                except TransferError as exc:
-                    volume.transfer_failures += 1
-                    span.fail(getattr(exc, "reason", None) or str(exc))
-                    link = getattr(exc, "link", None)
-                    if link is not None:
-                        span.set_attr("link", link)
-                    last_error = exc
-        return last_error, False
+        return self.exports.queue_for(self.store_for(site))
 
     # -- data path -----------------------------------------------------------
 
@@ -559,17 +523,18 @@ class HierarchyRuntime:
     def close_epoch(self, now: float) -> int:
         """One generic level-by-level rollup (deepest stores first).
 
-        Every store with an ancestor store forwards its live summary to
-        it over the fabric (the interior merge); stores with no ancestor
-        store cut their epoch partitions and export the Flowtree ones
-        into FlowDB across the WAN (privacy-degraded when the level has
-        a guard).  Returns the number of summaries exported to FlowDB.
+        Every store seals its epoch; one with an ancestor store ships
+        the sealed summary to it over the fabric (the interior merge),
+        one with none ships its Flowtree partitions into FlowDB across
+        the WAN — privacy-degraded, either way, when the level has a
+        guard.  Returns the number of summaries exported to FlowDB.
 
-        Exports run under the runtime's :class:`~repro.faults.
-        RetryPolicy`; an export that exhausts its retries is parked in
-        the store's pending queue and redelivered here, at the store's
-        slot, on a later close — deepest-first order lets recovered
-        child mass still reach the root within the same close.
+        Every export travels :mod:`repro.runtime.export`'s one path,
+        under the runtime's :class:`~repro.faults.RetryPolicy`; one
+        that exhausts its retries is parked in the store's pending
+        queue and redelivered here, at the store's slot, on a later
+        close — deepest-first order lets recovered child mass still
+        reach the root within the same close.
 
         The cyclic collector is held for the length of the close and
         run once, in full, at its end.  Since sealing hands trees over
@@ -619,18 +584,14 @@ class HierarchyRuntime:
                     site=self._labels[store.location.path],
                     level=level,
                 ):
-                    exported += self._drain_pending(node, store, now)
-                    parent_store = (
-                        self._parent_store(node)
-                        if config.export == EXPORT_AUTO
-                        else None
-                    )
-                    if config.export == EXPORT_NONE:
-                        store.close_epoch(now)
-                    elif parent_store is not None:
-                        self._forward(node, config, store, parent_store, now)
-                    else:
-                        exported += self._export_to_db(node, store, now)
+                    ship = self.exports
+                    parent = self._parent_store(node)
+                    exported += ship.drain(store, parent, now)
+                    for export in self._seal_epoch(config, store, parent, now):
+                        if not ship.deliver(export, store, parent, now):
+                            ship.park(export, store, store)
+                        elif parent is None:
+                            exported += 1
                 elapsed = time.perf_counter() - started
                 volume.rollup_seconds += elapsed
                 self.obs.observe(ROLLUP_SECONDS, elapsed, level=level)
@@ -662,6 +623,53 @@ class HierarchyRuntime:
             self.engine.write_manifest(self._storage_state())
         self._apply_restart_drills(now)
         return exported
+
+    def _seal_epoch(
+        self,
+        config: LevelConfig,
+        store: DataStore,
+        parent: Optional[DataStore],
+        now: float,
+    ) -> List[PendingExport]:
+        """Seal one store's epoch; the exports it owes, each built once.
+
+        A store with an ancestor store owes it the level's own
+        aggregator (the sealed summary is the retained partition itself
+        where the level keeps one); a store with none cuts every
+        aggregator and owes FlowDB its Flowtree partitions.
+        """
+        build = self.exports.build
+        if config.export == EXPORT_NONE:
+            store.close_epoch(now)
+            return []
+        if parent is None:
+            return [
+                build(
+                    store, "flowdb", partition.partition_id,
+                    partition.aggregator, partition.summary, 0, now,
+                )
+                for partition in store.close_epoch(now)
+                if partition.summary.kind == "flowtree"
+            ]
+        name = config.resolved_aggregator_name
+        aggregator = (
+            store.aggregator(name) if config.aggregator is not None else None
+        )
+        items = aggregator.items_this_epoch if aggregator is not None else 0
+        if items == 0:
+            if config.retain_partitions:
+                store.close_epoch(now)
+            return []
+        if config.retain_partitions:
+            (sealed,) = (
+                partition.summary
+                for partition in store.close_epoch(now)
+                if partition.aggregator == name
+            )
+        else:
+            sealed = aggregator.close_epoch(now, store.storage_pressure())
+        export_id = f"{store.location.path}:{name}:{self.stats.epochs_closed}"
+        return [build(store, "forward", export_id, name, sealed, items, now)]
 
     # -- adaptive budgets ----------------------------------------------------
 
@@ -805,7 +813,7 @@ class HierarchyRuntime:
         exactly why the boundary is the durability point.
         """
         pending = {}
-        for path, queue in self._pending.items():
+        for path, queue in self.exports.queues.items():
             if queue.entries or queue._delivered_ids:
                 pending[path] = queue.to_state(encode_summary)
         replicas = {}
@@ -824,6 +832,11 @@ class HierarchyRuntime:
             ),
         }
 
+    def _decode_queue(self, state: Mapping[str, object]) -> PendingExportQueue:
+        return PendingExportQueue.from_state(
+            state, lambda record: decode_summary(record, self.policy)
+        )
+
     def _restore_state(self, manifest: Mapping[str, object]) -> None:
         """Adopt a manifest checkpoint (counters, queues, replicas)."""
         self.stats.epochs_closed = int(manifest.get("epochs_closed", 0))
@@ -833,9 +846,7 @@ class HierarchyRuntime:
         )
         for path, state in manifest.get("pending", {}).items():
             if path in self._stores:
-                self._pending[path] = PendingExportQueue.from_state(
-                    state, lambda record: decode_summary(record, self.policy)
-                )
+                self.exports.queues[path] = self._decode_queue(state)
         for path, records in manifest.get("replicas", {}).items():
             store = self._stores.get(path)
             if store is None:
@@ -882,7 +893,7 @@ class HierarchyRuntime:
             self.shutdown()
             for _, config, store in self._plan:
                 self._reset_store(store, config)
-            self._pending = {}
+            self.exports.queues.clear()
             self.planner.replica_store.replicas = PartitionCatalog()
             recovered = self.db.recover(self.policy)
             manifest = self.engine.read_manifest()
@@ -901,21 +912,17 @@ class HierarchyRuntime:
         config = self.model.levels[node.level.name]
         with self.obs.span("restart", site=site, at=now):
             self._reset_store(store, config)
-            self._pending.pop(store.location.path, None)
+            queues = self.exports.queues
+            queues.pop(store.location.path, None)
             restored = 0
             manifest = self.engine.read_manifest()
             if manifest is not None:
                 state = manifest.get("pending", {}).get(store.location.path)
                 if state is not None:
-                    self._pending[store.location.path] = (
-                        PendingExportQueue.from_state(
-                            state,
-                            lambda record: decode_summary(
-                                record, self.policy
-                            ),
-                        )
+                    queue = queues[store.location.path] = self._decode_queue(
+                        state
                     )
-                    restored += len(self._pending[store.location.path])
+                    restored += len(queue)
                 for record in manifest.get("replicas", {}).get(
                     store.location.path, []
                 ):
@@ -1055,285 +1062,6 @@ class HierarchyRuntime:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    def _forward(
-        self,
-        node: HierarchyNode,
-        config: LevelConfig,
-        store: DataStore,
-        parent_store: DataStore,
-        now: float,
-    ) -> None:
-        """Ship one store's live summary into its parent store."""
-        name = config.resolved_aggregator_name
-        aggregator = (
-            store.aggregator(name) if config.aggregator is not None else None
-        )
-        if aggregator is None or aggregator.items_this_epoch == 0:
-            if config.retain_partitions:
-                store.close_epoch(now)
-            return
-        summary_bytes = aggregator.primitive.footprint_bytes()
-        volume = self.stats.level(node.level.name)
-        with self.obs.span(
-            "forward",
-            parent=parent_store.location.path,
-            size_bytes=summary_bytes,
-        ) as span:
-            _, delivered = self._transfer_with_retry(
-                volume,
-                lambda at: store.export_summaries(name, parent_store, now=at),
-                summary_bytes,
-                now,
-            )
-            span.set_attr("outcome", "delivered" if delivered else "parked")
-        if delivered:
-            volume.summary_bytes_out += summary_bytes
-            volume.exports += 1
-            parent_node = self.hierarchy.node(parent_store.location)
-            self.stats.level(parent_node.level.name).summary_bytes_in += (
-                summary_bytes
-            )
-        items = aggregator.items_this_epoch
-        # seal once: the local close hands the epoch's tree over, and a
-        # forward that could not be delivered parks that same summary
-        if config.retain_partitions:
-            (sealed,) = (
-                partition.summary
-                for partition in store.close_epoch(now)
-                if partition.aggregator == name
-            )
-        else:
-            sealed = aggregator.close_epoch(now, store.storage_pressure())
-        if not delivered:
-            # park what would have crossed the link: the epoch's sealed
-            # summary itself, privacy already applied where a guard is
-            outgoing = sealed
-            if store.privacy is not None:
-                outgoing = store.privacy.export(name, outgoing)
-            parked = self._pending_for(store).park(
-                PendingExport(
-                    export_id=(
-                        f"{store.location.path}:{name}"
-                        f":{self.stats.epochs_closed}"
-                    ),
-                    kind="forward",
-                    summary=outgoing,
-                    items=items,
-                    size_bytes=outgoing.size_bytes,
-                    origin=store.location.path,
-                    label=name,
-                    created_at=now,
-                )
-            )
-            if parked:
-                volume.exports_parked += 1
-
-    def _export_to_db(
-        self, node: HierarchyNode, store: DataStore, now: float
-    ) -> int:
-        """Cut a top store's epoch and export its Flowtrees to FlowDB."""
-        volume = self.stats.level(node.level.name)
-        exported = 0
-        for partition in store.close_epoch(now):
-            if partition.summary.kind != "flowtree":
-                continue
-            outgoing = partition.summary
-            if store.privacy is not None:
-                # the WAN hop leaves this level's trust domain: the
-                # cloud only ever sees the policy-degraded view
-                outgoing = store.privacy.export(
-                    partition.aggregator, outgoing
-                )
-            if store.location.path != self._root.path:
-                with self.obs.span(
-                    "flowdb_export",
-                    partition=partition.partition_id,
-                    size_bytes=outgoing.size_bytes,
-                ) as span:
-                    _, delivered = self._transfer_with_retry(
-                        volume,
-                        lambda at: self.fabric.transfer(
-                            store.location, self._root,
-                            outgoing.size_bytes, at,
-                        ),
-                        outgoing.size_bytes,
-                        now,
-                    )
-                    span.set_attr(
-                        "outcome", "delivered" if delivered else "parked"
-                    )
-                if not delivered:
-                    parked = self._pending_for(store).park(
-                        PendingExport(
-                            export_id=partition.partition_id,
-                            kind="flowdb",
-                            summary=outgoing,
-                            items=0,
-                            size_bytes=outgoing.size_bytes,
-                            origin=store.location.path,
-                            label=partition.partition_id,
-                            created_at=now,
-                        )
-                    )
-                    if parked:
-                        volume.exports_parked += 1
-                    continue
-            volume.summary_bytes_out += outgoing.size_bytes
-            volume.exports += 1
-            self.stats.exported_bytes += outgoing.size_bytes
-            self.stats.exported_summaries += 1
-            self.db.insert(
-                location=self._labels[store.location.path],
-                interval=outgoing.meta.interval,
-                tree=outgoing.payload,
-            )
-            exported += 1
-        return exported
-
-    def _drain_pending(
-        self, node: HierarchyNode, store: DataStore, now: float
-    ) -> int:
-        """Redeliver this store's parked exports, oldest first.
-
-        Runs before the store's fresh export so recovered mass joins
-        the current rollup.  A redelivery that fails again (the link is
-        still down) is re-queued at the front and the drain stops — the
-        remaining entries would cross the same links.  Returns how many
-        parked summaries reached FlowDB.
-        """
-        queue = self._pending.get(store.location.path)
-        if not queue:
-            return 0
-        exported = 0
-        while queue:
-            entry = queue.pop()
-            entry.attempts += 1
-            with self.obs.span(
-                "redeliver",
-                export_id=entry.export_id,
-                kind=entry.kind,
-                size_bytes=entry.size_bytes,
-            ) as span:
-                if entry.kind == "forward":
-                    delivered = self._deliver_forward(
-                        node, store, entry, now
-                    )
-                else:
-                    delivered = self._deliver_flowdb(node, store, entry, now)
-                    exported += int(delivered)
-                span.set_attr(
-                    "outcome", "recovered" if delivered else "requeued"
-                )
-            if not delivered:
-                queue.requeue(entry)
-                break
-            queue.mark_delivered(entry.export_id)
-            # a delivered re-homed migration is no longer in flight
-            self.model.ledger.resolve(entry.export_id)
-        return exported
-
-    def _deliver_forward(
-        self,
-        node: HierarchyNode,
-        store: DataStore,
-        entry: PendingExport,
-        now: float,
-    ) -> bool:
-        """Redeliver one parked child→parent summary (Merge on arrival).
-
-        The snapshot is already privacy-degraded; it is combined into
-        the parent's *current* live epoch under the shared-location
-        rule, so the mass arrives delayed but intact.
-        """
-        parent_store = self._parent_store(node)
-        if parent_store is None:
-            # the level lost its ancestor store (reconfiguration);
-            # redeliver straight to FlowDB rather than strand the data
-            return self._deliver_flowdb(node, store, entry, now)
-        volume = self.stats.level(node.level.name)
-        _, delivered = self._transfer_with_retry(
-            volume,
-            lambda at: self.fabric.transfer(
-                store.location, parent_store.location, entry.size_bytes, at
-            ),
-            entry.size_bytes,
-            now,
-        )
-        if not delivered:
-            return False
-        primitive = rehydrate(entry.summary)
-        primitive.items_ingested = entry.items
-        # the mass arrives *delayed*: it joins the parent's current
-        # epoch window so the paper's shared-time merge precondition
-        # holds against this close's fresh exports (the child's own
-        # retained partition keeps the original interval)
-        primitive._epoch_start = self._last_close
-        primitive._epoch_end = now
-        if parent_store.owns(entry.label):
-            target = parent_store.aggregator(entry.label)
-            target.primitive.combine(primitive)
-        else:
-            # a reconfigured parent may lack the aggregator (re-homed
-            # migration landing at a store of another kind): adopt it
-            if isinstance(primitive, FlowtreePrimitive):
-                # the parked tree may be the origin's sealed partition
-                # and is about to become a live, growing aggregate
-                primitive.tree = primitive.tree.copy()
-            target = Aggregator(entry.label, primitive)
-            parent_store.install_aggregator(target)
-        target.items_this_epoch += entry.items
-        if target.epoch_opened_at is None:
-            target.epoch_opened_at = now
-        store.lineage.record(
-            operation="export",
-            location=parent_store.location,
-            timestamp=now,
-            detail=(
-                f"{entry.label}->{parent_store.location.path} "
-                f"(recovered after {entry.attempts} closes)"
-            ),
-        )
-        volume.summary_bytes_out += entry.size_bytes
-        volume.exports += 1
-        volume.exports_recovered += 1
-        parent_node = self.hierarchy.node(parent_store.location)
-        self.stats.level(parent_node.level.name).summary_bytes_in += (
-            entry.size_bytes
-        )
-        return True
-
-    def _deliver_flowdb(
-        self,
-        node: HierarchyNode,
-        store: DataStore,
-        entry: PendingExport,
-        now: float,
-    ) -> bool:
-        """Redeliver one parked root-level partition into FlowDB."""
-        volume = self.stats.level(node.level.name)
-        if store.location.path != self._root.path:
-            _, delivered = self._transfer_with_retry(
-                volume,
-                lambda at: self.fabric.transfer(
-                    store.location, self._root, entry.size_bytes, at
-                ),
-                entry.size_bytes,
-                now,
-            )
-            if not delivered:
-                return False
-        volume.summary_bytes_out += entry.size_bytes
-        volume.exports += 1
-        volume.exports_recovered += 1
-        self.stats.exported_bytes += entry.size_bytes
-        self.stats.exported_summaries += 1
-        self.db.insert(
-            location=self._labels[store.location.path],
-            interval=entry.summary.meta.interval,
-            tree=entry.summary.payload,
-        )
-        return True
 
     # -- query path ------------------------------------------------------------
 

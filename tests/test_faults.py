@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.summary import Location
 from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
+from repro.datastore.store import DataStore
 from repro.errors import PlacementError, TransferError
 from repro.faults import (
     REASON_DROP,
@@ -28,11 +29,13 @@ from repro.faults import (
 )
 from repro.flows.tree import Flowtree
 from repro.hierarchy.network import NetworkFabric
-from repro.hierarchy.topology import network_monitoring_hierarchy
+from repro.hierarchy.topology import Hierarchy, network_monitoring_hierarchy
+from repro.runtime import HierarchyRuntime, LevelConfig
 from repro.runtime.presets import network_4level_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 ROUTER1 = "network1/region1/router1"
+ROUTER2 = "network1/region2/router1"
 
 
 def build_runtime(retain_partitions=True, **kwargs):
@@ -275,14 +278,17 @@ class TestPendingExportQueue:
             size_bytes=10, origin="o", label=export_id, created_at=0.0,
         )
 
-    def test_fifo_with_front_requeue(self):
+    def test_fifo_oldest_stays_in_front_until_popped(self):
+        """The drain peeks ``entries[0]``, delivers, and pops only once
+        the export has landed — a failed redelivery never left."""
         queue = PendingExportQueue()
         assert queue.park(self._entry("a"))
         assert queue.park(self._entry("b"))
-        first = queue.pop()
-        assert first.export_id == "a"
-        queue.requeue(first)  # delivery failed: back to the front
+        assert queue.entries[0].export_id == "a"
+        assert len(queue) == 2  # delivery failed: nothing moved
         assert queue.pop().export_id == "a"
+        assert queue.pop().export_id == "b"
+        assert queue.pop() is None
 
     def test_park_dedups_queued_and_delivered(self):
         queue = PendingExportQueue()
@@ -352,6 +358,36 @@ class TestRuntimeRecovery:
         clean_total = root_total(drive(build_runtime()))
         assert root_total(runtime) == clean_total
 
+    def test_parked_hhh_forward_is_recovered(self):
+        """Every registry kind can take the redelivery door: an ``hhh``
+        router->region forward parked by an outage lands one close
+        later instead of raising out of ``close_epoch``."""
+        levels = {
+            level: LevelConfig(aggregator="hhh", node_budget=None)
+            for level in ("router", "region")
+        }
+        runtime = HierarchyRuntime(
+            Hierarchy.from_site_paths(
+                [ROUTER1], level_names=["network", "region", "router"]
+            ),
+            levels,
+            faults=FaultPlan(outages=[LinkOutage(ROUTER1, 1, 2)]),
+        )
+        flows = TrafficGenerator(
+            TrafficConfig(sites=(ROUTER1,), flows_per_epoch=80), seed=11
+        ).epoch(ROUTER1, 0)
+        runtime.ingest(ROUTER1, flows)
+        runtime.close_epoch(60.0)
+        assert runtime.stats.exports_parked == 1
+        assert len(runtime.pending_queue(ROUTER1)) == 1
+        runtime.close_epoch(120.0)
+        assert runtime.stats.exports_recovered == 1
+        assert runtime.pending_exports() == 0
+        (partition,) = runtime.store_for("network1/region1").catalog.all()
+        assert partition.summary.kind == "hhh"
+        everything = partition.summary.payload[0].top(1)
+        assert everything[0][1] == sum(max(f.bytes, 1) for f in flows)
+
     def test_drops_retry_and_conserve_mass(self):
         clean_total = root_total(drive(build_runtime()))
         runtime = build_runtime(
@@ -384,9 +420,117 @@ class TestRuntimeRecovery:
         assert stats.retried_bytes > 0
 
 
+class TestOneLanding:
+    """Fresh forward, redelivery and migration are one landing: the same
+    sealed summary leaves the target aggregator in the same state
+    whichever door it came through."""
+
+    @staticmethod
+    def landings(monkeypatch):
+        """Record the target aggregator right after each landing of a
+        summary shipped by ROUTER1."""
+        seen = []
+        original = DataStore.receive_summary
+
+        def recording(target, origin, aggregator, summary, items, now, **kw):
+            original(target, origin, aggregator, summary, items, now, **kw)
+            if origin.location.path.endswith(ROUTER1):
+                landed = target.aggregator(aggregator)
+                seen.append({
+                    "target": target,
+                    "origin": origin,
+                    "summary": summary,
+                    "now": now,
+                    "tree": landed.primitive.tree.to_dict(),
+                    "interval": landed.primitive.interval(),
+                    "items_this_epoch": landed.items_this_epoch,
+                    "epoch_opened_at": landed.epoch_opened_at,
+                })
+
+        monkeypatch.setattr(DataStore, "receive_summary", recording)
+        return seen
+
+    @staticmethod
+    def feed_router1(runtime, epoch=0):
+        generator = TrafficGenerator(
+            TrafficConfig(sites=(ROUTER1,), flows_per_epoch=80), seed=11
+        )
+        runtime.ingest(ROUTER1, generator.epoch(ROUTER1, epoch))
+
+    def fresh(self, runtime):
+        self.feed_router1(runtime)
+        runtime.close_epoch(60.0)
+
+    def redelivered(self, runtime):
+        runtime.inject_faults(FaultPlan(outages=[LinkOutage(ROUTER1, 1, 2)]))
+        self.feed_router1(runtime)
+        runtime.close_epoch(60.0)
+        assert runtime.stats.exports_parked == 1
+        runtime.close_epoch(120.0)
+
+    def site_leave(self, runtime):
+        self.feed_router1(runtime)
+        assert runtime.site_leave(ROUTER1, now=30.0) > 0
+
+    def test_three_forward_doors_leave_the_same_aggregator(self, monkeypatch):
+        seen = self.landings(monkeypatch)
+        landed = {}
+        for door, at in (
+            (self.fresh, 60.0), (self.redelivered, 120.0),
+            (self.site_leave, 30.0),
+        ):
+            del seen[:]
+            door(build_runtime())
+            (landing,) = seen
+            landed[door.__name__] = landing
+            assert landing["now"] == at
+            assert landing["items_this_epoch"] == 80
+            assert landing["epoch_opened_at"] == at
+            (record,) = [
+                record
+                for record in landing["origin"].lineage._records.values()
+                if record.operation == "export"
+            ]
+            assert record.location == landing["target"].location
+            assert record.timestamp == at
+        assert landed["fresh"]["tree"] == landed["redelivered"]["tree"]
+        assert landed["fresh"]["tree"] == landed["site_leave"]["tree"]
+        # only the late arrival is re-timed into the epoch it joins
+        for door in ("fresh", "site_leave"):
+            sealed = landed[door]["summary"].meta.interval
+            assert landed[door]["interval"] == sealed
+        late = landed["redelivered"]["interval"]
+        assert (late.start, late.end) == (60.0, 120.0)
+
+    def test_adopted_migrated_tree_does_not_alias_what_was_shipped(
+        self, monkeypatch
+    ):
+        """The migration door against a target that lacks the
+        aggregator: the store grows its own tree, and the summary that
+        crossed the link is never written to again."""
+        runtime = build_runtime()
+        seen = self.landings(monkeypatch)
+        peer = runtime.store_for(ROUTER2)
+        peer.remove_aggregator("flowtree")
+        self.site_leave(runtime)
+        (landing,) = seen
+        assert landing["target"] is peer
+        shipped = landing["summary"].payload
+        assert peer.aggregator("flowtree").primitive.tree is not shipped
+        before = (shipped.to_dict(), shipped.compressions)
+        generator = TrafficGenerator(
+            TrafficConfig(sites=(ROUTER2,), flows_per_epoch=80), seed=11
+        )
+        runtime.ingest(ROUTER2, generator.epoch(ROUTER2, 0))
+        runtime.close_epoch(60.0)
+        assert (shipped.to_dict(), shipped.compressions) == before
+        assert root_total(runtime).flows == 160
+
+
 class TestEpochCloseCopyCount:
-    """Sealing an epoch hands the live tree over; a close deep-copies a
-    tree only where a privacy guard rewrites the export."""
+    """Sealing an epoch hands the live tree over, and what is sealed is
+    what ships: a close deep-copies no tree and guards each summary
+    once."""
 
     @staticmethod
     def close_copies(runtime, monkeypatch, epochs=2):
@@ -423,6 +567,8 @@ class TestEpochCloseCopyCount:
                 assert len(store.catalog.all()) == 2
 
     def test_privacy_guard_copies_only_its_own_exports(self, monkeypatch):
+        """Guard or not, a close copies no tree: the guard reads the
+        sealed summary and the anonymiser builds its own."""
         runtime = build_runtime()
         regions = runtime.stores_at_level("region").values()
         for store in regions:
@@ -430,14 +576,39 @@ class TestEpochCloseCopyCount:
                 PrivacyPolicy(default=ExportRule(min_ip_prefix=24))
             )
         assert len(regions) == 2
-        copied = self.close_copies(runtime, monkeypatch, epochs=1)[0]
-        # one snapshot per guarded export, of that region's own tree —
-        # the very tree the close then sealed into its partition
-        assert len(copied) == 2
-        sealed = {
-            id(store.catalog.all()[0].summary.payload) for store in regions
-        }
-        assert {id(tree) for tree in copied} == sealed
+        assert self.close_copies(runtime, monkeypatch, epochs=1) == [[]]
+        for store in regions:
+            # one guarded export each, of the partition it kept whole
+            (audit,) = store.privacy.audit_log
+            assert audit.degraded
+            (partition,) = store.catalog.all()
+            assert "anonymized_to_prefix" not in partition.summary.attrs
+
+    def test_guard_runs_once_per_summary_however_long_delivery_takes(self):
+        """Three failed attempts, a park and a redelivery later, the
+        guard has still seen the summary exactly once."""
+        runtime = build_runtime(
+            faults=FaultPlan(outages=[LinkOutage(ROUTER1, 1, 2)])
+        )
+        router = runtime.store_for(ROUTER1)
+        router.privacy = PrivacyGuard(
+            PrivacyPolicy(default=ExportRule(min_ip_prefix=24))
+        )
+        sites = runtime.ingest_sites()
+        generator = TrafficGenerator(
+            TrafficConfig(sites=tuple(sites), flows_per_epoch=80), seed=11
+        )
+        for site in sites:
+            runtime.ingest(site, generator.epoch(site, 0))
+        runtime.close_epoch(60.0)
+        assert runtime.stats.exports_parked == 1
+        assert runtime.stats.transfer_failures == 3
+        assert len(router.privacy.audit_log) == 1
+        (parked,) = runtime.pending_queue(ROUTER1).entries
+        assert parked.summary.attrs["anonymized_to_prefix"] == 24
+        runtime.close_epoch(120.0)  # redelivers; no fresh mass to guard
+        assert runtime.stats.exports_recovered == 1
+        assert len(router.privacy.audit_log) == 1
 
     def test_parked_forward_copies_nothing_and_conserves_mass(
         self, monkeypatch
@@ -605,7 +776,6 @@ class TestExportIdUniqueness:
         )
 
 
-ROUTER2 = "network1/region2/router1"
 BOTH_ROUTERS = f"SELECT TOTAL FROM ALL AT {ROUTER1}, {ROUTER2}"
 
 

