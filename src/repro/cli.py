@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import AdmissionError, ReproError
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,27 @@ def _add_query_arg(parser: argparse.ArgumentParser, extra: str) -> None:
     )
 
 
-def _load_traffic(runtime, epochs: int, flows_per_epoch: int, seed: int):
-    """Drive ``epochs`` deterministic traffic epochs into a runtime."""
+def _add_client_args(parser: argparse.ArgumentParser) -> None:
+    """Where ``query`` / ``subscribe`` run: see :func:`_client_for`."""
+    parser.add_argument(
+        "--endpoint", metavar="URL", default=None,
+        help=(
+            "talk to a running 'repro serve' gateway over HTTP instead "
+            "of building a local runtime (the same FlowQLClient API "
+            "either way)"
+        ),
+    )
+    parser.add_argument(
+        "--client-id", default="cli",
+        help="client identity the gateway meters admission by",
+    )
+
+
+def _load_traffic(
+    runtime, epochs: int, flows_per_epoch: int, seed: int, on_close=None
+):
+    """Drive ``epochs`` deterministic traffic epochs into a runtime;
+    ``on_close(epoch, exported)`` is told about each close."""
     from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
     sites = runtime.ingest_sites()
@@ -96,10 +115,70 @@ def _load_traffic(runtime, epochs: int, flows_per_epoch: int, seed: int):
         seed=seed,
     )
     for epoch in range(epochs):
-        for site in sites:
-            runtime.ingest(site, generator.epoch(site, epoch))
-        runtime.close_epoch((epoch + 1) * runtime.epoch_seconds)
+        # re-read the site list each epoch: reconfig drills may have
+        # added, removed, or renamed sites at the last close
+        for site in runtime.ingest_sites():
+            try:
+                records = generator.epoch(site, epoch)
+            except (ReproError, KeyError):
+                continue  # site joined after the trace was drawn
+            runtime.ingest(site, records)
+        exported = runtime.close_epoch((epoch + 1) * runtime.epoch_seconds)
+        if on_close is not None:
+            on_close(epoch, exported)
     return sites
+
+
+def _print_result(result, limit: int) -> None:
+    """A FlowQL answer: its scalar, or its first ``limit`` rows."""
+    if result.scalar is not None:
+        print(f"  {result.scalar}")
+    else:
+        for row in result.rows[:limit]:
+            print(f"  {row[0]}  packets={row[1]:,} bytes={row[2]:,}")
+
+
+def _preset_runtime(args: argparse.Namespace, **kwargs):
+    """Build the 4-level preset ``--preset`` names (interior partitions
+    retained unless the caller says otherwise)."""
+    from repro.runtime.presets import (
+        factory_4level_runtime,
+        network_4level_runtime,
+    )
+
+    preset = (
+        network_4level_runtime
+        if args.preset == "network"
+        else factory_4level_runtime
+    )
+    kwargs.setdefault("retain_partitions", True)
+    return preset(**kwargs)
+
+
+def _client_for(args: argparse.Namespace, **kwargs):
+    """The one client ``query`` / ``subscribe`` drive: the gateway at
+    ``--endpoint`` when given, else a preset runtime built in-process."""
+    from repro.client import FlowQLClient
+
+    if args.endpoint is not None:
+        return FlowQLClient(
+            endpoint=args.endpoint, client_id=args.client_id
+        )
+    return FlowQLClient(
+        runtime=_preset_runtime(args, **kwargs), client_id=args.client_id
+    )
+
+
+def _print_refusal(error: ReproError) -> int:
+    """Report a failed client call; returns the exit code it maps to."""
+    if isinstance(error, AdmissionError):
+        print(
+            f"  rejected ({error.reason}): retry after "
+            f"{error.retry_after_s:.3f}s"
+        )
+        return 3
+    print(f"  error: {error}")
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +234,7 @@ def _run_flowql(args: argparse.Namespace) -> int:
         except ReproError as error:
             print(f"  error: {error}")
             return 1
-        if result.scalar is not None:
-            print(f"  {result.scalar}")
-        else:
-            for row in result.rows[:20]:
-                print(f"  {row[0]}  packets={row[1]:,} bytes={row[2]:,}")
+        _print_result(result, 20)
     if args.save:
         from repro.flowdb.persistence import save_flowdb
 
@@ -185,18 +260,7 @@ def _configure_query(parser: argparse.ArgumentParser) -> None:
         "--no-retain", action="store_true",
         help="drop interior epoch partitions (disables edge drilldown)",
     )
-    parser.add_argument(
-        "--endpoint", metavar="URL", default=None,
-        help=(
-            "query a running 'repro serve' gateway over HTTP instead "
-            "of building a local runtime (the same FlowQLClient API "
-            "either way)"
-        ),
-    )
-    parser.add_argument(
-        "--client-id", default="cli",
-        help="client identity the gateway meters admission by",
-    )
+    _add_client_args(parser)
 
 
 def _print_outcome(outcome, repeats_left: bool = False) -> None:
@@ -206,108 +270,62 @@ def _print_outcome(outcome, repeats_left: bool = False) -> None:
         if outcome.degradation.attempted_paths:
             attempted = ", ".join(outcome.degradation.attempted_paths)
             print(f"  attempted: {attempted}")
-    if repeats_left:
-        return
-    if outcome.scalar is not None:
-        print(f"  {outcome.scalar}")
-    else:
-        for row in outcome.rows[:10]:
-            print(f"  {row[0]}  packets={row[1]:,} bytes={row[2]:,}")
-
-
-def _run_query_remote(args: argparse.Namespace) -> int:
-    from repro.client import FlowQLClient
-    from repro.errors import AdmissionError
-
-    queries = args.query or ["SELECT TOTAL FROM ALL"]
-    with FlowQLClient(
-        endpoint=args.endpoint, client_id=args.client_id
-    ) as client:
-        for text in queries:
-            print(f"\nflowql> {text}")
-            for repeat in range(max(1, args.repeat)):
-                try:
-                    outcome = client.query(text)
-                except AdmissionError as error:
-                    print(
-                        f"  rejected ({error.reason}): retry after "
-                        f"{error.retry_after_s:.3f}s"
-                    )
-                    return 3
-                except ReproError as error:
-                    print(f"  error: {error}")
-                    return 1
-                _print_outcome(
-                    outcome,
-                    repeats_left=repeat + 1 < max(1, args.repeat),
-                )
-        health = client.health()
-    print(
-        f"\nserved by {args.endpoint}: routed="
-        f"{health['requests_routed']} generation="
-        f"{health['generation']} server_errors="
-        f"{health['server_errors']}"
-    )
-    return 0
+    if not repeats_left:
+        _print_result(outcome, 10)
 
 
 def _run_query(args: argparse.Namespace) -> int:
-    if args.endpoint is not None:
-        return _run_query_remote(args)
+    queries = args.query or ["SELECT TOTAL FROM ALL"]
+    repeats = max(1, args.repeat)
+    with _client_for(args, retain_partitions=not args.no_retain) as client:
+        runtime = client.runtime
+        if runtime is not None:
+            from repro.replication.engine import AdaptiveReplicationEngine
+            from repro.replication.ski_rental import BreakEvenPolicy
 
-    from repro.client import FlowQLClient
-    from repro.replication.engine import AdaptiveReplicationEngine
-    from repro.replication.ski_rental import BreakEvenPolicy
-    from repro.runtime.presets import (
-        factory_4level_runtime,
-        network_4level_runtime,
-    )
-
-    retain = not args.no_retain
-    if args.preset == "network":
-        runtime = network_4level_runtime(retain_partitions=retain)
-    else:
-        runtime = factory_4level_runtime(retain_partitions=retain)
-    runtime.manager.enable_adaptive_replication(
-        AdaptiveReplicationEngine(BreakEvenPolicy())
-    )
-    sites = _load_traffic(
-        runtime, args.epochs, args.flows_per_epoch, args.seed
-    )
-    print(
-        f"{args.preset} preset: {args.epochs} epochs x {len(sites)} edge "
-        f"sites, FlowDB locations: {', '.join(runtime.db.locations())}"
-    )
-    client = FlowQLClient(runtime=runtime, client_id=args.client_id)
-    queries = args.query or [
-        "SELECT TOTAL FROM ALL",
-        f"SELECT TOPK(3) FROM ALL AT {sites[0]} BY bytes",
-    ]
-    for text in queries:
-        print(f"\nflowql> {text}")
-        outcome = None
-        for _ in range(max(1, args.repeat)):
-            try:
-                outcome = client.query(text)
-            except ReproError as error:
-                print(f"  error: {error}")
-                return 1
-            print(f"  plan: {outcome.plan.describe()}")
-        if outcome.scalar is not None:
-            print(f"  {outcome.scalar}")
+            runtime.manager.enable_adaptive_replication(
+                AdaptiveReplicationEngine(BreakEvenPolicy())
+            )
+            sites = _load_traffic(
+                runtime, args.epochs, args.flows_per_epoch, args.seed
+            )
+            print(
+                f"{args.preset} preset: {args.epochs} epochs x "
+                f"{len(sites)} edge sites, FlowDB locations: "
+                f"{', '.join(runtime.db.locations())}"
+            )
+            if not args.query:
+                queries.append(
+                    f"SELECT TOPK(3) FROM ALL AT {sites[0]} BY bytes"
+                )
+        for text in queries:
+            print(f"\nflowql> {text}")
+            for repeat in range(repeats):
+                try:
+                    outcome = client.query(text)
+                except ReproError as error:
+                    return _print_refusal(error)
+                _print_outcome(outcome, repeats_left=repeat + 1 < repeats)
+        if runtime is None:
+            health = client.health()
+            print(
+                f"\nserved by {args.endpoint}: routed="
+                f"{health['requests_routed']} generation="
+                f"{health['generation']} server_errors="
+                f"{health['server_errors']}"
+            )
         else:
-            for row in outcome.rows[:10]:
-                print(f"  {row[0]}  packets={row[1]:,} bytes={row[2]:,}")
-    stats = runtime.stats
-    cache = runtime.planner.cache
-    engine = runtime.manager.replication_engine
-    print(
-        f"\nrouting: cloud={stats.queries_cloud} "
-        f"federated={stats.queries_federated} "
-        f"cached={stats.queries_cached} | cache hits={cache.hits} "
-        f"misses={cache.misses} | replications={len(engine.outcomes)} | "
-        f"wan={runtime.wan_bytes():,} B"
-    )
+            stats = runtime.stats
+            cache = runtime.planner.cache
+            engine = runtime.manager.replication_engine
+            print(
+                f"\nrouting: cloud={stats.queries_cloud} "
+                f"federated={stats.queries_federated} "
+                f"cached={stats.queries_cached} | cache hits={cache.hits} "
+                f"misses={cache.misses} | "
+                f"replications={len(engine.outcomes)} | "
+                f"wan={runtime.wan_bytes():,} B"
+            )
     return 0
 
 
@@ -320,20 +338,10 @@ def _configure_subscribe(parser: argparse.ArgumentParser) -> None:
     _add_query_arg(
         parser, "default subscribes an edge TOPK and the global TOTAL"
     )
-    parser.add_argument(
-        "--endpoint", metavar="URL", default=None,
-        help=(
-            "subscribe against a running 'repro serve' gateway over "
-            "HTTP (long-poll) instead of a local runtime"
-        ),
-    )
+    _add_client_args(parser)
     parser.add_argument(
         "--updates", type=int, default=4,
         help="updates to long-poll for per subscription (HTTP mode)",
-    )
-    parser.add_argument(
-        "--client-id", default="cli",
-        help="client identity the gateway meters admission by",
     )
 
 
@@ -345,109 +353,72 @@ def _print_update(update, text: str) -> None:
         f"changed={update.changed}"
         + (" DEGRADED" if update.degraded else "")
     )
-    result = update.result
-    if result.scalar is not None:
-        print(f"  {result.scalar}")
-    else:
-        for row in result.rows[:5]:
-            print(f"  {row[0]}  packets={row[1]:,} bytes={row[2]:,}")
+    _print_result(update.result, 5)
 
 
-def _run_subscribe_remote(args: argparse.Namespace) -> int:
-    from repro.client import FlowQLClient
-    from repro.errors import AdmissionError
-
+def _run_subscribe(args: argparse.Namespace) -> int:
     queries = args.query or ["SUBSCRIBE SELECT TOTAL FROM ALL"]
-    with FlowQLClient(
-        endpoint=args.endpoint, client_id=args.client_id
-    ) as client:
+    with _client_for(args) as client:
+        runtime = client.runtime
+        if runtime is not None and not args.query:
+            queries.append(
+                "SUBSCRIBE SELECT TOPK(3) FROM ALL AT "
+                f"{runtime.ingest_sites()[0]} BY bytes"
+            )
         handles = []
         for text in queries:
             try:
                 handle = client.subscribe(text)
-            except AdmissionError as error:
-                print(
-                    f"  rejected ({error.reason}): retry after "
-                    f"{error.retry_after_s:.3f}s"
-                )
-                return 3
             except ReproError as error:
-                print(f"  error: {error}")
-                return 1
+                return _print_refusal(error)
             print(f"subscribed {handle.id}: {text}")
             handles.append((handle, text))
         for handle, text in handles:
             first = handle.latest()
             if first is not None:
                 _print_update(first, text)
+        # a served runtime closes epochs on its own; a local one is
+        # driven here, one update per subscription per close
+        wanted, wait_s = args.updates, 10.0
+        if runtime is not None:
+            wanted, wait_s = args.epochs, 0.0
+            print(
+                f"\ndriving {args.epochs} epochs x "
+                f"{len(runtime.ingest_sites())} edge sites "
+                f"({args.preset} preset):"
+            )
+            _load_traffic(
+                runtime, args.epochs, args.flows_per_epoch, args.seed
+            )
         seen = {handle.id: 0 for handle, _ in handles}
-        while any(count < args.updates for count in seen.values()):
+        while any(count < wanted for count in seen.values()):
             progressed = False
             for handle, text in handles:
-                if seen[handle.id] >= args.updates:
+                if seen[handle.id] >= wanted:
                     continue
-                for update in handle.poll(wait_s=10.0):
+                for update in handle.poll(wait_s=wait_s):
                     _print_update(update, text)
                     seen[handle.id] += 1
                     progressed = True
             if not progressed:
                 print(
-                    "\nno updates within 10s (is the served runtime "
-                    "closing epochs?)"
+                    f"\nno further updates within {wait_s:g}s (is the "
+                    "runtime closing epochs?)"
                 )
                 break
+        census = (
+            client.health()["subscriptions"]
+            if runtime is None
+            else runtime.planner.subscriptions.census()
+        )
+        print(
+            f"\nregistry: updates={census['updates_published']} "
+            f"delta={census['delta_refreshes']} "
+            f"rebuilds={census['rebuilds']} "
+            f"shipped={census['shipped_bytes_total']:,} B"
+        )
         for handle, _text in handles:
             handle.cancel()
-    return 0
-
-
-def _run_subscribe(args: argparse.Namespace) -> int:
-    if args.endpoint is not None:
-        return _run_subscribe_remote(args)
-
-    from repro.client import FlowQLClient
-    from repro.runtime.presets import (
-        factory_4level_runtime,
-        network_4level_runtime,
-    )
-
-    if args.preset == "network":
-        runtime = network_4level_runtime(retain_partitions=True)
-    else:
-        runtime = factory_4level_runtime(retain_partitions=True)
-    sites = runtime.ingest_sites()
-    client = FlowQLClient(runtime=runtime, client_id=args.client_id)
-    queries = args.query or [
-        "SUBSCRIBE SELECT TOTAL FROM ALL",
-        f"SUBSCRIBE SELECT TOPK(3) FROM ALL AT {sites[0]} BY bytes",
-    ]
-    handles = []
-    for text in queries:
-        try:
-            handle = client.subscribe(
-                text, on_update=lambda u, t=text: _print_update(u, t)
-            )
-        except ReproError as error:
-            print(f"error: {error}")
-            return 1
-        print(f"subscribed {handle.id}: {text}")
-        handles.append(handle)
-    print(
-        f"\ndriving {args.epochs} epochs x {len(sites)} edge sites "
-        f"({args.preset} preset); each close publishes one update per "
-        "subscription:"
-    )
-    _load_traffic(runtime, args.epochs, args.flows_per_epoch, args.seed)
-    registry = runtime.planner.subscriptions
-    print(
-        f"\nregistry: updates={registry.updates_published} "
-        f"delta={registry.delta_refreshes} "
-        f"rebuilds={registry.rebuilds} "
-        f"shipped={registry.shipped_bytes_total:,} B "
-        f"refresh={registry.refresh_seconds_total * 1e3:.1f} ms total"
-    )
-    for handle in handles:
-        handle.cancel()
     return 0
 
 
@@ -491,18 +462,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.client import FlowQLClient
-    from repro.runtime.presets import (
-        factory_4level_runtime,
-        network_4level_runtime,
-    )
     from repro.serve import ServePlane
 
-    preset = (
-        network_4level_runtime
-        if args.preset == "network"
-        else factory_4level_runtime
-    )
-    runtime = preset(retain_partitions=True)
+    runtime = _preset_runtime(args)
     sites = _load_traffic(
         runtime, args.epochs, args.flows_per_epoch, args.seed
     )
@@ -605,25 +567,17 @@ def _configure_run(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_run(args: argparse.Namespace) -> int:
-    from repro.runtime.presets import (
-        factory_4level_runtime,
-        network_4level_runtime,
-    )
-
     parallel = args.workers if args.workers > 0 else None
     storage = None
-    if args.data_dir:
-        from repro.storage import SegmentLogEngine
+    try:
+        if args.data_dir:
+            from repro.storage import SegmentLogEngine
 
-        storage = SegmentLogEngine(args.data_dir)
-    preset = (
-        network_4level_runtime
-        if args.preset == "network"
-        else factory_4level_runtime
-    )
-    runtime = preset(
-        retain_partitions=True, parallel=parallel, storage=storage
-    )
+            storage = SegmentLogEngine(args.data_dir)
+        runtime = _preset_runtime(args, parallel=parallel, storage=storage)
+    except ReproError as error:  # a torn manifest, a foreign checkpoint
+        print(f"error: {error}")
+        return 2
     if storage is not None:
         if runtime._recoveries:
             print(
@@ -642,7 +596,6 @@ def _run_run(args: argparse.Namespace) -> int:
 def _drive_run(args: argparse.Namespace, runtime) -> int:
     from repro.client import FlowQLClient
     from repro.faults import FaultPlan
-    from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
     if args.faults:
         try:
@@ -652,23 +605,15 @@ def _drive_run(args: argparse.Namespace, runtime) -> int:
             return 2
         runtime.inject_faults(plan)
         print(f"fault plan: {plan.describe()}")
-    sites = runtime.ingest_sites()
-    generator = TrafficGenerator(
-        TrafficConfig(
-            sites=tuple(sites), flows_per_epoch=args.flows_per_epoch
+    _load_traffic(
+        runtime, args.epochs, args.flows_per_epoch, args.seed,
+        on_close=lambda epoch, exported: print(
+            f"epoch {epoch}: exported={exported} "
+            f"pending={runtime.pending_exports()} "
+            f"wan={runtime.wan_bytes():,} B"
         ),
-        seed=args.seed,
     )
     epoch_s = runtime.epoch_seconds
-    for epoch in range(args.epochs):
-        for site in sites:
-            runtime.ingest(site, generator.epoch(site, epoch))
-        exported = runtime.close_epoch((epoch + 1) * epoch_s)
-        pending = runtime.pending_exports()
-        print(
-            f"epoch {epoch}: exported={exported} "
-            f"pending={pending} wan={runtime.wan_bytes():,} B"
-        )
     recovery = 0
     while runtime.pending_exports() and recovery < args.recovery_epochs:
         recovery += 1
@@ -739,15 +684,16 @@ def _configure_segments(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_segments(args: argparse.Namespace) -> int:
+    from repro.runtime.checkpoint import load
     from repro.storage import SegmentLogEngine
 
     try:
         engine = SegmentLogEngine(args.data_dir)
+        checkpoint = load(engine)
     except ReproError as error:
         print(f"error: {error}")
         return 2
-    manifest = engine.read_manifest()
-    if manifest is None:
+    if checkpoint is None:
         print(f"no manifest under {args.data_dir} (nothing sealed yet)")
         return 1
     if args.compact:
@@ -762,9 +708,10 @@ def _run_segments(args: argparse.Namespace) -> int:
         f"{stats['segments']} segments ({stats['segment_bytes']:,} B)"
     )
     print(
-        f"  manifest: epoch {manifest.get('epochs_closed', 0)}, "
-        f"generation {manifest.get('generation', 0)}, "
-        f"{len(manifest.get('pending', {}))} pending queues"
+        f"  manifest: epoch {checkpoint.epochs_closed}, "
+        f"generation {checkpoint.generation}, "
+        f"{len(checkpoint.stores) or '?'} stores, "
+        f"{len(checkpoint.pending)} pending queues"
     )
     if stats.get("orphan_segments"):
         print(f"  orphan segments ignored: {stats['orphan_segments']}")
@@ -818,15 +765,8 @@ def _run_metrics(args: argparse.Namespace) -> int:
     from repro.client import FlowQLClient
     from repro.faults import FaultPlan
     from repro.obs import render_prometheus
-    from repro.runtime.presets import (
-        factory_4level_runtime,
-        network_4level_runtime,
-    )
 
-    if args.preset == "network":
-        runtime = network_4level_runtime(retain_partitions=True)
-    else:
-        runtime = factory_4level_runtime(retain_partitions=True)
+    runtime = _preset_runtime(args)
     if args.faults:
         try:
             runtime.inject_faults(FaultPlan.from_spec(args.faults))
@@ -921,16 +861,8 @@ def _configure_topology(parser: argparse.ArgumentParser) -> None:
 
 def _run_topology(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan
-    from repro.runtime.presets import (
-        factory_4level_runtime,
-        network_4level_runtime,
-    )
-    from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
-    if args.preset == "network":
-        runtime = network_4level_runtime(retain_partitions=True)
-    else:
-        runtime = factory_4level_runtime(retain_partitions=True)
+    runtime = _preset_runtime(args)
     try:
         if args.faults:
             try:
@@ -942,28 +874,13 @@ def _run_topology(args: argparse.Namespace) -> int:
             print(f"fault plan: {plan.describe()}")
         if args.adaptive_budgets:
             runtime.enable_adaptive_budgets()
-        generator = TrafficGenerator(
-            TrafficConfig(
-                sites=tuple(runtime.ingest_sites()),
-                flows_per_epoch=args.flows_per_epoch,
-            ),
-            seed=args.seed,
-        )
-        epoch_s = runtime.epoch_seconds
-        for epoch in range(args.epochs):
-            # re-read the site list each epoch: reconfig drills may
-            # have added, removed, or renamed sites at the last close
-            for site in runtime.ingest_sites():
-                try:
-                    records = generator.epoch(site, epoch)
-                except (ReproError, KeyError):
-                    continue  # site joined after the trace was drawn
-                runtime.ingest(site, records)
-            try:
-                runtime.close_epoch((epoch + 1) * epoch_s)
-            except ReproError as error:
-                print(f"error: reconfig drill failed: {error}")
-                return 1
+        try:
+            _load_traffic(
+                runtime, args.epochs, args.flows_per_epoch, args.seed
+            )
+        except ReproError as error:
+            print(f"error: reconfig drill failed: {error}")
+            return 1
         census = runtime.model.census()
         print(f"\ntopology census (root {census['root']!r})")
         print(f"  generation: {census['generation']}")

@@ -36,6 +36,11 @@ class PartitionNotFoundError(StorageError):
     """A query referenced a partition unknown to the data store."""
 
 
+class CheckpointError(StorageError):
+    """A runtime checkpoint cannot be adopted: torn, mistyped, of a
+    foreign version, or cut under a topology this runtime lacks."""
+
+
 class TriggerError(ReproError):
     """A trigger definition is invalid or references a missing aggregator."""
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from repro.errors import StorageError
+
 
 @dataclass
 class PendingExport:
@@ -81,6 +83,12 @@ class PendingExportQueue:
         return bool(self.entries)
 
     @property
+    def has_state(self) -> bool:
+        """Whether a checkpoint must carry this queue: parked entries,
+        or delivered ids a replay after recovery still dedups against."""
+        return bool(self.entries or self._delivered_ids)
+
+    @property
     def pending_bytes(self) -> int:
         return sum(entry.size_bytes for entry in self.entries)
 
@@ -108,7 +116,7 @@ class PendingExportQueue:
         for entry in self.entries:
             try:
                 summary = encode_summary(entry.summary)
-            except Exception:
+            except StorageError:
                 skipped += 1
                 continue
             entries.append(
@@ -153,11 +161,9 @@ class PendingExportQueue:
                     attempts=record.get("attempts", 0),
                 )
             )
-        queue._queued_ids = set(state.get("queued_ids", []))
+        # not the saved ``queued_ids``: ids of skipped (non-durable)
+        # entries must not linger as queued — they are gone, and a
+        # future park of the same id should be allowed to re-queue
+        queue._queued_ids = {entry.export_id for entry in queue.entries}
         queue._delivered_ids = set(state.get("delivered_ids", []))
-        # ids of skipped (non-durable) entries must not linger as
-        # queued: they are gone, and a future park of the same id
-        # should be allowed to re-queue
-        present = {entry.export_id for entry in queue.entries}
-        queue._queued_ids &= present
         return queue

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.obs.metrics import COUNTER
 from repro.obs.observability import Observability
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,6 +30,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ROLLUP_SECONDS = "repro_rollup_seconds"
 INGEST_SECONDS = "repro_ingest_seconds"
 QUERY_SECONDS = "repro_query_seconds"
+
+#: one family per ``storage_stats()`` key: (key, is a counter, help)
+_STORAGE_FAMILIES = (
+    ("records", False, "Summary records held by the storage engine"),
+    ("segments", False, "Sealed segments the storage engine currently lists"),
+    ("segment_bytes", False,
+     "On-disk bytes across the engine's sealed segments"),
+    ("manifest_writes", True,
+     "Manifest checkpoints committed by the storage engine"),
+    ("compactions", True, "Segment compactions run by the storage engine"),
+    ("reclaimed_bytes", True, "Bytes reclaimed by segment compactions"),
+    ("restarts", True, "Store/runtime kill+recover drills executed"),
+    ("recoveries", True,
+     "Full recoveries (open-from-manifest or whole-runtime restart)"),
+    ("recovered_records", True,
+     "FlowDB records re-indexed from the engine during recoveries"),
+    ("not_durable", False,
+     "Parked exports and replicas the last checkpoint could not encode"),
+)
 
 
 def install_runtime_metrics(
@@ -206,43 +226,15 @@ def install_runtime_metrics(
         "Migration summaries parked on pending queues awaiting redelivery",
     )
 
-    # -- storage engine / durability (sourced from engine.stats()) ------------
-    storage_records = registry.gauge(
-        "repro_storage_records",
-        "Summary records held by the storage engine",
-    )
-    storage_segments = registry.gauge(
-        "repro_storage_segments",
-        "Sealed segments the storage engine currently lists",
-    )
-    storage_segment_bytes = registry.gauge(
-        "repro_storage_segment_bytes",
-        "On-disk bytes across the engine's sealed segments",
-    )
-    storage_manifest_writes = registry.counter(
-        "repro_storage_manifest_writes_total",
-        "Manifest checkpoints committed by the storage engine",
-    )
-    storage_compactions = registry.counter(
-        "repro_storage_compactions_total",
-        "Segment compactions run by the storage engine",
-    )
-    storage_reclaimed = registry.counter(
-        "repro_storage_reclaimed_bytes_total",
-        "Bytes reclaimed by segment compactions",
-    )
-    storage_restarts = registry.counter(
-        "repro_storage_restarts_total",
-        "Store/runtime kill+recover drills executed",
-    )
-    storage_recoveries = registry.counter(
-        "repro_storage_recoveries_total",
-        "Full recoveries (open-from-manifest or whole-runtime restart)",
-    )
-    storage_recovered_records = registry.counter(
-        "repro_storage_recovered_records_total",
-        "FlowDB records re-indexed from the engine during recoveries",
-    )
+    # -- storage engine / durability (sourced from storage_stats()) -----------
+    storage = {
+        key: (
+            registry.counter(f"repro_storage_{key}_total", text)
+            if is_counter
+            else registry.gauge(f"repro_storage_{key}", text)
+        )
+        for key, is_counter, text in _STORAGE_FAMILIES
+    }
 
     # -- event-fed latency histograms (observed at the call sites) ------------
     registry.histogram(
@@ -351,30 +343,13 @@ def install_runtime_metrics(
                 model.ledger.migrated_bytes
             )
             reconfig_pending.labels().set(len(model.ledger.pending))
-        engine = getattr(runtime, "engine", None)
-        if engine is not None:
-            engine_stats = engine.stats()
-            storage_records.labels().set(engine_stats["records"])
-            storage_segments.labels().set(engine_stats["segments"])
-            storage_segment_bytes.labels().set(
-                engine_stats["segment_bytes"]
-            )
-            storage_manifest_writes.labels().set_from_source(
-                engine_stats["manifest_writes"]
-            )
-            storage_compactions.labels().set_from_source(
-                engine_stats["compactions"]
-            )
-            storage_reclaimed.labels().set_from_source(
-                engine_stats["reclaimed_bytes"]
-            )
-            storage_restarts.labels().set_from_source(runtime._restarts)
-            storage_recoveries.labels().set_from_source(
-                runtime._recoveries
-            )
-            storage_recovered_records.labels().set_from_source(
-                runtime._recovered_records
-            )
+        storage_stats = runtime.storage_stats()
+        for key, family in storage.items():
+            series = family.labels()
+            if family.kind == COUNTER:
+                series.set_from_source(storage_stats[key])
+            else:
+                series.set(storage_stats[key])
         pool = getattr(runtime, "_pool", None)
         if pool is not None:
             for ws in pool.worker_stats():

@@ -48,9 +48,8 @@ from repro.core.flowtree import FlowtreePrimitive
 from repro.core.registry import PrimitiveRegistry, default_registry
 from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator
-from repro.datastore.partitions import Partition, PartitionCatalog
 from repro.datastore.store import DataStore
-from repro.errors import PlacementError, StorageError
+from repro.errors import PlacementError
 from repro.faults import (
     FaultPlan,
     PendingExport,
@@ -76,10 +75,11 @@ from repro.parallel import (
 )
 from repro.query.plan import QueryOutcome
 from repro.query.planner import FederatedQueryPlanner
+from repro.runtime.checkpoint import commit, kill, recover
 from repro.runtime.config import EXPORT_NONE, LevelConfig
 from repro.runtime.export import ExportPath
 from repro.runtime.stats import VolumeStats
-from repro.storage import StorageEngine, decode_summary, encode_summary
+from repro.storage import StorageEngine
 
 
 class HierarchyRuntime:
@@ -163,6 +163,7 @@ class HierarchyRuntime:
         self._restarts = 0
         self._recoveries = 0
         self._recovered_records = 0
+        self._not_durable = 0  # as of the last checkpoint
         # provision one store per configured node, hierarchy order
         self._stores: Dict[str, DataStore] = {}  # by location path
         for node in hierarchy.nodes():
@@ -177,15 +178,8 @@ class HierarchyRuntime:
         # the unified query plane: FlowQL routes through the planner
         # (root FlowDB, federated fan-out, cache, replication feed)
         self.planner = FederatedQueryPlanner(self)
-        # opening over an engine that already holds a manifest *is* the
-        # crash-recovery path: rebuild the FlowDB index from the record
-        # log and restore queues/replicas/counters from the checkpoint
-        manifest = self.engine.read_manifest()
-        if manifest is not None:
-            with self.obs.span("recover", engine=self.engine.name):
-                self._recovered_records += self.db.recover(self.policy)
-                self._restore_state(manifest)
-                self._recoveries += 1
+        # opening over an engine that holds a checkpoint *is* recovery
+        recover(self)
         install_runtime_metrics(self.obs, self)
 
     # -- the topology seam ---------------------------------------------------
@@ -210,16 +204,20 @@ class HierarchyRuntime:
             fabric=self.fabric,
             privacy=config.privacy,
         )
+        self._equip(store, config)
+        self.manager.register_store(store)
+        self._stores[node.location.path] = store
+        return store
+
+    def _equip(self, store: DataStore, config: LevelConfig) -> None:
+        """Install the level's aggregator at ``store``, fresh and empty."""
         if config.aggregator is not None:
             store.install_aggregator(
                 Aggregator(
                     config.resolved_aggregator_name,
-                    self._make_primitive(config, node.location),
+                    self._make_primitive(config, store.location),
                 )
             )
-        self.manager.register_store(store)
-        self._stores[node.location.path] = store
-        return store
 
     def _rebuild_views(self) -> None:
         """Re-derive every topology-indexed view from the model.
@@ -607,21 +605,15 @@ class HierarchyRuntime:
             # new data invalidates cached answers and advances query time
             self.planner.on_epoch_closed(now)
             # the epoch boundary is the durability point: everything
-            # appended this close seals into one segment, and the
-            # manifest checkpoint commits queues/replicas/counters —
-            # a crash from here on recovers to *this* boundary
+            # appended this close seals into one segment and the
+            # checkpoint commits — a crash from here on recovers to
+            # *this* boundary
             self.engine.seal_epoch(
                 self.stats.epochs_closed - 1, meta={"closed_at": now}
             )
-            self.engine.write_manifest(self._storage_state())
+            commit(self)
             root.set_attr("exported", exported)
-        # reconfiguration drills fire *between* closes: the epoch is
-        # fully rolled up, the next one has not opened
-        if self._apply_reconfig_drills(now):
-            # reconfigs rename paths and bump the generation; re-commit
-            # so a crash right after the drill recovers the new topology
-            self.engine.write_manifest(self._storage_state())
-        self._apply_restart_drills(now)
+        self._apply_drills(now)
         return exported
 
     def _seal_epoch(
@@ -733,24 +725,28 @@ class HierarchyRuntime:
                     primitive.set_granularity(proposed)
             self.model.ledger.record("budget_resize")
 
-    # -- reconfiguration drills (FaultPlan reconfig= grammar) -----------------
+    # -- drills (FaultPlan reconfig= / restart= grammar) and durability -------
 
-    def _apply_reconfig_drills(self, now: float) -> int:
-        """Run the fault plan's scheduled reconfig ops for this boundary.
-
-        A drill with ``epoch=e`` fires after the close that completed
-        epoch ``e`` (0-based), exactly once.  Returns how many fired.
-        """
-        plan = self.faults
-        if plan is None or not getattr(plan, "reconfigs", None):
-            return 0
-        applied = 0
+    def _due_drills(self, drills: Iterable):
+        """The drills due at this boundary, each exactly once: ``epoch=e``
+        fires after the close that completed epoch ``e`` (0-based)."""
         boundary = self.stats.epochs_closed - 1
-        for drill in plan.reconfigs:
-            if drill.epoch != boundary or drill in self._applied_drills:
-                continue
-            self._applied_drills.add(drill)
-            applied += 1
+        for drill in drills:
+            if drill.epoch == boundary and drill not in self._applied_drills:
+                self._applied_drills.add(drill)
+                yield drill
+
+    def _apply_drills(self, now: float) -> None:
+        """Run the fault plan's reconfig, then restart, drills *between*
+        closes: the epoch is fully rolled up, the next has not opened.
+        A site renamed and restarted at one boundary restarts under its
+        new name; naming the root restarts the whole runtime."""
+        plan = self.faults
+        if plan is None:
+            return
+        reconfigured = False
+        for drill in self._due_drills(plan.reconfigs):
+            reconfigured = True
             with self.obs.span(
                 "reconfig_drill", op=drill.op, path=drill.path, at=now
             ):
@@ -762,196 +758,34 @@ class HierarchyRuntime:
                     self.migrate_store(
                         drill.path, drill.new_parent or "", now=now
                     )
-        return applied
-
-    # -- durability (storage engine, manifests, restart drills) ---------------
+        if reconfigured:
+            # reconfigs rename paths and bump the generation; re-commit
+            # so a crash right after the drill recovers the new topology
+            commit(self)
+        for drill in self._due_drills(plan.restarts):
+            if drill.site == self._root.path:
+                self.restart(now)
+            else:
+                self.restart_site(drill.site, now)
 
     def _path_label(self, path: str) -> str:
         """A location path's root-relative site label."""
         prefix = self._root.path + "/"
         return path[len(prefix):] if path.startswith(prefix) else path
 
-    def _encode_partition(self, partition: Partition) -> Dict[str, object]:
-        return {
-            "partition_id": partition.partition_id,
-            "aggregator": partition.aggregator,
-            "summary": encode_summary(partition.summary),
-            "created_at": partition.created_at,
-            "replicated_to": list(partition.replicated_to),
-        }
-
-    def _decode_partition(
-        self, record: Mapping[str, object]
-    ) -> Partition:
-        return Partition(
-            partition_id=record["partition_id"],
-            aggregator=record["aggregator"],
-            summary=decode_summary(record["summary"], self.policy),
-            created_at=record["created_at"],
-            replicated_to=list(record.get("replicated_to", [])),
-        )
-
-    def _encode_replicas(
-        self, catalog: PartitionCatalog
-    ) -> List[Dict[str, object]]:
-        encoded = []
-        for partition in catalog.all():
-            try:
-                encoded.append(self._encode_partition(partition))
-            except StorageError:
-                # non-flowtree replica: not durable, dropped on restart
-                continue
-        return encoded
-
-    def _storage_state(self) -> Dict[str, object]:
-        """The runtime state a manifest checkpoints at each boundary.
-
-        Everything a killed process cannot re-derive from the record
-        log: epoch counters, topology generation, parked exports (with
-        their dedup sets), and replica catalogs.  Live aggregator trees
-        are deliberately absent — at a boundary they are empty, which is
-        exactly why the boundary is the durability point.
-        """
-        pending = {}
-        for path, queue in self.exports.queues.items():
-            if queue.entries or queue._delivered_ids:
-                pending[path] = queue.to_state(encode_summary)
-        replicas = {}
-        for _, _, store in self._plan:
-            encoded = self._encode_replicas(store.replicas)
-            if encoded:
-                replicas[store.location.path] = encoded
-        return {
-            "epochs_closed": self.stats.epochs_closed,
-            "last_close": self._last_close,
-            "generation": self.model.generation,
-            "pending": pending,
-            "replicas": replicas,
-            "planner_replicas": self._encode_replicas(
-                self.planner.replica_store.replicas
-            ),
-        }
-
-    def _decode_queue(self, state: Mapping[str, object]) -> PendingExportQueue:
-        return PendingExportQueue.from_state(
-            state, lambda record: decode_summary(record, self.policy)
-        )
-
-    def _restore_state(self, manifest: Mapping[str, object]) -> None:
-        """Adopt a manifest checkpoint (counters, queues, replicas)."""
-        self.stats.epochs_closed = int(manifest.get("epochs_closed", 0))
-        self._last_close = float(manifest.get("last_close", 0.0))
-        self.model.generation = int(
-            manifest.get("generation", self.model.generation)
-        )
-        for path, state in manifest.get("pending", {}).items():
-            if path in self._stores:
-                self.exports.queues[path] = self._decode_queue(state)
-        for path, records in manifest.get("replicas", {}).items():
-            store = self._stores.get(path)
-            if store is None:
-                continue
-            for record in records:
-                if record["partition_id"] not in store.replicas:
-                    store.replicas.add(self._decode_partition(record))
-        replica_store = self.planner.replica_store
-        for record in manifest.get("planner_replicas", []):
-            if record["partition_id"] not in replica_store.replicas:
-                replica_store.replicas.add(self._decode_partition(record))
-
-    def _reset_store(self, store: DataStore, config: LevelConfig) -> None:
-        """Discard one store's volatile state (the 'kill' half).
-
-        Aggregators are reinstalled from the level config (fresh, empty
-        primitives) and both partition catalogs are cleared; retained
-        interior partitions are volatile by design — root mass never
-        depends on them, and the manifest restores replicas separately.
-        """
-        for aggregator in list(store.aggregators()):
-            store.remove_aggregator(aggregator.name)
-        if config.aggregator is not None:
-            store.install_aggregator(
-                Aggregator(
-                    config.resolved_aggregator_name,
-                    self._make_primitive(config, store.location),
-                )
-            )
-        store.catalog = PartitionCatalog()
-        store.replicas = PartitionCatalog()
-
-    def restart(self, now: float) -> Dict[str, int]:
-        """Kill and recover the whole runtime from its storage engine.
-
-        The in-process equivalent of SIGKILL + reopen: ingest workers
-        stop, every store is reprovisioned empty, the pending queues and
-        FlowDB index are dropped — then everything recovers from the
-        engine (record log + last manifest).  Fabric and volume counters
-        survive deliberately: the network is not part of the process,
-        and keeping them makes drilled runs comparable to clean ones.
-        """
-        with self.obs.span("restart", site="*", at=now):
-            self.shutdown()
-            for _, config, store in self._plan:
-                self._reset_store(store, config)
-            self.exports.queues.clear()
-            self.planner.replica_store.replicas = PartitionCatalog()
-            recovered = self.db.recover(self.policy)
-            manifest = self.engine.read_manifest()
-            if manifest is not None:
-                self._restore_state(manifest)
-            self.planner.on_epoch_closed(now)
+    def restart(self, now: float, site: Optional[str] = None) -> None:
+        """Kill and recover from the storage engine — the in-process
+        SIGKILL + reopen — the whole runtime, or only the store at
+        ``site``; :mod:`repro.runtime.checkpoint` has both halves."""
+        sites = None if site is None else (site,)
+        with self.obs.span("restart", site=site or "*", at=now):
+            kill(self, sites)
+            recover(self, now, sites)
             self._restarts += 1
-            self._recoveries += 1
-            self._recovered_records += recovered
-        return {"recovered_records": recovered}
 
-    def restart_site(self, site: str, now: float) -> Dict[str, int]:
+    def restart_site(self, site: str, now: float) -> None:
         """Kill and recover one store (by site label) from the engine."""
-        store = self.store_for(site)
-        node = self.hierarchy.node(store.location)
-        config = self.model.levels[node.level.name]
-        with self.obs.span("restart", site=site, at=now):
-            self._reset_store(store, config)
-            queues = self.exports.queues
-            queues.pop(store.location.path, None)
-            restored = 0
-            manifest = self.engine.read_manifest()
-            if manifest is not None:
-                state = manifest.get("pending", {}).get(store.location.path)
-                if state is not None:
-                    queue = queues[store.location.path] = self._decode_queue(
-                        state
-                    )
-                    restored += len(queue)
-                for record in manifest.get("replicas", {}).get(
-                    store.location.path, []
-                ):
-                    store.replicas.add(self._decode_partition(record))
-                    restored += 1
-            self._restarts += 1
-        return {"restored": restored}
-
-    def _apply_restart_drills(self, now: float) -> None:
-        """Run the fault plan's scheduled restarts for this boundary.
-
-        Fires after reconfig drills (a drill schedule that renames a
-        site and restarts it in the same boundary sees the new name),
-        exactly once per drill.  Naming the hierarchy root restarts the
-        whole runtime.
-        """
-        plan = self.faults
-        if plan is None or not getattr(plan, "restarts", None):
-            return
-        boundary = self.stats.epochs_closed - 1
-        for drill in plan.restarts:
-            if drill.epoch != boundary or drill in self._applied_drills:
-                continue
-            self._applied_drills.add(drill)
-            # the root (store-bearing or not) means the whole runtime
-            if drill.site == self._root.path:
-                self.restart(now)
-            else:
-                self.restart_site(drill.site, now)
+        self.restart(now, site)
 
     def storage_stats(self) -> Dict[str, object]:
         """Engine counters plus the runtime's durability counters."""
@@ -959,6 +793,7 @@ class HierarchyRuntime:
         stats["restarts"] = self._restarts
         stats["recoveries"] = self._recoveries
         stats["recovered_records"] = self._recovered_records
+        stats["not_durable"] = self._not_durable
         return stats
 
     # -- parallel ingest -----------------------------------------------------

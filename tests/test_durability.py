@@ -10,13 +10,20 @@ memory, :class:`SegmentLogEngine` from an on-disk data directory.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.errors import CheckpointError, StorageError
 from repro.faults import FaultPlan, LinkOutage, RestartDrill
 from repro.flows.columnar import HAVE_NUMPY
+from repro.hierarchy.topology import Hierarchy
+from repro.runtime import HierarchyRuntime, LevelConfig
+from repro.runtime.checkpoint import CHECKPOINT_VERSION, Checkpoint
 from repro.runtime.presets import network_4level_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
-from repro.storage import MemoryEngine, SegmentLogEngine
+from repro.storage import MemoryEngine, SegmentLogEngine, encode_summary
+from repro.storage.segment import MANIFEST_NAME
 
 EPOCHS = 3
 FLOWS = 120
@@ -82,16 +89,6 @@ class TestCrashAtEveryBoundary:
         assert mass == uninterrupted["mass"]  # 100% delivered mass
         assert runtime.pending_exports() == 0
 
-    @pytest.mark.parametrize("kind", ["memory", "segment"])
-    def test_single_site_restart(self, kind, tmp_path, uninterrupted):
-        plan = FaultPlan(
-            restarts=[RestartDrill("network1/region1", 1)]
-        )
-        runtime = drive(build(storage=engine_for(kind, tmp_path),
-                              faults=plan))
-        assert runtime._restarts == 1
-        assert root_state(runtime) == uninterrupted["tree"]
-
     def test_restart_drill_fires_once(self, tmp_path):
         plan = FaultPlan(restarts=[RestartDrill("cloud", 0)])
         runtime = drive(build(faults=plan))
@@ -104,6 +101,270 @@ class TestCrashAtEveryBoundary:
         plan = FaultPlan(restarts=[RestartDrill("no/such/site", 0)])
         with pytest.raises(PlacementError):
             drive(build(faults=plan), epochs=1)
+
+
+SITE = "network1/region1/router1"
+PEER = "network1/region1/router2"
+
+
+def reopen(runtime, now):
+    """A new runtime over what the old one left in its engine."""
+    engine = runtime.engine
+    if engine.durable:
+        engine = SegmentLogEngine(engine.data_dir)
+    return build(storage=engine)
+
+
+def restart(runtime, now):
+    runtime.restart(now)
+    return runtime
+
+
+def restart_site(runtime, now):
+    runtime.restart_site(SITE, now)
+    return runtime
+
+
+class TestThreeDoorsOneRecovery:
+    """Open over a data dir, ``restart`` and ``restart_site`` are one
+    ``checkpoint.recover``: the same boundary state comes back the same
+    behind each, and equals what the never-killed runtime held."""
+
+    DOORS = {door.__name__: door for door in (reopen, restart, restart_site)}
+
+    def boundary(self, storage):
+        """Three closes that leave, at ``SITE``: a parked forward (the
+        t=180 outage), a delivered id (the t=60 outage, redelivered at
+        t=120) and a bought replica; and one planner replica."""
+        plan = FaultPlan(
+            outages=[LinkOutage(SITE, 1, 2), LinkOutage(SITE, 3, 5)]
+        )
+        runtime = build(storage=storage, faults=plan)
+        sites = runtime.ingest_sites()
+        generator = TrafficGenerator(
+            TrafficConfig(sites=tuple(sites), flows_per_epoch=FLOWS), seed=23
+        )
+        for epoch in range(EPOCHS):
+            for site in sites:
+                runtime.ingest(site, generator.epoch(site, epoch))
+            if epoch == EPOCHS - 1:
+                peer = runtime.store_for(PEER)
+                bought = peer.catalog.all()[0].partition_id
+                for target in (
+                    runtime.store_for(SITE), runtime.planner.replica_store
+                ):
+                    peer.replicate_partition(bought, target, now=130.0)
+            runtime.close_epoch((epoch + 1) * 60.0)
+        return runtime
+
+    @staticmethod
+    def site_state(runtime):
+        queue = runtime.pending_queue(SITE)
+        replicas = runtime.store_for(SITE).replicas
+        return queue.to_state(encode_summary), sorted(
+            partition.partition_id for partition in replicas.all()
+        )
+
+    @staticmethod
+    def planner_replicas(runtime):
+        return sorted(
+            partition.partition_id
+            for partition in runtime.planner.replica_store.replicas.all()
+        )
+
+    @pytest.mark.parametrize("kind", ["memory", "segment"])
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_same_state_behind_every_door(self, door, kind, tmp_path,
+                                          uninterrupted):
+        live = self.boundary(engine_for(kind, tmp_path))
+        held = self.site_state(live)
+        held_by_planner = self.planner_replicas(live)
+        state, replica_ids = held
+        assert [e["export_id"] for e in state["entries"]] == state[
+            "queued_ids"
+        ] and len(state["entries"]) == 1
+        assert len(state["delivered_ids"]) == 1 and len(replica_ids) == 1
+        assert len(held_by_planner) == 1
+
+        runtime = self.DOORS[door](live, 180.0)
+        assert self.site_state(runtime) == held
+        assert self.planner_replicas(runtime) == held_by_planner
+        whole = door != "restart_site"
+        assert runtime.storage_stats()["recoveries"] == whole
+        assert runtime.storage_stats()["restarts"] == (door != "reopen")
+        assert runtime.stats.epochs_closed == EPOCHS
+        assert runtime._last_close == 180.0
+        if whole:
+            assert runtime.planner.clock == runtime._last_close
+            assert runtime.planner._late_watermark == (
+                runtime.db.max_entry_id()
+            )
+        # each door under its span, recovery always under ``recover``
+        tracer = runtime.obs.tracer
+        recovered = tracer.last("recover")
+        if door != "reopen":
+            restart = tracer.last("restart")
+            assert restart.attrs == {
+                "site": "*" if whole else SITE, "at": 180.0
+            }
+            (recovered,) = restart.find("recover")
+        assert recovered.attrs == {"engine": runtime.engine.name}
+        # the parked forward lands exactly once, whichever door
+        runtime.inject_faults(None)
+        runtime.close_epoch(240.0)
+        assert runtime.pending_exports() == 0
+        assert root_state(runtime) == uninterrupted["tree"]
+        mass = runtime.query("SELECT TOTAL FROM ALL").scalar
+        assert mass == uninterrupted["mass"]
+
+
+class TestCheckpointFormat:
+    """The manifest is outside input: adopted typed, or refused typed."""
+
+    def parked(self, tmp_path):
+        """One close, router1's forward parked; returns the data dir."""
+        data_dir = str(tmp_path / "data")
+        plan = FaultPlan(outages=[LinkOutage(SITE, 0, 10)])
+        first = drive(build(storage=SegmentLogEngine(data_dir),
+                            faults=plan), epochs=1)
+        assert first.pending_exports() == 1
+        return data_dir
+
+    def test_manifest_carries_version_and_store_paths(self, tmp_path):
+        data_dir = self.parked(tmp_path)
+        manifest = SegmentLogEngine(data_dir).read_manifest()
+        assert manifest["version"] == CHECKPOINT_VERSION
+        assert f"cloud/{SITE}" in manifest["stores"]
+        checkpoint = Checkpoint.from_manifest(manifest)
+        assert checkpoint.to_manifest() == manifest
+
+    def test_version_less_manifest_reopens_and_redelivers(self, tmp_path):
+        # the format before versioning: same fields, no ``version``, no
+        # ``stores`` — a data dir written then must still reopen
+        data_dir = self.parked(tmp_path)
+        path = tmp_path / "data" / MANIFEST_NAME
+        document = json.loads(path.read_text())
+        del document["runtime"]["version"], document["runtime"]["stores"]
+        path.write_text(json.dumps(document))
+
+        reopened = build(storage=SegmentLogEngine(data_dir))
+        assert reopened.pending_exports() == 1
+        drive(reopened, epochs=1, seed=99)  # next close, link restored
+        assert reopened.pending_exports() == 0
+        assert reopened.stats.exports_recovered == 1
+
+    @pytest.mark.parametrize(
+        "tear",
+        [
+            lambda m: m.update(version=CHECKPOINT_VERSION + 1),
+            lambda m: m.update(pending=[]),
+            lambda m: m.pop("epochs_closed"),
+            lambda m: m.update(generation="1"),
+            lambda m: m.pop("stores"),
+            lambda m: next(iter(m["pending"].values()))["entries"][0].pop(
+                "export_id"
+            ),
+            lambda m: m.update(replicas={"cloud": [{"partition_id": "x"}]}),
+        ],
+        ids=["version", "pending", "epochs_closed", "generation", "stores",
+             "export_id", "replica"],
+    )
+    def test_torn_or_foreign_manifest_rejected_typed(self, tear, tmp_path):
+        manifest = SegmentLogEngine(self.parked(tmp_path)).read_manifest()
+        tear(manifest)
+        with pytest.raises(CheckpointError):
+            Checkpoint.from_manifest(manifest)
+        assert issubclass(CheckpointError, StorageError)
+        with pytest.raises(CheckpointError):
+            Checkpoint.from_manifest([manifest])
+
+    def test_undecodable_summary_rejected_at_recovery(self, tmp_path):
+        data_dir = self.parked(tmp_path)
+        path = tmp_path / "data" / MANIFEST_NAME
+        document = json.loads(path.read_text())
+        (state,) = document["runtime"]["pending"].values()
+        del state["entries"][0]["summary"]["tree"]
+        path.write_text(json.dumps(document))
+        torn = path.read_bytes()
+        with pytest.raises(CheckpointError, match="undecodable summary"):
+            build(storage=SegmentLogEngine(data_dir))
+        assert path.read_bytes() == torn  # left as it was found
+
+    def test_reopen_under_the_wrong_topology_is_refused(self, tmp_path):
+        """The topology is not durable.  A checkpoint cut after a join
+        that parks an export at the joined store must not reopen under
+        the preset that lacks it: that used to drop the export silently."""
+        data_dir = str(tmp_path / "data")
+        joined = "network1/region1/router9"
+        first = drive(build(storage=SegmentLogEngine(data_dir)), epochs=1)
+        first.site_join(joined)
+        first.inject_faults(FaultPlan(outages=[LinkOutage(joined, 1, 9)]))
+        records = TrafficGenerator(
+            TrafficConfig(sites=(SITE,), flows_per_epoch=FLOWS), seed=5
+        ).epoch(SITE, 1)
+        first.ingest(joined, records)
+        first.close_epoch(120.0)
+        assert len(first.pending_queue(joined)) == 1
+        manifest = tmp_path / "data" / MANIFEST_NAME
+        committed = manifest.read_bytes()
+
+        with pytest.raises(CheckpointError) as refused:
+            build(storage=SegmentLogEngine(data_dir))
+        message = str(refused.value)
+        assert f"cloud/{joined}" in message
+        assert "generation 1" in message and "generation 0" in message
+        assert manifest.read_bytes() == committed
+        # a correctly built runtime still finds the export and lands it
+        rebuilt = SegmentLogEngine(data_dir)
+        assert f"cloud/{joined}" in Checkpoint.from_manifest(
+            rebuilt.read_manifest()
+        ).pending
+
+    def test_unknown_store_holding_nothing_is_skipped(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        first = drive(build(storage=SegmentLogEngine(data_dir)), epochs=1)
+        first.site_join("network1/region1/router9")
+        first.close_epoch(120.0)
+        reopened = build(storage=SegmentLogEngine(data_dir))
+        assert reopened.model.generation == 1
+        assert reopened.stats.epochs_closed == 2
+
+
+class TestNotDurableIsCounted:
+    """What a kill would lose for want of a codec is one number."""
+
+    def test_parked_hhh_forward_and_raw_replica(self):
+        levels = {
+            level: LevelConfig(aggregator="hhh", node_budget=None)
+            for level in ("router", "region")
+        }
+        runtime = HierarchyRuntime(
+            Hierarchy.from_site_paths(
+                [SITE], level_names=["network", "region", "router"]
+            ),
+            levels,
+            faults=FaultPlan(outages=[LinkOutage(SITE, 1, 2)]),
+        )
+        assert runtime.storage_stats()["not_durable"] == 0
+        runtime.ingest(SITE, TrafficGenerator(
+            TrafficConfig(sites=(SITE,), flows_per_epoch=80), seed=11
+        ).epoch(SITE, 0))
+        runtime.close_epoch(60.0)
+        assert runtime.pending_exports() == 1  # an hhh forward: no codec
+        assert runtime.storage_stats()["not_durable"] == 1
+        snapshot = runtime.obs.registry.snapshot()
+        series = snapshot["repro_storage_not_durable"]["series"]
+        assert series[0]["value"] == 1
+        runtime.close_epoch(120.0)  # landed: nothing left to lose
+        assert runtime.storage_stats()["not_durable"] == 0
+        # a bought hhh replica is dropped at encode: counted, not silent
+        region = runtime.store_for("network1/region1")
+        (partition,) = region.catalog.all()
+        region.replicate_partition(
+            partition.partition_id, runtime.planner.replica_store, now=130.0
+        )
+        runtime.close_epoch(180.0)
+        assert runtime.storage_stats()["not_durable"] == 1
 
 
 class TestOpenFromDataDir:

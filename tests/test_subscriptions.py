@@ -12,12 +12,17 @@ that contract.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.client import FlowQLClient, HTTPSubscription
+from repro.client import (
+    FlowQLClient,
+    HTTPSubscription,
+    InProcessSubscription,
+)
 from repro.errors import FlowQLPlanningError, WireSchemaError
 from repro.faults import FaultPlan, RestartDrill
 from repro.flows.records import Score
@@ -28,24 +33,27 @@ from repro.query.subscriptions import (
     MODE_DELTA,
     MODE_INIT,
     MODE_REBUILD,
+    Subscription,
     SubscriptionUpdate,
 )
 from repro.runtime.presets import network_4level_runtime
 from repro.serve import ServePlane, wire
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+from repro.storage import SegmentLogEngine
 
 EPOCH = 60.0
 ROUTER1 = "network1/region1/router1"
 ROUTER2 = "network1/region1/router2"
 
 
-def build_runtime(routers=2, regions=1, faults=None):
+def build_runtime(routers=2, regions=1, faults=None, storage=None):
     return network_4level_runtime(
         networks=1,
         regions_per_network=regions,
         routers_per_region=routers,
         retain_partitions=True,
         faults=faults,
+        storage=storage,
     )
 
 
@@ -519,3 +527,54 @@ class TestSubscribeOverHTTP:
                 assert handle.poll(wait_s=0.2) == []  # no new close
                 assert handle.cancelled is False
         runtime.shutdown()
+
+
+class TestStandingQueriesAreVolatile:
+    """Subscriptions and their cursors die with the process (DESIGN,
+    "Durable storage"): a client that comes back with an old id is told
+    the stream has ended, identically on both backends."""
+
+    TEXT = "SELECT TOTAL FROM ALL"
+
+    @pytest.mark.parametrize("backend", ["in-process", "http"])
+    def test_poll_on_a_lost_id_ends_the_stream(self, backend, tmp_path):
+        data_dir = str(tmp_path / "data")
+        first = build_runtime(storage=SegmentLogEngine(data_dir))
+        drive(first, 1)
+        old = FlowQLClient(runtime=first).subscribe(self.TEXT)
+        assert old.latest() is not None
+        first.shutdown()
+        # the process dies; a new one opens the same data dir
+        reopened = build_runtime(storage=SegmentLogEngine(data_dir))
+        assert reopened.storage_stats()["recoveries"] == 1
+        assert len(reopened.planner.subscriptions) == 0
+        with ServePlane(reopened) as plane:
+            endpoint = plane.start_background()
+            with FlowQLClient(endpoint=endpoint) as client:
+                if backend == "http":
+                    lost = HTTPSubscription(client, old.id, old.latest())
+                    status, _headers, _body = client._request(
+                        "POST",
+                        "/v1/subscribe/poll",
+                        {"subscription_id": old.id, "cursor": 1,
+                         "timeout_s": 0.0},
+                    )
+                    assert status == 404
+                else:
+                    lost = InProcessSubscription(
+                        Subscription(
+                            old.id, parse(self.TEXT), self.TEXT,
+                            reopened.planner.subscriptions,
+                        )
+                    )
+                started = time.monotonic()
+                assert lost.poll(wait_s=5.0) == []
+                assert time.monotonic() - started < 5.0  # told, not timed out
+                assert lost.cancelled is True
+                assert lost.poll(wait_s=5.0) == []
+                # and the same data answers a fresh subscription
+                assert client.subscribe(self.TEXT).latest().result.to_wire() == (
+                    old.latest().result.to_wire()
+                )
+            assert plane.census()["server_errors"] == 0
+        reopened.shutdown()
