@@ -141,7 +141,7 @@ class PrivacyGuard:
         anonymized = Flowtree(
             tree.policy, node_budget=None, metric=tree.metric
         )
-        for node in sorted(tree.nodes(), key=lambda n: n.depth):
+        for node in tree.nodes():
             depth = min(node.depth, allowed_depth)
             contribution = node.own + node.folded
             if contribution.is_zero():

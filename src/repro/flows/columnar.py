@@ -409,14 +409,14 @@ def _plan_window(tree, values, packets, nbytes, lo, hi, masks, mults):
     cur_fl = np.bincount(inverse, minlength=groups).astype(np.int64)
     cur_first = first.astype(np.int64)
     cur_inverse = inverse
-    nodes = tree._nodes
+    index = tree._index
     depths = []
     new_firsts = []
     d = depth
     while True:
         tuples = [tuple(row) for row in cur_rows.tolist()]
-        contains = nodes.__contains__
-        new_flags = [not contains((d, t)) for t in tuples]
+        contains = index[d].__contains__
+        new_flags = [not contains(t) for t in tuples]
         if any(new_flags):
             new_firsts.append(cur_first[np.array(new_flags, dtype=bool)])
         depths.append(
@@ -449,15 +449,16 @@ def _plan_window(tree, values, packets, nbytes, lo, hi, masks, mults):
 
 def _apply_plan(tree, plan) -> None:
     """Apply one planned chunk: create its new nodes, add the sums."""
-    nodes = tree._nodes
+    index = tree._index
     projectors = tree._projectors
     new_node = tree._new_node
     # shallowest depth first, so a new node's parent already exists
     for d, tuples, new_flags, _, _, _ in reversed(plan.depths):
         project = projectors[d - 1]
+        above = index[d - 1]
         for values, is_new in zip(tuples, new_flags):
             if is_new:
-                new_node(d, values, nodes[(d - 1, project(values))])
+                new_node(d, values, above[project(values)])
     root = tree._root
     tpk, tbt, tfl = plan.total
     root.subtree_packets += tpk
@@ -466,8 +467,9 @@ def _apply_plan(tree, plan) -> None:
     leaf_depth = tree.policy.depth
     for d, tuples, _, pk, bt, fl in plan.depths:
         own = d == leaf_depth
+        level = index[d]
         for i, values in enumerate(tuples):
-            node = nodes[(d, values)]
+            node = level[values]
             node.subtree_packets += pk[i]
             node.subtree_bytes += bt[i]
             node.subtree_flows += fl[i]
@@ -542,14 +544,13 @@ def ingest_batch(
         return n
     overshoot = budget + max(64, budget // 8)
     target = int(budget * tree.compress_ratio)
-    nodes = tree._nodes
     # window sizing: aim a bit past the records a compress cycle can
     # absorb (capacity / births-per-record), so most windows need one
     # plan and the over-planned tail stays a small fraction
     birth_rate = 1.0
     lo = 0
     while lo < n:
-        capacity = overshoot - len(nodes)
+        capacity = overshoot - tree.node_count
         guess = int(max(capacity, 64) / birth_rate * 1.25) + 16
         hi = min(n, lo + max(256, guess))
         window = _plan_window(

@@ -19,7 +19,11 @@ HHH        :meth:`Flowtree.hhh`
 Structure.  Every observed flow and every canonical generalization of it
 is a node; a node's parent is its most-specific canonical generalization
 (one step up the :class:`~repro.flows.flowkey.GeneralizationPolicy`
-chain).  Each node carries:
+chain).  A tree registers its nodes exactly once, in one dict per
+canonical depth keyed by the node's projected values; a node points at
+its parent and counts the nodes that point at it, nothing points down,
+so a tree holds no reference cycle and a dropped one is freed at once.
+Each node carries:
 
 * ``own`` — mass inserted directly at this key,
 * ``folded`` — mass absorbed from compressed (pruned) descendants, and
@@ -38,7 +42,8 @@ rides on, so it is written allocation-light:
 
 * one projected chain per record (the policy's precompiled per-depth
   projectors), reused for node creation, ``own`` update and subtree
-  bubbling in a single walk;
+  bubbling in a single walk — a level is one projection and one lookup
+  in that depth's dict;
 * popularity lives in plain integer counters on ``__slots__`` — the
   ``own``/``folded``/``subtree`` :class:`Score` views are materialized
   only at query time;
@@ -74,6 +79,7 @@ from repro.errors import (
 from repro.flows.flowkey import FlowKey, GeneralizationPolicy
 from repro.flows.records import FlowRecord, PacketRecord, Score
 
+#: what :attr:`FlowtreeNode.node_id` returns: (depth, values)
 NodeId = Tuple[int, Tuple[int, ...]]
 #: one least-popular-leaf heap entry: (popularity, depth, values)
 _HeapEntry = Tuple[int, int, Tuple[int, ...]]
@@ -123,7 +129,7 @@ class FlowtreeNode:
         "subtree_packets",
         "subtree_bytes",
         "subtree_flows",
-        "children",
+        "nchildren",
     )
 
     def __init__(
@@ -144,7 +150,8 @@ class FlowtreeNode:
         self.subtree_packets = 0
         self.subtree_bytes = 0
         self.subtree_flows = 0
-        self.children: Dict[Tuple[int, ...], "FlowtreeNode"] = {}
+        #: how many live nodes name this one as their parent
+        self.nchildren = 0
 
     @property
     def node_id(self) -> NodeId:
@@ -152,8 +159,8 @@ class FlowtreeNode:
         return (self.depth, self.values)
 
     def is_leaf(self) -> bool:
-        """True when the node currently has no live children."""
-        return not self.children
+        """True when no live node currently hangs under this one."""
+        return not self.nchildren
 
     # -- Score views ----------------------------------------------------
 
@@ -254,16 +261,23 @@ class Flowtree:
         self.metric = metric
         #: per-depth projectors, cached off the policy for the hot loop
         self._projectors = policy.projectors
-        #: (depth, projector) pairs for depths 1..max — the ingest walk
-        #: iterates this directly instead of indexing per level
+        root = FlowtreeNode(0, self._projectors[0]((0,) * len(self.schema)))
+        #: the only registry of the tree's nodes: one dict per canonical
+        #: depth, projected values -> node
+        self._index: List[Dict[Tuple[int, ...], FlowtreeNode]] = [
+            {} for _ in range(policy.depth + 1)
+        ]
+        self._index[0][root.values] = root
+        self._node_count = 1
+        #: (depth, projector, that depth's dict) for depths 1..max — the
+        #: ingest walk iterates this directly instead of indexing per level
         self._chain = tuple(
-            (d, policy.projectors[d]) for d in range(1, policy.depth + 1)
+            (d, policy.projectors[d], self._index[d])
+            for d in range(1, policy.depth + 1)
         )
         self._node_bytes = _NODE_BYTES_FIXED + _NODE_BYTES_PER_FEATURE * len(
             self.schema
         )
-        root = FlowtreeNode(0, self._projectors[0]((0,) * len(self.schema)))
-        self._nodes: Dict[NodeId, FlowtreeNode] = {root.node_id: root}
         self._root = root
         self._compressions = 0
         #: persistent least-popular-leaf heap; ``None`` until the first
@@ -286,7 +300,7 @@ class Flowtree:
     @property
     def node_count(self) -> int:
         """Number of live nodes (including the root)."""
-        return len(self._nodes)
+        return self._node_count
 
     @property
     def compressions(self) -> int:
@@ -298,8 +312,9 @@ class Flowtree:
         return self._root.subtree
 
     def nodes(self) -> Iterator[FlowtreeNode]:
-        """Iterate over all live nodes in unspecified order."""
-        return iter(self._nodes.values())
+        """Iterate over all live nodes, depth-ascending (parents first)."""
+        for level in self._index:
+            yield from level.values()
 
     def key_of(self, node: FlowtreeNode) -> FlowKey:
         """Reconstruct the :class:`FlowKey` a node stands for."""
@@ -310,7 +325,7 @@ class Flowtree:
         depth = self.policy.depth_of(key.levels)
         if depth is None:
             return None
-        return self._nodes.get((depth, key.values))
+        return self._index[depth].get(key.values)
 
     def estimated_size_bytes(self) -> int:
         """Approximate wire size of the serialized tree.
@@ -387,7 +402,6 @@ class Flowtree:
         overshoot = (
             float("inf") if budget is None else budget + max(64, budget // 8)
         )
-        nodes = self._nodes
         for key, score in items:
             if key.schema.name != schema_name:
                 raise SchemaMismatchError(
@@ -403,7 +417,7 @@ class Flowtree:
                 key.values, depth, score.packets, score.bytes, score.flows
             )
             count += 1
-            if len(nodes) > overshoot:
+            if self._node_count > overshoot:
                 self.compress(
                     target_nodes=int(budget * self.compress_ratio)
                 )
@@ -439,19 +453,19 @@ class Flowtree:
         """The single-pass ingest walk.
 
         Projects the chain once per level and reuses it for node
-        creation, subtree bubbling, and the final ``own`` update.  The
-        walk descends through child dicts (keyed by projected values)
-        rather than the global node index, so no ``(depth, values)``
-        key tuples are built per level.
+        creation, subtree bubbling, and the final ``own`` update.  Each
+        level's dict rides in the chain beside its projector, so a level
+        is one projection and one ``get`` — no key tuple, no attribute
+        load.
         """
         chain = self._chain if depth == len(self._chain) else self._chain[:depth]
         node = self._root
         node.subtree_packets += packets
         node.subtree_bytes += nbytes
         node.subtree_flows += flows
-        for d, project in chain:
+        for d, project, level in chain:
             projected = project(values)
-            child = node.children.get(projected)
+            child = level.get(projected)
             if child is None:
                 child = self._new_node(d, projected, node)
             child.subtree_packets += packets
@@ -467,8 +481,9 @@ class Flowtree:
     ) -> FlowtreeNode:
         """Create, register and heap-track one node."""
         node = FlowtreeNode(depth, values, parent)
-        self._nodes[(depth, values)] = node
-        parent.children[values] = node
+        self._index[depth][values] = node
+        self._node_count += 1
+        parent.nchildren += 1
         if self._leaf_heap is not None:
             self._heap_pending.append(node)
         return node
@@ -517,22 +532,24 @@ class Flowtree:
             )
         metric_name = metric or self.metric
         attr = _subtree_attr(metric_name)
-        nodes = self._nodes
-        if len(nodes) <= target_nodes:
+        index = self._index
+        excess = self._node_count - target_nodes
+        if excess <= 0:
             return 0
 
         heap = self._leaf_heap
         if (
             heap is None
             or attr != self._heap_attr
-            or len(heap) > 4 * len(nodes) + 1024
+            or len(heap) > 4 * self._node_count + 1024
         ):
             # first pass, metric switch, or too much accumulated
             # staleness: (re)build from the live leaves
             heap = [
                 (getattr(node, attr), node.depth, node.values)
-                for node in nodes.values()
-                if node.depth > 0 and not node.children
+                for level in index[1:]
+                for node in level.values()
+                if not node.nchildren
             ]
             heapq.heapify(heap)
             self._leaf_heap = heap
@@ -541,7 +558,7 @@ class Flowtree:
         elif self._heap_pending:
             # nodes born since the last pass enter at current popularity
             for node in self._heap_pending:
-                if not node.children:
+                if not node.nchildren:
                     heapq.heappush(
                         heap, (getattr(node, attr), node.depth, node.values)
                     )
@@ -550,11 +567,11 @@ class Flowtree:
         heappop = heapq.heappop
         heappush = heapq.heappush
         removed = 0
-        while len(nodes) > target_nodes and heap:
+        while removed < excess and heap:
             value, depth, values = heappop(heap)
-            node_id = (depth, values)
-            node = nodes.get(node_id)
-            if node is None or node.children:
+            level = index[depth]
+            node = level.get(values)
+            if node is None or node.nchildren:
                 continue
             current = getattr(node, attr)
             if current != value:
@@ -564,13 +581,14 @@ class Flowtree:
             parent.folded_packets += node.own_packets + node.folded_packets
             parent.folded_bytes += node.own_bytes + node.folded_bytes
             parent.folded_flows += node.own_flows + node.folded_flows
-            del parent.children[values]
-            del nodes[node_id]
+            del level[values]
             removed += 1
-            if parent.depth > 0 and not parent.children:
+            parent.nchildren -= 1
+            if parent.depth > 0 and not parent.nchildren:
                 heappush(
                     heap, (getattr(parent, attr), parent.depth, parent.values)
                 )
+        self._node_count -= removed
         return removed
 
     # ------------------------------------------------------------------
@@ -584,66 +602,35 @@ class Flowtree:
             )
 
     def _absorb(self, other: "Flowtree", sign: int) -> None:
-        """Fold ``other`` in with a top-down walk over paired nodes.
+        """Fold ``other`` in, depth by depth, pairing nodes by values.
 
         Because both trees share one canonical chain, a node of
         ``other`` maps onto the node of ``self`` with the same (depth,
         values) — no re-projection is needed, and each pair's subtree
         totals transfer wholesale in one visit (every descendant of
-        theirs lands under the paired node of ours).
-
-        A pair whose node of ours was created by this walk is *fresh*:
-        its counters are zero and nothing below it exists yet, so the
-        counters are assigned and the children created without a
-        lookup.
+        theirs lands under the paired node of ours).  Depths run
+        shallowest first, so a node of theirs that ours lacks finds its
+        parent already paired one dict above.
         """
         new_node = self._new_node
-        stack = [(self._root, other._root, False)]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            mine, theirs, fresh = pop()
-            if fresh:
-                mine.own_packets = sign * theirs.own_packets
-                mine.own_bytes = sign * theirs.own_bytes
-                mine.own_flows = sign * theirs.own_flows
-                mine.folded_packets = sign * theirs.folded_packets
-                mine.folded_bytes = sign * theirs.folded_bytes
-                mine.folded_flows = sign * theirs.folded_flows
-                mine.subtree_packets = sign * theirs.subtree_packets
-                mine.subtree_bytes = sign * theirs.subtree_bytes
-                mine.subtree_flows = sign * theirs.subtree_flows
-                for values, their_child in theirs.children.items():
-                    push(
-                        (
-                            new_node(their_child.depth, values, mine),
-                            their_child,
-                            True,
-                        )
-                    )
-                continue
-            mine.own_packets += sign * theirs.own_packets
-            mine.own_bytes += sign * theirs.own_bytes
-            mine.own_flows += sign * theirs.own_flows
-            mine.folded_packets += sign * theirs.folded_packets
-            mine.folded_bytes += sign * theirs.folded_bytes
-            mine.folded_flows += sign * theirs.folded_flows
-            mine.subtree_packets += sign * theirs.subtree_packets
-            mine.subtree_bytes += sign * theirs.subtree_bytes
-            mine.subtree_flows += sign * theirs.subtree_flows
-            children = mine.children
-            for values, their_child in theirs.children.items():
-                my_child = children.get(values)
-                if my_child is None:
-                    push(
-                        (
-                            new_node(their_child.depth, values, mine),
-                            their_child,
-                            True,
-                        )
-                    )
-                else:
-                    push((my_child, their_child, False))
+        above: Dict[Tuple[int, ...], FlowtreeNode] = {}
+        for depth, (ours, theirs_at) in enumerate(
+            zip(self._index, other._index)
+        ):
+            for values, theirs in theirs_at.items():
+                mine = ours.get(values)
+                if mine is None:
+                    mine = new_node(depth, values, above[theirs.parent.values])
+                mine.own_packets += sign * theirs.own_packets
+                mine.own_bytes += sign * theirs.own_bytes
+                mine.own_flows += sign * theirs.own_flows
+                mine.folded_packets += sign * theirs.folded_packets
+                mine.folded_bytes += sign * theirs.folded_bytes
+                mine.folded_flows += sign * theirs.folded_flows
+                mine.subtree_packets += sign * theirs.subtree_packets
+                mine.subtree_bytes += sign * theirs.subtree_bytes
+                mine.subtree_flows += sign * theirs.subtree_flows
+            above = ours
 
     def merge(self, other: "Flowtree") -> None:
         """Fold ``other`` into this tree in place (Table II: Merge).
@@ -707,13 +694,11 @@ class Flowtree:
             )
         node_depth = self.policy.depth_of(key.levels)
         if node_depth is not None:
-            node = self._nodes.get((node_depth, key.values))
+            node = self._index[node_depth].get(key.values)
             return node.subtree if node is not None else Score.zero()
         depth = self.policy.shallowest_covering_depth(key.levels)
         packets = nbytes = flows = 0
-        for node in self._nodes.values():
-            if node.depth != depth:
-                continue
+        for node in self._index[depth].values():
             if key.contains(self.key_of(node)):
                 packets += node.subtree_packets
                 nbytes += node.subtree_bytes
@@ -750,30 +735,36 @@ class Flowtree:
                 f"query_with_bound needs an on-chain key, got levels "
                 f"{key.levels}"
             )
-        node = self._nodes.get((depth, key.values))
+        node = self._index[depth].get(key.values)
         lower = node.subtree if node is not None else Score.zero()
         ancestor_fold = self._root.folded
         for d in range(1, depth):
             projected = self._projectors[d](key.values)
-            candidate = self._nodes.get((d, projected))
+            candidate = self._index[d].get(projected)
             if candidate is None:
                 break
             ancestor_fold = ancestor_fold + candidate.folded
         return lower, lower + ancestor_fold
 
     def drilldown(self, key: FlowKey) -> List[Tuple[FlowKey, Score]]:
-        """Children of a flow with their scores (Table II: Drilldown)."""
+        """Child flows of a flow with their scores (Table II: Drilldown)."""
         node = self.find(key)
-        if node is None:
+        if node is None or not node.nchildren:
             return []
-        children = [
+        below = [
             (self.key_of(child), child.subtree)
-            for child in node.children.values()
+            for child in self._index[node.depth + 1].values()
+            if child.parent is node
         ]
-        children.sort(
+        below.sort(
             key=lambda pair: (-pair[1].metric(self.metric), pair[0].values)
         )
-        return children
+        return below
+
+    def _level(self, depth: int) -> Dict[Tuple[int, ...], FlowtreeNode]:
+        """The nodes at a caller-supplied depth; none off the chain's
+        ``0..policy.depth`` (never a wrapped index or a lookup error)."""
+        return self._index[depth] if 0 <= depth <= self.policy.depth else {}
 
     def top_k(
         self,
@@ -791,9 +782,7 @@ class Flowtree:
             return []
         depth = self.policy.depth if depth is None else depth
         attr = _subtree_attr(metric or self.metric)
-        candidates = [
-            node for node in self._nodes.values() if node.depth == depth
-        ]
+        candidates = list(self._level(depth).values())
         candidates.sort(key=lambda n: (-getattr(n, attr), n.values))
         return [(self.key_of(node), node.subtree) for node in candidates[:k]]
 
@@ -807,10 +796,9 @@ class Flowtree:
         """All flows with popularity above ``x`` (Table II: Above-x)."""
         attr = _subtree_attr(metric or self.metric)
         results = []
-        for node in self._nodes.values():
+        nodes = self.nodes() if depth is None else self._level(depth).values()
+        for node in nodes:
             if node.depth == 0 and not include_root:
-                continue
-            if depth is not None and node.depth != depth:
                 continue
             if getattr(node, attr) > x:
                 results.append((node.values, getattr(node, attr), node))
@@ -845,9 +833,7 @@ class Flowtree:
         depth = self.policy.shallowest_covering_depth(wanted)
         groups: Dict[Tuple[int, ...], Score] = {}
         metric_name = metric or self.metric
-        for node in self._nodes.values():
-            if node.depth != depth:
-                continue
+        for node in self._index[depth].values():
             if within is not None and not within.contains(self.key_of(node)):
                 continue
             group_values = [0] * len(self.schema)
@@ -880,14 +866,14 @@ class Flowtree:
         """
         metric_name = metric or self.metric
         attr = _subtree_attr(metric_name)
-        discounted: Dict[NodeId, int] = {}
+        #: per node, the mass HHHs below it already account for
+        discounted: Dict[FlowtreeNode, int] = {}
         results: List[HHHResult] = []
-        for node in sorted(
-            self._nodes.values(), key=lambda n: (-n.depth, n.values)
-        ):
-            discount = discounted.pop(node.node_id, 0)
+        # deepest first; order inside a depth is immaterial (a discount
+        # only ever moves one depth up, and the final sort is total there)
+        for node in reversed(list(self.nodes())):
+            discount = discounted.pop(node, 0)
             residual_value = getattr(node, attr) - discount
-            parent_id = node.parent.node_id if node.depth > 0 else None
             if residual_value >= threshold:
                 residual = Score(
                     **{
@@ -899,8 +885,9 @@ class Flowtree:
                     HHHResult(self.key_of(node), node.subtree, residual)
                 )
                 discount += residual_value
-            if parent_id is not None and discount:
-                discounted[parent_id] = discounted.get(parent_id, 0) + discount
+            parent = node.parent
+            if parent is not None and discount:
+                discounted[parent] = discounted.get(parent, 0) + discount
         results.sort(
             key=lambda r: (-r.residual.metric(metric_name), r.key.values)
         )
@@ -923,16 +910,21 @@ class Flowtree:
             self.policy, node_budget=None, compress_ratio=1.0,
             metric=self.metric,
         )
-        anchor = self._nodes.get((depth, key.values))
-        if anchor is None:
-            return result
-        frontier = [anchor]
-        while frontier:
-            node = frontier.pop()
-            contribution = node.own + node.folded
-            if not contribution.is_zero():
-                result.add(self.key_of(node), contribution)
-            frontier.extend(node.children.values())
+        anchor = self._index[depth].get(key.values)
+        members = [] if anchor is None else [anchor]
+        deeper = iter(self._index[depth + 1 :])
+        while members:
+            for node in members:
+                contribution = node.own + node.folded
+                if not contribution.is_zero():
+                    result.add(self.key_of(node), contribution)
+            # one depth down: whoever hangs under a node just copied
+            parents = set(members)
+            members = [
+                node
+                for node in next(deeper, {}).values()
+                if node.parent in parents
+            ]
         return result
 
     # ------------------------------------------------------------------
@@ -982,9 +974,8 @@ class Flowtree:
                         node.folded_flows,
                     ],
                 }
-                for node in sorted(
-                    self._nodes.values(), key=lambda n: (n.depth, n.values)
-                )
+                for level in self._index
+                for node in sorted(level.values(), key=lambda n: n.values)
             ],
         }
 
@@ -1025,43 +1016,40 @@ class Flowtree:
             compress_ratio=payload["compress_ratio"],
             metric=payload["metric"],
         )
-        nodes = tree._nodes
+        index = tree._index
         projectors = tree._projectors
         max_depth = policy.depth
         created: List[FlowtreeNode] = []
-        # parents before children: every node links under an entry
-        # already placed, so the payload is checked to be a tree while
-        # it is rebuilt
+        # parents first: every node links under an entry already placed,
+        # so the payload is checked to be a tree while it is rebuilt
         for entry in sorted(payload["nodes"], key=lambda e: e["depth"]):
             depth = entry["depth"]
             values = tuple(entry["values"])
-            node_id = (depth, values)
             if depth == 0:
                 # depth-sorted: anything placed before this is the root
                 if values != tree._root.values or created:
                     raise MalformedSummaryError(
-                        f"payload node {node_id} at depth 0 is not the "
-                        f"root, or is the root twice"
+                        f"payload node {(depth, values)} at depth 0 is not "
+                        f"the root, or is the root twice"
                     )
                 node = tree._root
             else:
-                if node_id in nodes:
+                if not 0 < depth <= max_depth:
                     raise MalformedSummaryError(
-                        f"payload holds node {node_id} twice"
+                        f"payload node {(depth, values)} lies outside the "
+                        f"policy's depths 0..{max_depth}"
                     )
-                parent = (
-                    nodes.get((depth - 1, projectors[depth - 1](values)))
-                    if 0 < depth <= max_depth
-                    else None
-                )
+                if values in index[depth]:
+                    raise MalformedSummaryError(
+                        f"payload holds node {(depth, values)} twice"
+                    )
+                parent = index[depth - 1].get(projectors[depth - 1](values))
                 if parent is None:
                     raise MalformedSummaryError(
-                        f"payload node {node_id} has no parent in the "
-                        f"payload"
+                        f"payload node {(depth, values)} has no parent in "
+                        f"the payload"
                     )
-                node = FlowtreeNode(depth, values, parent)
-                nodes[node_id] = node
-                parent.children[values] = node
+                node = tree._new_node(depth, values, parent)
             (
                 node.own_packets,
                 node.own_bytes,
@@ -1076,7 +1064,7 @@ class Flowtree:
             node.subtree_bytes = node.own_bytes + node.folded_bytes
             node.subtree_flows = node.own_flows + node.folded_flows
             created.append(node)
-        # children sit after their parents, so one reverse sweep
+        # every node sits after its parent, so one reverse sweep
         # accumulates every subtree bottom-up
         for node in reversed(created):
             parent = node.parent

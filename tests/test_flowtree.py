@@ -1,5 +1,7 @@
 """Unit tests for the Flowtree data structure (Table II operators)."""
 
+import gc
+
 import pytest
 
 from repro.errors import (
@@ -9,7 +11,9 @@ from repro.errors import (
 )
 from repro.flows.flowkey import SRC_DST, GeneralizationPolicy
 from repro.flows.records import FlowRecord, PacketRecord, Score
-from repro.flows.tree import Flowtree
+from repro.flows.tree import Flowtree, FlowtreeNode
+from repro.runtime.presets import network_4level_runtime
+from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 
 def make_tree(policy, budget=None):
@@ -411,6 +415,8 @@ class TestSerialization:
             lambda p: p["nodes"].append(
                 dict(p["nodes"][-1], depth=p["nodes"][-1]["depth"] + 1)
             ),
+            # a depth that would index the per-depth registry from its end
+            lambda p: p["nodes"][-1].update(depth=-1),
             # entries that are not node entries, a payload without
             # nodes, a budget that is not a count
             lambda p: p["nodes"][-1].pop("own"),
@@ -426,6 +432,7 @@ class TestSerialization:
         ],
         ids=[
             "orphan", "duplicate", "second-root", "stray-root", "too-deep",
+            "negative-depth",
             "no-own", "no-folded", "no-values", "short-values", "short-own",
             "non-numeric-counter", "no-nodes", "non-int-budget",
         ],
@@ -454,3 +461,66 @@ class TestSerialization:
         empty = tree.estimated_size_bytes()
         tree.ingest(random_flows(50))
         assert tree.estimated_size_bytes() > empty
+
+
+class TestOneRegistryNoCycles:
+    """What keeping a tree's nodes in one per-depth index buys, as counts.
+
+    Nodes point up (``parent``) and the index points at nodes; nothing
+    points down.  So a tree holds no reference cycle, and a node is the
+    only collector-tracked object it costs.
+    """
+
+    @staticmethod
+    def _tracked(kind) -> int:
+        # slotted nodes take no weakref, so count them where the
+        # collector sees them
+        return sum(type(obj) is kind for obj in gc.get_objects())
+
+    def test_dropped_trees_are_freed_by_reference_count(
+        self, policy, random_flows
+    ):
+        gc.collect()
+        gc.disable()
+        try:
+            baseline = self._tracked(FlowtreeNode)
+            first = make_tree(policy, budget=300)
+            first.ingest(random_flows(400, seed=1))
+            second = make_tree(policy, budget=300)
+            second.ingest(random_flows(400, seed=2))
+            assert first.compressions and second.compressions
+            first.merge(second)
+            delta = first.diff(second)
+            clone = first.copy()
+            assert self._tracked(FlowtreeNode) - baseline == (
+                first.node_count + second.node_count
+                + delta.node_count + clone.node_count
+            )
+            del first, second, delta, clone
+            # no collection has run: a cycle would still be holding nodes
+            assert self._tracked(FlowtreeNode) == baseline
+        finally:
+            gc.enable()
+
+    def test_a_node_is_the_only_tracked_object_it_costs(self):
+        sites = [f"region{r}/router{t}" for r in (1, 2) for t in (1, 2)]
+        generator = TrafficGenerator(
+            TrafficConfig(sites=tuple(sites), flows_per_epoch=500), seed=7
+        )
+        gc.collect()
+        nodes_before = self._tracked(FlowtreeNode)
+        dicts_before = self._tracked(dict)
+        runtime = network_4level_runtime(1, 2, 2, retain_partitions=True)
+        for epoch in range(2):
+            for site in sites:
+                runtime.ingest(
+                    f"network1/{site}", generator.epoch(site, epoch)
+                )
+            runtime.close_epoch((epoch + 1) * 60.0)
+        gc.collect()
+        nodes_gained = self._tracked(FlowtreeNode) - nodes_before
+        dicts_gained = self._tracked(dict) - dicts_before
+        assert nodes_gained > 10_000
+        # dicts grow with trees x depth, not with nodes: a child dict per
+        # node would read ~0.8 here
+        assert dicts_gained < 0.05 * nodes_gained, (dicts_gained, nodes_gained)

@@ -175,15 +175,49 @@ class ReferenceFlowtree:
 
 def assert_identical(fast: Flowtree, reference: ReferenceFlowtree) -> None:
     """Node-for-node, counter-for-counter equality."""
-    fast_ids = {node.node_id for node in fast.nodes()}
-    ref_ids = set(reference.nodes.keys())
-    assert fast_ids == ref_ids
-    for node_id in ref_ids:
-        ref_node = reference.nodes[node_id]
-        fast_node = fast._nodes[node_id]
+    fast_nodes = {node.node_id: node for node in fast.nodes()}
+    assert fast.node_count == len(fast_nodes)
+    assert set(fast_nodes) == set(reference.nodes)
+    for node_id, ref_node in reference.nodes.items():
+        fast_node = fast_nodes[node_id]
         assert fast_node.own == ref_node.own, node_id
         assert fast_node.folded == ref_node.folded, node_id
         assert fast_node.subtree == ref_node.subtree, node_id
+        assert fast_node.is_leaf() == (not ref_node.children), node_id
+
+
+def assert_child_readers_identical(
+    fast: Flowtree, reference: ReferenceFlowtree, pick: int
+) -> None:
+    """``drilldown`` and ``subtree`` against the reference's child map.
+
+    The fast tree keeps no child map — both readers select the next
+    depth's nodes by parent pointer — so they are checked against the
+    one the reference does keep: ``drilldown`` at every live node,
+    ``subtree`` at the ``pick``-th interior one.
+    """
+    for node in reference.nodes.values():
+        expected = [
+            (fast.key_of(child), child.subtree)
+            for child in node.children.values()
+        ]
+        expected.sort(
+            key=lambda pair: (-pair[1].metric(fast.metric), pair[0].values)
+        )
+        assert fast.drilldown(fast.key_of(node)) == expected, node.values
+    interior = [node for node in reference.nodes.values() if node.children]
+    if not interior:
+        return
+    anchor = interior[pick % len(interior)]
+    expected_tree = ReferenceFlowtree(POLICY)
+    frontier = [anchor]
+    while frontier:
+        node = frontier.pop()
+        contribution = node.own + node.folded
+        if not contribution.is_zero():
+            expected_tree.add(fast.key_of(node), contribution)
+        frontier.extend(node.children.values())
+    assert_identical(fast.subtree(fast.key_of(anchor)), expected_tree)
 
 
 # -- strategies ---------------------------------------------------------
@@ -218,8 +252,12 @@ operations = st.lists(
 
 class TestFastPathMatchesReference:
     @settings(max_examples=60, deadline=None)
-    @given(ops=operations, budget=st.sampled_from([None, 12, 24, 64]))
-    def test_interleaved_operations_identical(self, ops, budget):
+    @given(
+        ops=operations,
+        budget=st.sampled_from([None, 12, 24, 64]),
+        pick=st.integers(min_value=0, max_value=1 << 16),
+    )
+    def test_interleaved_operations_identical(self, ops, budget, pick):
         if budget is not None and budget < POLICY.depth + 1:
             budget = POLICY.depth + 1
         fast = Flowtree(POLICY, node_budget=budget, metric="bytes")
@@ -245,6 +283,15 @@ class TestFastPathMatchesReference:
                 fast.compress(target_nodes=target)
                 reference.compress(target)
             assert_identical(fast, reference)
+        assert_child_readers_identical(fast, reference, pick)
+        # and on a diff, whose nodes two absorbs of either sign created
+        lone_fast = Flowtree(POLICY, node_budget=None)
+        lone_ref = ReferenceFlowtree(POLICY)
+        lone_fast.add(key_of(7, 7), Score(1, 1, 1))
+        lone_ref.add(key_of(7, 7), Score(1, 1, 1))
+        assert_child_readers_identical(
+            fast.diff(lone_fast), reference.diff(lone_ref), pick
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(batches=st.lists(st.lists(inserts, max_size=40), max_size=5))

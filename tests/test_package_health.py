@@ -73,6 +73,25 @@ def test_benchmark_gate_table_resolves():
         assert check_regression.check(bench, mine, mine) == []
 
 
+def test_flowtree_keeps_one_node_registry():
+    """A tree's nodes live in ``Flowtree._index`` and nowhere else.  A
+    flat ``_nodes`` dict or a per-node child map coming back — through
+    the columnar planner or a new reader — is a second registry to keep
+    in step, and the child map is a reference cycle per node.  (The
+    hierarchy's own ``node.children`` in ``elastic/`` and ``hierarchy/``
+    is a different thing.)"""
+    import pathlib
+    import re
+
+    src = pathlib.Path(__file__).parent.parent / "src"
+    flows = src / "repro" / "flows"
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        assert "._nodes" not in text, path
+        if flows in path.parents:
+            assert not re.search(r"\bchildren\b", text), path
+
+
 def test_version_matches_pyproject():
     import pathlib
     import re

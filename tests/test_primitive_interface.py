@@ -210,6 +210,27 @@ class TestFlowtreePrimitive:
         ) == Score(2, 200, 1)
         assert primitive.query(QueryRequest("total", {})).flows == 1
 
+    @pytest.mark.parametrize("operator", ["top_k", "above_x"])
+    @pytest.mark.parametrize("which", ["negative", "past-the-chain"])
+    def test_depth_off_the_chain_answers_empty(
+        self, policy, make_key, operator, which
+    ):
+        """``depth`` arrives unvalidated in ``QueryRequest.params``: one
+        outside ``0..policy.depth`` selects no node — never the deepest
+        level through a wrapped index, never a bare ``IndexError``."""
+        primitive = FlowtreePrimitive(LOC_A, policy)
+        record = FlowRecord(
+            key=make_key(), packets=2, bytes=200, first_seen=0.0,
+            last_seen=1.0,
+        )
+        primitive.ingest(record, record.first_seen)
+        depth = -1 if which == "negative" else policy.depth + 1
+        params = {"k": 5, "x": 0, "depth": depth}
+        assert primitive.query(QueryRequest(operator, params)) == []
+        # the same request at a depth on the chain does answer
+        params["depth"] = policy.depth
+        assert len(primitive.query(QueryRequest(operator, params))) == 1
+
     def test_rejects_foreign_items(self, policy):
         primitive = FlowtreePrimitive(LOC_A, policy)
         with pytest.raises(SchemaMismatchError):
