@@ -1,11 +1,8 @@
-"""Ingest scaling: the columnar small-batch crossover and the worker pool.
+"""Ingest scaling: the worker pool against the one serial walk.
 
-The only measurement of ``--workers`` in the repo, and of the constant
-that routes small batches away from the columnar planner.  Needs numpy
-(``measure`` returns ``None`` without it: there is no planner path and
-the pool ships raw records).  Three groups of rows:
+The only measurement of ``--workers`` in the repo.  Two groups of rows:
 
-* ``serial`` — scalar ``Flowtree.ingest`` vs ``ingest_columnar`` over a
+* ``serial`` — ``Flowtree.ingest`` (one ``add_many`` walk) over a
   heavy-hitter *re-export* trace (a fixed population of flows exported
   over and over, so the tree reaches steady state and per-record cost
   is updates, not node births);
@@ -13,18 +10,15 @@ the pool ships raw records).  Three groups of rows:
   ingesting the full trace (weak scaling — in the paper's model each
   site exports its own stream and workers scale with sites).
   ``speedup_vs_scalar`` is in CPU terms: per-worker records per
-  busy-CPU-second, summed, over the serial scalar rate — what N cores
+  busy-CPU-second, summed, over the serial rate — what N cores
   sustain on N streams, the same on a time-sliced CI host as on a
-  multi-core one (wall-clock rate rides along as ``info``);
-* ``batch=N`` — the *planner* path forced at batch sizes straddling
-  ``SCALAR_FALLBACK_RECORDS`` against the scalar walk the router would
-  pick: at or below the threshold the fallback must not lose, so a
-  planner-overhead change that moves the crossover shows up here
-  instead of silently mis-routing small batches.
+  multi-core one (wall-clock rate rides along as ``info``).  A worker's
+  busy time covers rebuilding keys and scores from the pickled record
+  tuples as well as the walk itself.
 
-Every arm's tree is compared with the serial scalar tree
-(``diverged`` rows, gated at 0); the tier-1 owners of that identity are
-``tests/test_parallel_ingest.py`` and ``tests/test_columnar.py``.
+Every pool shard is compared with the serial tree (``diverged`` rows,
+gated at 0); the tier-1 owner of that identity is
+``tests/test_parallel_ingest.py``.
 """
 
 from __future__ import annotations
@@ -34,13 +28,6 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from benchmarks.conftest import rows
-from repro.flows import columnar
-from repro.flows.columnar import (
-    HAVE_NUMPY,
-    SCALAR_FALLBACK_RECORDS,
-    ColumnarBatch,
-    ingest_batch,
-)
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
 from repro.flows.records import FlowRecord
 from repro.flows.tree import Flowtree
@@ -53,15 +40,13 @@ from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 SIZES = (
     {"records": 20_000, "unique_flows": 2_000, "worker_counts": (1, 2),
-     "rounds": 2, "batch_sizes": (64, 256, 1024), "batch_trace": 8_000},
+     "rounds": 2},
     {"records": 100_000, "unique_flows": 10_000,
-     "worker_counts": (1, 2, 4), "rounds": 5,
-     "batch_sizes": (64, 128, 256, 1024, 4096), "batch_trace": 40_000},
+     "worker_counts": (1, 2, 4), "rounds": 5},
 )
 TRACE_SEED = 2019
 TRACE_SITE = "bench/router1"
 RESAMPLE_SEED = 7
-BATCH_NODE_BUDGET = 4096
 POOL_NODE_BUDGET = 65_536
 
 
@@ -86,82 +71,17 @@ def _state(tree: Flowtree):
     return tree.to_dict(), tree.compressions
 
 
-def _ingest_batch_planner(tree: Flowtree, batch: ColumnarBatch) -> int:
-    """``ingest_batch`` with the small-batch fallback disabled."""
-    saved = columnar.SCALAR_FALLBACK_RECORDS
-    columnar.SCALAR_FALLBACK_RECORDS = 0
-    try:
-        return ingest_batch(tree, batch)
-    finally:
-        columnar.SCALAR_FALLBACK_RECORDS = saved
-
-
-def small_batch_rows(sizes: Sequence[int], trace_records: int) -> list:
-    """Planner vs scalar walk per batch size: ``(case, metric, unit, n,
-    value)`` rows, ``n`` the records each arm ingested."""
-    policy = GeneralizationPolicy.default_for(FIVE_TUPLE)
-    records = make_trace(trace_records)
-    produced = []
-    for size in sizes:
-        count = max(4, min(50, len(records) // size))
-        batches = [
-            ColumnarBatch.encode(
-                records[i * size : (i + 1) * size], FIVE_TUPLE
-            )
-            for i in range(count)
-        ]
-        planner_tree = Flowtree(policy, node_budget=BATCH_NODE_BUDGET)
-        started = time.perf_counter()
-        for batch in batches:
-            _ingest_batch_planner(planner_tree, batch)
-        planner_seconds = time.perf_counter() - started
-        scalar_tree = Flowtree(policy, node_budget=BATCH_NODE_BUDGET)
-        started = time.perf_counter()
-        for batch in batches:
-            scalar_tree.add_many(
-                (record.key, record.score())
-                for record in batch.decode(FIVE_TUPLE)
-            )
-        scalar_seconds = time.perf_counter() - started
-        metric = (
-            "fallback_planner_over_scalar"
-            if size <= SCALAR_FALLBACK_RECORDS
-            else "planner_over_scalar"
-        )
-        produced += rows(f"batch={size}", count * size, (
-            ("diverged", "trees",
-             int(_state(planner_tree) != _state(scalar_tree))),
-            (metric, "x", round(planner_seconds / scalar_seconds, 2)),
-            ("planner_ms_per_batch", "ms",
-             round(planner_seconds / count * 1000, 3)),
-            ("scalar_ms_per_batch", "ms",
-             round(scalar_seconds / count * 1000, 3)),
-        ))
-    return produced
-
-
-def _best_serial_arms(
+def _best_serial(
     records: List[FlowRecord], policy: GeneralizationPolicy, rounds: int
-) -> Tuple[Flowtree, float, float, int]:
-    """Best-of-``rounds`` scalar and columnar ingest, arms alternating
-    within each round so neither systematically sees a warmer cache;
-    also counts columnar trees that differ from the scalar one."""
-    batch = ColumnarBatch.encode(records, policy.schema)
-    scalar_tree: Optional[Flowtree] = None
-    scalar_best = columnar_best = float("inf")
-    diverged = 0
+) -> Tuple[Flowtree, float]:
+    """Best-of-``rounds`` serial ingest: the last tree and the best time."""
+    best = float("inf")
     for _ in range(rounds):
-        scalar_tree = Flowtree(policy, node_budget=POOL_NODE_BUDGET)
-        started = time.perf_counter()
-        scalar_tree.ingest(records)
-        scalar_best = min(scalar_best, time.perf_counter() - started)
-
         tree = Flowtree(policy, node_budget=POOL_NODE_BUDGET)
         started = time.perf_counter()
-        tree.ingest_columnar(batch)
-        columnar_best = min(columnar_best, time.perf_counter() - started)
-        diverged += _state(tree) != _state(scalar_tree)
-    return scalar_tree, scalar_best, columnar_best, diverged
+        tree.ingest(records)
+        best = min(best, time.perf_counter() - started)
+    return tree, best
 
 
 def _run_pool_arm(
@@ -210,18 +130,12 @@ def pool_rows(
     """Cores-vs-throughput curve for the sharded ingest pool."""
     policy = GeneralizationPolicy.default_for(FIVE_TUPLE)
     records = make_reexport_trace(records_count, unique_flows)
-    scalar_tree, scalar_seconds, columnar_seconds, diverged = (
-        _best_serial_arms(records, policy, rounds)
-    )
+    scalar_tree, scalar_seconds = _best_serial(records, policy, rounds)
     scalar_state = (*_state(scalar_tree), len(records))
     scalar_rate = len(records) / scalar_seconds
-    columnar_rate = len(records) / columnar_seconds
     produced = rows("serial", len(records), (
-        ("diverged", "trees", diverged),
         ("compressions", "count", scalar_tree.compressions),
-        ("columnar_speedup", "x", round(columnar_rate / scalar_rate, 2)),
         ("scalar_records_per_s", "rec/s", round(scalar_rate, 1)),
-        ("columnar_records_per_s", "rec/s", round(columnar_rate, 1)),
     ))
     for workers in worker_counts:
         summaries, capacity, wall = _run_pool_arm(
@@ -247,16 +161,11 @@ def measure(
     unique_flows: int,
     worker_counts: Sequence[int],
     rounds: int,
-    batch_sizes: Sequence[int],
-    batch_trace: int,
-) -> Optional[list]:
-    if not HAVE_NUMPY:
-        return None
+) -> list:
     size = f"{records // 1000}k"
     return [
         (f"{size}/{case}", *rest)
-        for case, *rest in (
-            pool_rows(records, unique_flows, worker_counts, rounds)
-            + small_batch_rows(batch_sizes, batch_trace)
+        for case, *rest in pool_rows(
+            records, unique_flows, worker_counts, rounds
         )
     ]

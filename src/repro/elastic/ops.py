@@ -48,21 +48,6 @@ def _node_by_label(runtime: "HierarchyRuntime", label: str) -> HierarchyNode:
     return hierarchy.node(Location(f"{root.path}/{label}"))
 
 
-def _drain_pool(runtime: "HierarchyRuntime") -> None:
-    """Fold any live ingest-pool shards into the edge aggregators.
-
-    Reconfiguration changes the site set (or site labels), so the pool
-    forked under the previous generation cannot keep running; draining
-    first means mid-epoch parallel mass lands in the aggregators before
-    the reshape and nothing is lost.
-    """
-    pool = runtime._pool
-    if pool is not None:
-        runtime._install_shards(pool.flush())
-        pool.shutdown()
-        runtime._pool = None
-
-
 def _finish(runtime: "HierarchyRuntime", op: str) -> int:
     """The shared epilogue every reconfiguration op runs."""
     runtime.fabric.resync()
@@ -291,7 +276,7 @@ def site_join(
                     f"cannot derive a level for {site!r}; pass level="
                 )
             spec = peers[0].level
-    _drain_pool(runtime)
+    runtime._drain_pool()
     node = runtime.model.hierarchy.add_site(parent_node.location, name, spec)
     config = runtime.model.config_for(spec.name)
     if config is not None:
@@ -316,7 +301,7 @@ def site_leave(
     node = _node_by_label(runtime, site)
     if node.parent is None:
         raise PlacementError("the hierarchy root cannot leave")
-    _drain_pool(runtime)
+    runtime._drain_pool()
     subtree = frozenset(member.location.path for member in node.walk())
     departing = sorted(
         (
@@ -355,7 +340,7 @@ def level_split(
         raise PlacementError("level_split needs at least one group")
     if any(spec.name == new_level for spec in runtime.model.hierarchy.levels()):
         raise PlacementError(f"level {new_level!r} already exists")
-    _drain_pool(runtime)
+    runtime._drain_pool()
     spec = LevelSpec(new_level, deadline)
     created: List[HierarchyNode] = []
     hierarchy = runtime.model.hierarchy
@@ -422,7 +407,7 @@ def level_merge(
                     f"{child.location.parts[-1]!r} under "
                     f"{member.parent.location.path!r}"
                 )
-    _drain_pool(runtime)
+    runtime._drain_pool()
     exclude = frozenset(member.location.path for member in dissolving)
     moved = 0
     # migrate every dissolving store *before* any graft: targets must
@@ -477,7 +462,7 @@ def migrate_store(
             f"{parent_node.location.path!r} already has a child "
             f"named {name!r}"
         )
-    _drain_pool(runtime)
+    runtime._drain_pool()
     hierarchy = runtime.model.hierarchy
     detached = hierarchy.remove(node.location)
     renames = hierarchy.graft(detached, parent_node.location)

@@ -12,18 +12,10 @@ This package implements the flow model of Section VI of the paper:
   as produced by routers or the traffic simulator.
 * **Flowtree** (:mod:`repro.flows.tree`) — the self-adjusting tree of
   generalized flows with the eight operators of Table II (Merge, Compress,
-  Diff, Query, Drilldown, Top-k, Above-x, HHH).
-* **Columnar batches** (:mod:`repro.flows.columnar`) — flow records as
-  flat numpy columns plus a vectorized, bit-identical Flowtree ingest;
-  the shared-memory currency of process-parallel ingest
-  (:mod:`repro.parallel`).
+  Diff, Query, Drilldown, Top-k, Above-x, HHH), with one ingest walk,
+  :meth:`~repro.flows.tree.Flowtree.add_many`, that serial ingest and
+  every process-parallel worker (:mod:`repro.parallel`) run.
 """
-
-from repro.flows.columnar import (
-    HAVE_NUMPY,
-    ColumnarBatch,
-    ColumnarEncodeError,
-)
 
 from repro.flows.features import (
     Feature,
@@ -63,7 +55,4 @@ __all__ = [
     "Flowtree",
     "FlowtreeNode",
     "HHHResult",
-    "ColumnarBatch",
-    "ColumnarEncodeError",
-    "HAVE_NUMPY",
 ]

@@ -321,30 +321,6 @@ class GeneralizationPolicy:
 
         return project
 
-    def bitmask_rows(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """Per-depth bit masks, when every feature uses stock masking.
-
-        Row ``d`` holds one integer mask per feature such that
-        ``value & mask`` equals the feature masked to depth ``d``'s
-        level — the same table :meth:`_build_projector` compiles into
-        its fast-path closures, exposed flat so a columnar consumer can
-        apply a whole depth with one vectorized AND.  Returns ``None``
-        when any feature overrides :meth:`~repro.flows.features.Feature.mask`
-        (custom semantics must go through the closures).
-        """
-        features = self.schema.features
-        if not all(type(f).mask is Feature.mask for f in features):
-            return None
-        return tuple(
-            tuple(
-                0
-                if level == 0
-                else (((1 << level) - 1) << (feature.bits - level))
-                for feature, level in zip(features, vector)
-            )
-            for vector in self.level_vectors
-        )
-
     @property
     def depth(self) -> int:
         """The depth of fully-specific keys (root is depth 0)."""

@@ -366,30 +366,11 @@ class Flowtree:
         """
         return self.add_many((record.key, record.score()) for record in records)
 
-    def ingest_columnar(self, batch, finalize: bool = True) -> int:
-        """Ingest a :class:`~repro.flows.columnar.ColumnarBatch`.
-
-        Bit-identical to :meth:`ingest` over the decoded records — same
-        nodes and compression passes — but the per-depth
-        projector walk runs vectorized over the batch's columns (see
-        :func:`repro.flows.columnar.ingest_batch`).  ``finalize=False``
-        defers the trailing budget-restoring compress, for callers
-        streaming several chunks of one logical batch.
-        """
-        from repro.flows.columnar import ingest_batch
-
-        return ingest_batch(self, batch, finalize=finalize)
-
-    def add_many(
-        self, items: Iterable[Tuple[FlowKey, Score]], finalize: bool = True
-    ) -> int:
+    def add_many(self, items: Iterable[Tuple[FlowKey, Score]]) -> int:
         """Batched :meth:`add` over ``(key, score)`` pairs.
 
         Same bounded-overshoot budget behavior as :meth:`ingest`.
-        Returns the number of pairs consumed.  ``finalize=False`` skips
-        only the final back-to-budget compress (the mid-batch overshoot
-        checks still run) so a caller splitting one logical batch across
-        several calls compresses exactly as a single call would.
+        Returns the number of pairs consumed.
         """
         budget = self.node_budget
         count = 0
@@ -422,8 +403,7 @@ class Flowtree:
                     target_nodes=int(budget * self.compress_ratio)
                 )
                 self._compressions += 1
-        if finalize:
-            self._maybe_self_compress()
+        self._maybe_self_compress()
         return count
 
     def _add_record(self, key: FlowKey, score: Score) -> None:

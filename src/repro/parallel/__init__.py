@@ -1,11 +1,12 @@
 """Process-parallel sharded ingest (the multi-core half of fast ingest).
 
-The vectorized columnar walk (:mod:`repro.flows.columnar`) removes the
-per-record python overhead; this package removes the single-core limit.
-A :class:`ShardedIngestPool` owns one OS process per shard of ingest
+This package removes the single-core limit of the one ingest walk,
+:meth:`~repro.flows.tree.Flowtree.add_many`.  A
+:class:`ShardedIngestPool` owns one OS process per shard of ingest
 sites — each worker holds its sites' Flowtrees *exclusively*, so there
-is no locking anywhere on the hot path — and feeds them columnar record
-batches through pickle-free shared-memory ring buffers.
+is no locking anywhere on the hot path — and feeds them each
+submission as one pickled batch of flat record tuples, on which the
+worker runs that same walk.
 
 Determinism is the contract: per site, workers apply exactly the batch
 boundaries the caller submitted, in submission order, so the resulting

@@ -11,22 +11,11 @@ class ParallelIngestConfig:
 
     ``workers`` is an upper bound — the pool never spawns more workers
     than it has sites, since a worker owns whole sites (that ownership
-    is what makes the trees lock-free).  ``slot_records`` bounds one
-    shared-memory slot; larger submissions are split into slot-sized
-    chunks that the worker treats as one logical batch (compression
-    checkpoints stay where serial ingest would put them).
+    is what makes the trees lock-free).
     """
 
     workers: int = 2
-    #: records per shared-memory slot (one slot carries one chunk); kept
-    #: large because the vectorized walk amortizes its per-chunk group
-    #: costs — on duplicate-heavy streams an 8k slot re-pays grouping
-    #: for nearly every flow per chunk and halves worker throughput.
-    #: Slots are sparse until written (~72 B/record when full).
-    slot_records: int = 65_536
-    #: slots per worker ring; submission blocks when all are in flight
-    slots_per_worker: int = 4
-    #: seconds to wait on a worker (slot acquire / flush reply) between
+    #: seconds to wait on a worker's flush reply between
     #: liveness checks; a dead worker is respawned and replayed
     poll_seconds: float = 0.5
     #: give up on an unresponsive-but-alive worker after this long
@@ -35,7 +24,3 @@ class ParallelIngestConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("parallel ingest needs at least 1 worker")
-        if self.slot_records < 1:
-            raise ValueError("slot_records must be positive")
-        if self.slots_per_worker < 1:
-            raise ValueError("slots_per_worker must be positive")

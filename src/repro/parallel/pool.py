@@ -1,33 +1,34 @@
-"""The sharded ingest pool: per-site worker processes + shm batches.
+"""The sharded ingest pool: per-site worker processes, one record form.
 
 Topology: the pool owns ``min(workers, sites)`` forked worker
 processes; each ingest site is assigned to exactly one worker
 (round-robin), and that worker holds the site's Flowtree *exclusively*
 — no locks, no shared mutable state, the paper's shard-per-core recipe.
 
-Transport: one :class:`multiprocessing.shared_memory.SharedMemory`
-block per worker, laid out as a small control region (int64 progress
-counters the worker owns and the parent samples for observability)
-followed by a ring of fixed-size slots.  A submission is encoded to a
-:class:`~repro.flows.columnar.ColumnarBatch` and packed into a free
-slot — no pickling on the hot path; only the tiny ``("batch", site,
-slot, n, final)`` descriptor crosses the command pipe.  Records that
-cannot be encoded columnar (packet records, exotic key types) fall
-back to a pickled ``("raw", …)`` message on the same pipe, so ordering
-is preserved either way.
+Transport: a submission is one pickled ``("batch", site, items)``
+message on the worker's command pipe.  ``items`` holds one flat tuple
+per record, ``(key.values, key.levels, packets, bytes, flows,
+timestamp)``; the worker rebuilds ``(FlowKey, Score)`` pairs and runs
+the one ingest walk, :meth:`~repro.flows.tree.Flowtree.add_many`.
+Every record is checked (record type, key schema, canonical levels)
+while its tuple is built, so a batch serial ingest would reject is
+rejected at :meth:`ShardedIngestPool.submit` — before anything is
+shipped or logged — and never reaches a worker.  The only shared
+memory is a 64-byte block per worker of progress counters the worker
+owns and the parent samples for :meth:`ShardedIngestPool.worker_stats`.
 
-Determinism: per site, the worker applies exactly the submitted chunk
-boundaries in submission order, using the ``finalize`` flag so a
-submission split across slots compresses exactly like one serial
-``add_many`` call.  ``flush()`` is the epoch barrier: it drains every
-worker, returns per-site shard summaries (``tree.to_dict()`` + epoch
-bookkeeping), and resets the shard trees for the next epoch.
+Determinism: per site, the worker applies exactly the submitted batch
+boundaries in submission order, each as one ``add_many`` call, so its
+tree compresses exactly like serial ingest.  ``flush()`` is the epoch
+barrier: it drains every worker, returns per-site shard summaries
+(``tree.to_dict()`` + epoch bookkeeping), and resets the shard trees
+for the next epoch.
 
 Fault handling: a worker that dies mid-epoch (e.g. an injected
 ``crash=`` fault from :class:`~repro.faults.plan.FaultPlan`) is
-respawned and the parent's per-epoch batch log is replayed to it in
-order, reproducing the lost shard state bit-for-bit; the crash point
-that already fired is retired so replay completes.
+respawned and the parent's per-epoch log of batch messages is resent
+to it in order, reproducing the lost shard state bit-for-bit; the
+crash point that already fired is retired so replay completes.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import SchemaMismatchError, TransferError
-from repro.flows.columnar import HAVE_NUMPY, ColumnarBatch, ColumnarEncodeError
-from repro.flows.flowkey import GeneralizationPolicy
-from repro.flows.records import FlowRecord, PacketRecord
+from repro.errors import GranularityError, SchemaMismatchError, TransferError
+from repro.flows.flowkey import FlowKey, GeneralizationPolicy
+from repro.flows.records import FlowRecord, PacketRecord, Score
 from repro.flows.tree import Flowtree
 from repro.parallel.config import ParallelIngestConfig
 
 #: exit code of an injected worker crash (distinguishes faults from bugs)
 CRASH_EXIT_CODE = 17
 
-#: int64 progress counters at the head of each worker's shm block
+#: int64 progress counters, the whole of each worker's shm block
 _CTRL = struct.Struct("<4q")  # batches_done, records_done, busy_ns, flushes
 _CTRL_BYTES = 64
 
@@ -135,51 +135,23 @@ class _SiteShard:
             ):
                 self.tree.compress(target_nodes=spec.node_budget)
 
-    def _observe(self, first: float, last: float, count: int) -> None:
+    def apply(self, items: Sequence[Tuple]) -> int:
+        """Ingest one submitted batch as one serial ``add_many`` call."""
+        stamps = [item[5] for item in items]
+        first, last = min(stamps), max(stamps)
         if self.opened_at is None:
-            self.opened_at = first
+            self.opened_at = stamps[0]
         if self.epoch_start is None or first < self.epoch_start:
             self.epoch_start = first
         if self.epoch_end is None or last > self.epoch_end:
             self.epoch_end = last
-        self.items += count
-
-    def apply_columnar(self, batch: ColumnarBatch, final: bool) -> int:
-        n = len(batch)
-        if n:
-            # serial ingest timestamps every record with first_seen, so
-            # both epoch bounds come from the first_seen column
-            self._observe(
-                float(batch.first_seen[0]),
-                float(batch.first_seen.max()),
-                n,
-            )
-            first_min = float(batch.first_seen.min())
-            if first_min < self.epoch_start:  # type: ignore[operator]
-                self.epoch_start = first_min
-            self.tree.ingest_columnar(batch, finalize=final)
-        return n
-
-    def apply_raw(self, timed_items: Sequence[Tuple[Any, float]], final: bool) -> int:
-        pairs = []
-        first = last = None
-        for item, timestamp in timed_items:
-            pairs.append((item.key, item.score()))
-            if first is None or timestamp < first:
-                first = timestamp
-            if last is None or timestamp > last:
-                last = timestamp
-        if not pairs:
-            return 0
-        if self.opened_at is None:
-            self.opened_at = timed_items[0][1]
-        if self.epoch_start is None or first < self.epoch_start:
-            self.epoch_start = first
-        if self.epoch_end is None or last > self.epoch_end:
-            self.epoch_end = last
-        self.items += len(pairs)
-        self.tree.add_many(pairs, finalize=final)
-        return len(pairs)
+        self.items += len(items)
+        schema = self.policy.schema
+        self.tree.add_many(
+            (FlowKey(schema, values, levels), Score(packets, nbytes, flows))
+            for values, levels, packets, nbytes, flows, _ in items
+        )
+        return len(items)
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -196,10 +168,8 @@ def _worker_main(
     cmd_recv,
     res_send,
     shm_name: str,
-    slot_bytes: int,
     policy: GeneralizationPolicy,
     specs: Dict[str, SiteShardSpec],
-    free_sem,
     base_epoch: int,
     crash_points: Dict[str, frozenset],
 ) -> None:
@@ -210,7 +180,6 @@ def _worker_main(
     # — the parent's unlink clears the single entry
     shm = SharedMemory(name=shm_name)
     buf = shm.buf
-    schema_name = policy.schema.name
     shards = {site: _SiteShard(policy, spec) for site, spec in specs.items()}
     epoch = base_epoch
     errors: List[str] = []
@@ -222,8 +191,8 @@ def _worker_main(
         while True:
             message = cmd_recv.recv()
             kind = message[0]
-            if kind == "batch" or kind == "raw":
-                site = message[1]
+            if kind == "batch":
+                _, site, items = message
                 shard = shards[site]
                 crashes = crash_points.get(site)
                 if crashes and (epoch, shard.batches) in crashes:
@@ -235,22 +204,9 @@ def _worker_main(
                 # a per-core capacity rather than a time-slicing artifact
                 started = time.process_time_ns()
                 try:
-                    if kind == "batch":
-                        _, _, slot, final = message
-                        offset = _CTRL_BYTES + slot * slot_bytes
-                        batch = ColumnarBatch.unpack_from(
-                            schema_name, buf[offset:offset + slot_bytes]
-                        )
-                        records_done += shard.apply_columnar(batch, final)
-                        del batch  # drop the shm views before release
-                        free_sem.release()
-                    else:
-                        _, _, timed_items, final = message
-                        records_done += shard.apply_raw(timed_items, final)
+                    records_done += shard.apply(items)
                 except Exception as exc:  # surface at flush, keep draining
                     errors.append(f"{site}: {exc!r}")
-                    if kind == "batch":
-                        free_sem.release()
                 busy_ns += time.process_time_ns() - started
                 batches_done += 1
                 _CTRL.pack_into(
@@ -288,7 +244,7 @@ def _worker_main(
 
 
 class _WorkerChannel:
-    """Parent-side handle on one worker: process, shm ring, pipes."""
+    """Parent-side handle on one worker: process, counters block, pipes."""
 
     def __init__(
         self,
@@ -297,29 +253,20 @@ class _WorkerChannel:
         sites: Tuple[str, ...],
         policy: GeneralizationPolicy,
         specs: Dict[str, SiteShardSpec],
-        config: ParallelIngestConfig,
-        slot_bytes: int,
         base_epoch: int,
         crash_points: Dict[str, frozenset],
     ) -> None:
         self.index = index
         self.sites = sites
-        self.slot_bytes = slot_bytes
-        self.slots = config.slots_per_worker
-        self.shm = SharedMemory(
-            create=True, size=_CTRL_BYTES + self.slots * slot_bytes
-        )
+        self.shm = SharedMemory(create=True, size=_CTRL_BYTES)
         self.shm.buf[:_CTRL_BYTES] = bytes(_CTRL_BYTES)
-        self.free_sem = ctx.Semaphore(self.slots)
         self.cmd_recv_end, self.cmd_send = ctx.Pipe(duplex=False)
         self.res_recv, self.res_send_end = ctx.Pipe(duplex=False)
-        self.next_slot = 0
         self.batches_submitted = 0
         self.records_submitted = 0
         self.restarts = 0
         self.replayed_batches = 0
-        #: current-epoch submissions, for crash replay: ("batch", site,
-        #: packed bytes, final) or ("raw", site, timed_items, final)
+        #: current-epoch ("batch", site, items) messages, for crash replay
         self.log: List[Tuple] = []
         self.process = ctx.Process(
             target=_worker_main,
@@ -327,10 +274,8 @@ class _WorkerChannel:
                 self.cmd_recv_end,
                 self.res_send_end,
                 self.shm.name,
-                slot_bytes,
                 policy,
                 {site: specs[site] for site in sites},
-                self.free_sem,
                 base_epoch,
                 {
                     site: crash_points[site]
@@ -341,6 +286,9 @@ class _WorkerChannel:
             daemon=True,
         )
         self.process.start()
+        # the worker holds the only read end now, so a send to a dead
+        # worker raises BrokenPipeError instead of blocking on a full pipe
+        self.cmd_recv_end.close()
 
     def ctrl(self) -> Tuple[int, int, int, int]:
         return _CTRL.unpack_from(self.shm.buf, 0)
@@ -364,7 +312,7 @@ class _WorkerChannel:
 
 
 class ShardedIngestPool:
-    """Per-site worker processes fed by shared-memory columnar batches.
+    """Per-site worker processes fed pickled record batches.
 
     ``sites`` maps each ingest-site label to its
     :class:`SiteShardSpec`; iteration order fixes the (deterministic)
@@ -405,9 +353,6 @@ class ShardedIngestPool:
         self._site_worker: Dict[str, int] = {
             site: w for w, names in enumerate(assignment) for site in names
         }
-        slot_bytes = ColumnarBatch.packed_nbytes(
-            self.config.slot_records, len(self.schema)
-        )
         self._ctx = get_context("fork")
         self._channels: List[_WorkerChannel] = [
             _WorkerChannel(
@@ -416,8 +361,6 @@ class ShardedIngestPool:
                 tuple(names),
                 policy,
                 self._specs,
-                self.config,
-                slot_bytes,
                 base_epoch,
                 self._crash_points,
             )
@@ -465,93 +408,56 @@ class ShardedIngestPool:
 
     # -- submission -------------------------------------------------------
 
-    def submit(self, site: str, records: Sequence[Any]) -> int:
+    def submit(self, site: str, records: Iterable[Any]) -> int:
         """Ship one ingest batch to the site's worker.
 
-        The batch is encoded columnar and split across slot-sized
-        chunks marked as one logical batch; records the columnar layout
-        cannot carry (packet records, generalized keys, out-of-range
-        counters) travel as one pickled raw message instead.  Returns
-        the record count.
+        Each record becomes one flat tuple ``(key.values, key.levels,
+        packets, bytes, flows, timestamp)`` and the batch travels as one
+        pickled message.  A record serial ingest would reject (not a
+        flow or packet record, a key of another schema, levels off the
+        canonical chain) raises here, before anything is shipped or
+        logged.  Returns the record count.
         """
         if self._closed:
             raise RuntimeError("pool is shut down")
         channel = self._channel_for(site)
-        records = list(records)
-        if not records:
-            return 0
-        if HAVE_NUMPY:
-            try:
-                batch = ColumnarBatch.encode(records, self.schema)
-            except ColumnarEncodeError:
-                batch = None
-        else:
-            batch = None
-        if batch is None:
-            for record in records:
-                if not isinstance(record, (FlowRecord, PacketRecord)):
-                    raise SchemaMismatchError(
-                        "parallel ingest cannot ship "
-                        f"{type(record).__name__} records"
-                    )
-            timed = [
-                (
-                    record,
-                    record.first_seen
-                    if isinstance(record, FlowRecord)
-                    else record.timestamp,
+        schema_name = self.schema.name
+        depth_of = self.policy.depth_of
+        items = []
+        for record in records:
+            if isinstance(record, FlowRecord):
+                packets, nbytes, flows = record.packets, record.bytes, 1
+                timestamp = record.first_seen
+            elif isinstance(record, PacketRecord):
+                score = record.score()
+                packets, nbytes, flows = score.packets, score.bytes, score.flows
+                timestamp = record.timestamp
+            else:
+                raise SchemaMismatchError(
+                    f"parallel ingest cannot ship {type(record).__name__} "
+                    "records"
                 )
-                for record in records
-            ]
-            self._send_logged(channel, ("raw", site, timed, True))
-            channel.records_submitted += len(records)
-            return len(records)
-        n = len(batch)
-        step = self.config.slot_records
-        lo = 0
-        while lo < n:
-            hi = min(n, lo + step)
-            chunk = ColumnarBatch(
-                batch.schema_name,
-                batch.values[lo:hi],
-                batch.packets[lo:hi],
-                batch.bytes[lo:hi],
-                batch.first_seen[lo:hi],
-                batch.last_seen[lo:hi],
+            key = record.key
+            if key.schema.name != schema_name:
+                raise SchemaMismatchError(
+                    f"key schema {key.schema.name!r} != pool schema "
+                    f"{schema_name!r}"
+                )
+            if depth_of(key.levels) is None:
+                raise GranularityError(
+                    f"key levels {key.levels} are not on the canonical chain"
+                )
+            items.append(
+                (key.values, key.levels, packets, nbytes, flows, timestamp)
             )
-            self._submit_chunk(channel, site, chunk, final=hi == n)
-            lo = hi
-        channel.records_submitted += n
-        return n
+        if not items:
+            return 0
+        self._send_logged(channel, ("batch", site, items))
+        channel.records_submitted += len(items)
+        return len(items)
 
-    def _submit_chunk(
-        self, channel: _WorkerChannel, site: str, chunk: ColumnarBatch, final: bool
-    ) -> None:
-        channel = self._acquire_slot(channel)
-        slot = channel.next_slot
-        channel.next_slot = (slot + 1) % channel.slots
-        offset = _CTRL_BYTES + slot * channel.slot_bytes
-        view = channel.shm.buf[offset:offset + channel.slot_bytes]
-        written = chunk.pack_into(view)
-        packed = bytes(view[:written])
-        del view
-        self._send_logged(
-            channel, ("batch", site, slot, final), replay=("batch", site, packed, final)
-        )
-
-    def _acquire_slot(self, channel: _WorkerChannel) -> _WorkerChannel:
-        """Block for a free slot; returns the live (possibly respawned)
-        channel, since a revive mid-wait replaces the channel object."""
-        while not channel.free_sem.acquire(timeout=self.config.poll_seconds):
-            if not channel.process.is_alive():
-                self._revive(channel)
-                channel = self._channels[channel.index]
-        return channel
-
-    def _send_logged(
-        self, channel: _WorkerChannel, message: Tuple, replay: Optional[Tuple] = None
-    ) -> None:
-        channel.log.append(replay if replay is not None else message)
+    def _send_logged(self, channel: _WorkerChannel, message: Tuple) -> None:
+        channel.log.append(message)
         channel.batches_submitted += 1
         try:
             channel.cmd_send.send(message)
@@ -646,8 +552,6 @@ class ShardedIngestPool:
             channel.sites,
             self.policy,
             self._specs,
-            self.config,
-            channel.slot_bytes,
             self._epoch,
             self._crash_points,
         )
@@ -655,24 +559,8 @@ class ShardedIngestPool:
         fresh.replayed_batches = replayed
         fresh.records_submitted = records_submitted
         self._channels[channel.index] = fresh
-        for entry in replay:
-            kind, site, payload, final = entry
-            if kind == "batch":
-                self._replay_packed(fresh, site, payload, final)
-            else:
-                self._send_logged(fresh, ("raw", site, payload, final))
-
-    def _replay_packed(
-        self, fresh: _WorkerChannel, site: str, packed: bytes, final: bool
-    ) -> None:
-        self._acquire_slot(fresh)
-        slot = fresh.next_slot
-        fresh.next_slot = (slot + 1) % fresh.slots
-        offset = _CTRL_BYTES + slot * fresh.slot_bytes
-        fresh.shm.buf[offset:offset + len(packed)] = packed
-        self._send_logged(
-            fresh, ("batch", site, slot, final), replay=("batch", site, packed, final)
-        )
+        for message in replay:
+            self._send_logged(fresh, message)
 
     def _channel_for(self, site: str) -> _WorkerChannel:
         try:

@@ -819,9 +819,7 @@ class HierarchyRuntime:
             self._pool is not None
             and self._pool.generation != self.model.generation
         ):
-            self._install_shards(self._pool.flush())
-            self._pool.shutdown()
-            self._pool = None
+            self._drain_pool()
         if self._pool is None:
             crash_points = {}
             if self.faults is not None:
@@ -838,6 +836,15 @@ class HierarchyRuntime:
                 generation=self.model.generation,
             )
         return self._pool
+
+    def _drain_pool(self) -> None:
+        """Fold any live pool shards into the edge aggregators, then stop
+        the workers and forget the pool; the next pooled ingest forks a
+        fresh one.  Nothing in flight is lost."""
+        if self._pool is not None:
+            self._install_shards(self._pool.flush())
+            self._pool.shutdown()
+            self._pool = None
 
     def _install_shards(
         self, summaries: Mapping[str, Dict[str, object]]

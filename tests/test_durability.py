@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import CheckpointError, StorageError
 from repro.faults import FaultPlan, LinkOutage, RestartDrill
-from repro.flows.columnar import HAVE_NUMPY
 from repro.hierarchy.topology import Hierarchy
 from repro.runtime import HierarchyRuntime, LevelConfig
 from repro.runtime.checkpoint import CHECKPOINT_VERSION, Checkpoint
@@ -441,7 +440,6 @@ class TestPendingReplayDedup:
         assert reopened.stats.exports_recovered == 1
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="parallel ingest needs numpy")
 class TestParallelDurable:
     def test_workers_with_segment_engine(self, tmp_path, uninterrupted):
         data_dir = str(tmp_path / "data")

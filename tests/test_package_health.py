@@ -76,7 +76,7 @@ def test_benchmark_gate_table_resolves():
 def test_flowtree_keeps_one_node_registry():
     """A tree's nodes live in ``Flowtree._index`` and nowhere else.  A
     flat ``_nodes`` dict or a per-node child map coming back — through
-    the columnar planner or a new reader — is a second registry to keep
+    a new reader — is a second registry to keep
     in step, and the child map is a reference cycle per node.  (The
     hierarchy's own ``node.children`` in ``elastic/`` and ``hierarchy/``
     is a different thing.)"""
@@ -90,6 +90,37 @@ def test_flowtree_keeps_one_node_registry():
         assert "._nodes" not in text, path
         if flows in path.parents:
             assert not re.search(r"\bchildren\b", text), path
+
+
+def test_numpy_stays_off_the_import_path():
+    """The package depends on nothing: no module under ``src/`` imports
+    numpy, and importing the runtime and the ingest pool leaves it out
+    of ``sys.modules`` — an optional dependency on every run's setup
+    path costs import time and resident memory nothing uses."""
+    import os
+    import pathlib
+    import re
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).parent.parent / "src"
+    for path in sorted(src.rglob("*.py")):
+        assert not re.search(
+            r"^\s*(import|from)\s+numpy\b", path.read_text(), re.MULTILINE
+        ), path
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro, repro.runtime, repro.parallel; "
+            "print('numpy' in sys.modules)",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "False"
 
 
 def test_version_matches_pyproject():

@@ -9,15 +9,23 @@ epoch barrier folds the shards back before the unchanged rollup.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchemaMismatchError
 from repro.faults import FaultPlan
-from repro.flows.columnar import HAVE_NUMPY
-from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
+from repro.flows.features import Feature
+from repro.flows.flowkey import (
+    FIVE_TUPLE,
+    SRC_DST,
+    FeatureSchema,
+    GeneralizationPolicy,
+)
+from repro.flows.records import PacketRecord
 from repro.flows.tree import Flowtree
 from repro.hierarchy.topology import Hierarchy
 from repro.parallel import (
@@ -82,6 +90,51 @@ def shard_state(summary):
     return (summary["tree"], summary["compressions"])
 
 
+class LowBitsFeature(Feature):
+    """A feature with custom masking (keeps *low* bits, not high)."""
+
+    def mask(self, value: int, level: int) -> int:
+        if level == 0:
+            return 0
+        return value & ((1 << level) - 1)
+
+
+def packet_records(flows):
+    return POLICY, [
+        PacketRecord(
+            key=r.key, bytes=r.bytes, timestamp=r.first_seen,
+            sampled_1_in=1 + i % 4,
+        )
+        for i, r in enumerate(flows)
+    ]
+
+
+def generalized_records(flows):
+    return POLICY, [
+        replace(r, key=POLICY.key_at(r.key, 1 + i % POLICY.depth))
+        for i, r in enumerate(flows)
+    ]
+
+
+def huge_counter_records(flows):
+    return POLICY, [
+        replace(r, bytes=r.bytes + 2**63 if i % 3 == 0 else r.bytes)
+        for i, r in enumerate(flows)
+    ]
+
+
+def custom_mask_records(flows):
+    schema = FeatureSchema(
+        "custom_mask_pair",
+        (LowBitsFeature("a", bits=8), Feature("b", bits=8)),
+    )
+    rng = random.Random(9)
+    return GeneralizationPolicy.default_for(schema), [
+        replace(r, key=schema.key(a=rng.randrange(32), b=rng.randrange(32)))
+        for r in flows
+    ]
+
+
 class TestPoolStandalone:
     def test_flush_matches_serial_add_many(self, random_flows):
         records = {
@@ -89,7 +142,7 @@ class TestPoolStandalone:
             "s2": random_flows(count=250, seed=2),
         }
         specs = {site: SiteShardSpec(node_budget=256) for site in records}
-        config = ParallelIngestConfig(workers=2, slot_records=128)
+        config = ParallelIngestConfig(workers=2)
         with ShardedIngestPool(POLICY, specs, config) as pool:
             for site, batch in records.items():
                 pool.submit(site, batch[:170])
@@ -103,6 +156,34 @@ class TestPoolStandalone:
             assert summaries[site]["items"] == len(batch)
             assert summaries[site]["opened_at"] == batch[0].first_seen
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            packet_records,
+            generalized_records,
+            huge_counter_records,
+            custom_mask_records,
+        ],
+        ids=lambda shape: shape.__name__,
+    )
+    def test_record_shapes_match_serial_add_many(self, random_flows, shape):
+        policy, records = shape(random_flows(count=300, seed=6))
+        stamp = (
+            lambda r: r.timestamp if isinstance(r, PacketRecord)
+            else r.first_seen
+        )
+        specs = {"s1": SiteShardSpec(node_budget=64)}
+        with ShardedIngestPool(policy, specs) as pool:
+            pool.submit("s1", records[:120])
+            pool.submit("s1", records[120:])
+            summary = pool.flush()["s1"]
+        serial = Flowtree(policy, node_budget=64)
+        serial.add_many((r.key, r.score()) for r in records[:120])
+        serial.add_many((r.key, r.score()) for r in records[120:])
+        assert shard_state(summary) == tree_state(serial)
+        assert summary["items"] == len(records)
+        assert summary["opened_at"] == stamp(records[0])
+
     def test_empty_epoch_yields_no_summaries(self):
         specs = {"s1": SiteShardSpec()}
         with ShardedIngestPool(POLICY, specs) as pool:
@@ -112,15 +193,19 @@ class TestPoolStandalone:
     def test_crash_replay_restores_shard(self, random_flows):
         records = random_flows(count=300, seed=4)
         specs = {"s1": SiteShardSpec(node_budget=256)}
-        config = ParallelIngestConfig(workers=1, slot_records=64)
+        config = ParallelIngestConfig(workers=1)
         with ShardedIngestPool(
             POLICY, specs, config, crash_points={"s1": [(0, 2)]}
         ) as pool:
-            pool.submit("s1", records)
+            for lo in range(0, len(records), 64):
+                pool.submit("s1", records[lo:lo + 64])
             summaries = pool.flush()
             stats = pool.worker_stats()
         serial = Flowtree(POLICY, node_budget=256)
-        serial.add_many((r.key, r.score()) for r in records)
+        for lo in range(0, len(records), 64):
+            serial.add_many(
+                (r.key, r.score()) for r in records[lo:lo + 64]
+            )
         assert shard_state(summaries["s1"]) == tree_state(serial)
         assert stats[0].restarts == 1
         assert stats[0].replayed_batches >= 2
@@ -148,7 +233,6 @@ class TestPoolStandalone:
                 pool.submit("nowhere", random_flows(count=1))
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar transport needs numpy")
 class TestRuntimeParallelEqualsSerial:
     def test_tiered_bit_identical(self):
         serial = drive(
@@ -207,6 +291,29 @@ class TestRuntimeParallelEqualsSerial:
         )
         crashed = drive(runtime, make_traffic(), SITES, submissions=3)
         assert crashed == serial
+
+    def test_bad_record_rejected_before_it_costs_an_epoch(self, random_flows):
+        """A record serial ingest rejects is rejected at ``ingest`` on
+        the pooled path too, so no worker ever sees it and every other
+        site's epoch still ships."""
+        sites = ["r1/a", "r1/b"]
+        good = random_flows(count=10, seed=8)
+        bad = replace(good[0], key=SRC_DST.key(src_ip=1, dst_ip=2))
+
+        def wan(parallel):
+            runtime = tiered_runtime(sites, parallel=parallel)
+            try:
+                runtime.ingest("r1/a", good)
+                with pytest.raises(SchemaMismatchError):
+                    runtime.ingest("r1/b", [bad])
+                runtime.close_epoch(60.0)
+                return runtime.wan_bytes()
+            finally:
+                runtime.shutdown()
+
+        serial = wan(None)
+        assert serial > 0
+        assert wan(2) == serial
 
     def test_crash_increments_restart_metric(self):
         faults = FaultPlan.from_spec("crash=region1/router1:0")
