@@ -101,19 +101,6 @@ TABLE = {
             ("*/shedding", "*", "exact", None),
         ),
     ),
-    "ingest_scaling": (
-        "tests/test_parallel_ingest.py::TestRuntimeParallelEqualsSerial"
-        "::test_tiered_bit_identical",
-        (
-            *zero("*", "diverged"),
-            ("*/serial", "compressions", "exact", None),
-            # a worker pays key/score rebuilds the serial walk does not
-            # (0.64-0.90x serial per worker): two workers must still
-            # out-ingest one core, four must reach 2.5 cores' worth
-            ("20k/workers=2", "speedup_vs_scalar", "floor", 1.0),
-            ("100k/workers=4", "speedup_vs_scalar", "floor", 2.5),
-        ),
-    ),
 }
 
 

@@ -550,13 +550,6 @@ def _configure_run(parser: argparse.ArgumentParser) -> None:
     )
     _add_query_arg(parser, "run after the rollup")
     parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help=(
-            "shard edge ingest across N worker processes "
-            "(0 = serial in-process ingest)"
-        ),
-    )
-    parser.add_argument(
         "--data-dir", metavar="DIR", default=None,
         help=(
             "durable storage: seal each epoch into an on-disk segment "
@@ -567,14 +560,13 @@ def _configure_run(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_run(args: argparse.Namespace) -> int:
-    parallel = args.workers if args.workers > 0 else None
     storage = None
     try:
         if args.data_dir:
             from repro.storage import SegmentLogEngine
 
             storage = SegmentLogEngine(args.data_dir)
-        runtime = _preset_runtime(args, parallel=parallel, storage=storage)
+        runtime = _preset_runtime(args, storage=storage)
     except ReproError as error:  # a torn manifest, a foreign checkpoint
         print(f"error: {error}")
         return 2
@@ -593,21 +585,28 @@ def _run_run(args: argparse.Namespace) -> int:
         runtime.shutdown()
 
 
-def _drive_run(args: argparse.Namespace, runtime) -> int:
-    from repro.client import FlowQLClient
+def _drive_rollup(
+    args: argparse.Namespace, runtime, verbose: bool
+) -> bool:
+    """The drive ``run`` and ``metrics`` share: inject ``--faults``,
+    load the traffic epochs, then close empty epochs until nothing is
+    parked or ``--recovery-epochs`` runs out.  ``verbose`` prints the
+    plan and one line per close.  False (error printed) when
+    ``--faults`` does not parse."""
     from repro.faults import FaultPlan
 
+    say = print if verbose else (lambda line: None)
     if args.faults:
         try:
             plan = FaultPlan.from_spec(args.faults)
         except ReproError as error:
             print(f"error: {error}")
-            return 2
+            return False
         runtime.inject_faults(plan)
-        print(f"fault plan: {plan.describe()}")
+        say(f"fault plan: {plan.describe()}")
     _load_traffic(
         runtime, args.epochs, args.flows_per_epoch, args.seed,
-        on_close=lambda epoch, exported: print(
+        on_close=lambda epoch, exported: say(
             f"epoch {epoch}: exported={exported} "
             f"pending={runtime.pending_exports()} "
             f"wan={runtime.wan_bytes():,} B"
@@ -618,10 +617,15 @@ def _drive_run(args: argparse.Namespace, runtime) -> int:
     while runtime.pending_exports() and recovery < args.recovery_epochs:
         recovery += 1
         runtime.close_epoch((args.epochs + recovery) * epoch_s)
-        print(
-            f"recovery close {recovery}: "
-            f"pending={runtime.pending_exports()}"
-        )
+        say(f"recovery close {recovery}: pending={runtime.pending_exports()}")
+    return True
+
+
+def _drive_run(args: argparse.Namespace, runtime) -> int:
+    from repro.client import FlowQLClient
+
+    if not _drive_rollup(args, runtime, verbose=True):
+        return 2
     client = FlowQLClient(runtime=runtime, client_id="cli-run")
     for text in args.query or []:
         print(f"\nflowql> {text}")
@@ -648,13 +652,6 @@ def _drive_run(args: argparse.Namespace, runtime) -> int:
         f"  volume: raw={stats.raw_bytes:,} B wan={runtime.wan_bytes():,} B "
         f"reduction={stats.reduction_factor:.0f}x"
     )
-    if runtime._pool is not None:
-        for ws in runtime._pool.worker_stats():
-            print(
-                f"  worker {ws.worker}: sites={','.join(ws.sites)} "
-                f"records={ws.records_done:,} busy={ws.busy_seconds:.2f}s "
-                f"restarts={ws.restarts} replayed={ws.replayed_batches}"
-            )
     if runtime.engine.durable or runtime._restarts:
         storage = runtime.storage_stats()
         print(
@@ -717,18 +714,10 @@ def _run_segments(args: argparse.Namespace) -> int:
         print(f"  orphan segments ignored: {stats['orphan_segments']}")
     print(f"  {'segment':<16}{'epoch':>7}{'records':>9}{'bytes':>12}")
     for row in engine.segments():
-        shards = row.get("shards")
-        extra = (
-            "  shards=" + ",".join(
-                f"{site}:{items}" for site, items in sorted(shards.items())
-            )
-            if shards
-            else ""
-        )
         compacted = "  (compacted)" if row.get("compacted") else ""
         print(
             f"  {row['file']:<16}{row.get('epoch', '-'):>7}"
-            f"{row['records']:>9}{row['bytes']:>12,}{extra}{compacted}"
+            f"{row['records']:>9}{row['bytes']:>12,}{compacted}"
         )
     return 0
 
@@ -763,22 +752,11 @@ def _run_metrics(args: argparse.Namespace) -> int:
     import json
 
     from repro.client import FlowQLClient
-    from repro.faults import FaultPlan
     from repro.obs import render_prometheus
 
     runtime = _preset_runtime(args)
-    if args.faults:
-        try:
-            runtime.inject_faults(FaultPlan.from_spec(args.faults))
-        except ReproError as error:
-            print(f"error: {error}")
-            return 2
-    _load_traffic(runtime, args.epochs, args.flows_per_epoch, args.seed)
-    recovery = 0
-    epoch_s = runtime.epoch_seconds
-    while runtime.pending_exports() and recovery < args.recovery_epochs:
-        recovery += 1
-        runtime.close_epoch((args.epochs + recovery) * epoch_s)
+    if not _drive_rollup(args, runtime, verbose=False):
+        return 2
     client = FlowQLClient(runtime=runtime, client_id="cli-metrics")
     for text in args.query or []:
         # twice each: the repeat turns a miss into a cache hit

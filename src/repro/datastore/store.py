@@ -175,7 +175,6 @@ class DataStore:
         records: Any,
         timestamp: Optional[float] = None,
         size_bytes: int = 0,
-        exclude: Optional[str] = None,
     ) -> int:
         """Push raw data through triggers and subscribed aggregators.
 
@@ -189,10 +188,7 @@ class DataStore:
           once, letting budgeted primitives amortize their compression
           checks.
 
-        ``size_bytes`` is the per-item raw size either way.  ``exclude``
-        names one aggregator to skip — the parallel ingest path feeds
-        that aggregator through its worker process while this call still
-        covers stats, triggers, and any other subscribers.  Returns the
+        ``size_bytes`` is the per-item raw size either way.  Returns the
         number of items ingested.
         """
         if timestamp is not None:
@@ -211,7 +207,7 @@ class DataStore:
         subscribed = [
             aggregator
             for aggregator in self._aggregators.values()
-            if aggregator.name != exclude and aggregator.wants(stream_id)
+            if aggregator.wants(stream_id)
         ]
         if len(timed_items) == 1:
             for aggregator in subscribed:

@@ -5,8 +5,8 @@ no longer frozen at construction.  :class:`TopologyModel` is the single
 mutable topology source every component consumes, and the ops in
 :mod:`repro.elastic.ops` reshape it live — between epoch closes, with
 summary migration, pending-export re-homing, and fault-aware delivery —
-while the generation counter keeps the query cache, replica store, and
-sharded ingest pool coherent.
+while the generation counter keeps the query cache and replica store
+coherent.
 """
 
 from repro.elastic.model import (

@@ -4,8 +4,8 @@ The paper's Sec. V.A names *self-adaptation* as a core property of the
 computing primitive — the hierarchy reshapes itself around the data.
 Historically this repository froze the topology at construction time:
 :class:`~repro.runtime.runtime.HierarchyRuntime`, the federated query
-planner, the sharded ingest pool, and the observability bridge each
-cached their own view of the :class:`~repro.hierarchy.topology.Hierarchy`
+planner and the observability bridge each cached their own view of the
+:class:`~repro.hierarchy.topology.Hierarchy`
 and per-level :class:`~repro.runtime.config.LevelConfig` tables, so no
 component could change the shape without desynchronizing the others.
 
@@ -16,9 +16,7 @@ reconfiguration op — ``site_join``, ``site_leave``, ``level_split``,
 ``level_merge``, ``migrate_store``, and adaptive budget resizes — bumps
 the generation, which is what lets downstream caches invalidate
 correctly: the :class:`~repro.query.planner.QueryCache` keys answers on
-it, the sharded ingest pool is tagged with the generation it was forked
-under (a stale pool is drained and re-forked), and the obs bridge
-exports it as ``repro_topology_generation``.
+it, and the obs bridge exports it as ``repro_topology_generation``.
 
 The model also keeps the reconfiguration **ledger**: per-op counts,
 bytes of summary state migrated across the fabric, and the in-flight

@@ -5,10 +5,7 @@ a live :class:`~repro.runtime.runtime.HierarchyRuntime` **between epoch
 closes**, migrates whatever summary state the reshape strands, and then
 runs the shared epilogue: fabric link resync (retired links keep their
 byte history), runtime view rebuild, generation bump, and query-cache
-invalidation.  The sharded ingest pool is drained *before* any
-structural change — its per-site shard trees fold into the edge
-aggregators, so no in-flight mass is lost — and the next pooled ingest
-re-forks a pool tagged with the new generation.
+invalidation.
 
 Migration is fabric-accounted and fault-aware: a summary that cannot be
 delivered over the (possibly faulty) fabric within the runtime's retry
@@ -276,7 +273,6 @@ def site_join(
                     f"cannot derive a level for {site!r}; pass level="
                 )
             spec = peers[0].level
-    runtime._drain_pool()
     node = runtime.model.hierarchy.add_site(parent_node.location, name, spec)
     config = runtime.model.config_for(spec.name)
     if config is not None:
@@ -301,7 +297,6 @@ def site_leave(
     node = _node_by_label(runtime, site)
     if node.parent is None:
         raise PlacementError("the hierarchy root cannot leave")
-    runtime._drain_pool()
     subtree = frozenset(member.location.path for member in node.walk())
     departing = sorted(
         (
@@ -340,7 +335,6 @@ def level_split(
         raise PlacementError("level_split needs at least one group")
     if any(spec.name == new_level for spec in runtime.model.hierarchy.levels()):
         raise PlacementError(f"level {new_level!r} already exists")
-    runtime._drain_pool()
     spec = LevelSpec(new_level, deadline)
     created: List[HierarchyNode] = []
     hierarchy = runtime.model.hierarchy
@@ -407,7 +401,6 @@ def level_merge(
                     f"{child.location.parts[-1]!r} under "
                     f"{member.parent.location.path!r}"
                 )
-    runtime._drain_pool()
     exclude = frozenset(member.location.path for member in dissolving)
     moved = 0
     # migrate every dissolving store *before* any graft: targets must
@@ -462,7 +455,6 @@ def migrate_store(
             f"{parent_node.location.path!r} already has a child "
             f"named {name!r}"
         )
-    runtime._drain_pool()
     hierarchy = runtime.model.hierarchy
     detached = hierarchy.remove(node.location)
     renames = hierarchy.graft(detached, parent_node.location)

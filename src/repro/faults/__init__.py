@@ -16,7 +16,6 @@ from repro.faults.plan import (
     LinkOutage,
     ReconfigDrill,
     RestartDrill,
-    WorkerCrash,
 )
 from repro.faults.retry import RetryPolicy
 
@@ -27,7 +26,6 @@ __all__ = [
     "LinkOutage",
     "ReconfigDrill",
     "RestartDrill",
-    "WorkerCrash",
     "PendingExport",
     "PendingExportQueue",
     "RetryPolicy",

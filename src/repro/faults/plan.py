@@ -19,6 +19,7 @@ sensitivity between links.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -68,28 +69,6 @@ class LinkOutage:
         if not self.start_epoch <= epoch < self.end_epoch:
             return False
         return _matches(self.link, upper) or _matches(self.link, lower)
-
-
-@dataclass(frozen=True)
-class WorkerCrash:
-    """An injected ingest-worker crash (process faults, not link faults).
-
-    The worker owning ``site`` terminates immediately before applying
-    batch ``batch`` (0-based, per site) of epoch ``epoch`` — exercising
-    the sharded ingest pool's respawn-and-replay recovery.  ``site`` is
-    matched like link patterns (root-relative suffixes allowed).
-    """
-
-    site: str
-    epoch: int
-    batch: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epoch < 0 or self.batch < 0:
-            raise PlacementError(
-                f"crash point must be non-negative, got "
-                f"epoch={self.epoch} batch={self.batch}"
-            )
 
 
 @dataclass(frozen=True)
@@ -172,8 +151,6 @@ class FaultPlan:
     * ``epoch_seconds`` — how transfer times map to epoch indexes for
       the outage windows; the runtime binds its own epoch length here
       when the plan is injected without an explicit value.
-    * ``worker_crashes`` — ingest-worker process kills at exact
-      (site, epoch, batch) points, consumed by the sharded ingest pool.
     * ``reconfigs`` — scheduled live-topology ops (join/leave/migrate)
       applied by the runtime after the named epoch's close.
     * ``restarts`` — scheduled store kills + recoveries at epoch
@@ -186,7 +163,6 @@ class FaultPlan:
     bandwidth_factor: float = 1.0
     bandwidth_factors: Dict[str, float] = field(default_factory=dict)
     epoch_seconds: Optional[float] = None
-    worker_crashes: List[WorkerCrash] = field(default_factory=list)
     reconfigs: List[ReconfigDrill] = field(default_factory=list)
     restarts: List[RestartDrill] = field(default_factory=list)
     _attempts: Dict[Tuple[str, str], int] = field(
@@ -204,6 +180,13 @@ class FaultPlan:
                 raise PlacementError(
                     f"bandwidth factors must be in (0, 1], got {factor}"
                 )
+        if self.epoch_seconds is not None and not (
+            math.isfinite(self.epoch_seconds) and self.epoch_seconds > 0.0
+        ):
+            raise PlacementError(
+                f"epoch_seconds must be finite and positive, got "
+                f"{self.epoch_seconds}"
+            )
 
     # -- schedule queries ---------------------------------------------------
 
@@ -223,15 +206,6 @@ class FaultPlan:
             if _matches(pattern, upper) or _matches(pattern, lower):
                 return factor
         return self.bandwidth_factor
-
-    def crash_points(self, site_label: str) -> List[Tuple[int, int]]:
-        """The ``(epoch, batch)`` crash points scheduled for one site."""
-        return [
-            (crash.epoch, crash.batch)
-            for crash in self.worker_crashes
-            if _matches(crash.site, site_label)
-            or _matches(site_label, crash.site)
-        ]
 
     def failure(
         self, upper: str, lower: str, at_time: float
@@ -271,10 +245,7 @@ class FaultPlan:
 
         ``outage`` may repeat; its value is ``<link>:<start>-<end>``
         (epochs, end exclusive).  ``bw`` may also be scoped to a link:
-        ``bw=region1:0.25``.  ``crash`` may repeat too; its value is
-        ``<site>:<epoch>[:<batch>]`` — kill the ingest worker owning
-        ``site`` right before that epoch's batch (default batch 0).
-        ``reconfig`` may repeat; its value is
+        ``bw=region1:0.25``.  ``reconfig`` may repeat; its value is
         ``<op>:<path>[><new_parent>]:<epoch>`` — apply a live topology
         op (``join``/``leave``/``migrate``) after that epoch's close,
         e.g. ``reconfig=leave:region1/router2:1`` or
@@ -310,17 +281,6 @@ class FaultPlan:
                     plan.outages.append(
                         LinkOutage(link, int(start), int(end))
                     )
-                elif key == "crash":
-                    site, _, point = value.partition(":")
-                    if not point:
-                        raise PlacementError(
-                            f"crash spec {value!r} needs <site>:<epoch>"
-                            "[:<batch>]"
-                        )
-                    epoch, _, batch = point.partition(":")
-                    plan.worker_crashes.append(
-                        WorkerCrash(site, int(epoch), int(batch or 0))
-                    )
                 elif key == "reconfig":
                     op, _, rest = value.partition(":")
                     path, sep, epoch = rest.rpartition(":")
@@ -348,8 +308,7 @@ class FaultPlan:
                 else:
                     raise PlacementError(
                         f"unknown fault spec key {key!r}; known: "
-                        "drop, seed, epoch, bw, outage, crash, reconfig, "
-                        "restart"
+                        "drop, seed, epoch, bw, outage, reconfig, restart"
                     )
             except ValueError as exc:
                 raise PlacementError(
@@ -369,10 +328,6 @@ class FaultPlan:
             parts.append(
                 f"outage[{outage.link}]="
                 f"{outage.start_epoch}-{outage.end_epoch}"
-            )
-        for crash in self.worker_crashes:
-            parts.append(
-                f"crash[{crash.site}]={crash.epoch}:{crash.batch}"
             )
         for drill in self.reconfigs:
             where = drill.path

@@ -13,8 +13,8 @@ This package implements the flow model of Section VI of the paper:
 * **Flowtree** (:mod:`repro.flows.tree`) — the self-adjusting tree of
   generalized flows with the eight operators of Table II (Merge, Compress,
   Diff, Query, Drilldown, Top-k, Above-x, HHH), with one ingest walk,
-  :meth:`~repro.flows.tree.Flowtree.add_many`, that serial ingest and
-  every process-parallel worker (:mod:`repro.parallel`) run.
+  :meth:`~repro.flows.tree.Flowtree.add_many`, that every record
+  entering a tree takes.
 """
 
 from repro.flows.features import (

@@ -180,33 +180,6 @@ def install_runtime_metrics(
         ("site",),
     )
 
-    # -- parallel ingest workers (sourced from the pool's shm counters) -------
-    worker_queue = registry.gauge(
-        "repro_parallel_queue_depth",
-        "Batches submitted to an ingest worker but not yet applied",
-        ("worker",),
-    )
-    worker_records = registry.counter(
-        "repro_parallel_worker_records_total",
-        "Records applied by each ingest worker",
-        ("worker",),
-    )
-    worker_busy = registry.counter(
-        "repro_parallel_worker_busy_seconds_total",
-        "Seconds each ingest worker spent applying batches",
-        ("worker",),
-    )
-    worker_restarts = registry.counter(
-        "repro_parallel_worker_restarts_total",
-        "Times each ingest worker was respawned after a crash",
-        ("worker",),
-    )
-    worker_replays = registry.counter(
-        "repro_parallel_replayed_batches_total",
-        "Batches replayed to respawned ingest workers",
-        ("worker",),
-    )
-
     # -- elastic topology (sourced from the TopologyModel) --------------------
     topology_generation = registry.gauge(
         "repro_topology_generation",
@@ -350,22 +323,5 @@ def install_runtime_metrics(
                 series.set_from_source(storage_stats[key])
             else:
                 series.set(storage_stats[key])
-        pool = getattr(runtime, "_pool", None)
-        if pool is not None:
-            for ws in pool.worker_stats():
-                worker = str(ws.worker)
-                worker_queue.labels(worker=worker).set(ws.queue_depth)
-                worker_records.labels(worker=worker).set_from_source(
-                    ws.records_done
-                )
-                worker_busy.labels(worker=worker).set_from_source(
-                    ws.busy_seconds
-                )
-                worker_restarts.labels(worker=worker).set_from_source(
-                    ws.restarts
-                )
-                worker_replays.labels(worker=worker).set_from_source(
-                    ws.replayed_batches
-                )
 
     registry.add_collector(collect)

@@ -194,12 +194,11 @@ def kill(
     Per store: live aggregator trees (reinstalled empty), retained
     interior partitions (root mass never depends on them), and the
     in-memory queue and replica catalog, which :func:`recover` refills;
-    for the whole runtime also the ingest workers and the planner's
-    replicas.  Fabric and volume counters survive deliberately: the
-    network is not part of the process.
+    for the whole runtime also the planner's replicas.  Fabric and
+    volume counters survive deliberately: the network is not part of
+    the process.
     """
     if sites is None:
-        runtime.shutdown()
         runtime.planner.replica_store.replicas = PartitionCatalog()
     for store in _covered(runtime, sites):
         for aggregator in list(store.aggregators()):

@@ -47,9 +47,6 @@ class LevelConfig:
     ``retain_partitions`` decides whether a store that forwards its
     summary to a parent also keeps the epoch partition in its own
     catalog (interior tiers usually do; pure edge forwarders do not).
-    ``parallel`` opts this level's edge sites into the sharded ingest
-    pool when the runtime runs with one (Flowtree aggregators only);
-    setting it ``False`` keeps the level on in-process serial ingest.
     """
 
     aggregator: Optional[str] = "flowtree"
@@ -61,7 +58,6 @@ class LevelConfig:
     privacy: Optional["PrivacyGuard"] = None
     export: str = EXPORT_AUTO
     retain_partitions: bool = True
-    parallel: bool = True
     #: bounds for adaptive budget resizing (the runtime's BudgetTuner);
     #: ``None`` defers to the tuner's global clamp.  ``node_budget``
     #: itself is *live* state once a tuner runs — resizes write back

@@ -16,7 +16,7 @@ The legacy systems become level tables over the same runtime:
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.errors import PlacementError
 from repro.faults import FaultPlan, RetryPolicy
@@ -28,7 +28,6 @@ from repro.hierarchy.topology import (
     Hierarchy,
 )
 from repro.obs import Observability
-from repro.parallel import ParallelIngestConfig
 from repro.runtime.config import LevelConfig
 from repro.runtime.runtime import HierarchyRuntime
 from repro.storage import StorageEngine
@@ -45,7 +44,6 @@ def flat_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    parallel: Union[None, bool, int, ParallelIngestConfig] = None,
     adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
@@ -80,7 +78,6 @@ def flat_runtime(
         faults=faults,
         retry_policy=retry_policy,
         observability=observability,
-        parallel=parallel,
         storage=storage,
     )
     if adaptive_budgets:
@@ -100,7 +97,6 @@ def tiered_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    parallel: Union[None, bool, int, ParallelIngestConfig] = None,
     adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
@@ -133,7 +129,6 @@ def tiered_runtime(
         faults=faults,
         retry_policy=retry_policy,
         observability=observability,
-        parallel=parallel,
         storage=storage,
     )
     if adaptive_budgets:
@@ -156,7 +151,6 @@ def network_4level_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    parallel: Union[None, bool, int, ParallelIngestConfig] = None,
     adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
@@ -204,7 +198,6 @@ def network_4level_runtime(
         faults=faults,
         retry_policy=retry_policy,
         observability=observability,
-        parallel=parallel,
         storage=storage,
     )
     if adaptive_budgets:
@@ -227,7 +220,6 @@ def factory_4level_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    parallel: Union[None, bool, int, ParallelIngestConfig] = None,
     adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
@@ -277,7 +269,6 @@ def factory_4level_runtime(
         faults=faults,
         retry_policy=retry_policy,
         observability=observability,
-        parallel=parallel,
         storage=storage,
     )
     if adaptive_budgets:

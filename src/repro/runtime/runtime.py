@@ -59,7 +59,6 @@ from repro.faults import (
 from repro.elastic import TopologyModel
 from repro.flowdb.db import FlowDB
 from repro.flows.flowkey import FIVE_TUPLE, FeatureSchema, GeneralizationPolicy
-from repro.flows.tree import Flowtree
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import Hierarchy, HierarchyNode, LevelSpec
 from repro.obs import Observability
@@ -67,11 +66,6 @@ from repro.obs.bridge import (
     INGEST_SECONDS,
     ROLLUP_SECONDS,
     install_runtime_metrics,
-)
-from repro.parallel import (
-    ParallelIngestConfig,
-    ShardedIngestPool,
-    SiteShardSpec,
 )
 from repro.query.plan import QueryOutcome
 from repro.query.planner import FederatedQueryPlanner
@@ -101,7 +95,6 @@ class HierarchyRuntime:
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         observability: Optional[Observability] = None,
-        parallel: Union[None, bool, int, ParallelIngestConfig] = None,
         storage: Optional[StorageEngine] = None,
     ) -> None:
         if not levels:
@@ -146,15 +139,6 @@ class HierarchyRuntime:
         self.registry = registry or default_registry()
         self.controllers: Dict[str, Controller] = {}
         self._root = hierarchy.root.location
-        # sharded parallel ingest (opt-in): resolve which edge sites are
-        # pooled now, but fork the worker pool lazily on the first
-        # pooled ingest so parallel-off runs never pay for it
-        if isinstance(parallel, bool):
-            parallel = ParallelIngestConfig() if parallel else None
-        elif isinstance(parallel, int):
-            parallel = ParallelIngestConfig(workers=parallel)
-        self.parallel_config: Optional[ParallelIngestConfig] = parallel
-        self._pool: Optional[ShardedIngestPool] = None
         #: adaptive budget tuner (opt-in via enable_adaptive_budgets)
         self._budget_tuner = None
         #: reconfig/restart drills already applied, by drill identity
@@ -260,18 +244,6 @@ class HierarchyRuntime:
                 if child is not node
             ):
                 self._ingestible[self._labels[node.location.path]] = store
-        self._pool_aggs = {}
-        if self.parallel_config is not None:
-            for node, config, store in self._plan:
-                label = self._labels[node.location.path]
-                if label not in self._ingestible or not config.parallel:
-                    continue
-                if config.aggregator is None:
-                    continue
-                name = config.resolved_aggregator_name
-                primitive = store.aggregator(name).primitive
-                if isinstance(primitive, FlowtreePrimitive):
-                    self._pool_aggs[label] = name
         stats = getattr(self, "stats", None)
         if stats is not None:
             for node, _, _ in self._plan:
@@ -484,19 +456,7 @@ class HierarchyRuntime:
         started = time.perf_counter()
         size = self.raw_record_bytes if size_bytes is None else size_bytes
         batch = [(record, record.first_seen) for record in records]
-        pool_agg = self._pool_aggs.get(site)
-        if pool_agg is not None and store.aggregator(pool_agg).wants(stream_id):
-            # the pooled aggregator is fed through its worker process;
-            # the store call still covers stats, triggers, and any other
-            # subscribed aggregators
-            count = store.ingest(
-                stream_id, batch, size_bytes=size, exclude=pool_agg
-            )
-            self._ensure_pool().submit(
-                site, [record for record, _ in batch]
-            )
-        else:
-            count = store.ingest(stream_id, batch, size_bytes=size)
+        count = store.ingest(stream_id, batch, size_bytes=size)
         node = self.hierarchy.node(store.location)
         volume = self.stats.level(node.level.name)
         volume.raw_items += count
@@ -558,14 +518,6 @@ class HierarchyRuntime:
         with self.obs.span(
             "close_epoch", epoch=self.stats.epochs_closed, at=now
         ) as root:
-            if self._pool is not None:
-                # the epoch barrier: drain every ingest worker and fold
-                # the shard trees into the edge aggregators before the
-                # (unchanged) deepest-first rollup sees them
-                with self.obs.span(
-                    "parallel_drain", epoch=self.stats.epochs_closed
-                ):
-                    self._install_shards(self._pool.flush())
             # compression pressure must be sampled before the rollup
             # resets the live trees for the next epoch
             pressure = (
@@ -595,11 +547,6 @@ class HierarchyRuntime:
                 self.obs.observe(ROLLUP_SECONDS, elapsed, level=level)
             if pressure is not None:
                 self._adapt_budgets(pressure, now)
-            if self._pool is not None:
-                # adaptation may have resized edge trees during rollup;
-                # push the current parameters to the workers so the next
-                # epoch's shards are built to match
-                self._sync_pool_specs()
             self.stats.epochs_closed += 1
             self._last_close = now
             # new data invalidates cached answers and advances query time
@@ -796,108 +743,15 @@ class HierarchyRuntime:
         stats["not_durable"] = self._not_durable
         return stats
 
-    # -- parallel ingest -----------------------------------------------------
-
-    def _site_shard_spec(self, site: str) -> SiteShardSpec:
-        primitive = self._ingestible[site].aggregator(
-            self._pool_aggs[site]
-        ).primitive
-        return SiteShardSpec(
-            node_budget=primitive.node_budget,
-            compress_ratio=primitive.tree.compress_ratio,
-            metric=primitive.metric,
-        )
-
-    def _ensure_pool(self) -> ShardedIngestPool:
-        """The sharded ingest pool, forked on first pooled ingest.
-
-        A pool forked under an older topology generation is drained
-        (its shards fold into the edge aggregators) and replaced, so
-        the worker site assignment always matches the live topology.
-        """
-        if (
-            self._pool is not None
-            and self._pool.generation != self.model.generation
-        ):
-            self._drain_pool()
-        if self._pool is None:
-            crash_points = {}
-            if self.faults is not None:
-                for site in self._pool_aggs:
-                    points = self.faults.crash_points(site)
-                    if points:
-                        crash_points[site] = points
-            self._pool = ShardedIngestPool(
-                self.policy,
-                {site: self._site_shard_spec(site) for site in self._pool_aggs},
-                self.parallel_config,
-                base_epoch=self.stats.epochs_closed,
-                crash_points=crash_points or None,
-                generation=self.model.generation,
-            )
-        return self._pool
-
-    def _drain_pool(self) -> None:
-        """Fold any live pool shards into the edge aggregators, then stop
-        the workers and forget the pool; the next pooled ingest forks a
-        fresh one.  Nothing in flight is lost."""
-        if self._pool is not None:
-            self._install_shards(self._pool.flush())
-            self._pool.shutdown()
-            self._pool = None
-
-    def _install_shards(
-        self, summaries: Mapping[str, Dict[str, object]]
-    ) -> None:
-        """Fold the workers' epoch shards into the edge aggregators.
-
-        An aggregator that saw nothing in-process this epoch adopts the
-        shard tree wholesale, compression count included.  Anything
-        already ingested in-process (mixed serial/parallel use of one
-        site) merges instead.
-        """
-        for site, summary in summaries.items():
-            self.engine.record_shard(site, summary["items"])
-            aggregator = self._ingestible[site].aggregator(
-                self._pool_aggs[site]
-            )
-            primitive = aggregator.primitive
-            shard = Flowtree.from_dict(summary["tree"], self.policy)
-            shard._compressions = summary["compressions"]
-            tree = primitive.tree
-            if (
-                primitive.items_ingested == 0
-                and tree.node_count == 1
-                and tree.compressions == 0
-            ):
-                primitive.tree = shard
-            else:
-                tree.merge(shard)
-            primitive.items_ingested += summary["items"]
-            start = summary["epoch_start"]
-            end = summary["epoch_end"]
-            if start is not None and (
-                primitive._epoch_start is None
-                or start < primitive._epoch_start
-            ):
-                primitive._epoch_start = start
-            if end is not None and (
-                primitive._epoch_end is None or end > primitive._epoch_end
-            ):
-                primitive._epoch_end = end
-            aggregator.items_this_epoch += summary["items"]
-            if aggregator.epoch_opened_at is None:
-                aggregator.epoch_opened_at = summary["opened_at"]
-
-    def _sync_pool_specs(self) -> None:
-        for site in self._pool.sites:
-            self._pool.sync_site(site, self._site_shard_spec(site))
+    # -- lifecycle ------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop the parallel ingest workers, if any were started."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Release the runtime's resources.
+
+        The runtime holds no process, thread or open handle of its own
+        (the storage engine commits at every close), so this is a no-op
+        kept as the stable end of the ``with`` lifecycle.
+        """
 
     def __enter__(self) -> "HierarchyRuntime":
         return self

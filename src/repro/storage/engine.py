@@ -54,8 +54,7 @@ class StorageEngine:
     """Base class for FlowDB/runtime storage engines.
 
     Subclasses implement the record log, seals, and manifest; the base
-    class carries the bookkeeping every engine shares (shard notes from
-    the parallel ingest pool, uniform :meth:`stats` counters).
+    class carries the uniform :meth:`stats` counters every engine shares.
     """
 
     #: whether state survives the hosting process (drives CLI messaging
@@ -67,9 +66,6 @@ class StorageEngine:
         self._manifest_writes = 0
         self._compactions = 0
         self._reclaimed_bytes = 0
-        #: shard items handed over by the parallel pool since the last
-        #: seal, folded into the next sealed epoch's metadata
-        self._pending_shards: Dict[str, int] = {}
 
     # -- record log ---------------------------------------------------------
 
@@ -87,16 +83,6 @@ class StorageEngine:
         raise NotImplementedError
 
     # -- epoch seals --------------------------------------------------------
-
-    def record_shard(self, site: str, items: int) -> None:
-        """Note one worker shard handed over at the epoch barrier."""
-        self._pending_shards[site] = (
-            self._pending_shards.get(site, 0) + items
-        )
-
-    def _take_shards(self) -> Dict[str, int]:
-        shards, self._pending_shards = self._pending_shards, {}
-        return shards
 
     def seal_epoch(self, epoch: int, meta: Optional[dict] = None) -> None:
         """Close the current epoch's records into one durable unit."""
@@ -182,9 +168,6 @@ class MemoryEngine(StorageEngine):
 
     def seal_epoch(self, epoch: int, meta: Optional[dict] = None) -> None:
         entry: Dict[str, Any] = {"epoch": epoch}
-        shards = self._take_shards()
-        if shards:
-            entry["shards"] = shards
         if meta:
             entry.update(meta)
         self._sealed_epochs.append(entry)
@@ -207,5 +190,5 @@ class MemoryEngine(StorageEngine):
         return {"segments_removed": 0, "reclaimed_bytes": 0}
 
     def sealed_epochs(self) -> List[Dict[str, Any]]:
-        """The seal history (epoch index + shard handoffs), in order."""
+        """The seal history (epoch index + seal metadata), in order."""
         return list(self._sealed_epochs)

@@ -197,7 +197,6 @@ class SegmentLogEngine(StorageEngine):
     # -- epoch seals --------------------------------------------------------
 
     def seal_epoch(self, epoch: int, meta: Optional[dict] = None) -> None:
-        shards = self._take_shards()
         if not self._active:
             return
         name = f"seg-{self._next_seq:08d}.log"
@@ -210,8 +209,6 @@ class SegmentLogEngine(StorageEngine):
             "bytes": size,
             "epoch": epoch,
         }
-        if shards:
-            row["shards"] = shards
         if meta:
             row.update(meta)
         self._segments.append(row)

@@ -28,7 +28,7 @@ EPOCHS = 3
 FLOWS = 120
 
 
-def build(storage=None, faults=None, routers=2, parallel=None):
+def build(storage=None, faults=None, routers=2):
     return network_4level_runtime(
         networks=1,
         regions_per_network=2,
@@ -36,7 +36,6 @@ def build(storage=None, faults=None, routers=2, parallel=None):
         retain_partitions=True,
         storage=storage,
         faults=faults,
-        parallel=parallel,
     )
 
 
@@ -438,31 +437,6 @@ class TestPendingReplayDedup:
         drive(reopened, epochs=1, seed=99)  # next close, link restored
         assert reopened.pending_exports() == 0
         assert reopened.stats.exports_recovered == 1
-
-
-class TestParallelDurable:
-    def test_workers_with_segment_engine(self, tmp_path, uninterrupted):
-        data_dir = str(tmp_path / "data")
-        runtime = drive(
-            build(storage=SegmentLogEngine(data_dir), parallel=2)
-        )
-        assert root_state(runtime) == uninterrupted["tree"]
-        # shard handoffs land in the sealed segments' metadata
-        shards = [
-            row["shards"]
-            for row in runtime.engine.segments()
-            if "shards" in row
-        ]
-        assert shards, "no shard metadata recorded at the barrier"
-
-    def test_restart_drill_with_workers(self, tmp_path, uninterrupted):
-        plan = FaultPlan(restarts=[RestartDrill("cloud", 1)])
-        runtime = drive(
-            build(storage=SegmentLogEngine(str(tmp_path / "data")),
-                  parallel=2, faults=plan)
-        )
-        assert runtime._restarts == 1
-        assert root_state(runtime) == uninterrupted["tree"]
 
 
 class TestRestartSpecGrammar:

@@ -326,35 +326,6 @@ class TestReconfigDrills:
             FaultPlan.from_spec(spec)
 
 
-class TestParallelPoolResync:
-    def test_pool_reforks_on_generation_change(self):
-        runtime = make_runtime(parallel=2)
-        try:
-            generator = traffic()
-            ingest_epoch(runtime, generator, 0)
-            runtime.close_epoch(60.0)
-            runtime.site_join("east/r4")
-            extended = traffic(sites=SITES + ["east/r4"])
-            ingest_epoch(runtime, extended, 1)
-            assert runtime._pool.generation == runtime.model.generation
-            assert "east/r4" in runtime._pool.sites
-            runtime.close_epoch(120.0)
-            assert root_flows(runtime) == 120 * 3 + 120 * 4
-        finally:
-            runtime.shutdown()
-
-    def test_mid_epoch_pool_mass_survives_reconfig(self):
-        runtime = make_runtime(parallel=2)
-        try:
-            generator = traffic()
-            ingest_epoch(runtime, generator, 0)  # lands in worker shards
-            runtime.site_leave("east/r2", now=30.0)
-            runtime.close_epoch(60.0)
-            assert root_flows(runtime) == 120 * 3
-        finally:
-            runtime.shutdown()
-
-
 OPS = st.lists(
     st.sampled_from(["join", "leave", "split", "merge", "migrate", "close"]),
     min_size=1,

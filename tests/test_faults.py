@@ -206,11 +206,21 @@ class TestFromSpec:
             "outage=r1:3-1",        # empty window
             "teleport=1",           # unknown key
             "drop=1.5",             # out of range
+            "epoch=0",              # would fall back to 60 s silently
+            "epoch=-60",            # negative epochs: no outage fires
+            "epoch=inf",            # every transfer in epoch 0
+            "epoch=nan",            # untyped error on the first transfer
+            "crash=region1/router1:0",  # unknown key
         ],
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(PlacementError):
             FaultPlan.from_spec(spec)
+
+    def test_constructor_rejects_bad_epoch_seconds(self):
+        with pytest.raises(PlacementError):
+            FaultPlan(epoch_seconds=0.0)
+        assert FaultPlan(epoch_seconds=30.0).epoch_of(90.0) == 3
 
 
 class TestFabricFaultAccounting:

@@ -7,11 +7,14 @@ legacy 3-level tiered system, and root mass is conserved across any
 rollup depth.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PlacementError
+from repro.errors import PlacementError, SchemaMismatchError
+from repro.flows.flowkey import SRC_DST
 from repro.flowstream.tiered import TieredFlowstream
 from repro.hierarchy.topology import Hierarchy
 from repro.runtime import (
@@ -21,6 +24,7 @@ from repro.runtime import (
     factory_4level_runtime,
     flat_runtime,
     network_4level_runtime,
+    tiered_runtime,
 )
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
@@ -73,6 +77,20 @@ class TestConstruction:
             runtime.ingest("network1/region1", [])
         with pytest.raises(PlacementError):
             runtime.ingest("nowhere", [])
+
+    def test_bad_record_rejected_before_it_costs_an_epoch(
+        self, random_flows
+    ):
+        """A wrong-schema record is refused at ``ingest`` and costs only
+        its own batch: every other site's epoch still ships."""
+        good = random_flows(count=10, seed=8)
+        bad = replace(good[0], key=SRC_DST.key(src_ip=1, dst_ip=2))
+        runtime = tiered_runtime(["r1/a", "r1/b"])
+        runtime.ingest("r1/a", good)
+        with pytest.raises(SchemaMismatchError):
+            runtime.ingest("r1/b", [bad])
+        runtime.close_epoch(60.0)
+        assert runtime.wan_bytes() > 0
 
 
 class TestNetwork4LevelEndToEnd:

@@ -94,8 +94,8 @@ def test_flowtree_keeps_one_node_registry():
 
 def test_numpy_stays_off_the_import_path():
     """The package depends on nothing: no module under ``src/`` imports
-    numpy, and importing the runtime and the ingest pool leaves it out
-    of ``sys.modules`` — an optional dependency on every run's setup
+    numpy, and importing the runtime leaves it out of ``sys.modules``
+    — an optional dependency on every run's setup
     path costs import time and resident memory nothing uses."""
     import os
     import pathlib
@@ -112,7 +112,7 @@ def test_numpy_stays_off_the_import_path():
         [
             sys.executable,
             "-c",
-            "import sys, repro, repro.runtime, repro.parallel; "
+            "import sys, repro, repro.runtime; "
             "print('numpy' in sys.modules)",
         ],
         env={**os.environ, "PYTHONPATH": str(src)},

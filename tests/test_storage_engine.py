@@ -110,15 +110,14 @@ class TestMemoryEngine:
         record = next(engine.iter_summaries(policy))
         assert record.load() is tree  # zero serialization on this path
 
-    def test_seal_and_shard_history(self, policy, make_key):
+    def test_seal_history(self, policy, make_key):
         engine = MemoryEngine()
-        engine.record_shard("a/r1", 100)
-        engine.record_shard("a/r1", 50)
         engine.seal_epoch(0)
-        engine.seal_epoch(1)
-        history = engine.sealed_epochs()
-        assert history[0]["shards"] == {"a/r1": 150}
-        assert "shards" not in history[1]
+        engine.seal_epoch(1, meta={"closed_at": 120.0})
+        assert engine.sealed_epochs() == [
+            {"epoch": 0},
+            {"epoch": 1, "closed_at": 120.0},
+        ]
 
     def test_relabel_rewrites_records(self, policy, make_key):
         engine = MemoryEngine()
@@ -265,13 +264,6 @@ class TestSegmentLogEngine:
     def test_compact_threshold_validated(self, tmp_path):
         with pytest.raises(StorageError):
             SegmentLogEngine(str(tmp_path), compact_threshold=1)
-
-    def test_shards_recorded_in_segment_row(self, policy, make_key,
-                                            tmp_path):
-        engine = SegmentLogEngine(str(tmp_path))
-        engine.record_shard("a", 42)
-        fill(engine, policy, make_key, epochs=1, sites=("a",))
-        assert engine.segments()[0]["shards"] == {"a": 42}
 
 
 class TestFlowDBEngineSeam:
