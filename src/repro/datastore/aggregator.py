@@ -58,19 +58,13 @@ class Aggregator:
         """Whether this aggregator subscribes to the stream."""
         return self.stream_filter(stream_id)
 
-    def ingest(self, item: Any, timestamp: float) -> None:
-        """Feed one stream item to the primitive."""
-        if self.epoch_opened_at is None:
-            self.epoch_opened_at = timestamp
-        value = self.item_of(item) if self.item_of else item
-        self.primitive.ingest(value, timestamp)
-        self.items_this_epoch += 1
-
     def ingest_many(self, timed_items) -> int:
         """Feed a batch of ``(item, timestamp)`` pairs to the primitive.
 
         Delegates to the primitive's batched path (which amortizes
-        budget checks); returns how many items were consumed.
+        budget checks); returns how many items were consumed.  The
+        epoch's opening time is taken only once the primitive has
+        accepted the batch, so a rejected one leaves no trace here.
         """
         if self.item_of:
             projection = self.item_of
@@ -81,9 +75,9 @@ class Aggregator:
             timed_items = list(timed_items)
         if not timed_items:
             return 0
+        count = self.primitive.ingest_many(timed_items)
         if self.epoch_opened_at is None:
             self.epoch_opened_at = timed_items[0][1]
-        count = self.primitive.ingest_many(timed_items)
         self.items_this_epoch += count
         return count
 

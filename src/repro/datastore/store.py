@@ -188,8 +188,11 @@ class DataStore:
           once, letting budgeted primitives amortize their compression
           checks.
 
-        ``size_bytes`` is the per-item raw size either way.  Returns the
-        number of items ingested.
+        Either shape reaches each subscribed aggregator as one
+        :meth:`~repro.datastore.aggregator.Aggregator.ingest_many` batch,
+        so a single item is accepted or rejected exactly like a batch
+        of one.  ``size_bytes`` is the per-item raw size either way.
+        Returns the number of items ingested.
         """
         if timestamp is not None:
             timed_items: List[Tuple[Any, float]] = [(records, timestamp)]
@@ -204,16 +207,8 @@ class DataStore:
         else:
             # no raw triggers installed: identical accounting, one call
             self.ingest_stats.observe_many(size_bytes, len(timed_items))
-        subscribed = [
-            aggregator
-            for aggregator in self._aggregators.values()
-            if aggregator.wants(stream_id)
-        ]
-        if len(timed_items) == 1:
-            for aggregator in subscribed:
-                aggregator.ingest(*timed_items[0])
-        else:
-            for aggregator in subscribed:
+        for aggregator in self._aggregators.values():
+            if aggregator.wants(stream_id):
                 aggregator.ingest_many(timed_items)
         return len(timed_items)
 

@@ -40,10 +40,13 @@ total ingested mass (an invariant the property-based tests pin down).
 Hot path.  Ingest is the operation every other subsystem's throughput
 rides on, so it is written allocation-light:
 
-* one projected chain per record (the policy's precompiled per-depth
-  projectors), reused for node creation, ``own`` update and subtree
-  bubbling in a single walk — a level is one projection and one lookup
-  in that depth's dict;
+* one deepest-first walk per record: probe the record's own depth,
+  then one depth up at a time, until a live node answers (one
+  projection and one lookup in that depth's dict per probe); climb
+  ``parent`` pointers from there to bump every ancestor's subtree
+  counters with no projection at all; then create only the missing
+  tail below it.  This rests on one invariant — a node is only ever
+  removed as a leaf, so every live node's ancestors are alive;
 * popularity lives in plain integer counters on ``__slots__`` — the
   ``own``/``folded``/``subtree`` :class:`Score` views are materialized
   only at query time;
@@ -269,12 +272,6 @@ class Flowtree:
         ]
         self._index[0][root.values] = root
         self._node_count = 1
-        #: (depth, projector, that depth's dict) for depths 1..max — the
-        #: ingest walk iterates this directly instead of indexing per level
-        self._chain = tuple(
-            (d, policy.projectors[d], self._index[d])
-            for d in range(1, policy.depth + 1)
-        )
         self._node_bytes = _NODE_BYTES_FIXED + _NODE_BYTES_PER_FEATURE * len(
             self.schema
         )
@@ -430,28 +427,51 @@ class Flowtree:
         nbytes: int,
         flows: int,
     ) -> None:
-        """The single-pass ingest walk.
+        """The deepest-first ingest walk.
 
-        Projects the chain once per level and reuses it for node
-        creation, subtree bubbling, and the final ``own`` update.  Each
-        level's dict rides in the chain beside its projector, so a level
-        is one projection and one ``get`` — no key tuple, no attribute
-        load.
+        A node is only ever removed as a leaf, so every live node has
+        all of its ancestors alive.  The walk rests on that:
+
+        * probe — project the record to its own depth and look it up;
+          on a miss move one depth up, until a live node answers or the
+          root is reached;
+        * climb — add the record's counters to that node and every
+          ancestor by following ``parent``, with no projection and no
+          lookup;
+        * tail — create the missing nodes below it, shallowest first,
+          each born holding the record's counters;
+        * finish — add the record to the deepest node's ``own``.
+
+        A record whose leaf is live costs one projection; one whose
+        deepest live ancestor sits at depth ``a`` costs ``depth - a + 1``
+        (``depth`` when that ancestor is the root).
         """
-        chain = self._chain if depth == len(self._chain) else self._chain[:depth]
-        node = self._root
-        node.subtree_packets += packets
-        node.subtree_bytes += nbytes
-        node.subtree_flows += flows
-        for d, project, level in chain:
-            projected = project(values)
-            child = level.get(projected)
-            if child is None:
-                child = self._new_node(d, projected, node)
-            child.subtree_packets += packets
-            child.subtree_bytes += nbytes
-            child.subtree_flows += flows
-            node = child
+        index = self._index
+        projectors = self._projectors
+        projected = projectors[depth](values)
+        node = index[depth].get(projected)
+        missing = []
+        while node is None:
+            missing.append(projected)
+            depth -= 1
+            if not depth:
+                node = self._root
+                break
+            projected = projectors[depth](values)
+            node = index[depth].get(projected)
+        above = node
+        while above is not None:
+            above.subtree_packets += packets
+            above.subtree_bytes += nbytes
+            above.subtree_flows += flows
+            above = above.parent
+        new_node = self._new_node
+        for projected in reversed(missing):
+            depth += 1
+            node = new_node(depth, projected, node)
+            node.subtree_packets = packets
+            node.subtree_bytes = nbytes
+            node.subtree_flows = flows
         node.own_packets += packets
         node.own_bytes += nbytes
         node.own_flows += flows

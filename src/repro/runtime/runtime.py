@@ -49,7 +49,7 @@ from repro.core.registry import PrimitiveRegistry, default_registry
 from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator
 from repro.datastore.store import DataStore
-from repro.errors import PlacementError
+from repro.errors import PlacementError, SchemaMismatchError
 from repro.faults import (
     FaultPlan,
     PendingExport,
@@ -59,6 +59,7 @@ from repro.faults import (
 from repro.elastic import TopologyModel
 from repro.flowdb.db import FlowDB
 from repro.flows.flowkey import FIVE_TUPLE, FeatureSchema, GeneralizationPolicy
+from repro.flows.records import PacketRecord
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import Hierarchy, HierarchyNode, LevelSpec
 from repro.obs import Observability
@@ -74,6 +75,20 @@ from repro.runtime.config import EXPORT_NONE, LevelConfig
 from repro.runtime.export import ExportPath
 from repro.runtime.stats import VolumeStats
 from repro.storage import StorageEngine
+
+
+def _timestamp_of(record) -> float:
+    """A raw record's time: its ``first_seen``, else a packet's
+    ``timestamp``."""
+    first_seen = getattr(record, "first_seen", None)
+    if first_seen is not None:
+        return first_seen
+    if isinstance(record, PacketRecord):
+        return record.timestamp
+    raise SchemaMismatchError(
+        f"cannot ingest a {type(record).__name__}: it has neither a "
+        f"first_seen nor a packet timestamp"
+    )
 
 
 class HierarchyRuntime:
@@ -442,11 +457,14 @@ class HierarchyRuntime:
     ) -> int:
         """Feed raw records into an edge site's data store.
 
-        Records need a ``first_seen`` timestamp (flow/packet records);
-        raw volume is accounted against the site's level using each
-        record's ``bytes`` attribute when present.  The batch-size
-        fallback counts *once per batch*: records without a ``bytes``
-        attribute must not each re-count the whole batch size.
+        A record is timed by its ``first_seen`` (flow records) or, for a
+        :class:`~repro.flows.records.PacketRecord`, its ``timestamp``; a
+        batch holding a record with neither raises
+        :class:`~repro.errors.SchemaMismatchError` before anything is
+        applied.  Raw volume is accounted against the site's level
+        using each record's ``bytes`` attribute when present.  The
+        batch-size fallback counts *once per batch*: records without a
+        ``bytes`` attribute must not each re-count the whole batch size.
         """
         store = self._ingestible.get(site)
         if store is None:
@@ -455,7 +473,11 @@ class HierarchyRuntime:
             )
         started = time.perf_counter()
         size = self.raw_record_bytes if size_bytes is None else size_bytes
-        batch = [(record, record.first_seen) for record in records]
+        records = list(records)
+        try:
+            batch = [(record, record.first_seen) for record in records]
+        except AttributeError:
+            batch = [(record, _timestamp_of(record)) for record in records]
         count = store.ingest(stream_id, batch, size_bytes=size)
         node = self.hierarchy.node(store.location)
         volume = self.stats.level(node.level.name)

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.flowtree import FlowtreePrimitive
 from repro.core.primitive import QueryRequest
-from repro.core.summary import Location
+from repro.core.summary import Location, TimeInterval
 from repro.core.timebin import TimeBinStatistics
 from repro.datastore.aggregator import Aggregator, prefix_filter
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.datastore.triggers import RawTrigger, SummaryTrigger
-from repro.errors import StorageError
+from repro.errors import SchemaMismatchError, StorageError
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import network_monitoring_hierarchy
 
@@ -97,6 +97,31 @@ class TestAggregators:
         store.ingest("s", Reading(), 0.0)
         stats = aggregator.primitive.query(QueryRequest("stats", {}))
         assert stats.mean == 7.5
+
+
+class TestRejectedIngest:
+    """One item and a batch reach an aggregator the same way, so a
+    refused one of either shape leaves no trace in it."""
+
+    @pytest.mark.parametrize("shape", ["one item", "batch"])
+    def test_refused_ingest_leaves_no_trace(
+        self, flow_store, random_flows, shape
+    ):
+        aggregator = flow_store.aggregator("ft")
+        primitive = aggregator.primitive
+        with pytest.raises(SchemaMismatchError):
+            if shape == "one item":
+                flow_store.ingest("flows", "junk", 5.0)
+            else:
+                good = random_flows(3)[0]
+                flow_store.ingest(
+                    "flows", [(good, good.first_seen), ("junk", 5.0)]
+                )
+        assert primitive.items_ingested == 0
+        assert primitive.interval() == TimeInterval(0.0, 0.0)
+        assert primitive.tree.node_count == 1
+        assert aggregator.items_this_epoch == 0
+        assert aggregator.epoch_opened_at is None
 
 
 class TestEpochs:

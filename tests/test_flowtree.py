@@ -98,6 +98,40 @@ class TestInsertAndQuery:
         assert tree.total().flows == 50
 
 
+class TestIngestWalkCost:
+    """The ingest walk probes from the record's own depth upward and
+    climbs parent pointers, so it projects only the depths it probes."""
+
+    @staticmethod
+    def _count_projections(tree):
+        calls = [0]
+
+        def counting(project):
+            def wrapped(values):
+                calls[0] += 1
+                return project(values)
+
+            return wrapped
+
+        tree._projectors = tuple(counting(p) for p in tree._projectors)
+        return calls
+
+    # every depth 0..13 of the 5-tuple chain; at 13 the leaf itself is
+    # live and the record costs exactly one projection
+    @pytest.mark.parametrize("ancestor", range(14))
+    def test_cost_is_the_depths_below_the_deepest_live_ancestor(
+        self, policy, make_key, ancestor
+    ):
+        depth = policy.depth
+        tree = make_tree(policy)
+        tree.add(policy.key_at(make_key(), ancestor), Score(1, 10, 0))
+        calls = self._count_projections(tree)
+        tree.add(make_key(), Score(1, 100, 1))
+        assert calls[0] == (depth - ancestor + 1 if ancestor else depth)
+        assert tree.node_count == depth + 1
+        assert tree.total() == Score(2, 110, 1)
+
+
 class TestCompress:
     def test_budget_enforced(self, policy, random_flows):
         tree = make_tree(policy, budget=200)

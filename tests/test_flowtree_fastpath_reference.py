@@ -1,8 +1,9 @@
 """Differential tests: the hot-path Flowtree vs. a naive reference.
 
-The Flowtree ingest/merge/compress path is heavily optimized (single
-projected chain walk, in-place integer counters, a persistent lazy
-compression heap, bounded-overshoot batching).  None of that may change
+The Flowtree ingest/merge/compress path is heavily optimized (a
+deepest-first ingest walk that climbs parent pointers, in-place integer
+counters, a persistent lazy compression heap, bounded-overshoot
+batching).  None of that may change
 *what* the tree computes.  This module pins the semantics with a
 :class:`ReferenceFlowtree` — a deliberately slow implementation that
 allocates frozen :class:`Score` objects per update, re-projects every
@@ -30,7 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flows.features import Feature
-from repro.flows.flowkey import FeatureSchema, FlowKey, GeneralizationPolicy
+from repro.flows.flowkey import (
+    FIVE_TUPLE,
+    FeatureSchema,
+    FlowKey,
+    GeneralizationPolicy,
+)
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
 
@@ -249,6 +255,51 @@ operations = st.lists(
     max_size=20,
 )
 
+#: the library's depth-13 chain: addresses in /8 steps, proto, ports
+DEEP_POLICY = GeneralizationPolicy.default_for(FIVE_TUPLE)
+#: a few /8 and /16 prefixes and host parts that differ at /24 and /32,
+#: so a record's deepest live ancestor can sit at any address depth
+PREFIXES = (10 << 24, (10 << 24) | (1 << 16), (192 << 24) | (168 << 16))
+HOSTS = (0x0000, 0x0001, 0x0100, 0x0101)
+#: ports that differ in the high byte, the low byte, or both
+PORTS = (80, 81, 443, 8080)
+
+addresses = st.builds(
+    lambda prefix, host: prefix | host,
+    st.sampled_from(PREFIXES),
+    st.sampled_from(HOSTS),
+)
+deep_keys = st.builds(
+    lambda proto, src, dst, sport, dport: FIVE_TUPLE.key(
+        proto=proto, src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport
+    ),
+    st.sampled_from((6, 17)),
+    addresses,
+    addresses,
+    st.sampled_from(PORTS),
+    st.sampled_from(PORTS),
+)
+#: fully-specific keys, and the same keys lifted to an on-chain depth
+deep_inserts = st.tuples(
+    st.one_of(
+        deep_keys,
+        st.builds(
+            DEEP_POLICY.key_at,
+            deep_keys,
+            st.integers(min_value=0, max_value=DEEP_POLICY.depth),
+        ),
+    ),
+    scores,
+)
+deep_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), deep_inserts),
+        st.tuples(st.just("add_many"), st.lists(deep_inserts, max_size=40)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
 
 class TestFastPathMatchesReference:
     @settings(max_examples=60, deadline=None)
@@ -333,6 +384,27 @@ class TestFastPathMatchesReference:
             assert_identical(fast, reference)
             if fast.node_count <= POLICY.depth + 1:
                 break
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=deep_operations,
+        budget=st.sampled_from([DEEP_POLICY.depth + 1, 20, 32]),
+    )
+    def test_deep_chain_identical(self, ops, budget):
+        """On the depth-13 5-tuple chain, with keys that share prefixes
+        down to every depth and a budget that keeps folding them, the
+        walk that probes upward from each record's own depth builds the
+        reference's tree."""
+        fast = Flowtree(DEEP_POLICY, node_budget=budget, metric="bytes")
+        reference = ReferenceFlowtree(DEEP_POLICY, node_budget=budget)
+        for op, payload in ops:
+            if op == "add":
+                fast.add(*payload)
+                reference.add(*payload)
+            else:
+                fast.add_many(list(payload))
+                reference.add_many(list(payload))
+            assert_identical(fast, reference)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlacementError, SchemaMismatchError
-from repro.flows.flowkey import SRC_DST
+from repro.flows.flowkey import FIVE_TUPLE, SRC_DST
+from repro.flows.records import PacketRecord, Score
 from repro.flowstream.tiered import TieredFlowstream
 from repro.hierarchy.topology import Hierarchy
 from repro.runtime import (
@@ -347,6 +348,46 @@ class TestRawBytesAccounting:
         batch = [_Sized(0.0, 100), _TimedOnly(1.0), _TimedOnly(2.0)]
         runtime.ingest("region1/router1", batch, size_bytes=48)
         assert runtime.stats.raw_bytes == 100 + 48
+
+
+class TestRecordTimestamps:
+    """``runtime.ingest`` times a flow record by ``first_seen`` and a
+    packet record by ``timestamp``; anything else is refused whole."""
+
+    SITE = "region1/router1"
+
+    @staticmethod
+    def _packets():
+        key = FIVE_TUPLE.key(
+            proto=6, src_ip="10.0.0.1", dst_ip="10.0.0.2",
+            src_port=1234, dst_port=80,
+        )
+        return [
+            PacketRecord(key=key, bytes=100, timestamp=float(i),
+                         sampled_1_in=10)
+            for i in range(5)
+        ]
+
+    def test_packet_records_reach_the_root(self):
+        through_runtime = flat_runtime([self.SITE])
+        assert through_runtime.ingest(self.SITE, self._packets()) == 5
+        through_store = flat_runtime([self.SITE])
+        through_store.store_for(self.SITE).ingest(
+            "flows", [(p, p.timestamp) for p in self._packets()]
+        )
+        expected = Score(packets=50, bytes=5000, flows=0)
+        for runtime in (through_runtime, through_store):
+            runtime.close_epoch(60.0)
+            assert runtime.query("SELECT TOTAL FROM ALL").scalar == expected
+
+    def test_untimed_record_refused_before_anything_lands(self):
+        runtime = flat_runtime([self.SITE])
+        with pytest.raises(SchemaMismatchError, match="object"):
+            runtime.ingest(self.SITE, [object()])
+        with pytest.raises(SchemaMismatchError):
+            runtime.ingest(self.SITE, self._packets() + [object()])
+        assert runtime.stats.raw_records == 0
+        assert runtime.stats.raw_bytes == 0
 
 
 class TestExportNone:
