@@ -27,6 +27,7 @@ framing, real bounded queues.  Three arms, one case each:
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
 from benchmarks.conftest import depth4_runtime, rows
@@ -75,6 +76,14 @@ def _retry_after_hint(headers, body) -> float:
         return float(headers.get("retry-after", "1"))
 
 
+async def post_query(connection, body):
+    """POST one query; ``(status, headers, decoded JSON body)``."""
+    status, headers, raw = await connection.request(
+        "POST", "/v1/query", body=body
+    )
+    return status, headers, json.loads(raw) if raw else None
+
+
 def ensure_fd_headroom(needed: int = 8192) -> None:
     """Thousands of sockets need file descriptors; raise the soft cap."""
     try:
@@ -113,10 +122,8 @@ async def _one_client(
             ]
             started = time.perf_counter()
             for _ in range(MAX_RETRIES):
-                status, headers, body = await connection.request(
-                    "POST",
-                    "/v1/query",
-                    body={"query": text, "client_id": client_id},
+                status, headers, body = await post_query(
+                    connection, {"query": text, "client_id": client_id}
                 )
                 if status != 429:
                     break
@@ -170,10 +177,8 @@ async def count_identity_mismatches(runtime, plane) -> int:
     connection = HTTPConnection(plane.gateway.host, plane.gateway.port)
 
     async def remote_outcome(text):
-        status, _headers, body = await connection.request(
-            "POST",
-            "/v1/query",
-            body={"query": text, "client_id": "identity"},
+        status, _headers, body = await post_query(
+            connection, {"query": text, "client_id": "identity"}
         )
         assert status == 200, f"identity probe got HTTP {status}"
         return wire.decode_outcome(body)
@@ -220,10 +225,9 @@ async def run_shedding_arm(runtime) -> list:
         try:
             for client in range(8):  # 8 clients burst 5 each: 2 admitted
                 for _ in range(5):
-                    status, headers, body = await connection.request(
-                        "POST",
-                        "/v1/query",
-                        body={
+                    status, headers, body = await post_query(
+                        connection,
+                        {
                             "query": "SELECT TOTAL FROM ALL",
                             "client_id": f"burst-{client}",
                         },

@@ -24,16 +24,18 @@ code path to keep identical.
 
 **Cloud route.**  Inputs are root FlowDB entries in
 ``(interval.start, location)`` order.  From empty the tree is
-``FlowDB.merged_tree``; kept, the entries past the consumed ids are
-merged into it.  Breaker: ``entry-prefix`` (recovery re-ids entries).
+:func:`top_merge` of their trees under the root's merge budget; kept,
+the entries past the consumed ids are merged into it.  Breaker:
+``entry-prefix`` (recovery re-ids entries).
 
 **Federated route.**  Inputs are the window partitions of every
 covering store at the plan's level, read through the planner's
 ``_read_store`` (replica-first, fabric-accounted, feeding adaptive
 replication).  From empty, the trees that read returns *are* the site
-partials (one ``combine_flowtrees`` result per aggregator); kept, each
-new partition extends its aggregator's partial by one ``merge`` — the
-continuation of ``combine_flowtrees``' copy-first-merge-rest sequence.
+partials (per aggregator, its lone partition's tree or the
+``combine_flowtrees`` result of several); kept, each new partition
+extends its aggregator's partial by one ``merge`` — the continuation of
+``combine_flowtrees``' copy-first-merge-rest sequence.
 Breakers: ``partition-prefix`` (a consumed partition vanished),
 ``replica-served`` (a window partition now lives at the root, which a
 fresh read serves individually — a different merge order) and
@@ -42,16 +44,22 @@ the whole-window export).  A fold whose first read met any of those,
 or fell back to degraded coverage, answers honestly but is not
 :attr:`~WindowFold.resumable`.
 
-**Read-only trees.**  :func:`top_merge` serves a lone partial that fits
-the root merge budget as is, so :attr:`WindowFold.tree` may alias a
-site partial or a replica's payload.  Callers only read it
+**Only a writer copies.**  No query path writes a tree it did not
+build.  A window input is taken as is wherever taking it is exact — a
+lone FlowDB entry, a lone partition per aggregator, a lone partial
+under :func:`top_merge` — so :attr:`WindowFold.tree` and a site partial
+may be a stored tree or a replica's payload.  Answering only reads
 (``apply_operator``, ``Flowtree.diff`` and the query methods mutate
-nothing).
+nothing).  The one writer is a kept fold extending what it borrowed:
+it records the trees it borrows when it takes them, and before the
+first extension builds exactly what a fresh fold would — a fresh
+:func:`top_merge` on the cloud route, ``copy()`` then ``merge`` for a
+site partial.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
@@ -120,6 +128,9 @@ class WindowFold:
         self.folded_partitions: Dict[str, List[str]] = {}
         #: federated route: label -> aggregator -> the site partial
         self.site_trees: Dict[str, Dict[str, Flowtree]] = {}
+        #: ids of the stored trees held as is (``tree`` or a site
+        #: partial), recorded when taken; copied before first extended
+        self.borrowed: Set[int] = set()
 
     def advance(
         self, now: float, degradation: Optional[Degradation] = None
@@ -148,13 +159,27 @@ class WindowFold:
         entries = db.entries(sites, self.spec.start, self.spec.end)
         ids = [entry.entry_id for entry in entries]
         if self.tree is None:
-            self.tree = db.merged_tree(sites, self.spec.start, self.spec.end)
+            if not entries:
+                raise FlowQLPlanningError(
+                    "no Flowtree summaries match the requested sites/window "
+                    f"(locations={sites}, start={self.spec.start}, "
+                    f"end={self.spec.end})"
+                )
+            assemble = True
         else:
             known = len(self.entry_ids)
             if ids[:known] != self.entry_ids:
                 raise FoldBroken("entry-prefix")
-            for entry in entries[known:]:
-                self.tree.merge(entry.tree)
+            # a borrowed entry is never extended: with two or more
+            # inputs now, a fresh fold's top merge builds a new tree
+            assemble = known < len(entries) and id(self.tree) in self.borrowed
+            if not assemble:
+                for entry in entries[known:]:
+                    self.tree.merge(entry.tree)
+        if assemble:
+            trees = [entry.tree for entry in entries]
+            self.tree = top_merge(trees, db.merge_node_budget)
+            self.borrowed = {id(self.tree)} if self.tree is trees[0] else set()
         self.entry_ids = ids
 
     # -- federated route -----------------------------------------------------
@@ -201,13 +226,18 @@ class WindowFold:
                     self.resumable = False
                 else:
                     # no replicas: _read_store returned exactly one
-                    # combined tree per aggregator, in sorted order
+                    # tree per aggregator, in sorted order — a lone
+                    # partition's own payload, borrowed
                     self.folded_partitions[label] = read.partitions
                     self.site_trees[label] = dict(
                         zip(
                             sorted({p.aggregator for p in partitions}),
                             site_trees,
                         )
+                    )
+                    stored = {id(p.summary.payload) for p in partitions}
+                    self.borrowed.update(
+                        id(tree) for tree in site_trees if id(tree) in stored
                     )
             trees.extend(site_trees)
         if trees:
@@ -258,14 +288,19 @@ class WindowFold:
             reads.append(read)
             partials = self.site_trees.setdefault(label, {})
             for partition in fresh:
+                payload = partition.summary.payload
                 partial = partials.get(partition.aggregator)
                 if partial is None:
-                    # a fold's first partial: later partitions merge in
-                    partials[partition.aggregator] = (
-                        partition.summary.payload.copy()
-                    )
-                else:
-                    partial.merge(partition.summary.payload)
+                    # a fold's first partial: borrowed until extended
+                    partials[partition.aggregator] = payload
+                    self.borrowed.add(id(payload))
+                    continue
+                if id(partial) in self.borrowed:
+                    # combine_flowtrees' own sequence: copy the first,
+                    # merge the rest
+                    self.borrowed.discard(id(partial))
+                    partial = partials[partition.aggregator] = partial.copy()
+                partial.merge(payload)
             self.folded_partitions[label] = ids[label]
         if reads:
             self.tree = top_merge(

@@ -24,6 +24,7 @@ pieces meet:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.primitive import QueryRequest
@@ -33,7 +34,7 @@ from repro.datastore.partitions import Partition
 from repro.datastore.recombine import combine_summaries
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
-from repro.datastore.summary_query import approx_result_bytes, rehydrate
+from repro.datastore.summary_query import approx_result_bytes
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
 from repro.flowql.parser import parse
@@ -460,7 +461,8 @@ class FederatedQueryPlanner:
         replication engine — the engine may replicate the partition into
         :attr:`replica_store` mid-stream, so later reads turn local.
         With ``replicas_only`` the remote ship is skipped entirely (the
-        degraded-read path: serve what the root already holds).
+        degraded-read path: serve what the root already holds).  The
+        trees returned may be stored payloads: read-only to the caller.
         """
         read = SiteRead(
             site=label,
@@ -488,9 +490,18 @@ class FederatedQueryPlanner:
             if replicas_only:
                 remote = {}
             for aggregator, parts in sorted(remote.items()):
-                combined = combine_summaries(
-                    [p.summary for p in parts], shrink=1.0
-                )
+                if len(parts) == 1:
+                    # a lone partition ships its stored tree: combining
+                    # it would copy it, and readers never write one
+                    stored = parts[0].summary
+                    combined = replace(
+                        stored,
+                        size_bytes=stored.payload.estimated_size_bytes(),
+                    )
+                else:
+                    combined = combine_summaries(
+                        [p.summary for p in parts], shrink=1.0
+                    )
                 if store.privacy is not None:
                     # the partial leaves the level's trust domain
                     combined = store.privacy.export(aggregator, combined)
@@ -512,7 +523,7 @@ class FederatedQueryPlanner:
             span.set_attr(
                 "replica_partitions", len(read.replica_partitions)
             )
-        return read, [rehydrate(summary).tree for summary in summaries]
+        return read, [summary.payload for summary in summaries]
 
     # -- drilldown API for applications --------------------------------------
 

@@ -44,13 +44,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.plane import ServePlane
 
 
+#: routing decisions kept, like the planner's ``QueryCache`` entries
+ROUTES_MAX = 1024
+
+
 class RoutingTable:
     """Query-text → node-label decisions, keyed to a topology generation.
 
     A reconfig (join/leave/split/merge/migrate) changes which stores
     exist and what they cover, so every cached decision made under the
     previous shape is discarded the first time the table is consulted
-    at the new generation.
+    at the new generation.  Ad-hoc traffic brings new text with every
+    query, so at :data:`ROUTES_MAX` decisions the oldest insertion goes;
+    an evicted text is simply routed again.
     """
 
     def __init__(self) -> None:
@@ -80,6 +86,8 @@ class RoutingTable:
 
     def record(self, key: str, generation: int, node: str) -> None:
         self._sync_generation(generation)
+        if key not in self._entries and len(self._entries) >= ROUTES_MAX:
+            del self._entries[next(iter(self._entries))]
         self._entries[key] = node
 
     def __len__(self) -> int:
@@ -241,6 +249,7 @@ class FlowQLGateway:
         relay_headers = {"X-Repro-Node": node, "X-Repro-Trace": trace_id}
         if "retry-after" in headers:
             relay_headers["Retry-After"] = headers["retry-after"]
+        # the node's body bytes, relayed undecoded
         return response_bytes(status, payload, headers=relay_headers)
 
     # -- standing queries ----------------------------------------------------
@@ -398,7 +407,7 @@ class FlowQLGateway:
 
     async def _forward(
         self, node: str, query_text: str, client_id: str, trace_id: str
-    ) -> Tuple[int, Dict[str, str], object]:
+    ) -> Tuple[int, Dict[str, str], bytes]:
         connection = self._connections.get(node)
         if connection is None:
             server = self.plane.nodes[node]

@@ -56,6 +56,25 @@ class Request:
             raise ServeError(f"request body is not valid JSON: {exc}")
 
 
+def _parse_head(head: bytes) -> Tuple[str, Dict[str, str], int]:
+    """A message head's start line, lower-cased headers and body length.
+
+    A ``Content-Length`` that is not a non-negative decimal integer is
+    a :class:`ServeError`: the framing of everything after it is lost.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "0") or "0"
+    if not (length.isascii() and length.isdigit()):
+        raise ServeError(f"malformed Content-Length {length!r}")
+    return lines[0], headers, int(length)
+
+
 async def read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Request]:
@@ -70,21 +89,17 @@ async def read_request(
         raise ServeError("request head exceeds the stream limit")
     if len(head) > MAX_HEADER_BYTES:
         raise ServeError("request head too large")
-    lines = head.decode("latin-1").split("\r\n")
+    start, headers, length = _parse_head(head)
     try:
-        method, path, _version = lines[0].split(" ", 2)
+        method, path, _version = start.split(" ", 2)
     except ValueError:
-        raise ServeError(f"malformed request line {lines[0]!r}")
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+        raise ServeError(f"malformed request line {start!r}")
     if length > MAX_BODY_BYTES:
         raise ServeError(f"request body too large ({length} B)")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise ServeError("connection closed mid-request")
     return Request(method.upper(), path, headers, body)
 
 
@@ -93,12 +108,16 @@ def response_bytes(
     body: object = None,
     headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
-    """Serialize one JSON (or empty) keep-alive response."""
-    payload = (
-        b""
-        if body is None
-        else json.dumps(body, separators=(",", ":")).encode("utf-8")
-    )
+    """Serialize one JSON (or empty) keep-alive response.
+
+    A ``bytes`` body is already JSON (a relayed reply) and is sent as is.
+    """
+    if isinstance(body, bytes):
+        payload = body
+    elif body is None:
+        payload = b""
+    else:
+        payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
     reason = _REASONS.get(status, "Unknown")
     head = [
         f"HTTP/1.1 {status} {reason}",
@@ -148,8 +167,8 @@ class HTTPConnection:
         path: str,
         body: object = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, str], object]:
-        """Send one request; returns ``(status, headers, json_body)``."""
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """Send one request; returns ``(status, headers, body_bytes)``."""
         payload = (
             b""
             if body is None
@@ -182,23 +201,15 @@ class HTTPConnection:
                         )
         raise AssertionError("unreachable")  # pragma: no cover
 
-    async def _read_response(self) -> Tuple[int, Dict[str, str], object]:
+    async def _read_response(self) -> Tuple[int, Dict[str, str], bytes]:
         head = await self._reader.readuntil(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
+        start, headers, length = _parse_head(head)
         try:
-            status = int(lines[0].split(" ", 2)[1])
+            status = int(start.split(" ", 2)[1])
         except (IndexError, ValueError):
-            raise ServeError(f"malformed status line {lines[0]!r}")
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        raw = await self._reader.readexactly(length) if length else b""
-        parsed = json.loads(raw.decode("utf-8")) if raw else None
-        return status, headers, parsed
+            raise ServeError(f"malformed status line {start!r}")
+        body = await self._reader.readexactly(length) if length else b""
+        return status, headers, body
 
 
 class HTTPConnectionPool:
@@ -224,7 +235,7 @@ class HTTPConnectionPool:
         path: str,
         body: object = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, str], object]:
+    ) -> Tuple[int, Dict[str, str], bytes]:
         connection = (
             self._idle.pop()
             if self._idle

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
@@ -17,6 +18,37 @@ from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 # prints the blob to commit), never in a git-ignored .hypothesis/.
 settings.register_profile("repro", database=None, print_blob=True)
 settings.load_profile("repro")
+
+
+class _Records(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(level=logging.ERROR)
+        self.records: list = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def asyncio_errors_fail_the_test():
+    """An ERROR the ``asyncio`` logger saw during a test fails it.
+
+    asyncio reports an exception that escaped a connection callback or
+    a task only by logging it, so a serving-plane bug would otherwise
+    pass as a dropped connection.
+    """
+    handler = _Records()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.records:
+        pytest.fail(
+            "asyncio logged an error:\n"
+            + "\n".join(handler.format(r) for r in handler.records)
+        )
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,7 +46,7 @@ from repro.query.plan import (
 from repro.runtime.presets import network_4level_runtime
 from repro.serve import ServePlane, wire
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.gateway import RoutingTable
+from repro.serve.gateway import ROUTES_MAX, RoutingTable
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 ROUTER1 = "network1/region1/router1"
@@ -418,6 +420,31 @@ class TestRoutingTable:
         assert table.invalidations == 0
         assert len(table) == 2
 
+    def test_ad_hoc_texts_stay_within_the_cap(self):
+        """Every ad-hoc query brings new text: the table keeps the
+        newest decisions and an evicted text is simply routed again."""
+        runtime = loaded_runtime(
+            regions=1, routers=2, epochs=1, flows_per_epoch=40
+        )
+        with ServePlane(runtime) as plane:
+            gateway = plane.gateway
+            texts = [
+                f"SELECT TOPK({i}) FROM ALL"
+                + (f" AT {ROUTER1}" if i % 2 else "")
+                for i in range(5000)
+            ]
+            routed = {text: gateway._route(text) for text in texts}
+            assert len(gateway.routing) <= ROUTES_MAX == 1024
+            assert routed[texts[0]] == plane.root_label
+            assert routed[texts[1]] == ROUTER1
+            for text in (texts[0], texts[1], texts[-1]):  # two evicted
+                assert gateway._route(text) == routed[text]
+            table = gateway.routing
+            assert table.hits == 1
+            assert table.hits + table.misses == len(texts) + 3
+            assert len(table) <= ROUTES_MAX
+        runtime.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # the served plane: HTTP answers are the in-process answers
@@ -499,6 +526,99 @@ class TestServedAnswerIdentity:
         _runtime, plane, client = served
         client.query(f"SELECT TOTAL FROM ALL AT {ROUTER1}")
         assert plane.nodes[ROUTER1].requests_served >= 1
+
+
+def raw_exchange(server, data: bytes) -> bytes:
+    """``data`` on a new connection, half-closed; all the peer sends."""
+    with socket.create_connection((server.host, server.port), 10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestHostileFraming:
+    """Broken framing costs the sender a 400 (or, with nobody left to
+    answer, a quiet close) — never an exception asyncio has to log,
+    which the autouse guard in ``conftest.py`` turns into a failure."""
+
+    HEAD = b"POST /v1/query HTTP/1.1\r\nContent-Length: %s\r\n\r\n"
+
+    def servers(self, plane):
+        return (plane.gateway, plane.nodes[ROUTER1])
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"+5", b"5 5"])
+    def test_bad_content_length_is_a_400(self, served, length):
+        _runtime, plane, client = served
+        for server in self.servers(plane):
+            reply = raw_exchange(server, self.HEAD % length)
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            kind, error = wire.open_envelope(json.loads(body))
+            assert kind == wire.KIND_ERROR
+            assert type(wire.decode_error(error)) is ServeError
+            assert "Content-Length" in str(wire.decode_error(error))
+        assert client.query("SELECT TOTAL FROM ALL").scalar.bytes > 0
+
+    def test_truncated_body_closes_quietly(self, served):
+        _runtime, plane, client = served
+        for server in self.servers(plane):
+            raw_exchange(server, self.HEAD % b"100" + b'{"query": "SEL')
+        # a new connection is served as usual (and, answered on the
+        # same loop, comes after anything the cut-short one logged)
+        text = f"SELECT TOTAL FROM ALL AT {ROUTER1}"
+        assert client.query(text).scalar.bytes > 0
+
+
+class TestGatewayRelay:
+    def test_reply_body_is_the_bytes_the_node_wrote(self, small_runtime):
+        """The gateway passes the node's body on undecoded: a node
+        spelling its JSON differently from the gateway's own encoder
+        reaches the client byte for byte."""
+        with ServePlane(small_runtime) as plane:
+            node = plane.nodes[plane.root_label]
+            dispatch = node._dispatch
+            written = []
+
+            async def respelled(request):
+                head, _, body = (await dispatch(request)).partition(
+                    b"\r\n\r\n"
+                )
+                body = json.dumps(json.loads(body), indent=1).encode()
+                head = re.sub(
+                    rb"Content-Length: \d+",
+                    b"Content-Length: %d" % len(body),
+                    head,
+                )
+                written.append(body)
+                return head + b"\r\n\r\n" + body
+
+            node._dispatch = respelled
+            plane.start_background()
+            connection = http.client.HTTPConnection(
+                plane.gateway.host, plane.gateway.port, timeout=10
+            )
+            try:
+                connection.request(
+                    "POST",
+                    "/v1/query",
+                    body=json.dumps({"query": "SELECT TOTAL FROM ALL"}),
+                )
+                response = connection.getresponse()
+                relayed = response.read()
+            finally:
+                connection.close()
+        assert response.status == 200
+        assert response.headers["X-Repro-Node"] == plane.root_label
+        assert len(written) == 1 and relayed == written[0]
+        outcome = wire.decode_outcome(json.loads(relayed))
+        assert outcome.scalar == small_runtime.query(
+            "SELECT TOTAL FROM ALL"
+        ).scalar
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Three contracts are pinned here.  A fold advanced once per close is
 tree-for-tree equal to a fresh fold advanced once (so delta == cold has
 no second code path to drift from); every sequence breaker names its
 reason on ``repro_subscribe_rebuilds_total`` and still answers exactly
-what a cold execution answers; and a fold's tree — which may alias a
-replica's payload — is never written through.
+what a cold execution answers; and a fold's tree — which may be a
+stored entry, partition or replica payload — is never written through:
+a window with one input is answered on that input, and a kept fold
+copies what it borrowed only when it first extends it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
 from repro.faults import FaultPlan, LinkOutage, RestartDrill
 from repro.flowql.parser import parse
+from repro.flows.tree import Flowtree
 from repro.obs.observability import Observability
 from repro.query import ROUTE_CLOUD, ROUTE_FEDERATED
 from repro.query.fold import WindowFold, answer
@@ -29,6 +32,7 @@ EPOCH = 60.0
 ROUTER1 = "network1/region1/router1"
 AT_ROUTER1 = f"SELECT TOPK(5) FROM ALL AT {ROUTER1} BY bytes"
 CLOUD_TOTAL = "SELECT TOTAL FROM ALL"
+CLOUD_TOPK = "SELECT TOPK(5) FROM ALL BY bytes"
 
 
 def build_runtime(faults=None):
@@ -76,33 +80,39 @@ def rebuild_reasons(runtime):
 
 class TestKeptEqualsFresh:
     @pytest.mark.parametrize(
-        "text, route, flows, closes",
+        "text, route, flows, warmup, closes",
         [
-            (CLOUD_TOTAL, ROUTE_CLOUD, 100, 4),
+            (CLOUD_TOTAL, ROUTE_CLOUD, 100, 2, 4),
             (
                 "SELECT TOTAL FROM TIME(60, 600) VS TIME(0, 60)",
-                ROUTE_CLOUD, 100, 4,
+                ROUTE_CLOUD, 100, 2, 4,
             ),
             # one site, past per-site compression onset
-            (AT_ROUTER1, ROUTE_FEDERATED, 150, 11),
+            (AT_ROUTER1, ROUTE_FEDERATED, 150, 2, 11),
             # two sites: the top merge is a real merge, not a lone partial
             (
                 "SELECT TOTAL FROM ALL AT network1/region1",
-                ROUTE_FEDERATED, 100, 4,
+                ROUTE_FEDERATED, 100, 2, 4,
             ),
+            # first advanced after one close: the kept fold starts on a
+            # borrowed entry / partition and copies it when first extended
+            (CLOUD_TOPK, ROUTE_CLOUD, 100, 1, 4),
+            (AT_ROUTER1, ROUTE_FEDERATED, 150, 1, 10),
         ],
     )
     def test_advanced_per_close_equals_advanced_once(
-        self, text, route, flows, closes
+        self, text, route, flows, warmup, closes
     ):
         runtime = build_runtime()
         planner = runtime.planner
         query = parse(text)
-        drive(runtime, 2, flows=flows)
+        drive(runtime, warmup, flows=flows)
         kept = planner.window_folds(planner.plan(query), query)
         for fold in kept:
             fold.advance(planner.clock)
-        for epoch in range(2, 2 + closes):
+        if warmup == 1:
+            assert kept[0].borrowed == {id(kept[0].tree)}
+        for epoch in range(warmup, warmup + closes):
             drive(runtime, 1, start=epoch, flows=flows)
             plan = planner.plan(query)
             assert plan.route == route
@@ -301,3 +311,132 @@ class TestReadOnlyTrees:
         assert [
             p.summary.payload.to_dict() for p in store.catalog.all()
         ] == stored
+
+
+def count_tree_work(monkeypatch):
+    """From now on: trees built, trees copied and nodes created."""
+    counts = {"trees": 0, "copies": 0, "nodes": 0}
+    for attr, key in (
+        ("__init__", "trees"), ("copy", "copies"), ("_new_node", "nodes")
+    ):
+        def counted(
+            *args, _original=getattr(Flowtree, attr), _key=key, **kwargs
+        ):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Flowtree, attr, counted)
+    return counts
+
+
+def stored_trees(runtime):
+    """``to_dict()`` of every FlowDB entry and retained partition."""
+    trees = {("flowdb", e.entry_id): e.tree for e in runtime.db.entries()}
+    for level in runtime.store_levels():
+        for label, store in runtime.stores_at_level(level).items():
+            for partition in store.catalog.all():
+                key = (label, partition.partition_id)
+                trees[key] = partition.summary.payload
+    return {key: tree.to_dict() for key, tree in trees.items()}
+
+
+class TestBorrowedInputs:
+    @pytest.mark.parametrize(
+        "text, route",
+        [
+            ("SELECT TOPK(5) FROM TIME(0, 60) BY bytes", ROUTE_CLOUD),
+            (
+                f"SELECT TOPK(5) FROM TIME(0, 60) AT {ROUTER1} BY bytes",
+                ROUTE_FEDERATED,
+            ),
+        ],
+    )
+    def test_one_input_window_is_answered_on_the_stored_tree(
+        self, monkeypatch, text, route
+    ):
+        runtime = build_runtime()
+        drive(runtime, 2)
+        planner = runtime.planner
+        query = parse(text)
+        plan = planner.plan(query)
+        assert plan.route == route
+        if route == ROUTE_CLOUD:
+            [entry] = runtime.db.entries(None, 0.0, EPOCH)
+            stored = entry.tree
+        else:
+            [partition] = planner._window_partitions(
+                runtime.store_for(ROUTER1), 0.0, EPOCH
+            )
+            stored = partition.summary.payload
+        counts = count_tree_work(monkeypatch)
+        fold = WindowFold(planner, plan, query, query.time)
+        fold.advance(planner.clock)
+        assert fold.tree is stored
+        assert fold.borrowed == {id(stored)}
+        outcome = cold(runtime, text)
+        assert counts == {"trees": 0, "copies": 0, "nodes": 0}
+        if route == ROUTE_FEDERATED:
+            # accounted as the combined copy was: the tree's own size
+            assert outcome.plan.shipped_bytes == (
+                stored.estimated_size_bytes()
+            )
+
+
+class TestStoredTreesNeverWritten:
+    COLD = (
+        ("SELECT TOPK(5) FROM TIME(0, 60) BY bytes", ROUTE_CLOUD),
+        ("SELECT HHH(0.05) FROM ALL", ROUTE_CLOUD),
+        ("SELECT TOTAL FROM TIME(60, 120) VS TIME(0, 60)", ROUTE_CLOUD),
+        ("SELECT TOPK(3) FROM ALL VS TIME(0, 60)", ROUTE_CLOUD),
+        (
+            f"SELECT TOPK(5) FROM TIME(0, 60) AT {ROUTER1} BY bytes",
+            ROUTE_FEDERATED,
+        ),
+        (
+            f"SELECT GROUPBY(dst_port, 8) FROM ALL AT {ROUTER1} LIMIT 3",
+            ROUTE_FEDERATED,
+        ),
+        (
+            f"SELECT TOTAL FROM TIME(60, 120) VS TIME(0, 60) AT {ROUTER1}",
+            ROUTE_FEDERATED,
+        ),
+        (
+            "SELECT ABOVE(10) FROM TIME(0, 60) AT network1/region1",
+            ROUTE_FEDERATED,
+        ),
+    )
+
+    def test_no_query_path_writes_a_stored_tree(self):
+        runtime = build_runtime()
+        planner = runtime.planner
+        snapshot = {}
+
+        def close(epochs, start):
+            drive(runtime, epochs, start=start)
+            for key, tree in stored_trees(runtime).items():
+                snapshot.setdefault(key, tree)
+
+        close(1, 0)
+        # both standing queries start on borrowed trees, and copy them
+        # at the next close, when they first extend them
+        standing = {
+            text: runtime.subscribe("SUBSCRIBE " + text)
+            for text in (CLOUD_TOPK, AT_ROUTER1)
+        }
+        assert all(sub.views[0].borrowed for sub in standing.values())
+        close(1, 1)
+        for text, route in self.COLD:
+            outcome = cold(runtime, text)
+            assert outcome.plan.route == route, text
+        assert planner.window_tree(ROUTER1, 0.0, EPOCH) is not None
+        assert planner.window_tree(ROUTER1, 0.0, 2 * EPOCH) is not None
+        close(2, 2)
+        now = stored_trees(runtime)
+        assert set(snapshot) <= set(now)
+        assert {key: now[key] for key in snapshot} == snapshot
+        for text, subscription in standing.items():
+            update = subscription.latest()
+            assert update.mode == MODE_DELTA and update.seq == 4
+            assert update.result.to_wire() == (
+                cold(runtime, text).result.to_wire()
+            )
