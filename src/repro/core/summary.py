@@ -264,3 +264,28 @@ class DataSummary:
     payload: Any
     size_bytes: int
     attrs: Dict[str, Any] = field(default_factory=dict)
+
+
+# -- which summaries the stores hold -----------------------------------------
+
+#: bumped by every partition catalog and FlowDB index change in the
+#: process (see :func:`stores_version`)
+_stores_version = 0
+
+
+def stores_changed() -> None:
+    """Note that a catalog or FlowDB index gained, lost or re-homed a
+    summary (or was replaced)."""
+    global _stores_version
+    _stores_version += 1
+
+
+def stores_version() -> int:
+    """A number that moves whenever any store's set of summaries moves.
+
+    A query plan reads nothing but which summaries the stores hold and
+    the topology, so a plan made at one version (and generation) is
+    still the plan at that version: :class:`~repro.query.memo.QueryMemo`
+    keeps plans stamped with it.
+    """
+    return _stores_version

@@ -54,6 +54,20 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+def cache_key(
+    aggregator: str,
+    request: QueryRequest,
+    start: Optional[float],
+    end: Optional[float],
+) -> Optional[Hashable]:
+    """The key one request over one window caches under (None when its
+    parameters cannot be frozen)."""
+    params = _freeze(request.params)
+    if params is _UNCACHEABLE:
+        return None
+    return (aggregator, request.operator, params, start, end)
+
+
 @dataclass
 class CacheEntry:
     """One memoized result.
@@ -107,11 +121,10 @@ class QueryCache:
         end: Optional[float],
     ) -> Optional[Hashable]:
         """The cache key, or None when the request is uncacheable."""
-        params = _freeze(request.params)
-        if params is _UNCACHEABLE:
+        key = cache_key(aggregator, request, start, end)
+        if key is None:
             self.uncacheable += 1
-            return None
-        return (aggregator, request.operator, params, start, end)
+        return key
 
     def get(self, key: Optional[Hashable], now: float) -> Optional[CacheEntry]:
         """A live entry, or None (counts hit/miss)."""

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.summary import DataSummary
+from repro.core.summary import DataSummary, stores_changed
 from repro.errors import PartitionNotFoundError
 
 _partition_counter = itertools.count(1)
@@ -71,17 +71,20 @@ class PartitionCatalog:
     def __init__(self) -> None:
         self._partitions: Dict[str, Partition] = {}
         self._order: List[str] = []
+        stores_changed()
 
     def add(self, partition: Partition) -> None:
         """Register a new partition."""
         self._partitions[partition.partition_id] = partition
         self._order.append(partition.partition_id)
+        stores_changed()
 
     def remove(self, partition_id: str) -> Partition:
         """Drop a partition (storage eviction or re-aggregation)."""
         partition = self.get(partition_id)
         del self._partitions[partition_id]
         self._order.remove(partition_id)
+        stores_changed()
         return partition
 
     def get(self, partition_id: str) -> Partition:

@@ -22,7 +22,7 @@ import bisect
 import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.summary import DataSummary, TimeInterval
+from repro.core.summary import DataSummary, TimeInterval, stores_changed
 from repro.errors import FlowQLPlanningError, SchemaMismatchError
 from repro.flows.flowkey import GeneralizationPolicy
 from repro.flows.tree import Flowtree
@@ -134,6 +134,7 @@ class FlowDB:
         self._starts.insert(index, entry.interval.start)
         self._entries.insert(index, entry)
         self._by_location.setdefault(entry.location, []).append(entry)
+        stores_changed()
 
     # -- recovery ----------------------------------------------------------
 
@@ -148,6 +149,7 @@ class FlowDB:
         self._entries = []
         self._by_location = {}
         self._starts = []
+        stores_changed()
         for record in self.engine.iter_summaries(policy):
             self._index(
                 FlowDBEntry(
@@ -175,6 +177,7 @@ class FlowDB:
             return 0
         for entry in moved:
             entry.location = new
+        stores_changed()
         merged = self._by_location.get(new, []) + moved
         merged.sort(key=lambda e: e.entry_id)
         self._by_location[new] = merged

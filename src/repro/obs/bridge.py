@@ -155,6 +155,12 @@ def install_runtime_metrics(
     cache_entries = registry.gauge(
         "repro_query_cache_entries", "Live entries in the query cache"
     )
+    memo_events = registry.counter(
+        "repro_query_memo_events_total",
+        "Query memo lookups by result (hit, miss: parsed, replan: "
+        "planned again after a close or reconfiguration)",
+        ("result",),
+    )
 
     # -- pending exports (sourced from the park queues) -----------------------
     pending = registry.gauge(
@@ -295,6 +301,10 @@ def install_runtime_metrics(
                 cache.uncacheable
             )
             cache_entries.labels().set(len(cache))
+        memo = runtime.planner.memo
+        memo_events.labels(result="hit").set_from_source(memo.hits)
+        memo_events.labels(result="miss").set_from_source(memo.misses)
+        memo_events.labels(result="replan").set_from_source(memo.replans)
         for path, queue in runtime.exports.queues.items():
             site = runtime._labels.get(path, path)
             pending.labels(site=site).set(len(queue))

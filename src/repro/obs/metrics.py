@@ -18,6 +18,8 @@ text exposition — is exactly what the adaptive-cycle consumers and the
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PlacementError
@@ -81,13 +83,19 @@ class Gauge:
 
 
 class Histogram:
-    """Cumulative-bucket histogram with a running sum and count."""
+    """Cumulative-bucket histogram with a running sum and count.
+
+    An observation lands in the one bucket of the first bound it does
+    not exceed (a bisection); reads sum the buckets up, so a hot path
+    pays for one bucket, not for every bound.
+    """
 
     __slots__ = ("bounds", "bucket_counts", "sum", "count")
 
     def __init__(self, bounds: Tuple[float, ...]) -> None:
         self.bounds = bounds
-        self.bucket_counts = [0] * len(bounds)
+        #: per-bucket counts, ``+Inf`` last (not cumulative)
+        self.bucket_counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
 
@@ -95,18 +103,16 @@ class Histogram:
         """Record one observation."""
         self.sum += value
         self.count += 1
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(le, cumulative count)`` pairs, ``+Inf`` last."""
-        pairs = [
-            (bound, count)
-            for bound, count in zip(self.bounds, self.bucket_counts)
-        ]
-        pairs.append((float("inf"), self.count))
-        return pairs
+        return list(
+            zip(
+                self.bounds + (float("inf"),),
+                accumulate(self.bucket_counts),
+            )
+        )
 
 
 class MetricFamily:

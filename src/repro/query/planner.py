@@ -11,6 +11,10 @@ pieces meet:
   sites.  Either way each window is assembled by one
   :class:`~repro.query.fold.WindowFold` (Merge, then Diff for ``VS``)
   and answered by the same Table II operator tail.
+* **One front door** — query text goes through the planner's
+  :class:`~repro.query.memo.QueryMemo`: text → (parsed query, plan,
+  cache key), kept while the stores and topology it was planned on
+  hold, so a repeat is neither parsed nor planned again.
 * **Caching** — results are memoized in a :class:`QueryCache` keyed on
   (plan, window); :meth:`on_epoch_closed` drops the cache so an epoch
   boundary never serves stale answers.
@@ -25,11 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.primitive import QueryRequest
 from repro.core.summary import Location
-from repro.datastore.cache import QueryCache
+from repro.datastore.cache import QueryCache, cache_key
 from repro.datastore.partitions import Partition
 from repro.datastore.recombine import combine_summaries
 from repro.datastore.storage import RoundRobinStorage
@@ -37,10 +41,10 @@ from repro.datastore.store import DataStore
 from repro.datastore.summary_query import approx_result_bytes
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
-from repro.flowql.parser import parse
 from repro.flows.tree import Flowtree
 from repro.obs.bridge import QUERY_SECONDS
 from repro.query.fold import WindowFold, answer, top_merge
+from repro.query.memo import QueryFront, QueryMemo
 from repro.query.plan import (
     ROUTE_CLOUD,
     ROUTE_FEDERATED,
@@ -92,6 +96,8 @@ class FederatedQueryPlanner:
         self.clock = 0.0
         #: the routing decision of the most recent execute()
         self.last_plan: Optional[QueryPlan] = None
+        #: the front door: text -> (parsed query, plan, cache key)
+        self.memo = QueryMemo(self)
         #: standing queries, delta-maintained at every epoch close
         self.subscriptions = SubscriptionRegistry(self)
         # the highest FlowDB entry id already inspected for late
@@ -193,18 +199,19 @@ class FederatedQueryPlanner:
     ) -> QueryOutcome:
         """Plan and run one FlowQL query (text or parsed).
 
-        Returns a typed :class:`~repro.query.plan.QueryOutcome` — the
+        Text is parsed and planned through :attr:`memo`, so a repeated
+        text (a cache hit above all) does neither again.  Returns a typed :class:`~repro.query.plan.QueryOutcome` — the
         result plus its plan, cache provenance, and (when covering
         stores were unreachable) a :class:`~repro.query.plan.
         Degradation` record instead of an exception.  Degraded partial
         answers are never cached.
         """
-        query = parse(flowql) if isinstance(flowql, str) else flowql
+        front = self.memo.front(flowql)
         now = self.clock if now is None else now
         obs = self.runtime.obs
         started = time.perf_counter()
-        with obs.span("query", operator=query.select.name) as span:
-            outcome = self._execute_planned(query, now)
+        with obs.span("query", operator=front.query.select.name) as span:
+            outcome = self._execute_planned(front, now)
             span.set_attr("route", outcome.plan.route)
             span.set_attr("cache_hit", outcome.cache.hit)
             if outcome.degradation is not None:
@@ -217,19 +224,14 @@ class FederatedQueryPlanner:
         return outcome
 
     def _execute_planned(
-        self, query: FlowQLQuery, now: float
+        self, front: QueryFront, now: float
     ) -> QueryOutcome:
-        plan = self.plan(query)
+        query = front.query
+        plan = front.plan()
         stats = self.runtime.stats
         key = None
         if self.cache is not None:
-            key = self.cache.key_for(
-                "flowql",
-                self._cache_request(query, plan),
-                query.time.start,
-                query.time.end,
-            )
-            plan.cache_key = key
+            key = plan.cache_key = front.key
             entry = self.cache.get(key, now)
             if entry is not None:
                 plan.cache_hit = True
@@ -293,11 +295,11 @@ class FederatedQueryPlanner:
         end = None if any(e is None for e in ends) else max(ends)
         return (start, end)
 
-    def _cache_request(
+    def cache_key(
         self, query: FlowQLQuery, plan: QueryPlan
-    ) -> QueryRequest:
-        """The (plan, query) fingerprint the cache keys on."""
-        return QueryRequest(
+    ) -> Optional[Hashable]:
+        """The key a (query, plan) result is cached under."""
+        request = QueryRequest(
             operator=query.select.name,
             params={
                 "args": tuple(query.select.args),
@@ -317,13 +319,16 @@ class FederatedQueryPlanner:
                 # a replica promotion mid-window changes how (and from
                 # where) a federated plan reads; keying on the replica
                 # generation retires entries cached before the promotion
-                "replica_gen": len(self.replica_store.replicas.all()),
+                "replica_gen": len(self.replica_store.replicas),
                 # live reconfiguration (join/leave/split/merge/migrate)
                 # changes which stores exist and where; keying on the
                 # topology generation retires entries cached under the
                 # previous shape
                 "topology_gen": self._topology_generation(),
             },
+        )
+        return cache_key(
+            "flowql", request, query.time.start, query.time.end
         )
 
     def _degraded_read(

@@ -52,7 +52,6 @@ from repro.errors import (
 )
 from repro.flowql.ast import FlowQLQuery
 from repro.flowql.executor import FlowQLResult
-from repro.flowql.parser import parse
 from repro.query.fold import FoldBroken, WindowFold, answer
 from repro.query.plan import ROUTE_FEDERATED, Degradation
 
@@ -301,7 +300,11 @@ class SubscriptionRegistry:
         yet, the subscription stays pending and materializes at the
         first close that covers it.
         """
-        query = parse(flowql) if isinstance(flowql, str) else flowql
+        query = (
+            self.planner.memo.parse(flowql)
+            if isinstance(flowql, str)
+            else flowql
+        )
         text = flowql if isinstance(flowql, str) else ""
         if query.subscribe:
             query = replace(query, subscribe=False)

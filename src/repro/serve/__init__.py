@@ -11,16 +11,16 @@ identical to a local call.
 * :class:`ServePlane` — boots one :class:`NodeServer` per
   store-bearing node plus a root coordinator and one
   :class:`FlowQLGateway`, on one event loop.
-* :class:`FlowQLGateway` / :class:`RoutingTable` — coverage-based
-  routing (the federated planner's logic), per-client token-bucket
-  admission, topology-generation invalidation.
+* :class:`FlowQLGateway` — coverage-based routing (from the plans the
+  federated planner's query memo keeps), per-client token-bucket
+  admission.
 * :class:`NodeServer` — bounded queue, backpressure 429s, deadline
   degradation to partial outcomes.
 * :mod:`repro.serve.wire` — the versioned envelope every hop speaks.
 """
 
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.gateway import FlowQLGateway, RoutingTable
+from repro.serve.gateway import FlowQLGateway
 from repro.serve.plane import ServePlane
 from repro.serve.server import NodeServer
 from repro.serve.wire import (
@@ -33,7 +33,6 @@ __all__ = [
     "AdmissionController",
     "TokenBucket",
     "FlowQLGateway",
-    "RoutingTable",
     "ServePlane",
     "NodeServer",
     "WIRE_VERSION",

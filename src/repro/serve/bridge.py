@@ -21,7 +21,6 @@ REQUEST_SECONDS = "repro_serve_request_seconds"
 QUEUE_DEPTH = "repro_serve_queue_depth"
 QUEUE_PEAK = "repro_serve_queue_peak"
 REJECTIONS_TOTAL = "repro_serve_rejections_total"
-ROUTING_INVALIDATIONS = "repro_serve_routing_invalidations_total"
 
 #: latency buckets tuned for sub-millisecond cached answers up to
 #: multi-second degraded fan-outs
@@ -66,11 +65,6 @@ class ServeMetrics:
             "Requests shed, by mechanism (admission, backpressure)",
             ("scope",),
         )
-        self.routing_invalidations = registry.counter(
-            ROUTING_INVALIDATIONS,
-            "Gateway routing-table rebuilds forced by topology "
-            "generation bumps",
-        )
 
     # -- recording (each guarded so disabled obs costs one branch) ----------
 
@@ -90,8 +84,3 @@ class ServeMetrics:
         if not self.enabled:
             return
         self.rejections.labels(scope=scope).inc()
-
-    def routing_invalidation(self) -> None:
-        if not self.enabled:
-            return
-        self.routing_invalidations.labels().inc()

@@ -7,16 +7,14 @@ Per request it:
    :class:`~repro.serve.admission.AdmissionController`; over-rate
    clients get HTTP 429 with an exact ``Retry-After`` and never touch
    a node queue.
-2. **Routes** to the shallowest covering node, reusing the federated
-   planner's coverage logic (:meth:`FederatedQueryPlanner.plan`): a
-   query the root FlowDB covers lands on the root coordinator, a
-   single-site drilldown lands on that site's own node server, and a
-   multi-site fan-out lands on the root (which coordinates the fan-out
-   exactly as the in-process planner would).  Decisions are cached in
-   a :class:`RoutingTable` stamped with the topology generation —
-   a live reconfiguration between epochs invalidates the table the
-   same way it invalidates the :class:`~repro.datastore.cache.
-   QueryCache`.
+2. **Routes** to the shallowest covering node from the plan the
+   planner's front door keeps for the text (:class:`~repro.query.memo.
+   QueryMemo`): a query the root FlowDB covers lands on the root
+   coordinator, a single-site drilldown lands on that site's own node
+   server, and a multi-site fan-out lands on the root (which
+   coordinates the fan-out exactly as the in-process planner would).
+   The node then executes from the same memo entry, and a stamp moved
+   by a close or a reconfiguration re-plans the text for both.
 3. **Forwards** over a keep-alive loopback connection, propagating the
    query span across the hop via the ``X-Repro-Trace`` header, and
    relays the node's response (including its 429 backpressure
@@ -30,7 +28,6 @@ import itertools
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import ReproError, ServeError
-from repro.flowql.parser import parse
 from repro.query.plan import ROUTE_CLOUD
 from repro.serve import wire
 from repro.serve.http11 import (
@@ -44,56 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.plane import ServePlane
 
 
-#: routing decisions kept, like the planner's ``QueryCache`` entries
-ROUTES_MAX = 1024
-
-
-class RoutingTable:
-    """Query-text → node-label decisions, keyed to a topology generation.
-
-    A reconfig (join/leave/split/merge/migrate) changes which stores
-    exist and what they cover, so every cached decision made under the
-    previous shape is discarded the first time the table is consulted
-    at the new generation.  Ad-hoc traffic brings new text with every
-    query, so at :data:`ROUTES_MAX` decisions the oldest insertion goes;
-    an evicted text is simply routed again.
-    """
-
-    def __init__(self) -> None:
-        self.generation: Optional[int] = None
-        self._entries: Dict[str, str] = {}
-        #: how many generation bumps forced a rebuild (tests/bench)
-        self.invalidations = 0
-        self.hits = 0
-        self.misses = 0
-
-    def _sync_generation(self, generation: int) -> None:
-        if self.generation is None:
-            self.generation = generation
-        elif generation != self.generation:
-            self._entries.clear()
-            self.generation = generation
-            self.invalidations += 1
-
-    def lookup(self, key: str, generation: int) -> Optional[str]:
-        self._sync_generation(generation)
-        node = self._entries.get(key)
-        if node is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return node
-
-    def record(self, key: str, generation: int, node: str) -> None:
-        self._sync_generation(generation)
-        if key not in self._entries and len(self._entries) >= ROUTES_MAX:
-            del self._entries[next(iter(self._entries))]
-        self._entries[key] = node
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class FlowQLGateway:
     """The admission-controlled, coverage-routed front of the plane."""
 
@@ -103,7 +50,6 @@ class FlowQLGateway:
         self.plane = plane
         self.host = host
         self.port: Optional[int] = None
-        self.routing = RoutingTable()
         self._server: Optional[asyncio.AbstractServer] = None
         #: one keep-alive connection pool per node label, so forwards
         #: to the same node can be in flight concurrently
@@ -386,24 +332,13 @@ class FlowQLGateway:
         return response_bytes(200, {"cancelled": cancelled})
 
     def _route(self, query_text: str) -> str:
-        """The serving node for one query (cached per generation)."""
-        generation = self.plane.generation()
-        before = self.routing.invalidations
-        cached = self.routing.lookup(query_text, generation)
-        if self.routing.invalidations > before:
-            self.plane.metrics.routing_invalidation()
-        if cached is not None:
-            return cached
-        plan = self.plane.runtime.planner.plan(parse(query_text))
-        if plan.route == ROUTE_CLOUD or len(plan.sites) != 1:
+        """The serving node for one query, from the planner's memo."""
+        front = self.plane.runtime.planner.memo.front(query_text)
+        if front.route == ROUTE_CLOUD or len(front.sites) != 1:
             # the root coordinates cloud answers and multi-site fan-outs
-            node = self.plane.root_label
-        else:
-            node = plan.sites[0]
-        if node not in self.plane.nodes:
-            node = self.plane.root_label
-        self.routing.record(query_text, generation, node)
-        return node
+            return self.plane.root_label
+        node = front.sites[0]
+        return node if node in self.plane.nodes else self.plane.root_label
 
     async def _forward(
         self, node: str, query_text: str, client_id: str, trace_id: str

@@ -218,6 +218,7 @@ class ServePlane:
 
     def census(self) -> dict:
         """A JSON-able snapshot of the plane (gateway ``/healthz``)."""
+        memo = self.runtime.planner.memo
         return {
             "status": "ok",
             "generation": self.generation(),
@@ -248,11 +249,11 @@ class ServePlane:
             "subscriptions": (
                 self.runtime.planner.subscriptions.census()
             ),
-            "routing": {
-                "entries": len(self.gateway.routing),
-                "hits": self.gateway.routing.hits,
-                "misses": self.gateway.routing.misses,
-                "invalidations": self.gateway.routing.invalidations,
+            "memo": {
+                "entries": len(memo),
+                "hits": memo.hits,
+                "misses": memo.misses,
+                "replans": memo.replans,
             },
             "requests_routed": self.gateway.requests_routed,
             "server_errors": self.server_errors,

@@ -29,8 +29,8 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ReproError, ServeError
+from repro.flowql.ast import FlowQLQuery
 from repro.flowql.executor import FlowQLResult
-from repro.flowql.parser import parse
 from repro.flows.records import Score
 from repro.query.plan import (
     ROUTE_FEDERATED,
@@ -46,10 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def timeout_outcome(
-    query_text: str, node_label: str, node_path: str, timeout_s: float
+    query: FlowQLQuery, node_label: str, node_path: str, timeout_s: float
 ) -> QueryOutcome:
     """The honest partial answer for a query that blew its deadline."""
-    query = parse(query_text)
     degradation = Degradation()
     degradation.note(
         node_label,
@@ -308,7 +307,8 @@ class NodeServer:
         except asyncio.TimeoutError:
             self.timeouts += 1
             outcome = timeout_outcome(
-                query_text, self.label, self.path, self.plane.timeout_s
+                self.plane.runtime.planner.memo.parse(query_text),
+                self.label, self.path, self.plane.timeout_s
             )
         self.requests_served += 1
         status = "degraded" if outcome.is_degraded else "ok"

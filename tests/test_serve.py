@@ -7,7 +7,8 @@ provenance and honest degradation under faults — while the plane adds
 the things a network front door owes its operators: per-client
 admission control (429 + Retry-After), bounded node queues with
 backpressure, deadline degradation to partial answers, and routing
-tables invalidated by topology generation bumps.  These tests pin each
+from the planner's query memo, planned again when a close or a
+topology generation bump moves its stamp.  These tests pin each
 of those down, plus the versioned wire schema they all ride on.
 """
 
@@ -46,7 +47,7 @@ from repro.query.plan import (
 from repro.runtime.presets import network_4level_runtime
 from repro.serve import ServePlane, wire
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.gateway import ROUTES_MAX, RoutingTable
+from repro.query.memo import MEMO_MAX
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 ROUTER1 = "network1/region1/router1"
@@ -399,50 +400,69 @@ class TestRetryAfterHeader:
         assert header.isdigit() and int(header) >= 1
 
 
-class TestRoutingTable:
-    def test_generation_bump_invalidates(self):
-        table = RoutingTable()
-        table.record("q1", 0, "cloud")
-        assert table.lookup("q1", 0) == "cloud"
-        assert table.hits == 1
-        # a reconfig bumps the generation: every entry is stale
-        assert table.lookup("q1", 1) is None
-        assert table.invalidations == 1
-        assert len(table) == 0
-        table.record("q1", 1, "node")
-        assert table.lookup("q1", 1) == "node"
+class TestGatewayRoutesFromTheMemo:
+    """The gateway reads its route from the planner's query memo."""
 
-    def test_same_generation_keeps_entries(self):
-        table = RoutingTable()
-        table.record("q1", 3, "cloud")
-        table.record("q2", 3, "edge")
-        assert table.lookup("q2", 3) == "edge"
-        assert table.invalidations == 0
-        assert len(table) == 2
+    def test_generation_bump_replans(self):
+        runtime = loaded_runtime(regions=1, routers=2, epochs=1)
+        with ServePlane(runtime) as plane:
+            memo = runtime.planner.memo
+            text = f"SELECT TOTAL FROM ALL AT {ROUTER1}"
+            assert plane.gateway._route(text) == ROUTER1
+            assert (memo.misses, memo.replans) == (1, 0)
+            # a reconfiguration bumps the generation: the kept plan is
+            # stale, so the next lookup plans again (without parsing)
+            runtime.model.bump("test")
+            assert plane.gateway._route(text) == ROUTER1
+            assert (memo.misses, memo.replans) == (1, 1)
+        runtime.shutdown()
+
+    def test_same_stamp_keeps_the_plan(self, monkeypatch):
+        runtime = loaded_runtime(regions=1, routers=2, epochs=1)
+        planned = []
+        plan = runtime.planner.plan
+        monkeypatch.setattr(
+            runtime.planner, "plan",
+            lambda query: planned.append(query) or plan(query),
+        )
+        with ServePlane(runtime) as plane:
+            texts = ["SELECT TOTAL FROM ALL", f"SELECT TOPK(3) FROM "
+                     f"TIME(0, 60) AT {ROUTER1}"]
+            first = [plane.gateway._route(text) for text in texts]
+            again = [plane.gateway._route(text) for text in texts]
+            assert first == again == [plane.root_label, ROUTER1]
+            # routing and executing share one entry: the node's execute
+            # neither parses nor plans the text again
+            for text in texts:
+                runtime.query(text)
+            assert len(planned) == 2
+            memo = runtime.planner.memo
+            assert (memo.hits, memo.misses, memo.replans) == (4, 2, 0)
+        runtime.shutdown()
 
     def test_ad_hoc_texts_stay_within_the_cap(self):
-        """Every ad-hoc query brings new text: the table keeps the
-        newest decisions and an evicted text is simply routed again."""
+        """Every ad-hoc query brings new text: the memo keeps the
+        newest texts and an evicted text is simply parsed again."""
         runtime = loaded_runtime(
             regions=1, routers=2, epochs=1, flows_per_epoch=40
         )
         with ServePlane(runtime) as plane:
             gateway = plane.gateway
+            memo = runtime.planner.memo
             texts = [
                 f"SELECT TOPK({i}) FROM ALL"
                 + (f" AT {ROUTER1}" if i % 2 else "")
                 for i in range(5000)
             ]
             routed = {text: gateway._route(text) for text in texts}
-            assert len(gateway.routing) <= ROUTES_MAX == 1024
+            assert len(memo) <= MEMO_MAX == 1024
             assert routed[texts[0]] == plane.root_label
             assert routed[texts[1]] == ROUTER1
             for text in (texts[0], texts[1], texts[-1]):  # two evicted
                 assert gateway._route(text) == routed[text]
-            table = gateway.routing
-            assert table.hits == 1
-            assert table.hits + table.misses == len(texts) + 3
-            assert len(table) <= ROUTES_MAX
+            assert memo.hits == 1
+            assert memo.hits + memo.misses + memo.replans == len(texts) + 3
+            assert len(memo) <= MEMO_MAX
         runtime.shutdown()
 
 
