@@ -91,6 +91,43 @@ def _timestamp_of(record) -> float:
     )
 
 
+# The collector's permanent generation is the process's, so the count of
+# closes since it was last thawed is too.
+_THAW_PERIOD = 8
+_closes_since_thaw = 0
+
+
+def _thaw() -> None:
+    """Hand everything frozen back to the collector."""
+    global _closes_since_thaw
+    gc.unfreeze()
+    _closes_since_thaw = 0
+
+
+def _collect_and_freeze(obs: Observability) -> None:
+    """The epoch boundary's one full collection, then freeze its survivors.
+
+    A full pass skips frozen objects, so after the first close each
+    close walks only what was allocated since the last one.  Freezing is
+    safe for trees because they hold no cycles: a frozen tree dropped
+    later is freed by its reference count.  A *cyclic* structure dropped
+    after it was frozen waits for a thaw, so every :data:`_THAW_PERIOD`-th
+    close thaws before it collects (and pays a whole-heap pass), as does
+    :meth:`HierarchyRuntime.shutdown`.
+    """
+    global _closes_since_thaw
+    _closes_since_thaw += 1
+    thawed = _closes_since_thaw >= _THAW_PERIOD
+    with obs.span("collect", thawed=thawed) as span:
+        if thawed:
+            _thaw()
+        # nothing may allocate between these two, or the first
+        # allocation starts an automatic pass of its own
+        gc.enable()
+        span.set_attr("found", gc.collect())
+        gc.freeze()
+
+
 class HierarchyRuntime:
     """Data stores at every configured level of an arbitrary hierarchy."""
 
@@ -517,72 +554,64 @@ class HierarchyRuntime:
         reach the root within the same close.
 
         The cyclic collector is held for the length of the close and
-        run once, in full, at its end.  Since sealing hands trees over
-        instead of copying them the rollup frees nothing cyclic, so
-        passes inside it only re-walk survivors; and where the one full
-        pass would otherwise land — mid-merge, inside the
-        standing-query refresh, or on the first ingest call or query of
-        the next epoch — is decided by allocation counts.  The epoch
-        boundary takes it instead.  (A host that runs with the
+        run once, in full, at its end, inside the ``close_epoch`` span
+        as a ``collect`` child (:func:`_collect_and_freeze`); what
+        survives it is frozen, so the next close's pass walks only
+        what this epoch allocated.  (A host that runs with the
         collector off is left alone.)
         """
         collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return self._close_epoch(now)
-        finally:
-            if collecting:
-                gc.enable()
-                gc.collect()
-
-    def _close_epoch(self, now: float) -> int:
-        exported = 0
         with self.obs.span(
             "close_epoch", epoch=self.stats.epochs_closed, at=now
         ) as root:
-            # compression pressure must be sampled before the rollup
-            # resets the live trees for the next epoch
-            pressure = (
-                self._sample_pressure()
-                if self._budget_tuner is not None
-                else None
-            )
-            for node, config, store in self._rollup_order:
-                started = time.perf_counter()
-                level = node.level.name
-                volume = self.stats.level(level)
-                with self.obs.span(
-                    "rollup",
-                    site=self._labels[store.location.path],
-                    level=level,
-                ):
-                    ship = self.exports
-                    parent = self._parent_store(node)
-                    exported += ship.drain(store, parent, now)
-                    for export in self._seal_epoch(config, store, parent, now):
-                        if not ship.deliver(export, store, parent, now):
-                            ship.park(export, store, store)
-                        elif parent is None:
-                            exported += 1
-                elapsed = time.perf_counter() - started
-                volume.rollup_seconds += elapsed
-                self.obs.observe(ROLLUP_SECONDS, elapsed, level=level)
-            if pressure is not None:
-                self._adapt_budgets(pressure, now)
-            self.stats.epochs_closed += 1
-            self._last_close = now
-            # new data invalidates cached answers and advances query time
-            self.planner.on_epoch_closed(now)
-            # the epoch boundary is the durability point: everything
-            # appended this close seals into one segment and the
-            # checkpoint commits — a crash from here on recovers to
-            # *this* boundary
-            self.engine.seal_epoch(
-                self.stats.epochs_closed - 1, meta={"closed_at": now}
-            )
-            commit(self)
-            root.set_attr("exported", exported)
+            gc.disable()
+            try:
+                exported = self._rollup(now)
+                root.set_attr("exported", exported)
+            finally:
+                if collecting:
+                    _collect_and_freeze(self.obs)
         self._apply_drills(now)
+        return exported
+
+    def _rollup(self, now: float) -> int:
+        exported = 0
+        # compression pressure must be sampled before the rollup resets
+        # the live trees for the next epoch
+        pressure = (
+            self._sample_pressure() if self._budget_tuner is not None else None
+        )
+        for node, config, store in self._rollup_order:
+            started = time.perf_counter()
+            level = node.level.name
+            volume = self.stats.level(level)
+            with self.obs.span(
+                "rollup", site=self._labels[store.location.path], level=level
+            ):
+                ship = self.exports
+                parent = self._parent_store(node)
+                exported += ship.drain(store, parent, now)
+                for export in self._seal_epoch(config, store, parent, now):
+                    if not ship.deliver(export, store, parent, now):
+                        ship.park(export, store, store)
+                    elif parent is None:
+                        exported += 1
+            elapsed = time.perf_counter() - started
+            volume.rollup_seconds += elapsed
+            self.obs.observe(ROLLUP_SECONDS, elapsed, level=level)
+        if pressure is not None:
+            self._adapt_budgets(pressure, now)
+        self.stats.epochs_closed += 1
+        self._last_close = now
+        # new data invalidates cached answers and advances query time
+        self.planner.on_epoch_closed(now)
+        # the epoch boundary is the durability point: everything appended
+        # this close seals into one segment and the checkpoint commits — a
+        # crash from here on recovers to *this* boundary
+        self.engine.seal_epoch(
+            self.stats.epochs_closed - 1, meta={"closed_at": now}
+        )
+        commit(self)
         return exported
 
     def _seal_epoch(
@@ -768,12 +797,17 @@ class HierarchyRuntime:
     # -- lifecycle ------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Release the runtime's resources.
+        """End the runtime's life: thaw what the closes froze.
 
         The runtime holds no process, thread or open handle of its own
-        (the storage engine commits at every close), so this is a no-op
-        kept as the stable end of the ``with`` lifecycle.
+        (the storage engine commits at every close).  What it leaves is
+        the collector's permanent generation, where every close froze
+        its survivors: a cyclic structure dropped after that (this
+        runtime's own state, once the caller lets it go) is only found
+        by a pass once it is thawed.  So shutdown thaws it, and the
+        next collection frees it.
         """
+        _thaw()
 
     def __enter__(self) -> "HierarchyRuntime":
         return self

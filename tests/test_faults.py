@@ -9,6 +9,7 @@ exact :class:`Degradation` record instead of throwing.
 """
 
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -634,10 +635,26 @@ class TestEpochCloseCopyCount:
         assert root_total(runtime) == clean_total
 
 
+class _Cycle:
+    """A self-referencing object: only a collector pass can free it."""
+
+    def __init__(self):
+        self.me = self
+
+
+def _watched_cycle(freed):
+    """A cycle whose freeing appends to ``freed`` (a weakref callback)."""
+    cycle = _Cycle()
+    return cycle, weakref.ref(cycle, lambda _: freed.append(True))
+
+
 class TestEpochCloseCollector:
     """A close holds the cyclic collector and runs it once, in full, at
     the boundary — never mid-rollup or inside the standing-query
-    refresh — and leaves the host's collector setting as it found it."""
+    refresh — then freezes what survived, so the next close walks only
+    what its epoch allocated; it leaves the host's collector setting as
+    it found it.  Frozen cyclic garbage waits at most 8 closes, and
+    none after ``shutdown()``."""
 
     @staticmethod
     def close_once(runtime, monkeypatch):
@@ -672,17 +689,79 @@ class TestEpochCloseCollector:
 
     def test_one_full_collection_at_the_boundary(self, monkeypatch):
         assert gc.isenabled()
-        seen, collected = self.close_once(build_runtime(), monkeypatch)
+        runtime = build_runtime()
+        seen, collected = self.close_once(runtime, monkeypatch)
         assert seen == [False]
         assert collected == [2]
         assert gc.isenabled()
+        # the pass is the close span's last child, after every rollup
+        root = runtime.obs.tracer.last("close_epoch")
+        names = [child.name for child in root.children]
+        assert names[-1] == "collect" and names.count("collect") == 1
+        assert set(names[:-1]) == {"rollup"}
+        (collect,) = root.find("collect")
+        assert set(collect.attrs) == {"found", "thawed"}
+        assert isinstance(collect.attrs["found"], int)
+        runtime.shutdown()
+
+    def test_a_sealed_tree_is_frozen_until_shutdown(self, monkeypatch):
+        runtime = build_runtime()
+        self.close_once(runtime, monkeypatch)
+        (entry, *_) = runtime.db.entries()
+        nodes = [
+            node for depth in entry.tree._index for node in depth.values()
+        ]
+        assert nodes and all(gc.is_tracked(node) for node in nodes)
+        assert gc.get_freeze_count() > len(nodes)
+
+        def visible():
+            ids = {id(obj) for obj in gc.get_objects()}
+            return sum(id(node) in ids for node in nodes)
+
+        assert visible() == 0
+        runtime.shutdown()
+        assert gc.get_freeze_count() == 0
+        assert visible() == len(nodes)
+
+    def test_with_leaves_nothing_frozen(self, monkeypatch):
+        with build_runtime() as runtime:
+            self.close_once(runtime, monkeypatch)
+            assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_a_cycle_dropped_after_a_close_is_freed_at_shutdown(self):
+        runtime = build_runtime()
+        freed = []
+        cycle, _ref = _watched_cycle(freed)
+        runtime.close_epoch(60.0)
+        del cycle
+        gc.collect()
+        assert freed == []  # frozen: no pass sees it
+        runtime.shutdown()
+        gc.collect()
+        assert freed == [True]
+
+    def test_a_cycle_dropped_after_a_close_is_freed_within_8_closes(self):
+        runtime = build_runtime()
+        freed = []
+        cycle, _ref = _watched_cycle(freed)
+        runtime.close_epoch(60.0)
+        del cycle
+        closes = 1
+        while not freed and closes < 8:
+            closes += 1
+            runtime.close_epoch(closes * 60.0)
+        assert freed == [True]
+        runtime.shutdown()
 
     def test_a_host_with_the_collector_off_is_left_alone(self, monkeypatch):
+        build_runtime().shutdown()  # nothing frozen to start from
         gc.disable()
         try:
             seen, collected = self.close_once(build_runtime(), monkeypatch)
             assert seen == [False]
             assert collected == []
+            assert gc.get_freeze_count() == 0
             assert not gc.isenabled()
         finally:
             gc.enable()

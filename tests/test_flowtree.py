@@ -541,6 +541,9 @@ class TestOneRegistryNoCycles:
         generator = TrafficGenerator(
             TrafficConfig(sites=tuple(sites), flows_per_epoch=500), seed=7
         )
+        # a close freezes what survives it, and ``gc.get_objects()`` does
+        # not list frozen objects: count with nothing frozen on both sides
+        gc.unfreeze()
         gc.collect()
         nodes_before = self._tracked(FlowtreeNode)
         dicts_before = self._tracked(dict)
@@ -551,6 +554,7 @@ class TestOneRegistryNoCycles:
                     f"network1/{site}", generator.epoch(site, epoch)
                 )
             runtime.close_epoch((epoch + 1) * 60.0)
+        runtime.shutdown()
         gc.collect()
         nodes_gained = self._tracked(FlowtreeNode) - nodes_before
         dicts_gained = self._tracked(dict) - dicts_before

@@ -8,6 +8,9 @@ across closes, replica purchases, retention, reconfiguration and a
 site restart.
 """
 
+import sys
+import threading
+
 import pytest
 
 import repro.datastore.cache as cache_module
@@ -240,6 +243,31 @@ class TestWhatTheMemoKeeps:
         memo.front(texts[0])  # evicted: parsed again
         assert memo.hits == 1
         assert memo.misses == len(texts) + 1
+
+    def test_every_lookup_counts_once_across_threads(self):
+        memo = loaded_runtime(epochs=1, flows_per_epoch=40).planner.memo
+        texts = [f"SELECT TOPK({k}) FROM ALL" for k in range(1, 4)]
+        rounds, workers = 500, 4
+
+        def look_up():
+            for _ in range(rounds):
+                for text in texts:
+                    memo.front(text)
+                    memo.parse(text)
+
+        threads = [threading.Thread(target=look_up) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as it can
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert memo.hits + memo.misses + memo.replans == (
+            2 * rounds * workers * len(texts)
+        )
 
     def test_subscriptions_and_queries_share_one_parse(self, monkeypatch):
         runtime = loaded_runtime()
