@@ -197,8 +197,7 @@ def test_tiered_vs_flat_aggregation(benchmark, policy):
     """Flat (router -> cloud) vs tiered (router -> region -> cloud):
     the mid-tier merge of Figure 2b dedups shared generalized nodes and
     cuts WAN volume further, at identical query answers."""
-    from repro.flowstream.system import Flowstream
-    from repro.flowstream.tiered import TieredFlowstream
+    from repro.runtime.presets import flat_runtime, tiered_runtime
     from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
     sites = [
@@ -210,9 +209,9 @@ def test_tiered_vs_flat_aggregation(benchmark, policy):
     )
 
     def run_both():
-        flat = Flowstream(sites=sites, node_budget=4096, policy=policy)
-        tiered = TieredFlowstream(
-            sites=sites, router_node_budget=4096, region_node_budget=4096,
+        flat = flat_runtime(sites, node_budget=4096, policy=policy)
+        tiered = tiered_runtime(
+            sites, router_node_budget=4096, region_node_budget=4096,
             policy=policy,
         )
         for epoch in range(2):
@@ -225,7 +224,7 @@ def test_tiered_vs_flat_aggregation(benchmark, policy):
         return flat, tiered
 
     flat, tiered = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    flat_wan = flat.wan_summary_bytes()
+    flat_wan = flat.wan_bytes()
     tiered_wan = tiered.wan_bytes()
     report(
         "Ablation: flat vs tiered aggregation (WAN summary bytes)",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import SITES, report
-from repro.flowstream.system import Flowstream
+from repro.runtime.presets import flat_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 EPOCHS = 4
@@ -30,7 +30,7 @@ def generator():
 
 @pytest.fixture(scope="module")
 def loaded_system(generator):
-    system = Flowstream(sites=list(SITES), node_budget=4096)
+    system = flat_runtime(list(SITES), node_budget=4096)
     for epoch in range(EPOCHS):
         for site in SITES:
             system.ingest(site, generator.epoch(site, epoch))
@@ -42,7 +42,7 @@ def test_ingest_to_export_pipeline(benchmark, generator):
     """Steps 1-4: one epoch from router export to FlowDB entry."""
 
     def one_epoch():
-        system = Flowstream(sites=[SITES[0]], node_budget=4096)
+        system = flat_runtime([SITES[0]], node_budget=4096)
         system.ingest(SITES[0], generator.epoch(SITES[0], 0))
         system.close_epoch(60.0)
         return system

@@ -22,7 +22,7 @@ Example queries to try::
 import sys
 
 from repro.errors import ReproError
-from repro.flowstream.system import Flowstream
+from repro.runtime import HierarchyRuntime, flat_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 SITES = (
@@ -43,9 +43,9 @@ DEMO_QUERIES = [
 ]
 
 
-def load_system() -> Flowstream:
+def load_system() -> HierarchyRuntime:
     print("loading 4 sites x 4 epochs (DDoS at region2 in epoch 3) ...")
-    system = Flowstream(sites=list(SITES), node_budget=4096)
+    system = flat_runtime(list(SITES), node_budget=4096)
     generator = TrafficGenerator(
         TrafficConfig(sites=SITES, flows_per_epoch=1500), seed=77
     )
@@ -65,7 +65,7 @@ def load_system() -> Flowstream:
     return system
 
 
-def run_query(system: Flowstream, text: str) -> None:
+def run_query(system: HierarchyRuntime, text: str) -> None:
     try:
         result = system.query(text)
     except ReproError as error:

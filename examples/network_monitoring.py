@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Network monitoring (Section II.B): trends, matrices, and a DDoS.
 
-Four router sites stream flow exports into per-site data stores with
-Flowtree aggregators.  Three applications consume the summaries:
+Drives :class:`~repro.scenarios.NetworkScenario`: four router sites
+stream flow exports into per-site data stores, and three applications
+consume the summaries:
 
 * **NetworkTrendsApp** — popular services and source prefixes (problem a)
 * **TrafficMatrixApp** — demand matrix + hottest hierarchy link (problem b)
@@ -11,112 +12,65 @@ Flowtree aggregators.  Three applications consume the summaries:
 
 In epoch 3 a DDoS is injected at region2; watch the investigation find
 the victim and the attacking prefixes, then install a rate-limit rule.
+Exits 1 if that story breaks: no finding at region2 in the attack
+epoch, a finding anywhere else, or no mitigation rule.
 
 Run:  python examples/network_monitoring.py
 """
 
-from repro.apps.ddos import DDoSInvestigationApp
-from repro.apps.traffic_matrix import TrafficMatrixApp
-from repro.apps.trends import NetworkTrendsApp
-from repro.control.controller import Controller
-from repro.control.manager import Manager
-from repro.core.summary import Location
-from repro.datastore.storage import RoundRobinStorage
-from repro.datastore.store import DataStore
-from repro.hierarchy.network import NetworkFabric
-from repro.hierarchy.topology import network_monitoring_hierarchy
-from repro.simulation.sensors import Actuator
-from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+import sys
 
-SITE_NAMES = (
-    "region1/router1",
-    "region2/router1",
-    "region3/router1",
-    "region4/router1",
-)
+from repro.scenarios import NetworkScenario
+
 EPOCHS = 4
 ATTACK_EPOCH = 3
 ATTACK_SITE = "region2/router1"
 
 
-def main() -> None:
-    hierarchy = network_monitoring_hierarchy(regions=4, routers_per_region=1)
-    fabric = NetworkFabric(hierarchy)
-    manager = Manager(hierarchy=hierarchy, fabric=fabric)
-
-    sites, controllers = [], {}
-    for name in SITE_NAMES:
-        location = Location(f"cloud/network/{name}")
-        store = DataStore(location, RoundRobinStorage(10**8), fabric=fabric)
-        manager.register_store(store)
-        controller = Controller(location)
-        controller.register_actuator(
-            Actuator(f"{location.path}/filter", location)
-        )
-        controllers[location.path] = controller
-        sites.append(location)
-
-    trends = NetworkTrendsApp(sites, node_budget=4096)
-    matrix = TrafficMatrixApp(sites, fabric=fabric)
-    ddos = DDoSInvestigationApp(
-        sites, epoch_seconds=60.0, controllers=controllers
-    )
-    for app in (trends, matrix, ddos):
-        app.deploy(manager)
-
-    generator = TrafficGenerator(
-        TrafficConfig(sites=SITE_NAMES, flows_per_epoch=2500), seed=7
+def main() -> int:
+    scenario = NetworkScenario(flows_per_epoch=2500)
+    outcome = scenario.run(
+        EPOCHS, attacks=[(ATTACK_EPOCH, ATTACK_SITE)], attack_flows=2500
     )
 
-    print(f"== {len(SITE_NAMES)} sites, {EPOCHS} epochs, DDoS on "
+    print(f"== {len(outcome.sites)} sites, {EPOCHS} epochs, DDoS on "
           f"{ATTACK_SITE} in epoch {ATTACK_EPOCH} ==\n")
     for epoch in range(EPOCHS):
-        for name, location in zip(SITE_NAMES, sites):
-            store = manager.store_at(location)
-            if epoch == ATTACK_EPOCH and name == ATTACK_SITE:
-                records = generator.ddos_epoch(name, epoch, attack_flows=2500)
-            else:
-                records = generator.epoch(name, epoch)
-            for record in records:
-                store.ingest("flows", record, record.first_seen,
-                             size_bytes=48)
-        now = (epoch + 1) * 60.0
-        # trends/matrix read the live epoch before it is cut
-        trends.on_epoch(manager, now)
-        matrix.on_epoch(manager, now)
-        manager.close_epochs(now)
-        findings = ddos.on_epoch(manager, now)
+        now = (epoch + 1) * scenario.epoch_seconds
         print(f"-- epoch {epoch} closed at t={now:.0f}s --")
-        snapshot = trends.trend_reports[-len(sites)]
+        snapshot = next(r for r in outcome.trend_reports if r.time == now)
         top_services = ", ".join(
             f"{port} ({volume/1e6:.1f} MB)"
             for port, volume in snapshot.services[:3]
         )
         print(f"  trends@{snapshot.site.split('/')[-2]}: {top_services}")
-        latest_matrix = matrix.reports[-1].body
+        matrix = next(r for r in outcome.matrix_reports if r.time == now)
         print(
-            f"  matrix: {latest_matrix['entries']} entries, hottest link "
-            f"{latest_matrix['hottest_link']}"
+            f"  matrix: {matrix.body['entries']} entries, hottest link "
+            f"{matrix.body['hottest_link']}"
         )
-        if findings:
-            for report in findings:
-                body = report.body
-                print(f"  !! DDoS at {body['site']}: victim {body['victim']} "
-                      f"(+{body['surge_bytes']/1e6:.1f} MB)")
-                for prefix, volume in body["top_sources"][:3]:
-                    print(f"       source {prefix}: {volume/1e6:.1f} MB")
-                print(f"       mitigation installed: {body['mitigated']}")
-        else:
+        findings = [f for f in outcome.findings if f.time == now]
+        for finding in findings:
+            print(f"  !! DDoS at {finding.site}: victim {finding.victim} "
+                  f"(+{finding.surge_bytes/1e6:.1f} MB)")
+            for prefix, volume in finding.top_sources[:3]:
+                print(f"       source {prefix}: {volume/1e6:.1f} MB")
+        if not findings:
             print("  no incidents")
         print()
 
-    attacked = controllers[f"cloud/network/{ATTACK_SITE}"]
+    attacked = f"cloud/network/{ATTACK_SITE}"
+    rules = outcome.mitigation_rules.get(attacked, [])
     print("== mitigation rules at the attacked site ==")
-    for rule in attacked.rules():
-        print(f"  {rule.rule_id}: {rule.command!r} "
-              f"(priority {rule.priority}, installed by {rule.installed_by})")
-    print(f"\nWAN bytes carried: {fabric.total_bytes():,}")
+    for rule_id in rules:
+        print(f"  {rule_id}")
+    print(f"\nWAN bytes carried: {outcome.wan_bytes:,}")
+
+    attack_time = (ATTACK_EPOCH + 1) * scenario.epoch_seconds
+    expected = {(attacked, attack_time)}
+    found = {(finding.site, finding.time) for finding in outcome.findings}
+    return 0 if found == expected and rules else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,7 +8,7 @@ paper says must be answerable without having been planned for.
 Run:  python examples/quickstart.py
 """
 
-from repro import Flowstream, TrafficConfig, TrafficGenerator
+from repro import TrafficConfig, TrafficGenerator, flat_runtime
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
@@ -47,7 +47,7 @@ def flowstream_tour() -> None:
     """The full system: routers -> data stores -> FlowDB -> FlowQL."""
     print("== Flowstream ==")
     sites = ["region1/router1", "region2/router1"]
-    system = Flowstream(sites=sites, node_budget=4096)
+    system = flat_runtime(sites, node_budget=4096)
     generator = TrafficGenerator(
         TrafficConfig(sites=tuple(sites), flows_per_epoch=2000), seed=42
     )

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Smart factory (Section II.A): the full architecture on one factory.
 
-Wires the Figure 2 building blocks end to end:
+Drives :class:`~repro.scenarios.FactoryScenario`, which wires the
+Figure 2 building blocks end to end:
 
 * machines with degrading mechanics stream vibration/temperature into a
   factory data store (Data Store: collect & aggregate);
@@ -13,132 +14,52 @@ Wires the Figure 2 building blocks end to end:
   Analytics: the adaptive cycle);
 * process mining reviews per-line efficiency from the same summaries.
 
-A control run without the application shows the win: machines that fail
-versus machines that get maintained in time.
+A control run without the applications shows the win: machines that
+fail versus machines that get maintained in time.  Exits 1 if that
+story breaks (no baseline failure, or any failure with the apps).
 
 Run:  python examples/smart_factory.py
 """
 
-from repro.apps.predictive_maintenance import PredictiveMaintenanceApp
-from repro.apps.process_mining import ProcessMiningApp
-from repro.control.controller import Controller
-from repro.control.manager import Manager
-from repro.control.rules import ControlRule
-from repro.datastore.storage import HierarchicalStorage
-from repro.datastore.store import DataStore
-from repro.datastore.triggers import RawTrigger
-from repro.simulation.factory import MachineState, build_factory
-from repro.simulation.sensors import Actuator
+import sys
+
+from repro.scenarios import FactoryScenario
 
 SIM_HOURS = 6
-STEP_SECONDS = 30.0
-EPOCH_SECONDS = 600.0
 
 
-def build_world(seed: int):
-    workload = build_factory(lines=2, machines_per_line=3, seed=seed)
-    for index, machine in enumerate(workload.machines):
-        machine.wear_rate_per_hour = 0.18 + 0.04 * index  # fail in hours
-    manager = Manager()
-    store = DataStore(workload.root, HierarchicalStorage(50_000_000))
-    manager.register_store(store)
-    return workload, manager, store
+def main() -> int:
+    print(f"== Smart factory: {SIM_HOURS} simulated hours, "
+          "6 degrading machines ==\n")
 
-
-def wire_safety_net(workload, store):
-    """The Figure 3a control cycle: trigger -> controller -> actuator."""
-    controllers = []
-    for machine in workload.machines:
-        controller = Controller(machine.location)
-        actuator = Actuator(f"{machine.machine_id}/drive", machine.location)
-        controller.register_actuator(actuator)
-        controller.install_rule(
-            ControlRule(
-                rule_id=f"estop/{machine.machine_id}",
-                command="emergency-stop",
-                target_actuator=actuator.actuator_id,
-                trigger_id=f"vib-extreme/{machine.machine_id}",
-                priority=100,
-                certified=True,
-            )
-        )
-        store.install_raw_trigger(
-            RawTrigger(
-                trigger_id=f"vib-extreme/{machine.machine_id}",
-                predicate=lambda reading, m=machine: (
-                    reading.sensor_id.startswith(m.machine_id)
-                    and reading.value > 7.5
-                ),
-                cooldown_seconds=600.0,
-            )
-        )
-        store.subscribe_triggers(controller.on_trigger)
-        controllers.append((controller, actuator))
-    return controllers
-
-
-def run(with_apps: bool, seed: int = 17):
-    workload, manager, store = build_world(seed)
-    controllers = wire_safety_net(workload, store)
-    apps = []
-    if with_apps:
-        maintenance = PredictiveMaintenanceApp(
-            workload, bin_seconds=60.0, horizon_seconds=2 * 3600.0
-        )
-        mining = ProcessMiningApp(workload, bin_seconds=300.0)
-        maintenance.deploy(manager)
-        mining.deploy(manager)
-        apps = [maintenance, mining]
-
-    t, next_epoch = 0.0, EPOCH_SECONDS
-    while t < SIM_HOURS * 3600.0:
-        t += STEP_SECONDS
-        for machine in workload.machines:
-            for sensor in machine.sensors:
-                reading = sensor.reading_at(t)
-                store.ingest(sensor.sensor_id, reading, t,
-                             size_bytes=reading.size_bytes)
-        if t >= next_epoch:
-            manager.close_epochs(t)
-            for app in apps:
-                app.on_epoch(manager, t)
-            next_epoch += EPOCH_SECONDS
-    return workload, apps, controllers, store
-
-
-def main() -> None:
-    print("== Smart factory: 6 simulated hours, 6 degrading machines ==\n")
-
-    baseline, _, base_controllers, _ = run(with_apps=False)
-    failed = [m for m in baseline.machines if m.state is MachineState.FAILED]
-    estops = sum(len(a.commands) for _, a in base_controllers)
+    baseline = FactoryScenario(with_maintenance=False).run(SIM_HOURS)
     print("-- without applications (safety net only) --")
-    print(f"  machines failed      : {len(failed)}/{len(baseline.machines)}")
-    print(f"  emergency stops fired: {estops}")
-    for machine in failed:
-        print(f"    {machine.machine_id} failed at "
-              f"t={machine.failures[0]/3600:.1f} h")
+    print(f"  machines failed      : "
+          f"{len(baseline.failures)}/{baseline.machines}")
+    print(f"  emergency stops fired: {baseline.emergency_stops}")
+    for machine_id, failed_at in baseline.failures:
+        print(f"    {machine_id} failed at t={failed_at/3600:.1f} h")
 
     print("\n-- with predictive maintenance + process mining --")
-    workload, apps, controllers, store = run(with_apps=True)
-    maintenance, mining = apps
-    failed = [m for m in workload.machines if m.state is MachineState.FAILED]
-    print(f"  machines failed      : {len(failed)}/{len(workload.machines)}")
-    print(f"  maintenance scheduled: {len(maintenance.decisions)}")
-    for decision in maintenance.decisions[:6]:
+    outcome = FactoryScenario(with_mining=True).run(SIM_HOURS)
+    print(f"  machines failed      : "
+          f"{len(outcome.failures)}/{outcome.machines}")
+    print(f"  maintenance scheduled: {len(outcome.maintenance_decisions)}")
+    for decision in outcome.maintenance_decisions[:6]:
         print(
             f"    {decision.machine_id} at t={decision.decided_at/3600:.1f} h"
             f" (predicted failure in {decision.predicted_failure_in/60:.0f}"
             " min)"
         )
-    if mining.line_reports:
-        latest = mining.line_reports[-1]
+    if outcome.line_reports:
+        latest = outcome.line_reports[-1]
         print(f"  process mining       : line {latest.line!r} bottleneck is "
               f"{latest.worst_machine} (health {latest.worst_health:.2f})")
-    print(f"  partitions stored    : {len(store.catalog)} "
-          f"({store.catalog.total_bytes():,} B)")
-    print(f"  lineage records      : {len(store.lineage)}")
+    print(f"  partitions stored    : {outcome.partitions_stored} "
+          f"({outcome.stored_bytes:,} B)")
+    print(f"  lineage records      : {outcome.lineage_records}")
+    return 0 if baseline.failures and not outcome.failures else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

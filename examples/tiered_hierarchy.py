@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The full Figure 2b hierarchy: tiers, privacy, and graph analysis.
 
-Eight routers in four regions feed a tiered Flowstream (router stores →
+Eight routers in four regions feed the tiered runtime (router stores →
 region stores → cloud FlowDB).  The demo shows three things the flat
 quickstart cannot:
 
@@ -26,8 +26,7 @@ from repro.analytics.graph import (
     traffic_communities,
 )
 from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
-from repro.flowstream.system import Flowstream
-from repro.flowstream.tiered import TieredFlowstream
+from repro.runtime import flat_runtime, tiered_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 SITES = [
@@ -52,14 +51,14 @@ def main() -> None:
     )
 
     print("== 1. flat vs tiered WAN volume ==")
-    flat = load(Flowstream(sites=SITES, node_budget=4096), generator)
+    flat = load(flat_runtime(SITES, node_budget=4096), generator)
     tiered = load(
-        TieredFlowstream(
-            sites=SITES, router_node_budget=4096, region_node_budget=4096
+        tiered_runtime(
+            SITES, router_node_budget=4096, region_node_budget=4096
         ),
         generator,
     )
-    flat_wan = flat.wan_summary_bytes()
+    flat_wan = flat.wan_bytes()
     tiered_wan = tiered.wan_bytes()
     print(f"  flat   (router->cloud)        : {flat_wan:>12,} B")
     print(f"  tiered (router->region->cloud): {tiered_wan:>12,} B "
@@ -74,10 +73,10 @@ def main() -> None:
     guard = PrivacyGuard(
         PrivacyPolicy(default=ExportRule(min_ip_prefix=16))
     )
-    private = TieredFlowstream(
-        sites=SITES, router_node_budget=4096, region_node_budget=4096
+    private = tiered_runtime(
+        SITES, router_node_budget=4096, region_node_budget=4096
     )
-    for store in private.region_stores.values():
+    for store in private.stores_at_level("region").values():
         store.privacy = guard
     load(private, generator)
     cloud_trees = [entry.tree for entry in private.db.entries()]

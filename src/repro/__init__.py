@@ -20,9 +20,10 @@ The paper is a vision paper; this library *builds the vision*:
 * **Applications** (:mod:`repro.apps`) — predictive maintenance,
   process mining, supply-chain tracing, network trends, traffic
   matrices, and DDoS investigation.
-* **Flowstream** (:mod:`repro.flowstream`, :mod:`repro.flowdb`,
-  :mod:`repro.flowql`) — the Figure 5 system: routers → data stores →
-  FlowDB → FlowQL.
+* **FlowDB and FlowQL** (:mod:`repro.flowdb`, :mod:`repro.flowql`) —
+  the Figure 5 system (routers → data stores → FlowDB → FlowQL) is
+  :func:`~repro.runtime.presets.flat_runtime`; Figure 2b's tiered
+  variant is :func:`~repro.runtime.presets.tiered_runtime`.
 * **Adaptive replication** (:mod:`repro.replication`) — ski-rental
   policies, access prediction, and the Figure 6 engine.
 * **Simulation** (:mod:`repro.simulation`) — the discrete-event
@@ -82,8 +83,6 @@ from repro.control import Controller, Manager
 from repro.errors import AdmissionError
 from repro.faults import FaultPlan, LinkOutage, RetryPolicy
 from repro.flowdb import FlowDB
-from repro.flowstream import Flowstream
-from repro.flowstream.tiered import TieredFlowstream
 from repro.obs import Observability
 from repro.query import Degradation, QueryOutcome, QueryPlan
 from repro.runtime import (
@@ -139,8 +138,6 @@ __all__ = [
     "Controller",
     "Manager",
     "FlowDB",
-    "Flowstream",
-    "TieredFlowstream",
     "HierarchyRuntime",
     "LevelConfig",
     "VolumeStats",

@@ -203,10 +203,17 @@ def _configure_flowql(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_flowql(args: argparse.Namespace) -> int:
-    from repro.flowstream.system import Flowstream
+    from repro.runtime.presets import flat_runtime
     from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
-    system = Flowstream(sites=args.sites, node_budget=args.node_budget)
+    if len(set(args.sites)) < len(args.sites):
+        print(f"error: a site is listed twice in {args.sites}")
+        return 2
+    try:
+        system = flat_runtime(args.sites, node_budget=args.node_budget)
+    except ReproError as error:  # ragged or empty site paths
+        print(f"error: {error}")
+        return 2
     generator = TrafficGenerator(
         TrafficConfig(
             sites=tuple(args.sites), flows_per_epoch=args.flows_per_epoch
@@ -796,12 +803,16 @@ def _run_factory(args: argparse.Namespace) -> int:
     from repro.scenarios.factory import FactoryScenario
 
     with_apps = not args.no_apps
-    scenario = FactoryScenario(
-        lines=args.lines,
-        machines_per_line=args.machines_per_line,
-        seed=args.seed,
-        with_maintenance=with_apps,
-    )
+    try:
+        scenario = FactoryScenario(
+            lines=args.lines,
+            machines_per_line=args.machines_per_line,
+            seed=args.seed,
+            with_maintenance=with_apps,
+        )
+    except ReproError as error:  # a plant with no machines
+        print(f"error: {error}")
+        return 2
     outcome = scenario.run(hours=args.hours)
     print(
         f"simulated {args.hours:g} h, {outcome.machines} machines "

@@ -206,7 +206,7 @@ class Hierarchy:
         (0-based below the root) is labeled ``level_names[d]`` when
         provided — with per-level decision ``deadlines`` parallel to it
         — and ``level{d+1}`` otherwise.  This is the one site-path
-        parser behind every Flowstream/runtime topology.
+        parser behind every runtime topology.
         """
         if not sites:
             raise PlacementError("from_site_paths needs at least one site")

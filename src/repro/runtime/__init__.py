@@ -4,9 +4,10 @@
 :class:`~repro.hierarchy.topology.Hierarchy` from per-level
 :class:`LevelConfig` tables and runs the generic epoch rollup (edge →
 interior merge → WAN export into FlowDB) with per-hop fabric accounting
-in :class:`VolumeStats`.  The flat/tiered Flowstream systems and the
-scenario harnesses are facades over it; the :mod:`presets
-<repro.runtime.presets>` module has the paper's 4-level topologies.
+in :class:`VolumeStats`.  Every runtime is built by a :mod:`presets
+<repro.runtime.presets>` function (Figure 5's flat system, Figure 2b's
+tiered one, the paper's 4-level topologies) or by a
+:mod:`repro.scenarios` class (the Section II worlds).
 """
 
 from repro.runtime.config import EXPORT_AUTO, EXPORT_NONE, LevelConfig

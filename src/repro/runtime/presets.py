@@ -1,8 +1,8 @@
 """Paper-faithful hierarchy runtimes as one-call presets.
 
-The legacy systems become level tables over the same runtime:
+Every paper system is a level table over the same runtime:
 
-* :func:`flat_runtime` — the Figure 5 Flowstream: edge stores only,
+* :func:`flat_runtime` — the Figure 5 system: edge stores only,
   summaries cross the WAN straight into FlowDB.
 * :func:`tiered_runtime` — Figure 2b: a region tier merges router trees
   before anything touches the WAN.
@@ -60,8 +60,7 @@ def flat_runtime(
     depth = depths.pop()
     levels = {
         # only the deepest level is store-bearing; intermediate path
-        # segments are plain fabric nodes, exactly like the legacy
-        # Flowstream
+        # segments are plain fabric nodes
         f"level{depth}": LevelConfig(
             aggregator="flowtree",
             node_budget=node_budget,
@@ -100,9 +99,17 @@ def tiered_runtime(
     adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
-    """Router stores merging into region stores before the WAN hop."""
+    """Router stores merging into region stores before the WAN hop.
+
+    ``sites`` are ``region/router`` paths; a region's routers share its
+    store."""
     if not sites:
         raise PlacementError("tiered runtime needs at least one site")
+    for site in sites:
+        if len([part for part in site.split("/") if part]) != 2:
+            raise PlacementError(
+                f"tiered runtime needs region/router sites; got {site!r}"
+            )
     hierarchy = Hierarchy.from_site_paths(
         sites, level_names=["region", "router"]
     )

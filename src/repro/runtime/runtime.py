@@ -4,11 +4,10 @@ The paper describes one recursive structure: data stores at *every*
 level of a hierarchy (machine → line → factory → cloud; router → region
 → network → cloud), each aggregating its children's summaries and
 shipping its own summary one level up, with only the root's exports
-crossing the WAN.  Historically this repository had three divergent
-hand-rolled copies of that data plane (the flat ``Flowstream``, the
-3-level ``TieredFlowstream``, and the scenario harnesses wiring flat
-stores through ``Manager.close_epochs``).  :class:`HierarchyRuntime`
-replaces all of them:
+crossing the WAN.  :class:`HierarchyRuntime` is that structure for
+any depth, and :mod:`~repro.runtime.presets` builds the paper's systems
+(Figure 5's flat one, Figure 2b's tiered one) as level tables over it.
+It does three things:
 
 * **Provisioning** — one :class:`~repro.datastore.store.DataStore` per
   hierarchy node whose level has a :class:`~repro.runtime.config.LevelConfig`,

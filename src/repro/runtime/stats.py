@@ -1,15 +1,11 @@
 """Unified per-level volume and latency accounting.
 
-:class:`VolumeStats` replaces the two hand-rolled counters the legacy
-data planes grew independently (``FlowstreamStats`` with
-``raw_bytes_ingested``/``summary_bytes_exported`` and ``TierStats`` with
-``raw_bytes``/``router_summary_bytes``/``region_summary_bytes``): one
-structure tracks, for every level of an arbitrary-depth hierarchy, the
-raw volume entering it, the summary volume flowing through it, and the
-wall-clock the rollup spent there.  The legacy alias attributes were
-removed after one deprecation cycle — use :attr:`VolumeStats.raw_bytes`,
-:attr:`VolumeStats.raw_records`, :attr:`VolumeStats.exported_bytes`,
-and ``stats.level(name).summary_bytes_out``.
+:class:`VolumeStats` tracks, for every level of an arbitrary-depth
+hierarchy, the raw volume entering it, the summary volume flowing
+through it, and the wall-clock the rollup spent there:
+:attr:`VolumeStats.raw_bytes`, :attr:`VolumeStats.raw_records`,
+:attr:`VolumeStats.exported_bytes`, and
+``stats.level(name).summary_bytes_out``.
 
 Fault accounting rides on the same buckets: every rollup export attempt
 (first try, retry, or redelivery of a parked export) lands in its

@@ -58,6 +58,14 @@ class TestFlowQLCommand:
 
         assert os.path.exists(path)
 
+    @pytest.mark.parametrize(
+        "sites", [["a/b", "c"], ["a/b", "a/b"]], ids=["ragged", "twice"]
+    )
+    def test_bad_sites_fail(self, capsys, sites):
+        code = main(["flowql", "--epochs", "1", "--sites", *sites])
+        assert code == 2
+        assert "error:" in capsys.readouterr().out
+
 
 class TestQueryCommand:
     def test_demo_routes_cloud_federated_and_cached(self, capsys):
@@ -292,6 +300,11 @@ class TestFactoryCommand:
         assert code == 0  # baseline exit code is informational
         assert "without predictive maintenance" in out
         assert "failures: 2/2" in out
+
+    def test_no_machines_fails(self, capsys):
+        code = main(["factory", "--lines", "0"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().out
 
 
 class TestReplicationCommand:

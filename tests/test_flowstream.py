@@ -1,9 +1,9 @@
-"""End-to-end tests for the Flowstream system (Figure 5)."""
+"""End-to-end tests for the Figure 5 system: the flat runtime preset."""
 
 import pytest
 
 from repro.errors import PlacementError
-from repro.flowstream.system import Flowstream
+from repro.runtime.presets import flat_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 SITES = ["region1/router1", "region2/router1"]
@@ -11,7 +11,7 @@ SITES = ["region1/router1", "region2/router1"]
 
 @pytest.fixture()
 def system():
-    return Flowstream(sites=SITES, node_budget=1024)
+    return flat_runtime(SITES, node_budget=1024)
 
 
 @pytest.fixture()
@@ -29,7 +29,7 @@ def loaded_system(system):
 class TestWiring:
     def test_needs_sites(self):
         with pytest.raises(PlacementError):
-            Flowstream(sites=[])
+            flat_runtime([])
 
     def test_unknown_site(self, system):
         with pytest.raises(PlacementError):
@@ -38,7 +38,7 @@ class TestWiring:
     def test_stores_have_flowtree_aggregators(self, system):
         for site in SITES:
             store = system.store_for(site)
-            assert store.aggregator(Flowstream.AGGREGATOR) is not None
+            assert store.aggregator("flowtree") is not None
 
     def test_hierarchy_covers_sites(self, system):
         from repro.core.summary import Location
@@ -59,7 +59,7 @@ class TestDataPath:
         assert loaded_system.stats.raw_records == 500 * 2 * 3
 
     def test_export_volume_accounted_on_wan(self, loaded_system):
-        assert loaded_system.wan_summary_bytes() == (
+        assert loaded_system.wan_bytes() == (
             loaded_system.stats.exported_bytes
         )
 
@@ -116,7 +116,7 @@ class TestQueryPath:
         """An analyst with nothing but FlowQL finds the attack victim:
         the epoch-over-epoch Diff grouped by destination host."""
         sites = ["region1/router1"]
-        system = Flowstream(sites=sites, node_budget=8192)
+        system = flat_runtime(sites, node_budget=8192)
         generator = TrafficGenerator(
             TrafficConfig(sites=tuple(sites), flows_per_epoch=800), seed=55
         )
@@ -147,25 +147,7 @@ class TestQueryPath:
 
 
 class TestStatsAPI:
-    """The deprecation cycle is over: VolumeStats is the only stats API."""
-
-    def test_flowstream_stats_alias_removed(self):
-        import repro.flowstream.system as system_module
-
-        with pytest.raises(AttributeError):
-            system_module.FlowstreamStats
-
     def test_stats_is_volume_stats(self, system):
         from repro.runtime.stats import VolumeStats
 
         assert isinstance(system.stats, VolumeStats)
-
-    def test_legacy_attribute_names_removed(self, system):
-        for legacy in (
-            "raw_bytes_ingested",
-            "raw_records_ingested",
-            "summary_bytes_exported",
-            "router_summary_bytes",
-        ):
-            with pytest.raises(AttributeError):
-                getattr(system.stats, legacy)

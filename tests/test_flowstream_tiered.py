@@ -1,10 +1,10 @@
-"""Tests for the tiered (router → region → cloud) Flowstream."""
+"""Tests for the tiered (router → region → cloud) runtime preset of
+Figure 2b."""
 
 import pytest
 
 from repro.errors import PlacementError
-from repro.flowstream.system import Flowstream
-from repro.flowstream.tiered import TieredFlowstream
+from repro.runtime.presets import flat_runtime, tiered_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 SITES = [
@@ -24,8 +24,8 @@ def generator():
 
 @pytest.fixture()
 def loaded(generator):
-    system = TieredFlowstream(
-        sites=SITES, router_node_budget=4096, region_node_budget=4096
+    system = tiered_runtime(
+        SITES, router_node_budget=4096, region_node_budget=4096
     )
     for epoch in range(2):
         for site in SITES:
@@ -36,18 +36,20 @@ def loaded(generator):
 
 class TestConstruction:
     def test_region_stores_shared(self):
-        system = TieredFlowstream(sites=SITES)
-        assert sorted(system.region_stores) == ["region1", "region2"]
-        assert len(system.router_stores) == 4
+        system = tiered_runtime(SITES)
+        assert sorted(system.stores_at_level("region")) == [
+            "region1", "region2"
+        ]
+        assert len(system.stores_at_level("router")) == 4
 
     def test_needs_region_router_shape(self):
         with pytest.raises(PlacementError):
-            TieredFlowstream(sites=["lonesite"])
+            tiered_runtime(["lonesite"])
         with pytest.raises(PlacementError):
-            TieredFlowstream(sites=[])
+            tiered_runtime([])
 
     def test_unknown_site(self):
-        system = TieredFlowstream(sites=SITES)
+        system = tiered_runtime(SITES)
         with pytest.raises(PlacementError):
             system.ingest("region9/router9", [])
 
@@ -81,9 +83,9 @@ class TestTieringEffect:
         """Merging at the region tier dedups shared generalized nodes,
         so fewer summary bytes cross the WAN than in the flat design
         (with equal tree budgets)."""
-        flat = Flowstream(sites=SITES, node_budget=4096)
-        tiered = TieredFlowstream(
-            sites=SITES, router_node_budget=4096, region_node_budget=4096
+        flat = flat_runtime(SITES, node_budget=4096)
+        tiered = tiered_runtime(
+            SITES, router_node_budget=4096, region_node_budget=4096
         )
         for epoch in range(2):
             for site in SITES:
@@ -91,7 +93,7 @@ class TestTieringEffect:
                 tiered.ingest(site, generator.epoch(site, epoch))
             flat.close_epoch((epoch + 1) * 60.0)
             tiered.close_epoch((epoch + 1) * 60.0)
-        assert tiered.wan_bytes() < flat.wan_summary_bytes()
+        assert tiered.wan_bytes() < flat.wan_bytes()
         # and both systems agree on the global totals
         assert (
             tiered.query("SELECT TOTAL FROM ALL").scalar
@@ -107,13 +109,13 @@ class TestTieredPrivacy:
             PrivacyPolicy,
         )
 
-        system = TieredFlowstream(
-            sites=SITES, router_node_budget=2048, region_node_budget=2048
+        system = tiered_runtime(
+            SITES, router_node_budget=2048, region_node_budget=2048
         )
         guard = PrivacyGuard(
             PrivacyPolicy(default=ExportRule(min_ip_prefix=16))
         )
-        for store in system.region_stores.values():
+        for store in system.stores_at_level("region").values():
             store.privacy = guard
         for site in SITES:
             system.ingest(site, generator.epoch(site, 0))
@@ -136,19 +138,18 @@ class TestTieredPrivacy:
             PrivacyPolicy,
         )
 
-        system = TieredFlowstream(
-            sites=SITES[:2], router_node_budget=4096,
-            region_node_budget=None,
+        system = tiered_runtime(
+            SITES[:2], router_node_budget=4096, region_node_budget=None
         )
         guard = PrivacyGuard(
             PrivacyPolicy(default=ExportRule(min_ip_prefix=8))
         )
-        for store in system.region_stores.values():
+        for store in system.stores_at_level("region").values():
             store.privacy = guard
         records = generator.epoch(SITES[0], 0)
         system.ingest(SITES[0], records)
         system.close_epoch(60.0)
-        region_store = system.region_stores["region1"]
+        region_store = system.stores_at_level("region")["region1"]
         partition = region_store.catalog.all()[0]
         # the region's own stored partition answers host-level queries
         assert partition.summary.payload.query(records[0].key).bytes > 0
@@ -194,20 +195,3 @@ class TestSubtreeExport:
         partial = tree.subtree(pattern)
         assert partial.total().bytes == 100
 
-
-class TestTierStatsRemoved:
-    """The deprecation cycle is over: VolumeStats is the only stats API."""
-
-    def test_tier_stats_alias_removed(self):
-        import repro.flowstream.tiered as tiered_module
-
-        with pytest.raises(AttributeError):
-            tiered_module.TierStats
-
-    def test_per_level_alias_attributes_removed(self):
-        from repro.runtime.stats import VolumeStats
-
-        stats = VolumeStats(["router", "region"])
-        for legacy in ("router_summary_bytes", "region_summary_bytes"):
-            with pytest.raises(AttributeError):
-                getattr(stats, legacy)

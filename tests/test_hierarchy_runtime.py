@@ -3,8 +3,8 @@
 Covers the unification contract: the 4-level presets run end-to-end
 (ingest → per-level rollup → FlowQL → fabric accounting), a 4-level
 runtime with an unbounded extra tier is *answer-identical* to the
-legacy 3-level tiered system, and root mass is conserved across any
-rollup depth.
+3-level tiered preset, and root mass is conserved across any rollup
+depth.
 """
 
 from dataclasses import replace
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.errors import PlacementError, SchemaMismatchError
 from repro.flows.flowkey import FIVE_TUPLE, SRC_DST
 from repro.flows.records import PacketRecord, Score
-from repro.flowstream.tiered import TieredFlowstream
 from repro.hierarchy.topology import Hierarchy
 from repro.runtime import (
     EXPORT_NONE,
@@ -57,8 +56,15 @@ class TestConstruction:
             HierarchyRuntime(hierarchy, {})
 
     def test_flat_preset_rejects_ragged_depths(self):
-        with pytest.raises(PlacementError):
-            flat_runtime(["region1/router1", "lonesite"])
+        # the tiered preset also needs every site exactly region/router
+        for preset, sites, named in (
+            (flat_runtime, ["region1/router1", "lonesite"], "depths"),
+            (tiered_runtime, ["a/b", "c"], "'c'"),
+            (tiered_runtime, ["lonesite"], "'lonesite'"),
+            (tiered_runtime, ["a/b/c"], "'a/b/c'"),
+        ):
+            with pytest.raises(PlacementError, match=named):
+                preset(sites)
 
     def test_network_4level_store_census(self):
         runtime = network_4level_runtime(
@@ -194,8 +200,8 @@ class TestFactory4LevelEndToEnd:
 
 
 class TestDifferentialVsLegacyTiered:
-    """ISSUE satellite: with the extra tier unbounded, a 4-level
-    runtime must be answer-identical to the legacy 3-level system."""
+    """With the extra tier unbounded, a 4-level runtime must be
+    answer-identical to the 3-level tiered preset."""
 
     QUERIES = [
         "SELECT TOPK(10) FROM ALL BY bytes",
@@ -205,8 +211,8 @@ class TestDifferentialVsLegacyTiered:
 
     @pytest.fixture()
     def pair(self, generator):
-        legacy = TieredFlowstream(
-            sites=TIERED_SITES,
+        tiered = tiered_runtime(
+            TIERED_SITES,
             router_node_budget=4096,
             region_node_budget=4096,
         )
@@ -221,32 +227,32 @@ class TestDifferentialVsLegacyTiered:
         for epoch in range(2):
             for site in TIERED_SITES:
                 records = generator.epoch(site, epoch)
-                legacy.ingest(site, records)
+                tiered.ingest(site, records)
                 deep.ingest(f"network1/{site}", records)
             now = (epoch + 1) * 60.0
-            legacy.close_epoch(now)
+            tiered.close_epoch(now)
             deep.close_epoch(now)
-        return legacy, deep
+        return tiered, deep
 
     def test_total_identical(self, pair):
-        legacy, deep = pair
+        tiered, deep = pair
         assert (
-            legacy.query("SELECT TOTAL FROM ALL").scalar
+            tiered.query("SELECT TOTAL FROM ALL").scalar
             == deep.query("SELECT TOTAL FROM ALL").scalar
         )
 
     @pytest.mark.parametrize("flowql", QUERIES)
     def test_row_answers_identical(self, pair, flowql):
-        legacy, deep = pair
-        assert sorted(legacy.query(flowql).rows) == sorted(
+        tiered, deep = pair
+        assert sorted(tiered.query(flowql).rows) == sorted(
             deep.query(flowql).rows
         )
 
     def test_extra_tier_does_not_inflate_wan(self, pair):
-        legacy, deep = pair
+        tiered, deep = pair
         # the unbounded network tier merges the regions' trees before
         # the WAN hop, so it can only deduplicate, never add bytes
-        assert 0 < deep.wan_bytes() <= legacy.wan_bytes()
+        assert 0 < deep.wan_bytes() <= tiered.wan_bytes()
 
 
 class TestRootMassConservation:
