@@ -6,32 +6,32 @@ per-partition access runs — the structure the paper's SAP trace is said
 to have) under every policy the paper discusses, reporting total
 network cost against the clairvoyant offline optimum.
 
-Part 2 runs the live Figure 6 loop between two data stores: repeat
-remote queries pay WAN cost until the break-even rule replicates the
-partition, after which they are served locally for free.
+Part 2 runs the live Figure 6 loop on a runtime: distinct FlowQL
+queries over one router's history each miss the result cache, so every
+read ships that router's partial summaries to the cloud until the
+break-even rule buys replicas of its partitions; every query after the
+buy is answered on the replicas for free.  Exits 1 if that story
+breaks: the first query ships nothing, the engine never buys, or a
+query after the buy ships WAN bytes.
 
 Run:  python examples/adaptive_replication.py
 """
 
-from repro.core.flowtree import FlowtreePrimitive
-from repro.core.primitive import QueryRequest
-from repro.core.summary import Location
-from repro.datastore.aggregator import Aggregator
-from repro.datastore.storage import RoundRobinStorage
-from repro.datastore.store import DataStore
-from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
-from repro.hierarchy.network import NetworkFabric
-from repro.hierarchy.topology import network_monitoring_hierarchy
+import sys
+
 from repro.replication.engine import (
     AdaptiveReplicationEngine,
     offline_optimal_cost,
     simulate_policy_on_trace,
 )
 from repro.replication.ski_rental import BreakEvenPolicy, default_policies
+from repro.runtime.presets import network_4level_runtime
 from repro.simulation.querytrace import QueryTraceConfig, QueryTraceGenerator
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 PARTITION_BYTES = 10_000_000
+#: sealed epochs of router history the live loop reads
+EPOCHS = 3
 
 
 def policy_shootout() -> None:
@@ -61,54 +61,49 @@ def policy_shootout() -> None:
         print()
 
 
-def live_engine_demo() -> None:
-    print("== Part 2: the live Figure 6 loop between two data stores ==\n")
-    hierarchy = network_monitoring_hierarchy(regions=2, routers_per_region=1)
-    fabric = NetworkFabric(hierarchy)
-    policy = GeneralizationPolicy.default_for(FIVE_TUPLE)
-    producer_loc = Location("cloud/network/region1/router1")
-    consumer_loc = Location("cloud/network/region2/router1")
-    producer = DataStore(producer_loc, RoundRobinStorage(10**8), fabric=fabric)
-    consumer = DataStore(consumer_loc, RoundRobinStorage(10**8), fabric=fabric)
-    producer.add_peer(consumer)
-    producer.install_aggregator(
-        Aggregator("ft", FlowtreePrimitive(producer_loc, policy))
-    )
-
-    generator = TrafficGenerator(
-        TrafficConfig(sites=("region1/router1",), flows_per_epoch=3000),
-        seed=5,
-    )
-    for record in generator.epoch("region1/router1", 0):
-        producer.ingest("flows", record, record.first_seen, size_bytes=48)
-    producer.close_epoch(60.0)
-    partition = producer.catalog.all()[0]
-    print(f"  partition at region1: {partition.partition_id} "
-          f"({partition.size_bytes:,} B)")
-
+def live_engine_demo() -> int:
+    print("== Part 2: the live Figure 6 loop on a runtime ==\n")
+    runtime = network_4level_runtime(1, 2, 1, retain_partitions=True)
     engine = AdaptiveReplicationEngine(BreakEvenPolicy())
-    print(f"\n  region2 keeps asking region1 for its top-200 flows:")
+    runtime.manager.enable_adaptive_replication(engine)
+    sites = runtime.ingest_sites()
+    generator = TrafficGenerator(
+        TrafficConfig(sites=tuple(sites), flows_per_epoch=3000), seed=5
+    )
+    for epoch in range(EPOCHS):
+        for site in sites:
+            runtime.ingest(site, generator.epoch(site, epoch))
+        runtime.close_epoch(60.0 * (epoch + 1))
+    site = sites[0]
+    catalog = runtime.store_for(site).catalog
+    print(f"  {len(catalog)} partitions at {site} "
+          f"({catalog.total_bytes():,} B)")
+
+    print(f"\n  the cloud keeps asking {site} for a different top-k:")
+    before_buy, after_buy = [], []
     for index in range(12):
-        before = fabric.total_bytes()
-        result = consumer.query_federated(
-            "ft", QueryRequest("top_k", {"k": 200}),
-            start=0.0, end=60.0, now=70.0 + index,
+        bought = bool(engine.outcomes)
+        before = runtime.wan_bytes()
+        outcome = runtime.query(
+            f"SELECT TOPK({200 + index}) FROM TIME(0, {60 * EPOCHS}) "
+            f"AT {site}"
         )
-        replicated = False
-        if result.source == "remote":
-            replicated = engine.on_remote_access(
-                producer, consumer, partition.partition_id,
-                result.result_bytes, now=70.0 + index,
-            )
-        wan = fabric.total_bytes() - before
-        note = "  <- REPLICATED" if replicated else ""
-        print(f"    query {index:>2}: served from {result.source:<8} "
+        wan = runtime.wan_bytes() - before
+        (after_buy if bought else before_buy).append(wan)
+        read = outcome.plan.reads[0]
+        source = "replica" if read.served_locally else "router"
+        note = "  <- REPLICATED" if engine.outcomes and not bought else ""
+        print(f"    query {index:>2}: served from {source:<8} "
               f"WAN bytes {wan:>9,}{note}")
-    print(f"\n  shipped {engine.shipped_bytes:,} B before buying a "
-          f"{engine.replication_bytes:,} B replica; every query after is "
-          "free.")
+    print(f"\n  shipped {engine.shipped_bytes:,} B before buying "
+          f"{engine.replication_bytes:,} B of replicas")
+    # after_buy holds the queries asked once the engine had bought
+    if before_buy[0] > 0 and after_buy and not any(after_buy):
+        return 0
+    print("error: the ship-then-buy story broke", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
     policy_shootout()
-    live_engine_demo()
+    sys.exit(live_engine_demo())

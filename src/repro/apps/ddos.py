@@ -117,8 +117,7 @@ class DDoSInvestigationApp(Application):
         # standalone fallback (no query plane): read the covering store
         store = manager.covering_store(site)
         summary, _ = store.window_summary(
-            self.aggregator_name(site), start, end, record_access=True,
-            now=now,
+            self.aggregator_name(site), start, end, now=now
         )
         return summary.payload if summary is not None else None
 

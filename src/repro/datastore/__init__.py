@@ -4,8 +4,10 @@ A data store collects data from sensors/routers, feeds it into
 subscribed **aggregators** (instances of computing primitives), stores
 the resulting summaries as **partitions** under one of the three storage
 strategies, evaluates **triggers** on both raw items and fresh
-summaries, and answers queries — routing sub-queries to peer stores (or
-local replicas) when the data lives elsewhere.
+summaries, and answers queries from its own data.  A store does not
+know its peers: reading one store's data on another's behalf (shipping
+partials, or answering on a bought replica) is the federated planner's
+job (:mod:`repro.query.planner`).
 """
 
 from repro.datastore.partitions import Partition, PartitionCatalog

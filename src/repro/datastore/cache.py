@@ -4,68 +4,17 @@
 results and by proactively replicating data ...  Note, that the
 approaches are not mutually exclusive, but can be combined."
 
-A :class:`QueryCache` memoizes federated query results for identical
-(aggregator, request, window) keys within a TTL.  Caching only helps
-*repeat* queries — the paper's stated reason to focus on replication —
-which the hit/miss counters make measurable.  Cache keys hash the
-request's operator and parameters; requests whose parameters are not
-hashable (callables etc.) are simply never cached.
+A :class:`QueryCache` memoizes federated FlowQL results within a TTL,
+under the key :meth:`~repro.query.planner.FederatedQueryPlanner.
+cache_key` builds from the parsed query and its plan.  Caching only
+helps *repeat* queries — the paper's stated reason to focus on
+replication — which the hit/miss counters make measurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional, Tuple
-
-from repro.core.primitive import QueryRequest
-
-
-#: Sentinel marking values that must never be used as cache keys.
-_UNCACHEABLE = object()
-
-
-def _freeze(value: Any) -> Any:
-    """Convert a request parameter to a hashable key, or the
-    ``_UNCACHEABLE`` sentinel when that is not safely possible."""
-    if callable(value):
-        # callables hash by identity, which would make semantically
-        # identical requests miss (and different ones collide on reuse)
-        return _UNCACHEABLE
-    if isinstance(value, dict):
-        frozen_items = []
-        for key in sorted(value, key=repr):
-            frozen = _freeze(value[key])
-            if frozen is _UNCACHEABLE:
-                return _UNCACHEABLE
-            frozen_items.append((key, frozen))
-        return tuple(frozen_items)
-    if isinstance(value, (list, tuple)):
-        frozen_list = []
-        for item in value:
-            frozen = _freeze(item)
-            if frozen is _UNCACHEABLE:
-                return _UNCACHEABLE
-            frozen_list.append(frozen)
-        return tuple(frozen_list)
-    try:
-        hash(value)
-    except TypeError:
-        return _UNCACHEABLE
-    return value
-
-
-def cache_key(
-    aggregator: str,
-    request: QueryRequest,
-    start: Optional[float],
-    end: Optional[float],
-) -> Optional[Hashable]:
-    """The key one request over one window caches under (None when its
-    parameters cannot be frozen)."""
-    params = _freeze(request.params)
-    if params is _UNCACHEABLE:
-        return None
-    return (aggregator, request.operator, params, start, end)
 
 
 @dataclass
@@ -82,7 +31,6 @@ class CacheEntry:
 
     value: Any
     stored_at: float
-    result_bytes: int
     window: Tuple[Optional[float], Optional[float]] = (None, None)
 
 
@@ -111,25 +59,9 @@ class QueryCache:
     _entries: Dict[Hashable, CacheEntry] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    uncacheable: int = 0
 
-    def key_for(
-        self,
-        aggregator: str,
-        request: QueryRequest,
-        start: Optional[float],
-        end: Optional[float],
-    ) -> Optional[Hashable]:
-        """The cache key, or None when the request is uncacheable."""
-        key = cache_key(aggregator, request, start, end)
-        if key is None:
-            self.uncacheable += 1
-        return key
-
-    def get(self, key: Optional[Hashable], now: float) -> Optional[CacheEntry]:
+    def get(self, key: Hashable, now: float) -> Optional[CacheEntry]:
         """A live entry, or None (counts hit/miss)."""
-        if key is None:
-            return None
         entry = self._entries.get(key)
         if entry is None or now - entry.stored_at >= self.ttl_seconds:
             if entry is not None:
@@ -141,25 +73,19 @@ class QueryCache:
 
     def put(
         self,
-        key: Optional[Hashable],
+        key: Hashable,
         value: Any,
-        result_bytes: int,
         now: float,
         window: Tuple[Optional[float], Optional[float]] = (None, None),
     ) -> None:
         """Store one result (evicting the oldest entry past the cap)."""
-        if key is None:
-            return
         if key in self._entries:
             # re-insert at the back so dict order stays storage order
             del self._entries[key]
         elif len(self._entries) >= self.max_entries:
             del self._entries[next(iter(self._entries))]
         self._entries[key] = CacheEntry(
-            value=value,
-            stored_at=now,
-            result_bytes=result_bytes,
-            window=window,
+            value=value, stored_at=now, window=window
         )
 
     def invalidate(self) -> int:

@@ -4,12 +4,11 @@ One :class:`DataStore` manages one mega-dataset at one location.  It is
 the only component that persists data; everything else (analytics,
 applications) sees summaries or query results.
 
-Federation: stores know their peers.  A query for data held elsewhere is
-either **shipped to the data** (the peer executes it and returns the
-result over the network, accounted on the fabric) or answered **on a
-local replica** if the partition has been replicated here — the two
-sides of the Section VII trade-off that the adaptive-replication engine
-arbitrates.
+A store answers queries from its own data only and does not know its
+peers.  Reading one store's data on another's behalf — shipping a
+partial summary across the fabric, or answering on a bought replica —
+is the federated planner's job (:mod:`repro.query.planner`).
+:meth:`DataStore.replicate_partition` is the one way a replica is made.
 """
 
 from __future__ import annotations
@@ -23,11 +22,7 @@ from repro.datastore.aggregator import Aggregator
 from repro.datastore.partitions import Partition, PartitionCatalog
 from repro.datastore.recombine import combine_summaries
 from repro.datastore.storage import StorageStrategy
-from repro.datastore.summary_query import (
-    approx_result_bytes,
-    can_rehydrate,
-    rehydrate,
-)
+from repro.datastore.summary_query import can_rehydrate, rehydrate
 from repro.datastore.triggers import (
     RawTrigger,
     SummaryTrigger,
@@ -51,10 +46,6 @@ class QueryResult:
     aggregator: str
     partitions_used: List[str] = field(default_factory=list)
     used_live: bool = False
-    result_bytes: int = 0
-    shipped_bytes: int = 0
-    source: str = "local"
-    latency: float = 0.0
 
 
 @dataclass
@@ -91,14 +82,10 @@ class DataStore:
         self.fabric = fabric
         self.privacy = privacy
         self.lineage = lineage or LineageLog()
-        #: optional reactive result cache for federated queries
-        #: (Section VII: caching combines with replication)
-        self.cache = None
         self.catalog = PartitionCatalog()
         self.replicas = PartitionCatalog()
         self.triggers = TriggerEngine()
         self._aggregators: Dict[str, Aggregator] = {}
-        self._peers: Dict[str, "DataStore"] = {}
         self.ingest_stats = IngestStats()
         self.evictions: List[Partition] = []
 
@@ -109,7 +96,7 @@ class DataStore:
         its address changes.  Live primitives are re-addressed too, so
         summaries cut after the move carry the new location.  Returns
         the old location; callers re-key any path-indexed state
-        (runtime store maps, pending queues, peer tables).
+        (runtime store maps, pending queues).
         """
         old = self.location
         self.location = location
@@ -158,13 +145,6 @@ class DataStore:
     def aggregators(self) -> List[Aggregator]:
         """All installed aggregators."""
         return list(self._aggregators.values())
-
-    def owns(self, aggregator: str) -> bool:
-        """Whether this store produces or stores data for ``aggregator``."""
-        return (
-            aggregator in self._aggregators
-            or bool(self.catalog.for_aggregator(aggregator))
-        )
 
     # ------------------------------------------------------------------
     # ingest path (Figure 4, left side)
@@ -276,14 +256,13 @@ class DataStore:
         aggregator: str,
         start: Optional[float] = None,
         end: Optional[float] = None,
-        record_access: bool = False,
         now: float = 0.0,
-        remote: bool = False,
     ) -> Tuple[Optional[DataSummary], List[str]]:
         """Combine stored partitions overlapping a window into one summary.
 
-        Returns ``(summary, partition ids used)``; summary is None when
-        no partition overlaps the window.
+        Each partition used records a local access at ``now``.  Returns
+        ``(summary, partition ids used)``; summary is None when no
+        partition overlaps the window.
         """
         partitions = self.catalog.in_interval(aggregator, start, end)
         if not partitions:
@@ -291,10 +270,9 @@ class DataStore:
         combined = combine_summaries(
             [p.summary for p in partitions], shrink=1.0
         )
-        if record_access:
-            share = combined.size_bytes // max(1, len(partitions))
-            for partition in partitions:
-                partition.record_access(now, share, remote)
+        share = combined.size_bytes // len(partitions)
+        for partition in partitions:
+            partition.record_access(now, share, remote=False)
         return combined, [p.partition_id for p in partitions]
 
     def query(
@@ -303,205 +281,55 @@ class DataStore:
         request: QueryRequest,
         start: Optional[float] = None,
         end: Optional[float] = None,
-        include_live: bool = True,
         now: float = 0.0,
-        _remote: bool = False,
     ) -> QueryResult:
         """Answer a query from local data (live aggregator + history).
 
         With a time window, stored partitions overlapping it are merged
-        and rehydrated; without one, only the live aggregator answers.
-        Every touched partition's access is recorded — the raw material
-        for replication decisions.
+        and rehydrated; without one, or when the window holds nothing
+        rehydratable, the live aggregator answers.  Every touched
+        partition's access is recorded.
         """
         live = self._aggregators.get(aggregator)
-        use_history = start is not None or end is not None
-        partitions_used: List[str] = []
-        if use_history:
+        if start is not None or end is not None:
             summary, partitions_used = self.window_summary(
-                aggregator, start, end, record_access=True, now=now,
-                remote=_remote,
+                aggregator, start, end, now=now
             )
-            if summary is None or not can_rehydrate(summary.kind):
-                if live is None:
-                    raise StorageError(
-                        f"no data for aggregator {aggregator!r} in window at "
-                        f"{self.location.path!r}"
-                    )
-                value = live.primitive.query(request)
-                live.note_query()
+            if summary is not None and can_rehydrate(summary.kind):
+                value = rehydrate(summary).query(request)
+                if live is not None:
+                    live.note_query()
                 return QueryResult(
                     value=value,
                     aggregator=aggregator,
-                    used_live=True,
-                    result_bytes=approx_result_bytes(value),
+                    partitions_used=partitions_used,
                 )
-            primitive = rehydrate(summary)
-            value = primitive.query(request)
-            if live is not None:
-                live.note_query()
-            return QueryResult(
-                value=value,
-                aggregator=aggregator,
-                partitions_used=partitions_used,
-                result_bytes=approx_result_bytes(value),
-            )
-        if live is None:
+            if live is None:
+                raise StorageError(
+                    f"no data for aggregator {aggregator!r} in window at "
+                    f"{self.location.path!r}"
+                )
+        elif live is None:
             raise StorageError(
                 f"no live aggregator {aggregator!r} at {self.location.path!r}"
             )
         value = live.primitive.query(request)
         live.note_query()
-        return QueryResult(
-            value=value,
-            aggregator=aggregator,
-            used_live=True,
-            result_bytes=approx_result_bytes(value),
-        )
-
-    def query_composite(
-        self,
-        subqueries: Dict[str, Tuple[str, QueryRequest]],
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        now: float = 0.0,
-    ) -> Dict[str, QueryResult]:
-        """Break a composite query into per-aggregator sub-queries.
-
-        Section IV: "Queries received by the data store are broken into
-        sub-queries and are forwarded to the respective aggregator.
-        Sub-queries for aggregators stored at other data stores are
-        forwarded or resolved on a local replicate."  Each entry maps a
-        caller-chosen label to ``(aggregator name, request)``; local
-        aggregators answer directly, everything else goes through the
-        federated path (replica, then peer).
-        """
-        results: Dict[str, QueryResult] = {}
-        for label, (aggregator, request) in subqueries.items():
-            if self.owns(aggregator):
-                results[label] = self.query(
-                    aggregator, request, start=start, end=end, now=now
-                )
-            else:
-                results[label] = self.query_federated(
-                    aggregator, request, start=start, end=end, now=now
-                )
-        return results
+        return QueryResult(value=value, aggregator=aggregator, used_live=True)
 
     # ------------------------------------------------------------------
-    # federation (peers, remote queries, replicas)
-
-    def add_peer(self, store: "DataStore") -> None:
-        """Register a peer store (and vice versa)."""
-        if store.location.path == self.location.path:
-            return
-        self._peers[store.location.path] = store
-        store._peers[self.location.path] = self
-
-    def peers(self) -> List["DataStore"]:
-        """All registered peers."""
-        return list(self._peers.values())
-
-    def _replica_for(
-        self,
-        aggregator: str,
-        start: Optional[float],
-        end: Optional[float],
-    ) -> List[Partition]:
-        selected = []
-        for partition in self.replicas.all():
-            if partition.aggregator != aggregator:
-                continue
-            interval = partition.summary.meta.interval
-            if start is not None and interval.end <= start:
-                continue
-            if end is not None and interval.start >= end:
-                continue
-            selected.append(partition)
-        return selected
-
-    def query_federated(
-        self,
-        aggregator: str,
-        request: QueryRequest,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        now: float = 0.0,
-    ) -> QueryResult:
-        """Answer a query wherever the data lives.
-
-        Resolution order mirrors Section IV: local data, then local
-        replicas of the remote aggregator, then shipping the query to
-        the owning peer (accounting the result transfer on the fabric).
-        """
-        if self.owns(aggregator):
-            return self.query(
-                aggregator, request, start=start, end=end, now=now
-            )
-        cache_key = None
-        if self.cache is not None:
-            cache_key = self.cache.key_for(aggregator, request, start, end)
-            entry = self.cache.get(cache_key, now)
-            if entry is not None:
-                return QueryResult(
-                    value=entry.value,
-                    aggregator=aggregator,
-                    result_bytes=entry.result_bytes,
-                    source="cache",
-                )
-        replicas = self._replica_for(aggregator, start, end)
-        if replicas:
-            combined = combine_summaries(
-                [p.summary for p in replicas], shrink=1.0
-            )
-            primitive = rehydrate(combined)
-            value = primitive.query(request)
-            for replica in replicas:
-                replica.record_access(
-                    now,
-                    combined.size_bytes // max(1, len(replicas)),
-                    remote=False,
-                )
-            return QueryResult(
-                value=value,
-                aggregator=aggregator,
-                partitions_used=[p.partition_id for p in replicas],
-                result_bytes=approx_result_bytes(value),
-                source="replica",
-            )
-        for peer in self._peers.values():
-            if not peer.owns(aggregator):
-                continue
-            result = peer.query(
-                aggregator, request, start=start, end=end, now=now,
-                _remote=True,
-            )
-            latency = 0.0
-            if self.fabric is not None:
-                transfer = self.fabric.transfer(
-                    peer.location, self.location, result.result_bytes, now
-                )
-                latency = transfer.duration
-            result.shipped_bytes = result.result_bytes
-            result.source = "remote"
-            result.latency = latency
-            if self.cache is not None:
-                self.cache.put(
-                    cache_key, result.value, result.result_bytes, now
-                )
-            return result
-        raise StorageError(
-            f"no store (local, replica, or peer) holds aggregator "
-            f"{aggregator!r}"
-        )
+    # replicas (bought by the replication engine, moved by migration)
 
     def replicate_partition(
         self, partition_id: str, to_store: "DataStore", now: float = 0.0
     ) -> float:
-        """Copy one partition to a peer; returns the transfer duration.
+        """Copy one partition to another store; returns the transfer
+        duration.
 
-        The replica lands in the peer's replica catalog and will satisfy
-        its future queries locally — replication "buys the ski-set".
+        The replica lands in ``to_store``'s replica catalog.  When that
+        store is the planner's root-side replica store, later federated
+        reads of the partition are answered there instead of shipped —
+        replication "buys the ski-set".
         """
         partition = self.catalog.get(partition_id)
         outgoing = partition.summary

@@ -9,7 +9,7 @@ window summaries alike.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Callable, Dict
 
 from repro.core.flowtree import FlowtreePrimitive
 from repro.core.heavy_hitters import HeavyHitterPrimitive
@@ -154,12 +154,3 @@ def register_rehydrator(kind: str, rehydrator: Rehydrator) -> None:
     """Register a rehydrator for a custom summary kind."""
     _REHYDRATORS[kind] = rehydrator
 
-
-def approx_result_bytes(result: Any) -> int:
-    """A deterministic proxy for a query result's wire size.
-
-    Replication decisions only need result sizes that are consistent
-    between runs, not byte-exact encodings; the ``repr`` length is both
-    and costs nothing extra to maintain.
-    """
-    return max(8, len(repr(result)))

@@ -149,7 +149,7 @@ def install_runtime_metrics(
     # -- query cache (sourced from QueryCache counters) -----------------------
     cache_events = registry.counter(
         "repro_query_cache_events_total",
-        "Query cache lookups by result (hit, miss, uncacheable)",
+        "Query cache lookups by result (hit, miss)",
         ("result",),
     )
     cache_entries = registry.gauge(
@@ -297,9 +297,6 @@ def install_runtime_metrics(
         if cache is not None:
             cache_events.labels(result="hit").set_from_source(cache.hits)
             cache_events.labels(result="miss").set_from_source(cache.misses)
-            cache_events.labels(result="uncacheable").set_from_source(
-                cache.uncacheable
-            )
             cache_entries.labels().set(len(cache))
         memo = runtime.planner.memo
         memo_events.labels(result="hit").set_from_source(memo.hits)

@@ -31,14 +31,12 @@ import time
 from dataclasses import replace
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.core.primitive import QueryRequest
 from repro.core.summary import Location
-from repro.datastore.cache import QueryCache, cache_key
+from repro.datastore.cache import QueryCache
 from repro.datastore.partitions import Partition
 from repro.datastore.recombine import combine_summaries
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
-from repro.datastore.summary_query import approx_result_bytes
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
 from repro.flows.tree import Flowtree
@@ -72,24 +70,23 @@ def _covers(label: str, site: str) -> bool:
     return label == site or label.startswith(site + "/")
 
 
+#: storage budget of the planner's root-side replica store
+REPLICA_BUDGET_BYTES = 256 * 1024 * 1024
+
+
 class FederatedQueryPlanner:
     """Routes FlowQL across a :class:`HierarchyRuntime`'s stores."""
 
-    def __init__(
-        self,
-        runtime: "HierarchyRuntime",
-        cache: Optional[QueryCache] = None,
-        replica_budget_bytes: int = 256 * 1024 * 1024,
-    ) -> None:
+    def __init__(self, runtime: "HierarchyRuntime") -> None:
         self.runtime = runtime
         #: reactive result cache; set to None to disable caching
-        self.cache = cache if cache is not None else QueryCache()
+        self.cache: Optional[QueryCache] = QueryCache()
         # the landing zone for shipped partials and bought replicas: a
         # root-located store that is *not* registered with the runtime
         # (registering it would make the root part of the rollup)
         self.replica_store = DataStore(
             runtime.hierarchy.root.location,
-            RoundRobinStorage(replica_budget_bytes),
+            RoundRobinStorage(REPLICA_BUDGET_BYTES),
             fabric=runtime.fabric,
         )
         #: the planner's notion of "now" (advanced by epoch closes)
@@ -261,11 +258,7 @@ class FederatedQueryPlanner:
         if self.cache is not None and degradation is None:
             # a partial answer must not satisfy tomorrow's full query
             self.cache.put(
-                key,
-                result.copy(),
-                approx_result_bytes((result.scalar, result.rows)),
-                now,
-                window=self._effective_window(query),
+                key, result.copy(), now, window=self._effective_window(query)
             )
         self.last_plan = plan
         return QueryOutcome(
@@ -297,38 +290,37 @@ class FederatedQueryPlanner:
 
     def cache_key(
         self, query: FlowQLQuery, plan: QueryPlan
-    ) -> Optional[Hashable]:
-        """The key a (query, plan) result is cached under."""
-        request = QueryRequest(
-            operator=query.select.name,
-            params={
-                "args": tuple(query.select.args),
-                "route": plan.route,
-                "level": plan.level,
-                "sites": tuple(query.sites),
-                "where": tuple(
-                    (r.feature, r.value, r.mask) for r in query.where
-                ),
-                "metric": query.metric,
-                "limit": query.limit,
-                "vs": (
-                    (query.vs_time.start, query.vs_time.end)
-                    if query.vs_time is not None
-                    else None
-                ),
-                # a replica promotion mid-window changes how (and from
-                # where) a federated plan reads; keying on the replica
-                # generation retires entries cached before the promotion
-                "replica_gen": len(self.replica_store.replicas),
-                # live reconfiguration (join/leave/split/merge/migrate)
-                # changes which stores exist and where; keying on the
-                # topology generation retires entries cached under the
-                # previous shape
-                "topology_gen": self._topology_generation(),
-            },
-        )
-        return cache_key(
-            "flowql", request, query.time.start, query.time.end
+    ) -> Tuple[Hashable, ...]:
+        """The key a (query, plan) result is cached under.
+
+        Every input is a float, int, string, None or a tuple of them,
+        so the key is hashable as built.
+        """
+        return (
+            query.select.name,
+            tuple(query.select.args),
+            query.time.start,
+            query.time.end,
+            (
+                (query.vs_time.start, query.vs_time.end)
+                if query.vs_time is not None
+                else None
+            ),
+            tuple(query.sites),
+            tuple((r.feature, r.value, r.mask) for r in query.where),
+            query.metric,
+            query.limit,
+            plan.route,
+            plan.level,
+            # a replica promotion mid-window changes how (and from
+            # where) a federated plan reads; keying on the replica
+            # generation retires entries cached before the promotion
+            len(self.replica_store.replicas),
+            # live reconfiguration (join/leave/split/merge/migrate)
+            # changes which stores exist and where; keying on the
+            # topology generation retires entries cached under the
+            # previous shape
+            self._topology_generation(),
         )
 
     def _degraded_read(

@@ -10,9 +10,14 @@ from repro.datastore.aggregator import Aggregator, prefix_filter
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.datastore.triggers import RawTrigger, SummaryTrigger
-from repro.errors import SchemaMismatchError, StorageError
+from repro.errors import (
+    FlowQLPlanningError,
+    SchemaMismatchError,
+    StorageError,
+)
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import network_monitoring_hierarchy
+from tests.test_query_planner import loaded_runtime
 
 LOC1 = Location("cloud/network/region1/router1")
 LOC2 = Location("cloud/network/region2/router1")
@@ -221,51 +226,46 @@ class TestQueries:
 
 
 class TestFederation:
-    def make_pair(self, fabric, policy):
+    """A store answers only from its own data; reading it on another
+    store's behalf is the planner's job."""
+
+    ROUTER1 = "network1/region1/router1"
+
+    def test_remote_query_ships_result(self):
+        runtime = loaded_runtime(epochs=1)
+        runtime.planner.cache = None
+        moved = runtime.total_network_bytes()
+        outcome = runtime.query(
+            f"SELECT TOTAL FROM TIME(0, 60) AT {self.ROUTER1}"
+        )
+        assert outcome.plan.shipped_bytes > 0
+        assert runtime.total_network_bytes() > moved
+        # the producer recorded one remote access per partition read
+        partition = runtime.store_for(self.ROUTER1).catalog.all()[0]
+        assert partition.remote_access_count() == 1
+
+    def test_replica_serves_locally(self):
+        """An application's drilldown of a replicated partition is read
+        on the replica, with no fabric traffic."""
+        runtime = loaded_runtime(epochs=1)
+        planner = runtime.planner
+        shipped = planner.window_tree(self.ROUTER1, 0.0, 60.0)
+        store = runtime.store_for(self.ROUTER1)
+        for partition in store.catalog.all():
+            store.replicate_partition(
+                partition.partition_id, planner.replica_store, now=65.0
+            )
+        moved = runtime.total_network_bytes()
+        local = planner.window_tree(self.ROUTER1, 0.0, 60.0)
+        assert local.total() == shipped.total()
+        assert runtime.total_network_bytes() == moved  # no WAN traffic
+
+    def test_replication_lineage(self, fabric, policy, random_flows):
         s1 = DataStore(LOC1, RoundRobinStorage(10**7), fabric=fabric)
         s2 = DataStore(LOC2, RoundRobinStorage(10**7), fabric=fabric)
-        s1.install_aggregator(
-            Aggregator("ft1", FlowtreePrimitive(LOC1, policy))
-        )
         s2.install_aggregator(
             Aggregator("ft2", FlowtreePrimitive(LOC2, policy))
         )
-        s1.add_peer(s2)
-        return s1, s2
-
-    def test_remote_query_ships_result(self, fabric, policy, random_flows):
-        s1, s2 = self.make_pair(fabric, policy)
-        for record in random_flows(40):
-            s2.ingest("flows", record, record.first_seen, size_bytes=48)
-        s2.close_epoch(60.0)
-        result = s1.query_federated(
-            "ft2", QueryRequest("total", {}), start=0.0, end=60.0, now=70.0
-        )
-        assert result.source == "remote"
-        assert result.value.flows == 40
-        assert result.shipped_bytes > 0
-        assert result.latency > 0
-        assert fabric.total_bytes() > 0
-        # the producer recorded a remote access
-        assert s2.catalog.all()[0].remote_access_count() == 1
-
-    def test_replica_serves_locally(self, fabric, policy, random_flows):
-        s1, s2 = self.make_pair(fabric, policy)
-        for record in random_flows(40):
-            s2.ingest("flows", record, record.first_seen, size_bytes=48)
-        s2.close_epoch(60.0)
-        partition = s2.catalog.all()[0]
-        s2.replicate_partition(partition.partition_id, s1, now=65.0)
-        fabric.reset_accounting()
-        result = s1.query_federated(
-            "ft2", QueryRequest("total", {}), start=0.0, end=60.0, now=70.0
-        )
-        assert result.source == "replica"
-        assert result.value.flows == 40
-        assert fabric.total_bytes() == 0  # no WAN traffic
-
-    def test_replication_lineage(self, fabric, policy, random_flows):
-        s1, s2 = self.make_pair(fabric, policy)
         for record in random_flows(10):
             s2.ingest("flows", record, record.first_seen)
         s2.close_epoch(60.0)
@@ -276,66 +276,22 @@ class TestFederation:
         record = s2.lineage.get(replica.summary.meta.lineage_id)
         assert record.operation == "replicate"
 
-    def test_federated_unknown_everywhere(self, fabric, policy):
-        s1, s2 = self.make_pair(fabric, policy)
-        with pytest.raises(StorageError):
-            s1.query_federated("ghost", QueryRequest("total", {}))
+    def test_federated_unknown_everywhere(self):
+        runtime = loaded_runtime(epochs=1)
+        with pytest.raises(FlowQLPlanningError):
+            runtime.query("SELECT TOTAL FROM ALL AT network1/region9")
 
 
 class TestCompositeQueries:
-    def test_subqueries_routed_per_aggregator(self, fabric, policy,
-                                              random_flows):
-        s1 = DataStore(LOC1, RoundRobinStorage(10**7), fabric=fabric)
-        s2 = DataStore(LOC2, RoundRobinStorage(10**7), fabric=fabric)
-        s1.add_peer(s2)
-        s1.install_aggregator(
-            Aggregator(
-                "local_ft",
-                FlowtreePrimitive(LOC1, policy),
-                stream_filter=prefix_filter("flows"),
-            )
-        )
-        s1.install_aggregator(
-            Aggregator(
-                "temps",
-                TimeBinStatistics(LOC1, bin_seconds=1.0),
-                stream_filter=prefix_filter("temps"),
-            )
-        )
-        s2.install_aggregator(
-            Aggregator("remote_ft", FlowtreePrimitive(LOC2, policy))
-        )
-        for record in random_flows(30):
-            s1.ingest("flows", record, record.first_seen)
-            s2.ingest("flows", record, record.first_seen)
-        for t in range(10):
-            s1.ingest("temps", float(t), float(t))
-        results = s1.query_composite(
-            {
-                "traffic": ("local_ft", QueryRequest("total", {})),
-                "temperature": ("temps", QueryRequest("stats", {})),
-                "peer_traffic": ("remote_ft", QueryRequest("total", {})),
-            },
-            now=60.0,
-        )
-        assert results["traffic"].value.flows == 30
-        assert results["traffic"].source == "local"
-        assert results["temperature"].value.count == 10
-        assert results["peer_traffic"].value.flows == 30
-        assert results["peer_traffic"].source == "remote"
-
     def test_composite_mixes_live_and_history(self, flow_store,
                                               random_flows):
         fill_epochs(flow_store, random_flows, epochs=2)
         for record in random_flows(10, seed=99, epoch=2):
             flow_store.ingest("flows", record, record.first_seen)
-        results = flow_store.query_composite(
-            {"history": ("ft", QueryRequest("total", {}))},
-            start=0.0,
-            end=120.0,
-            now=130.0,
+        result = flow_store.query(
+            "ft", QueryRequest("total", {}), start=0.0, end=120.0, now=130.0
         )
-        assert results["history"].value.flows == 200
+        assert result.value.flows == 200
 
 
 class TestExport:

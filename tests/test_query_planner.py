@@ -7,11 +7,14 @@ differential below), and must fan out to the shallowest covering level
 — with caching and the replication feed — when it does not.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FlowQLPlanningError
+from repro.flowql.parser import parse
 from tests.flowql_reference import FlowQLExecutor
 from repro.query import ROUTE_CLOUD, ROUTE_FEDERATED
 from repro.replication.engine import AdaptiveReplicationEngine
@@ -227,6 +230,39 @@ class TestRouting:
 # caching through the planner
 
 
+KEYED = (
+    "SELECT TOPK(3) FROM TIME(0, 60) VS TIME(60, 120) "
+    "AT network1/region1/router1 WHERE src_ip = 10.0.0.0/8 "
+    "BY bytes LIMIT 5"
+)
+
+
+def _respelled(old, new):
+    """A key input change: one edit to :data:`KEYED`'s text."""
+    return lambda runtime, query, plan: (
+        parse(KEYED.replace(old, new)), plan
+    )
+
+
+def _replanned(**changes):
+    """A key input change: the same query under another plan."""
+    return lambda runtime, query, plan: (query, replace(plan, **changes))
+
+
+def _replica_bought(runtime, query, plan):
+    store = runtime.store_for("network1/region1/router1")
+    partition = store.catalog.all()[0]
+    store.replicate_partition(
+        partition.partition_id, runtime.planner.replica_store
+    )
+    return query, plan
+
+
+def _site_joined(runtime, query, plan):
+    runtime.site_join("network1/region1/router9")
+    return query, plan
+
+
 class TestPlannerCache:
     def test_repeat_is_cache_hit_with_no_new_traffic(self):
         runtime = loaded_runtime()
@@ -271,6 +307,55 @@ class TestPlannerCache:
             b.scalar.bytes,
             b.scalar.packets,
         )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            _respelled("TOPK(3)", "HHH(3)"),
+            _respelled("TOPK(3)", "TOPK(4)"),
+            _respelled("TIME(0, 60)", "TIME(0, 30)"),
+            _respelled("TIME(60, 120)", "TIME(60, 90)"),
+            _respelled("router1", "router2"),
+            _respelled("10.0.0.0/8", "11.0.0.0/8"),
+            _respelled("10.0.0.0/8", "10.0.0.0/16"),
+            _respelled("BY bytes", "BY packets"),
+            _respelled("LIMIT 5", "LIMIT 6"),
+            _replanned(route=ROUTE_CLOUD),
+            _replanned(level="region"),
+            _replica_bought,
+            _site_joined,
+        ],
+        ids=[
+            "operator", "arg", "from", "vs", "sites", "where-value",
+            "where-mask", "metric", "limit", "route", "level",
+            "replica-count", "topology-generation",
+        ],
+    )
+    def test_every_key_input_changes_the_key(self, change):
+        runtime = loaded_runtime()
+        planner = runtime.planner
+        query = parse(KEYED)
+        plan = planner.plan(query)
+        key = planner.cache_key(query, plan)
+        assert planner.cache_key(*change(runtime, query, plan)) != key
+
+    def test_spellings_of_one_query_share_a_key(self):
+        runtime = loaded_runtime()
+        planner = runtime.planner
+        spellings = [
+            KEYED,
+            KEYED.replace(" BY bytes", ""),  # bytes is the default
+            KEYED.lower(),
+            KEYED.replace("TIME(0, 60)", "TIME(0.0, 60.0)").replace(
+                "TOPK(3)", "TOPK(3.0)"
+            ),
+            "  ".join(KEYED.split(" ")),
+        ]
+        keys = set()
+        for text in spellings:
+            query = parse(text)
+            keys.add(planner.cache_key(query, planner.plan(query)))
+        assert len(keys) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,6 @@ class TestEngineWithStores:
         consumer = DataStore(
             consumer_loc, RoundRobinStorage(10**8), fabric=fabric
         )
-        producer.add_peer(consumer)
         producer.install_aggregator(
             Aggregator("ft", FlowtreePrimitive(producer_loc, policy))
         )
