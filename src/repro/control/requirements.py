@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.core.registry import default_registry
 from repro.core.summary import Location
 
 
@@ -20,9 +21,9 @@ class ApplicationRequirement:
     ``kind`` names a registered computing primitive ("sample",
     "timebin", "flowtree", …); ``config`` parameterizes it;
     ``precision`` is the kind-specific granularity the application needs
-    (sampling rate, bin seconds, node budget) and overrides the config
-    default when given.  ``stream_prefix`` narrows the subscription to
-    matching stream ids.
+    (sampling rate, bin seconds, node budget, ``k``, byte budget …) and
+    overrides the config default when given.  ``stream_prefix`` narrows
+    the subscription to matching stream ids.
     """
 
     app_name: str
@@ -34,24 +35,16 @@ class ApplicationRequirement:
     stream_prefix: Optional[str] = None
 
     def effective_config(self) -> Dict[str, Any]:
-        """The primitive config with precision folded in."""
+        """The primitive config with precision folded into the kind's
+        granularity knob (:attr:`ComputingPrimitive.granularity_param`)."""
         config = dict(self.config)
         if self.precision is None:
             return config
-        # map the generic precision knob to each kind's natural parameter
-        knob = {
-            "sample": "rate",
-            "timebin": "bin_seconds",
-            "heavy_hitter": "capacity",
-            "count_min": "width",
-            "reservoir": "capacity",
-            "flowtree": "node_budget",
-            "hhh": "capacity_per_level",
-        }.get(self.kind)
-        if knob is not None:
-            config[knob] = (
-                self.precision
-                if self.kind in ("sample", "timebin")
-                else int(self.precision)
+        kind = default_registry().class_of(self.kind)
+        if kind.granularity_param is not None:
+            config[kind.granularity_param] = (
+                int(self.precision)
+                if kind.granularity_is_count
+                else self.precision
             )
         return config

@@ -12,18 +12,28 @@ once, including domain knowledge (aggregation along subnet structure).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import reduce
+from typing import Any, Optional, Sequence
 
 from repro.core.primitive import (
     AdaptationFeedback,
     ComputingPrimitive,
     QueryRequest,
 )
-from repro.core.summary import DataSummary, Location
+from repro.core.summary import DataSummary, Location, SummaryMeta
 from repro.errors import GranularityError, SchemaMismatchError
-from repro.flows.flowkey import GeneralizationPolicy
+from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
 from repro.flows.records import FlowRecord, PacketRecord
 from repro.flows.tree import Flowtree
+
+
+def policy_from_config(config: dict) -> GeneralizationPolicy:
+    """A config's ``policy``, else the default policy of its ``schema``
+    (the 5-tuple when it names none)."""
+    policy = config.get("policy")
+    if policy is not None:
+        return policy
+    return GeneralizationPolicy.default_for(config.get("schema", FIVE_TUPLE))
 
 
 class FlowtreePrimitive(ComputingPrimitive):
@@ -42,6 +52,7 @@ class FlowtreePrimitive(ComputingPrimitive):
     """
 
     kind = "flowtree"
+    granularity_param = "node_budget"
 
     def __init__(
         self,
@@ -55,6 +66,48 @@ class FlowtreePrimitive(ComputingPrimitive):
         self.node_budget = node_budget
         self.metric = metric
         self.tree = Flowtree(policy, node_budget=node_budget, metric=metric)
+
+    @classmethod
+    def from_config(
+        cls, location: Location, config: dict
+    ) -> "FlowtreePrimitive":
+        config = dict(config, policy=policy_from_config(config))
+        return super().from_config(location, config)
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "FlowtreePrimitive":
+        tree = summary.payload
+        return cls(
+            summary.meta.location,
+            policy=tree.policy,
+            node_budget=tree.node_budget,
+            metric=tree.metric,
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        self.tree = summary.payload
+
+    @classmethod
+    def coarsen(
+        cls, summaries: Sequence[DataSummary], shrink: float
+    ) -> DataSummary:
+        """Copy the first tree, merge the rest into the copy, then
+        compress to ``shrink`` times the merged node count (never below
+        one chain)."""
+        merged: Flowtree = summaries[0].payload.copy()
+        for summary in summaries[1:]:
+            merged.merge(summary.payload)
+        target = max(
+            merged.policy.depth + 1, int(merged.node_count * shrink)
+        )
+        merged.compress(target_nodes=target)
+        return DataSummary(
+            kind=cls.kind,
+            meta=reduce(SummaryMeta.combined, [s.meta for s in summaries]),
+            payload=merged,
+            size_bytes=merged.estimated_size_bytes(),
+            attrs=dict(summaries[-1].attrs, nodes=merged.node_count),
+        )
 
     # -- ingest ----------------------------------------------------------
 

@@ -180,6 +180,7 @@ class HeavyHitterPrimitive(ComputingPrimitive):
     """
 
     kind = "heavy_hitter"
+    granularity_param = "capacity"
 
     def __init__(
         self,
@@ -192,6 +193,17 @@ class HeavyHitterPrimitive(ComputingPrimitive):
         self._weight_of = weight_of
         self._key_of = key_of
         self.sketch = SpaceSaving(capacity)
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "HeavyHitterPrimitive":
+        return cls(summary.meta.location, capacity=summary.payload.capacity)
+
+    def _load(self, summary: DataSummary) -> None:
+        self.sketch = summary.payload
+
+    def _shrink(self, shrink: float) -> None:
+        """The counter budget shrinks, to no fewer than 16."""
+        self.set_granularity(max(16, int(self.sketch.capacity * shrink)))
 
     def _ingest(self, item: Any, timestamp: float) -> None:
         weight = float(self._weight_of(item)) if self._weight_of else 1.0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from repro.core.flowtree import policy_from_config
 from repro.core.heavy_hitters import SpaceSaving
 from repro.core.primitive import (
     AdaptationFeedback,
@@ -46,6 +47,7 @@ class HierarchicalHeavyHitterPrimitive(ComputingPrimitive):
     """
 
     kind = "hhh"
+    granularity_param = "capacity_per_level"
 
     def __init__(
         self,
@@ -60,6 +62,30 @@ class HierarchicalHeavyHitterPrimitive(ComputingPrimitive):
             depth: SpaceSaving(capacity_per_level)
             for depth in range(policy.depth + 1)
         }
+
+    @classmethod
+    def from_config(
+        cls, location: Location, config: dict
+    ) -> "HierarchicalHeavyHitterPrimitive":
+        config = dict(config, policy=policy_from_config(config))
+        return super().from_config(location, config)
+
+    @classmethod
+    def empty_like(
+        cls, summary: DataSummary
+    ) -> "HierarchicalHeavyHitterPrimitive":
+        return cls(
+            summary.meta.location,
+            policy=summary.attrs["policy"],
+            capacity_per_level=summary.attrs["capacity_per_level"],
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        self._sketches = summary.payload
+
+    def _shrink(self, shrink: float) -> None:
+        """Each level's counter budget shrinks, to no fewer than 16."""
+        self.set_granularity(max(16, int(self.capacity_per_level * shrink)))
 
     def _ingest(self, item: Any, timestamp: float) -> None:
         record: FlowRecord = item

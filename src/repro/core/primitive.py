@@ -12,7 +12,17 @@ Design property                        Interface
 (3) adjustable aggregation granularity :meth:`ComputingPrimitive.set_granularity`
 (4) self-adaptation                    :meth:`ComputingPrimitive.adapt`
 (5) domain knowledge                   :attr:`ComputingPrimitive.uses_domain_knowledge`
+(2) rebuild from a stored summary      :meth:`ComputingPrimitive.from_summary`
+(2), (3) coarsen stored summaries      :meth:`ComputingPrimitive.coarsen`
 =====================================  ==================================
+
+A kind is one class: it builds itself from a requirement's config
+(:meth:`ComputingPrimitive.from_config`), rebuilds itself from a stored
+summary and coarsens a run of its own summaries, and the registry
+(:mod:`repro.core.registry`) maps kind names to classes.  A rebuilt
+primitive that draws randomness seeds it from the summary's
+:class:`~repro.core.summary.SummaryMeta` (:func:`stable_seed`), so a
+combine or a read is a function of its inputs alone.
 
 Primitives also expose their resource footprint
 (:meth:`ComputingPrimitive.footprint_bytes`) because the data store's
@@ -23,11 +33,23 @@ it.
 from __future__ import annotations
 
 import abc
+import inspect
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from functools import reduce
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import SchemaMismatchError
 from repro.core.summary import DataSummary, Location, SummaryMeta, TimeInterval
+
+
+def stable_seed(*parts: Any) -> int:
+    """A seed that is a function of ``parts`` alone, in every process.
+
+    Parts are numbers, strings and tuples of them; never seed from the
+    builtin ``hash()`` of a str, which is salted per process.
+    """
+    return zlib.crc32(repr(parts).encode())
 
 
 @dataclass(frozen=True)
@@ -65,11 +87,85 @@ class ComputingPrimitive(abc.ABC):
     #: A short, registry-unique kind name (e.g. ``"flowtree"``).
     kind: str = "abstract"
 
+    #: The config key of the granularity knob (property 3), which an
+    #: application's ``precision`` sets; ``None`` when there is none.
+    granularity_param: Optional[str] = None
+
+    #: Whether that knob counts whole units (a capacity, a budget).
+    granularity_is_count: bool = True
+
     def __init__(self, location: Location) -> None:
         self.location = location
         self._epoch_start: Optional[float] = None
         self._epoch_end: Optional[float] = None
         self.items_ingested = 0
+
+    # -- construction ----------------------------------------------------
+
+    @classmethod
+    def from_config(
+        cls, location: Location, config: Dict[str, Any]
+    ) -> "ComputingPrimitive":
+        """A fresh primitive from a requirement's config dict.
+
+        Each key the constructor takes is passed to it and the rest are
+        ignored, so a kind's defaults are its constructor's.
+        """
+        accepted = inspect.signature(cls).parameters
+        return cls(
+            location,
+            **{key: value for key, value in config.items() if key in accepted},
+        )
+
+    @classmethod
+    @abc.abstractmethod
+    def empty_like(cls, summary: DataSummary) -> "ComputingPrimitive":
+        """An empty primitive configured like the one that cut
+        ``summary``, at its location, owning all of its state.  A kind
+        that draws randomness seeds it with :func:`stable_seed` over
+        the summary's location and interval."""
+
+    @classmethod
+    def from_summary(cls, summary: DataSummary) -> "ComputingPrimitive":
+        """A queryable primitive around a stored summary.
+
+        The payload is borrowed, not copied: the rebuilt primitive is
+        read and combined *from*, never ingested into.
+        """
+        primitive = cls.empty_like(summary)
+        primitive._load(summary)
+        primitive._epoch_start = summary.meta.interval.start
+        primitive._epoch_end = summary.meta.interval.end
+        return primitive
+
+    @abc.abstractmethod
+    def _load(self, summary: DataSummary) -> None:
+        """Take a stored summary's payload as this primitive's state."""
+
+    @classmethod
+    def coarsen(
+        cls, summaries: Sequence[DataSummary], shrink: float
+    ) -> DataSummary:
+        """Combine a run of stored summaries (oldest first) into one,
+        at ``shrink`` times their footprint (Section IV's hierarchical
+        aggregation).
+
+        The inputs are only read.  The output's metadata is the fold of
+        theirs.
+        """
+        primitive = cls.empty_like(summaries[0])
+        for summary in summaries:
+            # a rebuilt input counts no items, so it combines as "empty"
+            # metadata-wise; the fold below is the output's metadata
+            primitive.combine(cls.from_summary(summary))
+        primitive._shrink(shrink)
+        coarse = primitive.summary()
+        coarse.meta = reduce(SummaryMeta.combined, [s.meta for s in summaries])
+        return coarse
+
+    def _shrink(self, shrink: float) -> None:
+        """Cut the footprint to ``shrink`` times, through the kind's
+        own knob.  The default keeps everything (no lossless shrink)."""
 
     # -- ingest --------------------------------------------------------
 

@@ -24,6 +24,7 @@ from repro.core.primitive import (
     AdaptationFeedback,
     ComputingPrimitive,
     QueryRequest,
+    stable_seed,
 )
 from repro.core.summary import DataSummary, Location
 from repro.errors import GranularityError
@@ -164,6 +165,7 @@ class QuantilePrimitive(ComputingPrimitive):
     """
 
     kind = "quantile"
+    granularity_param = "k"
 
     def __init__(
         self,
@@ -176,6 +178,23 @@ class QuantilePrimitive(ComputingPrimitive):
         self._seed = seed
         self._value_of = value_of
         self.sketch = KLLSketch(k=k, seed=seed)
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "QuantilePrimitive":
+        meta = summary.meta
+        return cls(
+            meta.location,
+            k=summary.payload.k,
+            seed=stable_seed(meta.location.path, meta.interval),
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        self.sketch = summary.payload
+
+    def _shrink(self, shrink: float) -> None:
+        """``k`` shrinks (to no less than 16) when asked to shrink."""
+        if shrink < 1.0:
+            self.set_granularity(max(16, int(self.sketch.k * shrink)))
 
     def _ingest(self, item: Any, timestamp: float) -> None:
         value = self._value_of(item) if self._value_of else item

@@ -38,6 +38,7 @@ class RawStorePrimitive(ComputingPrimitive):
     """
 
     kind = "raw"
+    granularity_param = "budget_bytes"
 
     def __init__(
         self,
@@ -55,6 +56,30 @@ class RawStorePrimitive(ComputingPrimitive):
         self._items: Deque[Tuple[float, Any, int]] = deque()
         self._stored_bytes = 0
         self.dropped = 0
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "RawStorePrimitive":
+        return cls(
+            summary.meta.location,
+            budget_bytes=max(1, summary.attrs["budget_bytes"]),
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        for timestamp, item in summary.payload:
+            self._items.append((timestamp, item, self._item_size(item)))
+        self._stored_bytes = summary.size_bytes
+        self.dropped = summary.attrs.get("dropped", 0)
+
+    def _shrink(self, shrink: float) -> None:
+        """Keep the newest ``shrink`` fraction of the items (raw data
+        cannot be aggregated without losing its point)."""
+        if shrink >= 1.0 or not self._items:
+            return
+        keep = max(1, int(len(self._items) * shrink))
+        for _ in range(len(self._items) - keep):
+            self._items.popleft()
+            self.dropped += 1
+        self._stored_bytes = int(self._stored_bytes * shrink)
 
     def _item_size(self, item: Any) -> int:
         if self._size_of is not None:
@@ -115,6 +140,7 @@ class RawStorePrimitive(ComputingPrimitive):
         budget."""
         self._check_combinable(other)
         assert isinstance(other, RawStorePrimitive)
+        self.dropped += other.dropped
         merged = sorted(
             list(self._items) + list(other._items), key=lambda t: t[0]
         )

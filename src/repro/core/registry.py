@@ -1,166 +1,84 @@
 """Primitive registry: how the Manager turns an application requirement
 ("I need a histogram at 60 s bins of stream X at location Y") into an
-installed aggregator.
+installed aggregator, and how a data store finds the class that reads
+a stored summary back.
 
-The registry maps kind names to factories.  Factories receive the target
-:class:`~repro.core.summary.Location` plus the requirement's
-configuration dict and return a fresh
-:class:`~repro.core.primitive.ComputingPrimitive`.
+The registry maps kind names to
+:class:`~repro.core.primitive.ComputingPrimitive` classes; it is the
+only kind table.  A class builds itself from the
+target :class:`~repro.core.summary.Location` plus the requirement's
+configuration dict (``from_config``), rebuilds itself from a stored
+summary (``from_summary``) and coarsens a run of its summaries
+(``coarsen``).  :func:`default_registry` is the process's table: a
+custom kind registered there is created, queried and compacted like
+the shipped ones.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable
+from typing import Dict, Iterable, Type
 
+from repro.core.flowtree import FlowtreePrimitive
+from repro.core.heavy_hitters import HeavyHitterPrimitive
+from repro.core.hhh_primitive import HierarchicalHeavyHitterPrimitive
 from repro.core.primitive import ComputingPrimitive
+from repro.core.quantiles import QuantilePrimitive
+from repro.core.rawstore import RawStorePrimitive
+from repro.core.reservoir import ReservoirPrimitive
+from repro.core.sampling import RandomSamplePrimitive
+from repro.core.sketches import CountMinPrimitive
 from repro.core.summary import Location
+from repro.core.timebin import TimeBinStatistics
 from repro.errors import PlacementError
-from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
-
-PrimitiveFactory = Callable[[Location, dict], ComputingPrimitive]
 
 
 class PrimitiveRegistry:
-    """A name → factory mapping with helpful failure modes."""
+    """A kind name → primitive class mapping with helpful failure modes."""
 
     def __init__(self) -> None:
-        self._factories: Dict[str, PrimitiveFactory] = {}
+        self._classes: Dict[str, Type[ComputingPrimitive]] = {}
 
-    def register(self, kind: str, factory: PrimitiveFactory) -> None:
-        """Register a factory; re-registration replaces (for testing)."""
-        self._factories[kind] = factory
+    def register(self, cls: Type[ComputingPrimitive]) -> None:
+        """Register a class under its ``kind``; re-registration replaces."""
+        self._classes[cls.kind] = cls
 
     def kinds(self) -> Iterable[str]:
         """All registered kind names."""
-        return sorted(self._factories)
+        return sorted(self._classes)
+
+    def class_of(self, kind: str) -> Type[ComputingPrimitive]:
+        """The class registered for ``kind``."""
+        cls = self._classes.get(kind)
+        if cls is None:
+            raise PlacementError(
+                f"no computing primitive registered for kind {kind!r}; "
+                f"known kinds: {list(self.kinds())}"
+            )
+        return cls
 
     def create(
         self, kind: str, location: Location, config: dict
     ) -> ComputingPrimitive:
         """Instantiate a primitive of ``kind`` at ``location``."""
-        factory = self._factories.get(kind)
-        if factory is None:
-            raise PlacementError(
-                f"no computing primitive registered for kind {kind!r}; "
-                f"known kinds: {list(self.kinds())}"
-            )
-        return factory(location, config)
+        return self.class_of(kind).from_config(location, config)
 
 
-def _make_sample(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.sampling import RandomSamplePrimitive
-
-    return RandomSamplePrimitive(
-        location,
-        rate=config.get("rate", 0.1),
-        seed=config.get("seed"),
-    )
-
-
-def _make_timebin(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.timebin import TimeBinStatistics
-
-    return TimeBinStatistics(
-        location,
-        bin_seconds=config.get("bin_seconds", 1.0),
-        reservoir_size=config.get("reservoir_size", 32),
-        seed=config.get("seed"),
-    )
-
-
-def _make_heavy_hitter(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.heavy_hitters import HeavyHitterPrimitive
-
-    return HeavyHitterPrimitive(
-        location,
-        capacity=config.get("capacity", 256),
-        weight_of=config.get("weight_of"),
-        key_of=config.get("key_of"),
-    )
-
-
-def _make_count_min(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.sketches import CountMinPrimitive
-
-    return CountMinPrimitive(
-        location,
-        width=config.get("width", 1024),
-        depth=config.get("depth", 4),
-        seed=config.get("seed", 0),
-        weight_of=config.get("weight_of"),
-    )
-
-
-def _make_reservoir(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.reservoir import ReservoirPrimitive
-
-    return ReservoirPrimitive(
-        location,
-        capacity=config.get("capacity", 1024),
-        seed=config.get("seed"),
-    )
-
-
-def _policy_from_config(config: dict) -> GeneralizationPolicy:
-    policy = config.get("policy")
-    if policy is not None:
-        return policy
-    schema = config.get("schema", FIVE_TUPLE)
-    return GeneralizationPolicy.default_for(schema)
-
-
-def _make_flowtree(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.flowtree import FlowtreePrimitive
-
-    return FlowtreePrimitive(
-        location,
-        policy=_policy_from_config(config),
-        node_budget=config.get("node_budget", 4096),
-        metric=config.get("metric", "bytes"),
-    )
-
-
-def _make_hhh(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.hhh_primitive import HierarchicalHeavyHitterPrimitive
-
-    return HierarchicalHeavyHitterPrimitive(
-        location,
-        policy=_policy_from_config(config),
-        capacity_per_level=config.get("capacity_per_level", 128),
-    )
-
-
-def _make_quantile(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.quantiles import QuantilePrimitive
-
-    return QuantilePrimitive(
-        location,
-        k=config.get("k", 128),
-        seed=config.get("seed"),
-        value_of=config.get("value_of"),
-    )
-
-
-def _make_raw(location: Location, config: dict) -> ComputingPrimitive:
-    from repro.core.rawstore import RawStorePrimitive
-
-    return RawStorePrimitive(
-        location,
-        budget_bytes=config.get("budget_bytes", 1_000_000),
-        size_of=config.get("size_of"),
-    )
+_DEFAULT = PrimitiveRegistry()
+for _cls in (
+    RandomSamplePrimitive,
+    TimeBinStatistics,
+    HeavyHitterPrimitive,
+    CountMinPrimitive,
+    ReservoirPrimitive,
+    FlowtreePrimitive,
+    HierarchicalHeavyHitterPrimitive,
+    RawStorePrimitive,
+    QuantilePrimitive,
+):
+    _DEFAULT.register(_cls)
 
 
 def default_registry() -> PrimitiveRegistry:
-    """A registry with every primitive shipped by the library."""
-    registry = PrimitiveRegistry()
-    registry.register("sample", _make_sample)
-    registry.register("timebin", _make_timebin)
-    registry.register("heavy_hitter", _make_heavy_hitter)
-    registry.register("count_min", _make_count_min)
-    registry.register("reservoir", _make_reservoir)
-    registry.register("flowtree", _make_flowtree)
-    registry.register("hhh", _make_hhh)
-    registry.register("raw", _make_raw)
-    registry.register("quantile", _make_quantile)
-    return registry
+    """The process's registry: every primitive shipped by the library,
+    plus any kind registered on it since."""
+    return _DEFAULT

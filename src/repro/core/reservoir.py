@@ -16,6 +16,7 @@ from repro.core.primitive import (
     AdaptationFeedback,
     ComputingPrimitive,
     QueryRequest,
+    stable_seed,
 )
 from repro.core.summary import DataSummary, Location
 
@@ -53,26 +54,25 @@ class ReservoirSample(Generic[T]):
     def merge(self, other: "ReservoirSample[T]") -> None:
         """Combine two reservoirs into a sample of the united stream.
 
-        Items are drawn from each side proportionally to how much of the
-        combined stream it saw, preserving uniformity.
+        Items are drawn, without replacement, from each side
+        proportionally to how much of the combined stream it saw,
+        preserving uniformity; merging into an empty reservoir keeps
+        the other side's sample.
         """
         combined_seen = self.seen + other.seen
         if combined_seen == 0:
             return
+        mine, theirs = list(self._items), list(other._items)
         pool: List[T] = []
-        take = min(self.capacity, combined_seen)
-        for _ in range(take):
-            pick_mine = (
-                self._rng.random() < self.seen / combined_seen
-                if other._items
-                else True
+        while len(pool) < self.capacity and (mine or theirs):
+            pick_mine = mine and (
+                not theirs or self._rng.random() < self.seen / combined_seen
             )
-            source = self._items if pick_mine and self._items else other._items
-            if not source:
-                source = self._items or other._items
-            if not source:
-                break
-            pool.append(source[self._rng.randrange(len(source))])
+            source = mine if pick_mine else theirs
+            # draw without replacement: swap the pick to the end, pop it
+            slot = self._rng.randrange(len(source))
+            source[slot], source[-1] = source[-1], source[slot]
+            pool.append(source.pop())
         self._items = pool
         self.seen = combined_seen
 
@@ -99,6 +99,7 @@ class ReservoirPrimitive(ComputingPrimitive):
     """
 
     kind = "reservoir"
+    granularity_param = "capacity"
 
     def __init__(
         self,
@@ -109,6 +110,23 @@ class ReservoirPrimitive(ComputingPrimitive):
         super().__init__(location)
         self._seed = seed
         self.reservoir: ReservoirSample[Any] = ReservoirSample(capacity, seed)
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "ReservoirPrimitive":
+        meta = summary.meta
+        return cls(
+            meta.location,
+            capacity=max(1, summary.attrs["capacity"]),
+            seed=stable_seed(meta.location.path, meta.interval),
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        self.reservoir._items = list(summary.payload)
+        self.reservoir.seen = summary.attrs.get("seen", len(summary.payload))
+
+    def _shrink(self, shrink: float) -> None:
+        """The reservoir shrinks, to no fewer than 16 items."""
+        self.set_granularity(max(16, int(self.reservoir.capacity * shrink)))
 
     def _ingest(self, item: Any, timestamp: float) -> None:
         self.reservoir.offer(item)

@@ -26,6 +26,7 @@ from repro.core.primitive import (
     AdaptationFeedback,
     ComputingPrimitive,
     QueryRequest,
+    stable_seed,
 )
 from repro.core.summary import DataSummary, Location
 
@@ -54,6 +55,8 @@ class RandomSamplePrimitive(ComputingPrimitive):
     """
 
     kind = "sample"
+    granularity_param = "rate"
+    granularity_is_count = False
 
     def __init__(
         self,
@@ -67,6 +70,22 @@ class RandomSamplePrimitive(ComputingPrimitive):
         self.rate = rate
         self._rng = random.Random(seed)
         self._points: List[SampledPoint] = []
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "RandomSamplePrimitive":
+        meta = summary.meta
+        return cls(
+            meta.location,
+            rate=max(summary.attrs["rate"], 1e-9),
+            seed=stable_seed(meta.location.path, meta.interval),
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        self._points = list(summary.payload)
+
+    def _shrink(self, shrink: float) -> None:
+        """The rate, and with it the sample, thins by ``shrink``."""
+        self.set_granularity(self.rate * shrink)
 
     # -- ingest ----------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from typing import Any, Hashable, List, Optional
 
 from repro.errors import GranularityError, SchemaMismatchError
@@ -64,8 +65,11 @@ class CountMinSketch:
         return cls(width=width, depth=max(1, depth), seed=seed)
 
     def _row_index(self, row: int, item: Hashable) -> int:
+        # a digest of the item, not ``hash()``: a str's hash is salted
+        # per process, and a sketch must answer (and merge) in another
         a, b = self._hash_params[row]
-        return ((a * hash(item) + b) % _MERSENNE_PRIME) % self.width
+        code = zlib.crc32(repr(item).encode())
+        return ((a * code + b) % _MERSENNE_PRIME) % self.width
 
     def add(self, item: Hashable, weight: float = 1.0) -> None:
         """Add ``weight`` occurrences of ``item``."""
@@ -112,6 +116,7 @@ class CountMinPrimitive(ComputingPrimitive):
     """
 
     kind = "count_min"
+    granularity_param = "width"
 
     def __init__(
         self,
@@ -125,6 +130,19 @@ class CountMinPrimitive(ComputingPrimitive):
         self._weight_of = weight_of
         self._pending_width: Optional[int] = None
         self.sketch = CountMinSketch(width=width, depth=depth, seed=seed)
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "CountMinPrimitive":
+        sketch = summary.payload
+        return cls(
+            summary.meta.location,
+            width=sketch.width,
+            depth=sketch.depth,
+            seed=sketch.seed,
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        self.sketch = summary.payload
 
     def _ingest(self, item: Any, timestamp: float) -> None:
         weight = float(self._weight_of(item)) if self._weight_of else 1.0

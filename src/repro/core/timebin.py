@@ -22,6 +22,7 @@ from repro.core.primitive import (
     AdaptationFeedback,
     ComputingPrimitive,
     QueryRequest,
+    stable_seed,
 )
 from repro.core.summary import DataSummary, Location
 
@@ -127,6 +128,8 @@ class TimeBinStatistics(ComputingPrimitive):
     """
 
     kind = "timebin"
+    granularity_param = "bin_seconds"
+    granularity_is_count = False
 
     def __init__(
         self,
@@ -142,6 +145,27 @@ class TimeBinStatistics(ComputingPrimitive):
         self.reservoir_size = reservoir_size
         self._rng = random.Random(seed)
         self._bins: Dict[int, BinStats] = {}
+
+    @classmethod
+    def empty_like(cls, summary: DataSummary) -> "TimeBinStatistics":
+        meta = summary.meta
+        return cls(
+            meta.location,
+            bin_seconds=summary.attrs["bin_seconds"],
+            seed=stable_seed(meta.location.path, meta.interval),
+        )
+
+    def _load(self, summary: DataSummary) -> None:
+        self._bins = {
+            int(round(bin_start / self.bin_seconds)): stats
+            for bin_start, stats in summary.payload.items()
+        }
+
+    def _shrink(self, shrink: float) -> None:
+        """Bins widen by the inverse shrink factor."""
+        self.set_granularity(
+            self.bin_seconds * max(1, int(round(1.0 / shrink)))
+        )
 
     # -- ingest ----------------------------------------------------------
 
@@ -213,9 +237,16 @@ class TimeBinStatistics(ComputingPrimitive):
                 series.append((bin_start, value))
             return series
         if request.operator == "stats":
+            # a read draws from the window, never from the ingest RNG:
+            # the same window answers the same and ingest is unmoved
+            rng = random.Random(
+                stable_seed(
+                    self.location.path, params.get("start"), params.get("end")
+                )
+            )
             aggregate = BinStats()
             for _, stats in window:
-                aggregate.merge(stats, self._rng, self.reservoir_size)
+                aggregate.merge(stats, rng, self.reservoir_size)
             return aggregate
         raise ValueError(
             f"timebin primitive does not support operator {request.operator!r}"

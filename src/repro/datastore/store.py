@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.primitive import QueryRequest
+from repro.core.registry import default_registry
 from repro.core.summary import DataSummary, LineageLog, Location
 from repro.datastore.aggregator import Aggregator
 from repro.datastore.partitions import Partition, PartitionCatalog
 from repro.datastore.recombine import combine_summaries
 from repro.datastore.storage import StorageStrategy
-from repro.datastore.summary_query import can_rehydrate, rehydrate
 from repro.datastore.triggers import (
     RawTrigger,
     SummaryTrigger,
@@ -286,17 +286,18 @@ class DataStore:
         """Answer a query from local data (live aggregator + history).
 
         With a time window, stored partitions overlapping it are merged
-        and rehydrated; without one, or when the window holds nothing
-        rehydratable, the live aggregator answers.  Every touched
-        partition's access is recorded.
+        and rebuilt into a primitive of their kind; without one, or when
+        no partition overlaps the window, the live aggregator answers.
+        Every touched partition's access is recorded.
         """
         live = self._aggregators.get(aggregator)
         if start is not None or end is not None:
             summary, partitions_used = self.window_summary(
                 aggregator, start, end, now=now
             )
-            if summary is not None and can_rehydrate(summary.kind):
-                value = rehydrate(summary).query(request)
+            if summary is not None:
+                kind = default_registry().class_of(summary.kind)
+                value = kind.from_summary(summary).query(request)
                 if live is not None:
                     live.note_query()
                 return QueryResult(
@@ -429,14 +430,14 @@ class DataStore:
         read.  ``window`` re-times a summary that arrives after its own
         epoch into the epoch it joins.
         """
-        incoming = rehydrate(summary)
+        kind = default_registry().class_of(summary.kind)
+        incoming = kind.from_summary(summary)
         incoming.items_ingested = items
         if window is not None:
             incoming._epoch_start, incoming._epoch_end = window
         target = self._aggregators.get(aggregator)
         if target is None:
-            target = Aggregator(aggregator, rehydrate(summary))
-            target.primitive.reset_epoch()
+            target = Aggregator(aggregator, kind.empty_like(summary))
             self.install_aggregator(target)
         target.primitive.combine(incoming)
         target.items_this_epoch += items

@@ -34,7 +34,7 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 from repro.core.summary import Location
 from repro.datastore.cache import QueryCache
 from repro.datastore.partitions import Partition
-from repro.datastore.recombine import combine_summaries
+from repro.datastore.recombine import combine_flowtrees
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.errors import FlowQLPlanningError, TransferError
@@ -496,7 +496,7 @@ class FederatedQueryPlanner:
                         size_bytes=stored.payload.estimated_size_bytes(),
                     )
                 else:
-                    combined = combine_summaries(
+                    combined = combine_flowtrees(
                         [p.summary for p in parts], shrink=1.0
                     )
                 if store.privacy is not None:

@@ -6,6 +6,7 @@ from repro.control.controller import ACTUATION_DELAY_S, Controller
 from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.control.rules import ControlRule
+from repro.core.registry import default_registry
 from repro.core.summary import Location
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
@@ -303,3 +304,34 @@ class TestManager:
             )
         )
         assert store.aggregator("ft").primitive.node_budget == 512
+
+    @pytest.mark.parametrize("kind", sorted(default_registry().kinds()))
+    def test_precision_reaches_every_kind(self, kind, policy):
+        """A requirement's precision sets the kind's own granularity
+        knob, whatever the kind."""
+        manager, store = self.make_manager()
+        precision = 0.5 if kind == "sample" else 64
+        manager.submit_requirement(
+            ApplicationRequirement(
+                app_name="a",
+                aggregator_name="agg",
+                kind=kind,
+                location=Location("hq/factory1"),
+                config={"policy": policy},
+                precision=precision,
+            )
+        )
+        knob = {
+            "sample": "rate",
+            "timebin": "bin_seconds",
+            "heavy_hitter": "capacity",
+            "count_min": "width",
+            "reservoir": "capacity",
+            "flowtree": "node_budget",
+            "hhh": "capacity_per_level",
+            "quantile": "k",
+            "raw": "budget_bytes",
+        }[kind]
+        primitive = store.aggregator("agg").primitive
+        assert type(primitive).granularity_param == knob
+        assert primitive.summary().attrs[knob] == precision

@@ -1,6 +1,8 @@
 """Package health: every module imports, exports resolve, versions agree."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -34,6 +36,43 @@ def test_subpackage_all_exports_resolve():
             assert getattr(module, name, None) is not None, (
                 f"{module_name}.{name}"
             )
+
+
+def test_no_process_global_randomness():
+    """A combine or a read is a function of its inputs alone: no module
+    holds a ``random.Random`` of its own, and nothing draws from the
+    ``random`` module's global state."""
+    root = pathlib.Path(repro.__file__).parent
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = path.relative_to(root.parent)
+        # what runs per call; default arguments run at import
+        per_call = {
+            id(node)
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for statement in scope.body
+            for node in ast.walk(statement)
+        } | {
+            id(node)
+            for scope in ast.walk(tree)
+            if isinstance(scope, ast.Lambda)
+            for node in ast.walk(scope.body)
+        }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "random"
+            ):
+                continue
+            if node.func.attr != "Random":
+                hits.append(f"{where}:{node.lineno} random.{node.func.attr}")
+            elif id(node) not in per_call:
+                hits.append(f"{where}:{node.lineno} module-level Random")
+    assert hits == []
 
 
 def test_benchmark_ledger_entry_points_resolve():

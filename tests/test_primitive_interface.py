@@ -1,19 +1,34 @@
 """Tests of the ComputingPrimitive contract and the registry."""
 
+import hashlib
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+from repro.control.manager import Manager
+from repro.control.requirements import ApplicationRequirement
 from repro.core import default_registry
 from repro.core.flowtree import FlowtreePrimitive
-from repro.core.primitive import AdaptationFeedback, QueryRequest
+from repro.core.primitive import (
+    AdaptationFeedback,
+    ComputingPrimitive,
+    QueryRequest,
+)
 from repro.core.registry import PrimitiveRegistry
 from repro.core.sampling import RandomSamplePrimitive
-from repro.core.summary import Location
-from repro.datastore.summary_query import rehydrate
+from repro.core.summary import DataSummary, Location
+from repro.datastore.aggregator import Aggregator
+from repro.datastore.recombine import combine_summaries
+from repro.datastore.storage import HierarchicalStorage, RoundRobinStorage
+from repro.datastore.store import DataStore
 from repro.errors import GranularityError, PlacementError, SchemaMismatchError
 from repro.flows.records import FlowRecord, Score
 from repro.flows.tree import Flowtree
+from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 LOC_A = Location("hq/factory1/line1")
 LOC_B = Location("hq/factory1/line2")
@@ -48,11 +63,10 @@ class TestRegistry:
 
     def test_custom_registration(self):
         registry = PrimitiveRegistry()
-        registry.register(
-            "sample",
-            lambda loc, cfg: RandomSamplePrimitive(loc, rate=cfg["rate"]),
-        )
+        registry.register(RandomSamplePrimitive)
+        assert list(registry.kinds()) == ["sample"]
         primitive = registry.create("sample", LOC_A, {"rate": 0.3})
+        assert isinstance(primitive, RandomSamplePrimitive)
         assert primitive.rate == 0.3
 
     def test_config_flows_through(self):
@@ -128,8 +142,9 @@ class TestEpochHandOffContract:
         self, kind, policy, items_for
     ):
         """What an export path needs of a kind: its sealed summary
-        rehydrates, and that combines into a fresh primitive of the
-        same kind — without writing to the sealed payload."""
+        rebuilds (``from_summary``), and that combines into a fresh
+        primitive of the same kind — without writing to the sealed
+        payload."""
         config = {"policy": policy, "rate": 1.0, "node_budget": 64}
         registry = default_registry()
         primitive = registry.create(kind, LOC_A, dict(config))
@@ -137,7 +152,7 @@ class TestEpochHandOffContract:
         sealed = primitive.reset_epoch()
         before = payload_fingerprint(sealed.payload)
 
-        arrived = rehydrate(sealed)
+        arrived = registry.class_of(kind).from_summary(sealed)
         assert arrived.kind == kind
         assert arrived.interval() == sealed.meta.interval
         arrived.items_ingested = 120
@@ -148,6 +163,171 @@ class TestEpochHandOffContract:
         assert fresh.footprint_bytes() > 0
         fresh.ingest_many(items_for(kind, 0))
         assert payload_fingerprint(sealed.payload) == before
+
+
+# one read per kind for the windowed query below
+WINDOW_READS = {
+    "flowtree": QueryRequest("top_k", {"k": 5}),
+    "hhh": QueryRequest("hhh", {"threshold": 10_000.0}),
+    "sample": QueryRequest("select", {}),
+    "timebin": QueryRequest("stats", {}),
+    "quantile": QueryRequest("quantiles", {"qs": [0.1, 0.5, 0.9]}),
+    "heavy_hitter": QueryRequest("top_k", {"k": 5}),
+    "count_min": QueryRequest("count", {"item": "host-3"}),
+    "reservoir": QueryRequest("sample", {}),
+    "raw": QueryRequest("items", {}),
+}
+
+
+def three_epoch_reads(kind):
+    """Three sealed epochs of one kind in one store, then each read the
+    determinism contract covers, twice: a combine at full size, a
+    combine at half size, and a windowed query."""
+    location = Location("hq/factory1/line1")
+    flows = TrafficGenerator(
+        TrafficConfig(sites=("s",), flows_per_epoch=120, external_hosts=400),
+        seed=3,
+    )
+    store = DataStore(location, RoundRobinStorage(10**9))
+    config = {
+        "rate": 0.5, "seed": 3, "node_budget": 64, "capacity": 32,
+        "bin_seconds": 30.0, "k": 16, "budget_bytes": 10**6,
+    }
+    store.install_aggregator(
+        Aggregator("agg", default_registry().create(kind, location, config))
+    )
+    for epoch in range(3):
+        if kind in ("flowtree", "hhh"):
+            items = flows.epoch("s", epoch)
+        elif kind in ("heavy_hitter", "count_min", "reservoir", "raw"):
+            items = [f"host-{(i * 7 + epoch) % 23}" for i in range(120)]
+        else:
+            items = [float((i * 37 + epoch) % 101) for i in range(120)]
+        store.ingest("s", [
+            (item, epoch * 60.0 + i * 0.5) for i, item in enumerate(items)
+        ])
+        store.close_epoch((epoch + 1) * 60.0)
+    summaries = [p.summary for p in store.catalog.all()]
+    assert len(summaries) == 3
+    reads = []
+    for shrink in (1.0, 0.5):
+        reads.append([
+            payload_fingerprint(combine_summaries(summaries, shrink).payload)
+            for _ in range(2)
+        ])
+    reads.append([
+        repr(store.query("agg", WINDOW_READS[kind], 0.0, 180.0).value)
+        for _ in range(2)
+    ])
+    return reads
+
+
+def reads_digest(kind):
+    """One sha256 over every read of :func:`three_epoch_reads`."""
+    return hashlib.sha256(pickle.dumps(three_epoch_reads(kind))).hexdigest()
+
+
+class TestEveryKindIsDeterministic:
+    """A combine or a windowed read is a function of the stored
+    summaries alone: not of what the process drew before, nor of the
+    process's string-hash salt."""
+
+    @pytest.mark.parametrize("kind", sorted(default_registry().kinds()))
+    def test_reads_repeat_exactly(self, kind):
+        for first, second in three_epoch_reads(kind):
+            assert first == second
+
+    @pytest.mark.parametrize("kind", sorted(default_registry().kinds()))
+    def test_another_hash_seed_reads_the_same(self, kind):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        salt = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=salt,
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        )
+        script = (
+            "from tests.test_primitive_interface import reads_digest; "
+            f"print(reads_digest({kind!r}))"
+        )
+        printed = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert printed == reads_digest(kind)
+
+
+class CountingPrimitive(ComputingPrimitive):
+    """A minimal custom kind: the running sum of numeric items."""
+
+    kind = "test_counting"
+
+    def __init__(self, location):
+        super().__init__(location)
+        self.total = 0.0
+
+    @classmethod
+    def empty_like(cls, summary):
+        return cls(summary.meta.location)
+
+    def _load(self, summary):
+        self.total = summary.payload
+
+    def _ingest(self, item, timestamp):
+        self.total += item
+
+    def _reset(self):
+        self.total = 0.0
+
+    def summary(self):
+        return DataSummary(self.kind, self.meta(), self.total, 8)
+
+    def query(self, request):
+        return self.total
+
+    def combine(self, other):
+        self._check_combinable(other)
+        self.total += other.total
+
+    def set_granularity(self, granularity):
+        pass
+
+    def footprint_bytes(self):
+        return 8
+
+
+class TestCustomKind:
+    @pytest.fixture()
+    def registered(self, monkeypatch):
+        # the process's registry must read nine kinds again afterwards
+        registry = default_registry()
+        monkeypatch.setattr(registry, "_classes", dict(registry._classes))
+        registry.register(CountingPrimitive)
+        return CountingPrimitive.kind
+
+    def test_registered_class_is_all_a_kind_needs(self, registered):
+        """Registered as a class and nothing else, a kind is installed
+        from a requirement, answers a windowed query and survives
+        hierarchical compaction."""
+        location = Location("hq/factory1")
+        storage = HierarchicalStorage(budget_bytes=20, merge_group=2)
+        store = DataStore(location, storage)
+        manager = Manager()
+        manager.register_store(store)
+        manager.submit_requirement(
+            ApplicationRequirement(
+                app_name="a", aggregator_name="sum", kind=registered,
+                location=location,
+            )
+        )
+        for epoch in range(4):
+            store.ingest("s", [(float(epoch + 1), epoch * 60.0 + 1)])
+            store.close_epoch((epoch + 1) * 60.0)
+        assert storage.compactions >= 1
+        assert len(store.catalog) < 4
+        result = store.query("sum", QueryRequest("total"), 0.0, 240.0)
+        assert result.value == 1.0 + 2.0 + 3.0 + 4.0
+        assert not result.used_live
 
 
 class TestCombinePreconditions:

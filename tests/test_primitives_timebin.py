@@ -112,6 +112,37 @@ class TestPrimitive:
             make_primitive(bin_seconds=0.0)
 
 
+class TestReadsDoNotWrite:
+    """A ``stats`` read merges the window's reservoirs with an RNG drawn
+    from the window, never with the primitive's ingest RNG."""
+
+    @staticmethod
+    def ingest(primitive, epoch):
+        # 80 values per 10 s bin: every reservoir is full, so merging
+        # two bins must subsample
+        for i in range(400):
+            primitive.ingest(float((i * 37 + epoch) % 101), epoch * 50 + i / 8)
+
+    def test_same_query_twice_same_answer(self):
+        primitive = TimeBinStatistics(LOC, bin_seconds=10.0, seed=5)
+        self.ingest(primitive, 0)
+        request = QueryRequest("stats", {"start": 0.0, "end": 50.0})
+        first = primitive.query(request)
+        second = primitive.query(request)
+        assert first.reservoir == second.reservoir
+        assert first == second
+
+    def test_ingest_after_a_query_matches_a_run_without_it(self):
+        asked = TimeBinStatistics(LOC, bin_seconds=10.0, seed=5)
+        silent = TimeBinStatistics(LOC, bin_seconds=10.0, seed=5)
+        for primitive in (asked, silent):
+            self.ingest(primitive, 0)
+        asked.query(QueryRequest("stats", {}))
+        for primitive in (asked, silent):
+            self.ingest(primitive, 1)
+        assert asked.summary().payload == silent.summary().payload
+
+
 class TestGranularity:
     def test_rebin_to_multiple(self):
         primitive = make_primitive(bin_seconds=1.0)

@@ -6,7 +6,6 @@ from repro.core.primitive import AdaptationFeedback, QueryRequest
 from repro.core.rawstore import RawStorePrimitive
 from repro.core.summary import Location
 from repro.datastore.recombine import combine_summaries
-from repro.datastore.summary_query import rehydrate
 from repro.errors import GranularityError
 
 LOC = Location("hq/factory1/line1")
@@ -105,7 +104,7 @@ class TestLifecycle:
         b.ingest("late", 100.0)
         combined = combine_summaries([a.summary(), b.summary()], shrink=1.0)
         assert combined.kind == "raw"
-        primitive = rehydrate(combined)
+        primitive = RawStorePrimitive.from_summary(combined)
         items = primitive.query(QueryRequest("items", {}))
         assert [item for _, item in items] == ["early", "late"]
 
