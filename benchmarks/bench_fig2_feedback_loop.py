@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import report
 from repro.analytics.inference import LinearTrend, time_to_threshold
-from repro.analytics.pipeline import Pipeline
 from repro.control.controller import Controller
 from repro.control.rules import ControlRule
 from repro.core.primitive import QueryRequest
@@ -64,25 +63,14 @@ def test_full_feedback_loop(benchmark):
         store.close_epoch(t)
 
         # Analytics: process (series) + infer (trend)
-        outputs = []
-        pipeline = (
-            Pipeline("degradation")
-            .add_stage(
-                "fetch-series",
-                lambda now: store.query(
-                    "vibration",
-                    QueryRequest("series", {"field": "mean"}),
-                    start=0.0, end=now, now=now,
-                ).value,
-                role="preprocess",
-            )
-            .add_stage("fit-trend", LinearTrend.fit, role="infer")
-            .feed_to(outputs.append)
-        )
-        run = pipeline.run(t, at_time=t)
+        series = store.query(
+            "vibration",
+            QueryRequest("series", {"field": "mean"}),
+            start=0.0, end=t, now=t,
+        ).value
+        trend = LinearTrend.fit(series)
 
         # Application: model & learn → decide
-        trend = outputs[0]
         eta = time_to_threshold(trend, t, threshold=8.0)
         fired = False
         if eta is not None and eta < 24 * 3600.0:
@@ -96,9 +84,9 @@ def test_full_feedback_loop(benchmark):
             # Controller: resolve & implement
             actions = controller.on_trigger(firing)
             fired = bool(actions)
-        return trend, eta, fired, actuator, run
+        return trend, eta, fired, actuator
 
-    trend, eta, fired, actuator, run = benchmark.pedantic(
+    trend, eta, fired, actuator = benchmark.pedantic(
         run_loop, rounds=3, iterations=1
     )
     report(
@@ -114,4 +102,3 @@ def test_full_feedback_loop(benchmark):
     assert trend.slope > 0
     assert fired, "the loop must close back to the actuator"
     assert actuator.commands[0].command == "schedule-maintenance"
-    benchmark.extra_info["pipeline_seconds"] = run.total_seconds

@@ -3,10 +3,10 @@
 The paper treats analytics as a pluggable toolset between data stores
 and applications.  This package supplies the transfer patterns the
 figure names (scatter & gather, publish & subscribe, request & reply,
-forward & replicate), an in-process MapReduce engine, composable
-pipelines (pre-process → transfer → infer), and lightweight inference
-blocks (EWMA anomaly scores, linear trends, CUSUM change detection,
-time-to-threshold forecasts) that the example applications build on.
+forward & replicate), an in-process MapReduce engine, and lightweight
+inference blocks (EWMA anomaly scores, linear trends, CUSUM change
+detection, time-to-threshold forecasts) that the example applications
+build on.
 """
 
 from repro.analytics.transfer import (
@@ -15,7 +15,6 @@ from repro.analytics.transfer import (
     ScatterGather,
 )
 from repro.analytics.mapreduce import LocalMapReduce
-from repro.analytics.pipeline import Pipeline, PipelineStage, StageTiming
 from repro.analytics.inference import (
     CusumDetector,
     EwmaAnomalyDetector,
@@ -41,9 +40,6 @@ __all__ = [
     "ScatterGather",
     "RequestReplyChannel",
     "LocalMapReduce",
-    "Pipeline",
-    "PipelineStage",
-    "StageTiming",
     "EwmaAnomalyDetector",
     "CusumDetector",
     "LinearTrend",

@@ -27,10 +27,10 @@ Controller certification lives in :mod:`repro.control.controller`
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.core.registry import default_registry
 from repro.core.summary import DataSummary
 from repro.errors import ReproError
 
@@ -85,7 +85,6 @@ class PrivacyGuard:
     def __init__(self, policy: PrivacyPolicy) -> None:
         self.policy = policy
         self.audit_log: List[ExportAudit] = []
-        self._rng = random.Random(20190708)
 
     def export(self, aggregator: str, summary: DataSummary) -> DataSummary:
         """Return the privacy-degraded view of ``summary``.
@@ -158,41 +157,37 @@ class PrivacyGuard:
         return degraded, f"IPs truncated to /{max_prefix}"
 
     def _coarsen_timebin(self, summary: DataSummary, min_width: float):
-        from repro.core.timebin import BinStats
-
         current = summary.attrs["bin_seconds"]
         if current >= min_width:
             return summary, "bins already coarse enough"
-        factor = max(1, int(round(min_width / current)))
-        width = current * factor
-        merged: Dict[float, BinStats] = {}
-        for bin_start, stats in summary.payload.items():
-            slot = (bin_start // width) * width
-            target = merged.setdefault(slot, BinStats())
-            target.merge(stats, self._rng, reservoir_size=32)
-        degraded = DataSummary(
-            kind=summary.kind,
-            meta=summary.meta,
-            payload=dict(sorted(merged.items())),
-            size_bytes=48 * len(merged),
-            attrs=dict(summary.attrs, bin_seconds=width),
-        )
-        return degraded, f"bins widened to {width:g} s"
+        width = current * max(1, int(round(min_width / current)))
+        return _regranulated(summary, width), f"bins widened to {width:g} s"
 
     def _thin_sample(self, summary: DataSummary, max_rate: float):
-        rate = summary.attrs["rate"]
-        if rate <= max_rate:
+        if summary.attrs["rate"] <= max_rate:
             return summary, "sample already sparse enough"
-        keep = max_rate / rate
-        points = [p for p in summary.payload if self._rng.random() < keep]
-        degraded = DataSummary(
-            kind=summary.kind,
-            meta=summary.meta,
-            payload=points,
-            size_bytes=16 * len(points),
-            attrs=dict(summary.attrs, rate=max_rate),
-        )
+        degraded = _regranulated(summary, max_rate)
         return degraded, f"sample thinned to rate {max_rate:g}"
+
+
+def _regranulated(summary: DataSummary, granularity: float) -> DataSummary:
+    """``summary`` re-cut at a coarser granularity by its own kind.
+
+    The rebuilt primitive draws from an RNG seeded by the summary's
+    location and interval, so one summary always degrades the same
+    way, whatever the guard exported before.
+    """
+    primitive = default_registry().class_of(summary.kind).from_summary(
+        summary
+    )
+    primitive.set_granularity(granularity)
+    coarse = primitive.summary()
+    return replace(
+        summary,
+        payload=coarse.payload,
+        size_bytes=coarse.size_bytes,
+        attrs=dict(summary.attrs, **coarse.attrs),
+    )
 
 
 @dataclass(frozen=True)

@@ -29,32 +29,34 @@ the entries past the consumed ids are merged into it.  Breaker:
 ``entry-prefix`` (recovery re-ids entries).
 
 **Federated route.**  Inputs are the window partitions of every
-covering store at the plan's level, read through the planner's
-``_read_store`` (replica-first, fabric-accounted, feeding adaptive
-replication).  From empty, the trees that read returns *are* the site
-partials (per aggregator, its lone partition's tree or the
-``combine_flowtrees`` result of several); kept, each new partition
-extends its aggregator's partial by one ``merge`` — the continuation of
-``combine_flowtrees``' copy-first-merge-rest sequence.
-Breakers: ``partition-prefix`` (a consumed partition vanished),
-``replica-served`` (a window partition now lives at the root, which a
-fresh read serves individually — a different merge order) and
-``privacy-guard`` (a per-epoch privacy export need not commute with
-the whole-window export).  A fold whose first read met any of those,
-or fell back to degraded coverage, answers honestly but is not
+covering store at the plan's level — of one aggregator per store (the
+planner's ``_aggregator``), so each leaf epoch is folded once.  Each
+store's partitions fold into one site partial by :func:`extend`, and
+:func:`top_merge` merges the site partials.  One read serves both
+advances: from empty it is the kept read with an empty consumed
+prefix.  Each store's partitions beyond its prefix go through the
+planner's ``_read_store`` (replica-first, fabric-accounted, feeding
+adaptive replication), which extends the store's partial by them and
+ships their union.  Breakers: ``partition-prefix`` (a consumed
+partition vanished), ``replica-served`` (a window partition now lives
+at the root, which a fresh read serves individually — a different
+merge order), ``privacy-guard`` (a per-epoch privacy export need not
+commute with the whole-window export) and ``degraded`` (a link failed
+mid-read).  From empty, any of those leaves a fold that answers
+honestly — a failed link through the degraded fallback — but is not
 :attr:`~WindowFold.resumable`.
 
 **Only a writer copies.**  No query path writes a tree it did not
 build.  A window input is taken as is wherever taking it is exact — a
-lone FlowDB entry, a lone partition per aggregator, a lone partial
-under :func:`top_merge` — so :attr:`WindowFold.tree` and a site partial
-may be a stored tree or a replica's payload.  Answering only reads
+lone FlowDB entry, a store's lone partition, a lone partial under
+:func:`top_merge` — so :attr:`WindowFold.tree` and a site partial may
+be a stored tree or a replica's payload.  Answering only reads
 (``apply_operator``, ``Flowtree.diff`` and the query methods mutate
-nothing).  The one writer is a kept fold extending what it borrowed:
-it records the trees it borrows when it takes them, and before the
-first extension builds exactly what a fresh fold would — a fresh
+nothing).  The one writer is a fold extending what it borrowed: it
+records the trees it borrows when it takes them, and before the first
+extension builds exactly what a fresh fold would — a fresh
 :func:`top_merge` on the cloud route, ``copy()`` then ``merge`` for a
-site partial.
+site partial (:func:`extend`).
 """
 
 from __future__ import annotations
@@ -95,6 +97,31 @@ def top_merge(trees: Sequence[Flowtree], budget: Optional[int]) -> Flowtree:
     return merged
 
 
+def extend(
+    partial: Optional[Flowtree],
+    payloads: Sequence[Flowtree],
+    borrowed: Set[int],
+) -> Flowtree:
+    """A site partial grown by stored payloads, in catalog order.
+
+    The one extend rule, from empty or kept: the first payload is
+    borrowed as is (its id joins ``borrowed``), a borrowed partial is
+    copied before it is first extended, and every later payload is
+    merged in — the copy-first-merge-rest sequence of
+    :meth:`~repro.core.flowtree.FlowtreePrimitive.coarsen`.
+    """
+    for payload in payloads:
+        if partial is None:
+            partial = payload
+            borrowed.add(id(payload))
+            continue
+        if id(partial) in borrowed:
+            borrowed.discard(id(partial))
+            partial = partial.copy()
+        partial.merge(payload)
+    return partial
+
+
 def answer(folds: Sequence["WindowFold"], query: FlowQLQuery) -> FlowQLResult:
     """The query's result over its advanced folds (FROM, then VS)."""
     tree = folds[0].tree
@@ -126,8 +153,8 @@ class WindowFold:
         #: federated route: store label -> partition ids consumed, in
         #: catalog order
         self.folded_partitions: Dict[str, List[str]] = {}
-        #: federated route: label -> aggregator -> the site partial
-        self.site_trees: Dict[str, Dict[str, Flowtree]] = {}
+        #: federated route: store label -> its site partial
+        self.site_trees: Dict[str, Flowtree] = {}
         #: ids of the stored trees held as is (``tree`` or a site
         #: partial), recorded when taken; copied before first extended
         self.borrowed: Set[int] = set()
@@ -140,16 +167,14 @@ class WindowFold:
         From empty, unreachable stores fall back to replica and
         other-level coverage and what stays missing is noted in
         ``degradation``.  A kept fold raises :class:`FoldBroken` when
-        its prefix no longer holds and lets ``TransferError`` through.
+        it cannot continue its consumed prefix.
         """
         if self.plan.route == ROUTE_CLOUD:
             self._advance_cloud()
             return []
-        if self.tree is None:
-            return self._read_window(
-                now, Degradation() if degradation is None else degradation
-            )
-        return self._read_tail(now)
+        return self._read(
+            now, Degradation() if degradation is None else degradation
+        )
 
     # -- cloud route ---------------------------------------------------------
 
@@ -184,85 +209,24 @@ class WindowFold:
 
     # -- federated route -----------------------------------------------------
 
-    def _read_window(
-        self, now: float, degradation: Degradation
-    ) -> List[SiteRead]:
-        """The from-empty read: every covering store's whole window."""
-        planner, level, spec = self.planner, self.plan.level, self.spec
-        budget = planner.runtime.db.merge_node_budget
-        reads: List[SiteRead] = []
-        trees: List[Flowtree] = []
-        for label, store in planner._covering_stores(level, self.query.sites):
-            if store.privacy is not None:
-                self.resumable = False
-            partitions = planner._window_partitions(
-                store, spec.start, spec.end
-            )
-            if not partitions:
-                continue
-            try:
-                read, site_trees = planner._read_store(
-                    label, level, store, partitions, now
-                )
-            except TransferError as exc:
-                self.resumable = False
-                (
-                    fallback, site_trees, covered, stale, attempted,
-                ) = planner._degraded_read(
-                    label, level, store, partitions, spec, now
-                )
-                reads.extend(fallback)
-                if not covered:
-                    degradation.note(
-                        label, stale, str(exc), attempted=attempted
-                    )
-            else:
-                reads.append(read)
-                if read.replica_partitions or any(
-                    planner._replica(pid) for pid in read.partitions
-                ):
-                    # served (or, by this very read, promoted) at the
-                    # root: the next fresh read folds in another order
-                    self.resumable = False
-                else:
-                    # no replicas: _read_store returned exactly one
-                    # tree per aggregator, in sorted order — a lone
-                    # partition's own payload, borrowed
-                    self.folded_partitions[label] = read.partitions
-                    self.site_trees[label] = dict(
-                        zip(
-                            sorted({p.aggregator for p in partitions}),
-                            site_trees,
-                        )
-                    )
-                    stored = {id(p.summary.payload) for p in partitions}
-                    self.borrowed.update(
-                        id(tree) for tree in site_trees if id(tree) in stored
-                    )
-            trees.extend(site_trees)
-        if trees:
-            self.tree = top_merge(trees, budget)
-        elif degradation.is_degraded:
-            # every covering store was unreachable: an honest empty
-            # partial beats an exception — the degradation record
-            # carries what is missing
-            self.tree = Flowtree(planner.runtime.policy, node_budget=budget)
-        else:
-            raise FlowQLPlanningError(
-                f"no partitions at level {level!r} match the window "
-                f"(start={spec.start}, end={spec.end})"
-            )
-        return reads
+    def _cannot_resume(self, reason: str) -> None:
+        """From empty: answer, but do not keep.  Kept: start over."""
+        if self.tree is not None:
+            raise FoldBroken(reason)
+        self.resumable = False
 
-    def _read_tail(self, now: float) -> List[SiteRead]:
-        """The kept read: only partitions beyond the consumed prefix."""
+    def _read(self, now: float, degradation: Degradation) -> List[SiteRead]:
+        """Fold every covering store's partitions beyond its consumed
+        prefix (all of them from empty) into that store's partial."""
         planner, level, spec = self.planner, self.plan.level, self.spec
         current = []
         for label, store in planner._covering_stores(level, self.query.sites):
             if store.privacy is not None:
-                raise FoldBroken("privacy-guard")
+                # a per-epoch export need not commute with the
+                # whole-window export
+                self._cannot_resume("privacy-guard")
             partitions = planner._window_partitions(
-                store, spec.start, spec.end
+                level, store, spec.start, spec.end
             )
             if partitions:
                 current.append((label, store, partitions))
@@ -277,38 +241,54 @@ class WindowFold:
         if any(
             planner._replica(pid) for pids in ids.values() for pid in pids
         ):
-            raise FoldBroken("replica-served")
+            # served at the root, outside the site partial: a fresh
+            # read folds in another order
+            self._cannot_resume("replica-served")
         reads: List[SiteRead] = []
+        trees: List[Flowtree] = []
         for label, store, partitions in current:
             fresh = partitions[len(self.folded_partitions.get(label, ())):]
             if not fresh:
+                trees.append(self.site_trees[label])
                 continue
-            # ships (and accounts) the new partitions only
-            read, _ = planner._read_store(label, level, store, fresh, now)
-            reads.append(read)
-            partials = self.site_trees.setdefault(label, {})
-            for partition in fresh:
-                payload = partition.summary.payload
-                partial = partials.get(partition.aggregator)
-                if partial is None:
-                    # a fold's first partial: borrowed until extended
-                    partials[partition.aggregator] = payload
-                    self.borrowed.add(id(payload))
-                    continue
-                if id(partial) in self.borrowed:
-                    # combine_flowtrees' own sequence: copy the first,
-                    # merge the rest
-                    self.borrowed.discard(id(partial))
-                    partial = partials[partition.aggregator] = partial.copy()
-                partial.merge(payload)
-            self.folded_partitions[label] = ids[label]
-        if reads:
-            self.tree = top_merge(
-                [
-                    self.site_trees[label][aggregator]
-                    for label in sorted(self.site_trees)
-                    for aggregator in sorted(self.site_trees[label])
-                ],
-                planner.runtime.db.merge_node_budget,
+            try:
+                read, store_trees = planner._read_store(
+                    label, level, store, fresh, now,
+                    self.site_trees.get(label), self.borrowed,
+                )
+            except TransferError as exc:
+                self._cannot_resume("degraded")
+                (
+                    fallback, store_trees, covered, stale, attempted,
+                ) = planner._degraded_read(
+                    label, level, store, partitions, spec, now
+                )
+                reads.extend(fallback)
+                if not covered:
+                    degradation.note(
+                        label, stale, str(exc), attempted=attempted
+                    )
+            else:
+                reads.append(read)
+                if any(planner._replica(pid) for pid in read.partitions):
+                    # promoted by this very read: the next read breaks
+                    self.resumable = False
+                if not read.replica_partitions:
+                    self.folded_partitions[label] = ids[label]
+                    self.site_trees[label] = store_trees[-1]
+            trees.extend(store_trees)
+        budget = planner.runtime.db.merge_node_budget
+        if trees:
+            if reads or self.tree is None:
+                self.tree = top_merge(trees, budget)
+        elif degradation.is_degraded:
+            # every covering store was unreachable: an honest empty
+            # partial beats an exception — the degradation record
+            # carries what is missing
+            self.tree = Flowtree(planner.runtime.policy, node_budget=budget)
+        else:
+            raise FlowQLPlanningError(
+                f"no partitions at level {level!r} match the window "
+                f"(start={spec.start}, end={spec.end})"
             )
         return reads

@@ -29,19 +29,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Hashable, List, Optional, Set, Tuple, Union
 
+from repro.core.flowtree import FlowtreePrimitive
 from repro.core.summary import Location
+from repro.datastore.aggregator import Aggregator
 from repro.datastore.cache import QueryCache
 from repro.datastore.partitions import Partition
-from repro.datastore.recombine import combine_flowtrees
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
 from repro.flows.tree import Flowtree
 from repro.obs.bridge import QUERY_SECONDS
-from repro.query.fold import WindowFold, answer, top_merge
+from repro.query.fold import WindowFold, answer, extend, top_merge
 from repro.query.memo import QueryFront, QueryMemo
 from repro.query.plan import (
     ROUTE_CLOUD,
@@ -68,6 +69,16 @@ def _covers(label: str, site: str) -> bool:
     (it folds in the site's siblings), so it never covers.
     """
     return label == site or label.startswith(site + "/")
+
+
+def _alike(first: Aggregator, other: Aggregator) -> bool:
+    """Whether two Flowtree aggregators hold the same flows under one
+    generalization policy (their budgets may differ)."""
+    return (
+        first.stream_filter == other.stream_filter
+        and first.item_of == other.item_of
+        and first.primitive.policy.compatible_with(other.primitive.policy)
+    )
 
 
 #: storage budget of the planner's root-side replica store
@@ -167,24 +178,20 @@ class FederatedQueryPlanner:
     ) -> Optional[List[str]]:
         """Site labels participating at one level, or None if the level
         cannot cover every requested site in every query window."""
-        stores = self.runtime.stores_at_level(level)
+        stores = self._covering_stores(level, query.sites)
         participating: set = set()
         for spec in self._windows(query):
             active = {
                 label
-                for label, store in stores.items()
-                if self._window_partitions(store, spec.start, spec.end)
+                for label, store in stores
+                if self._window_partitions(
+                    level, store, spec.start, spec.end
+                )
             }
-            if query.sites:
-                active = {
-                    label
-                    for label in active
-                    if any(_covers(label, site) for site in query.sites)
-                }
-                for site in query.sites:
-                    if not any(_covers(label, site) for label in active):
-                        return None
-            elif not active:
+            if not active or any(
+                not any(_covers(label, site) for label in active)
+                for site in query.sites
+            ):
                 return None
             participating |= active
         return sorted(participating)
@@ -375,7 +382,7 @@ class FederatedQueryPlanner:
             try:
                 for lab in sorted(candidates):
                     parts = self._window_partitions(
-                        candidates[lab], spec.start, spec.end
+                        other_level, candidates[lab], spec.start, spec.end
                     )
                     if not parts:
                         continue
@@ -421,19 +428,53 @@ class FederatedQueryPlanner:
         replica_id = f"{partition_id}@{self.replica_store.location.path}"
         return replicas.get(replica_id) if replica_id in replicas else None
 
-    @staticmethod
+    def _aggregator(self, level: str, store: DataStore) -> Optional[str]:
+        """The one Flowtree aggregator a federated read takes at a store.
+
+        A level that installs an aggregator names it.  A bare level's
+        store (``aggregator=None``: applications install their own) is
+        read through its Flowtree aggregator — None when it has none.
+        Several alike (one stream under one policy) hold the same
+        flows twice, so the first by name stands for them; several that
+        differ cannot be told apart by a FlowQL read, which refuses
+        rather than double count or mix policies.
+        """
+        config = self.runtime.levels[level]
+        if config.aggregator is not None:
+            return config.resolved_aggregator_name
+        candidates = sorted(
+            (
+                aggregator
+                for aggregator in store.aggregators()
+                if isinstance(aggregator.primitive, FlowtreePrimitive)
+            ),
+            key=lambda aggregator: aggregator.name,
+        )
+        if not all(_alike(candidates[0], other) for other in candidates[1:]):
+            raise FlowQLPlanningError(
+                f"store {store.location.path!r} holds several Flowtree "
+                f"aggregators ({', '.join(a.name for a in candidates)}); "
+                "a federated read takes one"
+            )
+        return candidates[0].name if candidates else None
+
     def _window_partitions(
+        self,
+        level: str,
         store: DataStore,
         start: Optional[float],
         end: Optional[float],
         aggregator: Optional[str] = None,
     ) -> List[Partition]:
-        """Flowtree partitions at one store overlapping a window."""
+        """One store's partitions overlapping a window, of ``aggregator``
+        (default: the one :meth:`_aggregator` takes), in catalog order."""
+        if aggregator is None:
+            aggregator = self._aggregator(level, store)
         selected = []
         for partition in store.catalog.all():
             if partition.summary.kind != "flowtree":
                 continue
-            if aggregator is not None and partition.aggregator != aggregator:
+            if partition.aggregator != aggregator:
                 continue
             interval = partition.summary.meta.interval
             if start is not None and interval.end <= start:
@@ -450,25 +491,34 @@ class FederatedQueryPlanner:
         store: DataStore,
         partitions: List[Partition],
         now: float,
+        partial: Optional[Flowtree] = None,
+        borrowed: Optional[Set[int]] = None,
         replicas_only: bool = False,
     ) -> Tuple[SiteRead, List[Flowtree]]:
-        """Fetch one store's partials: replicas locally, the rest shipped.
+        """Fetch one store's partitions: replicas locally, the rest
+        shipped and folded into its partial.
 
-        Remote reads are accounted on the fabric and fed to the manager's
-        replication engine — the engine may replicate the partition into
-        :attr:`replica_store` mid-stream, so later reads turn local.
-        With ``replicas_only`` the remote ship is skipped entirely (the
-        degraded-read path: serve what the root already holds).  The
-        trees returned may be stored payloads: read-only to the caller.
+        Returns the read and the trees it yields: each replica's
+        payload, then ``partial`` grown by the shipped partitions
+        through :func:`~repro.query.fold.extend` (``borrowed`` tracks
+        the stored trees held as is).  What crosses the link is the
+        union of the shipped partitions — read from empty, that is the
+        partial itself.  Remote reads are accounted on the fabric and
+        fed to the manager's replication engine, which may replicate a
+        partition into :attr:`replica_store` mid-stream, so later reads
+        turn local.  With ``replicas_only`` the remote ship is skipped
+        entirely (the degraded-read path: serve what the root already
+        holds).  The trees returned may be stored payloads: read-only
+        to the caller.
         """
         read = SiteRead(
             site=label,
             level=level,
             partitions=[p.partition_id for p in partitions],
         )
-        root_path = self.replica_store.location.path
-        summaries = []
-        remote: Dict[str, List[Partition]] = {}
+        borrowed = set() if borrowed is None else borrowed
+        trees: List[Flowtree] = []
+        remote: List[Partition] = []
         with self.runtime.obs.span(
             "fetch", site=label, level=level
         ) as span:
@@ -479,48 +529,45 @@ class FederatedQueryPlanner:
                         now, replica.size_bytes, remote=False
                     )
                     read.replica_partitions.append(partition.partition_id)
-                    summaries.append(replica.summary)
-                else:
-                    remote.setdefault(partition.aggregator, []).append(
-                        partition
-                    )
-            if replicas_only:
-                remote = {}
-            for aggregator, parts in sorted(remote.items()):
-                if len(parts) == 1:
-                    # a lone partition ships its stored tree: combining
-                    # it would copy it, and readers never write one
-                    stored = parts[0].summary
-                    combined = replace(
-                        stored,
-                        size_bytes=stored.payload.estimated_size_bytes(),
-                    )
-                else:
-                    combined = combine_flowtrees(
-                        [p.summary for p in parts], shrink=1.0
-                    )
+                    trees.append(replica.summary.payload)
+                elif not replicas_only:
+                    remote.append(partition)
+            if remote:
+                payloads = [p.summary.payload for p in remote]
+                tree = extend(partial, payloads, borrowed)
+                # the link carries the union of this read's partitions:
+                # from empty, the partial itself
+                wire = tree if partial is None else extend(
+                    None, payloads, set()
+                )
                 if store.privacy is not None:
-                    # the partial leaves the level's trust domain
-                    combined = store.privacy.export(aggregator, combined)
-                share = max(1, combined.size_bytes // len(parts))
-                for partition in parts:
+                    # the partial leaves the level's trust domain (a
+                    # guarded store's fold is never kept, so it is
+                    # always read from empty)
+                    tree = wire = store.privacy.export(
+                        remote[0].aggregator,
+                        replace(remote[0].summary, payload=wire),
+                    ).payload
+                size = wire.estimated_size_bytes()
+                share = max(1, size // len(remote))
+                for partition in remote:
                     partition.record_access(now, share, remote=True)
                     self.runtime.manager.record_remote_access(
                         store, self.replica_store, partition.partition_id,
                         share, now,
                     )
-                if store.location.path != root_path:
+                if store.location.path != self.replica_store.location.path:
                     self.runtime.fabric.transfer(
                         store.location, self.replica_store.location,
-                        combined.size_bytes, now,
+                        size, now,
                     )
-                read.shipped_bytes += combined.size_bytes
-                summaries.append(combined)
+                read.shipped_bytes += size
+                trees.append(tree)
             span.set_attr("shipped_bytes", read.shipped_bytes)
             span.set_attr(
                 "replica_partitions", len(read.replica_partitions)
             )
-        return read, [summary.payload for summary in summaries]
+        return read, trees
 
     # -- drilldown API for applications --------------------------------------
 
@@ -545,7 +592,9 @@ class FederatedQueryPlanner:
         now = self.clock if now is None else now
         store = self.runtime.store_for(site)
         level = self.runtime.hierarchy.node(store.location).level.name
-        partitions = self._window_partitions(store, start, end, aggregator)
+        partitions = self._window_partitions(
+            level, store, start, end, aggregator
+        )
         if not partitions:
             return None
         read, trees = self._read_store(site, level, store, partitions, now)

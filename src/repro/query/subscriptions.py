@@ -45,11 +45,7 @@ from typing import (
 )
 from collections import deque
 
-from repro.errors import (
-    FlowQLPlanningError,
-    TransferError,
-    WireSchemaError,
-)
+from repro.errors import FlowQLPlanningError, WireSchemaError
 from repro.flowql.ast import FlowQLQuery
 from repro.flowql.executor import FlowQLResult
 from repro.query.fold import FoldBroken, WindowFold, answer
@@ -383,13 +379,11 @@ class SubscriptionRegistry:
                 for fold in subscription.views
                 for read in fold.advance(now)
             )
-        except (FoldBroken, TransferError) as exc:
+        except FoldBroken as exc:
             # a broken prefix, or a link that died mid-advance and may
             # have left a torn window: drop the folds and answer this
             # boundary with a (possibly degraded) cold rebuild
-            self.metrics.rebuild(
-                exc.reason if isinstance(exc, FoldBroken) else "degraded"
-            )
+            self.metrics.rebuild(exc.reason)
             self._rebuild(subscription, now, mode=MODE_REBUILD)
             return
         result = answer(subscription.views, subscription.query)

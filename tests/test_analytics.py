@@ -9,13 +9,12 @@ from repro.analytics.inference import (
     time_to_threshold,
 )
 from repro.analytics.mapreduce import LocalMapReduce
-from repro.analytics.pipeline import Pipeline
 from repro.analytics.transfer import (
     MessageBus,
     RequestReplyChannel,
     ScatterGather,
 )
-from repro.core.summary import LineageLog, Location
+from repro.core.summary import Location
 from repro.errors import ReproError
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import smart_factory_hierarchy
@@ -122,36 +121,6 @@ class TestMapReduce:
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
             LocalMapReduce(partitions=0)
-
-
-class TestPipeline:
-    def test_stages_run_in_order(self):
-        pipeline = (
-            Pipeline("p")
-            .add_stage("double", lambda x: x * 2)
-            .add_stage("inc", lambda x: x + 1)
-        )
-        run = pipeline.run(10)
-        assert run.output == 21
-        assert [t.stage for t in run.timings] == ["double", "inc"]
-        assert run.total_seconds >= 0
-
-    def test_sinks_receive_output(self):
-        outputs = []
-        pipeline = Pipeline("p").add_stage("id", lambda x: x).feed_to(
-            outputs.append
-        )
-        pipeline.run("data")
-        assert outputs == ["data"]
-        assert pipeline.runs == 1
-
-    def test_lineage_recorded(self):
-        lineage = LineageLog()
-        pipeline = Pipeline(
-            "p", lineage=lineage, location=Location("hq")
-        ).add_stage("id", lambda x: x)
-        pipeline.run(1, at_time=5.0)
-        assert len(lineage) == 1
 
 
 class TestInference:

@@ -9,7 +9,7 @@ the analytics path is orders of magnitude slower but far-reaching.
 
 import pytest
 
-from repro.analytics.pipeline import Pipeline
+from repro.analytics.inference import LinearTrend
 from repro.control.controller import Controller
 from repro.control.manager import Manager
 from repro.control.rules import ControlRule
@@ -114,35 +114,15 @@ class TestAdaptiveCycle:
             store.ingest("temps", 40.0 + t * 0.1, float(t))
         store.close_epoch(100.0)
 
-        received = []
-        pipeline = (
-            Pipeline("temp-trend", lineage=store.lineage, location=factory_loc)
-            .add_stage(
-                "fetch",
-                lambda now: store.query(
-                    "temps",
-                    QueryRequest("series", {"field": "mean"}),
-                    start=0.0,
-                    end=now,
-                    now=now,
-                ).value,
-                role="preprocess",
-            )
-            .add_stage(
-                "fit",
-                lambda series: __import__(
-                    "repro.analytics.inference", fromlist=["LinearTrend"]
-                ).LinearTrend.fit(series),
-                role="infer",
-            )
-            .feed_to(received.append)
-        )
-        run = pipeline.run(100.0, at_time=100.0)
-        assert received
-        trend = received[0]
+        series = store.query(
+            "temps",
+            QueryRequest("series", {"field": "mean"}),
+            start=0.0,
+            end=100.0,
+            now=100.0,
+        ).value
+        trend = LinearTrend.fit(series)
         assert trend.slope > 0  # temperature is rising
-        roles = [timing.role for timing in run.timings]
-        assert roles == ["preprocess", "infer"]
 
     def test_epoch_close_is_slower_than_trigger_path(self, control_loop):
         """The adaptive cycle operates on epoch granularity (>= seconds),

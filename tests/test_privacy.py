@@ -131,6 +131,39 @@ class TestSampleThinning:
         assert len(exported.payload) < 250
 
 
+class TestDegradationIsDeterministic:
+    """A degraded view is a function of the summary alone: it does not
+    depend on what the guard exported before."""
+
+    @staticmethod
+    def timebin():
+        primitive = TimeBinStatistics(LOC, bin_seconds=1.0)
+        for t in range(600):
+            for step in range(4):
+                primitive.ingest(float(t * 4 + step), float(t) + step / 4)
+        return primitive.summary(), ExportRule(min_bin_seconds=60.0)
+
+    @staticmethod
+    def sample():
+        primitive = RandomSamplePrimitive(LOC, rate=1.0, seed=1)
+        for t in range(1000):
+            primitive.ingest(float(t), float(t))
+        return primitive.summary(), ExportRule(max_sample_rate=0.1)
+
+    @pytest.mark.parametrize("make", ["timebin", "sample"])
+    def test_same_summary_degrades_identically(self, make):
+        summary, rule = getattr(self, make)()
+        other, _ = getattr(self, make)()
+        guard = PrivacyGuard(PrivacyPolicy(default=rule))
+        first = guard.export("agg", summary)
+        guard.export("agg", other)
+        again = guard.export("agg", summary)
+        assert first.payload is not summary.payload
+        assert first.payload == again.payload
+        assert first.attrs == again.attrs
+        assert first.size_bytes == again.size_bytes
+
+
 class TestAuthorization:
     def test_role_required(self):
         context = AuthorizationContext("operator", frozenset({"read"}))

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.flowtree import FlowtreePrimitive
+from repro.datastore.aggregator import Aggregator
 from repro.errors import FlowQLPlanningError
 from repro.flowql.parser import parse
 from tests.flowql_reference import FlowQLExecutor
@@ -20,6 +22,7 @@ from repro.query import ROUTE_CLOUD, ROUTE_FEDERATED
 from repro.replication.engine import AdaptiveReplicationEngine
 from repro.replication.ski_rental import BreakEvenPolicy
 from repro.runtime.presets import network_4level_runtime
+from repro.scenarios.network import NetworkScenario
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 EPOCH = 60.0
@@ -410,3 +413,81 @@ class TestWindowTree:
             runtime.planner.window_tree(site, 900.0, 960.0, now=2 * EPOCH)
             is None
         )
+
+
+# ---------------------------------------------------------------------------
+# one aggregator per store: a read counts each flow once
+
+
+class TestOneAggregatorPerStore:
+    """A bare level's store holds the Flowtree aggregators applications
+    installed; a federated read takes one of them."""
+
+    AT_ROUTER = "SELECT TOTAL FROM ALL AT network/region1/router1"
+
+    def scenario(self, **apps):
+        scenario = NetworkScenario(
+            regions=1, routers_per_region=1, flows_per_epoch=300, seed=3,
+            **apps,
+        )
+        scenario.run(epochs=1)
+        return scenario
+
+    def test_aggregators_alike_count_each_flow_once(self):
+        """Trends and matrix summarize one stream alike; the read takes
+        one of them (summing both would count 600 flows)."""
+        scenario = self.scenario(with_ddos=False)
+        store = scenario.manager.store_at(scenario.sites[0])
+        assert len(store.aggregators()) == 2
+        outcome = scenario.runtime.query(self.AT_ROUTER)
+        assert outcome.scalar.flows == 300
+        assert outcome.plan.reads[0].partitions == [
+            p.partition_id
+            for p in store.catalog.all()
+            if p.aggregator.startswith("matrix/")
+        ]
+
+    def test_aggregators_that_differ_are_a_planning_error(self):
+        """Trends and DDoS cut the flows under different policies: a
+        typed refusal naming both, not a ``SchemaMismatchError`` from
+        inside the merge."""
+        scenario = self.scenario(with_matrix=False)
+        with pytest.raises(FlowQLPlanningError) as info:
+            scenario.runtime.query(self.AT_ROUTER)
+        message = str(info.value)
+        assert "ddos/cloud/network/region1/router1" in message
+        assert "trends/cloud/network/region1/router1" in message
+
+    def test_drilldown_reads_its_own_aggregator(self):
+        scenario = self.scenario(with_matrix=False)
+        site = scenario.sites[0]
+        tree = scenario.runtime.planner.window_tree(
+            site, 0.0, EPOCH,
+            aggregator=scenario.ddos_app.aggregator_name(site),
+        )
+        assert tree.total().flows == 300
+
+    def test_installed_level_reads_only_its_aggregator(self):
+        """A second Flowtree aggregator installed beside a level's own
+        is not read by FlowQL."""
+        runtime = network_4level_runtime(
+            networks=1, regions_per_network=1, routers_per_region=1,
+            retain_partitions=True,
+        )
+        [site] = runtime.ingest_sites()
+        store = runtime.store_for(site)
+        store.install_aggregator(
+            Aggregator(
+                "extra",
+                FlowtreePrimitive(store.location, runtime.policy),
+            )
+        )
+        generator = TrafficGenerator(
+            TrafficConfig(sites=(site,), flows_per_epoch=150), seed=11
+        )
+        runtime.ingest(site, generator.epoch(site, 0))
+        runtime.close_epoch(EPOCH)
+        assert {p.aggregator for p in store.catalog.all()} >= {"extra"}
+        outcome = runtime.query(f"SELECT TOTAL FROM ALL AT {site}")
+        assert outcome.plan.route == ROUTE_FEDERATED
+        assert outcome.scalar.flows == 150

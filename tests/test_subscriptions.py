@@ -344,8 +344,7 @@ class TestDeltaIdentity:
         folds = [
             fold
             for view in subscription.views
-            for groups in view.site_trees.values()
-            for fold in groups.values()
+            for fold in view.site_trees.values()
         ]
         assert any(fold.compressions > 0 for fold in folds)
         assert subscription.rebuilds == 0

@@ -128,8 +128,30 @@ class TestKeptEqualsFresh:
             )
         if text == AT_ROUTER1:
             # the horizon crossed the onset, or this pins nothing
-            partials = kept[0].site_trees[ROUTER1].values()
-            assert any(tree.compressions > 0 for tree in partials)
+            assert kept[0].site_trees[ROUTER1].compressions > 0
+
+    def test_one_advance_folds_two_new_partitions_of_a_store(self):
+        """Two closes between advances: the kept advance extends the
+        site partial by both new partitions, in catalog order, and
+        ships their union, as a fresh fold ships the whole window's."""
+        runtime = build_runtime()
+        planner = runtime.planner
+        query = parse(AT_ROUTER1)
+        drive(runtime, 2)
+        kept = WindowFold(planner, planner.plan(query), query, query.time)
+        first = kept.advance(planner.clock)
+        drive(runtime, 2, start=2)
+        tail = kept.advance(planner.clock)
+        fresh = WindowFold(planner, planner.plan(query), query, query.time)
+        cold_reads = fresh.advance(planner.clock)
+        assert kept.resumable and fresh.resumable
+        assert [len(read.partitions) for read in tail] == [2]
+        assert kept.tree.to_dict() == fresh.tree.to_dict()
+        assert kept.folded_partitions == fresh.folded_partitions
+        assert [read.shipped_bytes for read in first + tail] == [
+            94_824, 93_960,
+        ]
+        assert [read.shipped_bytes for read in cold_reads] == [187_992]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +387,7 @@ class TestBorrowedInputs:
             stored = entry.tree
         else:
             [partition] = planner._window_partitions(
-                runtime.store_for(ROUTER1), 0.0, EPOCH
+                plan.level, runtime.store_for(ROUTER1), 0.0, EPOCH
             )
             stored = partition.summary.payload
         counts = count_tree_work(monkeypatch)
