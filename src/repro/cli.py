@@ -844,7 +844,7 @@ def _configure_topology(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--adaptive-budgets", action="store_true",
-        help="let the controller resize node budgets from pressure",
+        help="resize each level's node budget from the trees it sealed",
     )
 
 
@@ -899,15 +899,14 @@ def _run_topology(args: argparse.Namespace) -> int:
                 f"    {entry['op']}: {entry['origin']} -> "
                 f"{entry['target']} ({entry['size_bytes']:,} B)"
             )
-        tuner = runtime._budget_tuner
-        if tuner is not None and tuner.decisions:
-            print("  budget decisions:")
-            for decision in tuner.decisions:
+        if census["resizes"]:
+            print("  last budget resize per level:")
+            for level, resize in census["resizes"].items():
                 print(
-                    f"    {decision.level}: {decision.old_budget} -> "
-                    f"{decision.new_budget} (pressure="
-                    f"{decision.pressure:.1f} fullness="
-                    f"{decision.fullness:.2f})"
+                    f"    {level}: {resize['old']} -> {resize['new']} "
+                    f"(pressure={resize['pressure']:.1f} "
+                    f"fullness={resize['fullness']:.2f} "
+                    f"at={resize['at']:g})"
                 )
         return 0
     finally:

@@ -11,8 +11,8 @@ be *certified* before acceptance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.control.rules import ControlRule
 from repro.core.summary import Location
@@ -41,81 +41,6 @@ class ControlAction:
     def latency(self) -> float:
         """Trigger-to-actuation delay."""
         return self.actuated_at - self.fired_at
-
-
-@dataclass(frozen=True)
-class BudgetDecision:
-    """One adaptive node-budget resize the tuner issued."""
-
-    level: str
-    old_budget: int
-    new_budget: int
-    pressure: float
-    fullness: float
-    decided_at: float
-
-
-@dataclass
-class BudgetTuner:
-    """Adaptive per-level Flowtree budgets from compression pressure.
-
-    The paper's adaptive cycle (Fig. 3) closes the loop at every level:
-    instead of static ``LevelConfig`` budget tables, the control plane
-    watches how hard each level's trees had to compress this epoch —
-    *pressure* is the mean number of budget-overflow compress passes
-    per store, *fullness* the mean end-of-epoch node count relative to
-    the budget — and resizes.  Sustained pressure at or above
-    ``grow_pressure`` doubles the budget (finer summaries, fewer
-    compress cycles); an epoch with zero compressions and fullness at
-    or below ``shrink_fullness`` halves it (the level is over-
-    provisioned).  Proposals clamp to ``[min_budget, max_budget]``,
-    tightened per level by ``LevelConfig.min_node_budget`` /
-    ``max_node_budget``, and never fall below the tree's minimum chain
-    length.  Every accepted resize is recorded in ``decisions``.
-    """
-
-    grow_pressure: float = 2.0
-    shrink_fullness: float = 0.25
-    grow_factor: float = 2.0
-    shrink_factor: float = 0.5
-    min_budget: int = 64
-    max_budget: int = 1 << 20
-    decisions: List[BudgetDecision] = field(default_factory=list)
-
-    def propose(
-        self,
-        level: str,
-        budget: int,
-        pressure: float,
-        fullness: float,
-        floor: int,
-        min_budget: Optional[int] = None,
-        max_budget: Optional[int] = None,
-        now: float = 0.0,
-    ) -> Optional[int]:
-        """The new budget for one level, or ``None`` to keep it."""
-        lo = max(self.min_budget, floor, min_budget or 0)
-        hi = self.max_budget if max_budget is None else max_budget
-        if pressure >= self.grow_pressure:
-            proposed = max(int(budget * self.grow_factor), budget + 1)
-        elif pressure == 0.0 and fullness <= self.shrink_fullness:
-            proposed = int(budget * self.shrink_factor)
-        else:
-            return None
-        proposed = max(lo, min(hi, proposed))
-        if proposed == budget:
-            return None
-        self.decisions.append(
-            BudgetDecision(
-                level=level,
-                old_budget=budget,
-                new_budget=proposed,
-                pressure=pressure,
-                fullness=fullness,
-                decided_at=now,
-            )
-        )
-        return proposed
 
 
 class Controller:

@@ -3,7 +3,10 @@
 The underlying data structure lives in :mod:`repro.flows.tree`; this
 wrapper adds what the architecture needs around it: summary metadata
 (time interval + location, enforcing the paper's merge precondition),
-epoching, granularity control via the node budget, and self-adaptation.
+epoching, and granularity control via the node budget.  The budget
+adapts per hierarchy level, not per tree: the runtime's adaptive cycle
+(``HierarchyRuntime.enable_adaptive_budgets``) is its one automatic
+writer.
 
 This is the paper's exemplar of a *novel* computing primitive: it is the
 only one in the library that satisfies all five design properties at
@@ -15,11 +18,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Any, Optional, Sequence
 
-from repro.core.primitive import (
-    AdaptationFeedback,
-    ComputingPrimitive,
-    QueryRequest,
-)
+from repro.core.primitive import ComputingPrimitive, QueryRequest
 from repro.core.summary import DataSummary, Location, SummaryMeta
 from repro.errors import GranularityError, SchemaMismatchError
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
@@ -235,7 +234,7 @@ class FlowtreePrimitive(ComputingPrimitive):
         assert isinstance(other, FlowtreePrimitive)
         self.tree.merge(other.tree)
 
-    # -- granularity / adaptation -------------------------------------------
+    # -- granularity ---------------------------------------------------------
 
     def set_granularity(self, granularity: float) -> None:
         """Granularity is the node budget; shrinking compresses now."""
@@ -249,24 +248,6 @@ class FlowtreePrimitive(ComputingPrimitive):
         self.tree.node_budget = budget
         if self.tree.node_count > budget:
             self.tree.compress(target_nodes=budget)
-
-    def adapt(self, feedback: AdaptationFeedback) -> None:
-        """Grow the budget for hot, queried trees; shrink under pressure.
-
-        This is the data-driven self-adjustment of Section VI: the tree
-        invests nodes where data and queries are, within storage limits.
-        Unbudgeted trees (``node_budget=None``) opt out of adaptation —
-        they exist precisely to be exact.
-        """
-        if self.node_budget is None:
-            return
-        budget = self.node_budget
-        if feedback.storage_pressure > 0.5:
-            budget = max(self.policy.depth + 1, budget // 2)
-        elif feedback.query_rate > 1.0 and feedback.storage_pressure < 0.1:
-            budget = budget * 2
-        if budget != self.node_budget:
-            self.set_granularity(budget)
 
     @property
     def uses_domain_knowledge(self) -> bool:

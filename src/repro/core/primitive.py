@@ -70,15 +70,16 @@ class QueryRequest:
 class AdaptationFeedback:
     """What a primitive learns from its environment between epochs.
 
-    The data store computes this from observed stream rates, its storage
-    pressure, and the granularity of recent queries; primitives use it to
-    re-tune themselves (design property 4).
+    At each close the data store feeds the epoch's ingest rate (items
+    per second since the epoch opened) and its storage pressure; only a
+    caller adapting a primitive directly sets ``requested_granularity``.
+    Primitives re-tune themselves from it (design property 4).  A
+    Flowtree's node budget is resized per level by the runtime instead.
     """
 
     ingest_rate: float = 0.0
     storage_pressure: float = 0.0
     requested_granularity: Optional[float] = None
-    query_rate: float = 0.0
 
 
 class ComputingPrimitive(abc.ABC):
@@ -298,7 +299,7 @@ class ComputingPrimitive(abc.ABC):
         """
 
     def adapt(self, feedback: AdaptationFeedback) -> None:
-        """Self-adapt to observed data and queries (property 4).
+        """Self-adapt to the epoch's feedback (property 4).
 
         The default does nothing; adaptive primitives override it.
         """

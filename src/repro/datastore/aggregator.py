@@ -3,7 +3,7 @@
 Figure 4 shows a data store feeding sensor streams into several
 aggregators ("Sample", "HHH", "Flow Tree", "Raw Access").  An
 :class:`Aggregator` binds one computing primitive to a stream-id
-predicate, tracks its observed ingest rate and query load (the inputs to
+predicate, tracks its observed ingest rate (an input to
 self-adaptation), and cuts epoch summaries.
 """
 
@@ -50,7 +50,6 @@ class Aggregator:
         #: primitives fed from :class:`SensorReading` objects).
         self.item_of = item_of
         self.items_this_epoch = 0
-        self.queries_this_epoch = 0
         self.epoch_opened_at: Optional[float] = None
         self.epochs_closed = 0
 
@@ -81,27 +80,17 @@ class Aggregator:
         self.items_this_epoch += count
         return count
 
-    def note_query(self) -> None:
-        """Record one query against this aggregator (for adaptation)."""
-        self.queries_this_epoch += 1
-
-    def feedback(self, now: float, storage_pressure: float) -> AdaptationFeedback:
-        """Summarize the epoch's conditions for self-adaptation."""
-        opened = self.epoch_opened_at if self.epoch_opened_at is not None else now
-        elapsed = max(1e-9, now - opened)
-        return AdaptationFeedback(
-            ingest_rate=self.items_this_epoch / elapsed,
-            storage_pressure=storage_pressure,
-            query_rate=self.queries_this_epoch / elapsed,
-        )
-
     def close_epoch(self, now: float, storage_pressure: float) -> DataSummary:
-        """Snapshot the epoch summary, adapt, and start a new epoch."""
-        feedback = self.feedback(now, storage_pressure)
+        """Seal the epoch summary, let the primitive adapt to the epoch's
+        ingest rate and the store's storage pressure, start a new epoch."""
+        opened = now if self.epoch_opened_at is None else self.epoch_opened_at
+        feedback = AdaptationFeedback(
+            ingest_rate=self.items_this_epoch / max(1e-9, now - opened),
+            storage_pressure=storage_pressure,
+        )
         summary = self.primitive.reset_epoch()
         self.primitive.adapt(feedback)
         self.items_this_epoch = 0
-        self.queries_this_epoch = 0
         self.epoch_opened_at = now
         self.epochs_closed += 1
         return summary

@@ -15,6 +15,7 @@ decisions are surfaced to the caller for accounting.
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.datastore.partitions import Partition, PartitionCatalog
@@ -72,7 +73,10 @@ class RoundRobinStorage(StorageStrategy):
     """Strategy 2: fully utilize a byte budget, evicting oldest first.
 
     Retention duration floats with the data rate — fast streams overwrite
-    history sooner.
+    history sooner.  The newest partition always stays; when it alone
+    outgrows the whole budget, it stays compressed to fit (its kind's
+    ``coarsen``), so a store under sustained overload remains bounded
+    without anything resizing the live aggregator.
     """
 
     def __init__(self, budget_bytes: int) -> None:
@@ -85,9 +89,15 @@ class RoundRobinStorage(StorageStrategy):
     ) -> List[Partition]:
         catalog.add(partition)
         evicted: List[Partition] = []
-        while catalog.total_bytes() > self.budget_bytes and len(catalog) > 1:
+        while catalog.total_bytes() > self.budget_bytes:
             oldest = catalog.all()[0]
             catalog.remove(oldest.partition_id)
+            if not catalog:
+                # the newest alone outgrows the budget: keep it coarser
+                shrink = self.budget_bytes / oldest.size_bytes
+                coarse = combine_summaries([oldest.summary], shrink)
+                catalog.add(replace(oldest, summary=coarse))
+                break
             evicted.append(oldest)
         return evicted
 

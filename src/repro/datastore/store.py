@@ -298,8 +298,6 @@ class DataStore:
             if summary is not None:
                 kind = default_registry().class_of(summary.kind)
                 value = kind.from_summary(summary).query(request)
-                if live is not None:
-                    live.note_query()
                 return QueryResult(
                     value=value,
                     aggregator=aggregator,
@@ -315,7 +313,6 @@ class DataStore:
                 f"no live aggregator {aggregator!r} at {self.location.path!r}"
             )
         value = live.primitive.query(request)
-        live.note_query()
         return QueryResult(value=value, aggregator=aggregator, used_live=True)
 
     # ------------------------------------------------------------------

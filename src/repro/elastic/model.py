@@ -12,19 +12,22 @@ component could change the shape without desynchronizing the others.
 :class:`TopologyModel` is the single seam they all consume instead.  It
 owns the (mutable, in-place) hierarchy, the live per-level config
 table, and a monotonically increasing **generation** counter.  Every
-reconfiguration op — ``site_join``, ``site_leave``, ``level_split``,
-``level_merge``, ``migrate_store``, and adaptive budget resizes — bumps
-the generation, which is what lets downstream caches invalidate
-correctly: the :class:`~repro.query.planner.QueryCache` keys answers on
-it, and the obs bridge exports it as ``repro_topology_generation``.
+structural reconfiguration op — ``site_join``, ``site_leave``,
+``level_split``, ``level_merge``, ``migrate_store`` — bumps the
+generation, which is what lets downstream caches invalidate correctly:
+the :class:`~repro.query.planner.QueryCache` keys answers on it, and
+the obs bridge exports it as ``repro_topology_generation``.  An
+adaptive node-budget resize does **not** bump it: a budget changes
+compression, not coverage, so no cached plan goes stale.
 
-The model also keeps the reconfiguration **ledger**: per-op counts,
-bytes of summary state migrated across the fabric, and the in-flight
-migrations still awaiting redelivery — the source of the
-``repro_reconfig_*`` metric families and the ``repro topology`` CLI
-census.  A run that issues zero reconfig ops never bumps the
-generation, and the runtime's derived views are bit-identical to the
-pre-elastic construction-time constants.
+The model also keeps the reconfiguration **ledger**: per-op counts
+(budget resizes included), each level's last budget resize, bytes of
+summary state migrated across the fabric, and the in-flight migrations
+still awaiting redelivery — the source of the ``repro_reconfig_*``
+metric families and the ``repro topology`` CLI census.  A run that
+issues zero reconfig ops never bumps the generation, and the runtime's
+derived views are bit-identical to the pre-elastic construction-time
+constants.
 """
 
 from __future__ import annotations
@@ -63,9 +66,17 @@ class ReconfigLedger:
     migrated_bytes: int = 0
     migrated_summaries: int = 0
     pending: List[PendingMigration] = field(default_factory=list)
+    #: level -> its last budget resize (one entry per level)
+    resizes: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def record(self, op: str) -> None:
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
+
+    def record_resize(self, level: str, **resize: float) -> None:
+        """One adaptive budget resize: counted, and kept as the level's
+        last (``old``, ``new``, ``pressure``, ``fullness``, ``at``)."""
+        self.record("budget_resize")
+        self.resizes[level] = resize
 
     def resolve(self, export_id: str) -> None:
         """Drop the pending-migration entries delivered under an id."""
@@ -167,6 +178,7 @@ class TopologyModel:
             "op_counts": dict(self.ledger.op_counts),
             "migrated_bytes": self.ledger.migrated_bytes,
             "migrated_summaries": self.ledger.migrated_summaries,
+            "resizes": dict(self.ledger.resizes),
             "pending_migrations": [
                 {
                     "op": entry.op,

@@ -7,11 +7,11 @@ one way back, behind opening over a data dir, ``restart`` and
 ``restart_site`` alike.  No other module knows the manifest's shape.
 
 *Durable:* epoch counters, last close, topology generation (the number,
-not the topology), parked flowtree exports with their dedup sets,
-flowtree replicas.  All else is *volatile by design* — :func:`kill`
-spells it out — and what merely lacks a durable codec (non-flowtree
-parked exports and replicas) is counted, per checkpoint, in
-:attr:`Checkpoint.not_durable`.
+not the topology), per-level node budgets, parked flowtree exports with
+their dedup sets, flowtree replicas.  All else is *volatile by design*
+— :func:`kill` spells it out — and what merely lacks a durable codec
+(non-flowtree parked exports and replicas) is counted, per checkpoint,
+in :attr:`Checkpoint.not_durable`.
 """
 
 from __future__ import annotations
@@ -31,15 +31,16 @@ from repro.storage.engine import StorageEngine
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.runtime import HierarchyRuntime
 
-#: a manifest without a ``version`` is the format before this one: the
-#: same fields minus ``stores``
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+#: what an older manifest lacks, by its version (``None``: the format
+#: before versioning); it reopens with these, i.e. the configured budgets
+_OLDER = {None: {"stores": [], "budgets": {}}, 2: {"budgets": {}}}
 
 _NUMBER = (int, float)
 _MANIFEST = {
     "epochs_closed": int, "last_close": _NUMBER, "generation": int,
-    "stores": list, "pending": Mapping, "replicas": Mapping,
-    "planner_replicas": list,
+    "stores": list, "budgets": Mapping, "pending": Mapping,
+    "replicas": Mapping, "planner_replicas": list,
 }
 _QUEUE = {"entries": list, "queued_ids": list, "delivered_ids": list}
 _ENTRY = {
@@ -81,6 +82,8 @@ class Checkpoint:
     generation: int
     #: the store paths it was cut under (unknown for a version-less one)
     stores: List[str]
+    #: level -> node budget, as the adaptive cycle left it
+    budgets: Dict[str, int]
     #: holding store path -> queue state (entries + dedup sets)
     pending: Dict[str, Dict[str, Any]]
     #: store path -> partition records of its replica catalog
@@ -99,14 +102,16 @@ class Checkpoint:
         """Adopt a manifest, or raise :class:`CheckpointError` on one
         that is torn, mistyped or of a foreign version."""
         version = _typed(manifest, Mapping, "the manifest").get("version")
-        if version is None:
-            manifest = {**manifest, "stores": []}
+        if version in _OLDER:
+            manifest = {**manifest, **_OLDER[version]}
         elif version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {version!r} "
-                f"(expected {CHECKPOINT_VERSION}, or none)"
+                f"(expected {CHECKPOINT_VERSION}, 2, or none)"
             )
         _check(manifest, _MANIFEST, "the manifest")
+        for level, budget in manifest["budgets"].items():
+            _typed(budget, int, f"budgets[{level!r}]")
         for path, state in manifest["pending"].items():
             _check(state, _QUEUE, f"pending[{path!r}]")
             for entry in state["entries"]:
@@ -126,6 +131,11 @@ def capture(runtime: "HierarchyRuntime") -> Checkpoint:
         last_close=runtime._last_close,
         generation=runtime.model.generation,
         stores=list(runtime._stores),
+        budgets={
+            level: config.node_budget
+            for level, config in runtime.levels.items()
+            if config.node_budget is not None
+        },
         pending={},
         replicas={},
         planner_replicas=[],
@@ -220,8 +230,9 @@ def recover(
     For the stores at ``sites`` (all for ``None``): the parked queues
     with their dedup sets, and the replicas, never twice under one
     ``partition_id``.  Only for the whole runtime also: the FlowDB index
-    rebuilt from the record log, epoch counters, generation, planner
-    replicas, one counted recovery, and the planner's clock and
+    rebuilt from the record log, epoch counters, generation, per-level
+    node budgets (of the levels this runtime has), planner replicas,
+    one counted recovery, and the planner's clock and
     late-delivery watermark brought to the recovered boundary (``now``;
     the last close when not given).  Nothing here writes to the engine.
     """
@@ -281,6 +292,9 @@ def recover(
             runtime.stats.epochs_closed = checkpoint.epochs_closed
             runtime._last_close = checkpoint.last_close
             runtime.model.generation = checkpoint.generation
+            for level, budget in checkpoint.budgets.items():
+                if level in runtime.levels:
+                    runtime._resize_level(level, budget)
             runtime._recovered_records += runtime.db.recover(runtime.policy)
             runtime._recoveries += 1
             runtime.planner.on_epoch_closed(

@@ -41,7 +41,9 @@ class LevelConfig:
     ``aggregator`` is a primitive kind from the registry (``None``
     provisions a bare store whose aggregators are installed later, e.g.
     by applications through the Manager).  ``node_budget`` is the
-    Flowtree granularity knob; ``config`` carries extra constructor
+    Flowtree granularity knob, and live state: the runtime's adaptive
+    cycle writes its resizes back here, so stores provisioned later at
+    the level match.  ``config`` carries extra constructor
     arguments for non-Flowtree kinds.  ``storage`` overrides the default
     :class:`RoundRobinStorage` built from ``storage_bytes``.
     ``retain_partitions`` decides whether a store that forwards its
@@ -58,12 +60,6 @@ class LevelConfig:
     privacy: Optional["PrivacyGuard"] = None
     export: str = EXPORT_AUTO
     retain_partitions: bool = True
-    #: bounds for adaptive budget resizing (the runtime's BudgetTuner);
-    #: ``None`` defers to the tuner's global clamp.  ``node_budget``
-    #: itself is *live* state once a tuner runs — resizes write back
-    #: here so newly provisioned stores at this level match.
-    min_node_budget: Optional[int] = None
-    max_node_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.export not in _EXPORT_POLICIES:
@@ -74,15 +70,6 @@ class LevelConfig:
         if self.storage is None and self.storage_bytes <= 0:
             raise PlacementError(
                 f"storage_bytes must be positive, got {self.storage_bytes}"
-            )
-        if (
-            self.min_node_budget is not None
-            and self.max_node_budget is not None
-            and self.max_node_budget < self.min_node_budget
-        ):
-            raise PlacementError(
-                f"max_node_budget {self.max_node_budget} below "
-                f"min_node_budget {self.min_node_budget}"
             )
 
     @property

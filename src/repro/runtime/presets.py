@@ -44,7 +44,6 @@ def flat_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
     """Edge stores at every site path, exporting straight to FlowDB."""
@@ -67,7 +66,7 @@ def flat_runtime(
             storage_bytes=store_budget_bytes,
         )
     }
-    runtime = HierarchyRuntime(
+    return HierarchyRuntime(
         hierarchy,
         levels,
         schema=schema,
@@ -79,9 +78,6 @@ def flat_runtime(
         observability=observability,
         storage=storage,
     )
-    if adaptive_budgets:
-        runtime.enable_adaptive_budgets()
-    return runtime
 
 
 def tiered_runtime(
@@ -96,7 +92,6 @@ def tiered_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
     """Router stores merging into region stores before the WAN hop.
@@ -126,7 +121,7 @@ def tiered_runtime(
             storage_bytes=store_budget_bytes,
         ),
     }
-    runtime = HierarchyRuntime(
+    return HierarchyRuntime(
         hierarchy,
         levels,
         schema=schema,
@@ -138,9 +133,6 @@ def tiered_runtime(
         observability=observability,
         storage=storage,
     )
-    if adaptive_budgets:
-        runtime.enable_adaptive_budgets()
-    return runtime
 
 
 def network_4level_runtime(
@@ -158,7 +150,6 @@ def network_4level_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
     """The Figure 1b topology: router → region → network → cloud.
@@ -195,7 +186,7 @@ def network_4level_runtime(
             aggregator="flowtree", node_budget=network_node_budget
         ),
     }
-    runtime = HierarchyRuntime(
+    return HierarchyRuntime(
         hierarchy,
         levels,
         schema=schema,
@@ -207,9 +198,6 @@ def network_4level_runtime(
         observability=observability,
         storage=storage,
     )
-    if adaptive_budgets:
-        runtime.enable_adaptive_budgets()
-    return runtime
 
 
 def factory_4level_runtime(
@@ -227,7 +215,6 @@ def factory_4level_runtime(
     faults: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     observability: Optional[Observability] = None,
-    adaptive_budgets: bool = False,
     storage: Optional[StorageEngine] = None,
 ) -> HierarchyRuntime:
     """The Figure 1a topology: machine → line → factory → cloud (hq).
@@ -266,7 +253,7 @@ def factory_4level_runtime(
             aggregator="flowtree", node_budget=factory_node_budget
         ),
     }
-    runtime = HierarchyRuntime(
+    return HierarchyRuntime(
         hierarchy,
         levels,
         schema=schema,
@@ -278,6 +265,3 @@ def factory_4level_runtime(
         observability=observability,
         storage=storage,
     )
-    if adaptive_budgets:
-        runtime.enable_adaptive_budgets()
-    return runtime

@@ -41,7 +41,7 @@ from typing import (
     Union,
 )
 
-from repro.control.controller import BudgetTuner, Controller
+from repro.control.controller import Controller
 from repro.control.manager import Manager
 from repro.core.flowtree import FlowtreePrimitive
 from repro.core.registry import PrimitiveRegistry, default_registry
@@ -88,6 +88,37 @@ def _timestamp_of(record) -> float:
         f"cannot ingest a {type(record).__name__}: it has neither a "
         f"first_seen nor a packet timestamp"
     )
+
+
+# The adaptive cycle (Fig. 3): one node-budget decision per level per
+# close, from the Flowtrees the level sealed.  A level whose trees
+# compressed at least _GROW_COMPRESSIONS times on average doubles its
+# budget; one whose trees never compressed and filled at most
+# _SHRINK_FULLNESS of it halves.  Budgets stay within
+# [_MIN_BUDGET, _MAX_BUDGET] and never below the generalization chain.
+_GROW_COMPRESSIONS = 2.0
+_SHRINK_FULLNESS = 0.25
+_MIN_BUDGET = 64
+_MAX_BUDGET = 1 << 20
+
+
+def _resized(
+    budget: int, compressions: float, fullness: float, floor: int
+) -> Optional[int]:
+    """A level's next node budget, or ``None`` to keep ``budget``.
+
+    ``compressions`` and ``fullness`` (node count over budget) are the
+    means over the trees the level sealed this close; ``floor`` is the
+    tree's minimum chain length.
+    """
+    if compressions >= _GROW_COMPRESSIONS:
+        proposed = budget * 2
+    elif compressions == 0 and fullness <= _SHRINK_FULLNESS:
+        proposed = budget // 2
+    else:
+        return None
+    proposed = max(_MIN_BUDGET, floor, min(_MAX_BUDGET, proposed))
+    return None if proposed == budget else proposed
 
 
 # The collector's permanent generation is the process's, so the count of
@@ -190,8 +221,8 @@ class HierarchyRuntime:
         self.registry = registry or default_registry()
         self.controllers: Dict[str, Controller] = {}
         self._root = hierarchy.root.location
-        #: adaptive budget tuner (opt-in via enable_adaptive_budgets)
-        self._budget_tuner = None
+        #: whether closes resize level budgets (enable_adaptive_budgets)
+        self._adaptive_budgets = False
         #: reconfig/restart drills already applied, by drill identity
         self._applied_drills: set = set()
         #: durability counters (fed to observability)
@@ -350,17 +381,27 @@ class HierarchyRuntime:
 
         return ops.migrate_store(self, site, new_parent, now=now)
 
-    def enable_adaptive_budgets(
-        self, tuner: Optional[BudgetTuner] = None
-    ) -> BudgetTuner:
-        """Let the control plane resize Flowtree budgets each close.
+    def enable_adaptive_budgets(self) -> None:
+        """Let every close resize each level's Flowtree budget.
 
-        Opt-in: without a tuner, level budgets stay exactly the static
-        ``LevelConfig`` values and runs are bit-identical to the
-        pre-elastic runtime.
+        Opt-in: while off, level budgets stay exactly the ``LevelConfig``
+        values.  This cycle is the one automatic writer of a node
+        budget; ``Manager.retune`` is the one manual writer.
         """
-        self._budget_tuner = tuner or BudgetTuner()
-        return self._budget_tuner
+        self._adaptive_budgets = True
+
+    def _resize_level(self, level: str, budget: int) -> None:
+        """Set one level's node budget: its config (so stores provisioned
+        later match) and every Flowtree at the level, live now."""
+        self.model.levels[level].node_budget = budget
+        for node, config, store in self._plan:
+            if node.level.name != level or config.aggregator is None:
+                continue
+            primitive = store.aggregator(
+                config.resolved_aggregator_name
+            ).primitive
+            if isinstance(primitive, FlowtreePrimitive):
+                primitive.set_granularity(budget)
 
     # -- provisioning helpers ----------------------------------------------
 
@@ -575,11 +616,8 @@ class HierarchyRuntime:
 
     def _rollup(self, now: float) -> int:
         exported = 0
-        # compression pressure must be sampled before the rollup resets
-        # the live trees for the next epoch
-        pressure = (
-            self._sample_pressure() if self._budget_tuner is not None else None
-        )
+        # level -> [compressions, fullness, trees] of what it sealed
+        sealed = {} if self._adaptive_budgets else None
         for node, config, store in self._rollup_order:
             started = time.perf_counter()
             level = node.level.name
@@ -590,6 +628,8 @@ class HierarchyRuntime:
                 ship = self.exports
                 parent = self._parent_store(node)
                 exported += ship.drain(store, parent, now)
+                if sealed is not None:
+                    self._note_sealed(sealed, level, config, store)
                 for export in self._seal_epoch(config, store, parent, now):
                     if not ship.deliver(export, store, parent, now):
                         ship.park(export, store, store)
@@ -598,8 +638,8 @@ class HierarchyRuntime:
             elapsed = time.perf_counter() - started
             volume.rollup_seconds += elapsed
             self.obs.observe(ROLLUP_SECONDS, elapsed, level=level)
-        if pressure is not None:
-            self._adapt_budgets(pressure, now)
+        if sealed is not None:
+            self._adapt_budgets(sealed, now)
         self.stats.epochs_closed += 1
         self._last_close = now
         # new data invalidates cached answers and advances query time
@@ -662,65 +702,46 @@ class HierarchyRuntime:
 
     # -- adaptive budgets ----------------------------------------------------
 
-    def _sample_pressure(self) -> Dict[str, Tuple[float, float]]:
-        """Per-level (pressure, fullness) from the live edge trees.
+    def _note_sealed(
+        self,
+        sealed: Dict[str, List[float]],
+        level: str,
+        config: LevelConfig,
+        store: DataStore,
+    ) -> None:
+        """Add the Flowtree ``store`` is about to seal to its level's sums.
 
-        Pressure is the mean number of budget-overflow compress passes
-        this epoch across the level's Flowtree stores; fullness is the
-        mean end-of-epoch node count relative to the budget.
-        """
-        sums: Dict[str, List[float]] = {}
-        for node, config, store in self._plan:
-            if config.aggregator is None or config.node_budget is None:
-                continue
-            primitive = store.aggregator(
-                config.resolved_aggregator_name
-            ).primitive
-            if not isinstance(primitive, FlowtreePrimitive):
-                continue
+        Every child has delivered by now, so the live tree is the one the
+        seal hands over.  Only its numbers are kept: a parent may adopt
+        the tree itself."""
+        if config.aggregator is None or config.node_budget is None:
+            return
+        aggregator = store.aggregator(config.resolved_aggregator_name)
+        primitive = aggregator.primitive
+        if aggregator.items_this_epoch and isinstance(
+            primitive, FlowtreePrimitive
+        ):
             tree = primitive.tree
-            bucket = sums.setdefault(node.level.name, [0.0, 0.0, 0.0])
-            bucket[0] += tree._compressions
-            bucket[1] += tree.node_count / max(1, primitive.node_budget)
-            bucket[2] += 1.0
-        return {
-            level: (total / count, fullness / count)
-            for level, (total, fullness, count) in sums.items()
-            if count
-        }
+            sums = sealed.setdefault(level, [0.0, 0.0, 0.0])
+            sums[0] += tree.compressions
+            sums[1] += tree.node_count / primitive.node_budget
+            sums[2] += 1
 
     def _adapt_budgets(
-        self, pressure: Mapping[str, Tuple[float, float]], now: float
+        self, sealed: Mapping[str, List[float]], now: float
     ) -> None:
-        """Apply the tuner's proposals to live trees and the model."""
-        tuner = self._budget_tuner
+        """One decision per level that sealed trees this close."""
         floor = self.policy.depth + 1
-        for level, (level_pressure, fullness) in pressure.items():
-            config = self.model.levels.get(level)
-            if config is None or config.node_budget is None:
-                continue
-            proposed = tuner.propose(
-                level,
-                config.node_budget,
-                level_pressure,
-                fullness,
-                floor,
-                min_budget=config.min_node_budget,
-                max_budget=config.max_node_budget,
-                now=now,
-            )
-            if proposed is None:
-                continue
-            config.node_budget = proposed
-            for node, node_config, store in self._plan:
-                if node.level.name != level or node_config.aggregator is None:
-                    continue
-                primitive = store.aggregator(
-                    node_config.resolved_aggregator_name
-                ).primitive
-                if isinstance(primitive, FlowtreePrimitive):
-                    primitive.set_granularity(proposed)
-            self.model.ledger.record("budget_resize")
+        for level, (compressions, filled, trees) in sealed.items():
+            old = self.model.levels[level].node_budget
+            pressure, fullness = compressions / trees, filled / trees
+            new = _resized(old, pressure, fullness, floor)
+            if new is not None:
+                self._resize_level(level, new)
+                self.model.ledger.record_resize(
+                    level, old=old, new=new, pressure=pressure,
+                    fullness=fullness, at=now,
+                )
 
     # -- drills (FaultPlan reconfig= / restart= grammar) and durability -------
 

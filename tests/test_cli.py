@@ -330,6 +330,26 @@ class TestReplicationCommand:
         assert "geometric trace" in capsys.readouterr().out
 
 
+class TestTopologyCommand:
+    def test_adaptive_budgets_keep_full_region_trees(self, capsys):
+        # the sealed region trees are well over a quarter full, so the
+        # adaptive cycle must not halve them
+        code = main(
+            [
+                "topology", "--epochs", "3", "--flows-per-epoch", "2000",
+                "--adaptive-budgets",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        (region,) = [
+            line.split() for line in out.splitlines()
+            if line.split()[:1] == ["region"]
+        ]
+        assert region[2] == "8192"
+        assert "region:" not in out  # no region resize printed
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

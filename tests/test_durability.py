@@ -251,6 +251,21 @@ class TestCheckpointFormat:
         assert reopened.pending_exports() == 0
         assert reopened.stats.exports_recovered == 1
 
+    def test_version_2_manifest_reopens_with_configured_budgets(
+        self, tmp_path
+    ):
+        data_dir = self.parked(tmp_path)
+        path = tmp_path / "data" / MANIFEST_NAME
+        document = json.loads(path.read_text())
+        # the format before budgets were durable
+        document["runtime"]["version"] = 2
+        del document["runtime"]["budgets"]
+        path.write_text(json.dumps(document))
+
+        reopened = build(storage=SegmentLogEngine(data_dir))
+        assert reopened.pending_exports() == 1
+        assert reopened.levels["router"].node_budget == 8192
+
     @pytest.mark.parametrize(
         "tear",
         [
@@ -263,9 +278,10 @@ class TestCheckpointFormat:
                 "export_id"
             ),
             lambda m: m.update(replicas={"cloud": [{"partition_id": "x"}]}),
+            lambda m: m.update(budgets={"router": "8192"}),
         ],
         ids=["version", "pending", "epochs_closed", "generation", "stores",
-             "export_id", "replica"],
+             "export_id", "replica", "budget"],
     )
     def test_torn_or_foreign_manifest_rejected_typed(self, tear, tmp_path):
         manifest = SegmentLogEngine(self.parked(tmp_path)).read_manifest()
@@ -386,6 +402,53 @@ class TestOpenFromDataDir:
         continuous = drive(build(), epochs=2)
         assert reopened.stats.epochs_closed == 3
         assert len(reopened.db) > len(continuous.db)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reopen_keeps_adapted_budgets(self, k, tmp_path):
+        """With the adaptive cycle on, a reopen at boundary ``k`` resumes
+        with the budgets it had, not the configured ones: per-level
+        budgets and the root tree equal the uninterrupted run's."""
+
+        def tuned(storage=None):
+            runtime = network_4level_runtime(
+                1, 2, 2, router_node_budget=128, region_node_budget=128,
+                retain_partitions=True, storage=storage,
+            )
+            runtime.enable_adaptive_budgets()
+            return runtime
+
+        def run(runtime, epochs):
+            sites = runtime.ingest_sites()
+            generator = TrafficGenerator(
+                TrafficConfig(sites=tuple(sites), flows_per_epoch=600),
+                seed=23,
+            )
+            for epoch in epochs:
+                for site in sites:
+                    runtime.ingest(site, generator.epoch(site, epoch))
+                runtime.close_epoch((epoch + 1) * 60.0)
+            return runtime
+
+        def budgets(runtime):
+            return {
+                level: config.node_budget
+                for level, config in runtime.levels.items()
+            }
+
+        whole = run(tuned(), range(4))
+        data_dir = str(tmp_path / "data")
+        first = run(tuned(SegmentLogEngine(data_dir)), range(k))
+        assert budgets(first) != {
+            "router": 128, "region": 128, "network": None
+        }
+        reopened = tuned(SegmentLogEngine(data_dir))
+        assert budgets(reopened) == budgets(first)
+        for store in reopened.stores_at_level("router").values():
+            primitive = store.aggregator("flowtree").primitive
+            assert primitive.node_budget == budgets(first)["router"]
+        run(reopened, range(k, 4))
+        assert budgets(reopened) == budgets(whole)
+        assert root_state(reopened) == root_state(whole)
 
     def test_fresh_dir_has_no_recovery(self, tmp_path):
         runtime = build(storage=SegmentLogEngine(str(tmp_path / "data")))

@@ -23,6 +23,7 @@ from repro.errors import PlacementError
 from repro.faults import FaultPlan, ReconfigDrill
 from repro.runtime.config import LevelConfig
 from repro.runtime.presets import network_4level_runtime, tiered_runtime
+from repro.runtime.runtime import _MAX_BUDGET, _resized
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 SITES = ["east/r1", "east/r2", "west/r3"]
@@ -253,6 +254,9 @@ class TestMigrateStore:
 
 
 class TestAdaptiveBudgets:
+    """The adaptive cycle: one budget decision per level per close, from
+    the trees the level sealed, and the only automatic budget writer."""
+
     def test_pressure_grows_budget_within_clamps(self):
         runtime = tiered_runtime(
             sites=list(SITES), router_node_budget=64, region_node_budget=64
@@ -262,30 +266,90 @@ class TestAdaptiveBudgets:
         for epoch in range(2):
             ingest_epoch(runtime, generator, epoch)
             runtime.close_epoch((epoch + 1) * 60.0)
-        assert runtime.levels["router"].node_budget > 64
+        assert 64 < runtime.levels["router"].node_budget <= _MAX_BUDGET
         assert runtime.model.ledger.op_counts.get("budget_resize", 0) >= 1
         assert runtime.model.generation == 0  # resizes don't bump
+        last = runtime.model.census()["resizes"]["router"]
+        assert last["new"] == runtime.levels["router"].node_budget
+        assert last["old"] < last["new"] and last["pressure"] >= 2.0
 
     def test_idle_level_shrinks_but_respects_min(self):
-        runtime = tiered_runtime(sites=list(SITES))
-        runtime.levels["router"].min_node_budget = 4096
+        # one router per region: two-flow epochs of sibling routers
+        # share neither time nor location
+        runtime = tiered_runtime(sites=["east/r1"], router_node_budget=256)
         runtime.enable_adaptive_budgets()
-        generator = traffic(flows=10)
-        for epoch in range(3):
+        generator = traffic(sites=["east/r1"], flows=2)
+        for epoch in range(4):
             ingest_epoch(runtime, generator, epoch)
             runtime.close_epoch((epoch + 1) * 60.0)
-        assert runtime.levels["router"].node_budget == 4096
+        floor = max(64, runtime.policy.depth + 1)
+        assert runtime.levels["router"].node_budget == floor
+        for store in runtime.stores_at_level("router").values():
+            assert store.aggregator("flowtree").primitive.node_budget == floor
 
     def test_budget_floor_never_violates_chain_depth(self):
-        runtime = tiered_runtime(sites=list(SITES))
-        runtime.enable_adaptive_budgets()
-        floor = runtime.policy.depth + 1
-        tuner = runtime._budget_tuner
-        proposed = tuner.propose(
-            "router", budget=8, pressure=0.0, fullness=0.0, floor=floor,
-            min_budget=1, max_budget=None,
+        # an idle, empty level halves, but never below the global floor
+        # of 64 nor below the tree's chain
+        assert _resized(256, 0.0, 0.0, floor=14) == 128
+        assert _resized(100, 0.0, 0.0, floor=14) == 64
+        assert _resized(64, 0.0, 0.0, floor=14) is None
+        assert _resized(256, 0.0, 0.0, floor=200) == 200
+        assert _resized(8, 0.0, 0.0, floor=200) == 200
+        # busy levels grow up to the ceiling, half-full ones hold
+        assert _resized(256, 2.0, 1.0, floor=14) == 512
+        assert _resized(_MAX_BUDGET, 5.0, 1.0, floor=14) is None
+        assert _resized(256, 1.0, 0.1, floor=14) is None
+        assert _resized(256, 0.0, 0.5, floor=14) is None
+
+    def test_interior_level_never_shrinks_while_full(self):
+        """The decision reads what each level sealed: a region tree is
+        filled by its routers' forwards during the rollup, so it must
+        not read as empty."""
+        runtime = tiered_runtime(
+            sites=list(SITES), router_node_budget=256, region_node_budget=256
         )
-        assert proposed is None or proposed >= floor
+        runtime.enable_adaptive_budgets()
+        regions = runtime.stores_at_level("region").values()
+        generator = traffic(flows=3000)
+        full_closes = 0
+        for epoch in range(4):
+            before = runtime.levels["region"].node_budget
+            now = (epoch + 1) * 60.0
+            ingest_epoch(runtime, generator, epoch)
+            runtime.close_epoch(now)
+            sealed = [
+                partition.summary.attrs
+                for store in regions
+                for partition in store.catalog.all()
+                if partition.created_at == now
+            ]
+            fullness = sum(
+                attrs["nodes"] / attrs["node_budget"] for attrs in sealed
+            ) / len(sealed)
+            if fullness > 0.25:
+                full_closes += 1
+                assert runtime.levels["region"].node_budget >= before
+        assert full_closes == 4
+
+    def test_tuner_off_budgets_have_one_writer(self):
+        """Storage pressure above 0.5 resizes no Flowtree: with the
+        adaptive cycle off, every budget stays as configured."""
+        runtime = tiered_runtime(
+            sites=list(SITES), router_node_budget=512,
+            region_node_budget=512, store_budget_bytes=48 * 1024,
+        )
+        generator = traffic(flows=600)
+        for epoch in range(5):
+            ingest_epoch(runtime, generator, epoch)
+            runtime.close_epoch((epoch + 1) * 60.0)
+        regions = runtime.stores_at_level("region").values()
+        assert max(store.storage_pressure() for store in regions) > 0.5
+        for level, config in runtime.levels.items():
+            for store in runtime.stores_at_level(level).values():
+                primitive = store.aggregator("flowtree").primitive
+                assert primitive.node_budget == config.node_budget == 512
+                assert primitive.tree.node_budget == 512
+        assert "budget_resize" not in runtime.model.ledger.op_counts
 
 
 class TestReconfigDrills:

@@ -13,11 +13,7 @@ from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.core import default_registry
 from repro.core.flowtree import FlowtreePrimitive
-from repro.core.primitive import (
-    AdaptationFeedback,
-    ComputingPrimitive,
-    QueryRequest,
-)
+from repro.core.primitive import ComputingPrimitive, QueryRequest
 from repro.core.registry import PrimitiveRegistry
 from repro.core.sampling import RandomSamplePrimitive
 from repro.core.summary import DataSummary, Location
@@ -439,15 +435,6 @@ class TestFlowtreePrimitive:
         primitive = FlowtreePrimitive(LOC_A, policy)
         with pytest.raises(GranularityError):
             primitive.set_granularity(2)
-
-    def test_adapt_grows_and_shrinks(self, policy):
-        primitive = FlowtreePrimitive(LOC_A, policy, node_budget=256)
-        primitive.adapt(
-            AdaptationFeedback(query_rate=5.0, storage_pressure=0.0)
-        )
-        assert primitive.node_budget == 512
-        primitive.adapt(AdaptationFeedback(storage_pressure=0.9))
-        assert primitive.node_budget == 256
 
     def test_query_bound_operator(self, policy, make_key):
         primitive = FlowtreePrimitive(LOC_A, policy, node_budget=256)
