@@ -41,6 +41,17 @@ class StorageStrategy(abc.ABC):
         return 0.0
 
 
+def _fit_alone(catalog: PartitionCatalog, budget_bytes: int) -> None:
+    """The catalog's one partition, over the whole budget alone, kept
+    compressed to fit (its kind's ``coarsen``) instead of dropped."""
+    (alone,) = catalog.all()
+    catalog.remove(alone.partition_id)
+    shrink = budget_bytes / alone.size_bytes
+    catalog.add(
+        replace(alone, summary=combine_summaries([alone.summary], shrink))
+    )
+
+
 class ExpirationStorage(StorageStrategy):
     """Strategy 1: partitions live for a fixed time, then expire.
 
@@ -90,14 +101,11 @@ class RoundRobinStorage(StorageStrategy):
         catalog.add(partition)
         evicted: List[Partition] = []
         while catalog.total_bytes() > self.budget_bytes:
+            if len(catalog) == 1:
+                _fit_alone(catalog, self.budget_bytes)
+                break
             oldest = catalog.all()[0]
             catalog.remove(oldest.partition_id)
-            if not catalog:
-                # the newest alone outgrows the budget: keep it coarser
-                shrink = self.budget_bytes / oldest.size_bytes
-                coarse = combine_summaries([oldest.summary], shrink)
-                catalog.add(replace(oldest, summary=coarse))
-                break
             evicted.append(oldest)
         return evicted
 
@@ -116,7 +124,9 @@ class HierarchicalStorage(StorageStrategy):
     footprint.  History is never dropped outright until re-aggregation
     can no longer shrink it (the compacted partition is itself eligible
     for further compaction later — detail decays with age, the paper's
-    "long-term storage but at the price of reduced detail").
+    "long-term storage but at the price of reduced detail").  A lone
+    partition over the whole budget stays compressed to fit, as under
+    :class:`RoundRobinStorage`.
     """
 
     def __init__(
@@ -167,7 +177,8 @@ class HierarchicalStorage(StorageStrategy):
             group = self._oldest_group(catalog)
             if group is None:
                 # nothing left to merge: degrade to round-robin eviction
-                if len(catalog) <= 1:
+                if len(catalog) == 1:
+                    _fit_alone(catalog, self.budget_bytes)
                     break
                 oldest = catalog.all()[0]
                 catalog.remove(oldest.partition_id)

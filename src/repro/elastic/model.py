@@ -15,7 +15,7 @@ table, and a monotonically increasing **generation** counter.  Every
 structural reconfiguration op — ``site_join``, ``site_leave``,
 ``level_split``, ``level_merge``, ``migrate_store`` — bumps the
 generation, which is what lets downstream caches invalidate correctly:
-the :class:`~repro.query.planner.QueryCache` keys answers on it, and
+the :class:`~repro.query.cache.QueryCache` keys answers on it, and
 the obs bridge exports it as ``repro_topology_generation``.  An
 adaptive node-budget resize does **not** bump it: a budget changes
 compression, not coverage, so no cached plan goes stale.

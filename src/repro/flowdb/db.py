@@ -221,21 +221,6 @@ class FlowDB:
         selected.sort(key=lambda e: (e.interval.start, e.location))
         return selected
 
-    def entries_since(self, entry_id: int) -> List[FlowDBEntry]:
-        """Entries inserted (or recovered) after a given entry id.
-
-        Entry ids are process-monotonic, so a caller that remembers the
-        highest id it has seen can cheaply ask "what arrived since?" —
-        the planner uses this at each epoch close to spot *late*
-        deliveries (parked exports whose interval predates the previous
-        boundary) that re-open cached historical windows.
-        """
-        return [e for e in self._entries if e.entry_id > entry_id]
-
-    def max_entry_id(self) -> int:
-        """The highest entry id currently indexed (0 when empty)."""
-        return max((e.entry_id for e in self._entries), default=0)
-
     def time_span(self) -> Optional[TimeInterval]:
         """The interval covered by all entries (None when empty)."""
         if not self._entries:

@@ -294,10 +294,9 @@ def install_runtime_metrics(
             fabric_attempts.labels(link=name).set_from_source(link.attempts)
             fabric_failures.labels(link=name).set_from_source(link.failures)
         cache = runtime.planner.cache
-        if cache is not None:
-            cache_events.labels(result="hit").set_from_source(cache.hits)
-            cache_events.labels(result="miss").set_from_source(cache.misses)
-            cache_entries.labels().set(len(cache))
+        cache_events.labels(result="hit").set_from_source(cache.hits)
+        cache_events.labels(result="miss").set_from_source(cache.misses)
+        cache_entries.labels().set(len(cache))
         memo = runtime.planner.memo
         memo_events.labels(result="hit").set_from_source(memo.hits)
         memo_events.labels(result="miss").set_from_source(memo.misses)

@@ -12,10 +12,19 @@ top-level merge.
 * A **standing query** is a list of folds kept and advanced at every
   epoch close; each :meth:`WindowFold.advance` reads only the inputs
   beyond the consumed prefix.
+* A **cached answer** keeps no fold, only what its folds
+  :attr:`~WindowFold.consumed`.
 * A **sequence breaker** is the fold raising :class:`FoldBroken`: a
   from-scratch read would no longer *start with* what this fold has
   consumed, so continuing would diverge from re-execution.  The caller
   drops the fold and advances a new one from empty.
+
+**The currency rule.**  Every kept answer — cached or standing — is
+current exactly while the inputs its window reads
+(:meth:`WindowFold.inputs`: root FlowDB entry ids, or label → window
+partition ids of the covering stores) are the ones its folds consumed.
+A cached answer is dropped when they differ; a standing query's kept
+fold continues while they only grew past its prefix.
 
 Because a kept fold performs exactly the operations a fresh fold would
 append (same inputs, same order, same node budgets), compression fires
@@ -61,7 +70,9 @@ site partial (:func:`extend`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
@@ -70,6 +81,8 @@ from repro.flows.tree import Flowtree
 from repro.query.plan import ROUTE_CLOUD, Degradation, QueryPlan, SiteRead
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.datastore.store import DataStore
+    from repro.flowdb.db import FlowDBEntry
     from repro.query.planner import FederatedQueryPlanner
 
 
@@ -148,16 +161,51 @@ class WindowFold:
         self.tree: Optional[Flowtree] = None
         #: whether a later advance can continue from the consumed prefix
         self.resumable = True
-        #: cloud route: FlowDB entry ids consumed, in merge order
-        self.entry_ids: List[int] = []
-        #: federated route: store label -> partition ids consumed, in
-        #: catalog order
-        self.folded_partitions: Dict[str, List[str]] = {}
+        #: the :meth:`inputs` the last advance consumed
+        self.consumed: Dict[str, List] = {}
         #: federated route: store label -> its site partial
         self.site_trees: Dict[str, Flowtree] = {}
         #: ids of the stored trees held as is (``tree`` or a site
         #: partial), recorded when taken; copied before first extended
         self.borrowed: Set[int] = set()
+
+    def inputs(self) -> Dict[str, List]:
+        """The window's current inputs, by id, in fold order.
+
+        Cloud route: ``{"": root FlowDB entry ids}``; federated route:
+        covering store label -> its window partition ids, for every
+        store holding any.  The currency rule: an answer over this
+        window is current exactly while this equals :attr:`consumed`.
+        """
+        return {label: ids for label, _, _, ids in self._sources() if ids}
+
+    def _sources(
+        self,
+    ) -> List[Tuple[str, Optional["DataStore"], list, list]]:
+        """``(label, store, inputs, ids)`` per source the window reads:
+        the root FlowDB (label ``""``, store None) on the cloud route,
+        every covering store at the plan's level on the federated one."""
+        planner, spec = self.planner, self.spec
+        if self.plan.route == ROUTE_CLOUD:
+            entries = planner.runtime.db.entries(
+                self.query.sites or None, spec.start, spec.end
+            )
+            return [("", None, entries, [e.entry_id for e in entries])]
+        level = self.plan.level
+        sources = []
+        for label, store in planner._covering_stores(level, self.query.sites):
+            partitions = planner._window_partitions(
+                level, store, spec.start, spec.end
+            )
+            ids = [p.partition_id for p in partitions]
+            sources.append((label, store, partitions, ids))
+        return sources
+
+    def _check_prefix(self, current: Dict[str, List], reason: str) -> None:
+        """A kept fold continues only what it consumed, in order."""
+        for label, consumed in self.consumed.items():
+            if current.get(label, [])[: len(consumed)] != consumed:
+                raise FoldBroken(reason)
 
     def advance(
         self, now: float, degradation: Optional[Degradation] = None
@@ -169,32 +217,34 @@ class WindowFold:
         ``degradation``.  A kept fold raises :class:`FoldBroken` when
         it cannot continue its consumed prefix.
         """
+        sources = self._sources()
+        current = {label: ids for label, _, _, ids in sources if ids}
         if self.plan.route == ROUTE_CLOUD:
-            self._advance_cloud()
-            return []
-        return self._read(
-            now, Degradation() if degradation is None else degradation
-        )
+            self._check_prefix(current, "entry-prefix")
+            self._advance_cloud(sources[0][2])
+            reads: List[SiteRead] = []
+        else:
+            reads = self._read(
+                sources, current, now,
+                Degradation() if degradation is None else degradation,
+            )
+        self.consumed = current
+        return reads
 
     # -- cloud route ---------------------------------------------------------
 
-    def _advance_cloud(self) -> None:
+    def _advance_cloud(self, entries: List["FlowDBEntry"]) -> None:
         db = self.planner.runtime.db
-        sites = self.query.sites or None
-        entries = db.entries(sites, self.spec.start, self.spec.end)
-        ids = [entry.entry_id for entry in entries]
         if self.tree is None:
             if not entries:
                 raise FlowQLPlanningError(
                     "no Flowtree summaries match the requested sites/window "
-                    f"(locations={sites}, start={self.spec.start}, "
-                    f"end={self.spec.end})"
+                    f"(locations={self.query.sites or None}, "
+                    f"start={self.spec.start}, end={self.spec.end})"
                 )
             assemble = True
         else:
-            known = len(self.entry_ids)
-            if ids[:known] != self.entry_ids:
-                raise FoldBroken("entry-prefix")
+            known = len(self.consumed[""])
             # a borrowed entry is never extended: with two or more
             # inputs now, a fresh fold's top merge builds a new tree
             assemble = known < len(entries) and id(self.tree) in self.borrowed
@@ -205,7 +255,6 @@ class WindowFold:
             trees = [entry.tree for entry in entries]
             self.tree = top_merge(trees, db.merge_node_budget)
             self.borrowed = {id(self.tree)} if self.tree is trees[0] else set()
-        self.entry_ids = ids
 
     # -- federated route -----------------------------------------------------
 
@@ -215,39 +264,34 @@ class WindowFold:
             raise FoldBroken(reason)
         self.resumable = False
 
-    def _read(self, now: float, degradation: Degradation) -> List[SiteRead]:
+    def _read(
+        self,
+        sources: List[Tuple[str, "DataStore", list, list]],
+        current: Dict[str, List],
+        now: float,
+        degradation: Degradation,
+    ) -> List[SiteRead]:
         """Fold every covering store's partitions beyond its consumed
         prefix (all of them from empty) into that store's partial."""
         planner, level, spec = self.planner, self.plan.level, self.spec
-        current = []
-        for label, store in planner._covering_stores(level, self.query.sites):
-            if store.privacy is not None:
-                # a per-epoch export need not commute with the
-                # whole-window export
-                self._cannot_resume("privacy-guard")
-            partitions = planner._window_partitions(
-                level, store, spec.start, spec.end
-            )
-            if partitions:
-                current.append((label, store, partitions))
-        ids = {
-            label: [p.partition_id for p in partitions]
-            for label, _, partitions in current
-        }
-        for label, folded in self.folded_partitions.items():
-            if ids.get(label, [])[: len(folded)] != folded:
-                # expiration, a site restart, or a rewritten catalog
-                raise FoldBroken("partition-prefix")
+        if any(store.privacy is not None for _, store, _, _ in sources):
+            # a per-epoch export need not commute with the whole-window
+            # export
+            self._cannot_resume("privacy-guard")
+        # expiration, a site restart, or a rewritten catalog
+        self._check_prefix(current, "partition-prefix")
         if any(
-            planner._replica(pid) for pids in ids.values() for pid in pids
+            planner._replica(pid) for ids in current.values() for pid in ids
         ):
             # served at the root, outside the site partial: a fresh
             # read folds in another order
             self._cannot_resume("replica-served")
         reads: List[SiteRead] = []
         trees: List[Flowtree] = []
-        for label, store, partitions in current:
-            fresh = partitions[len(self.folded_partitions.get(label, ())):]
+        for label, store, partitions, _ in sources:
+            if not partitions:
+                continue
+            fresh = partitions[len(self.consumed.get(label, ())):]
             if not fresh:
                 trees.append(self.site_trees[label])
                 continue
@@ -274,7 +318,6 @@ class WindowFold:
                     # promoted by this very read: the next read breaks
                     self.resumable = False
                 if not read.replica_partitions:
-                    self.folded_partitions[label] = ids[label]
                     self.site_trees[label] = store_trees[-1]
             trees.extend(store_trees)
         budget = planner.runtime.db.merge_node_budget

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.query.planner import FederatedQueryPlanner
 
 
-#: texts kept, like the result cache's ``QueryCache.max_entries``
+#: texts kept, and results kept by :class:`~repro.query.cache.QueryCache`
 MEMO_MAX = 1024
 
 
@@ -51,8 +51,8 @@ class QueryFront:
     route: str
     level: Optional[str]
     sites: Tuple[str, ...]
-    #: the result-cache key (None when the request cannot be keyed)
-    key: Optional[Hashable]
+    #: the result-cache key
+    key: Hashable
     #: (stores version, topology generation) the plan was made at
     stamp: Tuple[int, int]
 

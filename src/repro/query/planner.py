@@ -15,9 +15,12 @@ pieces meet:
   :class:`~repro.query.memo.QueryMemo`: text → (parsed query, plan,
   cache key), kept while the stores and topology it was planned on
   hold, so a repeat is neither parsed nor planned again.
-* **Caching** — results are memoized in a :class:`QueryCache` keyed on
-  (plan, window); :meth:`on_epoch_closed` drops the cache so an epoch
-  boundary never serves stale answers.
+* **One fold call** — :meth:`fold` answers every query: a cold read
+  folds from empty, a standing query advances its kept folds.
+* **Caching** — results are memoized in a
+  :class:`~repro.query.cache.QueryCache` under the memo's key, with the
+  inputs their folds consumed; an entry is current exactly while its
+  windows read those inputs, so a hit always equals a cold read.
 * **Replication feed** — every remote partition read is recorded
   through :meth:`Manager.record_remote_access`, so real FlowQL traffic
   (not a synthetic trace) drives the Fig. 6 adaptive-replication cycle.
@@ -29,20 +32,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Hashable, List, Optional, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from repro.core.flowtree import FlowtreePrimitive
 from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator
-from repro.datastore.cache import QueryCache
 from repro.datastore.partitions import Partition
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
+from repro.flowql.executor import FlowQLResult
 from repro.flows.tree import Flowtree
 from repro.obs.bridge import QUERY_SECONDS
-from repro.query.fold import WindowFold, answer, extend, top_merge
+from repro.query.cache import QueryCache
+from repro.query.fold import (
+    FoldBroken, WindowFold, answer, extend, top_merge,
+)
 from repro.query.memo import QueryFront, QueryMemo
 from repro.query.plan import (
     ROUTE_CLOUD,
@@ -90,8 +96,8 @@ class FederatedQueryPlanner:
 
     def __init__(self, runtime: "HierarchyRuntime") -> None:
         self.runtime = runtime
-        #: reactive result cache; set to None to disable caching
-        self.cache: Optional[QueryCache] = QueryCache()
+        #: reactive result cache
+        self.cache = QueryCache(self._inputs)
         # the landing zone for shipped partials and bought replicas: a
         # root-located store that is *not* registered with the runtime
         # (registering it would make the root part of the rollup)
@@ -108,9 +114,6 @@ class FederatedQueryPlanner:
         self.memo = QueryMemo(self)
         #: standing queries, delta-maintained at every epoch close
         self.subscriptions = SubscriptionRegistry(self)
-        # the highest FlowDB entry id already inspected for late
-        # deliveries (parked exports landing after their epoch closed)
-        self._late_watermark = runtime.db.max_entry_id()
 
     def _topology_generation(self) -> int:
         """The runtime's live topology generation (0 when static)."""
@@ -233,24 +236,18 @@ class FederatedQueryPlanner:
         query = front.query
         plan = front.plan()
         stats = self.runtime.stats
-        key = None
-        if self.cache is not None:
-            key = plan.cache_key = front.key
-            entry = self.cache.get(key, now)
-            if entry is not None:
-                plan.cache_hit = True
-                stats.queries_cached += 1
-                self.last_plan = plan
-                return QueryOutcome(
-                    result=entry.value.copy(),
-                    plan=plan,
-                    cache=CacheInfo(hit=True, key=key),
-                )
-        degradation: Optional[Degradation] = Degradation()
-        folds = self.window_folds(plan, query)
-        for fold in folds:
-            plan.reads.extend(fold.advance(now, degradation))
-        result = answer(folds, query)
+        key = plan.cache_key = front.key
+        entry = self.cache.get(key, now, front)
+        if entry is not None:
+            plan.cache_hit = True
+            stats.queries_cached += 1
+            self.last_plan = plan
+            return QueryOutcome(
+                result=entry.value.copy(),
+                plan=plan,
+                cache=CacheInfo(hit=True, key=key),
+            )
+        folds, result, degradation, _ = self.fold(query, plan, now)
         if plan.route == ROUTE_CLOUD:
             stats.queries_cloud += 1
         else:
@@ -259,13 +256,12 @@ class FederatedQueryPlanner:
             volume.queries_served += 1
             volume.query_bytes_out += plan.shipped_bytes
         if degradation.is_degraded:
+            # a partial answer must not satisfy tomorrow's full query
             stats.queries_degraded += 1
         else:
             degradation = None
-        if self.cache is not None and degradation is None:
-            # a partial answer must not satisfy tomorrow's full query
             self.cache.put(
-                key, result.copy(), now, window=self._effective_window(query)
+                key, result.copy(), now, [fold.consumed for fold in folds]
             )
         self.last_plan = plan
         return QueryOutcome(
@@ -275,25 +271,52 @@ class FederatedQueryPlanner:
             cache=CacheInfo(hit=False, key=key),
         )
 
-    @staticmethod
-    def _effective_window(
-        query: FlowQLQuery,
-    ) -> Tuple[Optional[float], Optional[float]]:
-        """The hull of every window the query reads (FROM and VS).
+    def _inputs(self, front: QueryFront) -> List[Dict[str, List]]:
+        """The current inputs of every window a request reads (FROM,
+        then VS) — what its cached result must have consumed."""
+        return [
+            fold.inputs()
+            for fold in self.window_folds(front.plan(), front.query)
+        ]
 
-        This is what epoch-scoped cache invalidation keys on: a result
-        whose hull closed before the previous boundary cannot be
-        changed by newly sealed epochs, so its cache entry survives.
-        ``None`` on either side means unbounded (always invalidated).
+    def fold(
+        self,
+        query: FlowQLQuery,
+        plan: QueryPlan,
+        now: float,
+        kept: Optional[List[WindowFold]] = None,
+    ) -> Tuple[List[WindowFold], FlowQLResult, Degradation, Optional[str]]:
+        """The one fold call: ``query``'s answer over its window folds.
+
+        A cold read folds from empty.  ``kept`` folds (a standing
+        query's) are advanced past what they consumed; when they cannot
+        continue — made under another route or level, or an advance
+        raised :class:`~repro.query.fold.FoldBroken` — the query is
+        folded from empty instead and the reason is returned.
+        ``plan.reads`` collects the reads behind the folds returned.
+        Returns ``(folds, result, degradation, broken)``.
         """
-        starts = [query.time.start]
-        ends = [query.time.end]
-        if query.vs_time is not None:
-            starts.append(query.vs_time.start)
-            ends.append(query.vs_time.end)
-        start = None if any(s is None for s in starts) else min(starts)
-        end = None if any(e is None for e in ends) else max(ends)
-        return (start, end)
+        degradation = Degradation()
+        broken = None
+        if kept is not None:
+            if (kept[0].plan.route, kept[0].plan.level) != (
+                plan.route, plan.level
+            ):
+                broken = "route-changed"
+            else:
+                try:
+                    for fold in kept:
+                        plan.reads.extend(fold.advance(now))
+                    return kept, answer(kept, query), degradation, None
+                except FoldBroken as exc:
+                    # a broken prefix, or a link that died mid-advance
+                    # and may have left a torn window
+                    broken = exc.reason
+                    plan.reads.clear()
+        folds = self.window_folds(plan, query)
+        for fold in folds:
+            plan.reads.extend(fold.advance(now, degradation))
+        return folds, answer(folds, query), degradation, broken
 
     def cache_key(
         self, query: FlowQLQuery, plan: QueryPlan
@@ -606,45 +629,17 @@ class FederatedQueryPlanner:
     # -- cache lifecycle -----------------------------------------------------
 
     def invalidate_cache(self) -> int:
-        """Drop every cached result; returns how many were dropped."""
-        if self.cache is None:
-            return 0
+        """Drop every cached result; returns how many were dropped.
+
+        The wholesale drop for elastic operations (whose topology
+        generation the keys carry besides) and for callers that want a
+        read to fold again.
+        """
         return self.cache.invalidate()
 
-    def on_epoch_closed(self, now: float) -> int:
-        """Epoch boundary: scope invalidation to what actually changed.
-
-        A close seals data *after* the previous boundary, so cached
-        results over fully-closed historical windows are still exact —
-        only entries whose window was open (reaching past the previous
-        boundary, or unbounded) are dropped.  Two escape hatches keep
-        this safe:
-
-        * **Late deliveries.**  Parked exports can land whole epochs
-          after the interval they describe; any FlowDB entry that
-          arrived since the last close with an interval at or before
-          the previous boundary re-opens the cached windows it overlaps.
-        * **Topology.**  Reconfiguration doesn't come through here at
-          all — :meth:`invalidate_cache` stays the wholesale drop for
-          elastic operations, and cache keys carry the topology
-          generation besides.
-
-        Standing queries refresh after invalidation, so a subscription
-        rebuild that re-executes never sees a stale entry.  Returns the
-        number of cache entries dropped.
-        """
-        boundary = self.clock
+    def on_epoch_closed(self, now: float) -> None:
+        """Epoch boundary: advance query time and refresh every standing
+        query.  Cached results need nothing here — each is re-checked
+        against its window's inputs when it is next looked up."""
         self.clock = max(self.clock, now)
-        dropped = 0
-        if self.cache is not None:
-            dropped = self.cache.invalidate_open(boundary)
-            for entry in self.runtime.db.entries_since(
-                self._late_watermark
-            ):
-                if entry.interval.end <= boundary:
-                    dropped += self.cache.invalidate_window(
-                        entry.interval.start, entry.interval.end
-                    )
-        self._late_watermark = self.runtime.db.max_entry_id()
         self.subscriptions.on_epoch_closed(self.clock)
-        return dropped

@@ -1,8 +1,8 @@
 """Standing FlowQL queries: the planner-side subscription registry.
 
 Dashboards and detectors re-issue the same FlowQL every epoch; the
-reactive :class:`~repro.datastore.cache.QueryCache` only helps *within*
-an epoch, because each close seals new data.  ``SUBSCRIBE <flowql>``
+reactive :class:`~repro.query.cache.QueryCache` cannot help them once a
+close seals new data into their window.  ``SUBSCRIBE <flowql>``
 turns such a query into a *standing* one: the planner materializes its
 plan's result once and then **delta-maintains** it on every epoch close
 — Merge of the newly sealed partitions into the materialized view
@@ -10,14 +10,16 @@ instead of re-reading (and re-shipping) the whole window.
 
 A subscription keeps one :class:`~repro.query.fold.WindowFold` per
 window it reads (FROM, and VS when present) — the same object a cold
-query advances once and drops.  At each close the registry advances
-the kept folds, which read only what was sealed since; the answer is
-identical to re-execution because it *is* the cold computation,
-continued.  When a fold reports :class:`~repro.query.fold.FoldBroken`
-(see that module for the breakers), the topology generation or the
-plan's (route, level) moved, or a link died mid-advance, the registry
-rebuilds: new folds advanced from empty, kept iff all are resumable.
-Ordinary closes never rebuild.
+query advances once and drops.  At each close the registry hands the
+kept folds to the planner's one fold call (:meth:`~repro.query.planner.
+FederatedQueryPlanner.fold`), which advances them past what they
+consumed; the answer is identical to re-execution because it *is* the
+cold computation, continued.  When the folds cannot continue (see
+:class:`~repro.query.fold.FoldBroken` for the breakers; besides, the
+plan's route or level moved, or a link died mid-advance) or the
+topology generation moved, the fold call starts from empty — a
+rebuild — and the new folds are kept iff all are resumable.  Ordinary
+closes never rebuild.
 
 Updates are typed (:class:`SubscriptionUpdate`), sequence-numbered, and
 kept in a bounded ring per subscription, which is what makes the
@@ -48,8 +50,8 @@ from collections import deque
 from repro.errors import FlowQLPlanningError, WireSchemaError
 from repro.flowql.ast import FlowQLQuery
 from repro.flowql.executor import FlowQLResult
-from repro.query.fold import FoldBroken, WindowFold, answer
-from repro.query.plan import ROUTE_FEDERATED, Degradation
+from repro.query.fold import WindowFold
+from repro.query.plan import ROUTE_FEDERATED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.query.planner import FederatedQueryPlanner
@@ -161,8 +163,6 @@ class Subscription:
         #: when the last snapshot's folds were not resumable)
         self.views: Optional[List[WindowFold]] = None
         self.generation = -1
-        self.route: Optional[str] = None
-        self.level: Optional[str] = None
         self.last_result: Optional[FlowQLResult] = None
         #: lifetime counters (census / benchmark)
         self.delta_refreshes = 0
@@ -313,7 +313,7 @@ class SubscriptionRegistry:
         with self._lock:
             self._subscriptions[subscription.id] = subscription
             try:
-                self._rebuild(subscription, now, mode=MODE_INIT)
+                self._refresh(subscription, now)
             except FlowQLPlanningError:
                 pass  # nothing to materialize yet; retry at each close
             self.metrics.set_active(len(self._subscriptions))
@@ -361,77 +361,39 @@ class SubscriptionRegistry:
     # -- refresh machinery ---------------------------------------------------
 
     def _refresh(self, subscription: Subscription, now: float) -> None:
-        started = time.perf_counter()
-        generation = self.planner._topology_generation()
-        if subscription.views is None:
-            self._rebuild(subscription, now, mode=MODE_INIT)
-            return
-        try:
-            if generation != subscription.generation:
-                raise FoldBroken("generation")
-            plan = self.planner.plan(subscription.query)
-            if (plan.route, plan.level) != (
-                subscription.route, subscription.level
-            ):
-                raise FoldBroken("route-changed")
-            shipped = sum(
-                read.shipped_bytes
-                for fold in subscription.views
-                for read in fold.advance(now)
-            )
-        except FoldBroken as exc:
-            # a broken prefix, or a link that died mid-advance and may
-            # have left a torn window: drop the folds and answer this
-            # boundary with a (possibly degraded) cold rebuild
-            self.metrics.rebuild(exc.reason)
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
-        result = answer(subscription.views, subscription.query)
-        subscription.delta_refreshes += 1
-        self.delta_refreshes += 1
-        self._publish(
-            subscription,
-            result,
-            now,
-            generation,
-            MODE_DELTA,
-            plan.route,
-            shipped,
-            degraded=False,
-            started=started,
-        )
-
-    def _rebuild(
-        self, subscription: Subscription, now: float, mode: str
-    ) -> None:
-        """Materialize from scratch: new folds advanced from empty,
-        exactly what a cold execution does, kept iff all can resume."""
+        """Answer the query at this boundary through the one fold call:
+        ``init`` while nothing is kept, ``delta`` when the kept folds
+        continue, ``rebuild`` when they had to start from empty."""
         started = time.perf_counter()
         planner = self.planner
         query = subscription.query
-        plan = planner.plan(query)
         generation = planner._topology_generation()
-        degradation = Degradation()
-        folds = planner.window_folds(plan, query)
-        shipped = sum(
-            read.shipped_bytes
-            for fold in folds
-            for read in fold.advance(now, degradation)
+        kept = subscription.views
+        mode = MODE_INIT if kept is None else MODE_DELTA
+        if kept is not None and generation != subscription.generation:
+            self.metrics.rebuild("generation")
+            kept, mode = None, MODE_REBUILD
+        plan = planner.plan(query)
+        folds, result, degradation, broken = planner.fold(
+            query, plan, now, kept
         )
-        result = answer(folds, query)
+        if broken is not None:
+            self.metrics.rebuild(broken)
+            mode = MODE_REBUILD
         degraded = degradation.is_degraded
-        if all(fold.resumable for fold in folds):
+        if mode == MODE_DELTA:
+            subscription.delta_refreshes += 1
+            self.delta_refreshes += 1
+        elif all(fold.resumable for fold in folds):
             subscription.views = folds
             subscription.generation = generation
-            subscription.route = plan.route
-            subscription.level = plan.level
         else:
             # the snapshot is honest, but cannot be continued: stay
-            # unmaterialized and rebuild again next boundary
+            # unmaterialized and fold from empty again next boundary
             subscription.views = None
             if degraded:
                 self.metrics.rebuild("degraded")
-        if mode != MODE_INIT:
+        if mode == MODE_REBUILD:
             subscription.rebuilds += 1
             self.rebuilds += 1
         self._publish(
@@ -441,7 +403,7 @@ class SubscriptionRegistry:
             generation,
             mode,
             plan.route,
-            shipped,
+            plan.shipped_bytes,
             degraded=degraded,
             started=started,
         )
@@ -535,7 +497,9 @@ class SubscriptionRegistry:
                     sub.id: {
                         "query": sub.text or sub.query.select.name,
                         "seq": sub.seq,
-                        "route": sub.route,
+                        "route": (
+                            sub.updates[-1].route if sub.updates else None
+                        ),
                         "delta_refreshes": sub.delta_refreshes,
                         "rebuilds": sub.rebuilds,
                         "shipped_bytes": sub.shipped_bytes_total,

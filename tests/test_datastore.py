@@ -233,7 +233,7 @@ class TestFederation:
 
     def test_remote_query_ships_result(self):
         runtime = loaded_runtime(epochs=1)
-        runtime.planner.cache = None
+        runtime.planner.invalidate_cache()
         moved = runtime.total_network_bytes()
         outcome = runtime.query(
             f"SELECT TOTAL FROM TIME(0, 60) AT {self.ROUTER1}"

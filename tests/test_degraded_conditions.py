@@ -14,7 +14,7 @@ from repro.core.sampling import RandomSamplePrimitive
 from repro.core.summary import Location
 from repro.core.timebin import TimeBinStatistics
 from repro.datastore.aggregator import Aggregator, prefix_filter
-from repro.datastore.storage import RoundRobinStorage
+from repro.datastore.storage import HierarchicalStorage, RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.flows.records import FlowRecord
 
@@ -91,9 +91,9 @@ class TestOutOfOrderData:
 
 
 class TestStorageOverload:
-    def test_sustained_overload_keeps_store_bounded(self, policy,
-                                                    random_flows):
-        store = DataStore(LOC, RoundRobinStorage(100_000))
+    @staticmethod
+    def overload(store, policy, random_flows):
+        """Ten epochs of 200 flows into one 2048-node Flowtree."""
         store.install_aggregator(
             Aggregator("ft", FlowtreePrimitive(LOC, policy,
                                                node_budget=2048))
@@ -102,8 +102,23 @@ class TestStorageOverload:
             for record in random_flows(200, seed=epoch, epoch=epoch):
                 store.ingest("flows", record, record.first_seen)
             store.close_epoch((epoch + 1) * 60.0)
+
+    def test_sustained_overload_keeps_store_bounded(self, policy,
+                                                    random_flows):
+        store = DataStore(LOC, RoundRobinStorage(100_000))
+        self.overload(store, policy, random_flows)
         assert store.catalog.total_bytes() <= 100_000
         assert store.evictions  # old epochs were sacrificed
+
+    def test_sustained_overload_keeps_hierarchical_store_bounded(
+        self, policy, random_flows
+    ):
+        """One aggregator: every epoch merges into one partition, which
+        alone outgrows the budget and is kept coarser."""
+        store = DataStore(LOC, HierarchicalStorage(40_000))
+        self.overload(store, policy, random_flows)
+        assert store.catalog.total_bytes() <= 40_000
+        assert len(store.catalog) < 10  # old epochs were merged
 
     def test_query_after_eviction_uses_what_remains(self, policy,
                                                     random_flows):

@@ -194,9 +194,6 @@ class TestThreeDoorsOneRecovery:
         assert runtime._last_close == 180.0
         if whole:
             assert runtime.planner.clock == runtime._last_close
-            assert runtime.planner._late_watermark == (
-                runtime.db.max_entry_id()
-            )
         # each door under its span, recovery always under ``recover``
         tracer = runtime.obs.tracer
         recovered = tracer.last("recover")

@@ -1,141 +1,120 @@
 """Tests for the reactive query cache and the planner that keys it."""
 
-from repro.datastore.cache import QueryCache
+from repro.core.summary import stores_changed
+from repro.query.cache import TTL_SECONDS, QueryCache
+from repro.query.memo import MEMO_MAX
 from tests.test_query_planner import loaded_runtime
+
+
+def new_cache():
+    """A cache whose requests are their own current inputs."""
+    return QueryCache(lambda inputs: inputs)
 
 
 class TestQueryCacheUnit:
     def test_hit_within_ttl(self):
-        cache = QueryCache(ttl_seconds=10.0)
+        cache = new_cache()
         key = ("total", 0.0, 60.0)
-        assert cache.get(key, now=0.0) is None
-        cache.put(key, "result", now=0.0)
-        entry = cache.get(key, now=5.0)
+        assert cache.get(key, 0.0, ()) is None
+        cache.put(key, "result", 0.0, ())
+        entry = cache.get(key, TTL_SECONDS / 2, ())
         assert entry is not None
         assert entry.value == "result"
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_expiry(self):
-        cache = QueryCache(ttl_seconds=10.0)
+        cache = new_cache()
         key = ("total", None, None)
-        cache.put(key, "x", now=0.0)
-        assert cache.get(key, now=10.0) is None
+        cache.put(key, "x", 0.0, ())
+        assert cache.get(key, TTL_SECONDS, ()) is None
         assert len(cache) == 0
 
     def test_different_params_different_keys(self):
         """Keys that differ in one parameter hold separate entries."""
-        cache = QueryCache()
-        cache.put(("top_k", 5), "five", now=0.0)
-        cache.put(("top_k", 9), "nine", now=0.0)
+        cache = new_cache()
+        cache.put(("top_k", 5), "five", 0.0, ())
+        cache.put(("top_k", 9), "nine", 0.0, ())
         assert len(cache) == 2
-        assert cache.get(("top_k", 5), now=1.0).value == "five"
-        assert cache.get(("top_k", 9), now=1.0).value == "nine"
+        assert cache.get(("top_k", 5), 1.0, ()).value == "five"
+        assert cache.get(("top_k", 9), 1.0, ()).value == "nine"
 
     def test_expiry_boundary_is_exact(self):
-        """The documented contract: ``now - stored_at == ttl_seconds``
+        """The documented contract: ``now - stored_at == TTL_SECONDS``
         is already expired (live strictly *less than* the TTL)."""
-        cache = QueryCache(ttl_seconds=10.0)
+        cache = new_cache()
         key = ("total", None, None)
-        cache.put(key, "x", now=5.0)
-        assert cache.get(key, now=14.999) is not None
-        cache.put(key, "x", now=5.0)
-        assert cache.get(key, now=15.0) is None  # exactly ttl later
+        cache.put(key, "x", 5.0, ())
+        assert cache.get(key, 5.0 + TTL_SECONDS - 0.001, ()) is not None
+        cache.put(key, "x", 5.0, ())
+        assert cache.get(key, 5.0 + TTL_SECONDS, ()) is None
         assert len(cache) == 0
 
     def test_capacity_evicts_oldest(self):
-        cache = QueryCache(max_entries=2)
-        keys = [("top_k", k) for k in range(3)]
+        cache = new_cache()
+        keys = [("top_k", k) for k in range(MEMO_MAX + 1)]
         for index, key in enumerate(keys):
-            cache.put(key, index, now=float(index))
-        assert cache.get(keys[0], now=2.5) is None  # evicted
-        assert cache.get(keys[2], now=2.5) is not None
+            cache.put(key, index, 0.0, ())
+        assert len(cache) == MEMO_MAX
+        assert cache.get(keys[0], 1.0, ()) is None  # evicted
+        assert cache.get(keys[-1], 1.0, ()) is not None
 
     def test_overwrite_reinserts_at_the_back(self):
         """Re-storing a key must refresh its eviction position, or the
         insertion-ordered eviction would drop the *newest* data."""
-        cache = QueryCache(max_entries=2)
-        keys = [("top_k", k) for k in range(3)]
-        cache.put(keys[0], "a", now=0.0)
-        cache.put(keys[1], "b", now=1.0)
-        cache.put(keys[0], "a2", now=2.0)  # refresh: now newest
-        cache.put(keys[2], "c", now=3.0)  # evicts keys[1], not keys[0]
-        assert cache.get(keys[1], now=3.5) is None
-        entry = cache.get(keys[0], now=3.5)
+        cache = new_cache()
+        keys = [("top_k", k) for k in range(MEMO_MAX + 1)]
+        for key in keys[:-1]:
+            cache.put(key, "old", 0.0, ())
+        cache.put(keys[0], "a2", 1.0, ())  # refresh: now newest
+        cache.put(keys[-1], "c", 2.0, ())  # evicts keys[1], not keys[0]
+        assert cache.get(keys[1], 2.5, ()) is None
+        entry = cache.get(keys[0], 2.5, ())
         assert entry is not None and entry.value == "a2"
 
     def test_eviction_is_insertion_ordered_at_scale(self):
-        """A full cache keeps exactly the most recent ``max_entries``
-        keys (the O(1)-eviction ordering invariant)."""
-        cache = QueryCache(max_entries=8)
-        keys = [("top_k", k) for k in range(40)]
+        """A full cache keeps exactly the most recent ``MEMO_MAX`` keys
+        (the O(1)-eviction ordering invariant)."""
+        cache = new_cache()
+        keys = [("top_k", k) for k in range(MEMO_MAX + 40)]
         for index, key in enumerate(keys):
-            cache.put(key, index, now=float(index))
-        assert len(cache) == 8
-        for key in keys[:-8]:
-            assert cache.get(key, now=40.0) is None
-        for index, key in enumerate(keys[-8:], start=32):
-            entry = cache.get(key, now=40.0)
+            cache.put(key, index, 0.0, ())
+        assert len(cache) == MEMO_MAX
+        for key in keys[:40]:
+            assert cache.get(key, 1.0, ()) is None
+        for index, key in enumerate(keys[40:], start=40):
+            entry = cache.get(key, 1.0, ())
             assert entry is not None and entry.value == index
 
     def test_invalidate(self):
-        cache = QueryCache()
+        cache = new_cache()
         key = ("total", None, None)
-        cache.put(key, "x", now=0.0)
+        cache.put(key, "x", 0.0, ())
         assert cache.invalidate() == 1
-        assert cache.get(key, now=0.1) is None
+        assert cache.get(key, 0.1, ()) is None
 
-    def test_invalidate_open_keeps_closed_windows(self):
-        """Epoch-scoped invalidation: only entries whose window was
-        still open at the boundary are dropped."""
-        cache = QueryCache()
-        closed = ("total", 0.0, 60.0)
-        straddling = ("total", 60.0, 180.0)
-        unbounded = ("total", 0.0, None)
-        cache.put(closed, "a", now=70.0, window=(0.0, 60.0))
-        cache.put(straddling, "b", now=70.0, window=(60.0, 180.0))
-        cache.put(unbounded, "c", now=70.0, window=(0.0, None))
-        assert cache.invalidate_open(120.0) == 2
-        entry = cache.get(closed, now=80.0)
-        assert entry is not None and entry.value == "a"
-        assert cache.get(straddling, now=80.0) is None
-        assert cache.get(unbounded, now=80.0) is None
+    def test_inputs_relisted_only_when_the_stores_moved(self):
+        """The currency rule's cost: a lookup lists the window's inputs
+        only after some store gained or lost a summary; equal inputs
+        keep (and re-confirm) the entry, different ones drop it."""
+        listed = []
 
-    def test_invalidate_open_boundary_is_inclusive(self):
-        """A window ending exactly at the boundary is closed (survives);
-        one ending just past it is open (dropped)."""
-        cache = QueryCache()
-        at_boundary = ("total", 0.0, 120.0)
-        past_boundary = ("total", 0.0, 120.001)
-        cache.put(at_boundary, "a", now=130.0, window=(0.0, 120.0))
-        cache.put(past_boundary, "b", now=130.0, window=(0.0, 120.001))
-        assert cache.invalidate_open(120.0) == 1
-        assert cache.get(at_boundary, now=130.0) is not None
-        assert cache.get(past_boundary, now=130.0) is None
+        def inputs(request):
+            listed.append(request)
+            return request
 
-    def test_invalidate_window_drops_overlaps_only(self):
-        """The late-delivery hook hits exactly the overlapping windows
-        (half-open interval semantics: touching endpoints don't
-        overlap)."""
-        cache = QueryCache()
-        windows = [(0.0, 60.0), (60.0, 120.0), (120.0, 180.0)]
-        for window in windows:
-            cache.put(("total",) + window, window, now=200.0, window=window)
-        assert cache.invalidate_window(60.0, 120.0) == 1
-        assert cache.get(("total", 0.0, 60.0), now=210.0) is not None
-        assert cache.get(("total", 60.0, 120.0), now=210.0) is None
-        assert cache.get(("total", 120.0, 180.0), now=210.0) is not None
-
-    def test_invalidate_window_none_bounds_are_unbounded(self):
-        cache = QueryCache()
-        early = ("total", 0.0, 60.0)
-        late = ("total", 60.0, 120.0)
-        cache.put(early, "a", now=130.0, window=(0.0, 60.0))
-        cache.put(late, "b", now=130.0, window=(60.0, 120.0))
-        # everything before t=60 overlaps only the early window
-        assert cache.invalidate_window(None, 60.0) == 1
-        assert cache.get(early, now=140.0) is None
-        assert cache.get(late, now=140.0) is not None
+        cache = QueryCache(inputs)
+        key = ("total", 0.0, 60.0)
+        cache.put(key, "x", 0.0, [{"": [1, 2]}])
+        assert cache.get(key, 1.0, [{"": [1, 2, 3]}]) is not None
+        assert listed == []  # nothing moved: today's hit path
+        stores_changed()
+        assert cache.get(key, 2.0, [{"": [1, 2]}]) is not None
+        assert cache.get(key, 3.0, [{"": [9]}]) is not None
+        assert listed == [[{"": [1, 2]}]]  # confirmed once, re-stamped
+        stores_changed()
+        assert cache.get(key, 4.0, [{"": [1]}]) is None
+        assert len(cache) == 0 and (cache.hits, cache.misses) == (3, 1)
 
 
 class TestFederatedCaching:
@@ -144,11 +123,10 @@ class TestFederatedCaching:
     def test_cache_expires_and_refetches(self):
         """An entry older than the TTL misses, and the read ships again."""
         runtime = loaded_runtime(epochs=1)
-        runtime.planner.cache = QueryCache(ttl_seconds=30.0)
         text = f"SELECT TOTAL FROM TIME(0, 60) AT {self.ROUTER1}"
         first = runtime.planner.execute(text, now=70.0)
         assert runtime.planner.execute(text, now=99.0).cache.hit
-        stale = runtime.planner.execute(text, now=70.0 + 31.0)
+        stale = runtime.planner.execute(text, now=70.0 + TTL_SECONDS)
         assert stale.cache.hit is False
         assert stale.plan.shipped_bytes == first.plan.shipped_bytes > 0
         assert stale.scalar == first.scalar
@@ -273,6 +251,68 @@ class TestFederatedCaching:
         assert fresh.cache.hit is False  # late arrival reopened it
         assert fresh.scalar.bytes > stale.scalar.bytes  # recovered mass
         assert runtime.query(untouched).cache.hit  # disjoint: survived
+
+    @staticmethod
+    def two_routers(seed, epochs):
+        """One region, two routers, 120 flows per router per epoch."""
+        from repro.runtime.presets import network_4level_runtime
+        from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+
+        runtime = network_4level_runtime(
+            networks=1, regions_per_network=1, routers_per_region=2,
+            retain_partitions=True,
+        )
+        sites = runtime.ingest_sites()
+        generator = TrafficGenerator(
+            TrafficConfig(sites=tuple(sites), flows_per_epoch=120),
+            seed=seed,
+        )
+
+        def close(epoch, active=sites):
+            for site in active:
+                runtime.ingest(site, generator.epoch(site, epoch))
+            runtime.close_epoch(60.0 * (epoch + 1))
+
+        for epoch in range(epochs):
+            close(epoch)
+        return runtime, sites, close
+
+    @staticmethod
+    def cold(runtime, flowql):
+        runtime.planner.invalidate_cache()
+        return runtime.query(flowql)
+
+    def test_evicted_partition_retires_closed_window(self):
+        """Retention evicts one of a closed window's two partitions: the
+        repeat is the cold read of what remains, not the kept answer."""
+        runtime, sites, close = self.two_routers(seed=5, epochs=2)
+        flowql = f"SELECT TOTAL FROM TIME(0, 120) AT {sites[0]}"
+        first = runtime.query(flowql)
+        assert first.plan.route == "federated"
+        assert first.scalar.flows == 240
+        store = runtime.store_for(sites[0])
+        store.storage.budget_bytes = int(1.05 * store.catalog.total_bytes())
+        close(2)
+        repeat = runtime.query(flowql)
+        cold = self.cold(runtime, flowql)
+        assert repeat.cache.hit is False
+        assert repeat.result.to_wire() == cold.result.to_wire()
+        assert cold.scalar.flows == 120
+
+    def test_quiet_store_keeps_its_answer(self):
+        """A close that seals nothing a window reads leaves its answer
+        current, even for an unbounded window."""
+        runtime, sites, close = self.two_routers(seed=5, epochs=1)
+        flowql = f"SELECT TOTAL FROM ALL AT {sites[0]}"
+        first = runtime.query(flowql)
+        assert first.plan.route == "federated"
+        close(1, active=sites[1:])
+        repeat = runtime.query(flowql)
+        assert repeat.cache.hit
+        assert repeat.plan.shipped_bytes == 0
+        assert repeat.result.to_wire() == (
+            self.cold(runtime, flowql).result.to_wire()
+        )
 
     def test_replica_promotion_retires_cached_plans_mid_window(self):
         """Promoting a partition to a root-side replica mid-window must

@@ -103,13 +103,16 @@ class TestCacheHitDoesNoFrontWork:
         assert runtime.planner.memo.replans == 1
 
     def test_cache_disabled_still_skips_the_parse(self, monkeypatch):
+        """A repeat that folds again (its cached result dropped) still
+        skips the parse and the plan."""
         runtime = loaded_runtime()
-        runtime.planner.cache = None
         calls = Calls(monkeypatch, runtime.planner)
         text = f"SELECT TOTAL FROM ALL AT {ROUTER1}"
+        runtime.planner.invalidate_cache()
         first = runtime.query(text)
+        runtime.planner.invalidate_cache()
         again = runtime.query(text)
-        assert not again.cache.hit and again.cache.key is None
+        assert not again.cache.hit and again.cache.key == first.cache.key
         assert again.result.to_wire() == first.result.to_wire()
         assert calls.counts["tokenize"] == calls.counts["plan"] == 1
 
@@ -204,7 +207,7 @@ class TestMemoEqualsFresh:
         step(close_another_epoch)
         # repeated uncached federated reads buy replicas mid-query
         for _ in range(4):
-            step(lambda runtime: setattr(runtime.planner, "cache", None))
+            step(lambda runtime: runtime.planner.invalidate_cache())
         assert memo_side.planner.replica_store.replicas
         # retention drops a router's oldest partition
         step(

@@ -290,13 +290,13 @@ class TestPlannerCache:
         again = runtime.query(text)
         assert again.rows  # ...must not poison the cache
 
-    def test_cache_disabled_with_none(self):
+    def test_invalidated_cache_reads_again(self):
         runtime = loaded_runtime()
-        runtime.planner.cache = None
         site = runtime.ingest_sites()[0]
         text = f"SELECT TOTAL FROM ALL AT {site}"
-        runtime.query(text)
-        runtime.query(text)
+        for _ in range(2):
+            runtime.planner.invalidate_cache()
+            runtime.query(text)
         assert runtime.stats.queries_cached == 0
         assert runtime.stats.queries_federated == 2
 
@@ -370,15 +370,17 @@ class TestReplicationFeed:
         runtime = loaded_runtime()
         engine = AdaptiveReplicationEngine(BreakEvenPolicy())
         runtime.manager.enable_adaptive_replication(engine)
-        runtime.planner.cache = None  # isolate replication from caching
         site = runtime.ingest_sites()[0]
         text = f"SELECT TOTAL FROM ALL AT {site}"
         for _ in range(6):
+            # isolate replication from caching
+            runtime.planner.invalidate_cache()
             runtime.query(text)
             if runtime.planner.last_plan.reads[0].served_locally:
                 break
         assert engine.outcomes  # ski-rental bought at least one replica
         moved = runtime.total_network_bytes()
+        runtime.planner.invalidate_cache()
         runtime.query(text)
         read = runtime.planner.last_plan.reads[0]
         assert read.served_locally

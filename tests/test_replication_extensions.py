@@ -145,7 +145,6 @@ class TestFlowQLDrivenReplication:
         )
         engine = AdaptiveReplicationEngine(BreakEvenPolicy())
         runtime.manager.enable_adaptive_replication(engine)
-        runtime.planner.cache = None  # isolate replication from caching
         sites = runtime.ingest_sites()
         generator = TrafficGenerator(
             TrafficConfig(sites=tuple(sites), flows_per_epoch=150), seed=13
@@ -156,6 +155,13 @@ class TestFlowQLDrivenReplication:
             runtime.close_epoch((epoch + 1) * 60.0)
         return runtime, engine
 
+    @staticmethod
+    def _read(runtime, text):
+        """One read that ships again (isolates replication from
+        caching)."""
+        runtime.planner.invalidate_cache()
+        return runtime.query(text)
+
     def test_repeated_flowql_triggers_replicate_partition(self):
         """A partition held only below the export tier gets bought by
         the ski-rental engine from live planner access records alone."""
@@ -164,7 +170,7 @@ class TestFlowQLDrivenReplication:
         text = f"SELECT TOTAL FROM ALL AT {site}"
         queries_until_buy = 0
         for _ in range(8):
-            runtime.query(text)
+            self._read(runtime, text)
             queries_until_buy += 1
             if engine.outcomes:
                 break
@@ -183,13 +189,13 @@ class TestFlowQLDrivenReplication:
         runtime, engine = self._loaded_runtime()
         site = runtime.ingest_sites()[0]
         text = f"SELECT TOTAL FROM ALL AT {site}"
-        baseline = runtime.query(text)
+        baseline = self._read(runtime, text)
         while not (
             runtime.planner.last_plan.reads
             and runtime.planner.last_plan.reads[0].served_locally
         ):
-            runtime.query(text)
+            self._read(runtime, text)
         moved = runtime.total_network_bytes()
-        answer = runtime.query(text)
+        answer = self._read(runtime, text)
         assert runtime.total_network_bytes() == moved  # zero WAN bytes
         assert answer.scalar == baseline.scalar  # replica is exact

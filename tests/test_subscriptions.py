@@ -71,13 +71,10 @@ def drive(runtime, epochs, start=0, flows=100, seed=7):
 
 
 def cold(runtime, text):
-    """Re-execute ``text`` from scratch, bypassing the result cache."""
+    """Re-execute ``text`` from scratch: drop the result cache first."""
     planner = runtime.planner
-    saved, planner.cache = planner.cache, None
-    try:
-        return planner.execute(text).result
-    finally:
-        planner.cache = saved
+    planner.invalidate_cache()
+    return planner.execute(text).result
 
 
 def sample_update(seq=1, mode=MODE_DELTA):
