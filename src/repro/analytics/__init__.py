@@ -1,19 +1,13 @@
 """The Analytics building block (Figure 2a, "transfer & process").
 
 The paper treats analytics as a pluggable toolset between data stores
-and applications.  This package supplies the transfer patterns the
-figure names (scatter & gather, publish & subscribe, request & reply,
-forward & replicate), an in-process MapReduce engine, and lightweight
+and applications.  This package supplies an in-process MapReduce
+engine, event-log and communication-graph analytics, and lightweight
 inference blocks (EWMA anomaly scores, linear trends, CUSUM change
 detection, time-to-threshold forecasts) that the example applications
 build on.
 """
 
-from repro.analytics.transfer import (
-    MessageBus,
-    RequestReplyChannel,
-    ScatterGather,
-)
 from repro.analytics.mapreduce import LocalMapReduce
 from repro.analytics.inference import (
     CusumDetector,
@@ -36,9 +30,6 @@ from repro.analytics.graph import (
 )
 
 __all__ = [
-    "MessageBus",
-    "ScatterGather",
-    "RequestReplyChannel",
     "LocalMapReduce",
     "EwmaAnomalyDetector",
     "CusumDetector",

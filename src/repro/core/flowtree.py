@@ -20,10 +20,9 @@ from typing import Any, Optional, Sequence
 
 from repro.core.primitive import ComputingPrimitive, QueryRequest
 from repro.core.summary import DataSummary, Location, SummaryMeta
-from repro.errors import GranularityError, SchemaMismatchError
+from repro.errors import GranularityError
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
-from repro.flows.records import FlowRecord, PacketRecord
-from repro.flows.tree import Flowtree
+from repro.flows.tree import Flowtree, counters
 
 
 def policy_from_config(config: dict) -> GeneralizationPolicy:
@@ -111,14 +110,7 @@ class FlowtreePrimitive(ComputingPrimitive):
     # -- ingest ----------------------------------------------------------
 
     def _ingest(self, item: Any, timestamp: float) -> None:
-        if isinstance(item, FlowRecord):
-            self.tree.add_flow(item)
-        elif isinstance(item, PacketRecord):
-            self.tree.add_packet(item)
-        else:
-            raise SchemaMismatchError(
-                f"flowtree primitive cannot ingest {type(item).__name__}"
-            )
+        self.tree.add_many((counters(item),))
 
     def ingest_many(self, timed_items) -> int:
         """Batched ingest through :meth:`Flowtree.add_many`.
@@ -127,30 +119,23 @@ class FlowtreePrimitive(ComputingPrimitive):
         and the tree checks its node budget with bounded overshoot
         instead of per record.
         """
-        pairs = []
+        items = []
         first = last = None
         for item, timestamp in timed_items:
-            if isinstance(item, FlowRecord):
-                pairs.append((item.key, item.score()))
-            elif isinstance(item, PacketRecord):
-                pairs.append((item.key, item.score()))
-            else:
-                raise SchemaMismatchError(
-                    f"flowtree primitive cannot ingest {type(item).__name__}"
-                )
+            items.append(counters(item))
             if first is None or timestamp < first:
                 first = timestamp
             if last is None or timestamp > last:
                 last = timestamp
-        if not pairs:
+        if not items:
             return 0
         if self._epoch_start is None or first < self._epoch_start:
             self._epoch_start = first
         if self._epoch_end is None or last > self._epoch_end:
             self._epoch_end = last
-        self.items_ingested += len(pairs)
-        self.tree.add_many(pairs)
-        return len(pairs)
+        self.items_ingested += len(items)
+        self.tree.add_many(items)
+        return len(items)
 
     def _reset(self) -> None:
         self.tree = Flowtree(

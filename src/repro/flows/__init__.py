@@ -14,7 +14,9 @@ This package implements the flow model of Section VI of the paper:
   generalized flows with the eight operators of Table II (Merge, Compress,
   Diff, Query, Drilldown, Top-k, Above-x, HHH), with one ingest walk,
   :meth:`~repro.flows.tree.Flowtree.add_many`, that every record
-  entering a tree takes.
+  entering a tree takes, as a ``(key, packets, bytes, flows)`` tuple
+  (:func:`~repro.flows.tree.counters` builds one from a flow or packet
+  record).
 """
 
 from repro.flows.features import (

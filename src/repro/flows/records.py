@@ -28,7 +28,12 @@ class Score:
     accumulates popularity in plain integer counters on its nodes and
     materializes ``Score`` views only at the API boundary (query
     results, ``node.own``/``folded``/``subtree`` properties), so the
-    per-record ingest cost carries no ``Score`` allocations.
+    per-record ingest cost carries no ``Score`` allocations.  A flow
+    record reaches the tree as ``(key, packets, bytes, 1)``:
+    ``runtime.ingest`` -> ``DataStore.ingest`` ->
+    ``FlowtreePrimitive.ingest_many`` -> :func:`repro.flows.tree.counters`
+    -> ``Flowtree.add_many``.  (A sampled packet record still scales
+    its :meth:`PacketRecord.score`.)
     """
 
     packets: int = 0

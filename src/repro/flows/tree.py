@@ -40,13 +40,18 @@ total ingested mass (an invariant the property-based tests pin down).
 Hot path.  Ingest is the operation every other subsystem's throughput
 rides on, so it is written allocation-light:
 
+* records arrive as plain counters: :meth:`Flowtree.add_many` takes
+  ``(key, packets, bytes, flows)`` tuples (:func:`counters` turns a
+  flow or packet record into one), so no :class:`Score` is built per
+  record;
 * one deepest-first walk per record: probe the record's own depth,
   then one depth up at a time, until a live node answers (one
   projection and one lookup in that depth's dict per probe); climb
   ``parent`` pointers from there to bump every ancestor's subtree
-  counters with no projection at all; then create only the missing
-  tail below it.  This rests on one invariant — a node is only ever
-  removed as a leaf, so every live node's ancestors are alive;
+  counters with no projection at all; then build only the missing
+  tail below it, inline, writing each new node's slots once.  This
+  rests on one invariant — a node is only ever removed as a leaf, so
+  every live node's ancestors are alive;
 * popularity lives in plain integer counters on ``__slots__`` — the
   ``own``/``folded``/``subtree`` :class:`Score` views are materialized
   only at query time;
@@ -55,7 +60,10 @@ rides on, so it is written allocation-light:
   per record, and always re-establishes the budget before returning;
 * :meth:`Flowtree.compress` keeps its least-popular-leaf min-heap alive
   across passes (entries are revalidated lazily on pop) instead of
-  rebuilding it from every node each time.
+  rebuilding it from every node each time, and folds a chain without
+  heap round trips: a fold that leaves its parent a leaf whose entry
+  sorts below the heap's head folds that parent at once, since the
+  heap would hand it straight back.
 
 Fold order is a function of content alone: leaves fold in ascending
 ``(popularity metric, depth, values)`` order, so among equally light
@@ -72,7 +80,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import (
     GranularityError,
@@ -86,6 +103,8 @@ from repro.flows.records import FlowRecord, PacketRecord, Score
 NodeId = Tuple[int, Tuple[int, ...]]
 #: one least-popular-leaf heap entry: (popularity, depth, values)
 _HeapEntry = Tuple[int, int, Tuple[int, ...]]
+#: one item of :meth:`Flowtree.add_many`: (key, packets, bytes, flows)
+Counters = Tuple[FlowKey, int, int, int]
 
 #: Approximate serialized footprint of one node, used for transfer
 #: accounting: depth + per-feature value + three 8-byte counters (twice,
@@ -99,6 +118,20 @@ _SUBTREE_ATTR = {
     "bytes": "subtree_bytes",
     "flows": "subtree_flows",
 }
+
+
+def counters(record: Union[FlowRecord, PacketRecord]) -> Counters:
+    """A record as :meth:`Flowtree.add_many` takes it: a flow record
+    adds one flow of its packets and bytes, a packet record its sampled
+    :meth:`~repro.flows.records.PacketRecord.score`."""
+    if isinstance(record, FlowRecord):
+        return (record.key, record.packets, record.bytes, 1)
+    if isinstance(record, PacketRecord):
+        score = record.score()
+        return (record.key, score.packets, score.bytes, score.flows)
+    raise SchemaMismatchError(
+        f"a Flowtree cannot ingest a {type(record).__name__}"
+    )
 
 
 def _subtree_attr(metric_name: str) -> str:
@@ -345,29 +378,25 @@ class Flowtree:
         self._add_record(key, score)
         self._maybe_self_compress()
 
-    def add_flow(self, record: FlowRecord) -> None:
-        """Ingest one exported flow record."""
-        self.add(record.key, record.score())
-
-    def add_packet(self, record: PacketRecord) -> None:
-        """Ingest one (possibly sampled) packet observation."""
-        self.add(record.key, record.score())
-
-    def ingest(self, records: Iterable[FlowRecord]) -> int:
-        """Ingest many flow records; returns how many were consumed.
+    def ingest(
+        self, records: Iterable[Union[FlowRecord, PacketRecord]]
+    ) -> int:
+        """Ingest many flow or packet records; returns how many were
+        consumed.
 
         The node budget is enforced with a bounded overshoot: inside the
         batch the tree may briefly grow past ``node_budget`` (by at most
         ``max(64, node_budget // 8)`` nodes) before a compression pass
         runs, and the budget always holds again when this returns.
         """
-        return self.add_many((record.key, record.score()) for record in records)
+        return self.add_many(map(counters, records))
 
-    def add_many(self, items: Iterable[Tuple[FlowKey, Score]]) -> int:
-        """Batched :meth:`add` over ``(key, score)`` pairs.
+    def add_many(self, items: Iterable[Counters]) -> int:
+        """Batched :meth:`add` over ``(key, packets, bytes, flows)``
+        tuples — the record's counters, with no :class:`Score` per item.
 
         Same bounded-overshoot budget behavior as :meth:`ingest`.
-        Returns the number of pairs consumed.
+        Returns the number of tuples consumed.
         """
         budget = self.node_budget
         count = 0
@@ -380,7 +409,7 @@ class Flowtree:
         overshoot = (
             float("inf") if budget is None else budget + max(64, budget // 8)
         )
-        for key, score in items:
+        for key, packets, nbytes, flows in items:
             if key.schema.name != schema_name:
                 raise SchemaMismatchError(
                     f"key schema {key.schema.name!r} != tree schema "
@@ -391,9 +420,7 @@ class Flowtree:
                 raise GranularityError(
                     f"key levels {key.levels} are not on the canonical chain"
                 )
-            add_values(
-                key.values, depth, score.packets, score.bytes, score.flows
-            )
+            add_values(key.values, depth, packets, nbytes, flows)
             count += 1
             if self._node_count > overshoot:
                 self.compress(
@@ -439,8 +466,12 @@ class Flowtree:
           ancestor by following ``parent``, with no projection and no
           lookup;
         * tail — create the missing nodes below it, shallowest first,
-          each born holding the record's counters;
-        * finish — add the record to the deepest node's ``own``.
+          inline: each is written once, born holding the record's
+          counters in ``subtree``, with one child above the deepest and
+          the record's ``own`` at the deepest.
+
+        When the record's own node is live, the climb starts there and
+        that node also takes the record's ``own``.
 
         A record whose leaf is live costs one projection; one whose
         deepest live ancestor sits at depth ``a`` costs ``depth - a + 1``
@@ -448,33 +479,66 @@ class Flowtree:
         """
         index = self._index
         projectors = self._projectors
-        projected = projectors[depth](values)
-        node = index[depth].get(projected)
-        missing = []
-        while node is None:
-            missing.append(projected)
+        leaf_depth = depth
+        leaf = projectors[depth](values)
+        node = index[depth].get(leaf)
+        # the leaf's missing ancestors, deepest first; None: the leaf is live
+        missing = None
+        if node is None:
+            missing = []
             depth -= 1
-            if not depth:
+            while depth:
+                projected = projectors[depth](values)
+                node = index[depth].get(projected)
+                if node is not None:
+                    break
+                missing.append(projected)
+                depth -= 1
+            else:
                 node = self._root
-                break
-            projected = projectors[depth](values)
-            node = index[depth].get(projected)
         above = node
         while above is not None:
             above.subtree_packets += packets
             above.subtree_bytes += nbytes
             above.subtree_flows += flows
             above = above.parent
-        new_node = self._new_node
+        if missing is None:
+            node.own_packets += packets
+            node.own_bytes += nbytes
+            node.own_flows += flows
+            return
+        node.nchildren += 1
+        self._node_count += len(missing) + 1
+        make = FlowtreeNode.__new__
         for projected in reversed(missing):
             depth += 1
-            node = new_node(depth, projected, node)
+            parent = node
+            node = make(FlowtreeNode)
+            node.depth = depth
+            node.values = projected
+            node.parent = parent
+            node.own_packets = node.own_bytes = node.own_flows = 0
+            node.folded_packets = node.folded_bytes = node.folded_flows = 0
             node.subtree_packets = packets
             node.subtree_bytes = nbytes
             node.subtree_flows = flows
-        node.own_packets += packets
-        node.own_bytes += nbytes
-        node.own_flows += flows
+            node.nchildren = 1
+            index[depth][projected] = node
+        parent = node
+        node = make(FlowtreeNode)
+        node.depth = leaf_depth
+        node.values = leaf
+        node.parent = parent
+        node.own_packets = node.subtree_packets = packets
+        node.own_bytes = node.subtree_bytes = nbytes
+        node.own_flows = node.subtree_flows = flows
+        node.folded_packets = node.folded_bytes = node.folded_flows = 0
+        node.nchildren = 0
+        index[leaf_depth][leaf] = node
+        if self._leaf_heap is not None:
+            # the tail's one leaf; the nodes above it hold a child until
+            # the next pass takes this queue, so they never enter it
+            self._heap_pending.append(node)
 
     def _new_node(
         self, depth: int, values: Tuple[int, ...], parent: FlowtreeNode
@@ -516,7 +580,11 @@ class Flowtree:
         creation queues an entry, and entries are revalidated lazily on
         pop (stale popularity re-pushes, dead or non-leaf nodes are
         discarded), so a pass costs O(folds log n) instead of O(live
-        nodes).
+        nodes).  A fold that leaves its parent a leaf whose entry is
+        strictly below the heap's head folds that parent at once, up
+        the chain, while the target is not yet met: the heap would pop
+        exactly that entry next.  A tie with the head, or a target met
+        mid-chain, pushes the entry as before.
         """
         if target_nodes is not None and ratio is not None:
             raise GranularityError("give either target_nodes or ratio, not both")
@@ -569,25 +637,30 @@ class Flowtree:
         removed = 0
         while removed < excess and heap:
             value, depth, values = heappop(heap)
-            level = index[depth]
-            node = level.get(values)
+            node = index[depth].get(values)
             if node is None or node.nchildren:
                 continue
             current = getattr(node, attr)
             if current != value:
                 heappush(heap, (current, depth, values))
                 continue
-            parent = node.parent
-            parent.folded_packets += node.own_packets + node.folded_packets
-            parent.folded_bytes += node.own_bytes + node.folded_bytes
-            parent.folded_flows += node.own_flows + node.folded_flows
-            del level[values]
-            removed += 1
-            parent.nchildren -= 1
-            if parent.depth > 0 and not parent.nchildren:
-                heappush(
-                    heap, (getattr(parent, attr), parent.depth, parent.values)
-                )
+            while True:
+                parent = node.parent
+                parent.folded_packets += node.own_packets + node.folded_packets
+                parent.folded_bytes += node.own_bytes + node.folded_bytes
+                parent.folded_flows += node.own_flows + node.folded_flows
+                del index[node.depth][node.values]
+                removed += 1
+                parent.nchildren -= 1
+                if not parent.depth or parent.nchildren:
+                    break
+                entry = (getattr(parent, attr), parent.depth, parent.values)
+                if removed < excess and (not heap or entry < heap[0]):
+                    # the heap would hand this entry straight back
+                    node = parent
+                    continue
+                heappush(heap, entry)
+                break
         self._node_count -= removed
         return removed
 

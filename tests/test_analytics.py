@@ -9,79 +9,6 @@ from repro.analytics.inference import (
     time_to_threshold,
 )
 from repro.analytics.mapreduce import LocalMapReduce
-from repro.analytics.transfer import (
-    MessageBus,
-    RequestReplyChannel,
-    ScatterGather,
-)
-from repro.core.summary import Location
-from repro.errors import ReproError
-from repro.hierarchy.network import NetworkFabric
-from repro.hierarchy.topology import smart_factory_hierarchy
-
-
-class TestMessageBus:
-    def test_publish_subscribe(self):
-        bus = MessageBus()
-        received = []
-        bus.subscribe("alerts", lambda topic, msg: received.append(msg))
-        assert bus.publish("alerts", {"x": 1}) == 1
-        assert bus.publish("other", {"y": 2}) == 0
-        assert received == [{"x": 1}]
-
-    def test_multiple_subscribers(self):
-        bus = MessageBus()
-        a, b = [], []
-        bus.subscribe("t", lambda _t, m: a.append(m))
-        bus.subscribe("t", lambda _t, m: b.append(m))
-        assert bus.publish("t", 1) == 2
-        assert a == b == [1]
-
-    def test_unsubscribe(self):
-        bus = MessageBus()
-        received = []
-
-        def sink(topic, msg):
-            received.append(msg)
-
-        bus.subscribe("t", sink)
-        bus.unsubscribe("t", sink)
-        bus.publish("t", 1)
-        assert received == []
-
-    def test_fabric_accounting(self):
-        hierarchy = smart_factory_hierarchy(factories=1)
-        fabric = NetworkFabric(hierarchy)
-        bus = MessageBus(fabric=fabric)
-        bus.subscribe(
-            "t", lambda _t, m: None, location=Location("hq/factory1")
-        )
-        bus.publish(
-            "t", "payload", size_bytes=1000, origin=Location("hq")
-        )
-        assert fabric.total_bytes() == 1000
-
-
-class TestScatterGather:
-    def test_round_robin_order_preserved(self):
-        sg = ScatterGather([lambda x: x * 2, lambda x: x * 3])
-        assert sg.run([1, 1, 1, 1]) == [2, 3, 2, 3]
-
-    def test_needs_workers(self):
-        with pytest.raises(ReproError):
-            ScatterGather([])
-
-
-class TestRequestReply:
-    def test_roundtrip(self):
-        channel = RequestReplyChannel()
-        channel.register("double", lambda x: x * 2)
-        assert channel.request("double", 21) == 42
-        assert channel.requests == 1
-
-    def test_unknown_handler(self):
-        with pytest.raises(ReproError):
-            RequestReplyChannel().request("nope", 1)
 
 
 class TestMapReduce:

@@ -1,6 +1,8 @@
 """Unit tests for the Flowtree data structure (Table II operators)."""
 
 import gc
+import heapq
+import types
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.errors import (
 )
 from repro.flows.flowkey import SRC_DST, GeneralizationPolicy
 from repro.flows.records import FlowRecord, PacketRecord, Score
+from repro.flows import tree as tree_module
 from repro.flows.tree import Flowtree, FlowtreeNode
 from repro.runtime.presets import network_4level_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
@@ -80,16 +83,17 @@ class TestInsertAndQuery:
 
     def test_flow_and_packet_ingest(self, policy, make_key):
         tree = make_tree(policy)
-        tree.add_flow(
+        records = [
             FlowRecord(
                 key=make_key(), packets=3, bytes=300, first_seen=0,
                 last_seen=1,
-            )
-        )
-        tree.add_packet(
-            PacketRecord(key=make_key(), bytes=100, timestamp=0.5)
-        )
-        assert tree.total() == Score(4, 400, 1)
+            ),
+            PacketRecord(
+                key=make_key(), bytes=100, timestamp=0.5, sampled_1_in=2
+            ),
+        ]
+        assert tree.ingest(records) == 2
+        assert tree.total() == Score(5, 500, 1)
 
     def test_ingest_many(self, policy, random_flows):
         tree = make_tree(policy)
@@ -130,6 +134,50 @@ class TestIngestWalkCost:
         assert calls[0] == (depth - ancestor + 1 if ancestor else depth)
         assert tree.node_count == depth + 1
         assert tree.total() == Score(2, 110, 1)
+
+
+class TestChainFold:
+    """A fold that leaves its parent a leaf lighter than every queued
+    entry folds that parent at once, instead of pushing it onto the
+    compression heap and popping it straight back."""
+
+    @staticmethod
+    def _count_heap_calls(monkeypatch):
+        calls = {"heappush": 0, "heappop": 0}
+
+        def counting(name):
+            real = getattr(heapq, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        shim = types.SimpleNamespace(
+            heapify=heapq.heapify,
+            heappush=counting("heappush"),
+            heappop=counting("heappop"),
+        )
+        monkeypatch.setattr(tree_module, "heapq", shim)
+        return calls
+
+    # a 13-node chain under the root: down to the root in one pop, or
+    # stopped 4 nodes short, where the parent's entry is pushed as ever
+    @pytest.mark.parametrize("target, pushes", [(1, 0), (5, 1)])
+    def test_chain_folds_without_a_heap_round_trip(
+        self, policy, make_key, monkeypatch, target, pushes
+    ):
+        tree = make_tree(policy, budget=policy.depth + 1)
+        tree.add(make_key(), Score(3, 300, 1))
+        assert tree.node_count == policy.depth + 1
+        calls = self._count_heap_calls(monkeypatch)
+        assert tree.compress(target_nodes=target) == policy.depth + 1 - target
+        assert calls == {"heappush": pushes, "heappop": 1}
+        assert tree.node_count == target
+        assert tree.total() == Score(3, 300, 1)
+        if target == 1:
+            assert tree.root.folded == Score(3, 300, 1)
 
 
 class TestCompress:

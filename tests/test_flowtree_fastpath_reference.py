@@ -179,6 +179,16 @@ class ReferenceFlowtree:
         return result
 
 
+def counted(
+    items: List[Tuple[FlowKey, Score]]
+) -> List[Tuple[FlowKey, int, int, int]]:
+    """The tests' ``(key, Score)`` payloads in the shape the fast
+    tree's ``add_many`` takes: ``(key, packets, bytes, flows)``."""
+    return [
+        (key, score.packets, score.bytes, score.flows) for key, score in items
+    ]
+
+
 def assert_identical(fast: Flowtree, reference: ReferenceFlowtree) -> None:
     """Node-for-node, counter-for-counter equality."""
     fast_nodes = {node.node_id: node for node in fast.nodes()}
@@ -319,7 +329,7 @@ class TestFastPathMatchesReference:
                 fast.add(key, score)
                 reference.add(key, score)
             elif op == "add_many":
-                fast.add_many(list(payload))
+                fast.add_many(counted(payload))
                 reference.add_many(list(payload))
             elif op == "merge":
                 other_fast = Flowtree(POLICY, node_budget=None)
@@ -350,7 +360,7 @@ class TestFastPathMatchesReference:
         fast = Flowtree(POLICY, node_budget=16, metric="bytes")
         reference = ReferenceFlowtree(POLICY, node_budget=16)
         for batch in batches:
-            fast.add_many(list(batch))
+            fast.add_many(counted(batch))
             reference.add_many(list(batch))
         assert_identical(fast, reference)
 
@@ -360,7 +370,7 @@ class TestFastPathMatchesReference:
         """Batched (overshooting) compression never loses mass, and the
         budget holds again once the batch returns."""
         tree = Flowtree(POLICY, node_budget=POLICY.depth + 1, metric="bytes")
-        tree.add_many(list(batch))
+        tree.add_many(counted(batch))
         expected = Score.zero()
         for _, score in batch:
             expected = expected + score
@@ -402,7 +412,7 @@ class TestFastPathMatchesReference:
                 fast.add(*payload)
                 reference.add(*payload)
             else:
-                fast.add_many(list(payload))
+                fast.add_many(counted(payload))
                 reference.add_many(list(payload))
             assert_identical(fast, reference)
 
@@ -419,9 +429,109 @@ class TestFastPathMatchesReference:
         ref_left = ReferenceFlowtree(POLICY, node_budget=budget)
         fast_right = Flowtree(POLICY, node_budget=None, metric="bytes")
         ref_right = ReferenceFlowtree(POLICY)
-        fast_left.add_many(list(left))
+        fast_left.add_many(counted(left))
         ref_left.add_many(list(left))
-        fast_right.add_many(list(right))
+        fast_right.add_many(counted(right))
         ref_right.add_many(list(right))
         assert_identical(fast_left.diff(fast_right), ref_left.diff(ref_right))
         assert_identical(fast_right.diff(fast_left), ref_right.diff(ref_left))
+
+
+
+# -- the fold-at-once shortcut's boundaries -----------------------------
+
+#: on-chain keys of the depth-13 chain (fully specific or lifted), each
+#: with popularity that is often zero, so a childless parent can re-enter
+#: the heap at exactly the value of an entry it left there earlier
+zero_inserts = st.tuples(
+    deep_inserts.map(lambda pair: pair[0]),
+    st.builds(
+        Score,
+        packets=st.integers(min_value=0, max_value=2),
+        bytes=st.integers(min_value=0, max_value=2),
+        flows=st.integers(min_value=0, max_value=1),
+    ),
+)
+
+
+class TestChainFoldBoundaries:
+    """``Flowtree.compress`` folds a parent that a fold left childless at
+    once when its entry is strictly below the heap's head and the target
+    is not yet reached; a tie with the head, or the target reached
+    mid-chain, pushes the entry as the lazy heap always did.  Each
+    boundary against the reference, node for node."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                deep_keys, min_size=1, max_size=30,
+                unique_by=lambda key: key.values,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        budget=st.sampled_from([DEEP_POLICY.depth + 1, 20, 32]),
+    )
+    def test_ties_fold_in_reference_order(self, batches, budget):
+        """Equal-weight, fully specific, unique flows: every fold is
+        decided by the ``(depth, values)`` tie-break."""
+        fast = Flowtree(DEEP_POLICY, node_budget=budget, metric="bytes")
+        reference = ReferenceFlowtree(DEEP_POLICY, node_budget=budget)
+        for batch in batches:
+            items = [(key, Score(1, 1, 1)) for key in batch]
+            fast.add_many(counted(items))
+            reference.add_many(items)
+            assert_identical(fast, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("add_many"), st.lists(zero_inserts, max_size=30)
+                ),
+                st.tuples(
+                    st.just("compress"),
+                    st.integers(min_value=1, max_value=40),
+                ),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        budget=st.sampled_from([DEEP_POLICY.depth + 1, 20, 32]),
+    )
+    def test_zero_score_inserts_identical(self, ops, budget):
+        fast = Flowtree(DEEP_POLICY, node_budget=budget, metric="bytes")
+        reference = ReferenceFlowtree(DEEP_POLICY, node_budget=budget)
+        for op, payload in ops:
+            if op == "add_many":
+                fast.add_many(counted(payload))
+                reference.add_many(list(payload))
+            else:
+                fast.compress(target_nodes=payload)
+                reference.compress(payload)
+            assert_identical(fast, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.lists(deep_inserts, min_size=1, max_size=12),
+        cuts=st.lists(
+            st.integers(min_value=1, max_value=DEEP_POLICY.depth),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_target_reached_mid_chain_identical(self, batch, cuts):
+        """Passes that stop 1 to 13 folds short of the last: the target
+        is met partway up a chain and the rest of it waits for a later
+        pass."""
+        fast = Flowtree(DEEP_POLICY, node_budget=None, metric="bytes")
+        reference = ReferenceFlowtree(DEEP_POLICY)
+        fast.add_many(counted(batch))
+        reference.add_many(list(batch))
+        for cut in cuts:
+            target = max(1, fast.node_count - cut)
+            fast.compress(target_nodes=target)
+            reference.compress(target)
+            assert_identical(fast, reference)

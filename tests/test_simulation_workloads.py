@@ -205,10 +205,9 @@ class TestTraffic:
         flows = generator.epoch("region1/router1", 0)
         truth_bytes = sum(r.bytes for r in flows)
         tree = Flowtree(policy, node_budget=None)
-        for packet in generator.packet_epoch(
-            "region1/router1", 0, sample_1_in=50
-        ):
-            tree.add_packet(packet)
+        tree.ingest(
+            generator.packet_epoch("region1/router1", 0, sample_1_in=50)
+        )
         estimate = tree.total().bytes
         assert 0.7 * truth_bytes < estimate < 1.3 * truth_bytes
 

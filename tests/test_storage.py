@@ -43,8 +43,7 @@ def make_partition(
 
 def flowtree_partition(policy, index, flows, aggregator="ft"):
     tree = Flowtree(policy, node_budget=None)
-    for record in flows:
-        tree.add_flow(record)
+    tree.ingest(flows)
     created = float(index * 60)
     summary = DataSummary(
         kind="flowtree",
