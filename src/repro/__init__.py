@@ -13,8 +13,8 @@ The paper is a vision paper; this library *builds the vision*:
   storage strategies, triggers, partitions, and federated queries.
 * **Hierarchy and network** (:mod:`repro.hierarchy`) — both Figure 1
   settings and a byte-accounted WAN.
-* **Analytics** (:mod:`repro.analytics`) — MapReduce, event-log and
-  graph analytics, and lightweight inference.
+* **Analytics** (:mod:`repro.analytics`) — event-log and graph
+  analytics, and lightweight inference.
 * **Control** (:mod:`repro.control`) — controllers with conflict
   resolution and the Manager control plane.
 * **Applications** (:mod:`repro.apps`) — predictive maintenance,

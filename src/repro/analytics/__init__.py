@@ -1,14 +1,12 @@
 """The Analytics building block (Figure 2a, "transfer & process").
 
 The paper treats analytics as a pluggable toolset between data stores
-and applications.  This package supplies an in-process MapReduce
-engine, event-log and communication-graph analytics, and lightweight
-inference blocks (EWMA anomaly scores, linear trends, CUSUM change
-detection, time-to-threshold forecasts) that the example applications
-build on.
+and applications.  This package supplies event-log and
+communication-graph analytics and lightweight inference blocks (EWMA
+anomaly scores, linear trends, CUSUM change detection,
+time-to-threshold forecasts) that the example applications build on.
 """
 
-from repro.analytics.mapreduce import LocalMapReduce
 from repro.analytics.inference import (
     CusumDetector,
     EwmaAnomalyDetector,
@@ -30,7 +28,6 @@ from repro.analytics.graph import (
 )
 
 __all__ = [
-    "LocalMapReduce",
     "EwmaAnomalyDetector",
     "CusumDetector",
     "LinearTrend",

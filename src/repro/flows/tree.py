@@ -52,6 +52,12 @@ rides on, so it is written allocation-light:
   tail below it, inline, writing each new node's slots once.  This
   rests on one invariant — a node is only ever removed as a leaf, so
   every live node's ancestors are alive;
+* unions follow the same birth rule: a node that :meth:`Flowtree.merge`,
+  :meth:`Flowtree.copy` or :meth:`Flowtree.diff` adds, and every node
+  :meth:`Flowtree.from_dict` rebuilds, is made with
+  ``FlowtreeNode.__new__`` and has each slot written once (a union's
+  counters are born as the other tree's, times the sign), so no node
+  but the root runs a constructor;
 * popularity lives in plain integer counters on ``__slots__`` — the
   ``own``/``folded``/``subtree`` :class:`Score` views are materialized
   only at query time;
@@ -143,13 +149,29 @@ def _subtree_attr(metric_name: str) -> str:
         ) from None
 
 
+def _stored_counters(entry: dict, field: str) -> Tuple[int, int, int]:
+    """A serialized node's ``own`` or ``folded`` triple, each a
+    non-negative ``int`` (not a ``bool``), or
+    :class:`MalformedSummaryError`."""
+    packets, nbytes, flows = entry[field]
+    for count in (packets, nbytes, flows):
+        if type(count) is not int or count < 0:
+            raise MalformedSummaryError(
+                f"payload node counter {field}={entry[field]!r} is not "
+                f"a non-negative integer"
+            )
+    return packets, nbytes, flows
+
+
 class FlowtreeNode:
     """One generalized flow inside a :class:`Flowtree`.
 
     Popularity is stored as nine plain integer counters so the ingest
     hot path increments in place; the ``own``/``folded``/``subtree``
     properties expose the same values as immutable :class:`Score` views
-    for query-time consumers.
+    for query-time consumers.  The constructor builds a tree's root
+    only; every other node is born inline by the walk, a union or a
+    rebuild (see "Hot path" above).
     """
 
     __slots__ = (
@@ -540,18 +562,6 @@ class Flowtree:
             # the next pass takes this queue, so they never enter it
             self._heap_pending.append(node)
 
-    def _new_node(
-        self, depth: int, values: Tuple[int, ...], parent: FlowtreeNode
-    ) -> FlowtreeNode:
-        """Create, register and heap-track one node."""
-        node = FlowtreeNode(depth, values, parent)
-        self._index[depth][values] = node
-        self._node_count += 1
-        parent.nchildren += 1
-        if self._leaf_heap is not None:
-            self._heap_pending.append(node)
-        return node
-
     # ------------------------------------------------------------------
     # Compress
 
@@ -684,26 +694,54 @@ class Flowtree:
         theirs lands under the paired node of ours).  Depths run
         shallowest first, so a node of theirs that ours lacks finds its
         parent already paired one dict above.
+
+        Such a node is born inline, as the ingest walk's tail is: each
+        slot written once, its counters ``sign`` times theirs, its
+        parent's ``nchildren`` bumped, and queued for the compression
+        heap only while that heap is live.  ``node_count`` moves once.
         """
-        new_node = self._new_node
+        make = FlowtreeNode.__new__
+        queue = self._heap_pending if self._leaf_heap is not None else None
+        born = 0
         above: Dict[Tuple[int, ...], FlowtreeNode] = {}
         for depth, (ours, theirs_at) in enumerate(
             zip(self._index, other._index)
         ):
             for values, theirs in theirs_at.items():
                 mine = ours.get(values)
-                if mine is None:
-                    mine = new_node(depth, values, above[theirs.parent.values])
-                mine.own_packets += sign * theirs.own_packets
-                mine.own_bytes += sign * theirs.own_bytes
-                mine.own_flows += sign * theirs.own_flows
-                mine.folded_packets += sign * theirs.folded_packets
-                mine.folded_bytes += sign * theirs.folded_bytes
-                mine.folded_flows += sign * theirs.folded_flows
-                mine.subtree_packets += sign * theirs.subtree_packets
-                mine.subtree_bytes += sign * theirs.subtree_bytes
-                mine.subtree_flows += sign * theirs.subtree_flows
+                if mine is not None:
+                    mine.own_packets += sign * theirs.own_packets
+                    mine.own_bytes += sign * theirs.own_bytes
+                    mine.own_flows += sign * theirs.own_flows
+                    mine.folded_packets += sign * theirs.folded_packets
+                    mine.folded_bytes += sign * theirs.folded_bytes
+                    mine.folded_flows += sign * theirs.folded_flows
+                    mine.subtree_packets += sign * theirs.subtree_packets
+                    mine.subtree_bytes += sign * theirs.subtree_bytes
+                    mine.subtree_flows += sign * theirs.subtree_flows
+                    continue
+                parent = above[theirs.parent.values]
+                parent.nchildren += 1
+                mine = make(FlowtreeNode)
+                mine.depth = depth
+                mine.values = values
+                mine.parent = parent
+                mine.own_packets = sign * theirs.own_packets
+                mine.own_bytes = sign * theirs.own_bytes
+                mine.own_flows = sign * theirs.own_flows
+                mine.folded_packets = sign * theirs.folded_packets
+                mine.folded_bytes = sign * theirs.folded_bytes
+                mine.folded_flows = sign * theirs.folded_flows
+                mine.subtree_packets = sign * theirs.subtree_packets
+                mine.subtree_bytes = sign * theirs.subtree_bytes
+                mine.subtree_flows = sign * theirs.subtree_flows
+                mine.nchildren = 0
+                ours[values] = mine
+                born += 1
+                if queue is not None:
+                    queue.append(mine)
             above = ours
+        self._node_count += born
 
     def merge(self, other: "Flowtree") -> None:
         """Fold ``other`` into this tree in place (Table II: Merge).
@@ -1060,9 +1098,12 @@ class Flowtree:
         do not round-trip through JSON); its shape is validated against
         the payload.  Payloads come from segment files and wire bodies,
         so one that is not a serialized tree — a missing key, a short
-        ``values`` or counter list, a non-numeric counter or budget —
-        raises :class:`MalformedSummaryError`, never a bare lookup or
-        type error.
+        ``values`` or counter list, values with bits below their depth's
+        mask, a counter that is not a
+        non-negative integer (a stored tree never holds a fraction or a
+        negative: privacy only coarsens, and diffs are never stored), a
+        non-numeric budget — raises :class:`MalformedSummaryError`,
+        never a bare lookup or type error.
         """
         try:
             return cls._rebuild(payload, policy)
@@ -1092,6 +1133,7 @@ class Flowtree:
         index = tree._index
         projectors = tree._projectors
         max_depth = policy.depth
+        make = FlowtreeNode.__new__
         created: List[FlowtreeNode] = []
         # parents first: every node links under an entry already placed,
         # so the payload is checked to be a tree while it is rebuilt
@@ -1116,27 +1158,42 @@ class Flowtree:
                     raise MalformedSummaryError(
                         f"payload holds node {(depth, values)} twice"
                     )
+                if projectors[depth](values) != values:
+                    # no key reaches it: a query masks to the canonical
+                    raise MalformedSummaryError(
+                        f"payload node {(depth, values)} is not canonical "
+                        f"at its depth"
+                    )
                 parent = index[depth - 1].get(projectors[depth - 1](values))
                 if parent is None:
                     raise MalformedSummaryError(
                         f"payload node {(depth, values)} has no parent in "
                         f"the payload"
                     )
-                node = tree._new_node(depth, values, parent)
+                # born as the ingest walk's and a union's nodes are; a
+                # fresh tree's heap is not live, so nothing is queued
+                parent.nchildren += 1
+                node = make(FlowtreeNode)
+                node.depth = depth
+                node.values = values
+                node.parent = parent
+                node.nchildren = 0
+                index[depth][values] = node
             (
                 node.own_packets,
                 node.own_bytes,
                 node.own_flows,
-            ) = entry["own"]
+            ) = _stored_counters(entry, "own")
             (
                 node.folded_packets,
                 node.folded_bytes,
                 node.folded_flows,
-            ) = entry["folded"]
+            ) = _stored_counters(entry, "folded")
             node.subtree_packets = node.own_packets + node.folded_packets
             node.subtree_bytes = node.own_bytes + node.folded_bytes
             node.subtree_flows = node.own_flows + node.folded_flows
             created.append(node)
+        tree._node_count = sum(map(len, index))
         # every node sits after its parent, so one reverse sweep
         # accumulates every subtree bottom-up
         for node in reversed(created):

@@ -8,46 +8,6 @@ from repro.analytics.inference import (
     LinearTrend,
     time_to_threshold,
 )
-from repro.analytics.mapreduce import LocalMapReduce
-
-
-class TestMapReduce:
-    def test_word_count(self):
-        engine = LocalMapReduce(partitions=3)
-        records = ["a", "b", "a", "c", "a", "b"]
-        counts = engine.word_count_style(records, key_of=lambda r: r)
-        assert counts == {"a": 3, "b": 2, "c": 1}
-
-    def test_combiner_reduces_shuffle(self):
-        records = ["x"] * 100
-        without = LocalMapReduce(partitions=4)
-        without.run(
-            records,
-            mapper=lambda r: [(r, 1)],
-            reducer=lambda k, vs: sum(vs),
-        )
-        with_combiner = LocalMapReduce(partitions=4)
-        with_combiner.run(
-            records,
-            mapper=lambda r: [(r, 1)],
-            reducer=lambda k, vs: sum(vs),
-            combiner=lambda k, vs: sum(vs),
-        )
-        assert without.last_stats.shuffled_pairs == 100
-        assert with_combiner.last_stats.shuffled_pairs == 4
-
-    def test_multi_key_mapper(self):
-        engine = LocalMapReduce()
-        result = engine.run(
-            [1, 2, 3],
-            mapper=lambda r: [("even", r)] if r % 2 == 0 else [("odd", r)],
-            reducer=lambda k, vs: sum(vs),
-        )
-        assert result == {"odd": 4, "even": 2}
-
-    def test_invalid_partitions(self):
-        with pytest.raises(ValueError):
-            LocalMapReduce(partitions=0)
 
 
 class TestInference:

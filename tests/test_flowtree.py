@@ -507,16 +507,31 @@ class TestSerialization:
             lambda p: p["nodes"][-1].update(
                 values=p["nodes"][-1]["values"][:2]
             ),
+            # a depth-1 node with bits its depth's mask drops: a sibling
+            # of the real one that no query key could reach
+            lambda p: p["nodes"].append(
+                dict(
+                    p["nodes"][1],
+                    values=[v | 1 for v in p["nodes"][1]["values"]],
+                )
+            ),
             lambda p: p["nodes"][-1].update(own=[1, 100]),
             lambda p: p["nodes"][-1].update(own=["1", 100, 1]),
+            # counters a stored tree never holds: a fraction, a bool, a
+            # negative (privacy only coarsens; diffs are never stored)
+            lambda p: p["nodes"][-1].update(own=[1, 100.5, 1]),
+            lambda p: p["nodes"][-1].update(own=[True, 100, 1]),
+            lambda p: p["nodes"][-1].update(folded=[0, -1, 0]),
             lambda p: p.pop("nodes"),
             lambda p: p.update(node_budget="many"),
         ],
         ids=[
             "orphan", "duplicate", "second-root", "stray-root", "too-deep",
             "negative-depth",
-            "no-own", "no-folded", "no-values", "short-values", "short-own",
-            "non-numeric-counter", "no-nodes", "non-int-budget",
+            "no-own", "no-folded", "no-values", "short-values",
+            "non-canonical-values", "short-own",
+            "non-numeric-counter", "float-counter", "bool-counter",
+            "negative-counter", "no-nodes", "non-int-budget",
         ],
     )
     def test_payload_that_is_not_a_tree_rejected(

@@ -535,3 +535,106 @@ class TestChainFoldBoundaries:
             fast.compress(target_nodes=target)
             reference.compress(target)
             assert_identical(fast, reference)
+
+
+# -- union births: merge, copy and from_dict ----------------------------
+
+
+def fed_pair(
+    batches: List[List[Tuple[FlowKey, Score]]], budget: Optional[int]
+) -> Tuple[Flowtree, ReferenceFlowtree]:
+    """A fast tree and its reference under one budget, fed the same
+    batches: both compress wherever a batch overshoots the budget."""
+    fast = Flowtree(POLICY, node_budget=budget, metric="bytes")
+    reference = ReferenceFlowtree(POLICY, node_budget=budget)
+    for batch in batches:
+        fast.add_many(counted(batch))
+        reference.add_many(list(batch))
+    return fast, reference
+
+
+def compress_by(
+    fast: Flowtree, reference: ReferenceFlowtree, cut: int
+) -> None:
+    """Compress both ``cut`` nodes below the fast tree's count."""
+    target = max(1, fast.node_count - cut)
+    fast.compress(target_nodes=target)
+    reference.compress(target)
+    assert_identical(fast, reference)
+
+
+def settle(
+    fast: Flowtree,
+    reference: ReferenceFlowtree,
+    cut: int,
+    extra: List[Tuple[FlowKey, Score]],
+) -> None:
+    """After a union built ``fast``: compress (the heap goes live), take
+    a merge of fresh nodes into that live heap, compress again, and
+    round-trip the result; node for node at every step."""
+    assert_identical(fast, reference)
+    compress_by(fast, reference, cut)
+    more_fast, more_reference = fed_pair([extra], None)
+    fast.merge(more_fast)
+    reference.merge(more_reference)
+    assert_identical(fast, reference)
+    compress_by(fast, reference, cut)
+    assert_identical(Flowtree.from_dict(fast.to_dict(), POLICY), reference)
+
+
+union_batches = st.lists(
+    st.lists(inserts, max_size=40), min_size=1, max_size=3
+)
+union_budgets = st.sampled_from([POLICY.depth + 1, 12, 24])
+cuts = st.integers(min_value=1, max_value=12)
+extras = st.lists(inserts, min_size=1, max_size=15)
+
+
+class TestUnionBirths:
+    """Merge, copy and ``from_dict`` create each node they add inline:
+    every slot written once, the parent's ``nchildren`` bumped, and the
+    node queued for the compression heap while that heap is live.  Each
+    runs on budgeted, already compressed trees (folded mass, interior
+    nodes the target lacks), is checked against the reference, and is
+    then compressed, merged into and round-tripped (:func:`settle`)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ours=union_batches,
+        theirs=st.lists(union_batches, min_size=1, max_size=3),
+        budget=union_budgets,
+        cut=cuts,
+        extra=extras,
+    )
+    def test_merge_of_compressed_trees_identical(
+        self, ours, theirs, budget, cut, extra
+    ):
+        fast, reference = fed_pair(ours, budget)
+        # the target's heap is live before the first merge
+        compress_by(fast, reference, cut)
+        for batches in theirs:
+            other_fast, other_reference = fed_pair(batches, budget)
+            fast.merge(other_fast)
+            reference.merge(other_reference)
+            assert_identical(fast, reference)
+        settle(fast, reference, cut, extra)
+
+    @settings(max_examples=50, deadline=None)
+    @given(batches=union_batches, budget=union_budgets, cut=cuts, extra=extras)
+    def test_copy_of_compressed_tree_identical(
+        self, batches, budget, cut, extra
+    ):
+        source, reference = fed_pair(batches, budget)
+        clone = source.copy()
+        assert clone.compressions == source.compressions
+        settle(clone, reference, cut, extra)
+
+    @settings(max_examples=50, deadline=None)
+    @given(batches=union_batches, budget=union_budgets, cut=cuts, extra=extras)
+    def test_rebuild_of_compressed_tree_identical(
+        self, batches, budget, cut, extra
+    ):
+        source, reference = fed_pair(batches, budget)
+        rebuilt = Flowtree.from_dict(source.to_dict(), POLICY)
+        assert rebuilt.node_budget == source.node_budget
+        settle(rebuilt, reference, cut, extra)

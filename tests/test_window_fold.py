@@ -333,11 +333,16 @@ class TestReadOnlyTrees:
 
 
 def count_tree_work(monkeypatch):
-    """From now on: trees built, trees copied and nodes created."""
+    """From now on: trees built, trees copied and nodes created.
+
+    A union (merge, copy, diff) creates every node it adds inline, so
+    nodes are counted as the ``node_count`` growth each
+    ``Flowtree._absorb`` call causes.  Any other node a query path
+    could create (ingest, ``subtree``, ``from_dict``) lands in a tree
+    it built, which ``trees`` counts.
+    """
     counts = {"trees": 0, "copies": 0, "nodes": 0}
-    for attr, key in (
-        ("__init__", "trees"), ("copy", "copies"), ("_new_node", "nodes")
-    ):
+    for attr, key in (("__init__", "trees"), ("copy", "copies")):
         def counted(
             *args, _original=getattr(Flowtree, attr), _key=key, **kwargs
         ):
@@ -345,6 +350,13 @@ def count_tree_work(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(Flowtree, attr, counted)
+
+    def absorbed(tree, other, sign, _original=Flowtree._absorb):
+        before = tree.node_count
+        _original(tree, other, sign)
+        counts["nodes"] += tree.node_count - before
+
+    monkeypatch.setattr(Flowtree, "_absorb", absorbed)
     return counts
 
 
@@ -399,6 +411,20 @@ class TestBorrowedInputs:
             assert outcome.plan.shipped_bytes == (
                 stored.estimated_size_bytes()
             )
+
+    def test_the_counter_sees_every_node_a_copy_creates(self, monkeypatch):
+        """The ``nodes`` count above is not vacuous: copying a stored
+        tree, as a fold that wrote through a borrowed input would have
+        to, shows up as one tree, one copy and all of its nodes."""
+        runtime = build_runtime()
+        drive(runtime, 1)
+        [entry] = runtime.db.entries(None, 0.0, EPOCH)
+        counts = count_tree_work(monkeypatch)
+        entry.tree.copy()
+        assert entry.tree.node_count > 1
+        assert counts == {
+            "trees": 1, "copies": 1, "nodes": entry.tree.node_count - 1
+        }
 
 
 class TestStoredTreesNeverWritten:
