@@ -172,15 +172,7 @@ def apply_operator(tree: Flowtree, query: FlowQLQuery) -> FlowQLResult:
         result = _rows(operator, pairs)
 
     elif operator == "topk":
-        pairs = tree.top_k(int(args[0]), metric=metric)
-        if pattern is not None:
-            pairs = [
-                (key, score)
-                for key, score in tree.top_k(
-                    max(int(args[0]) * 16, 128), metric=metric
-                )
-                if pattern.contains(key)
-            ][: int(args[0])]
+        pairs = tree.top_k(int(args[0]), metric=metric, within=pattern)
         result = _rows(operator, pairs)
 
     elif operator == "above":

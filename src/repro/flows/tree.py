@@ -882,20 +882,32 @@ class Flowtree:
         k: int,
         depth: Optional[int] = None,
         metric: Optional[str] = None,
+        within: Optional[FlowKey] = None,
     ) -> List[Tuple[FlowKey, Score]]:
         """The ``k`` most popular flows (Table II: Top-k).
 
         ``depth`` selects the generalization level to rank (default: the
-        fully-specific leaf level).  Ties break on key values so results
-        are deterministic.
+        fully-specific leaf level).  ``within`` ranks only the flows
+        under a generalized key (a FlowQL ``WHERE``): the level is
+        filtered while it is scanned, so a restricted answer is as long
+        as an unrestricted one whenever the level holds ``k`` matching
+        flows.  Ties break on key values so results are deterministic.
         """
         if k <= 0:
             return []
         depth = self.policy.depth if depth is None else depth
         attr = _subtree_attr(metric or self.metric)
-        candidates = list(self._level(depth).values())
-        candidates.sort(key=lambda n: (-getattr(n, attr), n.values))
-        return [(self.key_of(node), node.subtree) for node in candidates[:k]]
+        candidates = self._level(depth).values()
+        if within is not None:
+            candidates = [
+                node
+                for node in candidates
+                if within.contains(self.key_of(node))
+            ]
+        best = heapq.nsmallest(
+            k, candidates, key=lambda n: (-getattr(n, attr), n.values)
+        )
+        return [(self.key_of(node), node.subtree) for node in best]
 
     def above_x(
         self,
@@ -1099,10 +1111,11 @@ class Flowtree:
         the payload.  Payloads come from segment files and wire bodies,
         so one that is not a serialized tree — a missing key, a short
         ``values`` or counter list, values with bits below their depth's
-        mask, a counter that is not a
-        non-negative integer (a stored tree never holds a fraction or a
-        negative: privacy only coarsens, and diffs are never stored), a
-        non-numeric budget — raises :class:`MalformedSummaryError`,
+        mask, a counter that is not a non-negative integer (a stored
+        tree never holds a fraction or a negative: privacy only
+        coarsens, and diffs are never stored), a depth that is not an
+        ``int`` (a ``bool`` is not one here), a budget that is neither
+        ``None`` nor an ``int`` — raises :class:`MalformedSummaryError`,
         never a bare lookup or type error.
         """
         try:
@@ -1124,9 +1137,14 @@ class Flowtree:
             raise SchemaMismatchError(
                 "payload level vectors do not match the supplied policy"
             )
+        budget = payload["node_budget"]
+        if budget is not None and type(budget) is not int:
+            raise MalformedSummaryError(
+                f"payload node budget {budget!r} is not an integer or null"
+            )
         tree = cls(
             policy,
-            node_budget=payload["node_budget"],
+            node_budget=budget,
             compress_ratio=payload["compress_ratio"],
             metric=payload["metric"],
         )
@@ -1140,6 +1158,11 @@ class Flowtree:
         for entry in sorted(payload["nodes"], key=lambda e: e["depth"]):
             depth = entry["depth"]
             values = tuple(entry["values"])
+            if type(depth) is not int:
+                raise MalformedSummaryError(
+                    f"payload node {(depth, values)} has a depth that is "
+                    f"not an integer"
+                )
             if depth == 0:
                 # depth-sorted: anything placed before this is the root
                 if values != tree._root.values or created:

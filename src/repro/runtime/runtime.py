@@ -125,6 +125,40 @@ def _resized(
 # closes since it was last thawed is too.
 _THAW_PERIOD = 8
 _closes_since_thaw = 0
+# the host's collector setting saved by each open hold, innermost last
+_held: List[bool] = []
+
+
+class _CollectorHold:
+    """``with _COLLECTOR_HELD as collecting:`` holds the cyclic collector
+    for the block and gives the host its setting back after it.
+
+    ``collecting`` is the host's setting.  Entering allocates nothing
+    the collector tracks (its hooks are static methods, so the ``with``
+    binds no method object), and leaving allocates nothing after it
+    re-enables.  So a pass that a held block's allocations left due is
+    paid by the next allocation outside a hold, never at the top of the
+    next ingest or close.  Holds may nest or overlap: the collector
+    stays off until the last of them ends, which restores what the
+    first of them found.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def __enter__() -> bool:
+        collecting = gc.isenabled()
+        gc.disable()
+        _held.append(collecting)
+        return collecting
+
+    @staticmethod
+    def __exit__(exc_type, exc, traceback) -> None:
+        if _held.pop():
+            gc.enable()
+
+
+_COLLECTOR_HELD = _CollectorHold()
 
 
 def _thaw() -> None:
@@ -137,13 +171,14 @@ def _thaw() -> None:
 def _collect_and_freeze(obs: Observability) -> None:
     """The epoch boundary's one full collection, then freeze its survivors.
 
-    A full pass skips frozen objects, so after the first close each
-    close walks only what was allocated since the last one.  Freezing is
-    safe for trees because they hold no cycles: a frozen tree dropped
-    later is freed by its reference count.  A *cyclic* structure dropped
-    after it was frozen waits for a thaw, so every :data:`_THAW_PERIOD`-th
-    close thaws before it collects (and pays a whole-heap pass), as does
-    :meth:`HierarchyRuntime.shutdown`.
+    It runs inside the close's hold, so nothing collects between the
+    pass and the freeze.  A full pass skips frozen objects, so after the
+    first close each close walks only what was allocated since the last
+    one.  Freezing is safe for trees because they hold no cycles: a
+    frozen tree dropped later is freed by its reference count.  A
+    *cyclic* structure dropped after it was frozen waits for a thaw, so
+    every :data:`_THAW_PERIOD`-th close thaws before it collects (and
+    pays a whole-heap pass), as does :meth:`HierarchyRuntime.shutdown`.
     """
     global _closes_since_thaw
     _closes_since_thaw += 1
@@ -151,9 +186,6 @@ def _collect_and_freeze(obs: Observability) -> None:
     with obs.span("collect", thawed=thawed) as span:
         if thawed:
             _thaw()
-        # nothing may allocate between these two, or the first
-        # allocation starts an automatic pass of its own
-        gc.enable()
         span.set_attr("found", gc.collect())
         gc.freeze()
 
@@ -542,40 +574,48 @@ class HierarchyRuntime:
         using each record's ``bytes`` attribute when present.  The
         batch-size fallback counts *once per batch*: records without a
         ``bytes`` attribute must not each re-count the whole batch size.
+
+        The whole call runs with the cyclic collector held, as the close
+        does (:data:`_COLLECTOR_HELD`): trees hold no cycles, so a pass
+        mid-batch would free nothing.  A pass the batch's allocations
+        made due waits for the caller's next allocation outside a hold;
+        the next close's boundary pass walks what the batch left anyway.
+        A host that runs with the collector off is left alone.
         """
-        store = self._ingestible.get(site)
-        if store is None:
-            raise PlacementError(
-                f"unknown site {site!r}; known: {sorted(self._ingestible)}"
+        with _COLLECTOR_HELD:
+            store = self._ingestible.get(site)
+            if store is None:
+                raise PlacementError(
+                    f"unknown site {site!r}; known: {sorted(self._ingestible)}"
+                )
+            started = time.perf_counter()
+            size = self.raw_record_bytes if size_bytes is None else size_bytes
+            records = list(records)
+            try:
+                batch = [(record, record.first_seen) for record in records]
+            except AttributeError:
+                batch = [(record, _timestamp_of(record)) for record in records]
+            count = store.ingest(stream_id, batch, size_bytes=size)
+            node = self.hierarchy.node(store.location)
+            volume = self.stats.level(node.level.name)
+            volume.raw_items += count
+            batch_bytes = 0
+            unsized = False
+            for record, _ in batch:
+                record_bytes = getattr(record, "bytes", None)
+                if record_bytes is None:
+                    unsized = True
+                else:
+                    batch_bytes += record_bytes
+            if unsized:
+                batch_bytes += size
+            volume.raw_bytes += batch_bytes
+            self.obs.observe(
+                INGEST_SECONDS,
+                time.perf_counter() - started,
+                level=node.level.name,
             )
-        started = time.perf_counter()
-        size = self.raw_record_bytes if size_bytes is None else size_bytes
-        records = list(records)
-        try:
-            batch = [(record, record.first_seen) for record in records]
-        except AttributeError:
-            batch = [(record, _timestamp_of(record)) for record in records]
-        count = store.ingest(stream_id, batch, size_bytes=size)
-        node = self.hierarchy.node(store.location)
-        volume = self.stats.level(node.level.name)
-        volume.raw_items += count
-        batch_bytes = 0
-        unsized = False
-        for record, _ in batch:
-            record_bytes = getattr(record, "bytes", None)
-            if record_bytes is None:
-                unsized = True
-            else:
-                batch_bytes += record_bytes
-        if unsized:
-            batch_bytes += size
-        volume.raw_bytes += batch_bytes
-        self.obs.observe(
-            INGEST_SECONDS,
-            time.perf_counter() - started,
-            level=node.level.name,
-        )
-        return count
+            return count
 
     def close_epoch(self, now: float) -> int:
         """One generic level-by-level rollup (deepest stores first).
@@ -593,24 +633,27 @@ class HierarchyRuntime:
         close — deepest-first order lets recovered child mass still
         reach the root within the same close.
 
-        The cyclic collector is held for the length of the close and
-        run once, in full, at its end, inside the ``close_epoch`` span
-        as a ``collect`` child (:func:`_collect_and_freeze`); what
-        survives it is frozen, so the next close's pass walks only
-        what this epoch allocated.  (A host that runs with the
-        collector off is left alone.)
+        The cyclic collector is held for the length of the close, from
+        before its span opens (:data:`_COLLECTOR_HELD`, the hold ingest
+        takes too), and run once, in full, at its end, inside the
+        ``close_epoch`` span as a ``collect`` child
+        (:func:`_collect_and_freeze`).  That boundary pass is the only
+        collection the write path runs: a pass the last ingest left due
+        is not paid on the way in, since the boundary pass walks every
+        unfrozen object anyway.  What survives it is frozen, so the
+        next close's pass walks only what this epoch allocated.  (A
+        host that runs with the collector off is left alone.)
         """
-        collecting = gc.isenabled()
-        with self.obs.span(
-            "close_epoch", epoch=self.stats.epochs_closed, at=now
-        ) as root:
-            gc.disable()
-            try:
-                exported = self._rollup(now)
-                root.set_attr("exported", exported)
-            finally:
-                if collecting:
-                    _collect_and_freeze(self.obs)
+        with _COLLECTOR_HELD as collecting:
+            with self.obs.span(
+                "close_epoch", epoch=self.stats.epochs_closed, at=now
+            ) as root:
+                try:
+                    exported = self._rollup(now)
+                    root.set_attr("exported", exported)
+                finally:
+                    if collecting:
+                        _collect_and_freeze(self.obs)
         self._apply_drills(now)
         return exported
 

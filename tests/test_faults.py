@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.summary import Location
 from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
 from repro.datastore.store import DataStore
-from repro.errors import PlacementError, TransferError
+from repro.errors import PlacementError, SchemaMismatchError, TransferError
 from repro.faults import (
     REASON_DROP,
     REASON_OUTAGE,
@@ -649,12 +649,15 @@ def _watched_cycle(freed):
 
 
 class TestEpochCloseCollector:
-    """A close holds the cyclic collector and runs it once, in full, at
-    the boundary — never mid-rollup or inside the standing-query
-    refresh — then freezes what survived, so the next close walks only
-    what its epoch allocated; it leaves the host's collector setting as
-    it found it.  Frozen cyclic garbage waits at most 8 closes, and
-    none after ``shutdown()``."""
+    """The write path holds the cyclic collector, and its one pass is the
+    epoch boundary: an ingest call runs none, and a close runs one, in
+    full, at its end — never mid-rollup, inside the standing-query
+    refresh, or on the way in for a pass the last ingest left due —
+    then freezes what survived, so the next close walks only what its
+    epoch allocated.  Both leave the host's collector setting as they
+    found it, also when they raise.  Frozen cyclic garbage waits at
+    most 8 closes, and none after ``shutdown()``.  (CI also runs this
+    class alone, in a fresh interpreter.)"""
 
     @staticmethod
     def close_once(runtime, monkeypatch):
@@ -686,6 +689,82 @@ class TestEpochCloseCollector:
         finally:
             gc.callbacks.remove(on_gc)
         return seen, collected
+
+    @staticmethod
+    def big_batch(epoch=0):
+        """One site's epoch, large enough to set off automatic passes."""
+        generator = TrafficGenerator(
+            TrafficConfig(sites=(ROUTER1,), flows_per_epoch=3000), seed=11
+        )
+        return generator.epoch(ROUTER1, epoch)
+
+    def test_an_ingest_batch_runs_no_collection(self):
+        runtime = build_runtime()
+        records = self.big_batch()
+        collected = []
+
+        def on_gc(phase, info):
+            if phase == "stop":
+                collected.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            runtime.ingest(ROUTER1, records)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert collected == []
+        assert gc.isenabled()
+        runtime.shutdown()
+
+    def test_the_host_setting_comes_back_when_an_ingest_raises(self):
+        runtime = build_runtime()
+        records = self.big_batch()[:50]
+        untimed = records + [object()]  # neither first_seen nor timestamp
+        try:
+            for host_collects in (True, False):
+                if host_collects:
+                    gc.enable()
+                else:
+                    gc.disable()
+                with pytest.raises(SchemaMismatchError):
+                    runtime.ingest(ROUTER1, untimed)
+                assert gc.isenabled() is host_collects
+                with pytest.raises(PlacementError):
+                    runtime.ingest("nowhere/router9", records)
+                assert gc.isenabled() is host_collects
+                assert runtime.ingest(ROUTER1, records) == len(records)
+                assert gc.isenabled() is host_collects
+        finally:
+            gc.enable()
+        runtime.shutdown()
+
+    def test_a_close_after_a_held_ingest_runs_only_its_boundary_pass(self):
+        runtime = build_runtime()
+        # one close first, so the close's own frames exist before the
+        # watched one (an interpreter that allocates frames on the heap
+        # would otherwise count a frame as the allocation at its top)
+        runtime.ingest(ROUTER1, self.big_batch(0))
+        runtime.close_epoch(60.0)
+        records = self.big_batch(1)
+        collected, young = [], []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                young.append(gc.get_count()[0])
+            else:
+                collected.append(info["generation"])
+
+        runtime.ingest(ROUTER1, records)  # leaves gen-0 over threshold
+        gc.callbacks.append(on_gc)
+        try:
+            runtime.close_epoch(120.0)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert collected == [2]
+        assert young[0] > gc.get_threshold()[0]
+        assert gc.isenabled()
+        runtime.shutdown()
 
     def test_one_full_collection_at_the_boundary(self, monkeypatch):
         assert gc.isenabled()

@@ -7,10 +7,13 @@ from repro.errors import FlowQLPlanningError, FlowQLSyntaxError
 from repro.flowdb.db import FlowDB
 from repro.flowql.ast import TimeSpec
 from tests.flowql_reference import FlowQLExecutor
+from repro.flowql.executor import apply_operator, compile_pattern
 from repro.flowql.lexer import tokenize
 from repro.flowql.parser import parse
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
+from repro.runtime.presets import flat_runtime
+from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
 
 class TestLexer:
@@ -225,6 +228,65 @@ class TestExecutor:
         executor.execute("SELECT TOTAL FROM ALL")
         executor.execute("SELECT TOTAL FROM ALL")
         assert executor.queries_executed == 2
+
+
+class TestTopKWhere:
+    """A WHERE is a predicate inside TOPK: the level is filtered while
+    it is ranked, never truncated first and filtered after."""
+
+    def test_a_prefix_ranked_low_overall_gets_k_rows(self):
+        # 203/8's third flow ranks 174th in the whole tree, past any
+        # fixed over-fetch of the global top-k
+        runtime = flat_runtime(["r1/a"], node_budget=4096)
+        generator = TrafficGenerator(
+            TrafficConfig(sites=("r1/a",), flows_per_epoch=4000), seed=7
+        )
+        runtime.ingest("r1/a", generator.epoch("r1/a", 0))
+        runtime.close_epoch(60.0)
+        outcome = runtime.query(
+            "SELECT TOPK(3) FROM TIME(0, 60) "
+            "WHERE src_ip = 203.0.0.0/8 BY packets"
+        )
+        assert [row[1] for row in outcome.result.rows] == [97, 78, 61]
+        assert all("src_ip=203." in row[0] for row in outcome.result.rows)
+        runtime.shutdown()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT TOPK(5) FROM ALL BY packets",
+            "SELECT TOPK(5) FROM ALL BY bytes",
+            "SELECT TOPK(4) FROM ALL WHERE dst_port = 53 BY packets",
+            "SELECT TOPK(4) FROM ALL WHERE src_ip = 128.0.0.0/1 BY bytes",
+            "SELECT TOPK(3) FROM ALL WHERE proto = 17 AND dst_port = 80",
+            "SELECT TOPK(500) FROM ALL WHERE dst_port = 443",
+        ],
+    )
+    def test_equals_a_brute_force_pass_over_the_records(
+        self, policy, random_flows, text
+    ):
+        records = random_flows(300, seed=3)
+        records += random_flows(100, seed=3)[:60]  # repeated keys add up
+        tree = Flowtree(policy, node_budget=None)
+        tree.ingest(records)
+        query = parse(text)
+        pattern = compile_pattern(tree, query.where)
+        sums = {}
+        for record in records:
+            if pattern is None or pattern.contains(record.key):
+                sums[record.key] = (
+                    sums.get(record.key, Score.zero()) + record.score()
+                )
+        ranked = sorted(
+            sums.items(),
+            key=lambda item: (-item[1].metric(query.metric), item[0].values),
+        )[: int(query.select.args[0])]
+        expected = [
+            (str(key), score.packets, score.bytes, score.flows)
+            for key, score in ranked
+        ]
+        assert expected
+        assert apply_operator(tree, query).rows == expected
 
 
 class TestFlowDB:

@@ -524,6 +524,11 @@ class TestSerialization:
             lambda p: p["nodes"][-1].update(folded=[0, -1, 0]),
             lambda p: p.pop("nodes"),
             lambda p: p.update(node_budget="many"),
+            # a depth or budget of the wrong type that would be kept and
+            # re-serialized as given (a bool is not an int here)
+            lambda p: p["nodes"][1].update(depth=True),
+            lambda p: p.update(node_budget=100.7),
+            lambda p: p.update(node_budget=True),
         ],
         ids=[
             "orphan", "duplicate", "second-root", "stray-root", "too-deep",
@@ -532,6 +537,7 @@ class TestSerialization:
             "non-canonical-values", "short-own",
             "non-numeric-counter", "float-counter", "bool-counter",
             "negative-counter", "no-nodes", "non-int-budget",
+            "bool-depth", "fractional-budget", "bool-budget",
         ],
     )
     def test_payload_that_is_not_a_tree_rejected(
