@@ -17,7 +17,6 @@ import time as wallclock
 
 from benchmarks.conftest import report
 from repro.control.controller import Controller
-from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.control.rules import ControlRule
 from repro.core.primitive import QueryRequest
@@ -26,6 +25,7 @@ from repro.datastore.aggregator import Aggregator
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.datastore.triggers import TriggerFiring
+from repro.scenarios.factory import FactoryScenario
 from repro.simulation.sensors import Actuator
 
 LOC = Location("hq/factory1/line1")
@@ -122,9 +122,13 @@ def test_cycle_separation(benchmark, policy):
 
 def test_manager_reconfiguration(benchmark):
     """Fig. 3b: change-parameter and un/subscribe through the Manager."""
-    manager = Manager()
-    store = DataStore(LOC, RoundRobinStorage(10**7))
-    manager.register_store(store)
+    scenario = FactoryScenario(
+        lines=1, machines_per_line=1, with_maintenance=False
+    )
+    manager, store = scenario.manager, scenario.store
+    (machine,) = scenario.workload.machines
+    sensor = machine.temperature_sensor
+    reading = sensor.reading_at(0.5)
 
     def reconfigure():
         manager.submit_requirement(
@@ -132,12 +136,16 @@ def test_manager_reconfiguration(benchmark):
                 app_name="app",
                 aggregator_name="temps",
                 kind="timebin",
-                location=LOC,
-                config={"bin_seconds": 1.0},
+                location=machine.location,
+                config={
+                    "bin_seconds": 1.0,
+                    "item_of": lambda reading: reading.value,
+                },
+                stream_prefix=sensor.sensor_id,
             )
         )
-        store.ingest("s", 1.0, 0.5)
-        manager.retune(LOC, "temps", 60.0)
+        store.ingest(sensor.sensor_id, reading, 0.5)
+        manager.retune(machine.location, "temps", 60.0)
         width = store.aggregator("temps").primitive.bin_seconds
         manager.withdraw_application("app")
         return width

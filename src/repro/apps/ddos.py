@@ -21,6 +21,7 @@ from repro.control.controller import Controller
 from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.core.summary import Location
+from repro.errors import RuleConflictError
 from repro.flows.features import format_ipv4
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
 from repro.flows.tree import Flowtree
@@ -184,7 +185,7 @@ class DDoSInvestigationApp(Application):
         try:
             controller.install_rule(rule)
             return True
-        except Exception:
+        except RuleConflictError:
             return False
 
     def on_epoch(self, manager: Manager, now: float) -> List[AppReport]:

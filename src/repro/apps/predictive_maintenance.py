@@ -24,6 +24,7 @@ from repro.apps.base import Application, AppReport
 from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.core.primitive import QueryRequest
+from repro.errors import ReproError
 from repro.simulation.factory import (
     BASE_VIBRATION,
     FactoryWorkload,
@@ -99,7 +100,7 @@ class PredictiveMaintenanceApp(Application):
                 end=now,
                 now=now,
             )
-        except Exception:
+        except ReproError:
             return None
         series = [
             (bin_start, value)

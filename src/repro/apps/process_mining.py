@@ -21,6 +21,7 @@ from repro.apps.base import Application, AppReport
 from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.core.primitive import QueryRequest
+from repro.errors import ReproError
 from repro.simulation.factory import (
     BASE_TEMPERATURE,
     FactoryWorkload,
@@ -126,7 +127,7 @@ class ProcessMiningApp(Application):
                         end=now,
                         now=now,
                     )
-                except Exception:
+                except ReproError:
                     continue
                 stats = result.value
                 if stats.count == 0:

@@ -20,6 +20,7 @@ from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.core.primitive import QueryRequest
 from repro.core.summary import Location
+from repro.errors import ReproError
 from repro.flows.features import format_ipv4
 from repro.hierarchy.network import NetworkFabric
 
@@ -73,7 +74,7 @@ class TrafficMatrixApp(Application):
                     ),
                     now=now,
                 ).value
-            except Exception:
+            except ReproError:
                 continue
             for key, score in groups:
                 prefix = (

@@ -17,6 +17,7 @@ from repro.control.manager import Manager
 from repro.control.requirements import ApplicationRequirement
 from repro.core.primitive import QueryRequest
 from repro.core.summary import Location
+from repro.errors import ReproError
 from repro.flows.features import format_ipv4
 
 
@@ -81,7 +82,7 @@ class NetworkTrendsApp(Application):
                 flows = store.query(
                     name, QueryRequest("top_k", {"k": self.top_n}), now=now
                 ).value
-            except Exception:
+            except ReproError:
                 continue
             snapshot = TrendReport(
                 site=site.path,

@@ -17,17 +17,15 @@ to the replication engine, closing the Figure 6 loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import List, Mapping, Optional, Set
 
 from repro.control.requirements import ApplicationRequirement
 from repro.core.registry import PrimitiveRegistry, default_registry
 from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator, match_all, prefix_filter
 from repro.datastore.store import DataStore
-from repro.errors import PlacementError
-from repro.hierarchy.network import NetworkFabric
-from repro.hierarchy.topology import Hierarchy
+from repro.errors import PlacementError, StorageError
 from repro.replication.engine import AdaptiveReplicationEngine
 
 
@@ -43,59 +41,46 @@ class StoreStatus:
     items_ingested: int
 
 
+@dataclass(eq=False)
+class _Created:
+    """One aggregator the Manager created, the store it went into, and
+    the applications that still require it."""
+
+    store: DataStore
+    aggregator: Aggregator
+    apps: Set[str] = field(default_factory=set)
+
+
 class Manager:
-    """Installs, configures, and adapts the whole architecture."""
+    """Installs, configures, and adapts applications' aggregators.
+
+    ``stores`` is the one store table, location path -> store, and is
+    read live, never copied or written: a runtime passes its own, so
+    every store it provisions, re-keys or retires is what placement and
+    :meth:`status` see.  The Manager writes only the aggregators it
+    created, recorded against the store object (which a move re-keys
+    but keeps): :meth:`retune` and :meth:`withdraw_application` act on
+    those alone, and a requirement naming an aggregator the Manager did
+    not create (a level's own, or one installed by hand) is refused.
+    """
 
     def __init__(
         self,
-        hierarchy: Optional[Hierarchy] = None,
-        fabric: Optional[NetworkFabric] = None,
+        stores: Mapping[str, DataStore],
         registry: Optional[PrimitiveRegistry] = None,
         require_authorization: bool = False,
     ) -> None:
-        self.hierarchy = hierarchy
-        self.fabric = fabric
+        self._stores = stores
         self.registry = registry or default_registry()
         #: Section III.C: "requiring authorization prior to interaction
         #: with the manager".  When enabled, mutating calls need an
         #: AuthorizationContext holding the right role.
         self.require_authorization = require_authorization
-        self._stores: Dict[str, DataStore] = {}
-        self._requirements: List[ApplicationRequirement] = []
-        #: aggregator installations per requirement, for withdrawal
-        self._installed: Dict[str, List[tuple]] = {}
+        self._created: List[_Created] = []
         self.replication_engine: Optional[AdaptiveReplicationEngine] = None
 
-    # -- store registry ---------------------------------------------------
-
-    def register_store(self, store: DataStore) -> None:
-        """Make a data store known to the control plane."""
-        self._stores[store.location.path] = store
-
-    def deregister_store(self, path: str) -> Optional[DataStore]:
-        """Forget the store registered at a path (reconfiguration).
-
-        Returns the store that was registered there, or ``None``.  Used
-        by the elastic topology ops when a site leaves or a store's
-        location path is rewritten by a reparenting migration.
-        """
-        return self._stores.pop(path, None)
-
-    def store_at(self, location: Location) -> DataStore:
-        """The store at exactly this location."""
-        try:
-            return self._stores[location.path]
-        except KeyError as exc:
-            raise PlacementError(
-                f"no data store registered at {location.path!r}"
-            ) from exc
-
-    def stores(self) -> List[DataStore]:
-        """All registered stores."""
-        return list(self._stores.values())
-
     def covering_store(self, location: Location) -> DataStore:
-        """The store at ``location`` or the nearest registered ancestor.
+        """The store at ``location`` or the nearest ancestor with one.
 
         This is the placement rule: aggregation happens as close to the
         data as the deployed stores allow.
@@ -124,27 +109,31 @@ class Manager:
             )
         context.require(role)
 
+    def _created_at(self, store: DataStore, name: str) -> _Created:
+        """The record of the aggregator ``name`` installed at ``store``.
+
+        A :class:`StorageError` when the store holds none by that name,
+        a :class:`PlacementError` when the Manager did not create it.
+        """
+        aggregator = store.aggregator(name)
+        for created in self._created:
+            if created.aggregator is aggregator:
+                return created
+        raise PlacementError(
+            f"aggregator {name!r} at {store.location.path!r} belongs to "
+            "the store (its level's own or one installed by hand), not "
+            "to the Manager"
+        )
+
     def submit_requirement(
         self, requirement: ApplicationRequirement, context=None
     ) -> Aggregator:
         """Install (or reuse) an aggregator satisfying a requirement."""
         self._authorize(context, "deploy")
         store = self.covering_store(requirement.location)
-        existing = None
         try:
-            existing = store.aggregator(requirement.aggregator_name)
-        except Exception:
-            existing = None
-        if existing is not None:
-            if existing.primitive.kind != requirement.kind:
-                raise PlacementError(
-                    f"aggregator {requirement.aggregator_name!r} exists at "
-                    f"{store.location.path!r} with kind "
-                    f"{existing.primitive.kind!r}, requirement wants "
-                    f"{requirement.kind!r}"
-                )
-            aggregator = existing
-        else:
+            created = self._created_at(store, requirement.aggregator_name)
+        except StorageError:
             primitive = self.registry.create(
                 requirement.kind,
                 store.location,
@@ -162,44 +151,45 @@ class Manager:
                 item_of=requirement.config.get("item_of"),
             )
             store.install_aggregator(aggregator)
-        self._requirements.append(requirement)
-        self._installed.setdefault(requirement.app_name, []).append(
-            (store.location.path, requirement.aggregator_name)
-        )
-        return aggregator
+            created = _Created(store, aggregator)
+            self._created.append(created)
+        kind = created.aggregator.primitive.kind
+        if kind != requirement.kind:
+            raise PlacementError(
+                f"aggregator {requirement.aggregator_name!r} exists at "
+                f"{store.location.path!r} with kind {kind!r}, "
+                f"requirement wants {requirement.kind!r}"
+            )
+        created.apps.add(requirement.app_name)
+        return created.aggregator
 
     def withdraw_application(self, app_name: str, context=None) -> int:
-        """Remove aggregators installed solely for one application.
+        """Remove the aggregators the Manager created solely for one
+        application.
 
-        An aggregator still required by another application stays.
+        An aggregator another application still requires stays.  The
+        decision reads the Manager's records, never a requirement's
+        location again, so a store moved or re-keyed since is found; a
+        store the table no longer holds (it left) has nothing to remove.
         Returns how many aggregators were removed.
         """
         self._authorize(context, "deploy")
-        mine = self._installed.pop(app_name, [])
-        self._requirements = [
-            r for r in self._requirements if r.app_name != app_name
-        ]
-        still_needed = {
-            (self.covering_store(r.location).location.path, r.aggregator_name)
-            for r in self._requirements
-        }
         removed = 0
-        for store_path, aggregator_name in mine:
-            if (store_path, aggregator_name) in still_needed:
+        kept: List[_Created] = []
+        for created in self._created:
+            created.apps.discard(app_name)
+            if created.apps:
+                kept.append(created)
                 continue
-            store = self._stores.get(store_path)
-            if store is None:
-                continue
-            try:
-                store.remove_aggregator(aggregator_name)
+            store = created.store
+            if self._stores.get(store.location.path) is store and any(
+                aggregator is created.aggregator
+                for aggregator in store.aggregators()
+            ):
+                store.remove_aggregator(created.aggregator.name)
                 removed += 1
-            except Exception:
-                pass
+        self._created = kept
         return removed
-
-    def requirements(self) -> List[ApplicationRequirement]:
-        """All active requirements."""
-        return list(self._requirements)
 
     # -- precision control -----------------------------------------------
 
@@ -210,23 +200,16 @@ class Manager:
         precision: float,
         context=None,
     ) -> None:
-        """Change an installed aggregator's granularity on demand."""
+        """Change the granularity of an aggregator the Manager created.
+
+        A level's own aggregator is refused: its budget has one writer,
+        the runtime's level resize, which keeps its config and every
+        tree of the level equal.
+        """
         self._authorize(context, "operate")
         store = self.covering_store(location)
-        store.aggregator(aggregator_name).primitive.set_granularity(precision)
-
-    # -- epochs and adaptation ---------------------------------------------
-
-    def close_epochs(self, now: float) -> int:
-        """Close the epoch on every store; returns partitions created.
-
-        Stores compute per-aggregator adaptation feedback themselves
-        (storage pressure, rates) during the close.
-        """
-        created = 0
-        for store in self._stores.values():
-            created += len(store.close_epoch(now))
-        return created
+        created = self._created_at(store, aggregator_name)
+        created.aggregator.primitive.set_granularity(precision)
 
     # -- replication (Figure 6 integration) ---------------------------------
 
@@ -266,7 +249,3 @@ class Manager:
             )
             for store in self._stores.values()
         ]
-
-    def network_bytes(self) -> int:
-        """Total bytes carried by the fabric so far."""
-        return self.fabric.total_bytes() if self.fabric else 0

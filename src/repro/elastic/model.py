@@ -89,8 +89,8 @@ class TopologyModel:
     """A mutable hierarchy + level-config table behind one version seam.
 
     The hierarchy object is mutated **in place** (never replaced), so
-    components that captured a reference at construction — the fabric,
-    the manager, the scenario facades — observe every reshape without
+    components that captured a reference at construction — the fabric
+    and the scenario facades — observe every reshape without
     re-wiring.  Structural edits go through
     :class:`~repro.hierarchy.topology.Hierarchy` mutation helpers; this
     class adds the versioning, the config table, and the ledger.

@@ -67,8 +67,6 @@ def _apply_renames(
             node = hierarchy.node(Location(new))
             store.relocate(node.location, now=runtime._last_close)
             runtime._stores[new] = store
-            runtime.manager.deregister_store(old)
-            runtime.manager.register_store(store)
         queue = runtime.exports.queues.pop(old, None)
         if queue is not None:
             runtime.exports.queues[new] = queue
@@ -219,7 +217,6 @@ def _depart(
         rehomed = runtime.exports.queue_for(target)
         for entry in queue.entries:
             rehomed.park(entry)
-    runtime.manager.deregister_store(path)
     del runtime._stores[path]
     return moved
 
@@ -431,7 +428,8 @@ def migrate_store(
     """Re-home a store (and its subtree) under a new parent node.
 
     The subtree's location paths are rewritten, every path-indexed
-    registry (stores, manager, pending-export queues) is re-keyed, and
+    table (the one store table the Manager reads, the pending-export
+    queues, FlowDB's site labels) is re-keyed, and
     the fabric retires the old uplink while creating the new one —
     parked exports redeliver toward the *new* parent on the next close.
     Returns the ``{old_path: new_path}`` rename map.

@@ -12,7 +12,8 @@ It does three things:
 * **Provisioning** — one :class:`~repro.datastore.store.DataStore` per
   hierarchy node whose level has a :class:`~repro.runtime.config.LevelConfig`,
   each with its level's aggregator, storage strategy, and privacy guard,
-  all registered with a :class:`~repro.control.manager.Manager`.
+  in one store table that the runtime's
+  :class:`~repro.control.manager.Manager` reads as its own.
 * **Rollup** — a single generic level-by-level epoch close: edge stores
   export their live summaries into the nearest ancestor store (a
   fabric-accounted hop), interior stores merge + compress, and stores
@@ -191,7 +192,13 @@ def _collect_and_freeze(obs: Observability) -> None:
 
 
 class HierarchyRuntime:
-    """Data stores at every configured level of an arbitrary hierarchy."""
+    """Data stores at every configured level of an arbitrary hierarchy.
+
+    ``_stores`` (location path -> store) is the one store table: the
+    runtime provisions into it, the elastic ops re-key and retire in
+    it, and ``manager`` reads that same dict live.  Every close goes
+    through :meth:`close_epoch`.
+    """
 
     def __init__(
         self,
@@ -202,7 +209,6 @@ class HierarchyRuntime:
         epoch_seconds: float = 60.0,
         merge_node_budget: Optional[int] = 65536,
         fabric: Optional[NetworkFabric] = None,
-        manager: Optional[Manager] = None,
         db: Optional[FlowDB] = None,
         registry: Optional[PrimitiveRegistry] = None,
         raw_record_bytes: int = 48,
@@ -239,9 +245,6 @@ class HierarchyRuntime:
         self._last_close = 0.0
         if faults is not None:
             self.inject_faults(faults)
-        self.manager = manager or Manager(
-            hierarchy=hierarchy, fabric=self.fabric
-        )
         if db is None:
             db = FlowDB(merge_node_budget=merge_node_budget, engine=storage)
         elif storage is not None:
@@ -251,6 +254,8 @@ class HierarchyRuntime:
         #: record log, runtime state in its manifest (memory by default)
         self.engine = db.engine
         self.registry = registry or default_registry()
+        self._stores: Dict[str, DataStore] = {}  # by location path
+        self.manager = Manager(self._stores, registry=self.registry)
         self.controllers: Dict[str, Controller] = {}
         self._root = hierarchy.root.location
         #: whether closes resize level budgets (enable_adaptive_budgets)
@@ -263,7 +268,6 @@ class HierarchyRuntime:
         self._recovered_records = 0
         self._not_durable = 0  # as of the last checkpoint
         # provision one store per configured node, hierarchy order
-        self._stores: Dict[str, DataStore] = {}  # by location path
         for node in hierarchy.nodes():
             config = self.model.levels.get(node.level.name)
             if config is None:
@@ -295,7 +299,7 @@ class HierarchyRuntime:
     def _provision_store(
         self, node: HierarchyNode, config: LevelConfig
     ) -> DataStore:
-        """Create, equip, and register the store for one node."""
+        """Create and equip the store for one node, keyed in ``_stores``."""
         store = DataStore(
             node.location,
             config.make_storage(),
@@ -303,7 +307,6 @@ class HierarchyRuntime:
             privacy=config.privacy,
         )
         self._equip(store, config)
-        self.manager.register_store(store)
         self._stores[node.location.path] = store
         return store
 
@@ -417,8 +420,9 @@ class HierarchyRuntime:
         """Let every close resize each level's Flowtree budget.
 
         Opt-in: while off, level budgets stay exactly the ``LevelConfig``
-        values.  This cycle is the one automatic writer of a node
-        budget; ``Manager.retune`` is the one manual writer.
+        values.  A level's budget has one writer, :meth:`_resize_level`,
+        which this cycle and recovery call; the Manager retunes only
+        aggregators it created.
         """
         self._adaptive_budgets = True
 

@@ -140,7 +140,7 @@ class NetworkScenario:
         attack_set = set(attacks or [])
         for epoch in range(epochs):
             for name, location in zip(self.site_names, self.sites):
-                store = self.manager.store_at(location)
+                store = self.runtime.store_at(location)
                 if (epoch, name) in attack_set:
                     records = self.generator.ddos_epoch(
                         name, epoch, attack_flows=attack_flows

@@ -10,47 +10,32 @@ from repro.apps.process_mining import ProcessMiningApp
 from repro.apps.supply_chain import SupplyChainApp
 from repro.control.manager import Manager
 from repro.core.summary import LineageLog, Location
-from repro.datastore.storage import RoundRobinStorage
-from repro.datastore.store import DataStore
-from repro.simulation.factory import MachineState, build_factory
+from repro.scenarios.factory import FactoryScenario
+from repro.simulation.factory import MachineState
 
 
-def drive_factory(workload, manager, app, hours, step_seconds=30.0,
-                  epoch_seconds=600.0):
+def drive_factory(scenario, app, hours):
     """Feed vibration/temperature readings, closing epochs and running
-    the app at epoch boundaries."""
-    store = manager.stores()[0]
-    t = 0.0
-    end = hours * 3600.0
-    next_epoch = epoch_seconds
-    while t < end:
-        t += step_seconds
-        for machine in workload.machines:
-            for sensor in machine.sensors:
-                reading = sensor.reading_at(t)
-                store.ingest(sensor.sensor_id, reading, t,
-                             size_bytes=reading.size_bytes)
-        if t >= next_epoch:
-            manager.close_epochs(t)
-            app.on_epoch(manager, t)
-            next_epoch += epoch_seconds
+    the app at epoch boundaries (30 s steps, 600 s epochs)."""
+    scenario.apps.append(app)
+    scenario.run(hours)
 
 
 @pytest.fixture()
 def setup():
-    workload = build_factory(lines=1, machines_per_line=3, seed=11)
-    # accelerate wear so failures land inside a short simulation
-    for index, machine in enumerate(workload.machines):
-        machine.wear_rate_per_hour = 0.25 + 0.05 * index
-    manager = Manager()
-    store = DataStore(workload.root, RoundRobinStorage(10**8))
-    manager.register_store(store)
-    return workload, manager
+    # one line of three machines, wear accelerated (0.25 + 0.05 * index
+    # per hour) so failures land inside a short simulation; no app yet
+    scenario = FactoryScenario(
+        lines=1, machines_per_line=3, seed=11,
+        wear_base_per_hour=0.25, wear_step_per_machine=0.05,
+        with_maintenance=False,
+    )
+    return scenario.workload, scenario
 
 
 class TestPredictiveMaintenance:
     def test_without_app_machines_fail(self, setup):
-        workload, manager = setup
+        workload, scenario = setup
         for machine in workload.machines:
             machine.wear_at(6 * 3600.0)
         assert any(
@@ -59,12 +44,12 @@ class TestPredictiveMaintenance:
         )
 
     def test_app_schedules_maintenance_before_failure(self, setup):
-        workload, manager = setup
+        workload, scenario = setup
         app = PredictiveMaintenanceApp(
             workload, bin_seconds=60.0, horizon_seconds=2 * 3600.0
         )
-        app.deploy(manager)
-        drive_factory(workload, manager, app, hours=6)
+        app.deploy(scenario.manager)
+        drive_factory(scenario, app, hours=6)
         assert app.decisions, "app never scheduled maintenance"
         # every machine survived: maintenance preempted failure
         assert all(
@@ -74,23 +59,23 @@ class TestPredictiveMaintenance:
         assert all(not machine.failures for machine in workload.machines)
 
     def test_decisions_carry_predictions(self, setup):
-        workload, manager = setup
+        workload, scenario = setup
         app = PredictiveMaintenanceApp(
             workload, bin_seconds=60.0, horizon_seconds=2 * 3600.0
         )
-        app.deploy(manager)
-        drive_factory(workload, manager, app, hours=5)
+        app.deploy(scenario.manager)
+        drive_factory(scenario, app, hours=5)
         for decision in app.decisions:
             assert decision.predicted_failure_in <= 2 * 3600.0
             assert decision.trend_slope > 0
 
     def test_reports_emitted(self, setup):
-        workload, manager = setup
+        workload, scenario = setup
         app = PredictiveMaintenanceApp(
             workload, bin_seconds=60.0, horizon_seconds=2 * 3600.0
         )
-        app.deploy(manager)
-        drive_factory(workload, manager, app, hours=5)
+        app.deploy(scenario.manager)
+        drive_factory(scenario, app, hours=5)
         kinds = {report.kind for report in app.reports}
         assert kinds == {"maintenance-scheduled"}
 
@@ -101,24 +86,24 @@ class TestPredictiveMaintenance:
 
 class TestProcessMining:
     def test_finds_most_worn_machine(self, setup):
-        workload, manager = setup
+        workload, scenario = setup
         # make machine 3 degrade far faster than the others
         workload.machines[0].wear_rate_per_hour = 0.01
         workload.machines[1].wear_rate_per_hour = 0.01
         workload.machines[2].wear_rate_per_hour = 0.30
         app = ProcessMiningApp(workload, bin_seconds=300.0)
-        app.deploy(manager)
-        drive_factory(workload, manager, app, hours=3)
+        app.deploy(scenario.manager)
+        drive_factory(scenario, app, hours=3)
         assert app.line_reports
         latest = app.line_reports[-1]
         assert latest.worst_machine == workload.machines[2].machine_id
         assert latest.spread > 0
 
     def test_health_in_unit_range(self, setup):
-        workload, manager = setup
+        workload, scenario = setup
         app = ProcessMiningApp(workload, bin_seconds=300.0)
-        app.deploy(manager)
-        drive_factory(workload, manager, app, hours=2)
+        app.deploy(scenario.manager)
+        drive_factory(scenario, app, hours=2)
         for snapshot in app.line_reports:
             assert 0.0 <= snapshot.worst_health <= 1.0
             assert 0.0 <= snapshot.mean_health <= 1.0
@@ -128,7 +113,7 @@ class TestProcessMiningEvents:
     def test_event_log_report(self, setup):
         from repro.simulation.production import ProductionLineSimulator
 
-        workload, manager = setup
+        workload, scenario = setup
         machines = workload.lines["line1"]
         machines[1].wear = 0.9
         simulator = ProductionLineSimulator(
@@ -176,4 +161,4 @@ class TestSupplyChain:
     def test_no_requirements(self):
         app = SupplyChainApp(LineageLog())
         assert app.requirements() == []
-        assert app.on_epoch(Manager(), 0.0) == []
+        assert app.on_epoch(Manager({}), 0.0) == []

@@ -5,40 +5,28 @@ import pytest
 from repro.apps.ddos import DDoSInvestigationApp
 from repro.apps.traffic_matrix import TrafficMatrixApp
 from repro.apps.trends import NetworkTrendsApp
-from repro.control.controller import Controller
-from repro.control.manager import Manager
-from repro.core.summary import Location
-from repro.datastore.storage import RoundRobinStorage
-from repro.datastore.store import DataStore
 from repro.flows.features import format_ipv4
-from repro.hierarchy.network import NetworkFabric
-from repro.hierarchy.topology import network_monitoring_hierarchy
-from repro.simulation.sensors import Actuator
-from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+from repro.scenarios.network import NetworkScenario
 
 SITE_NAMES = ("region1/router1", "region2/router1")
 
 
 @pytest.fixture()
 def network():
-    hierarchy = network_monitoring_hierarchy(regions=2, routers_per_region=1)
-    fabric = NetworkFabric(hierarchy)
-    manager = Manager(hierarchy=hierarchy, fabric=fabric)
-    sites = []
-    for name in SITE_NAMES:
-        location = Location(f"cloud/network/{name}")
-        store = DataStore(location, RoundRobinStorage(10**8), fabric=fabric)
-        manager.register_store(store)
-        sites.append(location)
-    generator = TrafficGenerator(
-        TrafficConfig(sites=SITE_NAMES, flows_per_epoch=800), seed=13
+    """Two bare router stores with their controllers and traffic, and
+    no application deployed: each test deploys the one it tests."""
+    world = NetworkScenario(
+        regions=2, routers_per_region=1, flows_per_epoch=800, seed=13,
+        with_trends=False, with_matrix=False, with_ddos=False,
     )
-    return manager, sites, generator, fabric
+    assert tuple(world.site_names) == SITE_NAMES
+    return world
 
 
-def feed(manager, sites, generator, epoch, ddos_site=None):
-    for name, location in zip(SITE_NAMES, sites):
-        store = manager.store_at(location)
+def feed(network, epoch, ddos_site=None):
+    generator = network.generator
+    for name, location in zip(SITE_NAMES, network.sites):
+        store = network.runtime.store_at(location)
         if ddos_site == name:
             records = generator.ddos_epoch(name, epoch, attack_flows=1500)
         else:
@@ -49,10 +37,10 @@ def feed(manager, sites, generator, epoch, ddos_site=None):
 
 class TestTrends:
     def test_reports_service_mix_and_sources(self, network):
-        manager, sites, generator, _ = network
+        manager, sites = network.manager, network.sites
         app = NetworkTrendsApp(sites, node_budget=2048)
         app.deploy(manager)
-        feed(manager, sites, generator, epoch=0)
+        feed(network, epoch=0)
         reports = app.on_epoch(manager, 60.0)
         assert len(reports) == len(sites)
         snapshot = app.trend_reports[0]
@@ -62,30 +50,30 @@ class TestTrends:
         assert snapshot.top_flows
 
     def test_top_service_is_https_by_bytes(self, network):
-        manager, sites, generator, _ = network
-        app = NetworkTrendsApp(sites)
+        manager = network.manager
+        app = NetworkTrendsApp(network.sites)
         app.deploy(manager)
-        feed(manager, sites, generator, epoch=0)
+        feed(network, epoch=0)
         app.on_epoch(manager, 60.0)
         assert app.trend_reports[0].services[0][0] == 443
 
 
 class TestTrafficMatrix:
     def test_matrix_covers_sites(self, network):
-        manager, sites, generator, fabric = network
-        app = TrafficMatrixApp(sites, fabric=fabric)
+        manager, sites = network.manager, network.sites
+        app = TrafficMatrixApp(sites, fabric=network.fabric)
         app.deploy(manager)
-        feed(manager, sites, generator, epoch=0)
+        feed(network, epoch=0)
         matrix = app.build_matrix(manager, 60.0)
         assert matrix
         covered_sites = {site for _, site in matrix}
         assert covered_sites == {loc.path for loc in sites}
 
     def test_link_projection(self, network):
-        manager, sites, generator, fabric = network
-        app = TrafficMatrixApp(sites, fabric=fabric)
+        manager = network.manager
+        app = TrafficMatrixApp(network.sites, fabric=network.fabric)
         app.deploy(manager)
-        feed(manager, sites, generator, epoch=0)
+        feed(network, epoch=0)
         matrix = app.build_matrix(manager, 60.0)
         utilization = app.project_link_loads(matrix)
         assert utilization
@@ -94,24 +82,17 @@ class TestTrafficMatrix:
         assert reports[0].body["hottest_link"] is not None
 
     def test_no_fabric_means_no_projection(self, network):
-        manager, sites, generator, _ = network
-        app = TrafficMatrixApp(sites, fabric=None)
+        app = TrafficMatrixApp(network.sites, fabric=None)
         assert app.project_link_loads({("p", "s"): 1}) == {}
 
 
 class TestDDoS:
     def run_scenario(self, network, mitigate=False):
-        manager, sites, generator, _ = network
-        controllers = {}
-        if mitigate:
-            for location in sites:
-                controller = Controller(location)
-                controller.register_actuator(
-                    Actuator(f"{location.path}/filter", location)
-                )
-                controllers[location.path] = controller
+        manager = network.manager
+        # the world's site controllers, each with its filter actuator
+        controllers = network.controllers if mitigate else {}
         app = DDoSInvestigationApp(
-            sites,
+            network.sites,
             epoch_seconds=60.0,
             node_budget=8192,
             controllers=controllers,
@@ -119,14 +100,14 @@ class TestDDoS:
         app.deploy(manager)
         # two clean epochs, then an attack at region1 in epoch 2
         for epoch in range(2):
-            feed(manager, sites, generator, epoch=epoch)
-            manager.close_epochs((epoch + 1) * 60.0)
+            feed(network, epoch=epoch)
+            network.runtime.close_epoch((epoch + 1) * 60.0)
             app.on_epoch(manager, (epoch + 1) * 60.0)
         baseline_findings = len(app.findings)
-        feed(manager, sites, generator, epoch=2, ddos_site="region1/router1")
-        manager.close_epochs(180.0)
+        feed(network, epoch=2, ddos_site="region1/router1")
+        network.runtime.close_epoch(180.0)
         app.on_epoch(manager, 180.0)
-        return app, generator, baseline_findings, controllers
+        return app, network.generator, baseline_findings, controllers
 
     def test_detects_attack_and_victim(self, network):
         app, generator, baseline, _ = self.run_scenario(network)

@@ -8,11 +8,16 @@ from repro.control.requirements import ApplicationRequirement
 from repro.control.rules import ControlRule
 from repro.core.registry import default_registry
 from repro.core.summary import Location
+from repro.datastore.aggregator import Aggregator
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
 from repro.datastore.triggers import TriggerFiring
-from repro.errors import PlacementError, RuleConflictError
+from repro.errors import PlacementError, RuleConflictError, StorageError
+from repro.runtime.presets import flat_runtime
+from repro.scenarios.network import NetworkScenario
 from repro.simulation.sensors import Actuator
+from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+from repro.storage import SegmentLogEngine
 
 LOC = Location("hq/factory1/line1")
 
@@ -165,12 +170,15 @@ class TestRuleMatching:
         assert len(controller.on_trigger(firing())) == 2
 
 
+def one_store_manager(**kwargs):
+    """A Manager over a one-entry store table (the Manager alone)."""
+    store = DataStore(Location("hq/factory1"), RoundRobinStorage(10**7))
+    return Manager({store.location.path: store}, **kwargs), store
+
+
 class TestManager:
     def make_manager(self):
-        manager = Manager()
-        store = DataStore(Location("hq/factory1"), RoundRobinStorage(10**7))
-        manager.register_store(store)
-        return manager, store
+        return one_store_manager()
 
     def test_requirement_installs_aggregator(self):
         manager, store = self.make_manager()
@@ -225,8 +233,6 @@ class TestManager:
         assert manager.withdraw_application("a") == 0
         assert store.aggregator("shared") is not None
         assert manager.withdraw_application("b") == 1
-        from repro.errors import StorageError
-
         with pytest.raises(StorageError):
             store.aggregator("shared")
 
@@ -245,22 +251,51 @@ class TestManager:
         assert store.aggregator("x").primitive.bin_seconds == 60.0
 
     def test_close_epochs_and_status(self):
-        manager, store = self.make_manager()
+        """The runtime's close seals what the Manager installed, and
+        the Manager's status reads the runtime's one store table."""
+        scenario = NetworkScenario(
+            regions=1, routers_per_region=1,
+            with_trends=False, with_matrix=False, with_ddos=False,
+        )
+        runtime, manager = scenario.runtime, scenario.manager
+        assert manager._stores is runtime._stores
+        (site,) = scenario.sites
         manager.submit_requirement(
             ApplicationRequirement(
                 app_name="a",
                 aggregator_name="x",
                 kind="timebin",
-                location=Location("hq/factory1"),
+                location=site,
             )
         )
+        store = runtime.store_at(site)
         store.ingest("s", 1.0, 0.5)
-        created = manager.close_epochs(60.0)
-        assert created == 1
+        runtime.close_epoch(60.0)
+        assert len(store.catalog) == 1
         status = manager.status()
         assert len(status) == 1
         assert status[0].partitions == 1
         assert status[0].aggregators == 1
+
+    def test_foreign_aggregator_is_refused(self):
+        """An aggregator installed by hand is the store's: a requirement
+        naming it and a retune of it are refused, and a withdrawal
+        leaves it."""
+        manager, store = self.make_manager()
+        own = manager.registry.create("timebin", store.location, {})
+        store.install_aggregator(Aggregator("x", own))
+        requirement = ApplicationRequirement(
+            app_name="a",
+            aggregator_name="x",
+            kind="timebin",
+            location=Location("hq/factory1"),
+        )
+        with pytest.raises(PlacementError, match="installed by hand"):
+            manager.submit_requirement(requirement)
+        with pytest.raises(PlacementError):
+            manager.retune(Location("hq/factory1"), "x", 60.0)
+        assert manager.withdraw_application("a") == 0
+        assert store.aggregator("x").primitive is own
 
     def test_authorization_enforced(self):
         from repro.datastore.privacy import (
@@ -268,9 +303,7 @@ class TestManager:
             PrivacyViolation,
         )
 
-        manager = Manager(require_authorization=True)
-        store = DataStore(Location("hq/factory1"), RoundRobinStorage(10**7))
-        manager.register_store(store)
+        manager, _ = one_store_manager(require_authorization=True)
         requirement = ApplicationRequirement(
             app_name="a",
             aggregator_name="x",
@@ -335,3 +368,90 @@ class TestManager:
         primitive = store.aggregator("agg").primitive
         assert type(primitive).granularity_param == knob
         assert primitive.summary().attrs[knob] == precision
+
+
+def flat_flows(runtime, epoch=0, flows=200):
+    """Feed one epoch of traffic into every ingest site."""
+    sites = runtime.ingest_sites()
+    generator = TrafficGenerator(
+        TrafficConfig(sites=tuple(sites), flows_per_epoch=flows), seed=5
+    )
+    for site in sites:
+        runtime.ingest(site, generator.epoch(site, epoch))
+    return flows * len(sites)
+
+
+class TestManagerWritesOnlyWhatItCreated:
+    """The Manager writes only the aggregators it created; a level's
+    aggregator and budget belong to the runtime."""
+
+    def test_retune_of_a_level_aggregator_is_refused(self, tmp_path):
+        runtime = flat_runtime(
+            ["r1/a"], node_budget=4096, storage=SegmentLogEngine(tmp_path)
+        )
+        (store,) = runtime.stores()
+        level = runtime.hierarchy.node(store.location).level.name
+        with pytest.raises(PlacementError, match="its level's own"):
+            runtime.manager.retune(store.location, "flowtree", 512)
+        assert runtime.levels[level].node_budget == 4096
+        assert store.aggregator("flowtree").primitive.node_budget == 4096
+        assert runtime.model.ledger.op_counts == {}
+        flat_flows(runtime)
+        runtime.close_epoch(60.0)
+        reopened = flat_runtime(
+            ["r1/a"], node_budget=4096, storage=SegmentLogEngine(tmp_path)
+        )
+        (again,) = reopened.stores()
+        assert again.aggregator("flowtree").primitive.node_budget == 4096
+
+    def test_requirement_naming_a_level_aggregator_is_refused(self):
+        runtime = flat_runtime(["r1/a"], node_budget=4096)
+        (store,) = runtime.stores()
+        level_aggregator = store.aggregator("flowtree")
+        with pytest.raises(PlacementError, match="not to the Manager"):
+            runtime.manager.submit_requirement(
+                ApplicationRequirement(
+                    app_name="app",
+                    aggregator_name="flowtree",
+                    kind="flowtree",
+                    location=store.location,
+                    precision=512,
+                )
+            )
+        assert runtime.manager.withdraw_application("app") == 0
+        assert store.aggregator("flowtree") is level_aggregator
+        assert level_aggregator.primitive.node_budget == 4096
+        ingested = flat_flows(runtime)
+        runtime.close_epoch(60.0)
+        total = runtime.query("SELECT TOTAL FROM ALL").scalar
+        assert total.flows == ingested
+
+    def test_withdraw_after_a_move_removes_every_created_aggregator(self):
+        scenario = NetworkScenario(
+            regions=2, routers_per_region=2, flows_per_epoch=300, seed=3,
+            with_ddos=False,
+        )
+        scenario.run(epochs=1)
+        runtime, manager = scenario.runtime, scenario.manager
+        created = {
+            aggregator.name: aggregator
+            for store in runtime.stores()
+            for aggregator in store.aggregators()
+        }
+        renames = runtime.migrate_store("network/region1/router2", "network")
+        moved = runtime.store_at(Location("cloud/network/router2"))
+        assert renames["cloud/network/region1/router2"] == moved.location.path
+        assert manager.covering_store(moved.location) is moved
+        assert manager.withdraw_application("network-trends") == 4
+        left = [
+            aggregator
+            for store in runtime.stores()
+            for aggregator in store.aggregators()
+        ]
+        assert not [a for a in left if a.name.startswith("trends/")]
+        matrix = sorted(a.name for a in left if a.name.startswith("matrix/"))
+        assert len(matrix) == 4
+        assert all(created[a.name] is a for a in left)
+        assert moved.aggregator("matrix/cloud/network/region1/router2")
+        assert manager.withdraw_application("traffic-matrix") == 4
+        assert not any(store.aggregators() for store in runtime.stores())

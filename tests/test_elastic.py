@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.requirements import ApplicationRequirement
 from repro.errors import PlacementError
 from repro.faults import FaultPlan, ReconfigDrill
 from repro.runtime.config import LevelConfig
@@ -390,6 +391,37 @@ class TestReconfigDrills:
             FaultPlan.from_spec(spec)
 
 
+def deploy_probe_app(runtime):
+    """An application with one aggregator at every store, fed no flow
+    (its stream prefix matches none), so root mass is untouched."""
+    return [
+        runtime.manager.submit_requirement(
+            ApplicationRequirement(
+                app_name="probe",
+                aggregator_name="probe/temps",
+                kind="timebin",
+                location=store.location,
+                stream_prefix="telemetry/",
+            )
+        )
+        for store in runtime.stores()
+    ]
+
+
+def assert_withdrawn(runtime, created):
+    """Withdrawing the probe app removes every aggregator it created,
+    wherever reconfiguration moved its store, and no level's own."""
+    assert runtime.manager.withdraw_application("probe") == len(created)
+    for store in runtime.stores():
+        installed = store.aggregators()
+        assert not any(
+            aggregator is mine for aggregator in installed for mine in created
+        )
+        level = runtime.hierarchy.node(store.location).level.name
+        name = runtime.levels[level].resolved_aggregator_name
+        assert name in {aggregator.name for aggregator in installed}
+
+
 OPS = st.lists(
     st.sampled_from(["join", "leave", "split", "merge", "migrate", "close"]),
     min_size=1,
@@ -405,9 +437,12 @@ class TestMassConservationProperty:
     ):
         """The anchor property: arbitrary reconfig sequences under a
         nonzero-drop fault plan never lose mass — migrations and
-        exports may park, but recovery closes deliver everything."""
+        exports may park, but recovery closes deliver everything.  An
+        application deployed before the sequence still withdraws
+        completely after it."""
         plan = FaultPlan(seed=seed, drop_probability=drop)
         runtime = make_runtime(faults=plan)
+        created = deploy_probe_app(runtime)
         generator = traffic()
         joined = 0
         ingested = 0
@@ -460,6 +495,7 @@ class TestMassConservationProperty:
         assert runtime.pending_exports() == 0
         assert runtime.model.ledger.pending == []
         assert root_flows(runtime) == ingested
+        assert_withdrawn(runtime, created)
 
 
 class TestZeroReconfigIdentity:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.analytics.inference import LinearTrend
 from repro.control.controller import Controller
-from repro.control.manager import Manager
 from repro.control.rules import ControlRule
 from repro.core.primitive import QueryRequest
 from repro.core.summary import Location
@@ -101,11 +100,8 @@ class TestControlCycle:
 
 class TestAdaptiveCycle:
     def test_analytics_pipeline_feeds_application(self):
-        hierarchy = smart_factory_hierarchy(factories=1)
         factory_loc = Location("hq/factory1")
         store = DataStore(factory_loc, HierarchicalStorage(10**7))
-        manager = Manager(hierarchy=hierarchy)
-        manager.register_store(store)
         aggregator = Aggregator(
             "temps", TimeBinStatistics(factory_loc, bin_seconds=10.0)
         )

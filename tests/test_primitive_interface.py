@@ -308,8 +308,7 @@ class TestCustomKind:
         location = Location("hq/factory1")
         storage = HierarchicalStorage(budget_bytes=20, merge_group=2)
         store = DataStore(location, storage)
-        manager = Manager()
-        manager.register_store(store)
+        manager = Manager({location.path: store})
         manager.submit_requirement(
             ApplicationRequirement(
                 app_name="a", aggregator_name="sum", kind=registered,

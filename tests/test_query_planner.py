@@ -439,7 +439,7 @@ class TestOneAggregatorPerStore:
         """Trends and matrix summarize one stream alike; the read takes
         one of them (summing both would count 600 flows)."""
         scenario = self.scenario(with_ddos=False)
-        store = scenario.manager.store_at(scenario.sites[0])
+        store = scenario.runtime.store_at(scenario.sites[0])
         assert len(store.aggregators()) == 2
         outcome = scenario.runtime.query(self.AT_ROUTER)
         assert outcome.scalar.flows == 300

@@ -114,9 +114,9 @@ class TestContaminationTrace:
         t = feed_normal(app, "s1", 100)
         for i in range(10):
             app.observe("s1", 99.0, t + i, location=LINE)
-        reports = app.on_epoch(Manager(), now=t + 20)
+        reports = app.on_epoch(Manager({}), now=t + 20)
         assert reports
         assert reports[0].body["open_faults"] == ["s1"]
         app.clear_flag("s1")
         # a cleared sensor with no new anomalies reports nothing
-        assert app.on_epoch(Manager(), now=t + 40) == []
+        assert app.on_epoch(Manager({}), now=t + 40) == []
