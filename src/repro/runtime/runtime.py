@@ -122,10 +122,17 @@ def _resized(
     return None if proposed == budget else proposed
 
 
+def _full_passes() -> int:
+    """How many full (generation-2) collections the process has run."""
+    return gc.get_stats()[2]["collections"]
+
+
 # The collector's permanent generation is the process's, so the count of
-# closes since it was last thawed is too.
+# closes since it was last thawed is too, and so is the count of full
+# passes the last thaw saw.
 _THAW_PERIOD = 8
 _closes_since_thaw = 0
+_full_passes_at_thaw = _full_passes()
 # the host's collector setting saved by each open hold, innermost last
 _held: List[bool] = []
 
@@ -163,21 +170,33 @@ _COLLECTOR_HELD = _CollectorHold()
 
 
 def _thaw() -> None:
-    """Hand everything frozen back to the collector."""
-    global _closes_since_thaw
+    """Hand everything frozen back to the collector's old generation.
+
+    What it hands back has not been walked since it was frozen, so the
+    thaw notes the count of full passes: until that count moves, the
+    next boundary pass is a full one.  Any full pass counts: a close's,
+    the host's or an automatic one.  Import notes the count too, so the
+    process's first close walks the old generation unless a full pass
+    ran after the import.
+    """
+    global _closes_since_thaw, _full_passes_at_thaw
     gc.unfreeze()
     _closes_since_thaw = 0
+    _full_passes_at_thaw = _full_passes()
 
 
 def _collect_and_freeze(obs: Observability) -> None:
-    """The epoch boundary's one full collection, then freeze its survivors.
+    """The epoch boundary's one collection, then freeze its survivors.
 
     It runs inside the close's hold, so nothing collects between the
-    pass and the freeze.  A full pass skips frozen objects, so after the
-    first close each close walks only what was allocated since the last
-    one.  Freezing is safe for trees because they hold no cycles: a
-    frozen tree dropped later is freed by its reference count.  A
-    *cyclic* structure dropped after it was frozen waits for a thaw, so
+    pass and the freeze.  The pass collects the young generations, which
+    hold what was allocated since the last close's freeze unless a pass
+    in between promoted it; the old generation is walked only while it
+    holds thawed objects that no full pass has walked since the thaw
+    (:func:`_thaw`).  Freezing is safe for trees because they hold no
+    cycles: a frozen tree dropped later is freed by its reference
+    count.  A *cyclic* structure dropped after it was frozen, or after
+    a pass promoted it into the old generation, waits for a thaw, so
     every :data:`_THAW_PERIOD`-th close thaws before it collects (and
     pays a whole-heap pass), as does :meth:`HierarchyRuntime.shutdown`.
     """
@@ -187,7 +206,9 @@ def _collect_and_freeze(obs: Observability) -> None:
     with obs.span("collect", thawed=thawed) as span:
         if thawed:
             _thaw()
-        span.set_attr("found", gc.collect())
+        generation = 2 if _full_passes() == _full_passes_at_thaw else 1
+        span.set_attr("generation", generation)
+        span.set_attr("found", gc.collect(generation))
         gc.freeze()
 
 
@@ -639,13 +660,16 @@ class HierarchyRuntime:
 
         The cyclic collector is held for the length of the close, from
         before its span opens (:data:`_COLLECTOR_HELD`, the hold ingest
-        takes too), and run once, in full, at its end, inside the
-        ``close_epoch`` span as a ``collect`` child
-        (:func:`_collect_and_freeze`).  That boundary pass is the only
-        collection the write path runs: a pass the last ingest left due
-        is not paid on the way in, since the boundary pass walks every
-        unfrozen object anyway.  What survives it is frozen, so the
-        next close's pass walks only what this epoch allocated.  (A
+        takes too), and run once at its end, inside the ``close_epoch``
+        span as a ``collect`` child (:func:`_collect_and_freeze`).
+        That boundary pass is the only collection the write path runs: a
+        pass the last ingest left due is not paid on the way in, since
+        the boundary pass walks the young generations anyway.  What
+        survives it is frozen, so the next close's pass walks only what
+        this epoch allocated.  It collects generations 0-1; the old
+        generation is walked once per thaw (at every
+        :data:`_THAW_PERIOD`-th close and after :meth:`shutdown`), by
+        the first full pass after it, the close's or any other.  (A
         host that runs with the collector off is left alone.)
         """
         with _COLLECTOR_HELD as collecting:
@@ -872,7 +896,9 @@ class HierarchyRuntime:
         its survivors: a cyclic structure dropped after that (this
         runtime's own state, once the caller lets it go) is only found
         by a pass once it is thawed.  So shutdown thaws it, and the
-        next collection frees it.
+        next full pass frees it: the host's, an automatic one, or else
+        the next close's, which walks the old generation because no
+        full pass has run since the thaw.
         """
         _thaw()
 

@@ -8,6 +8,7 @@ never lost), and federated queries that return partial answers with an
 exact :class:`Degradation` record instead of throwing.
 """
 
+import contextlib
 import gc
 import weakref
 
@@ -648,16 +649,47 @@ def _watched_cycle(freed):
     return cycle, weakref.ref(cycle, lambda _: freed.append(True))
 
 
+def _generations_during(call):
+    """The generations the collector ran during ``call()``."""
+    collected = []
+
+    def on_gc(phase, info):
+        if phase == "stop":
+            collected.append(info["generation"])
+
+    gc.callbacks.append(on_gc)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(on_gc)
+    return collected
+
+
+@contextlib.contextmanager
+def _no_automatic_passes():
+    """The collector enabled, but no allocation count sets off a pass."""
+    thresholds = gc.get_threshold()
+    gc.set_threshold(0)
+    try:
+        assert gc.isenabled()
+        yield
+    finally:
+        gc.set_threshold(*thresholds)
+
+
 class TestEpochCloseCollector:
     """The write path holds the cyclic collector, and its one pass is the
-    epoch boundary: an ingest call runs none, and a close runs one, in
-    full, at its end — never mid-rollup, inside the standing-query
-    refresh, or on the way in for a pass the last ingest left due —
-    then freezes what survived, so the next close walks only what its
-    epoch allocated.  Both leave the host's collector setting as they
-    found it, also when they raise.  Frozen cyclic garbage waits at
-    most 8 closes, and none after ``shutdown()``.  (CI also runs this
-    class alone, in a fresh interpreter.)"""
+    epoch boundary: an ingest call runs none, and a close runs one at
+    its end — never mid-rollup, inside the standing-query refresh, or on
+    the way in for a pass the last ingest left due — then freezes what
+    survived, so the next close walks only what its epoch allocated.
+    The pass collects the young generations; it is a full one only while
+    the old generation holds what a thaw (every 8th close, and
+    ``shutdown()``) handed back and no full pass has walked since.  Both
+    leave the host's collector setting as they found it, also when they
+    raise.  Frozen cyclic garbage waits at most 8 closes, and none after
+    ``shutdown()``, also when the host runs no pass of its own.  (CI
+    also runs this class alone, in a fresh interpreter.)"""
 
     @staticmethod
     def close_once(runtime, monkeypatch):
@@ -677,18 +709,7 @@ class TestEpochCloseCollector:
             return hook(now)
 
         monkeypatch.setattr(runtime.planner, "on_epoch_closed", watching_hook)
-        collected = []
-
-        def on_gc(phase, info):
-            if phase == "stop":
-                collected.append(info["generation"])
-
-        gc.callbacks.append(on_gc)
-        try:
-            runtime.close_epoch(60.0)
-        finally:
-            gc.callbacks.remove(on_gc)
-        return seen, collected
+        return seen, _generations_during(lambda: runtime.close_epoch(60.0))
 
     @staticmethod
     def big_batch(epoch=0):
@@ -701,18 +722,10 @@ class TestEpochCloseCollector:
     def test_an_ingest_batch_runs_no_collection(self):
         runtime = build_runtime()
         records = self.big_batch()
-        collected = []
-
-        def on_gc(phase, info):
-            if phase == "stop":
-                collected.append(info["generation"])
-
         gc.collect()
-        gc.callbacks.append(on_gc)
-        try:
-            runtime.ingest(ROUTER1, records)
-        finally:
-            gc.callbacks.remove(on_gc)
+        collected = _generations_during(
+            lambda: runtime.ingest(ROUTER1, records)
+        )
         assert collected == []
         assert gc.isenabled()
         runtime.shutdown()
@@ -740,6 +753,7 @@ class TestEpochCloseCollector:
         runtime.shutdown()
 
     def test_a_close_after_a_held_ingest_runs_only_its_boundary_pass(self):
+        build_runtime().shutdown()  # a thaw, so neither close is the 8th
         runtime = build_runtime()
         # one close first, so the close's own frames exist before the
         # watched one (an interpreter that allocates frames on the heap
@@ -761,17 +775,19 @@ class TestEpochCloseCollector:
             runtime.close_epoch(120.0)
         finally:
             gc.callbacks.remove(on_gc)
-        assert collected == [2]
+        assert collected == [1]  # a full pass has walked the thawed objects
         assert young[0] > gc.get_threshold()[0]
         assert gc.isenabled()
         runtime.shutdown()
 
-    def test_one_full_collection_at_the_boundary(self, monkeypatch):
+    def test_one_young_collection_at_the_boundary(self, monkeypatch):
         assert gc.isenabled()
+        build_runtime().shutdown()  # a thaw, so the close is not the 8th
         runtime = build_runtime()
+        gc.collect()  # a full pass has walked what the thaw handed back
         seen, collected = self.close_once(runtime, monkeypatch)
         assert seen == [False]
-        assert collected == [2]
+        assert collected == [1]
         assert gc.isenabled()
         # the pass is the close span's last child, after every rollup
         root = runtime.obs.tracer.last("close_epoch")
@@ -779,9 +795,42 @@ class TestEpochCloseCollector:
         assert names[-1] == "collect" and names.count("collect") == 1
         assert set(names[:-1]) == {"rollup"}
         (collect,) = root.find("collect")
-        assert set(collect.attrs) == {"found", "thawed"}
+        assert set(collect.attrs) == {"found", "thawed", "generation"}
         assert isinstance(collect.attrs["found"], int)
+        assert collect.attrs["generation"] == 1
+        assert collect.attrs["thawed"] is False
         runtime.shutdown()
+
+    def test_the_8th_close_since_a_thaw_walks_the_old_generation(self):
+        build_runtime().shutdown()
+        runtime = build_runtime()
+        gc.collect()
+        passes = [
+            _generations_during(lambda: runtime.close_epoch(close * 60.0))
+            for close in range(1, 9)
+        ]
+        assert passes == [[1]] * 7 + [[2]]
+        (collect,) = runtime.obs.tracer.last("close_epoch").find("collect")
+        assert collect.attrs["thawed"] is True
+        assert collect.attrs["generation"] == 2
+        runtime.shutdown()
+
+    @pytest.mark.parametrize(
+        "host_collects, generations",
+        [(False, [2]), (True, [1])],
+        ids=["the-close-walks-the-thawed", "the-host-walked-them"],
+    )
+    def test_the_first_close_after_a_shutdown(
+        self, host_collects, generations
+    ):
+        with _no_automatic_passes():
+            build_runtime().shutdown()
+            if host_collects:
+                gc.collect()
+            runtime = build_runtime()
+            collected = _generations_during(lambda: runtime.close_epoch(60.0))
+            assert collected == generations
+            runtime.shutdown()
 
     def test_a_sealed_tree_is_frozen_until_shutdown(self, monkeypatch):
         runtime = build_runtime()
@@ -830,6 +879,36 @@ class TestEpochCloseCollector:
         while not freed and closes < 8:
             closes += 1
             runtime.close_epoch(closes * 60.0)
+        assert freed == [True]
+        runtime.shutdown()
+
+    def test_a_chain_of_runtimes_frees_each_dropped_cycle(self):
+        """Each runtime drops a frozen cycle before its ``shutdown()``, and
+        the host runs no pass: the next runtime's first close frees it
+        (all but the last runtime's)."""
+        freed, refs = [], []
+        with _no_automatic_passes():
+            for _ in range(12):
+                runtime = build_runtime()
+                cycle, ref = _watched_cycle(freed)
+                refs.append(ref)
+                runtime.close_epoch(60.0)
+                runtime.close_epoch(120.0)
+                del cycle
+                runtime.shutdown()
+        assert len(freed) >= 11
+
+    def test_a_cycle_promoted_before_a_close_is_freed_within_8_closes(self):
+        runtime = build_runtime()
+        freed = []
+        with _no_automatic_passes():
+            cycle, _ref = _watched_cycle(freed)
+            gc.collect()  # a full pass: it lands in the old generation
+            del cycle
+            closes = 0
+            while not freed and closes < 8:
+                closes += 1
+                runtime.close_epoch(closes * 60.0)
         assert freed == [True]
         runtime.shutdown()
 
