@@ -1,19 +1,21 @@
-"""FlowDB persistence: the format-v1 JSON compat layer.
+"""FlowDB persistence: the single-document JSON snapshot.
 
 Historically this module *was* the durability story — one JSON document
 holding the whole index.  The real story now lives in
 :mod:`repro.storage` (per-epoch segment logs, manifests, recovery);
 what remains here is a thin compat wrapper kept for two jobs:
 
-* **save**: the same single-document format v1, but written through
+* **save**: one JSON document (format version 2: each tree as its
+  :meth:`~repro.flows.tree.Flowtree.to_dict` columns), written through
   :func:`repro.storage.codec.atomic_write_json` — the temp file is
   fsynced before the rename and the directory after it, closing the
   crash window the old implementation had (an ``os.replace`` without
   fsync can surface an empty file after power loss on some
   filesystems).
-* **load / migrate**: format-v1 documents still load, and
-  ``load_flowdb(..., engine=SegmentLogEngine(dir))`` replays a v1
-  snapshot into a durable engine — each entry is inserted through the
+* **load / migrate**: snapshots of this format version load (an older
+  version is refused with a :class:`~repro.errors.StorageError` naming
+  both), and ``load_flowdb(..., engine=SegmentLogEngine(dir))`` replays
+  a snapshot into a durable engine — each entry is inserted through the
   normal FlowDB path, so it lands in the engine's record log; seal and
   write a manifest afterwards to finish the migration.
 
@@ -36,7 +38,9 @@ from repro.flows.tree import Flowtree
 from repro.storage.codec import atomic_write_json
 from repro.storage.engine import StorageEngine
 
-FORMAT_VERSION = 1
+#: 2: trees are :meth:`~repro.flows.tree.Flowtree.to_dict` columns; a
+#: version-1 snapshot held one JSON object per node
+FORMAT_VERSION = 2
 
 
 def save_flowdb(db: FlowDB, path: str) -> int:
@@ -74,7 +78,7 @@ def load_flowdb(
 
     ``policy`` must match the shape the trees were built with (checked
     tree by tree).  ``merge_node_budget`` overrides the saved value.
-    Passing a durable ``engine`` migrates the v1 snapshot into it: every
+    Passing a durable ``engine`` migrates the snapshot into it: every
     entry goes through :meth:`FlowDB.insert`, which logs it to the
     engine's record store.
     """
@@ -88,8 +92,8 @@ def load_flowdb(
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise StorageError(
-            f"unsupported FlowDB format version {version!r} "
-            f"(expected {FORMAT_VERSION})"
+            f"unsupported FlowDB format version {version!r} at "
+            f"{path!r}: this build reads version {FORMAT_VERSION}"
         )
     db = FlowDB(
         merge_node_budget=(

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import (
     Dict,
     Iterable,
@@ -147,20 +148,6 @@ def _subtree_attr(metric_name: str) -> str:
         raise ValueError(
             f"unknown popularity metric {metric_name!r}"
         ) from None
-
-
-def _stored_counters(entry: dict, field: str) -> Tuple[int, int, int]:
-    """A serialized node's ``own`` or ``folded`` triple, each a
-    non-negative ``int`` (not a ``bool``), or
-    :class:`MalformedSummaryError`."""
-    packets, nbytes, flows = entry[field]
-    for count in (packets, nbytes, flows):
-        if type(count) is not int or count < 0:
-            raise MalformedSummaryError(
-                f"payload node counter {field}={entry[field]!r} is not "
-                f"a non-negative integer"
-            )
-    return packets, nbytes, flows
 
 
 class FlowtreeNode:
@@ -1079,27 +1066,49 @@ class Flowtree:
         return self
 
     def to_dict(self) -> dict:
-        """A JSON-safe representation, used for export and replication."""
+        """The tree's stored form: a header and three JSON-safe columns.
+
+        The segment log, checkpoints and FlowDB snapshots all store
+        this (the segment log through
+        :func:`repro.storage.codec.encode_tree`, which compresses it).
+        Nodes are listed depth by depth, root first, sorted by
+        ``values`` within a depth, so equal trees give equal payloads:
+
+        * ``counts`` — the number of nodes at each depth of the policy;
+          a node's depth is implied by its position;
+        * ``values`` — every node's values, flattened (the schema's
+          width per node);
+        * ``counters`` — six per node, ``own`` then ``folded``, each as
+          packets, bytes, flows.
+
+        Subtree popularity is not stored: :meth:`from_dict` sums it.
+        """
+        counts: List[int] = []
+        values: List[int] = []
+        counters: List[int] = []
+        for level in self._index:
+            keys = sorted(level)
+            counts.append(len(keys))
+            values.extend(chain.from_iterable(keys))
+            for key in keys:
+                node = level[key]
+                counters += (
+                    node.own_packets,
+                    node.own_bytes,
+                    node.own_flows,
+                    node.folded_packets,
+                    node.folded_bytes,
+                    node.folded_flows,
+                )
         return {
             "schema": self.schema.name,
             "level_vectors": [list(v) for v in self.policy.level_vectors],
             "node_budget": self.node_budget,
             "compress_ratio": self.compress_ratio,
             "metric": self.metric,
-            "nodes": [
-                {
-                    "depth": node.depth,
-                    "values": list(node.values),
-                    "own": [node.own_packets, node.own_bytes, node.own_flows],
-                    "folded": [
-                        node.folded_packets,
-                        node.folded_bytes,
-                        node.folded_flows,
-                    ],
-                }
-                for level in self._index
-                for node in sorted(level.values(), key=lambda n: n.values)
-            ],
+            "counts": counts,
+            "values": values,
+            "counters": counters,
         }
 
     @classmethod
@@ -1109,14 +1118,17 @@ class Flowtree:
         The caller supplies the policy (schemas hold feature objects that
         do not round-trip through JSON); its shape is validated against
         the payload.  Payloads come from segment files and wire bodies,
-        so one that is not a serialized tree — a missing key, a short
-        ``values`` or counter list, values with bits below their depth's
-        mask, a counter that is not a non-negative integer (a stored
-        tree never holds a fraction or a negative: privacy only
-        coarsens, and diffs are never stored), a depth that is not an
-        ``int`` (a ``bool`` is not one here), a budget that is neither
-        ``None`` nor an ``int`` — raises :class:`MalformedSummaryError`,
-        never a bare lookup or type error.
+        so one that is not a serialized tree raises
+        :class:`MalformedSummaryError`, never a bare lookup or type
+        error: a missing key; columns that disagree (``counts`` not one
+        non-negative ``int`` per depth of the policy — a ``bool`` is not
+        one here — or not one root, ``values`` not the schema's width
+        per node, ``counters`` not six per node); a node twice, without
+        its parent, or with values that have bits below its depth's
+        mask; a value that is not an ``int``; a counter that is not a
+        non-negative ``int`` (a stored tree never holds a fraction or a
+        negative: privacy only coarsens, and diffs are never stored); a
+        budget that is neither ``None`` nor an ``int``.
         """
         try:
             return cls._rebuild(payload, policy)
@@ -1148,46 +1160,99 @@ class Flowtree:
             compress_ratio=payload["compress_ratio"],
             metric=payload["metric"],
         )
+        counts = payload["counts"]
+        flat_values = payload["values"]
+        flat_counters = payload["counters"]
+        if len(counts) != policy.depth + 1:
+            raise MalformedSummaryError(
+                f"payload counts nodes at {len(counts)} depths; the policy "
+                f"has depths 0..{policy.depth}"
+            )
+        for count in counts:
+            if type(count) is not int or count < 0:
+                raise MalformedSummaryError(
+                    f"payload node count {count!r} is not a non-negative "
+                    f"integer"
+                )
+        if counts[0] != 1:
+            raise MalformedSummaryError(
+                f"payload holds {counts[0]} nodes at depth 0; a tree has "
+                f"one root"
+            )
+        total = sum(counts)
+        width = len(tree.schema)
+        if len(flat_values) != width * total:
+            raise MalformedSummaryError(
+                f"payload holds {len(flat_values)} values for {total} nodes "
+                f"of width {width}"
+            )
+        if len(flat_counters) != 6 * total:
+            raise MalformedSummaryError(
+                f"payload holds {len(flat_counters)} counters for {total} "
+                f"nodes; a node stores six"
+            )
+        # whole-column checks; the offender is looked up only to name it
+        if set(map(type, flat_values)) != {int}:
+            value = next(v for v in flat_values if type(v) is not int)
+            raise MalformedSummaryError(
+                f"payload value {value!r} is not an integer"
+            )
+        if set(map(type, flat_counters)) != {int} or min(flat_counters) < 0:
+            count = next(
+                c for c in flat_counters if type(c) is not int or c < 0
+            )
+            raise MalformedSummaryError(
+                f"payload node counter {count!r} is not a non-negative "
+                f"integer"
+            )
+        # one values tuple and one (own, folded) sextuple per node, in
+        # payload order
+        rows = zip(*[iter(flat_values)] * width)
+        stored = zip(*[iter(flat_counters)] * 6)
+        root = tree._root
+        first = next(rows)
+        if first != root.values:
+            raise MalformedSummaryError(
+                f"payload node {(0, first)} at depth 0 is not the root"
+            )
+        (
+            root.own_packets,
+            root.own_bytes,
+            root.own_flows,
+            root.folded_packets,
+            root.folded_bytes,
+            root.folded_flows,
+        ) = next(stored)
+        root.subtree_packets = root.own_packets + root.folded_packets
+        root.subtree_bytes = root.own_bytes + root.folded_bytes
+        root.subtree_flows = root.own_flows + root.folded_flows
+        created: List[FlowtreeNode] = [root]
         index = tree._index
         projectors = tree._projectors
-        max_depth = policy.depth
         make = FlowtreeNode.__new__
-        created: List[FlowtreeNode] = []
-        # parents first: every node links under an entry already placed,
-        # so the payload is checked to be a tree while it is rebuilt
-        for entry in sorted(payload["nodes"], key=lambda e: e["depth"]):
-            depth = entry["depth"]
-            values = tuple(entry["values"])
-            if type(depth) is not int:
-                raise MalformedSummaryError(
-                    f"payload node {(depth, values)} has a depth that is "
-                    f"not an integer"
-                )
-            if depth == 0:
-                # depth-sorted: anything placed before this is the root
-                if values != tree._root.values or created:
-                    raise MalformedSummaryError(
-                        f"payload node {(depth, values)} at depth 0 is not "
-                        f"the root, or is the root twice"
-                    )
-                node = tree._root
-            else:
-                if not 0 < depth <= max_depth:
-                    raise MalformedSummaryError(
-                        f"payload node {(depth, values)} lies outside the "
-                        f"policy's depths 0..{max_depth}"
-                    )
-                if values in index[depth]:
+        # depth by depth: every node links under an entry already
+        # placed, so the payload is checked to be a tree while it is
+        # rebuilt
+        for depth in range(1, policy.depth + 1):
+            level = index[depth]
+            parents = index[depth - 1]
+            project = projectors[depth]
+            project_up = projectors[depth - 1]
+            count = counts[depth]
+            for values, sextuple in zip(
+                islice(rows, count), islice(stored, count)
+            ):
+                if values in level:
                     raise MalformedSummaryError(
                         f"payload holds node {(depth, values)} twice"
                     )
-                if projectors[depth](values) != values:
+                if project(values) != values:
                     # no key reaches it: a query masks to the canonical
                     raise MalformedSummaryError(
                         f"payload node {(depth, values)} is not canonical "
                         f"at its depth"
                     )
-                parent = index[depth - 1].get(projectors[depth - 1](values))
+                parent = parents.get(project_up(values))
                 if parent is None:
                     raise MalformedSummaryError(
                         f"payload node {(depth, values)} has no parent in "
@@ -1201,22 +1266,20 @@ class Flowtree:
                 node.values = values
                 node.parent = parent
                 node.nchildren = 0
-                index[depth][values] = node
-            (
-                node.own_packets,
-                node.own_bytes,
-                node.own_flows,
-            ) = _stored_counters(entry, "own")
-            (
-                node.folded_packets,
-                node.folded_bytes,
-                node.folded_flows,
-            ) = _stored_counters(entry, "folded")
-            node.subtree_packets = node.own_packets + node.folded_packets
-            node.subtree_bytes = node.own_bytes + node.folded_bytes
-            node.subtree_flows = node.own_flows + node.folded_flows
-            created.append(node)
-        tree._node_count = sum(map(len, index))
+                (
+                    node.own_packets,
+                    node.own_bytes,
+                    node.own_flows,
+                    node.folded_packets,
+                    node.folded_bytes,
+                    node.folded_flows,
+                ) = sextuple
+                node.subtree_packets = node.own_packets + node.folded_packets
+                node.subtree_bytes = node.own_bytes + node.folded_bytes
+                node.subtree_flows = node.own_flows + node.folded_flows
+                level[values] = node
+                created.append(node)
+        tree._node_count = total
         # every node sits after its parent, so one reverse sweep
         # accumulates every subtree bottom-up
         for node in reversed(created):

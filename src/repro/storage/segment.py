@@ -6,6 +6,7 @@ Layout of a data directory::
       MANIFEST.json          # the commit point (atomic_write_json)
       segments/
         seg-00000001.log     # length-prefixed, CRC'd summary records
+                             # (payload: encode_tree, zlib'd columns)
         seg-00000002.log
         ...
 
@@ -40,7 +41,9 @@ from repro.flows.flowkey import GeneralizationPolicy
 from repro.flows.tree import Flowtree
 from repro.storage.codec import (
     atomic_write_json,
+    decode_tree,
     encode_record,
+    encode_tree,
     fsync_directory,
     read_payload,
     scan_records,
@@ -49,7 +52,9 @@ from repro.storage.engine import StorageEngine, SummaryRecord
 
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_DIR = "segments"
-MANIFEST_FORMAT_VERSION = 1
+#: 2: record payloads are :func:`~repro.storage.codec.encode_tree`
+#: columns; a version-1 directory held one JSON object per node
+MANIFEST_FORMAT_VERSION = 2
 
 
 class SegmentLogEngine(StorageEngine):
@@ -101,7 +106,8 @@ class SegmentLogEngine(StorageEngine):
             if version != MANIFEST_FORMAT_VERSION:
                 raise StorageError(
                     f"unsupported manifest format version {version!r} "
-                    f"(expected {MANIFEST_FORMAT_VERSION})"
+                    f"at {self._manifest_path()!r}: this build reads "
+                    f"version {MANIFEST_FORMAT_VERSION}"
                 )
             self._segments = [
                 dict(row) for row in document.get("segments", [])
@@ -137,10 +143,7 @@ class SegmentLogEngine(StorageEngine):
             "start": interval.start,
             "end": interval.end,
         }
-        payload = json.dumps(
-            tree.to_dict(), separators=(",", ":")
-        ).encode("utf-8")
-        self._active.append((header, payload))
+        self._active.append((header, encode_tree(tree)))
 
     def iter_summaries(
         self, policy: GeneralizationPolicy
@@ -164,9 +167,7 @@ class SegmentLogEngine(StorageEngine):
                 ),
                 interval=TimeInterval(header["start"], header["end"]),
                 load=(
-                    lambda data=payload, p=policy: Flowtree.from_dict(
-                        json.loads(data), p
-                    )
+                    lambda data=payload, p=policy: decode_tree(data, p)
                 ),
             )
 
@@ -178,8 +179,7 @@ class SegmentLogEngine(StorageEngine):
         record_offset: int,
     ) -> SummaryRecord:
         def load() -> Flowtree:
-            payload = read_payload(path, record_offset)
-            return Flowtree.from_dict(json.loads(payload), policy)
+            return decode_tree(read_payload(path, record_offset), policy)
 
         return SummaryRecord(
             location=self._relabels.get(

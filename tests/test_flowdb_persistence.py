@@ -79,6 +79,20 @@ class TestPersistence:
         with pytest.raises(StorageError):
             load_flowdb(str(path), policy)
 
+    def test_node_list_snapshot_refused(self, loaded_db, policy, tmp_path):
+        # version 1 stored one JSON object per node: refused at load,
+        # naming both versions
+        path = tmp_path / "flowdb.json"
+        save_flowdb(loaded_db, str(path))
+        document = json.loads(path.read_text())
+        assert document["format_version"] == 2
+        document["format_version"] = 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(
+            StorageError, match=r"format version 1 .*reads version 2"
+        ):
+            load_flowdb(str(path), policy)
+
     def test_wrong_policy(self, loaded_db, tmp_path):
         path = str(tmp_path / "flowdb.json")
         save_flowdb(loaded_db, path)
@@ -126,6 +140,9 @@ class TestDurableSave:
 
 
 class TestV1Migration:
+    """A snapshot replays into a segment log.  (The name is historical:
+    snapshots are format version 2 now, and version 1 is refused.)"""
+
     def test_migrate_v1_snapshot_into_segment_log(self, loaded_db, policy,
                                                   tmp_path):
         from repro.storage import SegmentLogEngine
@@ -141,7 +158,7 @@ class TestV1Migration:
         migrated.engine.seal_epoch(0)
         migrated.engine.write_manifest({"migrated_from": "format-v1"})
 
-        # the migrated store reopens from disk with the v1 content
+        # the migrated store reopens from disk with the snapshot's content
         reopened = FlowDB(engine=SegmentLogEngine(data_dir))
         assert reopened.recover(policy) == len(loaded_db)
         assert (

@@ -466,6 +466,125 @@ class TestGroupBy:
         assert total == 190
 
 
+# -- corrupt column payloads ------------------------------------------
+# Each corruption edits the ``to_dict`` of one root-to-leaf chain, so
+# the node at depth ``d`` is the ``d``-th node of every column and the
+# leaf (the only node with ``own`` mass) is the last.
+
+
+def _width(p):
+    return len(p["values"]) // sum(p["counts"])
+
+
+def _node(p, depth):
+    """The chain node at ``depth``: its values and its six counters."""
+    width = _width(p)
+    return (
+        p["values"][depth * width:(depth + 1) * width],
+        p["counters"][depth * 6:(depth + 1) * 6],
+    )
+
+
+def _add(p, depth, node):
+    """Append ``node`` to ``depth``'s block, past the chain if asked."""
+    values, counters = node
+    width = _width(p)
+    while len(p["counts"]) <= depth:
+        p["counts"].append(0)
+    at = sum(p["counts"][:depth + 1])
+    p["values"][at * width:at * width] = values
+    p["counters"][at * 6:at * 6] = counters
+    p["counts"][depth] += 1
+
+
+def _drop(p, depth):
+    """Remove the chain node at ``depth`` from every column."""
+    width = _width(p)
+    del p["values"][depth * width:(depth + 1) * width]
+    del p["counters"][depth * 6:(depth + 1) * 6]
+    p["counts"][depth] -= 1
+
+
+def _leaf(p):
+    return len(p["counts"]) - 1
+
+
+def _move_leaf_to_root_depth(p):
+    leaf = _node(p, _leaf(p))
+    _drop(p, _leaf(p))
+    _add(p, 0, leaf)
+
+
+def _set(column, at, value):
+    def corrupt(p):
+        p[column][at] = value
+
+    return corrupt
+
+
+def _delete(column, at):
+    def corrupt(p):
+        del p[column][at]
+
+    return corrupt
+
+
+def _root_slot_holds_leaf(p):
+    width = _width(p)
+    p["values"][:width] = _node(p, _leaf(p))[0]
+
+
+CORRUPTIONS = {
+    # a node whose parent is absent from the payload
+    "orphan": lambda p: _drop(p, 1),
+    # the same (depth, values) twice
+    "duplicate": lambda p: _add(p, _leaf(p), _node(p, _leaf(p))),
+    # the root twice
+    "second-root": lambda p: _add(p, 0, _node(p, 0)),
+    # a non-root at depth 0
+    "stray-root": _move_leaf_to_root_depth,
+    # a node below the chain's last depth
+    "too-deep": lambda p: _add(p, _leaf(p) + 1, _node(p, _leaf(p))),
+    # a count that would slice the columns backwards (the counts still
+    # sum to the columns' node count)
+    "negative-count": _set("counts", slice(1, 3), [-1, 3]),
+    # a node without its own or folded triple, a payload without
+    # values, a node with short values
+    "no-own": _delete("counters", slice(-6, -3)),
+    "no-folded": _delete("counters", slice(-3, None)),
+    "no-values": lambda p: p.pop("values"),
+    "short-values": _delete("values", slice(-2, None)),
+    # a depth-1 node with bits its depth's mask drops: a sibling of the
+    # real one that no query key could reach
+    "non-canonical-values": lambda p: _add(
+        p, 1, ([v | 1 for v in _node(p, 1)[0]], _node(p, 1)[1])
+    ),
+    "short-own": _delete("counters", -4),
+    # counters a stored tree never holds: not a number, a fraction, a
+    # bool, a negative (privacy only coarsens; diffs are never stored)
+    "non-numeric-counter": _set("counters", -6, "1"),
+    "float-counter": _set("counters", -5, 100.5),
+    "bool-counter": _set("counters", -6, True),
+    "negative-counter": _set("counters", -2, -1),
+    "no-nodes": lambda p: p.pop("counts"),
+    "non-int-budget": lambda p: p.update(node_budget="many"),
+    # a count or budget of the wrong type that would be kept and
+    # re-serialized as given (a bool is not an int here)
+    "bool-count": _set("counts", 1, True),
+    "fractional-budget": lambda p: p.update(node_budget=100.7),
+    "bool-budget": lambda p: p.update(node_budget=True),
+    # what only columns can get wrong: no root, a root slot holding
+    # another node, columns whose lengths disagree with the counts, a
+    # value that is not an integer
+    "no-root": lambda p: _drop(p, 0),
+    "wrong-root": _root_slot_holds_leaf,
+    "long-values": lambda p: p["values"].append(0),
+    "long-counters": lambda p: p["counters"].extend([0] * 6),
+    "no-counters": lambda p: p.pop("counters"),
+    "float-value": _set("values", -1, 1.0),
+}
+
+
 class TestSerialization:
     def test_roundtrip(self, policy, random_flows):
         tree = make_tree(policy, budget=300)
@@ -483,62 +602,7 @@ class TestSerialization:
             Flowtree.from_dict(tree.to_dict(), other)
 
     @pytest.mark.parametrize(
-        "corrupt",
-        [
-            # a node whose parent is absent from the payload
-            lambda p: p["nodes"].pop(1),
-            # the same (depth, values) twice
-            lambda p: p["nodes"].append(dict(p["nodes"][-1])),
-            # the root twice
-            lambda p: p["nodes"].append(dict(p["nodes"][0])),
-            # a non-root at depth 0
-            lambda p: p["nodes"][-1].update(depth=0),
-            # a node below the chain's last depth
-            lambda p: p["nodes"].append(
-                dict(p["nodes"][-1], depth=p["nodes"][-1]["depth"] + 1)
-            ),
-            # a depth that would index the per-depth registry from its end
-            lambda p: p["nodes"][-1].update(depth=-1),
-            # entries that are not node entries, a payload without
-            # nodes, a budget that is not a count
-            lambda p: p["nodes"][-1].pop("own"),
-            lambda p: p["nodes"][-1].pop("folded"),
-            lambda p: p["nodes"][-1].pop("values"),
-            lambda p: p["nodes"][-1].update(
-                values=p["nodes"][-1]["values"][:2]
-            ),
-            # a depth-1 node with bits its depth's mask drops: a sibling
-            # of the real one that no query key could reach
-            lambda p: p["nodes"].append(
-                dict(
-                    p["nodes"][1],
-                    values=[v | 1 for v in p["nodes"][1]["values"]],
-                )
-            ),
-            lambda p: p["nodes"][-1].update(own=[1, 100]),
-            lambda p: p["nodes"][-1].update(own=["1", 100, 1]),
-            # counters a stored tree never holds: a fraction, a bool, a
-            # negative (privacy only coarsens; diffs are never stored)
-            lambda p: p["nodes"][-1].update(own=[1, 100.5, 1]),
-            lambda p: p["nodes"][-1].update(own=[True, 100, 1]),
-            lambda p: p["nodes"][-1].update(folded=[0, -1, 0]),
-            lambda p: p.pop("nodes"),
-            lambda p: p.update(node_budget="many"),
-            # a depth or budget of the wrong type that would be kept and
-            # re-serialized as given (a bool is not an int here)
-            lambda p: p["nodes"][1].update(depth=True),
-            lambda p: p.update(node_budget=100.7),
-            lambda p: p.update(node_budget=True),
-        ],
-        ids=[
-            "orphan", "duplicate", "second-root", "stray-root", "too-deep",
-            "negative-depth",
-            "no-own", "no-folded", "no-values", "short-values",
-            "non-canonical-values", "short-own",
-            "non-numeric-counter", "float-counter", "bool-counter",
-            "negative-counter", "no-nodes", "non-int-budget",
-            "bool-depth", "fractional-budget", "bool-budget",
-        ],
+        "corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS)
     )
     def test_payload_that_is_not_a_tree_rejected(
         self, policy, make_key, corrupt
@@ -546,6 +610,7 @@ class TestSerialization:
         tree = make_tree(policy)
         tree.add(make_key(), Score(1, 100, 1))
         payload = tree.to_dict()
+        assert payload["counts"] == [1] * (policy.depth + 1)
         corrupt(payload)
         with pytest.raises(MalformedSummaryError):
             Flowtree.from_dict(payload, policy)

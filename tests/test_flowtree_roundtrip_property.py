@@ -1,6 +1,8 @@
 """Hypothesis property: to_dict/from_dict is the identity on Flowtrees.
 
-The segment log persists every sealed tree through this codec, so the
+The segment log persists every sealed tree through this codec (its
+columns, zlib'd by ``encode_tree``; the round trip here goes through
+``encode_tree`` / ``decode_tree`` as a stored tree does), so the
 round-trip must be exact for every tree shape the runtime produces:
 uncompressed trees, trees past one or many compression checkpoints
 (small node budgets), every popularity metric, and empty trees.
@@ -21,6 +23,7 @@ from repro.core.summary import Location
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
 from repro.flows.records import FlowRecord, Score
 from repro.flows.tree import Flowtree
+from repro.storage.codec import decode_tree, encode_tree
 
 POLICY = GeneralizationPolicy.default_for(FIVE_TUPLE)
 
@@ -73,9 +76,7 @@ def canonical(tree):
 
 
 def roundtrip(tree):
-    return Flowtree.from_dict(
-        json.loads(json.dumps(tree.to_dict())), POLICY
-    )
+    return decode_tree(encode_tree(tree), POLICY)
 
 
 @settings(max_examples=60, deadline=None)

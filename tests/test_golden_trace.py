@@ -34,8 +34,38 @@ EPOCHS = 3
 
 
 def root_digest(runtime) -> str:
+    """SHA-256 of the root tree as one object per node.
+
+    The document is built here from ``nodes()`` rather than taken from
+    ``to_dict``, so the pinned digest stays a statement about the tree
+    and not about whichever layout the store writes: header fields, then
+    nodes depth by depth, sorted by values within a depth.
+    """
+    tree = runtime.db.merged_tree()
+    nodes = sorted(tree.nodes(), key=lambda node: node.node_id)
     document = json.dumps(
-        runtime.db.merged_tree().to_dict(),
+        {
+            "schema": tree.schema.name,
+            "level_vectors": [list(v) for v in tree.policy.level_vectors],
+            "node_budget": tree.node_budget,
+            "compress_ratio": tree.compress_ratio,
+            "metric": tree.metric,
+            "nodes": [
+                {
+                    "depth": node.depth,
+                    "values": list(node.values),
+                    "own": [
+                        node.own_packets, node.own_bytes, node.own_flows
+                    ],
+                    "folded": [
+                        node.folded_packets,
+                        node.folded_bytes,
+                        node.folded_flows,
+                    ],
+                }
+                for node in nodes
+            ],
+        },
         sort_keys=True,
         separators=(",", ":"),
     )

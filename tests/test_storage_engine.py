@@ -2,17 +2,27 @@
 
 import json
 import os
+import zlib
 
 import pytest
 
 from repro.core.summary import TimeInterval
-from repro.errors import StorageError
+from repro.errors import MalformedSummaryError, StorageError
 from repro.flowdb.db import FlowDB
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
 from repro.storage import MemoryEngine, SegmentLogEngine, atomic_write_json
-from repro.storage.codec import encode_record, read_payload, scan_records
-from repro.storage.segment import MANIFEST_NAME, SEGMENT_DIR
+from repro.storage.codec import (
+    decode_tree,
+    encode_record,
+    read_payload,
+    scan_records,
+)
+from repro.storage.segment import (
+    MANIFEST_FORMAT_VERSION,
+    MANIFEST_NAME,
+    SEGMENT_DIR,
+)
 
 
 def make_tree(policy, make_key, ports=(80, 443), salt=0):
@@ -205,6 +215,20 @@ class TestSegmentLogEngine:
         with pytest.raises(StorageError, match="format version"):
             SegmentLogEngine(str(tmp_path))
 
+    def test_manifest_of_the_node_list_format_refused(self, tmp_path):
+        # version 1 stored one JSON object per node: refused at open,
+        # never read as columns
+        SegmentLogEngine(str(tmp_path)).write_manifest({})
+        path = tmp_path / MANIFEST_NAME
+        document = json.loads(path.read_text())
+        assert document["format_version"] == MANIFEST_FORMAT_VERSION == 2
+        document["format_version"] = 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(
+            StorageError, match=r"format version 1 .*reads version 2"
+        ):
+            SegmentLogEngine(str(tmp_path))
+
     def test_manifest_names_missing_segment(self, policy, make_key,
                                             tmp_path):
         engine = SegmentLogEngine(str(tmp_path))
@@ -264,6 +288,51 @@ class TestSegmentLogEngine:
     def test_compact_threshold_validated(self, tmp_path):
         with pytest.raises(StorageError):
             SegmentLogEngine(str(tmp_path), compact_threshold=1)
+
+
+class TestTreePayloads:
+    """A segment record's payload is a tree's columns, zlib'd."""
+
+    @staticmethod
+    def _sealed_record(policy, make_key, tmp_path):
+        engine = SegmentLogEngine(str(tmp_path))
+        fill(engine, policy, make_key, epochs=1, sites=("a/r1",))
+        segment = tmp_path / SEGMENT_DIR / engine.segments()[0]["file"]
+        with open(segment, "rb") as handle:
+            [(header, offset, _length)] = list(scan_records(handle))
+        return segment, header, offset
+
+    def test_payload_is_compressed_columns(self, policy, make_key,
+                                           tmp_path):
+        segment, _header, offset = self._sealed_record(
+            policy, make_key, tmp_path
+        )
+        payload = read_payload(str(segment), offset)
+        tree = make_tree(policy, make_key)
+        assert json.loads(zlib.decompress(payload)) == tree.to_dict()
+        assert decode_tree(payload, policy).to_dict() == tree.to_dict()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not zlib at all",
+            zlib.compress(b"{not json", 1),
+            zlib.compress(b"\xff\xfe\xfd", 1),
+            zlib.compress(b'["not", "a", "tree"]', 1),
+        ],
+        ids=["not-zlib", "not-json", "not-utf8", "not-a-tree"],
+    )
+    def test_payload_that_passes_its_crc_but_is_no_tree(
+        self, policy, make_key, tmp_path, payload
+    ):
+        segment, header, _offset = self._sealed_record(
+            policy, make_key, tmp_path
+        )
+        # re-framed, so the CRC holds: the bytes are the ones written
+        segment.write_bytes(encode_record(header, payload))
+        [record] = SegmentLogEngine(str(tmp_path)).iter_summaries(policy)
+        with pytest.raises(MalformedSummaryError):
+            record.load()
 
 
 class TestFlowDBEngineSeam:
