@@ -107,11 +107,12 @@ def test_merge_order(benchmark, policy, traffic):
         b = Flowtree(policy, node_budget=None)
         a.ingest(a_records)
         b.ingest(b_records)
-        exact = Flowtree.merged(a, b)
+        pair = [((0.0, SITES[0]), a), ((0.0, SITES[1]), b)]
+        exact = Flowtree.union(pair)
         exact_top = {key for key, _ in exact.top_k(20)}
 
         # late compression
-        late = Flowtree.merged(a, b)
+        late = Flowtree.union(pair)
         late.compress(target_nodes=target)
         late_recall = len(
             {k for k, _ in late.top_k(20)} & exact_top
@@ -121,7 +122,9 @@ def test_merge_order(benchmark, policy, traffic):
         a_small, b_small = a.copy(), b.copy()
         a_small.compress(target_nodes=target // 2)
         b_small.compress(target_nodes=target // 2)
-        early = Flowtree.merged(a_small, b_small)
+        early = Flowtree.union(
+            [((0.0, SITES[0]), a_small), ((0.0, SITES[1]), b_small)]
+        )
         early.compress(target_nodes=target)
         early_recall = len(
             {k for k, _ in early.top_k(20)} & exact_top

@@ -54,7 +54,8 @@ def test_insert_throughput(benchmark, policy, traffic):
 
 
 def test_op_merge(benchmark, tree_a, tree_b):
-    result = benchmark(lambda: Flowtree.merged(tree_a, tree_b))
+    pair = [((0.0, "a"), tree_a), ((0.0, "b"), tree_b)]
+    result = benchmark(lambda: Flowtree.union(pair, tree_a.node_budget))
     assert result.total() == tree_a.total() + tree_b.total()
 
 

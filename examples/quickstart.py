@@ -34,7 +34,11 @@ def flowtree_basics() -> None:
     evening.add(web, Score(packets=500, bytes=800_000, flows=1))
 
     print(f"  morning web traffic: {morning.query(web).bytes:,} B")
-    merged = Flowtree.merged(morning, evening)
+    # unioned in (interval start, location) order: morning, then evening
+    merged = Flowtree.union(
+        [((64_800.0, "router1"), evening), ((21_600.0, "router1"), morning)],
+        morning.node_budget,
+    )
     print(f"  whole day web traffic: {merged.query(web).bytes:,} B")
     growth = evening.diff(morning)
     print(f"  evening-vs-morning delta: {growth.query(web).bytes:,} B")

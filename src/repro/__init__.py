@@ -18,8 +18,8 @@ The paper is a vision paper; this library *builds the vision*:
 * **Control** (:mod:`repro.control`) — controllers with conflict
   resolution and the Manager control plane.
 * **Applications** (:mod:`repro.apps`) — predictive maintenance,
-  process mining, supply-chain tracing, network trends, traffic
-  matrices, and DDoS investigation.
+  process mining, network trends, traffic matrices, and DDoS
+  investigation.
 * **FlowDB and FlowQL** (:mod:`repro.flowdb`, :mod:`repro.flowql`) —
   the Figure 5 system (routers → data stores → FlowDB → FlowQL) is
   :func:`~repro.runtime.presets.flat_runtime`; Figure 2b's tiered

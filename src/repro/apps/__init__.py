@@ -7,7 +7,6 @@ are the ones the paper's use-case sections call out:
 Smart factory (Section II.A):
   * :class:`~repro.apps.predictive_maintenance.PredictiveMaintenanceApp`
   * :class:`~repro.apps.process_mining.ProcessMiningApp`
-  * :class:`~repro.apps.supply_chain.SupplyChainApp`
 
 Network monitoring (Section II.B):
   * :class:`~repro.apps.trends.NetworkTrendsApp`
@@ -21,8 +20,6 @@ from repro.apps.predictive_maintenance import (
     PredictiveMaintenanceApp,
 )
 from repro.apps.process_mining import ProcessMiningApp, LineEfficiency
-from repro.apps.supply_chain import SupplyChainApp, TraceResult
-from repro.apps.sensor_health import SensorFault, SensorHealthApp
 from repro.apps.trends import NetworkTrendsApp, TrendReport
 from repro.apps.traffic_matrix import TrafficMatrixApp
 from repro.apps.ddos import DDoSInvestigationApp, DDoSFinding
@@ -34,10 +31,6 @@ __all__ = [
     "MaintenanceDecision",
     "ProcessMiningApp",
     "LineEfficiency",
-    "SupplyChainApp",
-    "TraceResult",
-    "SensorHealthApp",
-    "SensorFault",
     "NetworkTrendsApp",
     "TrendReport",
     "TrafficMatrixApp",

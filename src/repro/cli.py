@@ -196,10 +196,6 @@ def _configure_flowql(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--node-budget", type=int, default=4096)
     _add_query_arg(parser, "default runs a small demo set")
-    parser.add_argument(
-        "--save", metavar="PATH", default=None,
-        help="persist the loaded FlowDB to a JSON file",
-    )
 
 
 def _run_flowql(args: argparse.Namespace) -> int:
@@ -242,11 +238,6 @@ def _run_flowql(args: argparse.Namespace) -> int:
             print(f"  error: {error}")
             return 1
         _print_result(result, 20)
-    if args.save:
-        from repro.flowdb.persistence import save_flowdb
-
-        written = save_flowdb(system.db, args.save)
-        print(f"\nsaved {written} summaries to {args.save}")
     return 0
 
 
@@ -714,7 +705,7 @@ def _run_segments(args: argparse.Namespace) -> int:
     print(
         f"  manifest: epoch {checkpoint.epochs_closed}, "
         f"generation {checkpoint.generation}, "
-        f"{len(checkpoint.stores) or '?'} stores, "
+        f"{len(checkpoint.stores)} stores, "
         f"{len(checkpoint.pending)} pending queues"
     )
     if stats.get("orphan_segments"):

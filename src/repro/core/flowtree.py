@@ -16,13 +16,13 @@ once, including domain knowledge (aggregation along subnet structure).
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.core.primitive import ComputingPrimitive, QueryRequest
 from repro.core.summary import DataSummary, Location, SummaryMeta
 from repro.errors import GranularityError
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
-from repro.flows.tree import Flowtree, counters
+from repro.flows.tree import Flowtree, UnionKey, counters
 
 
 def policy_from_config(config: dict) -> GeneralizationPolicy:
@@ -32,6 +32,12 @@ def policy_from_config(config: dict) -> GeneralizationPolicy:
     if policy is not None:
         return policy
     return GeneralizationPolicy.default_for(config.get("schema", FIVE_TUPLE))
+
+
+def keyed(summary: DataSummary) -> Tuple[UnionKey, Flowtree]:
+    """A Flowtree summary as a :meth:`Flowtree.union` input."""
+    meta = summary.meta
+    return (meta.interval.start, meta.location.path), summary.payload
 
 
 class FlowtreePrimitive(ComputingPrimitive):
@@ -89,12 +95,13 @@ class FlowtreePrimitive(ComputingPrimitive):
     def coarsen(
         cls, summaries: Sequence[DataSummary], shrink: float
     ) -> DataSummary:
-        """Copy the first tree, merge the rest into the copy, then
-        compress to ``shrink`` times the merged node count (never below
-        one chain)."""
-        merged: Flowtree = summaries[0].payload.copy()
-        for summary in summaries[1:]:
-            merged.merge(summary.payload)
+        """:meth:`Flowtree.union` of the trees under the first one's
+        budget, then compress to ``shrink`` times the merged node count
+        (never below one chain)."""
+        first: Flowtree = summaries[0].payload
+        merged = Flowtree.union(map(keyed, summaries), first.node_budget)
+        if merged is first:  # a lone input comes back itself: read-only
+            merged = first.copy()
         target = max(
             merged.policy.depth + 1, int(merged.node_count * shrink)
         )

@@ -5,6 +5,5 @@ using them to answer FlowQL queries."
 """
 
 from repro.flowdb.db import FlowDB, FlowDBEntry
-from repro.flowdb.persistence import load_flowdb, save_flowdb
 
-__all__ = ["FlowDB", "FlowDBEntry", "save_flowdb", "load_flowdb"]
+__all__ = ["FlowDB", "FlowDBEntry"]

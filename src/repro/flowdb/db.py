@@ -238,7 +238,9 @@ class FlowDB:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> Flowtree:
-        """``compress(union of matching trees)`` — the Section VI recipe.
+        """``compress(union of matching trees)`` — the Section VI recipe,
+        by :meth:`Flowtree.union` under :attr:`merge_node_budget` (a lone
+        entry's tree comes back itself: read-only).
 
         Raises :class:`FlowQLPlanningError` when nothing matches, since
         an empty merge would silently answer every query with zero.
@@ -249,14 +251,10 @@ class FlowDB:
                 "no Flowtree summaries match the requested sites/window "
                 f"(locations={locations}, start={start}, end={end})"
             )
-        merged = Flowtree(
-            matching[0].tree.policy,
-            node_budget=self.merge_node_budget,
-            metric=matching[0].tree.metric,
+        return Flowtree.union(
+            (((e.interval.start, e.location), e.tree) for e in matching),
+            self.merge_node_budget,
         )
-        for entry in matching:
-            merged.merge(entry.tree)
-        return merged
 
     def stats(self) -> Dict[str, int]:
         """Index statistics (entries, locations, total nodes).

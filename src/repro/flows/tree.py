@@ -6,7 +6,7 @@ eight operators of Table II:
 =========  ====================================================
 Operator   Method
 =========  ====================================================
-Merge      :meth:`Flowtree.merge` / :meth:`Flowtree.merged`
+Merge      :meth:`Flowtree.merge` / :meth:`Flowtree.union`
 Compress   :meth:`Flowtree.compress`
 Diff       :meth:`Flowtree.diff`
 Query      :meth:`Flowtree.query`
@@ -87,6 +87,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -112,6 +113,8 @@ NodeId = Tuple[int, Tuple[int, ...]]
 _HeapEntry = Tuple[int, int, Tuple[int, ...]]
 #: one item of :meth:`Flowtree.add_many`: (key, packets, bytes, flows)
 Counters = Tuple[FlowKey, int, int, int]
+#: a tree's place in :meth:`Flowtree.union`: (interval start, location path)
+UnionKey = Tuple[float, str]
 
 #: Approximate serialized footprint of one node, used for transfer
 #: accounting: depth + per-feature value + three 8-byte counters (twice,
@@ -746,17 +749,29 @@ class Flowtree:
         self._maybe_self_compress()
 
     @classmethod
-    def merged(cls, first: "Flowtree", second: "Flowtree") -> "Flowtree":
-        """Return ``compress(first ∪ second)`` as a new tree."""
-        result = cls(
-            first.policy,
-            node_budget=first.node_budget,
-            compress_ratio=first.compress_ratio,
-            metric=first.metric,
-        )
-        result.merge(first)
-        result.merge(second)
-        return result
+    def union(
+        cls,
+        inputs: Iterable[Tuple[UnionKey, "Flowtree"]],
+        budget: Optional[int] = None,
+        into: Optional["Flowtree"] = None,
+    ) -> "Flowtree":
+        """``compress(A1 ∪ A2 ∪ …)``, folded in ascending key order
+        whatever order ``inputs`` come in (DESIGN §2, "One union rule").
+
+        Into ``into`` (the caller's, under its own budget) when given,
+        else into a new tree of ``budget`` nodes; a lone input that
+        fits ``budget`` is returned itself, read-only.
+        """
+        trees = [tree for _, tree in sorted(inputs, key=itemgetter(0))]
+        if into is None:
+            first = trees[0]
+            fits = budget is None or first.node_count <= budget
+            if len(trees) == 1 and fits:
+                return first
+            into = cls(first.policy, budget, first.compress_ratio, first.metric)
+        for tree in trees:
+            into.merge(tree)
+        return into
 
     def diff(self, other: "Flowtree") -> "Flowtree":
         """Subtract ``other``'s popularity from this tree (Table II: Diff).

@@ -31,41 +31,35 @@ append (same inputs, same order, same node budgets), compression fires
 at the same points and the two trees are equal — there is no second
 code path to keep identical.
 
-**Cloud route.**  Inputs are root FlowDB entries in
-``(interval.start, location)`` order.  From empty the tree is
-:func:`top_merge` of their trees under the root's merge budget; kept,
-the entries past the consumed ids are merged into it.  Breaker:
-``entry-prefix`` (recovery re-ids entries).
+Every union is :meth:`~repro.flows.tree.Flowtree.union`, which
+states the input order (DESIGN §2); :meth:`WindowFold.inputs` lists
+ids in it, so a consumed prefix is a prefix of what a fresh fold
+unions.
+
+**Cloud route.**  Inputs are root FlowDB entries, unioned under the
+root's merge budget.  Breaker: ``entry-prefix`` (recovery re-ids
+entries).
 
 **Federated route.**  Inputs are the window partitions of every
-covering store at the plan's level — of one aggregator per store (the
-planner's ``_aggregator``), so each leaf epoch is folded once.  Each
-store's partitions fold into one site partial by :func:`extend`, and
-:func:`top_merge` merges the site partials.  One read serves both
-advances: from empty it is the kept read with an empty consumed
-prefix.  Each store's partitions beyond its prefix go through the
-planner's ``_read_store`` (replica-first, fabric-accounted, feeding
-adaptive replication), which extends the store's partial by them and
-ships their union.  Breakers: ``partition-prefix`` (a consumed
-partition vanished), ``replica-served`` (a window partition now lives
-at the root, which a fresh read serves individually — a different
-merge order), ``privacy-guard`` (a per-epoch privacy export need not
-commute with the whole-window export) and ``degraded`` (a link failed
-mid-read).  From empty, any of those leaves a fold that answers
-honestly — a failed link through the degraded fallback — but is not
+covering store at the plan's level, of one aggregator per store (the
+planner's ``_aggregator``).  Each store's partitions are unioned into
+one site partial, the site partials under the root's budget.  The
+partitions beyond a store's prefix go through the planner's
+``_read_store`` (replica-first, fabric-accounted, feeding adaptive
+replication), which ships their union — from empty, the partial
+itself.  Breakers: ``partition-prefix`` (a consumed partition
+vanished), ``replica-served`` (a window partition now lives at the
+root, which a fresh read serves individually — a different union),
+``privacy-guard`` (a per-epoch privacy export need not commute with
+the whole-window export) and ``degraded`` (a link failed mid-read).
+From empty, any of those leaves a fold that answers honestly — a
+failed link through the degraded fallback — but is not
 :attr:`~WindowFold.resumable`.
 
-**Only a writer copies.**  No query path writes a tree it did not
-build.  A window input is taken as is wherever taking it is exact — a
-lone FlowDB entry, a store's lone partition, a lone partial under
-:func:`top_merge` — so :attr:`WindowFold.tree` and a site partial may
-be a stored tree or a replica's payload.  Answering only reads
-(``apply_operator``, ``Flowtree.diff`` and the query methods mutate
-nothing).  The one writer is a fold extending what it borrowed: it
-records the trees it borrows when it takes them, and before the first
-extension builds exactly what a fresh fold would — a fresh
-:func:`top_merge` on the cloud route, ``copy()`` then ``merge`` for a
-site partial (:func:`extend`).
+**Only a writer copies.**  :attr:`WindowFold.tree` and a site partial
+may be a stored tree (a union's lone input); answering only reads.
+The one writer is a fold growing what it holds (:meth:`WindowFold.
+_grow`, the borrow rule).
 """
 
 from __future__ import annotations
@@ -74,10 +68,11 @@ from typing import (
     TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.core.flowtree import keyed
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
 from repro.flowql.executor import FlowQLResult, apply_operator
-from repro.flows.tree import Flowtree
+from repro.flows.tree import Flowtree, UnionKey
 from repro.query.plan import ROUTE_CLOUD, Degradation, QueryPlan, SiteRead
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -92,47 +87,6 @@ class FoldBroken(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
-
-
-def top_merge(trees: Sequence[Flowtree], budget: Optional[int]) -> Flowtree:
-    """Partial trees merged, in order, under the root's merge budget.
-
-    Absorbing a lone partial that fits the budget into a fresh tree
-    cannot compress — it would be an exact structural copy — so that
-    partial is returned itself (read-only to the caller).
-    """
-    first = trees[0]
-    if len(trees) == 1 and (budget is None or first.node_count <= budget):
-        return first
-    merged = Flowtree(first.policy, node_budget=budget, metric=first.metric)
-    for tree in trees:
-        merged.merge(tree)
-    return merged
-
-
-def extend(
-    partial: Optional[Flowtree],
-    payloads: Sequence[Flowtree],
-    borrowed: Set[int],
-) -> Flowtree:
-    """A site partial grown by stored payloads, in catalog order.
-
-    The one extend rule, from empty or kept: the first payload is
-    borrowed as is (its id joins ``borrowed``), a borrowed partial is
-    copied before it is first extended, and every later payload is
-    merged in — the copy-first-merge-rest sequence of
-    :meth:`~repro.core.flowtree.FlowtreePrimitive.coarsen`.
-    """
-    for payload in payloads:
-        if partial is None:
-            partial = payload
-            borrowed.add(id(payload))
-            continue
-        if id(partial) in borrowed:
-            borrowed.discard(id(partial))
-            partial = partial.copy()
-        partial.merge(payload)
-    return partial
 
 
 def answer(folds: Sequence["WindowFold"], query: FlowQLQuery) -> FlowQLResult:
@@ -234,27 +188,43 @@ class WindowFold:
     # -- cloud route ---------------------------------------------------------
 
     def _advance_cloud(self, entries: List["FlowDBEntry"]) -> None:
-        db = self.planner.runtime.db
-        if self.tree is None:
-            if not entries:
-                raise FlowQLPlanningError(
-                    "no Flowtree summaries match the requested sites/window "
-                    f"(locations={self.query.sites or None}, "
-                    f"start={self.spec.start}, end={self.spec.end})"
-                )
-            assemble = True
-        else:
-            known = len(self.consumed[""])
-            # a borrowed entry is never extended: with two or more
-            # inputs now, a fresh fold's top merge builds a new tree
-            assemble = known < len(entries) and id(self.tree) in self.borrowed
-            if not assemble:
-                for entry in entries[known:]:
-                    self.tree.merge(entry.tree)
-        if assemble:
-            trees = [entry.tree for entry in entries]
-            self.tree = top_merge(trees, db.merge_node_budget)
-            self.borrowed = {id(self.tree)} if self.tree is trees[0] else set()
+        if self.tree is None and not entries:
+            raise FlowQLPlanningError(
+                "no Flowtree summaries match the requested sites/window "
+                f"(locations={self.query.sites or None}, "
+                f"start={self.spec.start}, end={self.spec.end})"
+            )
+        self.tree = self._grow(
+            self.tree,
+            [((e.interval.start, e.location), e.tree) for e in entries],
+            len(self.consumed.get("", ())),
+            self.planner.runtime.db.merge_node_budget,
+        )
+
+    def _grow(
+        self,
+        held: Optional[Flowtree],
+        inputs: List[Tuple[UnionKey, Flowtree]],
+        known: int,
+        budget: Optional[int],
+    ) -> Flowtree:
+        """``held`` (None from empty), the union of ``inputs[:known]``,
+        grown by the rest — the one borrow rule.
+
+        A tree held as is (a union's lone input, recorded in
+        :attr:`borrowed` when taken) is never extended: it is unioned
+        afresh from every input, as a fresh fold builds it.
+        """
+        if held is not None:
+            if known == len(inputs):
+                return held
+            if id(held) not in self.borrowed:
+                return Flowtree.union(inputs[known:], into=held)
+            self.borrowed.discard(id(held))
+        tree = Flowtree.union(inputs, budget)
+        if tree is inputs[0][1]:
+            self.borrowed.add(id(tree))
+        return tree
 
     # -- federated route -----------------------------------------------------
 
@@ -287,18 +257,18 @@ class WindowFold:
             # read folds in another order
             self._cannot_resume("replica-served")
         reads: List[SiteRead] = []
-        trees: List[Flowtree] = []
+        trees: List[Tuple[UnionKey, Flowtree]] = []
         for label, store, partitions, _ in sources:
             if not partitions:
                 continue
-            fresh = partitions[len(self.consumed.get(label, ())):]
-            if not fresh:
-                trees.append(self.site_trees[label])
+            known = len(self.consumed.get(label, ()))
+            partial = self.site_trees.get(label)
+            if known == len(partitions):
+                trees.append((keyed(partitions[0].summary)[0], partial))
                 continue
             try:
                 read, store_trees = planner._read_store(
-                    label, level, store, fresh, now,
-                    self.site_trees.get(label), self.borrowed,
+                    label, level, store, partitions[known:], now
                 )
             except TransferError as exc:
                 self._cannot_resume("degraded")
@@ -318,12 +288,23 @@ class WindowFold:
                     # promoted by this very read: the next read breaks
                     self.resumable = False
                 if not read.replica_partitions:
-                    self.site_trees[label] = store_trees[-1]
+                    if partial is None:
+                        # from empty, the union shipped is the partial
+                        [(_, partial)] = store_trees
+                        if partial is partitions[0].summary.payload:
+                            self.borrowed.add(id(partial))
+                    else:
+                        inputs = [keyed(p.summary) for p in partitions]
+                        partial = self._grow(
+                            partial, inputs, known, inputs[0][1].node_budget
+                        )
+                        store_trees = [(inputs[0][0], partial)]
+                    self.site_trees[label] = partial
             trees.extend(store_trees)
         budget = planner.runtime.db.merge_node_budget
         if trees:
             if reads or self.tree is None:
-                self.tree = top_merge(trees, budget)
+                self.tree = Flowtree.union(trees, budget)
         elif degradation.is_degraded:
             # every covering store was unreachable: an honest empty
             # partial beats an exception — the degradation record

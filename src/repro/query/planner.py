@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.core.flowtree import FlowtreePrimitive
+from repro.core.flowtree import FlowtreePrimitive, keyed
 from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator
 from repro.datastore.partitions import Partition
@@ -43,12 +43,10 @@ from repro.datastore.store import DataStore
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
 from repro.flowql.executor import FlowQLResult
-from repro.flows.tree import Flowtree
+from repro.flows.tree import Flowtree, UnionKey
 from repro.obs.bridge import QUERY_SECONDS
 from repro.query.cache import QueryCache
-from repro.query.fold import (
-    FoldBroken, WindowFold, answer, extend, top_merge,
-)
+from repro.query.fold import FoldBroken, WindowFold, answer
 from repro.query.memo import QueryFront, QueryMemo
 from repro.query.plan import (
     ROUTE_CLOUD,
@@ -362,7 +360,8 @@ class FederatedQueryPlanner:
         spec: TimeSpec,
         now: float,
     ) -> Tuple[
-        List[SiteRead], List[Flowtree], bool, Optional[float], List[str]
+        List[SiteRead], List[Tuple[UnionKey, Flowtree]], bool,
+        Optional[float], List[str],
     ]:
         """Fallback coverage for a store whose remote read failed.
 
@@ -401,7 +400,7 @@ class FederatedQueryPlanner:
             if not candidates:
                 continue
             alt_reads: List[SiteRead] = []
-            alt_trees: List[Flowtree] = []
+            alt_trees: List[Tuple[UnionKey, Flowtree]] = []
             try:
                 for lab in sorted(candidates):
                     parts = self._window_partitions(
@@ -490,7 +489,7 @@ class FederatedQueryPlanner:
         aggregator: Optional[str] = None,
     ) -> List[Partition]:
         """One store's partitions overlapping a window, of ``aggregator``
-        (default: the one :meth:`_aggregator` takes), in catalog order."""
+        (default: the one :meth:`_aggregator` takes), in union order."""
         if aggregator is None:
             aggregator = self._aggregator(level, store)
         selected = []
@@ -505,7 +504,7 @@ class FederatedQueryPlanner:
             if end is not None and interval.start >= end:
                 continue
             selected.append(partition)
-        return selected
+        return sorted(selected, key=lambda p: keyed(p.summary)[0])
 
     def _read_store(
         self,
@@ -514,33 +513,27 @@ class FederatedQueryPlanner:
         store: DataStore,
         partitions: List[Partition],
         now: float,
-        partial: Optional[Flowtree] = None,
-        borrowed: Optional[Set[int]] = None,
         replicas_only: bool = False,
-    ) -> Tuple[SiteRead, List[Flowtree]]:
-        """Fetch one store's partitions: replicas locally, the rest
-        shipped and folded into its partial.
+    ) -> Tuple[SiteRead, List[Tuple[UnionKey, Flowtree]]]:
+        """Fetch one store's partitions: replicas locally, the union of
+        the rest shipped.
 
-        Returns the read and the trees it yields: each replica's
-        payload, then ``partial`` grown by the shipped partitions
-        through :func:`~repro.query.fold.extend` (``borrowed`` tracks
-        the stored trees held as is).  What crosses the link is the
-        union of the shipped partitions — read from empty, that is the
-        partial itself.  Remote reads are accounted on the fabric and
-        fed to the manager's replication engine, which may replicate a
-        partition into :attr:`replica_store` mid-stream, so later reads
-        turn local.  With ``replicas_only`` the remote ship is skipped
-        entirely (the degraded-read path: serve what the root already
-        holds).  The trees returned may be stored payloads: read-only
-        to the caller.
+        Returns the read and the trees it yields as union inputs: each
+        replica's payload, then the shipped union (a lone partition
+        ships its own tree).  Remote reads are accounted on the fabric
+        and fed to the manager's replication engine, which may
+        replicate a partition into :attr:`replica_store` mid-stream, so
+        later reads turn local.  With ``replicas_only`` the remote ship
+        is skipped entirely (the degraded-read path: serve what the
+        root already holds).  The trees returned may be stored
+        payloads: read-only to the caller.
         """
         read = SiteRead(
             site=label,
             level=level,
             partitions=[p.partition_id for p in partitions],
         )
-        borrowed = set() if borrowed is None else borrowed
-        trees: List[Flowtree] = []
+        trees: List[Tuple[UnionKey, Flowtree]] = []
         remote: List[Partition] = []
         with self.runtime.obs.span(
             "fetch", site=label, level=level
@@ -552,22 +545,19 @@ class FederatedQueryPlanner:
                         now, replica.size_bytes, remote=False
                     )
                     read.replica_partitions.append(partition.partition_id)
-                    trees.append(replica.summary.payload)
+                    trees.append(keyed(replica.summary))
                 elif not replicas_only:
                     remote.append(partition)
             if remote:
-                payloads = [p.summary.payload for p in remote]
-                tree = extend(partial, payloads, borrowed)
-                # the link carries the union of this read's partitions:
-                # from empty, the partial itself
-                wire = tree if partial is None else extend(
-                    None, payloads, set()
+                key, first = keyed(remote[0].summary)
+                wire = Flowtree.union(
+                    (keyed(p.summary) for p in remote), first.node_budget
                 )
                 if store.privacy is not None:
-                    # the partial leaves the level's trust domain (a
+                    # the union leaves the level's trust domain (a
                     # guarded store's fold is never kept, so it is
                     # always read from empty)
-                    tree = wire = store.privacy.export(
+                    wire = store.privacy.export(
                         remote[0].aggregator,
                         replace(remote[0].summary, payload=wire),
                     ).payload
@@ -585,7 +575,7 @@ class FederatedQueryPlanner:
                         size, now,
                     )
                 read.shipped_bytes += size
-                trees.append(tree)
+                trees.append((key, wire))
             span.set_attr("shipped_bytes", read.shipped_bytes)
             span.set_attr(
                 "replica_partitions", len(read.replica_partitions)
@@ -608,7 +598,7 @@ class FederatedQueryPlanner:
         This is the planner-backed replacement for applications'
         hand-rolled ``store.window_summary(..., record_access=True)``
         drilldowns.  Returns None when no partition overlaps.  The tree
-        is read-only (see :func:`~repro.query.fold.top_merge`).
+        is read-only (:meth:`Flowtree.union` may return a stored one).
         """
         if isinstance(site, Location):
             site = self.runtime.site_label(site)
@@ -624,7 +614,7 @@ class FederatedQueryPlanner:
         volume = self.runtime.stats.level(level)
         volume.queries_served += 1
         volume.query_bytes_out += read.shipped_bytes
-        return top_merge(trees, self.runtime.db.merge_node_budget)
+        return Flowtree.union(trees, self.runtime.db.merge_node_budget)
 
     # -- cache lifecycle -----------------------------------------------------
 

@@ -32,9 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.runtime import HierarchyRuntime
 
 CHECKPOINT_VERSION = 3
-#: what an older manifest lacks, by its version (``None``: the format
-#: before versioning); it reopens with these, i.e. the configured budgets
-_OLDER = {None: {"stores": [], "budgets": {}}, 2: {"budgets": {}}}
 
 _NUMBER = (int, float)
 _MANIFEST = {
@@ -80,7 +77,7 @@ class Checkpoint:
     epochs_closed: int
     last_close: float
     generation: int
-    #: the store paths it was cut under (unknown for a version-less one)
+    #: the store paths it was cut under
     stores: List[str]
     #: level -> node budget, as the adaptive cycle left it
     budgets: Dict[str, int]
@@ -102,12 +99,10 @@ class Checkpoint:
         """Adopt a manifest, or raise :class:`CheckpointError` on one
         that is torn, mistyped or of a foreign version."""
         version = _typed(manifest, Mapping, "the manifest").get("version")
-        if version in _OLDER:
-            manifest = {**manifest, **_OLDER[version]}
-        elif version != CHECKPOINT_VERSION:
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {version!r} "
-                f"(expected {CHECKPOINT_VERSION}, 2, or none)"
+                f"(expected {CHECKPOINT_VERSION})"
             )
         _check(manifest, _MANIFEST, "the manifest")
         for level, budget in manifest["budgets"].items():

@@ -6,7 +6,7 @@ Four codecs live here:
   primitive in the repository: temp file, ``flush`` + ``fsync``,
   ``os.replace``, then ``fsync`` of the containing directory, so a
   crash at any instant leaves either the old document or the new one,
-  never a torn or empty file (the bug the old ``save_flowdb`` had).
+  never a torn or empty file.
 * **trees** — :func:`encode_tree` / :func:`decode_tree` are a segment
   record's payload: the tree's :meth:`~repro.flows.tree.Flowtree.
   to_dict` columns as compact JSON, ``zlib``-compressed at level 1.

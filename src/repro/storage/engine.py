@@ -1,10 +1,7 @@
 """The pluggable storage seam: where FlowDB state lives.
 
-Before this seam, "FlowDB is a dict plus a JSON dump": every sealed
-summary, pending-export queue, and replica lived only in process
-memory, and :func:`~repro.flowdb.persistence.save_flowdb` was the sole
-(whole-index, non-fsynced) escape hatch.  :class:`StorageEngine` is the
-interface the runtime and FlowDB now program against:
+:class:`StorageEngine` is the interface the runtime and FlowDB
+program against:
 
 * **record log** — :meth:`append_summary` receives every sealed
   Flowtree summary FlowDB indexes; :meth:`iter_summaries` streams them

@@ -52,7 +52,7 @@ class TestCommunicationGraph:
             make_key(src_ip="10.9.9.9", dst_ip="20.9.9.9", src_port=7),
             Score(1, 2000, 1),
         )
-        merged = Flowtree.merged(tree, other)
+        merged = Flowtree.union([((0.0, "a"), tree), ((0.0, "b"), other)])
         graph = communication_graph(merged, prefix_level=8)
         assert graph["10.0.0.0/8"]["20.0.0.0/8"]["weight"] == 10000
 

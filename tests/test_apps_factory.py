@@ -7,9 +7,6 @@ from repro.apps.predictive_maintenance import (
     PredictiveMaintenanceApp,
 )
 from repro.apps.process_mining import ProcessMiningApp
-from repro.apps.supply_chain import SupplyChainApp
-from repro.control.manager import Manager
-from repro.core.summary import LineageLog, Location
 from repro.scenarios.factory import FactoryScenario
 from repro.simulation.factory import MachineState
 
@@ -126,39 +123,3 @@ class TestProcessMiningEvents:
         assert report.body["bottleneck"] == machines[1].machine_id
         assert report.body["potential_speedup"] > 0.2
         assert report.body["throughput_per_hour"] > 0
-
-
-class TestSupplyChain:
-    def test_trace_back_and_forward(self):
-        lineage = LineageLog()
-        ingest = lineage.record(
-            "ingest", location=Location("hq/factory1/line1"), timestamp=0.0
-        )
-        aggregate = lineage.record(
-            "aggregate",
-            inputs=[ingest.lineage_id],
-            location=Location("hq/factory1"),
-            timestamp=60.0,
-        )
-        merge = lineage.record(
-            "merge",
-            inputs=[aggregate.lineage_id],
-            location=Location("hq"),
-            timestamp=120.0,
-        )
-        app = SupplyChainApp(lineage)
-        back = app.trace_back(merge.lineage_id, now=130.0)
-        assert {r.lineage_id for r in back.steps} == {
-            ingest.lineage_id, aggregate.lineage_id, merge.lineage_id,
-        }
-        assert back.locations == ["hq", "hq/factory1", "hq/factory1/line1"]
-        forward = app.trace_forward(ingest.lineage_id, now=140.0)
-        assert {r.lineage_id for r in forward.steps} == {
-            aggregate.lineage_id, merge.lineage_id,
-        }
-        assert len(app.reports) == 2
-
-    def test_no_requirements(self):
-        app = SupplyChainApp(LineageLog())
-        assert app.requirements() == []
-        assert app.on_epoch(Manager({}), 0.0) == []

@@ -41,23 +41,6 @@ class TestFlowQLCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().out
 
-    def test_save_flowdb(self, capsys, tmp_path):
-        path = str(tmp_path / "db.json")
-        code = main(
-            [
-                "flowql",
-                "--epochs", "1",
-                "--flows-per-epoch", "100",
-                "--query", "SELECT TOTAL FROM ALL",
-                "--save", path,
-            ]
-        )
-        assert code == 0
-        assert "saved 2 summaries" in capsys.readouterr().out
-        import os
-
-        assert os.path.exists(path)
-
     @pytest.mark.parametrize(
         "sites", [["a/b", "c"], ["a/b", "a/b"]], ids=["ragged", "twice"]
     )

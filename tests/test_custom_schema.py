@@ -87,7 +87,9 @@ class TestFactoryEventTree:
     def test_merge_across_shifts(self, tree):
         night = Flowtree(POLICY, node_budget=None, metric="flows")
         night.add(event_key(1, 1, 3, 2), Score(0, 0, 2))
-        merged = Flowtree.merged(tree, night)
+        merged = Flowtree.union(
+            [((0.0, "day"), tree), ((0.0, "night"), night)]
+        )
         assert merged.query(event_key(1, 1, 3, 2)).flows == 7
 
     def test_diff_between_shifts(self, tree):

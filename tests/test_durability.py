@@ -233,36 +233,6 @@ class TestCheckpointFormat:
         checkpoint = Checkpoint.from_manifest(manifest)
         assert checkpoint.to_manifest() == manifest
 
-    def test_version_less_manifest_reopens_and_redelivers(self, tmp_path):
-        # the format before versioning: same fields, no ``version``, no
-        # ``stores`` — a data dir written then must still reopen
-        data_dir = self.parked(tmp_path)
-        path = tmp_path / "data" / MANIFEST_NAME
-        document = json.loads(path.read_text())
-        del document["runtime"]["version"], document["runtime"]["stores"]
-        path.write_text(json.dumps(document))
-
-        reopened = build(storage=SegmentLogEngine(data_dir))
-        assert reopened.pending_exports() == 1
-        drive(reopened, epochs=1, seed=99)  # next close, link restored
-        assert reopened.pending_exports() == 0
-        assert reopened.stats.exports_recovered == 1
-
-    def test_version_2_manifest_reopens_with_configured_budgets(
-        self, tmp_path
-    ):
-        data_dir = self.parked(tmp_path)
-        path = tmp_path / "data" / MANIFEST_NAME
-        document = json.loads(path.read_text())
-        # the format before budgets were durable
-        document["runtime"]["version"] = 2
-        del document["runtime"]["budgets"]
-        path.write_text(json.dumps(document))
-
-        reopened = build(storage=SegmentLogEngine(data_dir))
-        assert reopened.pending_exports() == 1
-        assert reopened.levels["router"].node_budget == 8192
-
     @pytest.mark.parametrize(
         "tear",
         [

@@ -10,13 +10,14 @@ exact :class:`Degradation` record instead of throwing.
 
 import contextlib
 import gc
+import json
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.summary import Location
+from repro.core.summary import Location, TimeInterval
 from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
 from repro.datastore.store import DataStore
 from repro.errors import PlacementError, SchemaMismatchError, TransferError
@@ -29,6 +30,7 @@ from repro.faults import (
     PendingExportQueue,
     RetryPolicy,
 )
+from repro.flows.records import Score
 from repro.flows.tree import Flowtree
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import Hierarchy, network_monitoring_hierarchy
@@ -310,6 +312,114 @@ class TestPendingExportQueue:
         queue.mark_delivered(entry.export_id)
         assert not queue.park(self._entry("a"))  # at-least-once, not twice
         assert len(queue) == 0
+
+
+class TestPendingQueueState:
+    def make_queue(self, policy, make_key, count=3):
+        from repro.core.summary import (
+            DataSummary, Location, SummaryMeta,
+        )
+        from repro.faults.pending import PendingExport, PendingExportQueue
+
+        queue = PendingExportQueue()
+        for index in range(count):
+            tree = Flowtree(policy, node_budget=None)
+            tree.add(make_key(dst_port=80 + index), Score(1, 100, 1))
+            summary = DataSummary(
+                kind="flowtree",
+                meta=SummaryMeta(
+                    interval=TimeInterval(0.0, 60.0),
+                    location=Location("a/r1"),
+                ),
+                payload=tree,
+                size_bytes=1000 + index,
+            )
+            queue.park(
+                PendingExport(
+                    export_id=f"exp-{index}",
+                    kind="forward",
+                    summary=summary,
+                    items=10 + index,
+                    size_bytes=1000 + index,
+                    origin="a/r1",
+                    label=f"agg-{index}",
+                    created_at=60.0,
+                    attempts=index,
+                )
+            )
+        queue.mark_delivered("exp-done")
+        return queue
+
+    def roundtrip(self, queue, policy):
+        from repro.faults.pending import PendingExportQueue
+        from repro.storage import decode_summary, encode_summary
+
+        state = json.loads(json.dumps(queue.to_state(encode_summary)))
+        return PendingExportQueue.from_state(
+            state, lambda record: decode_summary(record, policy)
+        )
+
+    def test_roundtrip_preserves_order_ids_and_bytes(self, policy,
+                                                     make_key):
+        queue = self.make_queue(policy, make_key)
+        restored = self.roundtrip(queue, policy)
+        assert [e.export_id for e in restored.entries] == [
+            e.export_id for e in queue.entries
+        ]
+        assert [e.attempts for e in restored.entries] == [0, 1, 2]
+        assert restored.pending_bytes == queue.pending_bytes
+        assert restored.pending_items == queue.pending_items
+        assert restored._queued_ids == queue._queued_ids
+        assert restored._delivered_ids == queue._delivered_ids
+
+    def test_restored_queue_still_dedups(self, policy, make_key):
+        from repro.faults.pending import PendingExport
+
+        queue = self.make_queue(policy, make_key)
+        restored = self.roundtrip(queue, policy)
+        duplicate = PendingExport(
+            export_id="exp-0", kind="forward", summary=None, items=1,
+            size_bytes=1, origin="a/r1", label="agg", created_at=60.0,
+        )
+        assert restored.park(duplicate) is False  # still queued
+        delivered = PendingExport(
+            export_id="exp-done", kind="forward", summary=None, items=1,
+            size_bytes=1, origin="a/r1", label="agg", created_at=60.0,
+        )
+        assert restored.park(delivered) is False  # already delivered
+
+    def test_non_durable_entries_skipped_and_counted(self, policy,
+                                                     make_key):
+        from repro.core.summary import (
+            DataSummary, Location, SummaryMeta,
+        )
+        from repro.faults.pending import PendingExport
+        from repro.storage import encode_summary
+
+        queue = self.make_queue(policy, make_key, count=1)
+        queue.park(
+            PendingExport(
+                export_id="exp-raw", kind="forward",
+                summary=DataSummary(
+                    kind="rawstore",
+                    meta=SummaryMeta(
+                        interval=TimeInterval(0.0, 60.0),
+                        location=Location("a/r1"),
+                    ),
+                    payload={"rows": []},
+                    size_bytes=10,
+                ),
+                items=1, size_bytes=10, origin="a/r1", label="raw",
+                created_at=60.0,
+            )
+        )
+        state = queue.to_state(encode_summary)
+        assert state["skipped"] == 1
+        restored = self.roundtrip(queue, policy)
+        assert len(restored) == 1
+        # the skipped id must not linger as queued: the entry is gone,
+        # so a future park of the same id must be allowed again
+        assert "exp-raw" not in restored._queued_ids
 
 
 class TestRuntimeRecovery:

@@ -327,3 +327,55 @@ class TestFlowDB:
         )
         with pytest.raises(SchemaMismatchError):
             loaded_db.insert_summary(bad)
+
+
+class TestLimitClause:
+    @pytest.fixture()
+    def loaded_db(self, policy, make_key):
+        db = FlowDB()
+        for epoch in range(2):
+            for site in ("a/r1", "b/r1"):
+                tree = Flowtree(policy, node_budget=None)
+                for port in (80, 443, 53):
+                    tree.add(
+                        make_key(dst_port=port, src_port=1000 + epoch),
+                        Score(1, 100 * port, 1),
+                    )
+                db.insert(
+                    location=site,
+                    interval=TimeInterval(epoch * 60.0, (epoch + 1) * 60.0),
+                    tree=tree,
+                )
+        return db
+
+    def test_parse_limit(self):
+        query = parse("SELECT TOPK(10) FROM ALL LIMIT 3")
+        assert query.limit == 3
+
+    def test_limit_truncates_rows(self, loaded_db):
+        executor = FlowQLExecutor(loaded_db)
+        unlimited = executor.execute("SELECT GROUPBY(dst_port, 16) FROM ALL")
+        limited = executor.execute(
+            "SELECT GROUPBY(dst_port, 16) FROM ALL LIMIT 1"
+        )
+        assert len(unlimited.rows) == 3
+        assert len(limited.rows) == 1
+        assert limited.rows[0] == unlimited.rows[0]
+
+    def test_limit_after_metric(self, loaded_db):
+        result = FlowQLExecutor(loaded_db).execute(
+            "SELECT TOPK(10) FROM ALL BY packets LIMIT 2"
+        )
+        assert len(result.rows) == 2
+
+    def test_invalid_limit(self):
+        with pytest.raises(FlowQLSyntaxError):
+            parse("SELECT TOPK(10) FROM ALL LIMIT 0")
+        with pytest.raises(FlowQLSyntaxError):
+            parse("SELECT TOPK(10) FROM ALL LIMIT x")
+
+    def test_limit_on_scalar_is_noop(self, loaded_db):
+        result = FlowQLExecutor(loaded_db).execute(
+            "SELECT TOTAL FROM ALL LIMIT 5"
+        )
+        assert result.scalar is not None

@@ -255,7 +255,9 @@ class TestMergeDiff:
         b = make_tree(policy)
         a.ingest(random_flows(80, seed=3))
         b.ingest(random_flows(80, seed=4))
-        merged = Flowtree.merged(a, b)
+        merged = Flowtree.union(
+            [((0.0, "r1"), a), ((60.0, "r1"), b)], a.node_budget
+        )
         assert merged.total() == a.total() + b.total()
         # sources untouched
         assert a.total().flows == 80

@@ -110,17 +110,18 @@ def test_uncompressed_queries_are_exact(inserts):
 @settings(max_examples=40, deadline=None)
 @given(a=inserts_strategy, b=inserts_strategy)
 def test_merge_totals_commute(a, b):
-    left = Flowtree.merged(build_tree(a), build_tree(b))
-    right = Flowtree.merged(build_tree(b), build_tree(a))
-    assert left.total() == right.total()
+    early, late = (0.0, "r1"), (60.0, "r1")
+    left = Flowtree.union([(early, build_tree(a)), (late, build_tree(b))])
+    right = Flowtree.union([(late, build_tree(b)), (early, build_tree(a))])
+    assert left.to_dict() == right.to_dict()
     assert left.total() == total_of(a) + total_of(b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=inserts_strategy, b=inserts_strategy)
 def test_merge_pointwise_adds(a, b):
-    merged = Flowtree.merged(build_tree(a), build_tree(b))
     ta, tb = build_tree(a), build_tree(b)
+    merged = Flowtree.union([((0.0, "r1"), ta), ((0.0, "r2"), tb)])
     for key, _ in (a + b)[:10]:
         assert merged.query(key) == ta.query(key) + tb.query(key)
 

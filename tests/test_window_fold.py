@@ -8,7 +8,7 @@ reason on ``repro_subscribe_rebuilds_total`` and still answers exactly
 what a cold execution answers; and a fold's tree — which may be a
 stored entry, partition or replica payload — is never written through:
 a window with one input is answered on that input, and a kept fold
-copies what it borrowed only when it first extends it.
+unions what it borrowed afresh only when it first extends it.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class TestKeptEqualsFresh:
                 ROUTE_FEDERATED, 100, 2, 4,
             ),
             # first advanced after one close: the kept fold starts on a
-            # borrowed entry / partition and copies it when first extended
+            # borrowed entry / partition, unioned afresh when first extended
             (CLOUD_TOPK, ROUTE_CLOUD, 100, 1, 4),
             (AT_ROUTER1, ROUTE_FEDERATED, 150, 1, 10),
         ],
@@ -129,7 +129,7 @@ class TestKeptEqualsFresh:
 
     def test_one_advance_folds_two_new_partitions_of_a_store(self):
         """Two closes between advances: the kept advance extends the
-        site partial by both new partitions, in catalog order, and
+        site partial by both new partitions, in union order, and
         ships their union, as a fresh fold ships the whole window's."""
         runtime = build_runtime()
         planner = runtime.planner
@@ -462,8 +462,8 @@ class TestStoredTreesNeverWritten:
                 snapshot.setdefault(key, tree)
 
         close(1, 0)
-        # both standing queries start on borrowed trees, and copy them
-        # at the next close, when they first extend them
+        # both standing queries start on borrowed trees, and union
+        # them afresh at the next close, when they first extend them
         standing = {
             text: runtime.subscribe("SUBSCRIBE " + text)
             for text in (CLOUD_TOPK, AT_ROUTER1)
