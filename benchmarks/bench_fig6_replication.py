@@ -18,64 +18,48 @@ from __future__ import annotations
 from benchmarks.conftest import report
 from repro.replication.engine import (
     AdaptiveReplicationEngine,
-    offline_optimal_cost,
-    simulate_policy_on_trace,
+    compare_policies,
 )
-from repro.replication.ski_rental import (
-    BreakEvenPolicy,
-    DistributionAwarePolicy,
-    default_policies,
-)
+from repro.replication.ski_rental import BreakEvenPolicy
 from repro.runtime.presets import network_4level_runtime
-from repro.simulation.querytrace import QueryTraceConfig, QueryTraceGenerator
-from repro.simulation.traffic import TrafficConfig, TrafficGenerator
-
-PARTITION_BYTES = 10_000_000
+from repro.simulation.querytrace import QueryTraceConfig
+from repro.simulation.traffic import drive
 
 
-def make_trace(distribution: str, param: float, seed: int = 7):
+def compare(distribution: str, param: float):
+    """Every default policy on a 400-partition trace (seed 7)."""
     config = QueryTraceConfig(
         partitions=400,
-        partition_bytes=PARTITION_BYTES,
+        partition_bytes=10_000_000,
         mean_result_bytes=1_000_000,
         run_length_distribution=distribution,
         run_length_param=param,
     )
-    return QueryTraceGenerator(config, seed=seed).trace()
+    table = compare_policies(config, trace_seed=7, policy_seed=1)
+    ratios = {
+        costs.policy: costs.competitive_ratio(table.optimal_bytes)
+        for costs in table.costs
+    }
+    return table, ratios
 
 
 def test_policy_comparison_pareto(benchmark):
     """The headline Figure 6 comparison on a heavy-tailed trace."""
-    trace = make_trace("pareto", 1.3)
-
-    def sweep():
-        optimal = offline_optimal_cost(trace, PARTITION_BYTES)
-        rows = []
-        for policy in default_policies(seed=1):
-            costs = simulate_policy_on_trace(trace, policy, PARTITION_BYTES)
-            rows.append(
-                (
-                    costs.policy,
-                    costs.total_bytes,
-                    costs.competitive_ratio(optimal),
-                    costs.replications,
-                    costs.accesses_served_locally,
-                )
-            )
-        return optimal, rows
-
-    optimal, rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    table, ratios = benchmark.pedantic(
+        compare, args=("pareto", 1.3), rounds=1, iterations=1
+    )
     report(
         "Fig. 6: policies on a Pareto access trace "
-        f"(offline OPT = {optimal / 1e6:.0f} MB)",
+        f"(offline OPT = {table.optimal_bytes / 1e6:.0f} MB)",
         [
-            (name, f"{total/1e6:.0f} MB", f"{ratio:.3f}", repl, local)
-            for name, total, ratio, repl, local in rows
+            (costs.policy, f"{costs.total_bytes/1e6:.0f} MB",
+             f"{ratios[costs.policy]:.3f}", costs.replications,
+             costs.accesses_served_locally)
+            for costs in table.costs
         ],
         columns=("policy", "network bytes", "vs OPT", "replications",
                  "local hits"),
     )
-    ratios = {name: ratio for name, _, ratio, _, _ in rows}
     # the shape the figure claims:
     assert ratios["break-even"] <= 2.0 + 0.1
     assert ratios["break-even"] < ratios["always"]
@@ -98,19 +82,12 @@ def test_distribution_sweep(benchmark):
             ("pareto", 1.3),
             ("lognormal", 1.0),
         ):
-            trace = make_trace(distribution, param)
-            optimal = offline_optimal_cost(trace, PARTITION_BYTES)
-            break_even = simulate_policy_on_trace(
-                trace, BreakEvenPolicy(), PARTITION_BYTES
-            )
-            aware = simulate_policy_on_trace(
-                trace, DistributionAwarePolicy(), PARTITION_BYTES
-            )
+            _, ratios = compare(distribution, param)
             rows.append(
                 (
                     distribution,
-                    break_even.competitive_ratio(optimal),
-                    aware.competitive_ratio(optimal),
+                    ratios["break-even"],
+                    ratios["distribution-aware"],
                 )
             )
         return rows
@@ -140,15 +117,7 @@ def test_live_engine_cuts_wan_traffic(benchmark):
         runtime = network_4level_runtime(1, 2, 1, retain_partitions=True)
         engine = AdaptiveReplicationEngine(BreakEvenPolicy())
         runtime.manager.enable_adaptive_replication(engine)
-        sites = runtime.ingest_sites()
-        generator = TrafficGenerator(
-            TrafficConfig(sites=tuple(sites), flows_per_epoch=300), seed=1
-        )
-        for epoch in range(3):
-            for site in sites:
-                runtime.ingest(site, generator.epoch(site, epoch))
-            runtime.close_epoch(60.0 * (epoch + 1))
-
+        sites = drive(runtime, 3, flows_per_epoch=300, seed=1)
         wan_per_query = []
         for index in range(30):
             before = runtime.wan_bytes()

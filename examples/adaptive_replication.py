@@ -21,13 +21,12 @@ import sys
 
 from repro.replication.engine import (
     AdaptiveReplicationEngine,
-    offline_optimal_cost,
-    simulate_policy_on_trace,
+    compare_policies,
 )
-from repro.replication.ski_rental import BreakEvenPolicy, default_policies
+from repro.replication.ski_rental import BreakEvenPolicy
 from repro.runtime.presets import network_4level_runtime
-from repro.simulation.querytrace import QueryTraceConfig, QueryTraceGenerator
-from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+from repro.simulation.querytrace import QueryTraceConfig
+from repro.simulation.traffic import drive
 
 PARTITION_BYTES = 10_000_000
 #: sealed epochs of router history the live loop reads
@@ -44,14 +43,13 @@ def policy_shootout() -> None:
             run_length_distribution=distribution,
             run_length_param=param,
         )
-        trace = QueryTraceGenerator(config, seed=3).trace()
-        optimal = offline_optimal_cost(trace, PARTITION_BYTES)
+        table = compare_policies(config, trace_seed=3, policy_seed=1)
+        optimal = table.optimal_bytes
         print(f"-- {distribution} run lengths "
-              f"({len(trace)} accesses, OPT = {optimal/1e6:.0f} MB) --")
+              f"({len(table.trace)} accesses, OPT = {optimal/1e6:.0f} MB) --")
         print(f"  {'policy':<22}{'network':>12}{'vs OPT':>9}"
               f"{'replications':>14}")
-        for policy in default_policies(seed=1):
-            costs = simulate_policy_on_trace(trace, policy, PARTITION_BYTES)
+        for costs in table.costs:
             print(
                 f"  {costs.policy:<22}"
                 f"{costs.total_bytes/1e6:>10.0f}MB"
@@ -66,15 +64,7 @@ def live_engine_demo() -> int:
     runtime = network_4level_runtime(1, 2, 1, retain_partitions=True)
     engine = AdaptiveReplicationEngine(BreakEvenPolicy())
     runtime.manager.enable_adaptive_replication(engine)
-    sites = runtime.ingest_sites()
-    generator = TrafficGenerator(
-        TrafficConfig(sites=tuple(sites), flows_per_epoch=3000), seed=5
-    )
-    for epoch in range(EPOCHS):
-        for site in sites:
-            runtime.ingest(site, generator.epoch(site, epoch))
-        runtime.close_epoch(60.0 * (epoch + 1))
-    site = sites[0]
+    site = drive(runtime, EPOCHS, flows_per_epoch=3000, seed=5)[0]
     catalog = runtime.store_for(site).catalog
     print(f"  {len(catalog)} partitions at {site} "
           f"({catalog.total_bytes():,} B)")

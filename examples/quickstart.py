@@ -8,10 +8,11 @@ paper says must be answerable without having been planned for.
 Run:  python examples/quickstart.py
 """
 
-from repro import TrafficConfig, TrafficGenerator, flat_runtime
+from repro import flat_runtime
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
+from repro.simulation.traffic import drive
 
 
 def flowtree_basics() -> None:
@@ -52,14 +53,7 @@ def flowstream_tour() -> None:
     print("== Flowstream ==")
     sites = ["region1/router1", "region2/router1"]
     system = flat_runtime(sites, node_budget=4096)
-    generator = TrafficGenerator(
-        TrafficConfig(sites=tuple(sites), flows_per_epoch=2000), seed=42
-    )
-
-    for epoch in range(3):
-        for site in sites:
-            system.ingest(site, generator.epoch(site, epoch))
-        system.close_epoch((epoch + 1) * 60.0)
+    drive(system, 3, flows_per_epoch=2000, seed=42)
 
     print(f"  raw traffic observed : {system.stats.raw_bytes:,} B")
     print(f"  summaries exported   : {system.stats.exported_bytes:,} B")

@@ -27,7 +27,7 @@ from repro.analytics.graph import (
 )
 from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
 from repro.runtime import flat_runtime, tiered_runtime
-from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+from repro.simulation.traffic import drive
 
 SITES = [
     f"region{region}/router{router}"
@@ -37,26 +37,18 @@ SITES = [
 EPOCHS = 2
 
 
-def load(system, generator):
-    for epoch in range(EPOCHS):
-        for site in SITES:
-            system.ingest(site, generator.epoch(site, epoch))
-        system.close_epoch((epoch + 1) * 60.0)
+def load(system):
+    drive(system, EPOCHS, flows_per_epoch=1200, seed=23)
     return system
 
 
 def main() -> None:
-    generator = TrafficGenerator(
-        TrafficConfig(sites=tuple(SITES), flows_per_epoch=1200), seed=23
-    )
-
     print("== 1. flat vs tiered WAN volume ==")
-    flat = load(flat_runtime(SITES, node_budget=4096), generator)
+    flat = load(flat_runtime(SITES, node_budget=4096))
     tiered = load(
         tiered_runtime(
             SITES, router_node_budget=4096, region_node_budget=4096
-        ),
-        generator,
+        )
     )
     flat_wan = flat.wan_bytes()
     tiered_wan = tiered.wan_bytes()
@@ -78,7 +70,7 @@ def main() -> None:
     )
     for store in private.stores_at_level("region").values():
         store.privacy = guard
-    load(private, generator)
+    load(private)
     cloud_trees = [entry.tree for entry in private.db.entries()]
     host_specific = sum(
         1

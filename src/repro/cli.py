@@ -2,7 +2,6 @@
 
 Nine subcommands mirror the example scripts in scriptable form::
 
-    repro flowql --epochs 3 --query "SELECT TOPK(5) FROM ALL BY bytes"
     repro query --preset network --query "SELECT TOTAL FROM ALL"
     repro query --endpoint http://127.0.0.1:8080 --query "SELECT TOTAL FROM ALL"
     repro run --faults "drop=0.2,seed=7" --epochs 4
@@ -27,11 +26,14 @@ parser builder *and* a dispatch chain.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import AdmissionError, ReproError
+from repro.simulation.traffic import drive
 
 
 @dataclass(frozen=True)
@@ -100,35 +102,6 @@ def _add_client_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_traffic(
-    runtime, epochs: int, flows_per_epoch: int, seed: int, on_close=None
-):
-    """Drive ``epochs`` deterministic traffic epochs into a runtime;
-    ``on_close(epoch, exported)`` is told about each close."""
-    from repro.simulation.traffic import TrafficConfig, TrafficGenerator
-
-    sites = runtime.ingest_sites()
-    generator = TrafficGenerator(
-        TrafficConfig(
-            sites=tuple(sites), flows_per_epoch=flows_per_epoch
-        ),
-        seed=seed,
-    )
-    for epoch in range(epochs):
-        # re-read the site list each epoch: reconfig drills may have
-        # added, removed, or renamed sites at the last close
-        for site in runtime.ingest_sites():
-            try:
-                records = generator.epoch(site, epoch)
-            except (ReproError, KeyError):
-                continue  # site joined after the trace was drawn
-            runtime.ingest(site, records)
-        exported = runtime.close_epoch((epoch + 1) * runtime.epoch_seconds)
-        if on_close is not None:
-            on_close(epoch, exported)
-    return sites
-
-
 def _print_result(result, limit: int) -> None:
     """A FlowQL answer: its scalar, or its first ``limit`` rows."""
     if result.scalar is not None:
@@ -155,18 +128,21 @@ def _preset_runtime(args: argparse.Namespace, **kwargs):
     return preset(**kwargs)
 
 
+@contextmanager
 def _client_for(args: argparse.Namespace, **kwargs):
     """The one client ``query`` / ``subscribe`` drive: the gateway at
-    ``--endpoint`` when given, else a preset runtime built in-process."""
+    ``--endpoint`` when given, else a preset runtime built in-process
+    and shut down when the client is done."""
     from repro.client import FlowQLClient
 
     if args.endpoint is not None:
-        return FlowQLClient(
+        with FlowQLClient(
             endpoint=args.endpoint, client_id=args.client_id
-        )
-    return FlowQLClient(
-        runtime=_preset_runtime(args, **kwargs), client_id=args.client_id
-    )
+        ) as client:
+            yield client
+        return
+    with _preset_runtime(args, **kwargs) as runtime:
+        yield FlowQLClient(runtime=runtime, client_id=args.client_id)
 
 
 def _print_refusal(error: ReproError) -> int:
@@ -179,66 +155,6 @@ def _print_refusal(error: ReproError) -> int:
         return 3
     print(f"  error: {error}")
     return 1
-
-
-# ---------------------------------------------------------------------------
-# flowql
-
-
-def _configure_flowql(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sites", nargs="+",
-        default=["region1/router1", "region2/router1"],
-        help="router sites (region/router paths)",
-    )
-    parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--flows-per-epoch", type=int, default=1500)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--node-budget", type=int, default=4096)
-    _add_query_arg(parser, "default runs a small demo set")
-
-
-def _run_flowql(args: argparse.Namespace) -> int:
-    from repro.runtime.presets import flat_runtime
-    from repro.simulation.traffic import TrafficConfig, TrafficGenerator
-
-    if len(set(args.sites)) < len(args.sites):
-        print(f"error: a site is listed twice in {args.sites}")
-        return 2
-    try:
-        system = flat_runtime(args.sites, node_budget=args.node_budget)
-    except ReproError as error:  # ragged or empty site paths
-        print(f"error: {error}")
-        return 2
-    generator = TrafficGenerator(
-        TrafficConfig(
-            sites=tuple(args.sites), flows_per_epoch=args.flows_per_epoch
-        ),
-        seed=args.seed,
-    )
-    for epoch in range(args.epochs):
-        for site in args.sites:
-            system.ingest(site, generator.epoch(site, epoch))
-        system.close_epoch((epoch + 1) * 60.0)
-    print(
-        f"loaded {args.epochs} epochs x {len(args.sites)} sites "
-        f"({system.stats.raw_records:,} flows, reduction "
-        f"{system.stats.reduction_factor:.0f}x)"
-    )
-    queries = args.query or [
-        "SELECT TOTAL FROM ALL",
-        "SELECT TOPK(5) FROM ALL BY bytes",
-        "SELECT GROUPBY(dst_port, 16) FROM ALL BY bytes LIMIT 5",
-    ]
-    for text in queries:
-        print(f"\nflowql> {text}")
-        try:
-            result = system.query(text)
-        except ReproError as error:
-            print(f"  error: {error}")
-            return 1
-        _print_result(result, 20)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +200,7 @@ def _run_query(args: argparse.Namespace) -> int:
             runtime.manager.enable_adaptive_replication(
                 AdaptiveReplicationEngine(BreakEvenPolicy())
             )
-            sites = _load_traffic(
+            sites = drive(
                 runtime, args.epochs, args.flows_per_epoch, args.seed
             )
             print(
@@ -385,9 +301,7 @@ def _run_subscribe(args: argparse.Namespace) -> int:
                 f"{len(runtime.ingest_sites())} edge sites "
                 f"({args.preset} preset):"
             )
-            _load_traffic(
-                runtime, args.epochs, args.flows_per_epoch, args.seed
-            )
+            drive(runtime, args.epochs, args.flows_per_epoch, args.seed)
         seen = {handle.id: 0 for handle, _ in handles}
         while any(count < wanted for count in seen.values()):
             progressed = False
@@ -462,20 +376,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.client import FlowQLClient
     from repro.serve import ServePlane
 
-    runtime = _preset_runtime(args)
-    sites = _load_traffic(
-        runtime, args.epochs, args.flows_per_epoch, args.seed
-    )
-    plane = ServePlane(
-        runtime,
-        gateway_port=args.port,
-        queue_limit=args.queue_limit,
-        timeout_s=args.timeout,
-        admission_rate_per_s=args.rate,
-        admission_burst=args.burst,
-    )
-    try:
-        with plane:
+    with _preset_runtime(args) as runtime:
+        sites = drive(runtime, args.epochs, args.flows_per_epoch, args.seed)
+        with ServePlane(
+            runtime,
+            gateway_port=args.port,
+            queue_limit=args.queue_limit,
+            timeout_s=args.timeout,
+            admission_rate_per_s=args.rate,
+            admission_burst=args.burst,
+        ) as plane:
             endpoint = plane.start_background()
             print(
                 f"serving {args.preset} preset at {endpoint} "
@@ -529,8 +439,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"server_errors={census['server_errors']}"
             )
             return 0 if census["server_errors"] == 0 else 1
-    finally:
-        runtime.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -568,62 +476,71 @@ def _run_run(args: argparse.Namespace) -> int:
     except ReproError as error:  # a torn manifest, a foreign checkpoint
         print(f"error: {error}")
         return 2
-    if storage is not None:
-        if runtime._recoveries:
-            print(
-                f"recovered from {args.data_dir}: "
-                f"{runtime._recovered_records} summaries, "
-                f"epoch {runtime.stats.epochs_closed}"
-            )
-        else:
-            print(f"durable storage: segment log at {args.data_dir}")
-    try:
+    with runtime:
+        if storage is not None:
+            if runtime._recoveries:
+                print(
+                    f"recovered from {args.data_dir}: "
+                    f"{runtime._recovered_records} summaries, "
+                    f"epoch {runtime.stats.epochs_closed}"
+                )
+            else:
+                print(f"durable storage: segment log at {args.data_dir}")
         return _drive_run(args, runtime)
-    finally:
-        runtime.shutdown()
 
 
 def _drive_rollup(
-    args: argparse.Namespace, runtime, verbose: bool
-) -> bool:
-    """The drive ``run`` and ``metrics`` share: inject ``--faults``,
-    load the traffic epochs, then close empty epochs until nothing is
-    parked or ``--recovery-epochs`` runs out.  ``verbose`` prints the
-    plan and one line per close.  False (error printed) when
-    ``--faults`` does not parse."""
+    args: argparse.Namespace, runtime, say, on_close=None
+) -> int:
+    """The one drive of ``run``, ``metrics`` and ``topology``: inject
+    ``--faults``, drive the traffic epochs, then close empty epochs
+    until nothing is parked or ``--recovery-epochs`` runs out.  ``say``
+    hears the plan and each recovery close, ``on_close`` each traffic
+    close.  Returns 0, or the exit code of the error it printed: 2 when
+    ``--faults`` does not parse, 1 when a reconfig drill fails."""
     from repro.faults import FaultPlan
 
-    say = print if verbose else (lambda line: None)
     if args.faults:
         try:
             plan = FaultPlan.from_spec(args.faults)
         except ReproError as error:
             print(f"error: {error}")
-            return False
+            return 2
         runtime.inject_faults(plan)
         say(f"fault plan: {plan.describe()}")
-    _load_traffic(
-        runtime, args.epochs, args.flows_per_epoch, args.seed,
-        on_close=lambda epoch, exported: say(
-            f"epoch {epoch}: exported={exported} "
-            f"pending={runtime.pending_exports()} "
-            f"wan={runtime.wan_bytes():,} B"
-        ),
-    )
     epoch_s = runtime.epoch_seconds
     recovery = 0
-    while runtime.pending_exports() and recovery < args.recovery_epochs:
-        recovery += 1
-        runtime.close_epoch((args.epochs + recovery) * epoch_s)
-        say(f"recovery close {recovery}: pending={runtime.pending_exports()}")
-    return True
+    try:
+        drive(
+            runtime, args.epochs, args.flows_per_epoch, args.seed,
+            on_close=on_close,
+        )
+        while runtime.pending_exports() and recovery < args.recovery_epochs:
+            recovery += 1
+            runtime.close_epoch((args.epochs + recovery) * epoch_s)
+            say(
+                f"recovery close {recovery}: "
+                f"pending={runtime.pending_exports()}"
+            )
+    except ReproError as error:
+        print(f"error: reconfig drill failed: {error}")
+        return 1
+    return 0
 
 
 def _drive_run(args: argparse.Namespace, runtime) -> int:
     from repro.client import FlowQLClient
 
-    if not _drive_rollup(args, runtime, verbose=True):
-        return 2
+    code = _drive_rollup(
+        args, runtime, print,
+        on_close=lambda epoch, exported: print(
+            f"epoch {epoch}: exported={exported} "
+            f"pending={runtime.pending_exports()} "
+            f"wan={runtime.wan_bytes():,} B"
+        ),
+    )
+    if code:
+        return code
     client = FlowQLClient(runtime=runtime, client_id="cli-run")
     for text in args.query or []:
         print(f"\nflowql> {text}")
@@ -752,26 +669,27 @@ def _run_metrics(args: argparse.Namespace) -> int:
     from repro.client import FlowQLClient
     from repro.obs import render_prometheus
 
-    runtime = _preset_runtime(args)
-    if not _drive_rollup(args, runtime, verbose=False):
-        return 2
-    client = FlowQLClient(runtime=runtime, client_id="cli-metrics")
-    for text in args.query or []:
-        # twice each: the repeat turns a miss into a cache hit
-        for _ in range(2):
-            try:
-                client.query(text)
-            except ReproError as error:
-                print(f"error: {error}")
-                return 1
-    if args.format == "json":
-        print(json.dumps(runtime.obs.registry.snapshot(), indent=2))
-    else:
-        print(render_prometheus(runtime.obs.registry), end="")
-    if args.traces > 0:
-        for root in runtime.obs.tracer.traces()[-args.traces:]:
-            print()
-            print(root.render())
+    with _preset_runtime(args) as runtime:
+        code = _drive_rollup(args, runtime, say=lambda line: None)
+        if code:
+            return code
+        client = FlowQLClient(runtime=runtime, client_id="cli-metrics")
+        for text in args.query or []:
+            # twice each: the repeat turns a miss into a cache hit
+            for _ in range(2):
+                try:
+                    client.query(text)
+                except ReproError as error:
+                    print(f"error: {error}")
+                    return 1
+        if args.format == "json":
+            print(json.dumps(runtime.obs.registry.snapshot(), indent=2))
+        else:
+            print(render_prometheus(runtime.obs.registry), end="")
+        if args.traces > 0:
+            for root in runtime.obs.tracer.traces()[-args.traces:]:
+                print()
+                print(root.render())
     return 0
 
 
@@ -826,41 +744,21 @@ def _run_factory(args: argparse.Namespace) -> int:
 
 def _configure_topology(parser: argparse.ArgumentParser) -> None:
     _add_drive_args(parser, epochs=2, flows_per_epoch=500)
-    parser.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help=(
-            "fault plan spec; reconfig drills reshape the topology "
-            "live, e.g. 'reconfig=leave:network1/region1/router2:0'"
-        ),
-    )
+    _add_faults_arg(parser, "reconfig=leave:network1/region1/router2:0")
     parser.add_argument(
         "--adaptive-budgets", action="store_true",
         help="resize each level's node budget from the trees it sealed",
     )
+    parser.set_defaults(recovery_epochs=0)  # census what drills left
 
 
 def _run_topology(args: argparse.Namespace) -> int:
-    from repro.faults import FaultPlan
-
-    runtime = _preset_runtime(args)
-    try:
-        if args.faults:
-            try:
-                plan = FaultPlan.from_spec(args.faults)
-            except ReproError as error:
-                print(f"error: {error}")
-                return 2
-            runtime.inject_faults(plan)
-            print(f"fault plan: {plan.describe()}")
+    with _preset_runtime(args) as runtime:
         if args.adaptive_budgets:
             runtime.enable_adaptive_budgets()
-        try:
-            _load_traffic(
-                runtime, args.epochs, args.flows_per_epoch, args.seed
-            )
-        except ReproError as error:
-            print(f"error: reconfig drill failed: {error}")
-            return 1
+        code = _drive_rollup(args, runtime, print)
+        if code:
+            return code
         census = runtime.model.census()
         print(f"\ntopology census (root {census['root']!r})")
         print(f"  generation: {census['generation']}")
@@ -900,8 +798,6 @@ def _run_topology(args: argparse.Namespace) -> int:
                     f"at={resize['at']:g})"
                 )
         return 0
-    finally:
-        runtime.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -923,34 +819,25 @@ def _configure_replication(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_replication(args: argparse.Namespace) -> int:
-    from repro.replication.engine import (
-        offline_optimal_cost,
-        simulate_policy_on_trace,
-    )
-    from repro.replication.ski_rental import default_policies
-    from repro.simulation.querytrace import (
-        QueryTraceConfig,
-        QueryTraceGenerator,
-    )
+    from repro.replication.engine import compare_policies
+    from repro.simulation.querytrace import QueryTraceConfig
 
-    partition_bytes = int(args.partition_mb * 1e6)
     config = QueryTraceConfig(
         partitions=args.partitions,
-        partition_bytes=partition_bytes,
+        partition_bytes=int(args.partition_mb * 1e6),
         mean_result_bytes=int(args.mean_result_mb * 1e6),
         run_length_distribution=args.distribution,
         run_length_param={"pareto": 1.3, "geometric": 1.0,
                           "lognormal": 1.0}[args.distribution],
     )
-    trace = QueryTraceGenerator(config, seed=args.seed).trace()
-    optimal = offline_optimal_cost(trace, partition_bytes)
+    table = compare_policies(config, args.seed, args.seed)
+    optimal = table.optimal_bytes
     print(
-        f"{args.distribution} trace: {len(trace)} accesses over "
+        f"{args.distribution} trace: {len(table.trace)} accesses over "
         f"{args.partitions} partitions, offline OPT = {optimal/1e6:.0f} MB"
     )
     print(f"  {'policy':<22}{'network':>12}{'vs OPT':>9}{'replications':>14}")
-    for policy in default_policies(seed=args.seed):
-        costs = simulate_policy_on_trace(trace, policy, partition_bytes)
+    for costs in table.costs:
         print(
             f"  {costs.policy:<22}{costs.total_bytes/1e6:>10.0f}MB"
             f"{costs.competitive_ratio(optimal):>9.3f}"
@@ -964,12 +851,6 @@ def _run_replication(args: argparse.Namespace) -> int:
 
 
 SUBCOMMANDS: Tuple[Subcommand, ...] = (
-    Subcommand(
-        "flowql",
-        "load synthetic traffic and run FlowQL queries",
-        _configure_flowql,
-        _run_flowql,
-    ),
     Subcommand(
         "query",
         "route FlowQL through the federated planner or a served "
@@ -1053,7 +934,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     runners = {command.name: command.run for command in SUBCOMMANDS}
-    return runners[args.command](args)
+    try:
+        code = runners[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (``repro ... | head``): send what is still
+        # buffered to devnull so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

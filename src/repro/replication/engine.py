@@ -6,7 +6,9 @@ Two entry points:
   (e.g. from :class:`~repro.simulation.querytrace.QueryTraceGenerator`)
   under one policy and total up the cost.  This is what the Figure 6
   benchmark sweeps; :func:`offline_optimal_cost` provides the
-  clairvoyant lower bound for competitive ratios.
+  clairvoyant lower bound for competitive ratios, and
+  :func:`compare_policies` is the whole table: one trace, its optimum,
+  and every default policy's costs.
 * :class:`AdaptiveReplicationEngine` — the live integration: watch two
   data stores, record every remote access (Fig. 6 step 1-2), and fire
   :meth:`~repro.datastore.store.DataStore.replicate_partition` when the
@@ -22,8 +24,13 @@ from repro.datastore.store import DataStore
 from repro.replication.ski_rental import (
     PartitionAccessState,
     ReplicationPolicy,
+    default_policies,
 )
-from repro.simulation.querytrace import AccessEvent
+from repro.simulation.querytrace import (
+    AccessEvent,
+    QueryTraceConfig,
+    QueryTraceGenerator,
+)
 
 
 @dataclass
@@ -128,6 +135,33 @@ def offline_optimal_cost(
         )
         total += min(total_demand, size)
     return total
+
+
+@dataclass(frozen=True)
+class PolicyComparison:
+    """Every default policy replayed on one generated trace."""
+
+    trace: List[AccessEvent]
+    optimal_bytes: int
+    #: one entry per policy, in :func:`default_policies` order
+    costs: List[TraceCosts]
+
+
+def compare_policies(
+    config: QueryTraceConfig, trace_seed: int, policy_seed: int
+) -> PolicyComparison:
+    """The Figure 6 table: draw a trace from ``config`` and replay it
+    under every default policy against the offline optimum."""
+    trace = QueryTraceGenerator(config, seed=trace_seed).trace()
+    size = config.partition_bytes
+    return PolicyComparison(
+        trace=trace,
+        optimal_bytes=offline_optimal_cost(trace, size),
+        costs=[
+            simulate_policy_on_trace(trace, policy, size)
+            for policy in default_policies(seed=policy_seed)
+        ],
+    )
 
 
 @dataclass(frozen=True)

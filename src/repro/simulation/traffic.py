@@ -11,14 +11,15 @@ meaningful Merge/Diff across locations.
 
 A DDoS helper injects attack epochs: many spoofed sources converging on
 one victim, which is what the investigation application (Section II.B
-problem (c)) must localize.
+problem (c)) must localize.  :func:`drive` ingests and closes plain
+traffic epochs on a runtime.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.flows.features import parse_ipv4
 from repro.flows.flowkey import FIVE_TUPLE, FeatureSchema
@@ -262,3 +263,34 @@ class TrafficGenerator:
     def epochs(self, site: str, count: int) -> List[List[FlowRecord]]:
         """The first ``count`` epochs for one site."""
         return [self.epoch(site, index) for index in range(count)]
+
+
+def drive(
+    runtime,
+    epochs: int,
+    flows_per_epoch: int,
+    seed: int,
+    on_close: Optional[Callable[[int, int], None]] = None,
+) -> List[str]:
+    """Ingest and close ``epochs`` deterministic traffic epochs.
+
+    One generator is drawn over the runtime's ingest sites; epoch ``e``
+    closes at ``(e + 1) * runtime.epoch_seconds`` and
+    ``on_close(e, exported)`` is told about each close.  The site list
+    is re-read every epoch, because a reconfiguration drill may add,
+    remove or rename sites at a close; a site the generator was not
+    drawn over gets no traffic.  Returns the sites it was drawn over.
+    """
+    sites = runtime.ingest_sites()
+    generator = TrafficGenerator(
+        TrafficConfig(sites=tuple(sites), flows_per_epoch=flows_per_epoch),
+        seed=seed,
+    )
+    for epoch in range(epochs):
+        for site in runtime.ingest_sites():
+            if site in generator.config.sites:
+                runtime.ingest(site, generator.epoch(site, epoch))
+        exported = runtime.close_epoch((epoch + 1) * runtime.epoch_seconds)
+        if on_close is not None:
+            on_close(epoch, exported)
+    return sites

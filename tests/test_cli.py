@@ -1,53 +1,18 @@
 """Tests for the command-line interface."""
 
+import gc
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
 
-
-class TestFlowQLCommand:
-    def test_demo_queries(self, capsys):
-        code = main(
-            ["flowql", "--epochs", "1", "--flows-per-epoch", "200"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "loaded 1 epochs" in out
-        assert "SELECT TOTAL FROM ALL" in out
-        assert "Score(" in out
-
-    def test_explicit_query(self, capsys):
-        code = main(
-            [
-                "flowql",
-                "--epochs", "1",
-                "--flows-per-epoch", "200",
-                "--query", "SELECT TOPK(2) FROM ALL BY bytes",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("five_tuple") == 2
-
-    def test_bad_query_fails(self, capsys):
-        code = main(
-            [
-                "flowql",
-                "--epochs", "1",
-                "--flows-per-epoch", "100",
-                "--query", "SELECT NONSENSE FROM ALL",
-            ]
-        )
-        assert code == 1
-        assert "error:" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "sites", [["a/b", "c"], ["a/b", "a/b"]], ids=["ragged", "twice"]
-    )
-    def test_bad_sites_fail(self, capsys, sites):
-        code = main(["flowql", "--epochs", "1", "--sites", *sites])
-        assert code == 2
-        assert "error:" in capsys.readouterr().out
+#: a migrate onto a name the target region already has: the drill fails
+#: at the first close
+FAILING_DRILL = "reconfig=migrate:network1/region1/router1>network1/region2:0"
 
 
 class TestQueryCommand:
@@ -62,6 +27,34 @@ class TestQueryCommand:
         assert "plan: cache (" in out  # repeats hit the cache
         assert "routing: cloud=" in out  # final census line
         assert "replications=" in out
+
+    def test_demo_queries(self, capsys):
+        code = main(
+            ["query", "--epochs", "1", "--flows-per-epoch", "200"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "network preset: 1 epochs x 4 edge sites" in out
+        assert "flowql> SELECT TOTAL FROM ALL\n" in out
+        assert (
+            "flowql> SELECT TOPK(3) FROM ALL AT network1/region1/router1 "
+            "BY bytes" in out
+        )
+        assert "Score(" in out  # the TOTAL's scalar
+        assert out.count("  packets=") == 3  # the drilldown's rows
+
+    def test_explicit_query(self, capsys):
+        code = main(
+            [
+                "query",
+                "--epochs", "1",
+                "--flows-per-epoch", "200",
+                "--query", "SELECT TOPK(2) FROM ALL BY bytes",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("  packets=") == 2
 
     def test_factory_preset(self, capsys):
         code = main(
@@ -399,3 +392,78 @@ class TestServeCommand:
             assert "server_errors=0" in out
         finally:
             runtime.shutdown()
+
+
+class TestLifecycle:
+    """Every command that builds a runtime shuts it down: nothing its
+    closes froze is left in the collector's permanent generation."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--epochs", "1", "--flows-per-epoch", "100"],
+            ["subscribe", "--epochs", "1", "--flows-per-epoch", "100"],
+            ["metrics", "--epochs", "1", "--flows-per-epoch", "100"],
+            ["run", "--epochs", "1", "--flows-per-epoch", "100"],
+            ["topology", "--epochs", "1", "--flows-per-epoch", "100"],
+            ["serve", "--epochs", "1", "--flows-per-epoch", "100",
+             "--smoke", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_runtime_is_thawed_on_exit(self, capsys, argv):
+        gc.unfreeze()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("command", ["query", "metrics"])
+    def test_runtime_is_thawed_on_error(self, capsys, command):
+        gc.unfreeze()
+        argv = [command, "--epochs", "1", "--flows-per-epoch", "100"]
+        assert main(argv + ["--query", "SELECT NONSENSE FROM ALL"]) == 1
+        assert gc.get_freeze_count() == 0
+
+
+class TestDrillError:
+    @pytest.mark.parametrize("command", ["run", "metrics", "topology"])
+    def test_failed_drill_is_a_typed_error(self, capsys, command):
+        code = main(
+            [
+                command,
+                "--epochs", "2",
+                "--flows-per-epoch", "100",
+                "--faults", FAILING_DRILL,
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "error: reconfig drill failed:" in out
+        assert "already has a child named 'router1'" in out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replication", "--partitions", "50"],
+            ["query", "--epochs", "1", "--flows-per-epoch", "100"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_reader_that_leaves_early_gets_no_traceback(self, argv):
+        # unbuffered: every line is its own write, so the lines after
+        # the first one read can meet the closed pipe
+        src = pathlib.Path(__file__).parent.parent / "src"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONUNBUFFERED": "1"},
+        )
+        assert process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) in (0, 1)
+        assert stderr == b""
