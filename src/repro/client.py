@@ -29,19 +29,28 @@ returns a :class:`SubscriptionHandle` that yields typed
 HTTP handle tracks a cursor, so a reconnect resumes exactly where the
 client left off (or resyncs to the newest snapshot when the gap
 outgrew the server's replay ring).
+
+The HTTP backend speaks the plane's own framing
+(:mod:`repro.serve.http11`, the one HTTP/1.1 module the servers and
+the gateway's forward use too) over one blocking keep-alive socket:
+each request leaves in one write, and only a stale keep-alive (closed
+or reset before the reply's first byte) is retried, once.  A reply
+that does not come within ``timeout_s`` — plus the wait a long-poll
+asks the server to hold it — is a :class:`~repro.errors.ServeError`,
+never re-sent.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import urllib.parse
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from repro.errors import ServeError, WireSchemaError
 from repro.query.plan import QueryOutcome
 from repro.query.subscriptions import Subscription, SubscriptionUpdate
-from repro.serve import wire
+from repro.serve import http11, wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.runtime import HierarchyRuntime
@@ -146,6 +155,7 @@ class HTTPSubscription(SubscriptionHandle):
                 "cursor": self.cursor,
                 "timeout_s": wait_s,
             },
+            wait_s=wait_s,
         )
         if status == 404:
             # cancelled elsewhere, or the server restarted and lost us
@@ -191,9 +201,11 @@ class FlowQLClient:
         self.runtime = runtime
         self.client_id = client_id
         self.timeout_s = timeout_s
-        self._connection: Optional[http.client.HTTPConnection] = None
+        self._socket: Optional[socket.socket] = None
+        self._stream = None  # the socket's buffered reader
         self._host: Optional[str] = None
         self._port: Optional[int] = None
+        self._authority: Optional[str] = None
         if endpoint is not None:
             parsed = urllib.parse.urlparse(endpoint)
             if parsed.scheme not in ("http", "") or not (
@@ -208,6 +220,7 @@ class FlowQLClient:
                 host, _, port = parsed.path.partition(":")
                 self._host = host
                 self._port = int(port) if port else 80
+            self._authority = f"{self._host}:{self._port}"
         self.endpoint = endpoint
 
     # -- the API -------------------------------------------------------------
@@ -277,9 +290,10 @@ class FlowQLClient:
 
     def close(self) -> None:
         """Drop the keep-alive connection (HTTP backends)."""
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._socket is not None:
+            self._stream.close()
+            self._socket.close()
+            self._socket = self._stream = None
 
     def __enter__(self) -> "FlowQLClient":
         return self
@@ -289,44 +303,82 @@ class FlowQLClient:
 
     # -- HTTP transport ------------------------------------------------------
 
-    def _request(self, method: str, path: str, body: object = None):
-        payload = (
-            None
-            if body is None
-            else json.dumps(body, separators=(",", ":"))
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: object = None,
+        wait_s: float = 0.0,
+    ):
+        """One exchange: ``(status, lower-cased headers, parsed JSON)``.
+
+        ``wait_s`` is how long the server may hold the reply on purpose
+        (a long-poll); the socket's read deadline is ``timeout_s`` plus
+        it.  Only a stale keep-alive is retried, once, on a fresh
+        connection; a timeout or a broken reply raises at once.
+        """
+        message = http11.request_bytes(
+            method,
+            path,
+            self._authority,
+            body,
+            {"X-Repro-Client": self.client_id},
         )
-        headers = {
-            "Content-Type": "application/json",
-            "X-Repro-Client": self.client_id,
-        }
+        deadline_s = self.timeout_s + wait_s
         for attempt in (0, 1):
-            if self._connection is None:
-                self._connection = http.client.HTTPConnection(
-                    self._host, self._port, timeout=self.timeout_s
-                )
             try:
-                self._connection.request(
-                    method, path, body=payload, headers=headers
-                )
-                response = self._connection.getresponse()
-                raw = response.read()
-                parsed = (
-                    json.loads(raw.decode("utf-8")) if raw else None
-                )
-                return (
-                    response.status,
-                    {k.lower(): v for k, v in response.getheaders()},
-                    parsed,
-                )
-            except (ConnectionError, http.client.HTTPException, OSError):
-                # stale keep-alive: reconnect once, then report
+                reply = self._exchange(message, deadline_s)
+            except TimeoutError:
                 self.close()
-                if attempt:
-                    raise ServeError(
-                        f"cannot reach serve endpoint "
-                        f"{self._host}:{self._port}"
-                    )
-        raise AssertionError("unreachable")  # pragma: no cover
+                raise ServeError(
+                    f"serve endpoint {self._authority} did not answer "
+                    f"within {deadline_s:g} s"
+                )
+            except (ServeError, OSError) as exc:
+                self.close()
+                raise ServeError(
+                    f"serve endpoint {self._authority} broke off its "
+                    f"reply: {exc}"
+                ) from exc
+            if reply is not None:
+                break
+            self.close()
+            if attempt:
+                raise ServeError(
+                    f"cannot reach serve endpoint {self._authority}"
+                )
+        status, headers, raw = reply
+        try:
+            parsed = json.loads(raw) if raw else None
+        except ValueError:
+            raise ServeError(
+                f"serve endpoint {self._authority} returned HTTP "
+                f"{status} with a body that is not JSON"
+            )
+        return status, headers, parsed
+
+    def _exchange(self, message: bytes, deadline_s: float):
+        """Send one request in one write and read its reply.
+
+        ``None`` means the connection was stale: the connect was
+        refused, or the peer closed or reset it before the reply's
+        first byte.
+        """
+        try:
+            if self._socket is None:
+                sock = socket.create_connection(
+                    (self._host, self._port), timeout=deadline_s
+                )
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._socket, self._stream = sock, sock.makefile("rb")
+            else:
+                self._socket.settimeout(deadline_s)
+            self._socket.sendall(message)
+        except TimeoutError:
+            raise
+        except OSError:
+            return None
+        return http11.read_response(self._stream)
 
     def _query_http(self, flowql: str) -> QueryOutcome:
         status, _headers, body = self._request(

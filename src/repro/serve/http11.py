@@ -1,18 +1,26 @@
-"""A deliberately small asyncio HTTP/1.1 layer.
+"""The program's one HTTP/1.1 framing module.
 
 The serving plane needs exactly four HTTP features — request lines,
 headers, ``Content-Length`` JSON bodies, and keep-alive — and nothing
-the container doesn't already ship, so this module implements them
-directly on asyncio streams instead of pulling in a framework.  Both
-the servers (:mod:`repro.serve.server`, :mod:`repro.serve.gateway`)
-and the in-loop client the gateway/benchmark use are built on it.
+outside the standard library, so this module implements them directly
+instead of pulling in a framework or a second HTTP stack.  Every
+message head in the program is built and parsed here:
+
+* the servers (:mod:`repro.serve.server`, :mod:`repro.serve.gateway`)
+  read requests with :func:`read_request` and write replies with
+  :func:`response_bytes`;
+* the gateway's forward to a node (:class:`HTTPConnectionPool`) and the
+  blocking :class:`~repro.client.FlowQLClient` build requests with
+  :func:`request_bytes`; the pool reads replies off its asyncio stream
+  and the client with :func:`read_response`, both through
+  :func:`parse_head` and :func:`parse_status_line`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from typing import BinaryIO, Dict, Optional, Tuple
 
 from repro.errors import ServeError
 
@@ -56,7 +64,7 @@ class Request:
             raise ServeError(f"request body is not valid JSON: {exc}")
 
 
-def _parse_head(head: bytes) -> Tuple[str, Dict[str, str], int]:
+def parse_head(head: bytes) -> Tuple[str, Dict[str, str], int]:
     """A message head's start line, lower-cased headers and body length.
 
     A ``Content-Length`` that is not a non-negative decimal integer is
@@ -75,6 +83,21 @@ def _parse_head(head: bytes) -> Tuple[str, Dict[str, str], int]:
     return lines[0], headers, int(length)
 
 
+def parse_status_line(start: str) -> int:
+    """The status code of a reply's start line (``HTTP/1.1 200 OK``)."""
+    version, _, rest = start.partition(" ")
+    code = rest[:3]
+    if not (
+        version.startswith("HTTP/")
+        and len(code) == 3
+        and code.isascii()
+        and code.isdigit()
+        and rest[3:4] in ("", " ")
+    ):
+        raise ServeError(f"malformed status line {start!r}")
+    return int(code)
+
+
 async def read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Request]:
@@ -89,7 +112,7 @@ async def read_request(
         raise ServeError("request head exceeds the stream limit")
     if len(head) > MAX_HEADER_BYTES:
         raise ServeError("request head too large")
-    start, headers, length = _parse_head(head)
+    start, headers, length = parse_head(head)
     try:
         method, path, _version = start.split(" ", 2)
     except ValueError:
@@ -103,6 +126,73 @@ async def read_request(
     return Request(method.upper(), path, headers, body)
 
 
+def read_response(
+    stream: BinaryIO,
+) -> Optional[Tuple[int, Dict[str, str], bytes]]:
+    """Read one reply off a blocking keep-alive stream.
+
+    Returns ``(status, headers, body_bytes)``, or ``None`` when the peer
+    closed or reset the connection before the reply's first byte (a
+    stale keep-alive).  A head over :data:`MAX_HEADER_BYTES`, a
+    malformed start line, or a close part-way through the reply is a
+    :class:`ServeError`.
+    """
+    try:
+        head = stream.readline(MAX_HEADER_BYTES + 1)
+    except ConnectionResetError:
+        return None
+    if not head:
+        return None
+    while len(head) <= MAX_HEADER_BYTES and not head.endswith(b"\r\n\r\n"):
+        line = stream.readline(MAX_HEADER_BYTES + 1 - len(head))
+        if not line:
+            raise ServeError("connection closed mid-reply")
+        head += line
+    if len(head) > MAX_HEADER_BYTES:
+        raise ServeError("reply head too large")
+    start, headers, length = parse_head(head)
+    status = parse_status_line(start)
+    if length > MAX_BODY_BYTES:
+        raise ServeError(f"reply body too large ({length} B)")
+    body = stream.read(length) if length else b""
+    if len(body) < length:
+        raise ServeError("connection closed mid-reply")
+    return status, headers, body
+
+
+def _json_payload(body: object) -> bytes:
+    if isinstance(body, bytes):
+        return body
+    if body is None:
+        return b""
+    return json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
+def request_bytes(
+    method: str,
+    path: str,
+    authority: str,
+    body: object = None,
+    headers: Optional[Dict[str, str]] = None,
+) -> bytes:
+    """Serialize one JSON (or empty) keep-alive request, head and body.
+
+    ``authority`` is the ``Host`` header (``host:port``).  The result is
+    sent in one write, so the peer's event loop wakes once per request.
+    """
+    payload = _json_payload(body)
+    head = [
+        f"{method} {path} HTTP/1.1",
+        f"Host: {authority}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(payload)}",
+        "Connection: keep-alive",
+    ]
+    for name, value in (headers or {}).items():
+        head.append(f"{name}: {value}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
+
+
 def response_bytes(
     status: int,
     body: object = None,
@@ -112,12 +202,7 @@ def response_bytes(
 
     A ``bytes`` body is already JSON (a relayed reply) and is sent as is.
     """
-    if isinstance(body, bytes):
-        payload = body
-    elif body is None:
-        payload = b""
-    else:
-        payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+    payload = _json_payload(body)
     reason = _REASONS.get(status, "Unknown")
     head = [
         f"HTTP/1.1 {status} {reason}",
@@ -169,21 +254,9 @@ class HTTPConnection:
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
         """Send one request; returns ``(status, headers, body_bytes)``."""
-        payload = (
-            b""
-            if body is None
-            else json.dumps(body, separators=(",", ":")).encode("utf-8")
+        wire = request_bytes(
+            method, path, f"{self.host}:{self.port}", body, headers
         )
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(payload)}",
-            "Connection: keep-alive",
-        ]
-        for name, value in (headers or {}).items():
-            head.append(f"{name}: {value}")
-        wire = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
         async with self._lock:
             for attempt in (0, 1):
                 await self._ensure()
@@ -203,11 +276,8 @@ class HTTPConnection:
 
     async def _read_response(self) -> Tuple[int, Dict[str, str], bytes]:
         head = await self._reader.readuntil(b"\r\n\r\n")
-        start, headers, length = _parse_head(head)
-        try:
-            status = int(start.split(" ", 2)[1])
-        except (IndexError, ValueError):
-            raise ServeError(f"malformed status line {start!r}")
+        start, headers, length = parse_head(head)
+        status = parse_status_line(start)
         body = await self._reader.readexactly(length) if length else b""
         return status, headers, body
 

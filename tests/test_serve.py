@@ -18,6 +18,7 @@ import http.client
 import json
 import re
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -47,6 +48,7 @@ from repro.query.plan import (
 from repro.runtime.presets import network_4level_runtime
 from repro.serve import ServePlane, wire
 from repro.serve.admission import AdmissionController, TokenBucket
+from repro.serve.http11 import MAX_HEADER_BYTES
 from repro.query.memo import MEMO_MAX
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
@@ -937,3 +939,193 @@ class TestAttemptedPathsInProcess:
             assert any("router1" in path for path in attempted)
         finally:
             runtime.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# the client's transport against a raw-socket peer
+
+
+def reply_bytes(body: bytes) -> bytes:
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+
+
+OUTCOME_REPLY = reply_bytes(
+    json.dumps(wire.encode_outcome(make_outcome())).encode()
+)
+
+
+class StubPeer:
+    """A raw-socket HTTP peer: ``respond(connection)`` answers each
+    request however the test likes; returning True closes that
+    connection afterwards."""
+
+    def __init__(self, respond):
+        self.respond = respond
+        self.requests = []
+        self.connections = 0
+        self.released = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.endpoint = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while not self.released.is_set():
+            try:
+                connection, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            self.connections += 1
+            threading.Thread(
+                target=self._serve, args=(connection,), daemon=True
+            ).start()
+
+    def _serve(self, connection):
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        stream = connection.makefile("rb")
+        try:
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = stream.readline()
+                    if not line:
+                        return
+                    head += line
+                length = re.search(rb"Content-Length: (\d+)", head)
+                body = stream.read(int(length.group(1)) if length else 0)
+                self.requests.append(head + body)
+                if self.respond(connection):
+                    return
+        except OSError:
+            return  # the client gave up on this connection
+        finally:
+            stream.close()
+            connection.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.released.set()
+        self._listener.close()
+
+
+class RecordingSocket:
+    """A client socket that records every write it is asked to make."""
+
+    def __init__(self, sock, writes):
+        self._sock = sock
+        self.writes = writes
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestClientTransport:
+    """``FlowQLClient`` frames with ``repro.serve.http11`` over one
+    blocking keep-alive socket: every failure mode of a peer is a
+    ``ServeError``, and only a stale keep-alive is retried."""
+
+    def test_reply_in_one_byte_writes_parses(self):
+        def trickle(connection):
+            for byte in OUTCOME_REPLY:
+                connection.sendall(bytes([byte]))
+                time.sleep(0.0002)
+
+        with StubPeer(trickle) as peer:
+            with FlowQLClient(endpoint=peer.endpoint) as client:
+                outcome = client.query("SELECT TOTAL FROM ALL")
+        assert outcome.to_wire() == make_outcome().to_wire()
+
+    def test_peer_closing_between_requests_costs_one_reconnect(self):
+        def once_per_connection(connection):
+            connection.sendall(OUTCOME_REPLY)
+            return True
+
+        with StubPeer(once_per_connection) as peer:
+            with FlowQLClient(endpoint=peer.endpoint) as client:
+                for _ in range(2):
+                    outcome = client.query("SELECT TOTAL FROM ALL")
+                    assert outcome.scalar.bytes == 310
+            assert peer.connections == 2
+            assert len(peer.requests) == 2
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            OUTCOME_REPLY[:-10],  # closed mid-body
+            b"NOT-HTTP\r\n\r\n",
+            b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Pad: "
+            + b"a" * MAX_HEADER_BYTES
+            + b"\r\n\r\n",
+        ],
+        ids=["closed-mid-body", "no-status", "bad-status", "huge-head"],
+    )
+    def test_broken_reply_is_one_serve_error(self, reply):
+        def broken(connection):
+            connection.sendall(reply)
+            return True
+
+        with StubPeer(broken) as peer:
+            with FlowQLClient(endpoint=peer.endpoint) as client:
+                with pytest.raises(ServeError):
+                    client.query("SELECT TOTAL FROM ALL")
+            time.sleep(0.05)
+            assert len(peer.requests) == 1  # reported, not re-sent
+
+    def test_body_that_is_not_json_is_a_serve_error(self):
+        def garbled(connection):
+            connection.sendall(reply_bytes(b"{not json"))
+
+        with StubPeer(garbled) as peer:
+            with FlowQLClient(endpoint=peer.endpoint) as client:
+                with pytest.raises(ServeError, match="not JSON"):
+                    client.query("SELECT TOTAL FROM ALL")
+
+    def test_timed_out_request_is_reported_not_resent(self):
+        with StubPeer(lambda connection: peer.released.wait()) as peer:
+            with FlowQLClient(endpoint=peer.endpoint, timeout_s=0.3) as client:
+                started = time.perf_counter()
+                with pytest.raises(ServeError, match="did not answer"):
+                    client.query("SELECT TOTAL FROM ALL")
+                elapsed = time.perf_counter() - started
+            time.sleep(0.1)
+            assert len(peer.requests) == 1
+            assert peer.connections == 1
+        assert 0.25 < elapsed < 1.5
+
+    def test_each_request_is_one_write(self, served, monkeypatch):
+        _runtime, plane, _client = served
+        writes = []
+        connect = socket.create_connection
+        monkeypatch.setattr(
+            socket,
+            "create_connection",
+            lambda *a, **k: RecordingSocket(connect(*a, **k), writes),
+        )
+        texts = [
+            "SELECT TOTAL FROM ALL",
+            f"SELECT TOTAL FROM ALL AT {ROUTER1}",
+        ]
+        with FlowQLClient(endpoint=plane.endpoint, client_id="one") as client:
+            for text in texts:
+                client.query(text)
+            client.health()
+        assert len(writes) == 3
+        for text, write in zip(texts, writes):
+            head, _, body = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"POST /v1/query HTTP/1.1\r\n")
+            assert b"\r\nContent-Length: %d\r\n" % len(body) in head
+            assert b"\r\nX-Repro-Client: one" in head
+            assert json.loads(body)["query"] == text
+        assert writes[2].startswith(b"GET /healthz HTTP/1.1\r\n")

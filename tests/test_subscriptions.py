@@ -524,6 +524,23 @@ class TestSubscribeOverHTTP:
                 assert handle.cancelled is False
         runtime.shutdown()
 
+    def test_long_poll_may_outlast_the_client_timeout(self):
+        """A poll's read deadline is its wait plus ``timeout_s``: a
+        quiet stream returns an empty batch once the gateway's wait is
+        over, not a timeout and a re-sent poll."""
+        runtime = build_runtime()
+        drive(runtime, 1)
+        with ServePlane(runtime) as plane:
+            endpoint = plane.start_background()
+            with FlowQLClient(
+                endpoint=endpoint, client_id="patient", timeout_s=1.0
+            ) as client:
+                handle = client.subscribe("SELECT TOTAL FROM ALL")
+                started = time.perf_counter()
+                assert handle.poll(wait_s=1.0) == []
+                assert 0.9 < time.perf_counter() - started < 1.9
+        runtime.shutdown()
+
 
 class TestStandingQueriesAreVolatile:
     """Subscriptions and their cursors die with the process (DESIGN,
