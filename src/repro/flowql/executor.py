@@ -6,11 +6,12 @@ answer FlowQL through it:
 * :func:`compile_pattern` / :func:`apply_operator` — the pure
   "plan tail": compile the WHERE clause into a generalized
   :class:`FlowKey` pattern and map the SELECT operator onto the
-  corresponding Table II tree operator (including the LIMIT clause).
+  corresponding Table II read operator over the window's operands
+  (including the LIMIT clause).
 * :class:`FlowQLResult` — what the tail returns.
 
-The federated planner (:mod:`repro.query`) runs this tail over trees
-assembled from FlowDB or from hierarchy stores; the cloud-only front
+The federated planner (:mod:`repro.query`) runs this tail over the
+trees its window folds hold, read from FlowDB or from hierarchy stores; the cloud-only front
 the planner's differential tests compare against lives with those
 tests (``tests/flowql_reference.py``).
 """
@@ -18,12 +19,13 @@ tests (``tests/flowql_reference.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import FlowQLPlanningError
+from repro.flows import tree as ops
 from repro.flows.flowkey import FlowKey
 from repro.flows.records import Score
-from repro.flows.tree import Flowtree
+from repro.flows.tree import Flowtree, Operand
 from repro.flowql.ast import FlowQLQuery, Restriction
 
 
@@ -137,57 +139,62 @@ def _rows(
     )
 
 
-def apply_operator(tree: Flowtree, query: FlowQLQuery) -> FlowQLResult:
-    """Run a parsed query's SELECT operator against an assembled tree.
+def apply_operator(
+    operands: Sequence[Operand], query: FlowQLQuery
+) -> FlowQLResult:
+    """Run a parsed query's SELECT operator over a window's operands.
 
-    This is the source-independent tail of FlowQL execution: the caller
-    has already merged (and, for ``VS``, diffed) the relevant summaries
-    into ``tree``; this function applies the WHERE pattern, the Table II
-    operator, and the LIMIT clause.
+    This is the source-independent tail of FlowQL execution: the
+    caller hands over the window as ``(sign, tree)`` operands — a
+    window's trees at +1, a ``VS`` window's at -1 — and this function
+    applies the WHERE pattern, the Table II operator (which sums the
+    operands, :mod:`repro.flows.tree`), and the LIMIT clause.
     """
-    pattern = compile_pattern(tree, query.where)
+    pattern = compile_pattern(operands[0][1], query.where)
     operator = query.select.name
     metric = query.metric
     args = query.select.args
     result: Optional[FlowQLResult] = None
 
     if operator == "total":
-        result = FlowQLResult(operator=operator, scalar=tree.total())
+        result = FlowQLResult(operator=operator, scalar=ops.total(operands))
 
     elif operator == "query":
         if pattern is None:
             raise FlowQLPlanningError(
                 "QUERY needs a WHERE clause naming the flow"
             )
-        result = FlowQLResult(operator=operator, scalar=tree.query(pattern))
+        result = FlowQLResult(
+            operator=operator, scalar=ops.query(operands, pattern)
+        )
 
     elif operator == "drilldown":
         if pattern is None:
             raise FlowQLPlanningError(
                 "DRILLDOWN needs a WHERE clause naming the flow"
             )
-        depth = tree.policy.nearest_depth_at_or_above(pattern.levels)
-        node_key = tree.policy.key_at(pattern, depth)
-        pairs = tree.drilldown(node_key)
+        policy = operands[0][1].policy
+        depth = policy.nearest_depth_at_or_above(pattern.levels)
+        pairs = ops.drilldown(operands, policy.key_at(pattern, depth))
         result = _rows(operator, pairs)
 
     elif operator == "topk":
-        pairs = tree.top_k(int(args[0]), metric=metric, within=pattern)
+        pairs = ops.top_k(
+            operands, int(args[0]), metric=metric, within=pattern
+        )
         result = _rows(operator, pairs)
 
     elif operator == "above":
-        pairs = tree.above_x(int(args[0]), metric=metric)
-        if pattern is not None:
-            pairs = [
-                (key, score) for key, score in pairs if pattern.contains(key)
-            ]
+        pairs = ops.above_x(
+            operands, int(args[0]), metric=metric, within=pattern
+        )
         result = _rows(operator, pairs)
 
     elif operator == "hhh":
         threshold = float(args[0])
         if threshold < 1.0:
-            threshold = threshold * max(1, tree.total().metric(metric))
-        results = tree.hhh(int(threshold), metric=metric)
+            threshold = threshold * max(1, ops.total(operands).metric(metric))
+        results = ops.hhh(operands, int(threshold), metric=metric)
         pairs = [(r.key, r.score) for r in results]
         if pattern is not None:
             pairs = [
@@ -198,8 +205,8 @@ def apply_operator(tree: Flowtree, query: FlowQLQuery) -> FlowQLResult:
     elif operator == "groupby":
         feature = str(args[0])
         level = int(float(args[1]))
-        pairs = tree.aggregate_by_feature(
-            feature, level, metric=metric, within=pattern
+        pairs = ops.aggregate_by_feature(
+            operands, feature, level, metric=metric, within=pattern
         )
         result = _rows(operator, pairs)
 

@@ -16,6 +16,15 @@ Above-x    :meth:`Flowtree.above_x`
 HHH        :meth:`Flowtree.hhh`
 =========  ====================================================
 
+Reads over operands.  Merge and Diff are exact sums until Compress
+runs, so each read operator (Query, Drilldown, Top-k, Above-x, HHH,
+plus :func:`total` and :func:`aggregate_by_feature`) is one function
+at the end of this module over ``(sign, tree)`` operands: it sums the
+operands' counters at the depths it reads and answers as it would on
+their :meth:`Flowtree.union` or :meth:`Flowtree.diff`, without
+building either.  The :class:`Flowtree` methods are its one-operand
+call.
+
 Structure.  Every observed flow and every canonical generalization of it
 is a node; a node's parent is its most-specific canonical generalization
 (one step up the :class:`~repro.flows.flowkey.GeneralizationPolicy`
@@ -86,8 +95,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, itemgetter, le, lt
 from typing import (
     Dict,
     Iterable,
@@ -115,6 +124,9 @@ _HeapEntry = Tuple[int, int, Tuple[int, ...]]
 Counters = Tuple[FlowKey, int, int, int]
 #: a tree's place in :meth:`Flowtree.union`: (interval start, location path)
 UnionKey = Tuple[float, str]
+#: one operand of a read operator: (sign, tree) — +1 adds the tree, as
+#: a union does, -1 subtracts it, as Diff does
+Operand = Tuple[int, "Flowtree"]
 
 #: Approximate serialized footprint of one node, used for transfer
 #: accounting: depth + per-feature value + three 8-byte counters (twice,
@@ -330,6 +342,9 @@ class Flowtree:
         #: entries are deferred to the next pass so they enter at their
         #: then-current popularity instead of a guaranteed-stale zero
         self._heap_pending: List[FlowtreeNode] = []
+        #: whether a counter may be negative: set by Diff's subtraction
+        #: or a negative :meth:`add`, carried by every union
+        self._negative = False
 
     # ------------------------------------------------------------------
     # introspection
@@ -351,7 +366,7 @@ class Flowtree:
 
     def total(self) -> Score:
         """Total ingested popularity mass (the root's popularity)."""
-        return self._root.subtree
+        return total(((1, self),))
 
     def nodes(self) -> Iterator[FlowtreeNode]:
         """Iterate over all live nodes, depth-ascending (parents first)."""
@@ -387,6 +402,8 @@ class Flowtree:
         Generalized (on-chain) keys are accepted; mass lands at the key's
         canonical depth and counts toward every ancestor.
         """
+        if min(score.packets, score.bytes, score.flows) < 0:
+            self._negative = True
         self._add_record(key, score)
         self._maybe_self_compress()
 
@@ -408,7 +425,9 @@ class Flowtree:
         tuples — the record's counters, with no :class:`Score` per item.
 
         Same bounded-overshoot budget behavior as :meth:`ingest`.
-        Returns the number of tuples consumed.
+        Returns the number of tuples consumed.  Counters are a record's
+        mass, so never negative; a negative adjustment goes through
+        :meth:`add`.
         """
         budget = self.node_budget
         count = 0
@@ -690,6 +709,8 @@ class Flowtree:
         parent's ``nchildren`` bumped, and queued for the compression
         heap only while that heap is live.  ``node_count`` moves once.
         """
+        if sign < 0 or other._negative:
+            self._negative = True
         make = FlowtreeNode.__new__
         queue = self._heap_pending if self._leaf_heap is not None else None
         born = 0
@@ -789,34 +810,13 @@ class Flowtree:
         return result
 
     # ------------------------------------------------------------------
-    # Query / Drilldown / Top-k / Above-x / HHH
+    # Query / Drilldown / Top-k / Above-x / HHH: each is the one-operand
+    # call of the read operator of the same name below the class
 
     def query(self, key: FlowKey) -> Score:
-        """The popularity score of a single flow (Table II: Query).
-
-        On-chain keys resolve to their node directly.  Off-chain
-        generalized keys are answered by summing the nodes at the
-        shallowest canonical depth specific enough to be masked up to the
-        query — mass already folded above that depth is missed, so
-        off-chain answers are lower bounds (exact on uncompressed trees).
-        """
-        if key.schema.name != self.schema.name:
-            raise SchemaMismatchError(
-                f"key schema {key.schema.name!r} != tree schema "
-                f"{self.schema.name!r}"
-            )
-        node_depth = self.policy.depth_of(key.levels)
-        if node_depth is not None:
-            node = self._index[node_depth].get(key.values)
-            return node.subtree if node is not None else Score.zero()
-        depth = self.policy.shallowest_covering_depth(key.levels)
-        packets = nbytes = flows = 0
-        for node in self._index[depth].values():
-            if key.contains(self.key_of(node)):
-                packets += node.subtree_packets
-                nbytes += node.subtree_bytes
-                flows += node.subtree_flows
-        return Score(packets, nbytes, flows)
+        """The popularity score of a single flow (Table II: Query; see
+        :func:`query`)."""
+        return query(((1, self),), key)
 
     def query_with_bound(self, key: FlowKey) -> Tuple[Score, Score]:
         """Point query with deterministic error bounds.
@@ -861,18 +861,7 @@ class Flowtree:
 
     def drilldown(self, key: FlowKey) -> List[Tuple[FlowKey, Score]]:
         """Child flows of a flow with their scores (Table II: Drilldown)."""
-        node = self.find(key)
-        if node is None or not node.nchildren:
-            return []
-        below = [
-            (self.key_of(child), child.subtree)
-            for child in self._index[node.depth + 1].values()
-            if child.parent is node
-        ]
-        below.sort(
-            key=lambda pair: (-pair[1].metric(self.metric), pair[0].values)
-        )
-        return below
+        return drilldown(((1, self),), key)
 
     def _level(self, depth: int) -> Dict[Tuple[int, ...], FlowtreeNode]:
         """The nodes at a caller-supplied depth; none off the chain's
@@ -886,30 +875,9 @@ class Flowtree:
         metric: Optional[str] = None,
         within: Optional[FlowKey] = None,
     ) -> List[Tuple[FlowKey, Score]]:
-        """The ``k`` most popular flows (Table II: Top-k).
-
-        ``depth`` selects the generalization level to rank (default: the
-        fully-specific leaf level).  ``within`` ranks only the flows
-        under a generalized key (a FlowQL ``WHERE``): the level is
-        filtered while it is scanned, so a restricted answer is as long
-        as an unrestricted one whenever the level holds ``k`` matching
-        flows.  Ties break on key values so results are deterministic.
-        """
-        if k <= 0:
-            return []
-        depth = self.policy.depth if depth is None else depth
-        attr = _subtree_attr(metric or self.metric)
-        candidates = self._level(depth).values()
-        if within is not None:
-            candidates = [
-                node
-                for node in candidates
-                if within.contains(self.key_of(node))
-            ]
-        best = heapq.nsmallest(
-            k, candidates, key=lambda n: (-getattr(n, attr), n.values)
-        )
-        return [(self.key_of(node), node.subtree) for node in best]
+        """The ``k`` most popular flows (Table II: Top-k; see
+        :func:`top_k`)."""
+        return top_k(((1, self),), k, depth, metric, within)
 
     def above_x(
         self,
@@ -917,18 +885,11 @@ class Flowtree:
         depth: Optional[int] = None,
         metric: Optional[str] = None,
         include_root: bool = False,
+        within: Optional[FlowKey] = None,
     ) -> List[Tuple[FlowKey, Score]]:
-        """All flows with popularity above ``x`` (Table II: Above-x)."""
-        attr = _subtree_attr(metric or self.metric)
-        results = []
-        nodes = self.nodes() if depth is None else self._level(depth).values()
-        for node in nodes:
-            if node.depth == 0 and not include_root:
-                continue
-            if getattr(node, attr) > x:
-                results.append((node.values, getattr(node, attr), node))
-        results.sort(key=lambda item: (-item[1], item[0]))
-        return [(self.key_of(node), node.subtree) for _, _, node in results]
+        """All flows with popularity above ``x`` (Table II: Above-x; see
+        :func:`above_x`)."""
+        return above_x(((1, self),), x, depth, metric, include_root, within)
 
     def aggregate_by_feature(
         self,
@@ -937,86 +898,19 @@ class Flowtree:
         metric: Optional[str] = None,
         within: Optional[FlowKey] = None,
     ) -> List[Tuple[FlowKey, Score]]:
-        """Group popularity by one generalized feature.
-
-        Answers questions like "bytes per source /8" or "traffic per
-        destination port": nodes at the shallowest canonical depth
-        specific enough for ``(feature_name, level)`` are grouped by the
-        feature's masked value (all other features wildcarded in the
-        returned keys).  ``within`` restricts the aggregation to flows
-        under a generalized key — e.g. sources attacking one victim.
-
-        Like off-chain :meth:`query`, results are exact on uncompressed
-        trees and lower bounds after compression.
-        """
-        index = self.schema.index_of(feature_name)
-        feature = self.schema.features[index]
-        wanted = [0] * len(self.schema)
-        wanted[index] = level
-        if within is not None:
-            wanted = [max(w, l) for w, l in zip(wanted, within.levels)]
-        depth = self.policy.shallowest_covering_depth(wanted)
-        groups: Dict[Tuple[int, ...], Score] = {}
-        metric_name = metric or self.metric
-        for node in self._index[depth].values():
-            if within is not None and not within.contains(self.key_of(node)):
-                continue
-            group_values = [0] * len(self.schema)
-            group_values[index] = feature.mask(node.values[index], level)
-            slot = tuple(group_values)
-            groups[slot] = groups.get(slot, Score.zero()) + node.subtree
-        levels = [0] * len(self.schema)
-        levels[index] = level
-        results = [
-            (FlowKey(self.schema, values, tuple(levels)), score)
-            for values, score in groups.items()
-        ]
-        results.sort(
-            key=lambda pair: (-pair[1].metric(metric_name), pair[0].values)
+        """Group popularity by one generalized feature (see
+        :func:`aggregate_by_feature`)."""
+        return aggregate_by_feature(
+            ((1, self),), feature_name, level, metric, within
         )
-        return results
 
     def hhh(
         self,
         threshold: int,
         metric: Optional[str] = None,
     ) -> List[HHHResult]:
-        """Hierarchical heavy hitters (Table II: HHH).
-
-        Standard discounted definition: walking from the deepest nodes
-        upward, a node is an HHH when its popularity *minus the
-        popularity of already-reported HHH descendants* meets the
-        threshold.  The root is included when the leftover, otherwise
-        unattributed, mass is itself substantial.
-        """
-        metric_name = metric or self.metric
-        attr = _subtree_attr(metric_name)
-        #: per node, the mass HHHs below it already account for
-        discounted: Dict[FlowtreeNode, int] = {}
-        results: List[HHHResult] = []
-        # deepest first; order inside a depth is immaterial (a discount
-        # only ever moves one depth up, and the final sort is total there)
-        for node in reversed(list(self.nodes())):
-            discount = discounted.pop(node, 0)
-            residual_value = getattr(node, attr) - discount
-            if residual_value >= threshold:
-                residual = Score(
-                    **{
-                        field: residual_value if field == metric_name else 0
-                        for field in ("packets", "bytes", "flows")
-                    }
-                )
-                results.append(
-                    HHHResult(self.key_of(node), node.subtree, residual)
-                )
-                discount += residual_value
-            parent = node.parent
-            if parent is not None and discount:
-                discounted[parent] = discounted.get(parent, 0) + discount
-        results.sort(
-            key=lambda r: (-r.residual.metric(metric_name), r.key.values)
-        )
-        return results
+        """Hierarchical heavy hitters (Table II: HHH; see :func:`hhh`)."""
+        return hhh(((1, self),), threshold, metric)
 
     def subtree(self, key: FlowKey) -> "Flowtree":
         """Extract the summary of one generalized flow as a new tree.
@@ -1310,3 +1204,356 @@ class Flowtree:
             f"Flowtree(schema={self.schema.name!r}, nodes={self.node_count}, "
             f"total={self.total()})"
         )
+
+
+# ----------------------------------------------------------------------
+# The read operators of Table II, over operands
+#
+# Merge and Diff are exact and additive until Compress runs: a node of
+# ``A1 ∪ … ∪ An`` or ``A − B`` holds, in every counter, sign × theirs
+# summed over the operands that hold its key, and it exists exactly
+# when one of them does.  So each read operator takes the operands
+# themselves — ``(+1, A1) … (+1, An)`` for a union, ``(-1, B)`` for what
+# a Diff subtracts — and sums their counters at the depths it reads.
+# On a union that would not have compressed, and on any Diff, the
+# answer is the one the operator gives on the materialized
+# :meth:`Flowtree.union` / :meth:`Flowtree.diff`.  The first operand's
+# tree stands for the result's policy and default metric, as the first
+# union input does for a union's.
+
+
+def _template(operands: Sequence[Operand]) -> Flowtree:
+    """The first operand's tree, once every other is combinable with
+    it (the check Merge and Diff make)."""
+    first = operands[0][1]
+    for _, tree in operands[1:]:
+        first._check_compatible(tree)
+    return first
+
+
+class _Counts:
+    """One tree's level read as ``values -> counter`` in place: a lone
+    operand's level is never copied into a dict (that would hash every
+    key), only its counters into a list."""
+
+    __slots__ = ("level", "counts")
+
+    def __init__(
+        self, level: Dict[Tuple[int, ...], FlowtreeNode], attr: str
+    ) -> None:
+        self.level = level
+        self.counts = list(map(attrgetter(attr), level.values()))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def values(self) -> List[int]:
+        return self.counts
+
+    def items(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
+        return zip(self.level, self.counts)
+
+
+def _sums(
+    operands: Sequence[Operand], depth: int, attr: str
+) -> Union[_Counts, Dict[Tuple[int, ...], int]]:
+    """Per key at ``depth``: its ``attr`` counter, sign × theirs summed
+    over the operands that hold it."""
+    if len(operands) == 1 and operands[0][0] == 1:
+        return _Counts(operands[0][1]._level(depth), attr)
+    get = attrgetter(attr)
+    sums: Dict[Tuple[int, ...], int] = {}
+    for sign, tree in operands:
+        level = tree._level(depth)
+        counts = map(get, level.values())
+        if sign != 1:
+            counts = map(sign.__mul__, counts)
+        if not sums:
+            sums = dict(zip(level, counts))
+            continue
+        prior = sums.get
+        for values, count in zip(level, counts):
+            sums[values] = prior(values, 0) + count
+    return sums
+
+
+def _score(
+    operands: Sequence[Operand], depth: int, values: Tuple[int, ...]
+) -> Score:
+    """One key's popularity score, summed as :func:`_sums` sums."""
+    packets = nbytes = flows = 0
+    for sign, tree in operands:
+        node = tree._level(depth).get(values)
+        if node is not None:
+            packets += sign * node.subtree_packets
+            nbytes += sign * node.subtree_bytes
+            flows += sign * node.subtree_flows
+    return Score(packets, nbytes, flows)
+
+
+def _key(tree: Flowtree, depth: int, values: Tuple[int, ...]) -> FlowKey:
+    return FlowKey(tree.schema, values, tree.policy.levels_at(depth))
+
+
+def _under(
+    tree: Flowtree,
+    depth: int,
+    within: Optional[FlowKey],
+    keys: Iterable[Tuple[Tuple[int, ...], int]],
+) -> Iterable[Tuple[Tuple[int, ...], int]]:
+    """The ``(values, count)`` pairs at ``depth`` whose key falls under
+    ``within`` (all of them when it is None)."""
+    if within is None:
+        return keys
+    keys = list(keys)
+    if not keys:  # a depth off the chain holds none
+        return keys
+    schema, levels = tree.schema, tree.policy.levels_at(depth)
+    return [
+        item
+        for item in keys
+        if within.contains(FlowKey(schema, item[0], levels))
+    ]
+
+
+def total(operands: Sequence[Operand]) -> Score:
+    """Total popularity mass (the root's popularity)."""
+    first = _template(operands)
+    return _score(operands, 0, first.root.values)
+
+
+def query(operands: Sequence[Operand], key: FlowKey) -> Score:
+    """The popularity score of a single flow (Table II: Query).
+
+    On-chain keys resolve to their node directly.  Off-chain
+    generalized keys are answered by summing the nodes at the
+    shallowest canonical depth specific enough to be masked up to the
+    query — mass already folded above that depth is missed, so
+    off-chain answers are lower bounds (exact on uncompressed trees).
+    """
+    first = _template(operands)
+    if key.schema.name != first.schema.name:
+        raise SchemaMismatchError(
+            f"key schema {key.schema.name!r} != tree schema "
+            f"{first.schema.name!r}"
+        )
+    node_depth = first.policy.depth_of(key.levels)
+    if node_depth is not None:
+        return _score(operands, node_depth, key.values)
+    depth = first.policy.shallowest_covering_depth(key.levels)
+    packets = nbytes = flows = 0
+    for sign, tree in operands:
+        for node in tree._index[depth].values():
+            if key.contains(tree.key_of(node)):
+                packets += sign * node.subtree_packets
+                nbytes += sign * node.subtree_bytes
+                flows += sign * node.subtree_flows
+    return Score(packets, nbytes, flows)
+
+
+def drilldown(
+    operands: Sequence[Operand], key: FlowKey
+) -> List[Tuple[FlowKey, Score]]:
+    """Child flows of an on-chain flow with their scores (Table II:
+    Drilldown), most popular first by the first tree's metric."""
+    first = _template(operands)
+    depth = first.policy.depth_of(key.levels)
+    if depth is None:
+        return []
+    found: Dict[Tuple[int, ...], List[int]] = {}
+    for sign, tree in operands:
+        node = tree._index[depth].get(key.values)
+        if node is None or not node.nchildren:
+            continue
+        for child in tree._index[depth + 1].values():
+            if child.parent is node:
+                counts = found.setdefault(child.values, [0, 0, 0])
+                counts[0] += sign * child.subtree_packets
+                counts[1] += sign * child.subtree_bytes
+                counts[2] += sign * child.subtree_flows
+    below = [
+        (_key(first, depth + 1, values), Score(*counts))
+        for values, counts in found.items()
+    ]
+    below.sort(
+        key=lambda pair: (-pair[1].metric(first.metric), pair[0].values)
+    )
+    return below
+
+
+def top_k(
+    operands: Sequence[Operand],
+    k: int,
+    depth: Optional[int] = None,
+    metric: Optional[str] = None,
+    within: Optional[FlowKey] = None,
+) -> List[Tuple[FlowKey, Score]]:
+    """The ``k`` most popular flows (Table II: Top-k).
+
+    ``depth`` selects the generalization level to rank (default: the
+    fully-specific leaf level).  ``within`` ranks only the flows under
+    a generalized key (a FlowQL ``WHERE``): the level is filtered
+    before it is ranked, so a restricted answer is as long as an
+    unrestricted one whenever the level holds ``k`` matching flows.
+    Ties break on key values so results are deterministic.  The
+    ``k``-th largest score is found first, so only the keys at or
+    above it are sorted.
+    """
+    if k <= 0:
+        return []
+    first = _template(operands)
+    depth = first.policy.depth if depth is None else depth
+    sums = _sums(operands, depth, _subtree_attr(metric or first.metric))
+    if within is not None:
+        sums = dict(_under(first, depth, within, sums.items()))
+    ranked = sums.items()
+    if len(sums) > k:
+        kth = heapq.nlargest(k, sums.values())[-1]
+        ranked = compress(ranked, map(le, repeat(kth), sums.values()))
+    best = sorted(ranked, key=lambda item: (-item[1], item[0]))[:k]
+    return [
+        (_key(first, depth, values), _score(operands, depth, values))
+        for values, _ in best
+    ]
+
+
+def above_x(
+    operands: Sequence[Operand],
+    x: int,
+    depth: Optional[int] = None,
+    metric: Optional[str] = None,
+    include_root: bool = False,
+    within: Optional[FlowKey] = None,
+) -> List[Tuple[FlowKey, Score]]:
+    """All flows with popularity above ``x`` (Table II: Above-x), most
+    popular first.
+
+    At one ``depth``, or at every depth but the root's (the root too
+    with ``include_root``).  ``within`` keeps only the flows under a
+    generalized key (a FlowQL ``WHERE``).
+    """
+    first = _template(operands)
+    attr = _subtree_attr(metric or first.metric)
+    depths = range(first.policy.depth + 1) if depth is None else (depth,)
+    found = []
+    for at in depths:
+        if at == 0 and not include_root:
+            continue
+        sums = _sums(operands, at, attr)
+        above = compress(sums.items(), map(lt, repeat(x), sums.values()))
+        found += [
+            (-count, values, at)
+            for values, count in _under(first, at, within, above)
+        ]
+    found.sort()
+    return [
+        (_key(first, at, values), _score(operands, at, values))
+        for _, values, at in found
+    ]
+
+
+def aggregate_by_feature(
+    operands: Sequence[Operand],
+    feature_name: str,
+    level: int,
+    metric: Optional[str] = None,
+    within: Optional[FlowKey] = None,
+) -> List[Tuple[FlowKey, Score]]:
+    """Group popularity by one generalized feature.
+
+    Answers questions like "bytes per source /8" or "traffic per
+    destination port": nodes at the shallowest canonical depth
+    specific enough for ``(feature_name, level)`` are grouped by the
+    feature's masked value (all other features wildcarded in the
+    returned keys).  ``within`` restricts the aggregation to flows
+    under a generalized key — e.g. sources attacking one victim.
+
+    Like off-chain :func:`query`, results are exact on uncompressed
+    trees and lower bounds after compression.
+    """
+    first = _template(operands)
+    schema = first.schema
+    index = schema.index_of(feature_name)
+    feature = schema.features[index]
+    wanted = [0] * len(schema)
+    wanted[index] = level
+    if within is not None:
+        wanted = [max(w, l) for w, l in zip(wanted, within.levels)]
+    depth = first.policy.shallowest_covering_depth(wanted)
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for sign, tree in operands:
+        for node in tree._index[depth].values():
+            if within is not None and not within.contains(tree.key_of(node)):
+                continue
+            group_values = [0] * len(schema)
+            group_values[index] = feature.mask(node.values[index], level)
+            counts = groups.setdefault(tuple(group_values), [0, 0, 0])
+            counts[0] += sign * node.subtree_packets
+            counts[1] += sign * node.subtree_bytes
+            counts[2] += sign * node.subtree_flows
+    levels = [0] * len(schema)
+    levels[index] = level
+    metric_name = metric or first.metric
+    results = [
+        (FlowKey(schema, values, tuple(levels)), Score(*counts))
+        for values, counts in groups.items()
+    ]
+    results.sort(
+        key=lambda pair: (-pair[1].metric(metric_name), pair[0].values)
+    )
+    return results
+
+
+def hhh(
+    operands: Sequence[Operand],
+    threshold: int,
+    metric: Optional[str] = None,
+) -> List[HHHResult]:
+    """Hierarchical heavy hitters (Table II: HHH).
+
+    Standard discounted definition: walking from the deepest keys
+    upward, a key is an HHH when its popularity *minus the popularity
+    of already-reported HHH descendants* meets the threshold.  The root
+    is included when the leftover, otherwise unattributed, mass is
+    itself substantial.
+
+    When every operand adds a tree that holds no negative counter, the
+    walk skips each key scoring below the threshold: it cannot be
+    reported, and it has no discount to pass up, since an HHH below it
+    would score at least the threshold and scores only grow toward the
+    root.  A Diff walks every key.
+    """
+    first = _template(operands)
+    metric_name = metric or first.metric
+    attr = _subtree_attr(metric_name)
+    prune = all(sign == 1 and not tree._negative for sign, tree in operands)
+    projectors = first._projectors
+    #: (-residual, values, -depth): ties on key values put the deeper
+    #: key first
+    found: List[Tuple[int, Tuple[int, ...], int]] = []
+    #: per key one depth up, the mass HHHs below it already account for
+    discounted: Dict[Tuple[int, ...], int] = {}
+    for depth in range(first.policy.depth, -1, -1):
+        sums = _sums(operands, depth, attr)
+        keys: Iterable[Tuple[Tuple[int, ...], int]] = sums.items()
+        if prune:
+            keys = compress(keys, map(le, repeat(threshold), sums.values()))
+        below, discounted = discounted, {}
+        for values, count in keys:
+            discount = below.get(values, 0)
+            residual = count - discount
+            if residual >= threshold:
+                found.append((-residual, values, -depth))
+                discount += residual
+            if discount and depth:
+                parent = projectors[depth - 1](values)
+                discounted[parent] = discounted.get(parent, 0) + discount
+    found.sort()
+    return [
+        HHHResult(
+            _key(first, -depth, values),
+            _score(operands, -depth, values),
+            Score(**{metric_name: -residual}),
+        )
+        for residual, values, depth in found
+    ]

@@ -85,11 +85,6 @@ class TransferRecord:
     duration: float
     hops: int
 
-    @property
-    def completed_at(self) -> float:
-        """When the last byte arrived."""
-        return self.started_at + self.duration
-
 
 class NetworkFabric:
     """The network overlaying a hierarchy, with full accounting."""
@@ -167,10 +162,6 @@ class NetworkFabric:
     def links(self) -> List[Link]:
         """All live links in the fabric."""
         return list(self._links.values())
-
-    def retired_links(self) -> List[Link]:
-        """Links removed by reconfiguration, with their history intact."""
-        return list(self._retired)
 
     def _all_links(self) -> List[Link]:
         return list(self._links.values()) + self._retired
@@ -265,15 +256,6 @@ class NetworkFabric:
     def wasted_bytes(self) -> int:
         """Bytes burned by failed transfer attempts across all links."""
         return sum(link.wasted_bytes for link in self._all_links())
-
-    def wan_wasted_bytes(self) -> int:
-        """Failed-attempt bytes on links whose upper endpoint is the root."""
-        root_path = self.hierarchy.root.location.path
-        return sum(
-            link.wasted_bytes
-            for link in self._all_links()
-            if link.upper.path == root_path
-        )
 
     def attempted_hops(self) -> int:
         """Hop traversals attempted (successful + faulted)."""

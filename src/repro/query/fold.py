@@ -1,12 +1,21 @@
-"""One window of one plan, folded into a Flowtree — resumably.
+"""One window of one plan, read as Flowtrees — resumably.
 
 A FlowQL answer over any sites and any span is ``compress(A1 ∪ A2 …)``
-followed by Diff (for ``VS``) and the Table II operator tail.
-:class:`WindowFold` is the one place that union is taken.  It owns
-everything needed to answer one window (FROM or VS) of one
+followed by Diff (for ``VS``) and the Table II operator tail.  Merge
+and Diff are exact sums until Compress runs, so the tail takes the
+window's trees as operands and sums them (:mod:`repro.flows.tree`);
+:class:`WindowFold` decides which trees those are.  It owns everything
+needed to answer one window (FROM or VS) of one
 :class:`~repro.query.plan.QueryPlan`: the ordered inputs it has
 consumed, the per-site partial trees they were folded into, and the
-top-level merge.
+trees that answer the window (:attr:`WindowFold.trees`).
+
+**The materialize rule.**  A window is held as its trees themselves,
+in union order, and :meth:`~repro.flows.tree.Flowtree.union` runs in
+two cases only: the union could compress (its node counts, less the
+roots they share, exceed the budget; a ``None`` budget never
+compresses), or a kept fold advances.  A window with one input is the
+one-operand case.
 
 * A **cold query** is a fold advanced once from empty and dropped.
 * A **standing query** is a list of folds kept and advanced at every
@@ -28,8 +37,9 @@ fold continues while they only grew past its prefix.
 
 Because a kept fold performs exactly the operations a fresh fold would
 append (same inputs, same order, same node budgets), compression fires
-at the same points and the two trees are equal — there is no second
-code path to keep identical.
+at the same points and the two answers are equal — there is no second
+code path to keep identical.  Where the fresh fold sums the inputs in
+place, the union the kept fold holds did not compress either.
 
 Every union is :meth:`~repro.flows.tree.Flowtree.union`, which
 states the input order (DESIGN §2); :meth:`WindowFold.inputs` lists
@@ -56,17 +66,18 @@ From empty, any of those leaves a fold that answers honestly — a
 failed link through the degraded fallback — but is not
 :attr:`~WindowFold.resumable`.
 
-**Only a writer copies.**  :attr:`WindowFold.tree` and a site partial
-may be a stored tree (a union's lone input); answering only reads.
-The one writer is a fold growing what it holds (:meth:`WindowFold.
-_grow`, the borrow rule).
+**Only a writer copies.**  A fold holds trees it never writes — the
+stored entries, partitions or replicas themselves — or a union it
+owns.  Answering only reads.  The one writer is a kept fold growing a
+union it owns (:meth:`WindowFold._grow`); a stored tree it holds is
+never extended, but unioned afresh with the new inputs, as a fresh
+fold that could compress builds it.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple,
-)
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flowtree import keyed
 from repro.errors import FlowQLPlanningError, TransferError
@@ -90,11 +101,28 @@ class FoldBroken(Exception):
 
 
 def answer(folds: Sequence["WindowFold"], query: FlowQLQuery) -> FlowQLResult:
-    """The query's result over its advanced folds (FROM, then VS)."""
-    tree = folds[0].tree
+    """The query's result over its advanced folds: FROM's trees added,
+    VS's subtracted."""
+    operands = [(1, tree) for tree in folds[0].trees]
     if len(folds) > 1:
-        tree = tree.diff(folds[1].tree)
-    return apply_operator(tree, query)
+        operands += [(-1, tree) for tree in folds[1].trees]
+    return apply_operator(operands, query)
+
+
+def _window(
+    inputs: List[Tuple[UnionKey, Flowtree]],
+    budget: Optional[int],
+    kept: bool,
+) -> List[Flowtree]:
+    """The trees that answer ``inputs`` (the materialize rule): the
+    inputs themselves, in union order — or their union, when a kept
+    fold advances or the union could compress."""
+    ordered = sorted(inputs, key=itemgetter(0))
+    trees = [tree for _, tree in ordered]
+    nodes = sum(tree.node_count for tree in trees) - (len(trees) - 1)
+    if kept or (budget is not None and nodes > budget):
+        return [Flowtree.union(ordered, budget)]
+    return trees
 
 
 class WindowFold:
@@ -111,17 +139,16 @@ class WindowFold:
         self.plan = plan
         self.query = query
         self.spec = spec
-        #: the window's tree (None until the first advance); read-only
-        self.tree: Optional[Flowtree] = None
+        #: the trees that answer the window, in union order (empty
+        #: until the first advance): stored trees, or one union this
+        #: fold owns; read-only to every caller
+        self.trees: List[Flowtree] = []
         #: whether a later advance can continue from the consumed prefix
         self.resumable = True
         #: the :meth:`inputs` the last advance consumed
         self.consumed: Dict[str, List] = {}
         #: federated route: store label -> its site partial
         self.site_trees: Dict[str, Flowtree] = {}
-        #: ids of the stored trees held as is (``tree`` or a site
-        #: partial), recorded when taken; copied before first extended
-        self.borrowed: Set[int] = set()
 
     def inputs(self) -> Dict[str, List]:
         """The window's current inputs, by id, in fold order.
@@ -188,49 +215,46 @@ class WindowFold:
     # -- cloud route ---------------------------------------------------------
 
     def _advance_cloud(self, entries: List["FlowDBEntry"]) -> None:
-        if self.tree is None and not entries:
+        if not self.trees and not entries:
             raise FlowQLPlanningError(
                 "no Flowtree summaries match the requested sites/window "
                 f"(locations={self.query.sites or None}, "
                 f"start={self.spec.start}, end={self.spec.end})"
             )
-        self.tree = self._grow(
-            self.tree,
+        self.trees = self._grow(
+            self.trees,
             [((e.interval.start, e.location), e.tree) for e in entries],
             len(self.consumed.get("", ())),
             self.planner.runtime.db.merge_node_budget,
         )
 
+    @staticmethod
     def _grow(
-        self,
-        held: Optional[Flowtree],
+        held: List[Flowtree],
         inputs: List[Tuple[UnionKey, Flowtree]],
         known: int,
         budget: Optional[int],
-    ) -> Flowtree:
-        """``held`` (None from empty), the union of ``inputs[:known]``,
-        grown by the rest — the one borrow rule.
+    ) -> List[Flowtree]:
+        """The trees answering ``inputs``, given ``held``: those that
+        answered ``inputs[:known]`` (none from empty).
 
-        A tree held as is (a union's lone input, recorded in
-        :attr:`borrowed` when taken) is never extended: it is unioned
-        afresh from every input, as a fresh fold builds it.
+        A union the fold owns — one held tree that is no input — grows
+        in place by the new inputs; anything else is read by the
+        materialize rule, so stored trees are never extended.
         """
-        if held is not None:
-            if known == len(inputs):
-                return held
-            if id(held) not in self.borrowed:
-                return Flowtree.union(inputs[known:], into=held)
-            self.borrowed.discard(id(held))
-        tree = Flowtree.union(inputs, budget)
-        if tree is inputs[0][1]:
-            self.borrowed.add(id(tree))
-        return tree
+        if held and known == len(inputs):
+            return held
+        if len(held) == 1 and all(
+            held[0] is not tree for _, tree in inputs[:known]
+        ):
+            return [Flowtree.union(inputs[known:], into=held[0])]
+        return _window(inputs, budget, kept=bool(held))
 
     # -- federated route -----------------------------------------------------
 
     def _cannot_resume(self, reason: str) -> None:
         """From empty: answer, but do not keep.  Kept: start over."""
-        if self.tree is not None:
+        if self.trees:
             raise FoldBroken(reason)
         self.resumable = False
 
@@ -291,25 +315,26 @@ class WindowFold:
                     if partial is None:
                         # from empty, the union shipped is the partial
                         [(_, partial)] = store_trees
-                        if partial is partitions[0].summary.payload:
-                            self.borrowed.add(id(partial))
                     else:
                         inputs = [keyed(p.summary) for p in partitions]
-                        partial = self._grow(
-                            partial, inputs, known, inputs[0][1].node_budget
+                        [partial] = self._grow(
+                            [partial], inputs, known,
+                            inputs[0][1].node_budget,
                         )
                         store_trees = [(inputs[0][0], partial)]
                     self.site_trees[label] = partial
             trees.extend(store_trees)
         budget = planner.runtime.db.merge_node_budget
         if trees:
-            if reads or self.tree is None:
-                self.tree = Flowtree.union(trees, budget)
+            if reads or not self.trees:
+                self.trees = _window(trees, budget, kept=bool(self.trees))
         elif degradation.is_degraded:
             # every covering store was unreachable: an honest empty
             # partial beats an exception — the degradation record
             # carries what is missing
-            self.tree = Flowtree(planner.runtime.policy, node_budget=budget)
+            self.trees = [
+                Flowtree(planner.runtime.policy, node_budget=budget)
+            ]
         else:
             raise FlowQLPlanningError(
                 f"no partitions at level {level!r} match the window "

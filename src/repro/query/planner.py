@@ -8,9 +8,9 @@ pieces meet:
 * **Routing** — a query whose sites/window the root FlowDB covers is
   planned onto the cloud route; otherwise the planner fans out to the
   shallowest store-bearing level whose stores cover the requested
-  sites.  Either way each window is assembled by one
-  :class:`~repro.query.fold.WindowFold` (Merge, then Diff for ``VS``)
-  and answered by the same Table II operator tail.
+  sites.  Either way each window is read by one
+  :class:`~repro.query.fold.WindowFold` and answered by the same
+  Table II operator tail, which sums FROM's trees less ``VS``'s.
 * **One front door** — query text goes through the planner's
   :class:`~repro.query.memo.QueryMemo`: text → (parsed query, plan,
   cache key), kept while the stores and topology it was planned on

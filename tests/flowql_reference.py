@@ -38,4 +38,4 @@ class FlowQLExecutor:
         tree = self._merged(query, query.time)
         if query.vs_time is not None:
             tree = tree.diff(self._merged(query, query.vs_time))
-        return apply_operator(tree, query)
+        return apply_operator([(1, tree)], query)

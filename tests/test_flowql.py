@@ -10,6 +10,7 @@ from tests.flowql_reference import FlowQLExecutor
 from repro.flowql.executor import apply_operator, compile_pattern
 from repro.flowql.lexer import tokenize
 from repro.flowql.parser import parse
+from repro.flows.flowkey import FlowKey
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
 from repro.runtime.presets import flat_runtime
@@ -286,7 +287,85 @@ class TestTopKWhere:
             for key, score in ranked
         ]
         assert expected
-        assert apply_operator(tree, query).rows == expected
+        assert apply_operator([(1, tree)], query).rows == expected
+
+
+#: how a record set splits into operands: one sign per operand; record
+#: ``i`` lands in operand ``i % len(signs)``
+SHAPES = {
+    "one tree": (1,),
+    "three operands": (1, 1, 1),
+    "VS": (1, 1, -1),
+}
+
+
+class TestExactAnswers:
+    """TOPK and ABOVE, with and without WHERE, over one tree, over
+    several operands and over a ``VS``, against a brute-force pass over
+    the records: every canonical generalization of every record, each
+    record's score times its operand's sign."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT TOPK(6) FROM ALL BY packets",
+            "SELECT TOPK(4) FROM ALL WHERE dst_port = 53 BY bytes",
+            "SELECT TOPK(5) FROM ALL WHERE src_ip = 128.0.0.0/1 BY flows",
+            "SELECT ABOVE(40) FROM ALL BY packets",
+            "SELECT ABOVE(30) FROM ALL WHERE proto = 17 BY packets",
+            "SELECT ABOVE(0) FROM ALL WHERE src_ip = 64.0.0.0/2 BY bytes",
+        ],
+    )
+    def test_equals_a_brute_force_pass_over_the_records(
+        self, policy, random_flows, text, shape
+    ):
+        signs = SHAPES[shape]
+        records = random_flows(240, seed=11)
+        records += random_flows(90, seed=11)[:50]  # repeated keys add up
+        trees = [Flowtree(policy, node_budget=None) for _ in signs]
+        for index, record in enumerate(records):
+            trees[index % len(signs)].ingest([record])
+        query = parse(text)
+        pattern = compile_pattern(trees[0], query.where)
+        topk = query.select.name == "topk"
+        depths = [policy.depth] if topk else range(1, policy.depth + 1)
+        sums = {}
+        for index, record in enumerate(records):
+            score = record.score()
+            if signs[index % len(signs)] < 0:
+                score = -score
+            for depth in depths:
+                key = FlowKey(
+                    policy.schema,
+                    policy.project(record.key.values, depth),
+                    policy.levels_at(depth),
+                )
+                if pattern is None or pattern.contains(key):
+                    sums[(depth, key)] = (
+                        sums.get((depth, key), Score.zero()) + score
+                    )
+        metric = query.metric
+        ranked = sorted(
+            sums.items(),
+            key=lambda item: (
+                -item[1].metric(metric), item[0][1].values, item[0][0]
+            ),
+        )
+        bound = int(query.select.args[0])
+        if topk:
+            ranked = ranked[:bound]
+        else:
+            ranked = [
+                item for item in ranked if item[1].metric(metric) > bound
+            ]
+        expected = [
+            (str(key), score.packets, score.bytes, score.flows)
+            for (_, key), score in ranked
+        ]
+        assert expected
+        operands = list(zip(signs, trees))
+        assert apply_operator(operands, query).rows == expected
 
 
 class TestFlowDB:

@@ -106,7 +106,7 @@ def test_flowdb_inserted_in_every_order(summaries, union):
         outcome = runtime.query(TEXT)
         assert outcome.plan.route == "cloud"
         wire = outcome.result.to_wire()
-        assert wire == apply_operator(merged, parse(TEXT)).to_wire()
+        assert wire == apply_operator([(1, merged)], parse(TEXT)).to_wire()
         answers.add(json.dumps(wire, sort_keys=True))
     assert len(answers) == 1
 

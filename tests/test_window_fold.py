@@ -5,10 +5,10 @@ Three contracts are pinned here.  A fold advanced once per close is
 tree-for-tree equal to a fresh fold advanced once (so delta == cold has
 no second code path to drift from); every sequence breaker names its
 reason on ``repro_subscribe_rebuilds_total`` and still answers exactly
-what a cold execution answers; and a fold's tree — which may be a
-stored entry, partition or replica payload — is never written through:
-a window with one input is answered on that input, and a kept fold
-unions what it borrowed afresh only when it first extends it.
+what a cold execution answers; and a fold's trees — which may be
+stored entries, partitions or replica payloads — are never written
+through: a window is answered on its inputs in place, and a kept fold
+unions what it held in place afresh only when it first extends it.
 """
 
 from __future__ import annotations
@@ -65,6 +65,24 @@ def cold(runtime, text):
     return planner.execute(text)
 
 
+def window_tree(fold):
+    """The fold's window as one tree: the union its operand sum stands
+    for (its one tree when it holds one)."""
+    return Flowtree.union(
+        [((index, ""), tree) for index, tree in enumerate(fold.trees)],
+        fold.planner.runtime.db.merge_node_budget,
+    )
+
+
+def stored_objects(runtime):
+    """Every FlowDB entry's and retained partition's tree, by id."""
+    trees = [e.tree for e in runtime.db.entries()]
+    for level in runtime.store_levels():
+        for store in runtime.stores_at_level(level).values():
+            trees += [p.summary.payload for p in store.catalog.all()]
+    return {id(tree): tree for tree in trees}
+
+
 def rebuild_reasons(runtime):
     """``repro_subscribe_rebuilds_total`` as ``{reason: count}``."""
     family = runtime.planner.subscriptions.metrics.rebuilds
@@ -91,8 +109,8 @@ class TestKeptEqualsFresh:
                 "SELECT TOTAL FROM ALL AT network1/region1",
                 ROUTE_FEDERATED, 100, 2, 4,
             ),
-            # first advanced after one close: the kept fold starts on a
-            # borrowed entry / partition, unioned afresh when first extended
+            # first advanced after one close: the kept fold starts on the
+            # stored entry / partition, unioned afresh when first extended
             (CLOUD_TOPK, ROUTE_CLOUD, 100, 1, 4),
             (AT_ROUTER1, ROUTE_FEDERATED, 150, 1, 10),
         ],
@@ -108,7 +126,8 @@ class TestKeptEqualsFresh:
         for fold in kept:
             fold.advance(planner.clock)
         if warmup == 1:
-            assert kept[0].borrowed == {id(kept[0].tree)}
+            [held] = kept[0].trees
+            assert stored_objects(runtime).get(id(held)) is held
         for epoch in range(warmup, warmup + closes):
             drive(runtime, 1, start=epoch, flows=flows)
             plan = planner.plan(query)
@@ -118,7 +137,9 @@ class TestKeptEqualsFresh:
                 assert old.resumable
                 old.advance(planner.clock)
                 new.advance(planner.clock)
-                assert old.tree.to_dict() == new.tree.to_dict()
+                assert (
+                    window_tree(old).to_dict() == window_tree(new).to_dict()
+                )
             assert (
                 answer(kept, query).to_wire()
                 == answer(fresh, query).to_wire()
@@ -143,7 +164,7 @@ class TestKeptEqualsFresh:
         cold_reads = fresh.advance(planner.clock)
         assert kept.resumable and fresh.resumable
         assert [len(read.partitions) for read in tail] == [2]
-        assert kept.tree.to_dict() == fresh.tree.to_dict()
+        assert window_tree(kept).to_dict() == window_tree(fresh).to_dict()
         assert kept.consumed == fresh.consumed == fresh.inputs()
         assert [read.shipped_bytes for read in first + tail] == [
             94_824, 93_960,
@@ -305,7 +326,8 @@ class TestReadOnlyTrees:
         query = parse(text)
         fold = WindowFold(planner, planner.plan(query), query, query.time)
         fold.advance(planner.clock)
-        assert fold.tree is payload  # aliased, not copied
+        [held] = fold.trees
+        assert held is payload  # aliased, not copied
         assert not fold.resumable
 
         for tail in (
@@ -402,8 +424,8 @@ class TestBorrowedInputs:
         counts = count_tree_work(monkeypatch)
         fold = WindowFold(planner, plan, query, query.time)
         fold.advance(planner.clock)
-        assert fold.tree is stored
-        assert fold.borrowed == {id(stored)}
+        [held] = fold.trees
+        assert held is stored
         outcome = cold(runtime, text)
         assert counts == {"trees": 0, "copies": 0, "nodes": 0}
         if route == ROUTE_FEDERATED:
@@ -462,13 +484,18 @@ class TestStoredTreesNeverWritten:
                 snapshot.setdefault(key, tree)
 
         close(1, 0)
-        # both standing queries start on borrowed trees, and union
+        # both standing queries start on the stored trees, and union
         # them afresh at the next close, when they first extend them
         standing = {
             text: runtime.subscribe("SUBSCRIBE " + text)
             for text in (CLOUD_TOPK, AT_ROUTER1)
         }
-        assert all(sub.views[0].borrowed for sub in standing.values())
+        stored = stored_objects(runtime)
+        assert all(
+            stored.get(id(tree)) is tree
+            for sub in standing.values()
+            for tree in sub.views[0].trees
+        )
         close(1, 1)
         for text, route in self.COLD:
             outcome = cold(runtime, text)
