@@ -66,12 +66,12 @@ class DDoSInvestigationApp(Application):
     def __init__(
         self,
         sites: List[Location],
+        planner,
         epoch_seconds: float = 60.0,
         surge_factor: float = 5.0,
         min_surge_bytes: int = 1_000_000,
         node_budget: int = 8192,
         controllers: Optional[Dict[str, Controller]] = None,
-        planner=None,
     ) -> None:
         super().__init__("ddos-investigation")
         self.sites = sites
@@ -80,10 +80,10 @@ class DDoSInvestigationApp(Application):
         self.min_surge_bytes = min_surge_bytes
         self.node_budget = node_budget
         self.controllers = controllers or {}
-        #: optional federated query planner
-        #: (:class:`~repro.query.planner.FederatedQueryPlanner`) — when
-        #: wired, drilldowns go through the unified query plane, which
-        #: serves replicas locally and feeds the replication engine
+        #: the federated query planner
+        #: (:class:`~repro.query.planner.FederatedQueryPlanner`):
+        #: drilldowns go through the unified query plane, which serves
+        #: replicas locally and feeds the replication engine
         self.planner = planner
         self.policy = victim_first_policy()
         self.findings: List[DDoSFinding] = []
@@ -107,30 +107,18 @@ class DDoSInvestigationApp(Application):
         ]
 
     def _window_tree(
-        self, manager: Manager, site: Location, start: float, end: float,
-        now: float,
+        self, site: Location, start: float, end: float, now: float
     ) -> Optional[Flowtree]:
-        if self.planner is not None:
-            return self.planner.window_tree(
-                site, start, end,
-                aggregator=self.aggregator_name(site), now=now,
-            )
-        # standalone fallback (no query plane): read the covering store
-        store = manager.covering_store(site)
-        summary, _ = store.window_summary(
-            self.aggregator_name(site), start, end, now=now
+        return self.planner.window_tree(
+            site, start, end, aggregator=self.aggregator_name(site), now=now
         )
-        return summary.payload if summary is not None else None
 
     def investigate_site(
-        self, manager: Manager, site: Location, now: float
+        self, site: Location, now: float
     ) -> List[DDoSFinding]:
         """Compare the last two epochs at one site."""
-        current = self._window_tree(
-            manager, site, now - self.epoch_seconds, now, now
-        )
+        current = self._window_tree(site, now - self.epoch_seconds, now, now)
         baseline = self._window_tree(
-            manager,
             site,
             now - 2 * self.epoch_seconds,
             now - self.epoch_seconds,
@@ -191,7 +179,7 @@ class DDoSInvestigationApp(Application):
     def on_epoch(self, manager: Manager, now: float) -> List[AppReport]:
         emitted: List[AppReport] = []
         for site in self.sites:
-            for finding in self.investigate_site(manager, site, now):
+            for finding in self.investigate_site(site, now):
                 self.findings.append(finding)
                 mitigated = self._mitigate(finding, now)
                 emitted.append(

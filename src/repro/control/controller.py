@@ -106,13 +106,6 @@ class Controller:
                 )
         self._rules[rule.rule_id] = rule
 
-    def remove_rule(self, rule_id: str) -> ControlRule:
-        """Uninstall a rule."""
-        try:
-            return self._rules.pop(rule_id)
-        except KeyError as exc:
-            raise RuleConflictError(f"unknown rule id {rule_id!r}") from exc
-
     def rules(self) -> List[ControlRule]:
         """All installed rules."""
         return list(self._rules.values())

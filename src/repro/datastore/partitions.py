@@ -50,15 +50,6 @@ class Partition:
         """Log one read."""
         self.accesses.append(PartitionAccess(time, result_bytes, remote))
 
-    def remote_bytes_served(self) -> int:
-        """Total result bytes shipped to remote stores so far —
-        the 'rent paid' in ski-rental terms."""
-        return sum(a.result_bytes for a in self.accesses if a.remote)
-
-    def remote_access_count(self) -> int:
-        """Number of remote reads so far."""
-        return sum(1 for a in self.accesses if a.remote)
-
     @staticmethod
     def fresh_id(aggregator: str) -> str:
         """Generate a unique partition id."""

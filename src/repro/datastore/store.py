@@ -25,7 +25,6 @@ from repro.datastore.recombine import combine_summaries
 from repro.datastore.storage import StorageStrategy
 from repro.datastore.triggers import (
     RawTrigger,
-    SummaryTrigger,
     TriggerEngine,
     TriggerSink,
 )
@@ -239,10 +238,6 @@ class DataStore:
     def install_raw_trigger(self, trigger: RawTrigger) -> None:
         """Install a per-item trigger."""
         self.triggers.install_raw(trigger)
-
-    def install_summary_trigger(self, trigger: SummaryTrigger) -> None:
-        """Install an epoch-summary trigger."""
-        self.triggers.install_summary(trigger)
 
     def subscribe_triggers(self, sink: TriggerSink) -> None:
         """Route trigger firings to a controller."""

@@ -16,18 +16,19 @@ structural reconfiguration op — ``site_join``, ``site_leave``,
 ``level_split``, ``level_merge``, ``migrate_store`` — bumps the
 generation, which is what lets downstream caches invalidate correctly:
 the :class:`~repro.query.cache.QueryCache` keys answers on it, and
-the obs bridge exports it as ``repro_topology_generation``.  An
-adaptive node-budget resize does **not** bump it: a budget changes
-compression, not coverage, so no cached plan goes stale.
+the ``repro_topology_generation`` row of :mod:`repro.obs.bridge`
+reads it at collection time.  An adaptive node-budget resize does
+**not** bump it: a budget changes compression, not coverage, so no
+cached plan goes stale.
 
 The model also keeps the reconfiguration **ledger**: per-op counts
 (budget resizes included), each level's last budget resize, bytes of
 summary state migrated across the fabric, and the in-flight migrations
-still awaiting redelivery — the source of the ``repro_reconfig_*``
-metric families and the ``repro topology`` CLI census.  A run that
-issues zero reconfig ops never bumps the generation, and the runtime's
-derived views are bit-identical to the pre-elastic construction-time
-constants.
+still awaiting redelivery — what the ``repro_reconfig_*`` rows of
+:mod:`repro.obs.bridge` and the ``repro topology`` CLI census read.  A
+run that issues zero reconfig ops never bumps the generation, and the
+runtime's derived views are bit-identical to the pre-elastic
+construction-time constants.
 """
 
 from __future__ import annotations

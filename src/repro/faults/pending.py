@@ -92,10 +92,6 @@ class PendingExportQueue:
     def pending_bytes(self) -> int:
         return sum(entry.size_bytes for entry in self.entries)
 
-    @property
-    def pending_items(self) -> int:
-        return sum(entry.items for entry in self.entries)
-
     # -- durability --------------------------------------------------------
 
     def to_state(

@@ -221,15 +221,6 @@ class FlowDB:
         selected.sort(key=lambda e: (e.interval.start, e.location))
         return selected
 
-    def time_span(self) -> Optional[TimeInterval]:
-        """The interval covered by all entries (None when empty)."""
-        if not self._entries:
-            return None
-        return TimeInterval(
-            min(e.interval.start for e in self._entries),
-            max(e.interval.end for e in self._entries),
-        )
-
     # -- merged views ---------------------------------------------------------
 
     def merged_tree(

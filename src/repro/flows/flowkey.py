@@ -22,7 +22,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -73,15 +72,6 @@ class FeatureSchema:
     def max_levels(self) -> Tuple[int, ...]:
         """The level vector of a fully-specific key."""
         return tuple(feature.max_level for feature in self.features)
-
-    def parse_values(self, raw: Mapping[str, str]) -> Tuple[int, ...]:
-        """Parse a textual feature map into an ordered value tuple."""
-        missing = [f.name for f in self.features if f.name not in raw]
-        if missing:
-            raise SchemaError(
-                f"schema {self.name!r} is missing features {missing}"
-            )
-        return tuple(feature.parse(raw[feature.name]) for feature in self.features)
 
     def key(self, **values: Union[int, str]) -> "FlowKey":
         """Build a fully-specific :class:`FlowKey`.
@@ -161,30 +151,23 @@ class FlowKey:
         levels[index] = level
         return FlowKey(self.schema, self.values, tuple(levels))
 
-    def with_levels(self, levels: Sequence[int]) -> "FlowKey":
-        """Return a copy generalized to the given level vector."""
-        for old, new in zip(self.levels, levels):
-            if new > old:
-                raise GranularityError(
-                    "cannot specialize a generalized key "
-                    f"(levels {self.levels} -> {tuple(levels)})"
-                )
-        return FlowKey(self.schema, self.values, tuple(levels))
-
     def contains(self, other: "FlowKey") -> bool:
         """True if ``other`` is this key or a specialization of it.
 
         A key ``a.b.c.0/24`` contains every key whose address falls in
         that prefix, feature by feature.
         """
-        if self.schema.name != other.schema.name:
-            return False
+        return self.schema.name == other.schema.name and self.covers(
+            other.values, other.levels
+        )
+
+    def covers(
+        self, values: Tuple[int, ...], levels: Tuple[int, ...]
+    ) -> bool:
+        """:meth:`contains` for the key ``(values, levels)`` of this
+        schema, tested on its values without building it."""
         for feature, value, level, other_value, other_level in zip(
-            self.schema.features,
-            self.values,
-            self.levels,
-            other.values,
-            other.levels,
+            self.schema.features, self.values, self.levels, values, levels
         ):
             if level > other_level:
                 return False
@@ -199,14 +182,6 @@ class FlowKey:
     def feature_level(self, feature_name: str) -> int:
         """The mask level of a single feature."""
         return self.levels[self.schema.index_of(feature_name)]
-
-    def is_fully_general(self) -> bool:
-        """True for the all-wildcard key."""
-        return all(level == 0 for level in self.levels)
-
-    def is_fully_specific(self) -> bool:
-        """True if no feature has been generalized."""
-        return self.levels == self.schema.max_levels()
 
     def __str__(self) -> str:
         rendered = ", ".join(

@@ -10,7 +10,7 @@ any combination can be queried after the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.flows.flowkey import FlowKey
@@ -135,22 +135,3 @@ class PacketRecord:
         return Score(packets=1, bytes=self.bytes, flows=0).scale(
             self.sampled_1_in
         )
-
-
-@dataclass
-class EpochStats:
-    """Running totals for one ingest epoch, kept by stream consumers."""
-
-    records: int = 0
-    packets: int = 0
-    bytes: int = 0
-    start: float = field(default=float("inf"))
-    end: float = field(default=float("-inf"))
-
-    def observe(self, record: FlowRecord) -> None:
-        """Fold one flow record into the totals."""
-        self.records += 1
-        self.packets += record.packets
-        self.bytes += record.bytes
-        self.start = min(self.start, record.first_seen)
-        self.end = max(self.end, record.last_seen)

@@ -218,10 +218,6 @@ class FlowtreeNode:
         """The node's identity within its tree."""
         return (self.depth, self.values)
 
-    def is_leaf(self) -> bool:
-        """True when no live node currently hangs under this one."""
-        return not self.nchildren
-
     # -- Score views ----------------------------------------------------
 
     @property
@@ -1308,12 +1304,8 @@ def _under(
     keys = list(keys)
     if not keys:  # a depth off the chain holds none
         return keys
-    schema, levels = tree.schema, tree.policy.levels_at(depth)
-    return [
-        item
-        for item in keys
-        if within.contains(FlowKey(schema, item[0], levels))
-    ]
+    levels = tree.policy.levels_at(depth)
+    return [item for item in keys if within.covers(item[0], levels)]
 
 
 def total(operands: Sequence[Operand]) -> Score:
@@ -1341,10 +1333,11 @@ def query(operands: Sequence[Operand], key: FlowKey) -> Score:
     if node_depth is not None:
         return _score(operands, node_depth, key.values)
     depth = first.policy.shallowest_covering_depth(key.levels)
+    levels = first.policy.levels_at(depth)
     packets = nbytes = flows = 0
     for sign, tree in operands:
         for node in tree._index[depth].values():
-            if key.contains(tree.key_of(node)):
+            if key.covers(node.values, levels):
                 packets += sign * node.subtree_packets
                 nbytes += sign * node.subtree_bytes
                 flows += sign * node.subtree_flows
@@ -1480,10 +1473,13 @@ def aggregate_by_feature(
     if within is not None:
         wanted = [max(w, l) for w, l in zip(wanted, within.levels)]
     depth = first.policy.shallowest_covering_depth(wanted)
+    depth_levels = first.policy.levels_at(depth)
     groups: Dict[Tuple[int, ...], List[int]] = {}
     for sign, tree in operands:
         for node in tree._index[depth].values():
-            if within is not None and not within.contains(tree.key_of(node)):
+            if within is not None and not within.covers(
+                node.values, depth_levels
+            ):
                 continue
             group_values = [0] * len(schema)
             group_values[index] = feature.mask(node.values[index], level)

@@ -257,14 +257,6 @@ class NetworkFabric:
         """Bytes burned by failed transfer attempts across all links."""
         return sum(link.wasted_bytes for link in self._all_links())
 
-    def attempted_hops(self) -> int:
-        """Hop traversals attempted (successful + faulted)."""
-        return sum(link.attempts for link in self._all_links())
-
-    def failed_hops(self) -> int:
-        """Hop traversals refused by the fault plan."""
-        return sum(link.failures for link in self._all_links())
-
     def reset_accounting(self) -> None:
         """Zero all counters (between experiment phases)."""
         for link in self._all_links():

@@ -13,18 +13,20 @@ Two design rules keep it honest:
 * **Zero behavioral footprint** — instrumentation never changes what
   the runtime does; byte counters, WAN volume, and query answers are
   bit-identical with observability on, off, or absent.
-* **One source of truth** — the hand-rolled
-  :class:`~repro.runtime.stats.VolumeStats` counters stay the in-process
-  accounting; the registry's volume families are synced from them (and
-  from the fabric's per-link fields and the query cache) in lockstep at
-  every collection, so the exposition can never drift from the counters
-  the tests and benchmarks pin.  Only latency histograms and span trees
-  are event-fed, because they cannot be reconstructed after the fact.
+* **One source of truth** — every family is one row of one table
+  (:mod:`repro.obs.bridge`).  A counter or gauge reads the count its
+  component already keeps (:class:`~repro.runtime.stats.VolumeStats`,
+  the fabric's links, the query cache, a node server's statuses, the
+  subscription registry) at every collection, so the exposition can
+  never drift from the counters the tests and benchmarks pin.  Only
+  latency histograms and span trees are event-fed, because they cannot
+  be reconstructed after the fact.
 """
 
 from repro.obs.export import parse_prometheus, render_prometheus
 from repro.obs.metrics import (
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricFamily,
@@ -35,6 +37,7 @@ from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricFamily",

@@ -3,11 +3,12 @@
 The model is deliberately Prometheus-shaped: a :class:`MetricFamily`
 owns a name, a help string, and a tuple of label names; each distinct
 label-value combination materializes one child series on first use.
-:class:`MetricsRegistry` holds the families and a list of *collectors*
-— callbacks run before every collection that sync sourced families
-from authoritative in-process state (``VolumeStats``, fabric links,
-the query cache), which is how the exposition stays in lockstep with
-the counters the rest of the repository pins.
+:class:`MetricsRegistry` holds the families and, for each *sourced*
+family, the read that syncs it from the count a component already
+keeps (``VolumeStats``, fabric links, the query cache, a node server's
+statuses): one loop runs every read at collection time, which is how
+the exposition stays in lockstep with the counters the rest of the
+repository pins.
 
 No external client library is used (the container has none); the
 subset implemented here — counter, gauge, cumulative-bucket histogram,
@@ -20,7 +21,16 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import PlacementError
 
@@ -53,15 +63,6 @@ class Counter:
                 f"counters only go up; got inc({amount})"
             )
         self.value += amount
-
-    def set_from_source(self, value: float) -> None:
-        """Overwrite from authoritative state (collector use only).
-
-        Sourced counter families are synced wholesale from in-process
-        accounting at collection time; this bypasses the monotonicity
-        guard because the *source* is the monotone quantity.
-        """
-        self.value = value
 
 
 class Gauge:
@@ -151,27 +152,45 @@ class MetricFamily:
                 f"metric {self.name!r} takes labels "
                 f"{list(self.labelnames)}, got {sorted(labels)}"
             )
-        key = tuple(str(labels[name]) for name in self.labelnames)
-        child = self._children.get(key)
+        return self.child(
+            tuple(str(labels[name]) for name in self.labelnames)
+        )
+
+    def child(self, values: Tuple[str, ...]):
+        """The child series for label values in ``labelnames`` order."""
+        child = self._children.get(values)
         if child is None:
-            child = self._children[key] = self._make_child()
+            child = self._children[values] = self._make_child()
         return child
 
     def series(self) -> List[Tuple[Tuple[str, ...], object]]:
         """Every ``(label values, child)`` pair, insertion order."""
         return list(self._children.items())
 
-    def clear(self) -> None:
-        """Drop every child series (sourced families re-fill on sync)."""
-        self._children.clear()
+
+#: a sourced family's read: component -> ``(label values, value)`` pairs
+Read = Callable[[Any], Iterable[Tuple[Tuple[str, ...], float]]]
+
+
+class Family(NamedTuple):
+    """One row of a family table (:mod:`repro.obs.bridge`): a counter or
+    gauge has the ``read`` of its component's census count, a histogram
+    has none and is fed at its event."""
+
+    name: str
+    kind: str
+    labels: Tuple[str, ...]
+    read: Optional[Read]
+    help: str
+    buckets: Tuple[float, ...] = DEFAULT_BUCKETS
 
 
 class MetricsRegistry:
-    """All metric families plus the collectors that keep them fresh."""
+    """All metric families plus the reads that keep the sourced fresh."""
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
-        self._collectors: List[Callable[[], None]] = []
+        self._sources: List[Tuple[MetricFamily, Read, Any]] = []
 
     # -- family registration -------------------------------------------------
 
@@ -234,14 +253,19 @@ class MetricsRegistry:
 
     # -- collection ----------------------------------------------------------
 
-    def add_collector(self, collector: Callable[[], None]) -> None:
-        """Register a sync callback run before every collection."""
-        self._collectors.append(collector)
+    def install(self, rows: Iterable[Family], component: Any) -> None:
+        """Declare every row; sourced rows read ``component`` when
+        collected."""
+        for name, kind, labels, read, help_text, buckets in rows:
+            family = self._register(name, help_text, kind, labels, buckets)
+            if read is not None:
+                self._sources.append((family, read, component))
 
     def collect(self) -> List[MetricFamily]:
         """Sync sourced families, then return every family."""
-        for collector in self._collectors:
-            collector()
+        for family, read, component in self._sources:
+            for values, value in read(component):
+                family.child(values).value = value
         return list(self._families.values())
 
     def snapshot(self) -> Dict[str, dict]:

@@ -4,8 +4,8 @@
 MetricsRegistry` and one :class:`~repro.obs.tracing.Tracer` behind an
 ``enabled`` flag.  The runtime, planner, and fabric take this object
 (or build an enabled one by default) and never check the flag
-themselves: a disabled instance hands out no-op spans and keeps the
-registry empty of collectors, so the disabled path is the honest
+themselves: a disabled instance hands out no-op spans and installs
+no family rows, so the disabled path is the honest
 uninstrumented baseline (``tests/test_obs.py`` pins it identical).
 """
 
@@ -36,12 +36,18 @@ class Observability:
         """Open a span (no-op context when disabled)."""
         return self.tracer.span(name, **attrs)
 
+    def install(self, rows, component) -> None:
+        """Install a component's family rows (:mod:`repro.obs.bridge`),
+        if enabled."""
+        if self.enabled:
+            self.registry.install(rows, component)
+
     def observe(self, family_name: str, value: float, **labels) -> None:
         """Record one histogram observation, if enabled and registered.
 
-        Event-fed histograms (rollup/query/ingest latency) funnel
-        through here so call sites stay one line and the disabled path
-        costs a single attribute check.
+        The five event-fed latency histograms funnel through here, so
+        call sites stay one line and the disabled path costs a single
+        attribute check.
         """
         if not self.enabled:
             return

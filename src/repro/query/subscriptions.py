@@ -45,29 +45,17 @@ from typing import (
     Tuple,
     Union,
 )
-from collections import deque
+from collections import Counter, deque
 
 from repro.errors import FlowQLPlanningError, WireSchemaError
 from repro.flowql.ast import FlowQLQuery
 from repro.flowql.executor import FlowQLResult
+from repro.obs.bridge import SUBSCRIBE_REFRESH_SECONDS
 from repro.query.fold import WindowFold
 from repro.query.plan import ROUTE_FEDERATED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.query.planner import FederatedQueryPlanner
-
-#: ``repro_subscribe_*`` metric family names
-ACTIVE = "repro_subscribe_active"
-UPDATES_TOTAL = "repro_subscribe_updates_total"
-REFRESH_SECONDS = "repro_subscribe_refresh_seconds"
-SHIPPED_BYTES_TOTAL = "repro_subscribe_shipped_bytes_total"
-REBUILDS_TOTAL = "repro_subscribe_rebuilds_total"
-
-#: refresh-latency buckets: sub-millisecond deltas up to full rebuilds
-_REFRESH_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
-)
 
 #: updates kept per subscription for cursor resume
 HISTORY = 64
@@ -205,61 +193,6 @@ class Subscription:
         self.callbacks.append(callback)
 
 
-class SubscribeMetrics:
-    """``repro_subscribe_*`` families; a no-op shell when obs is off."""
-
-    def __init__(self, obs) -> None:
-        self.enabled = obs.enabled
-        if not self.enabled:
-            return
-        registry = obs.registry
-        self.active = registry.gauge(
-            ACTIVE, "Standing queries currently registered"
-        )
-        self.updates = registry.counter(
-            UPDATES_TOTAL,
-            "Subscription updates published, by mode "
-            "(init, delta, rebuild)",
-            ("mode",),
-        )
-        self.refresh_seconds = registry.histogram(
-            REFRESH_SECONDS,
-            "Per-subscription refresh latency at each epoch close",
-            buckets=_REFRESH_BUCKETS,
-        )
-        self.shipped = registry.counter(
-            SHIPPED_BYTES_TOTAL,
-            "Fabric bytes moved by subscription refreshes",
-        )
-        self.rebuilds = registry.counter(
-            REBUILDS_TOTAL,
-            "Full view rebuilds, by reason (generation, entry-prefix, "
-            "partition-prefix, replica-served, privacy-guard, "
-            "degraded, route-changed)",
-            ("reason",),
-        )
-
-    def published(
-        self, mode: str, seconds: float, shipped_bytes: int
-    ) -> None:
-        if not self.enabled:
-            return
-        self.updates.labels(mode=mode).inc()
-        self.refresh_seconds.labels().observe(seconds)
-        if shipped_bytes:
-            self.shipped.labels().inc(shipped_bytes)
-
-    def rebuild(self, reason: str) -> None:
-        if not self.enabled:
-            return
-        self.rebuilds.labels(reason=reason).inc()
-
-    def set_active(self, count: int) -> None:
-        if not self.enabled:
-            return
-        self.active.labels().set(count)
-
-
 class SubscriptionRegistry:
     """Every standing query of one planner, refreshed at epoch closes."""
 
@@ -268,16 +201,29 @@ class SubscriptionRegistry:
         self._subscriptions: Dict[str, Subscription] = {}
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self.metrics = SubscribeMetrics(planner.runtime.obs)
-        #: lifetime census (the benchmark and ``/healthz`` read these)
-        self.updates_published = 0
-        self.rebuilds = 0
-        self.delta_refreshes = 0
+        self._obs = planner.runtime.obs
+        #: lifetime census (the benchmark, ``/healthz`` and the
+        #: ``repro_subscribe_*`` families read these): updates published
+        #: by mode, and view rebuilds by reason
+        self.updates_by_mode: Counter = Counter()
+        self.rebuild_reasons: Counter = Counter()
         self.shipped_bytes_total = 0
         self.refresh_seconds_total = 0.0
 
     def __len__(self) -> int:
         return len(self._subscriptions)
+
+    @property
+    def updates_published(self) -> int:
+        return sum(self.updates_by_mode.values())
+
+    @property
+    def delta_refreshes(self) -> int:
+        return self.updates_by_mode[MODE_DELTA]
+
+    @property
+    def rebuilds(self) -> int:
+        return self.updates_by_mode[MODE_REBUILD]
 
     # -- registration --------------------------------------------------------
 
@@ -316,7 +262,6 @@ class SubscriptionRegistry:
                 self._refresh(subscription, now)
             except FlowQLPlanningError:
                 pass  # nothing to materialize yet; retry at each close
-            self.metrics.set_active(len(self._subscriptions))
         return subscription
 
     def get(self, subscription_id: str) -> Optional[Subscription]:
@@ -329,7 +274,6 @@ class SubscriptionRegistry:
             if subscription is None:
                 return False
             subscription.active = False
-            self.metrics.set_active(len(self._subscriptions))
             self._cond.notify_all()
             return True
 
@@ -371,19 +315,18 @@ class SubscriptionRegistry:
         kept = subscription.views
         mode = MODE_INIT if kept is None else MODE_DELTA
         if kept is not None and generation != subscription.generation:
-            self.metrics.rebuild("generation")
+            self.rebuild_reasons["generation"] += 1
             kept, mode = None, MODE_REBUILD
         plan = planner.plan(query)
         folds, result, degradation, broken = planner.fold(
             query, plan, now, kept
         )
         if broken is not None:
-            self.metrics.rebuild(broken)
+            self.rebuild_reasons[broken] += 1
             mode = MODE_REBUILD
         degraded = degradation.is_degraded
         if mode == MODE_DELTA:
             subscription.delta_refreshes += 1
-            self.delta_refreshes += 1
         elif all(fold.resumable for fold in folds):
             subscription.views = folds
             subscription.generation = generation
@@ -392,10 +335,9 @@ class SubscriptionRegistry:
             # unmaterialized and fold from empty again next boundary
             subscription.views = None
             if degraded:
-                self.metrics.rebuild("degraded")
+                self.rebuild_reasons["degraded"] += 1
         if mode == MODE_REBUILD:
             subscription.rebuilds += 1
-            self.rebuilds += 1
         self._publish(
             subscription,
             result,
@@ -443,10 +385,10 @@ class SubscriptionRegistry:
             subscription.updates.append(update)
             subscription.last_result = result
             subscription.shipped_bytes_total += shipped
-            self.updates_published += 1
+            self.updates_by_mode[mode] += 1
             self.shipped_bytes_total += shipped
             self.refresh_seconds_total += elapsed
-            self.metrics.published(mode, elapsed, shipped)
+            self._obs.observe(SUBSCRIBE_REFRESH_SECONDS, elapsed)
             self._cond.notify_all()
         for callback in list(subscription.callbacks):
             try:

@@ -45,7 +45,7 @@ from typing import (
 from repro.control.controller import Controller
 from repro.control.manager import Manager
 from repro.core.flowtree import FlowtreePrimitive
-from repro.core.registry import PrimitiveRegistry, default_registry
+from repro.core.registry import default_registry
 from repro.core.summary import Location
 from repro.datastore.aggregator import Aggregator
 from repro.datastore.store import DataStore
@@ -53,7 +53,6 @@ from repro.errors import PlacementError, SchemaMismatchError
 from repro.faults import (
     FaultPlan,
     PendingExport,
-    PendingExportQueue,
     RetryPolicy,
 )
 from repro.elastic import TopologyModel
@@ -63,11 +62,7 @@ from repro.flows.records import PacketRecord
 from repro.hierarchy.network import NetworkFabric
 from repro.hierarchy.topology import Hierarchy, HierarchyNode, LevelSpec
 from repro.obs import Observability
-from repro.obs.bridge import (
-    INGEST_SECONDS,
-    ROLLUP_SECONDS,
-    install_runtime_metrics,
-)
+from repro.obs.bridge import INGEST_SECONDS, ROLLUP_SECONDS, RUNTIME
 from repro.query.plan import QueryOutcome
 from repro.query.planner import FederatedQueryPlanner
 from repro.runtime.checkpoint import commit, kill, recover
@@ -101,6 +96,9 @@ _GROW_COMPRESSIONS = 2.0
 _SHRINK_FULLNESS = 0.25
 _MIN_BUDGET = 64
 _MAX_BUDGET = 1 << 20
+
+#: bytes one raw record is charged at the edge when an ingest names none
+_RAW_RECORD_BYTES = 48
 
 
 def _resized(
@@ -229,10 +227,6 @@ class HierarchyRuntime:
         policy: Optional[GeneralizationPolicy] = None,
         epoch_seconds: float = 60.0,
         merge_node_budget: Optional[int] = 65536,
-        fabric: Optional[NetworkFabric] = None,
-        db: Optional[FlowDB] = None,
-        registry: Optional[PrimitiveRegistry] = None,
-        raw_record_bytes: int = 48,
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         observability: Optional[Observability] = None,
@@ -254,8 +248,7 @@ class HierarchyRuntime:
         self.model = TopologyModel(hierarchy, dict(levels))
         self.policy = policy or GeneralizationPolicy.default_for(schema)
         self.epoch_seconds = epoch_seconds
-        self.raw_record_bytes = raw_record_bytes
-        self.fabric = fabric or NetworkFabric(hierarchy)
+        self.fabric = NetworkFabric(hierarchy)
         self.retry_policy = retry_policy or RetryPolicy()
         #: metrics + tracing; pass ``Observability.disabled()`` for the
         #: uninstrumented baseline
@@ -266,15 +259,11 @@ class HierarchyRuntime:
         self._last_close = 0.0
         if faults is not None:
             self.inject_faults(faults)
-        if db is None:
-            db = FlowDB(merge_node_budget=merge_node_budget, engine=storage)
-        elif storage is not None:
-            db.engine = storage
-        self.db = db
+        self.db = FlowDB(merge_node_budget=merge_node_budget, engine=storage)
         #: the storage seam shared with FlowDB: summaries land in its
         #: record log, runtime state in its manifest (memory by default)
-        self.engine = db.engine
-        self.registry = registry or default_registry()
+        self.engine = self.db.engine
+        self.registry = default_registry()
         self._stores: Dict[str, DataStore] = {}  # by location path
         self.manager = Manager(self._stores, registry=self.registry)
         self.controllers: Dict[str, Controller] = {}
@@ -303,7 +292,7 @@ class HierarchyRuntime:
         self.planner = FederatedQueryPlanner(self)
         # opening over an engine that holds a checkpoint *is* recovery
         recover(self)
-        install_runtime_metrics(self.obs, self)
+        self.obs.install(RUNTIME, self)
 
     # -- the topology seam ---------------------------------------------------
 
@@ -576,10 +565,6 @@ class HierarchyRuntime:
         """Exports parked across all stores, awaiting redelivery."""
         return sum(len(queue) for queue in self.exports.queues.values())
 
-    def pending_queue(self, site: str) -> PendingExportQueue:
-        """The pending-export queue of one store (by site label)."""
-        return self.exports.queue_for(self.store_for(site))
-
     # -- data path -----------------------------------------------------------
 
     def ingest(
@@ -614,7 +599,7 @@ class HierarchyRuntime:
                     f"unknown site {site!r}; known: {sorted(self._ingestible)}"
                 )
             started = time.perf_counter()
-            size = self.raw_record_bytes if size_bytes is None else size_bytes
+            size = _RAW_RECORD_BYTES if size_bytes is None else size_bytes
             records = list(records)
             try:
                 batch = [(record, record.first_seen) for record in records]

@@ -14,11 +14,10 @@ so delivered volume and retry overhead stay separable.
 
 These counters are the **single source of truth** for volume
 accounting.  The observability layer (:mod:`repro.obs`) does not
-double-count: :func:`repro.obs.bridge.install_runtime_metrics`
-registers a collector that syncs the registry's volume families *from*
-these fields (in lockstep, at collection time), so the Prometheus
-exposition can never drift from the numbers the tests and benchmarks
-pin, and the hot path pays nothing for metrics it is not exporting.
+double-count: the per-level rows of :data:`repro.obs.bridge.RUNTIME`
+read these fields at collection time, so the Prometheus exposition can
+never drift from the numbers the tests and benchmarks pin, and the hot
+path pays nothing for metrics it is not exporting.
 """
 
 from __future__ import annotations

@@ -48,11 +48,6 @@ class FactoryOutcome:
     stored_bytes: int = 0
     lineage_records: int = 0
 
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of machines that failed during the run."""
-        return len(self.failures) / max(1, self.machines)
-
 
 class FactoryScenario:
     """A deterministic, configurable smart-factory world."""

@@ -36,11 +36,6 @@ class NetworkOutcome:
     mitigation_rules: Dict[str, List[str]] = field(default_factory=dict)
     wan_bytes: int = 0
 
-    @property
-    def detected_attacks(self) -> int:
-        """Number of DDoS findings."""
-        return len(self.findings)
-
 
 class NetworkScenario:
     """A deterministic multi-site monitoring world."""

@@ -56,7 +56,6 @@ class FlowQLGateway:
         self._connections: Dict[str, HTTPConnectionPool] = {}
         self._trace_ids = itertools.count(1)
         self.requests_routed = 0
-        self.admission_rejections = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -165,8 +164,6 @@ class FlowQLGateway:
         )
         admitted, retry_after = self.plane.admission.admit(client_id)
         if not admitted:
-            self.admission_rejections += 1
-            self.plane.metrics.rejection("admission")
             return response_bytes(
                 429,
                 wire.encode_rejection("admission", retry_after),
@@ -233,8 +230,6 @@ class FlowQLGateway:
         )
         admitted, retry_after = self.plane.admission.admit(client_id)
         if not admitted:
-            self.admission_rejections += 1
-            self.plane.metrics.rejection("admission")
             return response_bytes(
                 429,
                 wire.encode_rejection("admission", retry_after),

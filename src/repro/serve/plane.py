@@ -34,9 +34,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ServeError
+from repro.obs.bridge import SERVE
 from repro.query.plan import QueryOutcome
 from repro.serve.admission import AdmissionController
-from repro.serve.bridge import ServeMetrics
 from repro.serve.gateway import FlowQLGateway
 from repro.serve.server import NodeServer
 
@@ -76,7 +76,6 @@ class ServePlane:
             burst=admission_burst,
             max_clients=admission_max_clients,
         )
-        self.metrics = ServeMetrics(runtime.obs)
         #: the one thread the planner executes on: queries from every
         #: node server serialize here, which both models the shared
         #: data plane and keeps the planner/cache single-threaded
@@ -93,6 +92,7 @@ class ServePlane:
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._build_nodes()
+        runtime.obs.install(SERVE, self)
 
     def _build_nodes(self) -> None:
         runtime = self.runtime
@@ -112,8 +112,7 @@ class ServePlane:
 
     def generation(self) -> int:
         """The runtime's live topology generation."""
-        model = getattr(self.runtime, "model", None)
-        return 0 if model is None else model.generation
+        return self.runtime.model.generation
 
     def execute_on_node(
         self, label: str, query_text: str, trace_id: str

@@ -17,8 +17,10 @@ is the *capacity* of that node's front door:
   to a *partial* :class:`~repro.query.plan.QueryOutcome` (HTTP 200
   with a :class:`~repro.query.plan.Degradation` naming this node in
   ``attempted_paths``) rather than hanging the client.
-* **Observability** — per-node request/latency/queue-depth metric
-  families plus a ``serve`` span per executed query, linked to the
+* **Observability** — the node counts its answers by status and its
+  queue's high water (the ``repro_serve_*`` families read those counts
+  at collection time), observes each answer's latency once, and the
+  plane opens a ``serve`` span per executed query, linked to the
   gateway hop through the propagated trace id.
 """
 
@@ -26,12 +28,14 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ReproError, ServeError
 from repro.flowql.ast import FlowQLQuery
 from repro.flowql.executor import FlowQLResult
 from repro.flows.records import Score
+from repro.obs.bridge import SERVE_REQUEST_SECONDS
 from repro.query.plan import (
     ROUTE_FEDERATED,
     Degradation,
@@ -93,14 +97,29 @@ class NodeServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._queue: Optional[asyncio.Queue] = None
         self._workers: list = []
-        #: queue census for the benchmark's backpressure stats
+        #: the node's census (``/healthz``, the benchmark and the
+        #: ``repro_serve_*`` families read it): requests by status (ok,
+        #: degraded, error, rejected), the queue's high water, timeouts
+        self.statuses: Counter = Counter()
         self.queue_peak = 0
-        self.backpressure_rejections = 0
-        self.requests_served = 0
         self.timeouts = 0
         #: decaying estimate of one request's service time (seeds the
         #: Retry-After hint on backpressure refusals)
         self._service_estimate_s = 0.005
+
+    @property
+    def requests_served(self) -> int:
+        """Queries answered with HTTP 200 (full or degraded)."""
+        return self.statuses["ok"] + self.statuses["degraded"]
+
+    @property
+    def backpressure_rejections(self) -> int:
+        """Requests refused with 429 because the queue was full."""
+        return self.statuses["rejected"]
+
+    def queue_depth(self) -> int:
+        """Requests waiting in the queue right now."""
+        return 0 if self._queue is None else self._queue.qsize()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -178,7 +197,7 @@ class NodeServer:
                 {
                     "status": "ok",
                     "node": self.label,
-                    "queue_depth": self._queue.qsize(),
+                    "queue_depth": self.queue_depth(),
                     "generation": self.plane.generation(),
                 },
             )
@@ -216,9 +235,7 @@ class NodeServer:
         try:
             self._queue.put_nowait((body["query"], trace_id, future))
         except asyncio.QueueFull:
-            self.backpressure_rejections += 1
-            self.plane.metrics.rejection("backpressure")
-            self.plane.metrics.request(self.label, "rejected", 0.0)
+            self._answered("rejected", 0.0)
             # the whole queue must drain before a retry can be enqueued
             retry_after = max(
                 0.001,
@@ -233,16 +250,15 @@ class NodeServer:
                     "Retry-After": wire.retry_after_header(retry_after)
                 },
             )
-        self._note_queue_depth()
+        self.queue_peak = max(self.queue_peak, self._queue.qsize())
         return await future
 
     # -- execution -----------------------------------------------------------
 
-    def _note_queue_depth(self) -> None:
-        depth = self._queue.qsize()
-        self.queue_peak = max(self.queue_peak, depth)
-        self.plane.metrics.set_queue_depth(
-            self.label, depth, self.queue_peak
+    def _answered(self, status: str, seconds: float) -> None:
+        self.statuses[status] += 1
+        self.plane.runtime.obs.observe(
+            SERVE_REQUEST_SECONDS, seconds, node=self.label
         )
 
     async def _worker(self) -> None:
@@ -263,15 +279,11 @@ class NodeServer:
                     )
                 raise
             except ReproError as exc:
-                self.plane.metrics.request(
-                    self.label, "error", time.perf_counter() - started
-                )
+                self._answered("error", time.perf_counter() - started)
                 response = response_bytes(400, wire.encode_error(exc))
             except Exception as exc:  # noqa: BLE001 - the 500 boundary
                 self.plane.server_errors += 1
-                self.plane.metrics.request(
-                    self.label, "error", time.perf_counter() - started
-                )
+                self._answered("error", time.perf_counter() - started)
                 response = response_bytes(
                     500,
                     wire.encode_error(
@@ -288,7 +300,6 @@ class NodeServer:
             if not future.done():
                 future.set_result(response)
             self._queue.task_done()
-            self._note_queue_depth()
 
     async def _execute(self, query_text: str, trace_id: str) -> bytes:
         started = time.perf_counter()
@@ -310,9 +321,8 @@ class NodeServer:
                 self.plane.runtime.planner.memo.parse(query_text),
                 self.label, self.path, self.plane.timeout_s
             )
-        self.requests_served += 1
-        status = "degraded" if outcome.is_degraded else "ok"
-        self.plane.metrics.request(
-            self.label, status, time.perf_counter() - started
+        self._answered(
+            "degraded" if outcome.is_degraded else "ok",
+            time.perf_counter() - started,
         )
         return response_bytes(200, wire.encode_outcome(outcome))

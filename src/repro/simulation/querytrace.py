@@ -122,10 +122,3 @@ class QueryTraceGenerator:
         ]
         events.sort(key=lambda e: (e.time, e.partition_id))
         return events
-
-    def run_length_histogram(self) -> Dict[int, int]:
-        """Distribution of per-partition run lengths (for calibration)."""
-        histogram: Dict[int, int] = {}
-        for run in self.partition_runs().values():
-            histogram[len(run)] = histogram.get(len(run), 0) + 1
-        return histogram

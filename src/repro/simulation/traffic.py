@@ -89,6 +89,15 @@ class TrafficGenerator:
             cdf.append(running)
         return cdf
 
+    def add_sites(self, sites: Sequence[str]) -> None:
+        """Draw traffic for sites that joined after construction too.
+
+        Each new site takes the next internal prefix, so the records of
+        every site already known stay exactly what they were.
+        """
+        for site in sites:
+            self._site_index.setdefault(site, len(self._site_index))
+
     def internal_prefix(self, site: str) -> int:
         """The site's internal /24 network address (10.0.x.0)."""
         index = self._site_index[site]
@@ -278,19 +287,23 @@ def drive(
     closes at ``(e + 1) * runtime.epoch_seconds`` and
     ``on_close(e, exported)`` is told about each close.  The site list
     is re-read every epoch, because a reconfiguration drill may add,
-    remove or rename sites at a close; a site the generator was not
-    drawn over gets no traffic.  Returns the sites it was drawn over.
+    remove or rename sites at a close: every site listed then is fed,
+    a joined one from the next internal prefix on.  Returns every site
+    fed, in the order the generator first drew them.
     """
-    sites = runtime.ingest_sites()
     generator = TrafficGenerator(
-        TrafficConfig(sites=tuple(sites), flows_per_epoch=flows_per_epoch),
+        TrafficConfig(
+            sites=tuple(runtime.ingest_sites()),
+            flows_per_epoch=flows_per_epoch,
+        ),
         seed=seed,
     )
     for epoch in range(epochs):
-        for site in runtime.ingest_sites():
-            if site in generator.config.sites:
-                runtime.ingest(site, generator.epoch(site, epoch))
+        sites = runtime.ingest_sites()
+        generator.add_sites(sites)
+        for site in sites:
+            runtime.ingest(site, generator.epoch(site, epoch))
         exported = runtime.close_epoch((epoch + 1) * runtime.epoch_seconds)
         if on_close is not None:
             on_close(epoch, exported)
-    return sites
+    return list(generator._site_index)

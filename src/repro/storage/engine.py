@@ -143,7 +143,6 @@ class MemoryEngine(StorageEngine):
         super().__init__()
         self._records: List[tuple] = []  # (location, interval, tree)
         self._manifest: Optional[dict] = None
-        self._sealed_epochs: List[Dict[str, Any]] = []
 
     def append_summary(
         self, location: str, interval: TimeInterval, tree: Flowtree
@@ -164,10 +163,7 @@ class MemoryEngine(StorageEngine):
         return len(self._records)
 
     def seal_epoch(self, epoch: int, meta: Optional[dict] = None) -> None:
-        entry: Dict[str, Any] = {"epoch": epoch}
-        if meta:
-            entry.update(meta)
-        self._sealed_epochs.append(entry)
+        """Nothing to close: a record is in memory once appended."""
 
     def write_manifest(self, state: dict) -> None:
         self._manifest = state
@@ -185,7 +181,3 @@ class MemoryEngine(StorageEngine):
     def compact(self) -> Dict[str, int]:
         # nothing is ever superseded in memory; report a no-op
         return {"segments_removed": 0, "reclaimed_bytes": 0}
-
-    def sealed_epochs(self) -> List[Dict[str, Any]]:
-        """The seal history (epoch index + seal metadata), in order."""
-        return list(self._sealed_epochs)

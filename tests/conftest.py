@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core.summary import Location
-from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
+from repro.flows.flowkey import FIVE_TUPLE, FlowKey, GeneralizationPolicy
 from repro.flows.records import FlowRecord, Score
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
@@ -64,7 +64,8 @@ def location() -> Location:
 
 @pytest.fixture()
 def make_key():
-    """Factory for fully-specific 5-tuple keys."""
+    """Factory for 5-tuple keys: fully specific, or generalized to
+    ``levels``."""
 
     def _make(
         proto: int = 6,
@@ -72,14 +73,18 @@ def make_key():
         dst_ip: str = "192.168.0.1",
         src_port: int = 12345,
         dst_port: int = 443,
+        levels=None,
     ):
-        return FIVE_TUPLE.key(
+        key = FIVE_TUPLE.key(
             proto=proto,
             src_ip=src_ip,
             dst_ip=dst_ip,
             src_port=src_port,
             dst_port=dst_port,
         )
+        if levels is None:
+            return key
+        return FlowKey(FIVE_TUPLE, key.values, tuple(levels))
 
     return _make
 

@@ -93,6 +93,7 @@ class TestDDoS:
         controllers = network.controllers if mitigate else {}
         app = DDoSInvestigationApp(
             network.sites,
+            planner=network.runtime.planner,
             epoch_seconds=60.0,
             node_budget=8192,
             controllers=controllers,

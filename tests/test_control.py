@@ -127,16 +127,6 @@ class TestRuleInstallation:
             )
         )
 
-    def test_remove_rule(self, controller):
-        controller.install_rule(
-            ControlRule("r", command="stop", target_actuator="arm1")
-        )
-        controller.remove_rule("r")
-        assert controller.on_trigger(firing()) == []
-        with pytest.raises(RuleConflictError):
-            controller.remove_rule("r")
-
-
 class TestRuleMatching:
     def test_trigger_id_filter(self, controller):
         controller.install_rule(

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import SchemaMismatchError
 from repro.flows.features import Feature
-from repro.flows.flowkey import FeatureSchema, GeneralizationPolicy
+from repro.flows.flowkey import FeatureSchema, FlowKey, GeneralizationPolicy
 from repro.flows.records import Score
 from repro.flows.tree import Flowtree
 
@@ -67,9 +67,9 @@ class TestFactoryEventTree:
         assert tree.query(event_key(1, 1, 3, 2)).flows == 5
 
     def test_line_level_aggregation(self, tree):
-        line1 = event_key(1, 1).with_levels((8, 0, 0))
+        line1 = FlowKey(FACTORY_EVENTS, event_key(1, 1).values, (8, 0, 0))
         assert tree.query(line1).flows == 8
-        line2 = event_key(2, 1).with_levels((8, 0, 0))
+        line2 = FlowKey(FACTORY_EVENTS, event_key(2, 1).values, (8, 0, 0))
         assert tree.query(line2).flows == 9
 
     def test_group_by_event_type(self, tree):

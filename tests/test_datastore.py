@@ -172,7 +172,7 @@ class TestTriggers:
 
     def test_summary_trigger_on_epoch(self, flow_store, random_flows):
         fired = []
-        flow_store.install_summary_trigger(
+        flow_store.triggers.install_summary(
             SummaryTrigger(
                 "any-traffic",
                 predicate=lambda s: s.payload.total().flows > 0,
@@ -242,7 +242,7 @@ class TestFederation:
         assert runtime.total_network_bytes() > moved
         # the producer recorded one remote access per partition read
         partition = runtime.store_for(self.ROUTER1).catalog.all()[0]
-        assert partition.remote_access_count() == 1
+        assert sum(a.remote for a in partition.accesses) == 1
 
     def test_replica_serves_locally(self):
         """An application's drilldown of a replicated partition is read

@@ -184,7 +184,7 @@ class TestLinkOutageDuringRollup:
     def test_outage_parks_export_in_pending_queue(self):
         runtime = self._load(self._runtime(), epochs=1)
         assert runtime.pending_exports() == 1
-        queue = runtime.pending_queue(self.SITE)
+        queue = runtime.exports.queue_for(runtime.store_for(self.SITE))
         assert len(queue) == 1
         assert runtime.stats.exports_parked == 1
         assert runtime.stats.exports_recovered == 0

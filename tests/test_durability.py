@@ -157,7 +157,7 @@ class TestThreeDoorsOneRecovery:
 
     @staticmethod
     def site_state(runtime):
-        queue = runtime.pending_queue(SITE)
+        queue = runtime.exports.queue_for(runtime.store_for(SITE))
         replicas = runtime.store_for(SITE).replicas
         return queue.to_state(encode_summary), sorted(
             partition.partition_id for partition in replicas.all()
@@ -285,7 +285,7 @@ class TestCheckpointFormat:
         ).epoch(SITE, 1)
         first.ingest(joined, records)
         first.close_epoch(120.0)
-        assert len(first.pending_queue(joined)) == 1
+        assert len(first.exports.queue_for(first.store_for(joined))) == 1
         manifest = tmp_path / "data" / MANIFEST_NAME
         committed = manifest.read_bytes()
 
@@ -462,7 +462,7 @@ class TestPendingReplayDedup:
 
         reopened = build(storage=SegmentLogEngine(data_dir))
         assert reopened.pending_exports() == 1
-        queue = reopened.pending_queue(self.SITE)
+        queue = reopened.exports.queue_for(reopened.store_for(self.SITE))
         assert len(queue) == 1
         drive(reopened, epochs=1, seed=99)  # next close, link restored
         assert reopened.pending_exports() == 0

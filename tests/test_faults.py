@@ -252,7 +252,7 @@ class TestFabricFaultAccounting:
             fabric.transfer(src, Location("cloud"), 1000, 0.0)
         assert fabric.total_bytes() == 0
         assert fabric.wasted_bytes() == 1000
-        assert fabric.failed_hops() == 1
+        assert sum(link.failures for link in fabric.links()) == 1
         # after the outage window the same route delivers
         fabric.transfer(src, Location("cloud"), 1000, 60.0)
         assert fabric.total_bytes() == 3000  # one charge per hop
@@ -265,8 +265,8 @@ class TestFabricFaultAccounting:
         src = Location("cloud/network/region1/router1")
         fabric.transfer(src, Location("cloud"), 500, 0.0)
         assert fabric.wasted_bytes() == 0
-        assert fabric.failed_hops() == 0
-        assert fabric.attempted_hops() == 3
+        assert sum(link.failures for link in fabric.links()) == 0
+        assert sum(link.attempts for link in fabric.links()) == 3
 
 
 class TestRetryPolicy:
@@ -368,7 +368,9 @@ class TestPendingQueueState:
         ]
         assert [e.attempts for e in restored.entries] == [0, 1, 2]
         assert restored.pending_bytes == queue.pending_bytes
-        assert restored.pending_items == queue.pending_items
+        assert [e.items for e in restored.entries] == [
+            e.items for e in queue.entries
+        ]
         assert restored._queued_ids == queue._queued_ids
         assert restored._delivered_ids == queue._delivered_ids
 
@@ -442,7 +444,7 @@ class TestRuntimeRecovery:
         # the close at t=60 falls in the outage window: router1's
         # forward export is parked, never dropped
         assert runtime.stats.exports_parked == 1
-        queue = runtime.pending_queue(ROUTER1)
+        queue = runtime.exports.queue_for(runtime.store_for(ROUTER1))
         assert len(queue) == 0  # drained at the t=120 close
         assert runtime.stats.exports_recovered == 1
         assert runtime.pending_exports() == 0
@@ -463,7 +465,9 @@ class TestRuntimeRecovery:
         runtime.close_epoch(60.0)
         router = runtime.store_for(ROUTER1)
         (partition,) = router.catalog.all()
-        (parked,) = runtime.pending_queue(ROUTER1).entries
+        (parked,) = runtime.exports.queue_for(
+            runtime.store_for(ROUTER1)
+        ).entries
         assert parked.summary.payload is partition.summary.payload
         sealed = partition.summary.payload
         retained = (sealed.to_dict(), sealed.compressions)
@@ -501,7 +505,7 @@ class TestRuntimeRecovery:
         runtime.ingest(ROUTER1, flows)
         runtime.close_epoch(60.0)
         assert runtime.stats.exports_parked == 1
-        assert len(runtime.pending_queue(ROUTER1)) == 1
+        assert len(runtime.exports.queue_for(runtime.store_for(ROUTER1))) == 1
         runtime.close_epoch(120.0)
         assert runtime.stats.exports_recovered == 1
         assert runtime.pending_exports() == 0
@@ -726,7 +730,9 @@ class TestEpochCloseCopyCount:
         assert runtime.stats.exports_parked == 1
         assert runtime.stats.transfer_failures == 3
         assert len(router.privacy.audit_log) == 1
-        (parked,) = runtime.pending_queue(ROUTER1).entries
+        (parked,) = runtime.exports.queue_for(
+            runtime.store_for(ROUTER1)
+        ).entries
         assert parked.summary.attrs["anonymized_to_prefix"] == 24
         runtime.close_epoch(120.0)  # redelivers; no fresh mass to guard
         assert runtime.stats.exports_recovered == 1

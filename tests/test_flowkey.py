@@ -37,7 +37,7 @@ class TestSchema:
         )
         assert key.feature_value("proto") == 6
         assert key.feature_value("src_ip") == parse_ipv4("10.0.0.1")
-        assert key.is_fully_specific()
+        assert key.levels == key.schema.max_levels()
 
     def test_key_builder_missing_feature(self):
         with pytest.raises(SchemaError):
@@ -46,15 +46,6 @@ class TestSchema:
     def test_key_builder_unknown_feature(self):
         with pytest.raises(SchemaError):
             SRC_DST.key(src_ip="1.2.3.4", dst_ip="5.6.7.8", extra=1)
-
-    def test_parse_values(self):
-        values = SRC_DST.parse_values(
-            {"src_ip": "1.2.3.4", "dst_ip": "5.6.7.8"}
-        )
-        assert values == (parse_ipv4("1.2.3.4"), parse_ipv4("5.6.7.8"))
-        with pytest.raises(SchemaError):
-            SRC_DST.parse_values({"src_ip": "1.2.3.4"})
-
 
 class TestFlowKey:
     def test_values_masked_on_construction(self):
@@ -106,8 +97,8 @@ class TestFlowKey:
 
     def test_fully_general(self):
         key = SRC_DST.key(src_ip="10.1.2.3", dst_ip="10.4.5.6")
-        root = key.with_levels((0, 0))
-        assert root.is_fully_general()
+        root = FlowKey(SRC_DST, key.values, (0, 0))
+        assert root.values == (0, 0)  # construction masks every value
 
     def test_str_rendering(self):
         key = FIVE_TUPLE.key(

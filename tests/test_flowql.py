@@ -367,6 +367,91 @@ class TestExactAnswers:
         operands = list(zip(signs, trees))
         assert apply_operator(operands, query).rows == expected
 
+    @staticmethod
+    def signed_trees(policy, random_flows, signs):
+        """Uncompressed operand trees and their records' signed scores."""
+        records = random_flows(240, seed=11)
+        records += random_flows(90, seed=11)[:50]  # repeated keys add up
+        trees = [Flowtree(policy, node_budget=None) for _ in signs]
+        scored = []
+        for index, record in enumerate(records):
+            trees[index % len(signs)].ingest([record])
+            score = record.score()
+            scored.append(
+                (record, -score if signs[index % len(signs)] < 0 else score)
+            )
+        return list(zip(signs, trees)), scored
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "dst_port = 53",
+            "src_ip = 128.0.0.0/1",
+            "src_ip = 64.0.0.0/2 AND proto = 17",
+        ],
+    )
+    def test_off_chain_query_sums_the_records_under_it(
+        self, policy, random_flows, where, shape
+    ):
+        operands, scored = self.signed_trees(
+            policy, random_flows, SHAPES[shape]
+        )
+        query = parse(f"SELECT QUERY FROM ALL WHERE {where}")
+        pattern = compile_pattern(operands[0][1], query.where)
+        assert policy.depth_of(pattern.levels) is None  # off the chain
+        expected = Score.zero()
+        for record, score in scored:
+            if pattern.contains(record.key):
+                expected = expected + score
+        assert expected.packets
+        assert apply_operator(operands, query).scalar == expected
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT GROUPBY(src_ip, 8) FROM ALL WHERE proto = 17 BY bytes",
+            "SELECT GROUPBY(dst_port, 16) FROM ALL "
+            "WHERE src_ip = 128.0.0.0/1 BY packets",
+        ],
+    )
+    def test_groupby_under_a_where_groups_the_records_under_it(
+        self, policy, random_flows, text, shape
+    ):
+        operands, scored = self.signed_trees(
+            policy, random_flows, SHAPES[shape]
+        )
+        query = parse(text)
+        pattern = compile_pattern(operands[0][1], query.where)
+        feature_name, level = query.select.args[0], int(query.select.args[1])
+        schema = policy.schema
+        index = schema.index_of(feature_name)
+        levels = [0] * len(schema)
+        levels[index] = level
+        wildcard = [0] * len(schema)
+        sums = {}
+        for record, score in scored:
+            if not pattern.contains(record.key):
+                continue
+            values = list(wildcard)
+            values[index] = schema.features[index].mask(
+                record.key.values[index], level
+            )
+            group = tuple(values)
+            sums[group] = sums.get(group, Score.zero()) + score
+        ranked = sorted(
+            sums.items(),
+            key=lambda item: (-item[1].metric(query.metric), item[0]),
+        )
+        expected = [
+            (str(FlowKey(schema, values, tuple(levels))), score.packets,
+             score.bytes, score.flows)
+            for values, score in ranked
+        ]
+        assert len(expected) > 1
+        assert apply_operator(operands, query).rows == expected
+
 
 class TestFlowDB:
     def test_insert_and_stats(self, loaded_db):
@@ -374,12 +459,6 @@ class TestFlowDB:
         assert stats["entries"] == 6
         assert stats["locations"] == 2
         assert len(loaded_db) == 6
-
-    def test_time_span(self, loaded_db):
-        span = loaded_db.time_span()
-        assert span.start == 0.0
-        assert span.end == 180.0
-        assert FlowDB().time_span() is None
 
     def test_entries_window(self, loaded_db):
         entries = loaded_db.entries(start=60.0, end=120.0)

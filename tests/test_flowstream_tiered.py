@@ -4,6 +4,7 @@ Figure 2b."""
 import pytest
 
 from repro.errors import PlacementError
+from repro.flows.flowkey import FlowKey
 from repro.runtime.presets import flat_runtime, tiered_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
@@ -167,7 +168,7 @@ class TestSubtreeExport:
         tree.add(inside, Score(1, 100, 1))
         tree.add(inside2, Score(1, 50, 1))
         tree.add(outside, Score(1, 900, 1))
-        prefix = make_key(src_ip="10.0.0.0").with_levels((0, 8, 0, 0, 0))
+        prefix = make_key(src_ip="10.0.0.0", levels=(0, 8, 0, 0, 0))
         partial = tree.subtree(prefix)
         assert partial.query(inside).bytes == 100
         assert partial.query(inside2).bytes == 50
@@ -180,7 +181,7 @@ class TestSubtreeExport:
 
         tree = Flowtree(policy, node_budget=None)
         tree.add(make_key(src_ip="99.0.0.1"), Score(1, 900, 1))
-        prefix = make_key(src_ip="10.0.0.0").with_levels((0, 8, 0, 0, 0))
+        prefix = make_key(src_ip="10.0.0.0", levels=(0, 8, 0, 0, 0))
         assert tree.subtree(prefix).total().is_zero()
 
     def test_subtree_off_chain_key(self, policy, make_key):
@@ -191,7 +192,7 @@ class TestSubtreeExport:
         key = make_key(src_ip="10.1.2.3")
         tree.add(key, Score(1, 100, 1))
         # off-chain pattern: src/8 + dst/8 both set is not canonical
-        pattern = key.with_levels((0, 8, 8, 0, 0))
+        pattern = FlowKey(key.schema, key.values, (0, 8, 8, 0, 0))
         partial = tree.subtree(pattern)
         assert partial.total().bytes == 100
 

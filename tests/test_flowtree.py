@@ -46,7 +46,7 @@ class TestInsertAndQuery:
         tree = make_tree(policy)
         tree.add(make_key(src_ip="10.1.2.3"), Score(1, 100, 1))
         tree.add(make_key(src_ip="10.1.9.9"), Score(1, 50, 1))
-        prefix = make_key(src_ip="10.0.0.0").with_levels((0, 8, 0, 0, 0))
+        prefix = make_key(src_ip="10.0.0.0", levels=(0, 8, 0, 0, 0))
         # (0,8,0,0,0) is on-chain (depth 1)
         assert policy.depth_of(prefix.levels) is not None
         assert tree.query(prefix).bytes == 150
@@ -55,7 +55,7 @@ class TestInsertAndQuery:
         tree = make_tree(policy)
         tree.add(make_key(dst_port=443), Score(1, 100, 1))
         tree.add(make_key(dst_port=80, src_ip="1.1.1.1"), Score(1, 70, 1))
-        pattern = make_key(dst_port=443).with_levels((0, 0, 0, 0, 16))
+        pattern = make_key(dst_port=443, levels=(0, 0, 0, 0, 16))
         assert policy.depth_of(pattern.levels) is None
         assert tree.query(pattern).bytes == 100
 
@@ -69,7 +69,7 @@ class TestInsertAndQuery:
 
     def test_off_chain_add_rejected(self, policy, make_key):
         tree = make_tree(policy)
-        off = make_key().with_levels((8, 0, 0, 0, 0))
+        off = make_key(levels=(8, 0, 0, 0, 0))
         with pytest.raises(GranularityError):
             tree.add(off, Score(1, 1, 1))
 
@@ -343,9 +343,9 @@ class TestRankingOperators:
         tree = make_tree(policy)
         tree.add(make_key(), Score(1, 500, 1))
         keys = [key for key, _ in tree.above_x(1)]
-        assert not any(k.is_fully_general() for k in keys)
+        assert all(any(k.levels) for k in keys)
         with_root = tree.above_x(1, include_root=True)
-        assert any(k.is_fully_general() for k, _ in with_root)
+        assert any(not any(k.levels) for k, _ in with_root)
 
     def test_drilldown(self, policy, make_key):
         tree = make_tree(policy)
@@ -373,7 +373,7 @@ class TestHHH:
         prefixes = [r.key for r in results]
         # some generalized node covering 10/8 must be reported
         assert any(
-            k.feature_level("src_ip") in (8, 16) and not k.is_fully_general()
+            k.feature_level("src_ip") in (8, 16) and any(k.levels)
             for k in prefixes
         )
 
@@ -428,7 +428,7 @@ class TestQueryWithBound:
 
     def test_off_chain_key_rejected(self, policy, make_key):
         tree = make_tree(policy)
-        off = make_key().with_levels((8, 0, 0, 0, 0))
+        off = make_key(levels=(8, 0, 0, 0, 0))
         with pytest.raises(GranularityError):
             tree.query_with_bound(off)
 
@@ -462,7 +462,7 @@ class TestGroupBy:
         tree.add(
             make_key(src_ip="1.0.0.1", dst_ip="10.0.0.9"), Score(1, 500, 1)
         )
-        pattern = make_key(dst_ip=victim).with_levels((0, 0, 32, 0, 0))
+        pattern = make_key(dst_ip=victim, levels=(0, 0, 32, 0, 0))
         groups = tree.aggregate_by_feature("src_ip", 8, within=pattern)
         total = sum(score.bytes for _, score in groups)
         assert total == 190

@@ -199,7 +199,7 @@ def assert_identical(fast: Flowtree, reference: ReferenceFlowtree) -> None:
         assert fast_node.own == ref_node.own, node_id
         assert fast_node.folded == ref_node.folded, node_id
         assert fast_node.subtree == ref_node.subtree, node_id
-        assert fast_node.is_leaf() == (not ref_node.children), node_id
+        assert (not fast_node.nchildren) == (not ref_node.children), node_id
 
 
 def assert_child_readers_identical(

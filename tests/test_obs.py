@@ -17,12 +17,14 @@ from repro.errors import PlacementError
 from repro.faults import FaultPlan, LinkOutage
 from repro.obs import (
     NULL_SPAN,
+    Family,
     MetricsRegistry,
     Observability,
     Tracer,
     parse_prometheus,
     render_prometheus,
 )
+from repro.obs.metrics import GAUGE
 from repro.runtime.presets import network_4level_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
@@ -109,11 +111,13 @@ class TestMetricsRegistry:
     def test_collectors_run_at_collection_time(self):
         registry = MetricsRegistry()
         source = {"value": 0}
-        gauge = registry.gauge("g", "help").labels()
-        registry.add_collector(lambda: gauge.set(source["value"]))
+        row = Family(
+            "g", GAUGE, (), lambda c: [((), c["value"])], "help"
+        )
+        registry.install([row], source)
         source["value"] = 41
         registry.collect()
-        assert gauge.value == 41
+        assert registry.get("g").labels().value == 41
 
     def test_snapshot_is_json_safe(self):
         registry = MetricsRegistry()

@@ -42,7 +42,7 @@ class TestIngestAndQuery:
         assert primitive.query(QueryRequest("count", {"key": prefix})) == 500
 
     def test_off_chain_count_rejected(self, primitive, make_key):
-        off = make_key().with_levels((8, 0, 0, 0, 0))
+        off = make_key(levels=(8, 0, 0, 0, 0))
         with pytest.raises(ValueError):
             primitive.query(QueryRequest("count", {"key": off}))
 

@@ -89,7 +89,7 @@ class TestFlowtreeAnonymization:
             PrivacyPolicy(default=ExportRule(min_ip_prefix=8))
         )
         exported = guard.export("ft", flowtree_summary)
-        prefix = make_key(src_ip="203.0.0.0").with_levels((0, 8, 0, 0, 0))
+        prefix = make_key(src_ip="203.0.0.0", levels=(0, 8, 0, 0, 0))
         assert exported.payload.query(prefix).bytes == 10 * 500
 
 

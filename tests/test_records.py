@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flows.records import EpochStats, FlowRecord, PacketRecord, Score
+from repro.flows.records import FlowRecord, PacketRecord, Score
 
 
 class TestScore:
@@ -62,25 +62,3 @@ class TestPacketRecord:
         assert score.packets == 10_000
         assert score.bytes == 1_000_000
         assert score.flows == 0
-
-
-class TestEpochStats:
-    def test_observe_accumulates(self, make_key):
-        stats = EpochStats()
-        stats.observe(
-            FlowRecord(
-                key=make_key(), packets=2, bytes=200, first_seen=1.0,
-                last_seen=2.0,
-            )
-        )
-        stats.observe(
-            FlowRecord(
-                key=make_key(), packets=3, bytes=300, first_seen=0.5,
-                last_seen=4.0,
-            )
-        )
-        assert stats.records == 2
-        assert stats.packets == 5
-        assert stats.bytes == 500
-        assert stats.start == 0.5
-        assert stats.end == 4.0

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.core.summary import Location
+from repro.faults import FaultPlan
+from repro.runtime.presets import network_4level_runtime
 from repro.simulation.events import Simulator
 from repro.simulation.factory import (
     FAILURE_WEAR,
@@ -20,7 +22,7 @@ from repro.simulation.sensors import (
     CameraSensor,
     ScalarSensor,
 )
-from repro.simulation.traffic import TrafficConfig, TrafficGenerator
+from repro.simulation.traffic import TrafficConfig, TrafficGenerator, drive
 
 LOC = Location("hq/factory1/line1/machine1")
 
@@ -235,6 +237,36 @@ class TestTraffic:
         ]
         assert len(attack_records) >= 500
 
+    def test_added_site_leaves_known_sites_unchanged(self, traffic_generator):
+        before = traffic_generator.epoch("region2/router1", 1)
+        traffic_generator.add_sites(["region1/router1", "region3/router7"])
+        after = traffic_generator.epoch("region2/router1", 1)
+        assert [(r.key, r.bytes, r.packets) for r in before] == [
+            (r.key, r.bytes, r.packets) for r in after
+        ]
+        assert (
+            traffic_generator.internal_prefix("region3/router7")
+            >> 8 & 0xFF
+        ) == 2  # the next prefix after the two configured sites
+
+
+class TestDrive:
+    def test_a_joined_site_is_fed_from_the_next_epoch(self):
+        """A site a reconfig drill joins at close 0 ingests the two
+        epochs after it, as every other router ingests all three."""
+        joined = "network1/region2/router9"
+        runtime = network_4level_runtime(
+            faults=FaultPlan.from_spec(f"reconfig=join:{joined}:0")
+        )
+        sites = drive(runtime, 3, 200, 42)
+        assert sites[-1] == joined
+        items = {
+            label: store.ingest_stats.items
+            for label, store in runtime.stores_at_level("router").items()
+        }
+        assert items.pop(joined) == 2 * 200
+        assert set(items.values()) == {3 * 200}
+
 
 class TestQueryTrace:
     def test_deterministic(self):
@@ -257,8 +289,8 @@ class TestQueryTrace:
             partitions=500, run_length_distribution="pareto",
             run_length_param=1.2,
         )
-        histogram = QueryTraceGenerator(config, seed=3).run_length_histogram()
-        lengths = sorted(histogram)
+        runs = QueryTraceGenerator(config, seed=3).partition_runs()
+        lengths = sorted({len(run) for run in runs.values()})
         assert max(lengths) > 10 * min(lengths)
 
     def test_unknown_distribution(self):

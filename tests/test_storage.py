@@ -96,8 +96,8 @@ class TestCatalog:
         partition = make_partition(0)
         partition.record_access(10.0, 500, remote=True)
         partition.record_access(20.0, 300, remote=False)
-        assert partition.remote_bytes_served() == 500
-        assert partition.remote_access_count() == 1
+        remote = [a for a in partition.accesses if a.remote]
+        assert [a.result_bytes for a in remote] == [500]
 
 
 class TestExpiration:

@@ -120,15 +120,6 @@ class TestMemoryEngine:
         record = next(engine.iter_summaries(policy))
         assert record.load() is tree  # zero serialization on this path
 
-    def test_seal_history(self, policy, make_key):
-        engine = MemoryEngine()
-        engine.seal_epoch(0)
-        engine.seal_epoch(1, meta={"closed_at": 120.0})
-        assert engine.sealed_epochs() == [
-            {"epoch": 0},
-            {"epoch": 1, "closed_at": 120.0},
-        ]
-
     def test_relabel_rewrites_records(self, policy, make_key):
         engine = MemoryEngine()
         engine.append_summary(

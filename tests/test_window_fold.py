@@ -19,6 +19,7 @@ from repro.datastore.privacy import ExportRule, PrivacyGuard, PrivacyPolicy
 from repro.faults import FaultPlan, LinkOutage, RestartDrill
 from repro.flowql.parser import parse
 from repro.flows.tree import Flowtree
+from repro.obs import parse_prometheus, render_prometheus
 from repro.obs.observability import Observability
 from repro.query import ROUTE_CLOUD, ROUTE_FEDERATED
 from repro.query.fold import WindowFold, answer
@@ -85,8 +86,12 @@ def stored_objects(runtime):
 
 def rebuild_reasons(runtime):
     """``repro_subscribe_rebuilds_total`` as ``{reason: count}``."""
-    family = runtime.planner.subscriptions.metrics.rebuilds
-    return {labels[0]: child.value for labels, child in family.series()}
+    exposition = parse_prometheus(render_prometheus(runtime.obs.registry))
+    return {
+        dict(labels)["reason"]: value
+        for (name, labels), value in exposition.items()
+        if name == "repro_subscribe_rebuilds_total"
+    }
 
 
 # ---------------------------------------------------------------------------
