@@ -24,7 +24,7 @@ from repro.core.summary import Location
 from repro.errors import RuleConflictError
 from repro.flows.features import format_ipv4
 from repro.flows.flowkey import FIVE_TUPLE, GeneralizationPolicy
-from repro.flows.tree import Flowtree
+from repro.flows.tree import Flowtree, aggregate_by_feature
 
 
 def victim_first_policy() -> GeneralizationPolicy:
@@ -126,8 +126,10 @@ class DDoSInvestigationApp(Application):
         )
         if current is None or baseline is None:
             return []
-        delta = current.diff(baseline)
-        by_victim = delta.aggregate_by_feature("dst_ip", 32)
+        # current − baseline, summed in place: no Diff tree is built
+        by_victim = aggregate_by_feature(
+            ((1, current), (-1, baseline)), "dst_ip", 32
+        )
         findings = []
         for victim_key, surge in by_victim:
             if surge.bytes < self.min_surge_bytes:

@@ -65,8 +65,11 @@ rides on, so it is written allocation-light:
   :meth:`Flowtree.copy` or :meth:`Flowtree.diff` adds, and every node
   :meth:`Flowtree.from_dict` rebuilds, is made with
   ``FlowtreeNode.__new__`` and has each slot written once (a union's
-  counters are born as the other tree's, times the sign), so no node
-  but the root runs a constructor;
+  counters are born as the other tree's), so no node but the root runs
+  a constructor;
+* unions carry no sign: the one union walk only adds, with no
+  multiplication per counter, and Diff subtracts by adding a negated
+  copy of its right operand;
 * popularity lives in plain integer counters on ``__slots__`` — the
   ``own``/``folded``/``subtree`` :class:`Score` views are materialized
   only at query time;
@@ -689,8 +692,8 @@ class Flowtree:
                 f"({self.schema.name!r} vs {other.schema.name!r})"
             )
 
-    def _absorb(self, other: "Flowtree", sign: int) -> None:
-        """Fold ``other`` in, depth by depth, pairing nodes by values.
+    def _absorb(self, other: "Flowtree") -> None:
+        """Add ``other`` in, depth by depth, pairing nodes by values.
 
         Because both trees share one canonical chain, a node of
         ``other`` maps onto the node of ``self`` with the same (depth,
@@ -701,11 +704,12 @@ class Flowtree:
         parent already paired one dict above.
 
         Such a node is born inline, as the ingest walk's tail is: each
-        slot written once, its counters ``sign`` times theirs, its
-        parent's ``nchildren`` bumped, and queued for the compression
-        heap only while that heap is live.  ``node_count`` moves once.
+        slot written once, its counters theirs, its parent's
+        ``nchildren`` bumped, and queued for the compression heap only
+        while that heap is live.  ``node_count`` moves once.  The walk
+        only adds: :meth:`diff` subtracts by absorbing a negated copy.
         """
-        if sign < 0 or other._negative:
+        if other._negative:
             self._negative = True
         make = FlowtreeNode.__new__
         queue = self._heap_pending if self._leaf_heap is not None else None
@@ -717,15 +721,15 @@ class Flowtree:
             for values, theirs in theirs_at.items():
                 mine = ours.get(values)
                 if mine is not None:
-                    mine.own_packets += sign * theirs.own_packets
-                    mine.own_bytes += sign * theirs.own_bytes
-                    mine.own_flows += sign * theirs.own_flows
-                    mine.folded_packets += sign * theirs.folded_packets
-                    mine.folded_bytes += sign * theirs.folded_bytes
-                    mine.folded_flows += sign * theirs.folded_flows
-                    mine.subtree_packets += sign * theirs.subtree_packets
-                    mine.subtree_bytes += sign * theirs.subtree_bytes
-                    mine.subtree_flows += sign * theirs.subtree_flows
+                    mine.own_packets += theirs.own_packets
+                    mine.own_bytes += theirs.own_bytes
+                    mine.own_flows += theirs.own_flows
+                    mine.folded_packets += theirs.folded_packets
+                    mine.folded_bytes += theirs.folded_bytes
+                    mine.folded_flows += theirs.folded_flows
+                    mine.subtree_packets += theirs.subtree_packets
+                    mine.subtree_bytes += theirs.subtree_bytes
+                    mine.subtree_flows += theirs.subtree_flows
                     continue
                 parent = above[theirs.parent.values]
                 parent.nchildren += 1
@@ -733,15 +737,15 @@ class Flowtree:
                 mine.depth = depth
                 mine.values = values
                 mine.parent = parent
-                mine.own_packets = sign * theirs.own_packets
-                mine.own_bytes = sign * theirs.own_bytes
-                mine.own_flows = sign * theirs.own_flows
-                mine.folded_packets = sign * theirs.folded_packets
-                mine.folded_bytes = sign * theirs.folded_bytes
-                mine.folded_flows = sign * theirs.folded_flows
-                mine.subtree_packets = sign * theirs.subtree_packets
-                mine.subtree_bytes = sign * theirs.subtree_bytes
-                mine.subtree_flows = sign * theirs.subtree_flows
+                mine.own_packets = theirs.own_packets
+                mine.own_bytes = theirs.own_bytes
+                mine.own_flows = theirs.own_flows
+                mine.folded_packets = theirs.folded_packets
+                mine.folded_bytes = theirs.folded_bytes
+                mine.folded_flows = theirs.folded_flows
+                mine.subtree_packets = theirs.subtree_packets
+                mine.subtree_bytes = theirs.subtree_bytes
+                mine.subtree_flows = theirs.subtree_flows
                 mine.nchildren = 0
                 ours[values] = mine
                 born += 1
@@ -762,7 +766,7 @@ class Flowtree:
         if other is self:
             # the walk would read nodes it is writing
             other = self.copy()
-        self._absorb(other, 1)
+        self._absorb(other)
         self._maybe_self_compress()
 
     @classmethod
@@ -801,8 +805,20 @@ class Flowtree:
         result = Flowtree(
             self.policy, node_budget=None, compress_ratio=1.0, metric=self.metric
         )
-        result._absorb(self, 1)
-        result._absorb(other, -1)
+        result._absorb(self)
+        negated = other.copy()
+        negated._negative = True
+        for node in negated.nodes():
+            node.own_packets = -node.own_packets
+            node.own_bytes = -node.own_bytes
+            node.own_flows = -node.own_flows
+            node.folded_packets = -node.folded_packets
+            node.folded_bytes = -node.folded_bytes
+            node.folded_flows = -node.folded_flows
+            node.subtree_packets = -node.subtree_packets
+            node.subtree_bytes = -node.subtree_bytes
+            node.subtree_flows = -node.subtree_flows
+        result._absorb(negated)
         return result
 
     # ------------------------------------------------------------------
@@ -908,40 +924,6 @@ class Flowtree:
         """Hierarchical heavy hitters (Table II: HHH; see :func:`hhh`)."""
         return hhh(((1, self),), threshold, metric)
 
-    def subtree(self, key: FlowKey) -> "Flowtree":
-        """Extract the summary of one generalized flow as a new tree.
-
-        The result contains the node for ``key`` (projected onto the
-        canonical chain) and all its descendants, re-rooted under the
-        usual all-wildcard root.  This is how a data store ships a
-        *partial* summary in answer to a sub-query — e.g. "give me your
-        view of prefix 10.0.0.0/8" — without exporting the whole tree.
-        """
-        depth = self.policy.depth_of(key.levels)
-        if depth is None:
-            depth = self.policy.nearest_depth_at_or_above(key.levels)
-            key = self.policy.key_at(key, depth)
-        result = Flowtree(
-            self.policy, node_budget=None, compress_ratio=1.0,
-            metric=self.metric,
-        )
-        anchor = self._index[depth].get(key.values)
-        members = [] if anchor is None else [anchor]
-        deeper = iter(self._index[depth + 1 :])
-        while members:
-            for node in members:
-                contribution = node.own + node.folded
-                if not contribution.is_zero():
-                    result.add(self.key_of(node), contribution)
-            # one depth down: whoever hangs under a node just copied
-            parents = set(members)
-            members = [
-                node
-                for node in next(deeper, {}).values()
-                if node.parent in parents
-            ]
-        return result
-
     # ------------------------------------------------------------------
     # copy / serialization
 
@@ -953,7 +935,7 @@ class Flowtree:
             compress_ratio=self.compress_ratio,
             metric=self.metric,
         )
-        clone._absorb(self, 1)
+        clone._absorb(self)
         clone._compressions = self._compressions
         return clone
 

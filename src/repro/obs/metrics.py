@@ -49,35 +49,23 @@ HISTOGRAM = "histogram"
 
 
 class Counter:
-    """A monotonically increasing series (one label combination)."""
+    """A monotonically increasing series (one label combination),
+    written only by its family's read at collection time."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add to the counter (amounts must not be negative)."""
-        if amount < 0:
-            raise PlacementError(
-                f"counters only go up; got inc({amount})"
-            )
-        self.value += amount
 
 
 class Gauge:
-    """A series that can go up and down."""
+    """A series that can go up and down, written only by its family's
+    read at collection time."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -216,36 +204,6 @@ class MetricsRegistry:
         family = MetricFamily(name, help_text, kind, labelnames, buckets)
         self._families[name] = family
         return family
-
-    def counter(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Iterable[str] = (),
-    ) -> MetricFamily:
-        """Register (or fetch) a counter family."""
-        return self._register(name, help_text, COUNTER, tuple(labelnames))
-
-    def gauge(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Iterable[str] = (),
-    ) -> MetricFamily:
-        """Register (or fetch) a gauge family."""
-        return self._register(name, help_text, GAUGE, tuple(labelnames))
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Iterable[str] = (),
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> MetricFamily:
-        """Register (or fetch) a histogram family."""
-        return self._register(
-            name, help_text, HISTOGRAM, tuple(labelnames), buckets
-        )
 
     def get(self, name: str) -> Optional[MetricFamily]:
         """A registered family, or None."""

@@ -17,6 +17,16 @@ roots they share, exceed the budget; a ``None`` budget never
 compresses), or a kept fold advances.  A window with one input is the
 one-operand case.
 
+A query that reads only the root (``TOTAL``, ``TOTAL … VS …``) never
+unions, cold or kept: Compress never changes a root, so its inputs
+answer it in place at every horizon, and a kept one holds its inputs,
+not a union.  Every other kept fold still owns and grows its union,
+because an operator that reads below the root sums every held input
+at every refresh: a standing ``TOPK(5)`` + ``HHH(0.02) FROM ALL``
+refresh on the benchmark's ``serve_hot`` mix, holding its inputs in
+place, took ~43 ms at the 20th close against ~14 ms for growing one
+union by each close's new inputs (2-vCPU host, fastest of 3 runs).
+
 * A **cold query** is a fold advanced once from empty and dropped.
 * A **standing query** is a list of folds kept and advanced at every
   epoch close; each :meth:`WindowFold.advance` reads only the inputs
@@ -57,7 +67,9 @@ one site partial, the site partials under the root's budget.  The
 partitions beyond a store's prefix go through the planner's
 ``_read_store`` (replica-first, fabric-accounted, feeding adaptive
 replication), which ships their union — from empty, the partial
-itself.  Breakers: ``partition-prefix`` (a consumed partition
+itself.  A root-only fold's site partial is its partitions' trees,
+whose roots sum to the shipped union's.  Breakers:
+``partition-prefix`` (a consumed partition
 vanished), ``replica-served`` (a window partition now lives at the
 root, which a fresh read serves individually — a different union),
 ``privacy-guard`` (a per-epoch privacy export need not commute with
@@ -139,6 +151,9 @@ class WindowFold:
         self.plan = plan
         self.query = query
         self.spec = spec
+        #: whether the query reads only the root (``TOTAL``): Compress
+        #: never changes a root, so such a fold never builds a union
+        self.root_only = query.select.name == "total"
         #: the trees that answer the window, in union order (empty
         #: until the first advance): stored trees, or one union this
         #: fold owns; read-only to every caller
@@ -147,8 +162,9 @@ class WindowFold:
         self.resumable = True
         #: the :meth:`inputs` the last advance consumed
         self.consumed: Dict[str, List] = {}
-        #: federated route: store label -> its site partial
-        self.site_trees: Dict[str, Flowtree] = {}
+        #: federated route: store label -> its site partial, as union
+        #: inputs: one tree, or a root-only fold's partitions themselves
+        self.site_trees: Dict[str, List[Tuple[UnionKey, Flowtree]]] = {}
 
     def inputs(self) -> Dict[str, List]:
         """The window's current inputs, by id, in fold order.
@@ -228,8 +244,8 @@ class WindowFold:
             self.planner.runtime.db.merge_node_budget,
         )
 
-    @staticmethod
     def _grow(
+        self,
         held: List[Flowtree],
         inputs: List[Tuple[UnionKey, Flowtree]],
         known: int,
@@ -238,12 +254,16 @@ class WindowFold:
         """The trees answering ``inputs``, given ``held``: those that
         answered ``inputs[:known]`` (none from empty).
 
-        A union the fold owns — one held tree that is no input — grows
-        in place by the new inputs; anything else is read by the
-        materialize rule, so stored trees are never extended.
+        A root-only fold reads ``inputs`` in place at every horizon.
+        Otherwise a union the fold owns — one held tree that is no
+        input — grows in place by the new inputs, and anything else is
+        read by the materialize rule, so stored trees are never
+        extended.
         """
         if held and known == len(inputs):
             return held
+        if self.root_only:
+            return _window(inputs, None, kept=False)
         if len(held) == 1 and all(
             held[0] is not tree for _, tree in inputs[:known]
         ):
@@ -286,9 +306,9 @@ class WindowFold:
             if not partitions:
                 continue
             known = len(self.consumed.get(label, ()))
-            partial = self.site_trees.get(label)
+            held = self.site_trees.get(label)
             if known == len(partitions):
-                trees.append((keyed(partitions[0].summary)[0], partial))
+                trees.extend(held)
                 continue
             try:
                 read, store_trees = planner._read_store(
@@ -312,21 +332,25 @@ class WindowFold:
                     # promoted by this very read: the next read breaks
                     self.resumable = False
                 if not read.replica_partitions:
-                    if partial is None:
-                        # from empty, the union shipped is the partial
-                        [(_, partial)] = store_trees
-                    else:
+                    if self.root_only and store.privacy is None:
+                        # the union shipped has the partitions' root
+                        store_trees = [keyed(p.summary) for p in partitions]
+                    elif held is not None:
+                        [(key, partial)] = held
                         inputs = [keyed(p.summary) for p in partitions]
                         [partial] = self._grow(
                             [partial], inputs, known,
                             inputs[0][1].node_budget,
                         )
-                        store_trees = [(inputs[0][0], partial)]
-                    self.site_trees[label] = partial
+                        store_trees = [(key, partial)]
+                    # from empty, the union shipped is the partial
+                    self.site_trees[label] = store_trees
             trees.extend(store_trees)
         budget = planner.runtime.db.merge_node_budget
         if trees:
-            if reads or not self.trees:
+            if self.root_only:
+                self.trees = _window(trees, None, kept=False)
+            elif reads or not self.trees:
                 self.trees = _window(trees, budget, kept=bool(self.trees))
         elif degradation.is_degraded:
             # every covering store was unreachable: an honest empty

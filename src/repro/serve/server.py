@@ -235,7 +235,8 @@ class NodeServer:
         try:
             self._queue.put_nowait((body["query"], trace_id, future))
         except asyncio.QueueFull:
-            self._answered("rejected", 0.0)
+            # shed, not answered: counted by status, never timed
+            self.statuses["rejected"] += 1
             # the whole queue must drain before a retry can be enqueued
             retry_after = max(
                 0.001,

@@ -6,6 +6,7 @@ from repro.apps.ddos import DDoSInvestigationApp
 from repro.apps.traffic_matrix import TrafficMatrixApp
 from repro.apps.trends import NetworkTrendsApp
 from repro.flows.features import format_ipv4
+from repro.flows.tree import Flowtree, aggregate_by_feature
 from repro.scenarios.network import NetworkScenario
 
 SITE_NAMES = ("region1/router1", "region2/router1")
@@ -132,3 +133,35 @@ class TestDDoS:
         rule = site_controller.rules()[0]
         assert rule.command.startswith("rate-limit")
         assert app.reports[-1].body["mitigated"] is True
+
+    def test_findings_read_the_diff_in_place(self, network, monkeypatch):
+        """The surge is current − baseline summed in place: the rows a
+        Diff tree would give (a Diff never compresses), with no Diff
+        built."""
+        app, _, _, _ = self.run_scenario(network)
+        site = network.sites[0]
+        attack = [
+            f for f in app.findings if (f.time, f.site) == (180.0, site.path)
+        ]
+        assert attack
+        current = app._window_tree(site, 120.0, 180.0, 180.0)
+        baseline = app._window_tree(site, 60.0, 120.0, 180.0)
+        in_place = aggregate_by_feature(
+            ((1, current), (-1, baseline)), "dst_ip", 32
+        )
+        assert in_place == current.diff(baseline).aggregate_by_feature(
+            "dst_ip", 32
+        )
+        assert [f.surge_bytes for f in attack] == [
+            score.bytes
+            for key, score in in_place
+            if format_ipv4(key.feature_value("dst_ip")) in {
+                f.victim for f in attack
+            }
+        ]
+
+        def no_diff(*args):
+            raise AssertionError("the app built a Diff tree")
+
+        monkeypatch.setattr(Flowtree, "diff", no_diff)
+        assert app.investigate_site(site, 180.0) == attack

@@ -8,7 +8,10 @@ query run with an init, deltas and a rebuild — and compare
 ``parse_prometheus`` of the exposition with the values the event-fed
 families of the earlier design produced on the same runs.  Counters
 and histogram counts must match exactly; a gauge the earlier design had
-not set yet (a queue that never held a request) may read 0.
+not set yet (a queue that never held a request) may read 0.  One value
+is restated: a shed (429) request is counted by status but never timed,
+so the served run's ``repro_serve_request_seconds`` counts the three
+answers, where the earlier design also counted the shed one as 0.0 s.
 """
 
 from __future__ import annotations
@@ -291,7 +294,7 @@ repro_serve_queue_depth{node="cloud"} 0
 repro_serve_queue_peak{node="cloud"} 1
 repro_serve_rejections_total{scope="admission"} 1
 repro_serve_rejections_total{scope="backpressure"} 1
-repro_serve_request_seconds_count{node="cloud"} 4
+repro_serve_request_seconds_count{node="cloud"} 3
 repro_serve_requests_total{node="cloud",status="degraded"} 1
 repro_serve_requests_total{node="cloud",status="error"} 1
 repro_serve_requests_total{node="cloud",status="ok"} 1

@@ -4,7 +4,6 @@ Figure 2b."""
 import pytest
 
 from repro.errors import PlacementError
-from repro.flows.flowkey import FlowKey
 from repro.runtime.presets import flat_runtime, tiered_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
@@ -154,45 +153,3 @@ class TestTieredPrivacy:
         partition = region_store.catalog.all()[0]
         # the region's own stored partition answers host-level queries
         assert partition.summary.payload.query(records[0].key).bytes > 0
-
-
-class TestSubtreeExport:
-    def test_subtree_extraction(self, policy, make_key):
-        from repro.flows.records import Score
-        from repro.flows.tree import Flowtree
-
-        tree = Flowtree(policy, node_budget=None)
-        inside = make_key(src_ip="10.1.2.3")
-        inside2 = make_key(src_ip="10.9.9.9", src_port=555)
-        outside = make_key(src_ip="99.0.0.1")
-        tree.add(inside, Score(1, 100, 1))
-        tree.add(inside2, Score(1, 50, 1))
-        tree.add(outside, Score(1, 900, 1))
-        prefix = make_key(src_ip="10.0.0.0", levels=(0, 8, 0, 0, 0))
-        partial = tree.subtree(prefix)
-        assert partial.query(inside).bytes == 100
-        assert partial.query(inside2).bytes == 50
-        assert partial.query(outside).bytes == 0
-        assert partial.total().bytes == 150
-
-    def test_subtree_missing_prefix_is_empty(self, policy, make_key):
-        from repro.flows.records import Score
-        from repro.flows.tree import Flowtree
-
-        tree = Flowtree(policy, node_budget=None)
-        tree.add(make_key(src_ip="99.0.0.1"), Score(1, 900, 1))
-        prefix = make_key(src_ip="10.0.0.0", levels=(0, 8, 0, 0, 0))
-        assert tree.subtree(prefix).total().is_zero()
-
-    def test_subtree_off_chain_key(self, policy, make_key):
-        from repro.flows.records import Score
-        from repro.flows.tree import Flowtree
-
-        tree = Flowtree(policy, node_budget=None)
-        key = make_key(src_ip="10.1.2.3")
-        tree.add(key, Score(1, 100, 1))
-        # off-chain pattern: src/8 + dst/8 both set is not canonical
-        pattern = FlowKey(key.schema, key.values, (0, 8, 8, 0, 0))
-        partial = tree.subtree(pattern)
-        assert partial.total().bytes == 100
-

@@ -202,16 +202,12 @@ def assert_identical(fast: Flowtree, reference: ReferenceFlowtree) -> None:
         assert (not fast_node.nchildren) == (not ref_node.children), node_id
 
 
-def assert_child_readers_identical(
-    fast: Flowtree, reference: ReferenceFlowtree, pick: int
+def assert_drilldown_identical(
+    fast: Flowtree, reference: ReferenceFlowtree
 ) -> None:
-    """``drilldown`` and ``subtree`` against the reference's child map.
-
-    The fast tree keeps no child map — both readers select the next
-    depth's nodes by parent pointer — so they are checked against the
-    one the reference does keep: ``drilldown`` at every live node,
-    ``subtree`` at the ``pick``-th interior one.
-    """
+    """``drilldown`` at every live node against the reference's child
+    map: the fast tree keeps none and selects the next depth's nodes by
+    parent pointer."""
     for node in reference.nodes.values():
         expected = [
             (fast.key_of(child), child.subtree)
@@ -221,19 +217,6 @@ def assert_child_readers_identical(
             key=lambda pair: (-pair[1].metric(fast.metric), pair[0].values)
         )
         assert fast.drilldown(fast.key_of(node)) == expected, node.values
-    interior = [node for node in reference.nodes.values() if node.children]
-    if not interior:
-        return
-    anchor = interior[pick % len(interior)]
-    expected_tree = ReferenceFlowtree(POLICY)
-    frontier = [anchor]
-    while frontier:
-        node = frontier.pop()
-        contribution = node.own + node.folded
-        if not contribution.is_zero():
-            expected_tree.add(fast.key_of(node), contribution)
-        frontier.extend(node.children.values())
-    assert_identical(fast.subtree(fast.key_of(anchor)), expected_tree)
 
 
 # -- strategies ---------------------------------------------------------
@@ -316,9 +299,8 @@ class TestFastPathMatchesReference:
     @given(
         ops=operations,
         budget=st.sampled_from([None, 12, 24, 64]),
-        pick=st.integers(min_value=0, max_value=1 << 16),
     )
-    def test_interleaved_operations_identical(self, ops, budget, pick):
+    def test_interleaved_operations_identical(self, ops, budget):
         if budget is not None and budget < POLICY.depth + 1:
             budget = POLICY.depth + 1
         fast = Flowtree(POLICY, node_budget=budget, metric="bytes")
@@ -344,14 +326,14 @@ class TestFastPathMatchesReference:
                 fast.compress(target_nodes=target)
                 reference.compress(target)
             assert_identical(fast, reference)
-        assert_child_readers_identical(fast, reference, pick)
-        # and on a diff, whose nodes two absorbs of either sign created
+        assert_drilldown_identical(fast, reference)
+        # and on a diff, which absorbs a negated copy of its right side
         lone_fast = Flowtree(POLICY, node_budget=None)
         lone_ref = ReferenceFlowtree(POLICY)
         lone_fast.add(key_of(7, 7), Score(1, 1, 1))
         lone_ref.add(key_of(7, 7), Score(1, 1, 1))
-        assert_child_readers_identical(
-            fast.diff(lone_fast), reference.diff(lone_ref), pick
+        assert_drilldown_identical(
+            fast.diff(lone_fast), reference.diff(lone_ref)
         )
 
     @settings(max_examples=60, deadline=None)

@@ -24,7 +24,7 @@ from repro.obs import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.metrics import GAUGE
+from repro.obs.metrics import COUNTER, GAUGE, HISTOGRAM
 from repro.runtime.presets import network_4level_runtime
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 
@@ -59,21 +59,20 @@ def drive(runtime, epochs=2, flows_per_epoch=80, seed=11,
     return runtime
 
 
-class TestMetricsRegistry:
-    def test_counter_only_goes_up(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", "help").labels()
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(PlacementError):
-            counter.inc(-1)
+def row(name, kind=COUNTER, labels=(), read=None, **extra):
+    """One family-table row: sourced when it has a ``read``."""
+    return Family(name, kind, labels, read, "help", **extra)
 
+
+class TestMetricsRegistry:
     def test_labeled_series_materialize_per_combination(self):
         registry = MetricsRegistry()
-        family = registry.counter("c_total", "help", ("level",))
-        family.labels(level="router").inc(5)
-        family.labels(level="region").inc(7)
+        registry.install(
+            [row("c_total", labels=("level",), read=lambda c: c.items())],
+            {("router",): 5, ("region",): 7},
+        )
+        registry.collect()
+        family = registry.get("c_total")
         assert family.labels(level="router").value == 5
         assert len(family.series()) == 2
         with pytest.raises(PlacementError):
@@ -81,25 +80,28 @@ class TestMetricsRegistry:
 
     def test_reregistration_idempotent_but_conflicts_rejected(self):
         registry = MetricsRegistry()
-        first = registry.counter("c_total", "help", ("a",))
-        assert registry.counter("c_total", "help", ("a",)) is first
+        registry.install([row("c_total", labels=("a",))], None)
+        first = registry.get("c_total")
+        registry.install([row("c_total", labels=("a",))], None)
+        assert registry.get("c_total") is first
         with pytest.raises(PlacementError):
-            registry.gauge("c_total", "help", ("a",))
+            registry.install([row("c_total", GAUGE, ("a",))], None)
         with pytest.raises(PlacementError):
-            registry.counter("c_total", "help", ("b",))
+            registry.install([row("c_total", labels=("b",))], None)
 
     def test_invalid_names_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(PlacementError):
-            registry.counter("bad name", "help")
+            registry.install([row("bad name")], None)
         with pytest.raises(PlacementError):
-            registry.counter("ok_total", "help", ("bad-label",))
+            registry.install([row("ok_total", labels=("bad-label",))], None)
 
     def test_histogram_cumulative_buckets(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "h_seconds", "help", buckets=(0.1, 1.0)
-        ).labels()
+        registry.install(
+            [row("h_seconds", HISTOGRAM, buckets=(0.1, 1.0))], None
+        )
+        histogram = registry.get("h_seconds").labels()
         for value in (0.05, 0.5, 5.0):
             histogram.observe(value)
         assert histogram.cumulative_buckets() == [
@@ -111,17 +113,17 @@ class TestMetricsRegistry:
     def test_collectors_run_at_collection_time(self):
         registry = MetricsRegistry()
         source = {"value": 0}
-        row = Family(
-            "g", GAUGE, (), lambda c: [((), c["value"])], "help"
+        registry.install(
+            [row("g", GAUGE, read=lambda c: [((), c["value"])])], source
         )
-        registry.install([row], source)
         source["value"] = 41
         registry.collect()
         assert registry.get("g").labels().value == 41
 
     def test_snapshot_is_json_safe(self):
         registry = MetricsRegistry()
-        registry.histogram("h_seconds", "help").labels().observe(0.2)
+        registry.install([row("h_seconds", HISTOGRAM)], None)
+        registry.get("h_seconds").labels().observe(0.2)
         snapshot = registry.snapshot()
         text = json.dumps(snapshot)  # must not need allow_nan tricks
         buckets = snapshot["h_seconds"]["series"][0]["buckets"]
@@ -182,8 +184,10 @@ class TestTracer:
 class TestExposition:
     def test_round_trip_with_label_escaping(self):
         registry = MetricsRegistry()
-        family = registry.counter("c_total", "help", ("path",))
-        family.labels(path='we"ird\\label').inc(3)
+        registry.install(
+            [row("c_total", labels=("path",), read=lambda c: c)],
+            [(('we"ird\\label',), 3)],
+        )
         parsed = parse_prometheus(render_prometheus(registry))
         assert parsed[
             ("c_total", frozenset({("path", 'we"ird\\label')}))
@@ -191,7 +195,9 @@ class TestExposition:
 
     def test_help_and_type_lines_present(self):
         registry = MetricsRegistry()
-        registry.gauge("g", "live entries").labels().set(2)
+        registry.install(
+            [Family("g", GAUGE, (), lambda c: [((), c)], "live entries")], 2
+        )
         text = render_prometheus(registry)
         assert "# HELP g live entries" in text
         assert "# TYPE g gauge" in text

@@ -25,7 +25,6 @@ from repro.client import (
 )
 from repro.errors import FlowQLPlanningError, WireSchemaError
 from repro.faults import FaultPlan, RestartDrill
-from repro.flows.records import Score
 from repro.flowql.executor import FlowQLResult
 from repro.flowql.parser import parse
 from repro.runtime.config import LevelConfig
@@ -338,12 +337,12 @@ class TestDeltaIdentity:
             drive(runtime, 1, start=epoch, flows=150)
             self.assert_identical(runtime, subscription, text)
         # the horizon must actually cross the onset, or this pins nothing
-        folds = [
-            fold
+        partials = [
+            partial
             for view in subscription.views
-            for fold in view.site_trees.values()
+            for [(_, partial)] in view.site_trees.values()
         ]
-        assert any(fold.compressions > 0 for fold in folds)
+        assert any(partial.compressions > 0 for partial in partials)
         assert subscription.rebuilds == 0
         assert subscription.delta_refreshes == 11
 

@@ -151,7 +151,8 @@ class TestKeptEqualsFresh:
             )
         if text == AT_ROUTER1:
             # the horizon crossed the onset, or this pins nothing
-            assert kept[0].site_trees[ROUTER1].compressions > 0
+            [(_, partial)] = kept[0].site_trees[ROUTER1]
+            assert partial.compressions > 0
 
     def test_one_advance_folds_two_new_partitions_of_a_store(self):
         """Two closes between advances: the kept advance extends the
@@ -378,9 +379,9 @@ def count_tree_work(monkeypatch):
 
         monkeypatch.setattr(Flowtree, attr, counted)
 
-    def absorbed(tree, other, sign, _original=Flowtree._absorb):
+    def absorbed(tree, other, _original=Flowtree._absorb):
         before = tree.node_count
-        _original(tree, other, sign)
+        _original(tree, other)
         counts["nodes"] += tree.node_count - before
 
     monkeypatch.setattr(Flowtree, "_absorb", absorbed)
@@ -452,6 +453,65 @@ class TestBorrowedInputs:
         assert counts == {
             "trees": 1, "copies": 1, "nodes": entry.tree.node_count - 1
         }
+
+
+class TestRootOnlyFolds:
+    """``TOTAL`` reads only the root, which Compress never changes: its
+    kept folds hold their inputs, never a union, at every horizon."""
+
+    TEXTS = (
+        CLOUD_TOTAL,
+        f"SELECT TOTAL FROM ALL AT {ROUTER1}",
+        "SELECT TOTAL FROM TIME(60, 600) VS TIME(0, 60)",
+    )
+
+    def test_standing_totals_build_nothing_and_equal_cold(self, monkeypatch):
+        runtime = build_runtime()
+        planner = runtime.planner
+        drive(runtime, 2, flows=150)
+        kept = {}
+        for text in self.TEXTS:
+            query = parse(text)
+            kept[text] = (
+                query, planner.window_folds(planner.plan(query), query)
+            )
+            for fold in kept[text][1]:
+                fold.advance(planner.clock)
+        standing = {
+            text: runtime.subscribe("SUBSCRIBE " + text)
+            for text in self.TEXTS
+        }
+        counts = count_tree_work(monkeypatch)
+        for epoch in range(2, 13):
+            drive(runtime, 1, start=epoch, flows=150)
+            counts.update(trees=0, copies=0, nodes=0)
+            answers = {}
+            for text, (query, folds) in kept.items():
+                for fold in folds:
+                    assert fold.resumable
+                    fold.advance(planner.clock)
+                answers[text] = answer(folds, query).to_wire()
+            assert counts == {"trees": 0, "copies": 0, "nodes": 0}
+            stored = stored_objects(runtime)
+            for text, (query, folds) in kept.items():
+                assert all(
+                    stored.get(id(tree)) is tree
+                    for fold in folds
+                    for tree in fold.trees
+                ), text
+                expected = cold(runtime, text).result.to_wire()
+                assert answers[text] == expected, (epoch, text)
+                update = standing[text].latest()
+                assert update.mode == MODE_DELTA
+                assert update.result.to_wire() == expected
+        [site_fold] = kept[self.TEXTS[1]][1]
+        assert site_fold.plan.route == ROUTE_FEDERATED
+        assert len(site_fold.site_trees[ROUTER1]) == 13
+        # the horizon crossed per-site compression onset: the union a
+        # cold read ships compresses, the partitions it sums do not
+        inputs = site_fold.site_trees[ROUTER1]
+        shipped = Flowtree.union(inputs, inputs[0][1].node_budget)
+        assert shipped.compressions > 0
 
 
 class TestStoredTreesNeverWritten:
