@@ -13,8 +13,8 @@ The paper is a vision paper; this library *builds the vision*:
   storage strategies, triggers, partitions, and federated queries.
 * **Hierarchy and network** (:mod:`repro.hierarchy`) — both Figure 1
   settings and a byte-accounted WAN.
-* **Analytics** (:mod:`repro.analytics`) — event-log and graph
-  analytics, and lightweight inference.
+* **Analytics** (:mod:`repro.analytics`) — communication-graph
+  analytics and lightweight inference.
 * **Control** (:mod:`repro.control`) — controllers with conflict
   resolution and the Manager control plane.
 * **Applications** (:mod:`repro.apps`) — predictive maintenance,
@@ -26,9 +26,10 @@ The paper is a vision paper; this library *builds the vision*:
   variant is :func:`~repro.runtime.presets.tiered_runtime`.
 * **Adaptive replication** (:mod:`repro.replication`) — ski-rental
   policies, access prediction, and the Figure 6 engine.
-* **Simulation** (:mod:`repro.simulation`) — the discrete-event
-  substrate and workload generators standing in for factory sensors,
-  router exports, and the enterprise query trace.
+* **Simulation** (:mod:`repro.simulation`) — stepped workload
+  generators standing in for factory sensors, router exports, and the
+  enterprise query trace; the factory and network scenarios advance
+  their own clocks.
 
 The frozen public API is what this module exports under ``__all__`` —
 most programs need only the runtime entry points::
@@ -105,7 +106,6 @@ from repro.scenarios import (
 )
 from repro.serve import ServePlane
 from repro.simulation import (
-    Simulator,
     TrafficConfig,
     TrafficGenerator,
     build_factory,
@@ -158,7 +158,6 @@ __all__ = [
     "AdaptiveReplicationEngine",
     "BreakEvenPolicy",
     "DistributionAwarePolicy",
-    "Simulator",
     "TrafficGenerator",
     "TrafficConfig",
     "build_factory",

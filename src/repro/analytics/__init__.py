@@ -1,8 +1,8 @@
 """The Analytics building block (Figure 2a, "transfer & process").
 
 The paper treats analytics as a pluggable toolset between data stores
-and applications.  This package supplies event-log and
-communication-graph analytics and lightweight inference blocks (EWMA
+and applications.  This package supplies communication-graph analytics
+and lightweight inference blocks (EWMA
 anomaly scores, linear trends, CUSUM change detection,
 time-to-threshold forecasts) that the example applications build on.
 """
@@ -12,12 +12,6 @@ from repro.analytics.inference import (
     EwmaAnomalyDetector,
     LinearTrend,
     time_to_threshold,
-)
-from repro.analytics.eventlog import (
-    MachineProfile,
-    ProcessAnalysis,
-    analyze_event_log,
-    efficiency_gain_estimate,
 )
 from repro.analytics.graph import (
     communication_graph,
@@ -37,8 +31,4 @@ __all__ = [
     "traffic_communities",
     "hierarchy_choke_points",
     "demand_weighted_link_load",
-    "analyze_event_log",
-    "efficiency_gain_estimate",
-    "ProcessAnalysis",
-    "MachineProfile",
 ]

@@ -86,33 +86,6 @@ class ProcessMiningApp(Application):
             for machine in self.workload.machines
         ]
 
-    def mine_events(self, line: str, events, now: float) -> AppReport:
-        """Mine a production event log for one line (the richer path).
-
-        Where :meth:`on_epoch` infers health from sensor telemetry, this
-        combines the *event log* — items through machines — with the
-        operational view: bottleneck by utilization, throughput, and the
-        estimated speedup from servicing the bottleneck.  This is the
-        "combining operational data and enterprise data" variant of the
-        paper's process-mining application.
-        """
-        from repro.analytics.eventlog import (
-            analyze_event_log,
-            efficiency_gain_estimate,
-        )
-
-        analysis = analyze_event_log(events)
-        gain = efficiency_gain_estimate(analysis)
-        return self.report(
-            now,
-            "line-process-analysis",
-            line=line,
-            bottleneck=analysis.bottleneck,
-            throughput_per_hour=analysis.throughput_per_hour,
-            mean_flow_seconds=analysis.mean_flow_seconds,
-            potential_speedup=gain["potential_speedup"],
-        )
-
     def on_epoch(self, manager: Manager, now: float) -> List[AppReport]:
         emitted: List[AppReport] = []
         for line_name, machines in self.workload.lines.items():

@@ -134,9 +134,5 @@ class ReplicationError(ReproError):
     """An adaptive-replication operation failed."""
 
 
-class SimulationError(ReproError):
-    """The discrete-event simulation was driven into an invalid state."""
-
-
 class LineageError(ReproError):
     """A lineage record is inconsistent (unknown parent, cyclic derivation)."""

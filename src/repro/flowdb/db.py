@@ -22,7 +22,7 @@ import bisect
 import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.summary import DataSummary, TimeInterval, stores_changed
+from repro.core.summary import TimeInterval, stores_changed
 from repro.errors import FlowQLPlanningError, SchemaMismatchError
 from repro.flows.flowkey import GeneralizationPolicy
 from repro.flows.tree import Flowtree
@@ -96,18 +96,6 @@ class FlowDB:
         return len(self._entries)
 
     # -- ingest ------------------------------------------------------------
-
-    def insert_summary(self, summary: DataSummary) -> FlowDBEntry:
-        """Index one exported Flowtree summary."""
-        if summary.kind != "flowtree":
-            raise SchemaMismatchError(
-                f"FlowDB stores flowtree summaries, got {summary.kind!r}"
-            )
-        return self.insert(
-            location=summary.meta.location.path,
-            interval=summary.meta.interval,
-            tree=summary.payload,
-        )
 
     def insert(
         self, location: str, interval: TimeInterval, tree: Flowtree

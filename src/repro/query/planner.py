@@ -114,9 +114,8 @@ class FederatedQueryPlanner:
         self.subscriptions = SubscriptionRegistry(self)
 
     def _topology_generation(self) -> int:
-        """The runtime's live topology generation (0 when static)."""
-        model = getattr(self.runtime, "model", None)
-        return 0 if model is None else model.generation
+        """The runtime's live topology generation."""
+        return self.runtime.model.generation
 
     # -- plan selection ------------------------------------------------------
 

@@ -11,8 +11,8 @@ It does three things:
 
 * **Provisioning** — one :class:`~repro.datastore.store.DataStore` per
   hierarchy node whose level has a :class:`~repro.runtime.config.LevelConfig`,
-  each with its level's aggregator, storage strategy, and privacy guard,
-  in one store table that the runtime's
+  each with its level's aggregator and storage strategy, in one store
+  table that the runtime's
   :class:`~repro.control.manager.Manager` reads as its own.
 * **Rollup** — a single generic level-by-level epoch close: edge stores
   export their live summaries into the nearest ancestor store (a
@@ -314,7 +314,6 @@ class HierarchyRuntime:
             node.location,
             config.make_storage(),
             fabric=self.fabric,
-            privacy=config.privacy,
         )
         self._equip(store, config)
         self._stores[node.location.path] = store
@@ -633,7 +632,7 @@ class HierarchyRuntime:
         Every store seals its epoch; one with an ancestor store ships
         the sealed summary to it over the fabric (the interior merge),
         one with none ships its Flowtree partitions into FlowDB across
-        the WAN — privacy-degraded, either way, when the level has a
+        the WAN — privacy-degraded, either way, when the store has a
         guard.  Returns the number of summaries exported to FlowDB.
 
         Every export travels :mod:`repro.runtime.export`'s one path,

@@ -24,6 +24,7 @@ Per request it:
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -33,8 +34,8 @@ from repro.serve import wire
 from repro.serve.http11 import (
     HTTPConnectionPool,
     Request,
-    read_request,
     response_bytes,
+    serve_connection,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,7 +62,7 @@ class FlowQLGateway:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._serve_connection,
+            functools.partial(serve_connection, self._dispatch),
             self.host,
             self.plane.gateway_port,
             backlog=1024,  # thousands of clients may connect at once
@@ -84,34 +85,7 @@ class FlowQLGateway:
             raise ServeError("gateway not started")
         return f"http://{self.host}:{self.port}"
 
-    # -- connection handling -------------------------------------------------
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ServeError as exc:
-                    writer.write(
-                        response_bytes(400, wire.encode_error(exc))
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch(request)
-                writer.write(response)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+    # -- request dispatch ----------------------------------------------------
 
     async def _dispatch(self, request: Request) -> bytes:
         if request.method == "GET" and request.path == "/healthz":

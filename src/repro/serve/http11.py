@@ -7,7 +7,8 @@ instead of pulling in a framework or a second HTTP stack.  Every
 message head in the program is built and parsed here:
 
 * the servers (:mod:`repro.serve.server`, :mod:`repro.serve.gateway`)
-  read requests with :func:`read_request` and write replies with
+  hand :func:`serve_connection` their dispatch; it reads requests with
+  :func:`read_request` and writes replies built with
   :func:`response_bytes`;
 * the gateway's forward to a node (:class:`HTTPConnectionPool`) and the
   blocking :class:`~repro.client.FlowQLClient` build requests with
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import BinaryIO, Dict, Optional, Tuple
+from typing import Awaitable, BinaryIO, Callable, Dict, Optional, Tuple
 
 from repro.errors import ServeError
+from repro.serve import wire
 
 #: maximum header block / body size accepted (a simulation guard, not
 #: a hardening claim)
@@ -124,6 +126,38 @@ async def read_request(
     except asyncio.IncompleteReadError:
         raise ServeError("connection closed mid-request")
     return Request(method.upper(), path, headers, body)
+
+
+async def serve_connection(
+    dispatch: Callable[[Request], Awaitable[bytes]],
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+) -> None:
+    """Answer one keep-alive connection's requests with ``dispatch``.
+
+    Runs until the peer closes; a request that does not parse is
+    answered 400 and ends the connection, since its framing is lost.
+    """
+    try:
+        while True:
+            try:
+                request = await read_request(reader)
+            except ServeError as exc:
+                writer.write(response_bytes(400, wire.encode_error(exc)))
+                await writer.drain()
+                break
+            if request is None:
+                break
+            writer.write(await dispatch(request))
+            await writer.drain()
+    except (ConnectionError, OSError):  # peer went away mid-write
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):  # pragma: no cover
+            pass
 
 
 def read_response(

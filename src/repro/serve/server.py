@@ -27,6 +27,7 @@ is the *capacity* of that node's front door:
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
@@ -43,7 +44,7 @@ from repro.query.plan import (
     QueryPlan,
 )
 from repro.serve import wire
-from repro.serve.http11 import Request, read_request, response_bytes
+from repro.serve.http11 import Request, response_bytes, serve_connection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.plane import ServePlane
@@ -126,7 +127,10 @@ class NodeServer:
     async def start(self) -> None:
         self._queue = asyncio.Queue(maxsize=self.plane.queue_limit)
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, 0, backlog=1024
+            functools.partial(serve_connection, self._dispatch),
+            self.host,
+            0,
+            backlog=1024,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._workers = [
@@ -161,34 +165,7 @@ class NodeServer:
             await self._server.wait_closed()
             self._server = None
 
-    # -- connection handling -------------------------------------------------
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ServeError as exc:
-                    writer.write(
-                        response_bytes(400, wire.encode_error(exc))
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch(request)
-                writer.write(response)
-                await writer.drain()
-        except (ConnectionError, OSError):  # peer went away mid-write
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+    # -- request dispatch ----------------------------------------------------
 
     async def _dispatch(self, request: Request) -> bytes:
         if request.method == "GET" and request.path == "/healthz":

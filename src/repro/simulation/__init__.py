@@ -1,13 +1,14 @@
-"""Discrete-event simulation and workload generation.
+"""Workload generation.
 
 The paper's evaluation targets — factory sensor floods, router flow
 exports, and the enterprise query trace used for replication — are not
 shippable datasets, so this package synthesizes them (see DESIGN.md §4
-for the substitution argument):
+for the substitution argument).  There is no event queue: time is a
+stepped loop owned by whoever drives a workload —
+:meth:`~repro.scenarios.factory.FactoryScenario.run` steps the factory's
+clock and :func:`~repro.simulation.traffic.drive` steps traffic epochs.
 
-* :mod:`repro.simulation.events` — a minimal discrete-event simulator
-  with a simulated clock.
-* :mod:`repro.simulation.sensors` — sensor and actuator processes,
+* :mod:`repro.simulation.sensors` — sensor and actuator models,
   including the paper's cited 3D-camera (52 GB/h) and HD-camera
   (17.5 GB/h) data rates.
 * :mod:`repro.simulation.factory` — a smart-factory workload: production
@@ -18,7 +19,6 @@ for the substitution argument):
   heavy-tailed per-partition access runs, for the replication benchmarks.
 """
 
-from repro.simulation.events import Event, Simulator
 from repro.simulation.sensors import (
     Actuator,
     CameraSensor,
@@ -33,10 +33,6 @@ from repro.simulation.factory import (
     MachineState,
     build_factory,
 )
-from repro.simulation.production import (
-    ProductionEvent,
-    ProductionLineSimulator,
-)
 from repro.simulation.traffic import TrafficConfig, TrafficGenerator
 from repro.simulation.querytrace import (
     AccessEvent,
@@ -45,8 +41,6 @@ from repro.simulation.querytrace import (
 )
 
 __all__ = [
-    "Event",
-    "Simulator",
     "SensorReading",
     "ScalarSensor",
     "CameraSensor",
@@ -57,8 +51,6 @@ __all__ = [
     "MachineState",
     "FactoryWorkload",
     "build_factory",
-    "ProductionEvent",
-    "ProductionLineSimulator",
     "TrafficConfig",
     "TrafficGenerator",
     "AccessEvent",

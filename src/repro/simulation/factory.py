@@ -16,14 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.summary import Location
-from repro.simulation.events import Simulator
 from repro.simulation.sensors import (
     BYTES_3D_CAMERA_PER_HOUR,
     CameraSensor,
-    ReadingSink,
     ScalarSensor,
 )
 
@@ -134,26 +132,6 @@ class FactoryWorkload:
     def machines(self) -> List[Machine]:
         """All machines across all lines."""
         return [machine for line in self.lines.values() for machine in line]
-
-    def attach(
-        self,
-        simulator: Simulator,
-        sink: ReadingSink,
-        until: Optional[float] = None,
-        include_cameras: bool = False,
-    ) -> None:
-        """Schedule every sensor's emissions into ``sink``.
-
-        Camera frames are optional: at 30 fps per camera they dominate
-        the event count, and most experiments only need their byte rate,
-        which :meth:`raw_bytes_per_second` reports analytically.
-        """
-        for machine in self.machines:
-            for sensor in machine.sensors:
-                sensor.attach(simulator, sink, until=until)
-        if include_cameras:
-            for camera in self.cameras:
-                camera.attach(simulator, sink, until=until)
 
     def raw_bytes_per_second(self) -> float:
         """Aggregate raw data rate of every sensor in the factory."""

@@ -1,11 +1,10 @@
 """Sensor and actuator processes.
 
 Sensors stand in for the physical devices of Section II: scalar sensors
-(temperature, vibration, current draw) emit a numeric reading at a fixed
-rate; camera sensors emit opaque frames whose only observable property
-is their byte volume — exactly the two cited rates (a 3D camera at
-52 GB/h, an HD camera at 17.5 GB/h) that motivate aggregation close to
-the machine.
+(temperature, vibration, current draw) produce a numeric reading at a
+fixed rate; camera sensors are modelled only by their byte rate — exactly
+the two cited rates (a 3D camera at 52 GB/h, an HD camera at 17.5 GB/h)
+that motivate aggregation close to the machine.
 
 An :class:`Actuator` is the other end of the control loop: the
 controller sends it commands and it records them with latency, which is
@@ -14,13 +13,11 @@ how the benchmarks measure the Figure 3 control cycle.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.core.summary import Location
-from repro.simulation.events import Simulator
 
 #: Data rates cited in Section II.A (bytes per hour, uncompressed).
 BYTES_3D_CAMERA_PER_HOUR = 52 * 10**9
@@ -29,16 +26,13 @@ BYTES_HD_CAMERA_PER_HOUR = int(17.5 * 10**9)
 
 @dataclass(frozen=True)
 class SensorReading:
-    """One sensor emission: a value (NaN for opaque frames) plus bytes."""
+    """One sensor emission: a value plus its size in bytes."""
 
     sensor_id: str
     location: Location
     timestamp: float
     value: float
     size_bytes: int
-
-
-ReadingSink = Callable[[SensorReading], None]
 
 
 class ScalarSensor:
@@ -67,14 +61,12 @@ class ScalarSensor:
         self.noise_std = noise_std
         self.bytes_per_reading = bytes_per_reading
         self._rng = random.Random(seed)
-        self.readings_emitted = 0
 
     def reading_at(self, timestamp: float) -> SensorReading:
         """Synthesize the reading for time ``timestamp``."""
         value = self.value_fn(timestamp)
         if self.noise_std > 0:
             value += self._rng.gauss(0.0, self.noise_std)
-        self.readings_emitted += 1
         return SensorReading(
             sensor_id=self.sensor_id,
             location=self.location,
@@ -82,20 +74,6 @@ class ScalarSensor:
             value=value,
             size_bytes=self.bytes_per_reading,
         )
-
-    def attach(
-        self,
-        simulator: Simulator,
-        sink: ReadingSink,
-        until: Optional[float] = None,
-    ) -> None:
-        """Schedule periodic emissions into ``sink`` on ``simulator``."""
-        interval = 1.0 / self.rate_hz
-
-        def emit(sim: Simulator) -> None:
-            sink(self.reading_at(sim.now))
-
-        simulator.every(interval, emit, until=until)
 
     def bytes_per_second(self) -> float:
         """The sensor's raw data rate."""
@@ -105,9 +83,9 @@ class ScalarSensor:
 class CameraSensor:
     """An opaque high-volume sensor characterized by its byte rate.
 
-    Frames carry no analyzable value (``value`` is NaN); what matters to
-    the architecture is the data volume that must be filtered or
-    aggregated near the source (Table I, challenges 1 and 3).
+    Frames carry no analyzable value; what matters to the architecture
+    is the data volume that must be filtered or aggregated near the
+    source (Table I, challenges 1 and 3).
     """
 
     def __init__(
@@ -115,43 +93,10 @@ class CameraSensor:
         sensor_id: str,
         location: Location,
         bytes_per_hour: int = BYTES_HD_CAMERA_PER_HOUR,
-        frames_per_second: float = 30.0,
     ) -> None:
         self.sensor_id = sensor_id
         self.location = location
         self.bytes_per_hour = bytes_per_hour
-        self.frames_per_second = frames_per_second
-        self.readings_emitted = 0
-
-    @property
-    def bytes_per_frame(self) -> int:
-        """Frame size implied by the hourly volume and frame rate."""
-        return int(self.bytes_per_hour / 3600.0 / self.frames_per_second)
-
-    def reading_at(self, timestamp: float) -> SensorReading:
-        """Synthesize one frame emission."""
-        self.readings_emitted += 1
-        return SensorReading(
-            sensor_id=self.sensor_id,
-            location=self.location,
-            timestamp=timestamp,
-            value=math.nan,
-            size_bytes=self.bytes_per_frame,
-        )
-
-    def attach(
-        self,
-        simulator: Simulator,
-        sink: ReadingSink,
-        until: Optional[float] = None,
-    ) -> None:
-        """Schedule periodic frame emissions into ``sink``."""
-        interval = 1.0 / self.frames_per_second
-
-        def emit(sim: Simulator) -> None:
-            sink(self.reading_at(sim.now))
-
-        simulator.every(interval, emit, until=until)
 
     def bytes_per_second(self) -> float:
         """The camera's raw data rate."""

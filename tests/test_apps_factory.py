@@ -105,21 +105,3 @@ class TestProcessMining:
             assert 0.0 <= snapshot.worst_health <= 1.0
             assert 0.0 <= snapshot.mean_health <= 1.0
 
-
-class TestProcessMiningEvents:
-    def test_event_log_report(self, setup):
-        from repro.simulation.production import ProductionLineSimulator
-
-        workload, scenario = setup
-        machines = workload.lines["line1"]
-        machines[1].wear = 0.9
-        simulator = ProductionLineSimulator(
-            machines, base_processing_seconds=10.0, wear_gain=3.0, seed=2
-        )
-        events = simulator.run(until=3600.0, interarrival_seconds=30.0)
-        app = ProcessMiningApp(workload)
-        report = app.mine_events("line1", events, now=3600.0)
-        assert report.kind == "line-process-analysis"
-        assert report.body["bottleneck"] == machines[1].machine_id
-        assert report.body["potential_speedup"] > 0.2
-        assert report.body["throughput_per_hour"] > 0

@@ -473,19 +473,6 @@ class TestFlowDB:
         with pytest.raises(SchemaMismatchError):
             loaded_db.insert("x", TimeInterval(0, 1), other)
 
-    def test_insert_summary_kind_check(self, loaded_db):
-        from repro.core.summary import DataSummary, Location, SummaryMeta
-        from repro.errors import SchemaMismatchError
-
-        bad = DataSummary(
-            kind="sample",
-            meta=SummaryMeta(TimeInterval(0, 1), Location("x")),
-            payload=[],
-            size_bytes=0,
-        )
-        with pytest.raises(SchemaMismatchError):
-            loaded_db.insert_summary(bad)
-
 
 class TestLimitClause:
     @pytest.fixture()

@@ -75,6 +75,76 @@ def test_no_process_global_randomness():
     assert hits == []
 
 
+def _import_bindings(tree):
+    """``(name, lineno)`` for every import binding a module makes,
+    less ``from __future__`` and ``import x as x`` re-exports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if alias.name == "*" or alias.asname == alias.name:
+                continue
+            yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _strings(node):
+    return [
+        inner.value
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+    ]
+
+
+def _used_names(tree):
+    """Names a module reads: ``Name`` nodes, names inside quoted
+    annotations, and the strings of ``__all__``."""
+    quoted = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            quoted.extend(_strings(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                quoted.extend(_strings(node.returns))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            quoted.extend(_strings(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for text in quoted:
+        try:
+            expression = ast.parse(text, mode="eval")
+        except SyntaxError:
+            continue
+        used.update(
+            node.id
+            for node in ast.walk(expression)
+            if isinstance(node, ast.Name)
+        )
+    return used
+
+
+def test_no_unused_imports():
+    """Every import binding in ``src/``, ``tests/``, ``benchmarks/``
+    and ``examples/`` is read somewhere in its module: a deletion that
+    leaves an import behind fails here, where tier-1 runs, and not only
+    in a lint step that needs a linter installed."""
+    root = pathlib.Path(__file__).parent.parent
+    stale = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used = _used_names(tree)
+            stale.extend(
+                f"{path.relative_to(root)}:{lineno} {name}"
+                for name, lineno in _import_bindings(tree)
+                if name not in used
+            )
+    assert stale == []
+
+
 def test_benchmark_ledger_entry_points_resolve():
     """The end-to-end benchmark wraps these names from outside; a
     refactor that renames one must fail here, not in a traced pass."""

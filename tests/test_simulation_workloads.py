@@ -1,13 +1,10 @@
 """Tests for the workload generators: sensors, factory, traffic, traces."""
 
-import math
-
 import pytest
 
 from repro.core.summary import Location
 from repro.faults import FaultPlan
 from repro.runtime.presets import network_4level_runtime
-from repro.simulation.events import Simulator
 from repro.simulation.factory import (
     FAILURE_WEAR,
     Machine,
@@ -28,16 +25,6 @@ LOC = Location("hq/factory1/line1/machine1")
 
 
 class TestSensors:
-    def test_scalar_sensor_rate(self):
-        sensor = ScalarSensor("s1", LOC, rate_hz=10.0, value_fn=lambda t: t)
-        sim = Simulator()
-        readings = []
-        sensor.attach(sim, readings.append, until=2.0)
-        sim.run()
-        # 20 firings expected; float step accumulation may drop the one
-        # landing exactly on the boundary
-        assert len(readings) in (19, 20)
-
     def test_scalar_sensor_noise_determinism(self):
         a = ScalarSensor(
             "s", LOC, 1.0, lambda t: 5.0, noise_std=1.0, seed=42
@@ -57,13 +44,6 @@ class TestSensors:
         # 52 GB/h and 17.5 GB/h as cited in Section II.A
         assert camera_3d.bytes_per_second() == pytest.approx(52e9 / 3600)
         assert camera_hd.bytes_per_second() == pytest.approx(17.5e9 / 3600)
-        assert camera_3d.bytes_per_frame > camera_hd.bytes_per_frame
-
-    def test_camera_reading_is_opaque(self):
-        camera = CameraSensor("c", LOC)
-        reading = camera.reading_at(0.0)
-        assert math.isnan(reading.value)
-        assert reading.size_bytes > 0
 
     def test_actuator_records_latency(self):
         actuator = Actuator("a1", LOC)
@@ -122,15 +102,6 @@ class TestFactory:
         camera_rate = sum(c.bytes_per_second() for c in factory.cameras)
         assert factory.raw_bytes_per_second() > camera_rate
         assert camera_rate / factory.raw_bytes_per_second() > 0.99
-
-    def test_attach_streams_readings(self):
-        factory = build_factory(lines=1, machines_per_line=2)
-        sim = Simulator()
-        readings = []
-        factory.attach(sim, readings.append, until=5.0)
-        sim.run()
-        assert readings
-        assert all(r.size_bytes > 0 for r in readings)
 
 
 class TestTraffic:

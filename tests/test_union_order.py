@@ -100,7 +100,12 @@ def test_flowdb_inserted_in_every_order(summaries, union):
             list(SITES), node_budget=BUDGET, merge_node_budget=BUDGET
         )
         for index in order:
-            runtime.db.insert_summary(summaries[index])
+            summary = summaries[index]
+            runtime.db.insert(
+                summary.meta.location.path,
+                summary.meta.interval,
+                summary.payload,
+            )
         merged = runtime.db.merged_tree()
         assert frozen(merged) == union
         outcome = runtime.query(TEXT)
